@@ -44,14 +44,7 @@ from .spin_detuned import (
     static_chain,
     static_dynamical_split,
 )
-from .spin_general import (
-    r1_map,
-    r1_value,
-    r2_map,
-    r2_value,
-    sigma1x_general,
-    sigma2x_general,
-)
+from .spin_general import r1_value, r2_value, sigma1x_general, sigma2x_general
 from .fermion import (
     fermion_high_T,
     g_script,
@@ -68,7 +61,7 @@ from .oracle import (
     formula_value,
     jw_residual,
 )
-from .sweep import AxisSpec, SweepSpec, run_sweep
+from .sweep import AxisSpec, SweepSpec, r1_map, r2_map, run_sweep
 from .table import SweepTable, emit, emit_csv, emit_json, parse_csv
 
 __version__ = "0.1.0"

@@ -52,9 +52,17 @@ from .spin_detuned import (
     sigma2x,
     static_dynamical_split,
 )
-from .spin_general import MAP_QUADRATURE, r1_map, r1_value, r2_map
+from .spin_general import r1_value
 from .fermion import sigma1x_fermion, sigma2x_fermion
-from .sweep import AxisSpec, SweepSpec, quantity_names, run_sweep
+from .sweep import (
+    MAP_QUADRATURE,
+    AxisSpec,
+    SweepSpec,
+    quantity_names,
+    r1_map,
+    r2_map,
+    run_sweep,
+)
 from .table import STATUS_OK, SweepTable, emit, emit_csv, parse_csv
 
 __all__ = ["main"]

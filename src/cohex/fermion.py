@@ -340,23 +340,6 @@ def _combined_route(
     )
 
 
-def sigma2x_fermion_integral(
-    params: ModelParams,
-    sd: SpectralDensity,
-    tp: ThermalPoint,
-    config: QuadratureConfig | None = None,
-):
-    """<sigma2x>_F from the arbitrary-bath organization alone.
-
-    Returns (value, err_estimate).  ``sigma2x_fermion`` should usually be
-    preferred; this entry point exists so the two organizations can be
-    compared directly.
-    """
-    _guarded_detuning(params)
-    value, err, _ = _combined_route(params, sd, tp, config)
-    return value, err
-
-
 def sigma2x_fermion(
     params: ModelParams,
     sd: SpectralDensity,
@@ -696,32 +679,3 @@ def normalized_fermion(
         / denom0
     )
     return first, second
-
-
-def y_spin(
-    omega1_over_omegac: float,
-    beta_omega1: float,
-    config: QuadratureConfig | None = None,
-) -> float:
-    """Spin internal coherence in units of -4 f1 f2 A: tanh(b/2) F(a, b).
-
-    Non-negative over the whole (a, b) quarter-plane.
-    """
-    return thermal_tanh_half(beta_omega1, 1.0) * f_dimensionless(
-        omega1_over_omegac, beta_omega1, config
-    )
-
-
-def y_fermion(
-    omega1_over_omegac: float,
-    beta_omega1: float,
-    config: QuadratureConfig | None = None,
-) -> float:
-    """Fermion internal coherence in units of -4 f1 f2 A.
-
-    tanh(b/2) (F(a, b)/2 - 1/(2a)); non-positive everywhere, mirroring
-    y_spin with the opposite sign: fermionization flips the coherence.
-    """
-    a = float(omega1_over_omegac)
-    f = f_dimensionless(a, beta_omega1, config)
-    return thermal_tanh_half(beta_omega1, 1.0) * (0.5 * f - 0.5 / a)

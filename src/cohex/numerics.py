@@ -1,20 +1,16 @@
 """Stable special functions and adaptive quadrature.
 
 Everything downstream reduces to integrals of smooth-but-awkward kernels on
-(0, inf): exponential tails, removable 0/0 points sitting on the integration
-path, and occasional genuine principal values.  This module provides
+(0, inf): exponential tails and removable 0/0 points sitting on the
+integration path.  This module provides
 
-* ``expint_ei`` -- exponential integral Ei with series / continued-fraction
-  switchover, plus internally used exponentially scaled variants,
+* ``expint_ei`` -- exponential integral Ei at negative argument with series /
+  continued-fraction switchover, plus an exponentially scaled variant,
 * ``bose_n`` / ``fermi_n`` / ``coth_stable`` -- occupation factors that keep
   full relative accuracy for tiny and huge arguments,
 * ``integrate_semi_infinite`` -- adaptive Gauss-Kronrod quadrature on a
   log-mapped semi-infinite domain with windowed polynomial bridging of
-  declared removable singularities,
-* ``principal_value_integral`` -- symmetric-excision Cauchy principal value
-  with Richardson extrapolation in the excision radius,
-* ``double_ei_series`` -- the low-temperature double series of scaled Ei
-  terms with an analytic polygamma tail.
+  declared removable singularities.
 
 Reduced units (hbar = k_B = 1) throughout the package.
 """
@@ -27,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import polygamma
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -106,43 +101,12 @@ class QuadratureConfig:
         return dataclasses.replace(self, **kwargs)
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation control for series summation."""
-
-    max_terms: int = 200000
-    term_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be positive")
-        if not (self.term_tol > 0.0):
-            raise DomainError("term_tol must be positive")
-
-
 DEFAULT_QUADRATURE = QuadratureConfig()
-DEFAULT_SERIES = SeriesConfig()
 
 
 # ---------------------------------------------------------------------------
 # Exponential integral
 # ---------------------------------------------------------------------------
-
-_EI_OVERFLOW_ARG = 709.0
-
-
-def _ei_series_positive(x: float) -> float:
-    # Ei(x) = gamma + ln x + sum x^n / (n n!), all terms positive for x > 0.
-    total = EULER_GAMMA + math.log(x)
-    term = 1.0
-    for n in range(1, 400):
-        term *= x / n
-        contrib = term / n
-        total += contrib
-        if contrib < 1e-17 * abs(total):
-            return total
-    raise ConvergenceError("Ei series did not converge", partial=total)
-
 
 def _e1_series_small(y: float) -> float:
     # E1(y) = -gamma - ln y + sum (-1)^{n+1} y^n / (n n!), for 0 < y <= 1.
@@ -183,40 +147,15 @@ def _e1_cf_scaled(y: float) -> float:
     raise ConvergenceError("E1 continued fraction did not converge")
 
 
-def _ei_asymptotic_scaled(x: float) -> float:
-    # e^{-x} Ei(x) ~ (1/x) sum k!/x^k, truncated at the smallest term.
-    total = 0.0
-    term = 1.0 / x
-    for k in range(0, 200):
-        total += term
-        nxt = term * (k + 1) / x
-        if abs(nxt) >= abs(term):
-            break
-        if abs(nxt) < 1e-18 * abs(total):
-            total += nxt
-            break
-        term = nxt
-    return total
-
-
 def expint_ei(x: float) -> float:
-    """Exponential integral Ei(x) for real nonzero x.
+    """Exponential integral Ei(x) for real negative x.
 
-    Convergent series on the inner range, continued fraction (x < 0) or
-    optimally truncated asymptotic series (x > 0) beyond; the seams are
+    Convergent series for |x| <= 1, continued fraction beyond; the seam is
     validated against a high-precision series oracle in the test suite.
     """
     x = float(x)
-    if x == 0.0 or not math.isfinite(x):
-        raise DomainError("Ei has a logarithmic singularity at 0 and needs finite x")
-    if x > 0.0:
-        if x > _EI_OVERFLOW_ARG:
-            raise OverflowError(
-                "Ei(x) overflows double precision for x > 709 (asymptotic sign +inf)"
-            )
-        if x < 40.0:
-            return _ei_series_positive(x)
-        return math.exp(x) * _ei_asymptotic_scaled(x)
+    if not (x < 0.0) or not math.isfinite(x):
+        raise DomainError("Ei is evaluated for finite negative x only")
     y = -x
     if y <= 1.0:
         return -_e1_series_small(y)
@@ -228,13 +167,6 @@ def _exp_scaled_ei_neg(c: float) -> float:
     if c >= 1.0:
         return -_e1_cf_scaled(c)
     return math.exp(c) * expint_ei(-c)
-
-
-def _exp_scaled_ei_pos(c: float) -> float:
-    """e^{-c} * Ei(c) for c > 0, without overflow."""
-    if c <= 40.0:
-        return math.exp(-c) * expint_ei(c)
-    return _ei_asymptotic_scaled(c)
 
 
 # ---------------------------------------------------------------------------
@@ -569,142 +501,3 @@ def integrate_semi_infinite(
         interior.extend([p - h, p, p + h, p + 2 * h, max(p - 2 * h, p / 2)])
     breaks = _semi_infinite_breaks(interior, scale)
     return _adaptive_panels(f_u, breaks, cfg)
-
-
-def integrate_interval(
-    kernel: Callable,
-    lo: float,
-    hi: float,
-    config: QuadratureConfig | None = None,
-):
-    """Adaptive GK15 on a finite interval (no singularity handling)."""
-    cfg = config or DEFAULT_QUADRATURE
-    if not (hi > lo):
-        raise DomainError("need hi > lo")
-
-    def f(x):
-        vals = np.asarray(kernel(np.asarray(x, dtype=float)), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise KernelError("kernel returned a non-finite value on the interval")
-        return vals
-
-    breaks = np.linspace(lo, hi, 9)
-    return _adaptive_panels(f, breaks, cfg)
-
-
-def _integrate_from(kernel, lo: float, config: QuadratureConfig):
-    """Integral over (lo, inf) via the shifted log map."""
-    scale = config.tail_decay_scale
-
-    def shifted(x):
-        return kernel(np.asarray(x, dtype=float) + lo)
-
-    return integrate_semi_infinite(shifted, (), config)
-
-
-def principal_value_integral(
-    kernel: Callable,
-    pole: float,
-    config: QuadratureConfig | None = None,
-):
-    """Cauchy principal value of ``kernel`` over (0, inf) with a simple pole.
-
-    Symmetric excision at radii r, r/2, r/4, ... with Richardson
-    extrapolation in the (odd-power) excision error; the extrapolation is
-    stopped once two successive extrapolants agree within tolerance.
-
-    Returns (value, err_estimate).
-    """
-    cfg = config or DEFAULT_QUADRATURE
-    pole = float(pole)
-    if not (pole > 0.0) or not math.isfinite(pole):
-        raise DomainError("pole must be a positive finite abscissa")
-    inner = cfg.replace(rel_tol=min(cfg.rel_tol, 1e-11))
-
-    side_scale = 0.0
-
-    def excised(r: float) -> float:
-        nonlocal side_scale
-        if pole - r > 0:
-            left, e_l = integrate_interval(kernel, 0.0, pole - r, inner)
-        else:
-            left, e_l = 0.0, 0.0
-        right, e_r = _integrate_from(kernel, pole + r, inner)
-        # The two sides can cancel almost completely, so the noise floor of
-        # the extrapolation is set by their magnitudes, not by the result.
-        side_scale = max(side_scale, abs(left), abs(right), e_l + e_r)
-        return left + right
-
-    r0 = 0.2 * pole
-    n_levels = 9
-    table = [excised(r0 * 0.5 ** k) for k in range(n_levels)]
-    # Eliminate the r, r^3, r^5 error terms in turn.
-    factors = [2.0, 8.0, 32.0]
-    prev_best = table[-1]
-    best = table[-1]
-    for fac in factors:
-        table = [
-            (fac * table[k + 1] - table[k]) / (fac - 1.0)
-            for k in range(len(table) - 1)
-        ]
-        prev_best, best = best, table[-1]
-    err = abs(best - prev_best)
-    noise = max(
-        10.0 * inner.rel_tol * side_scale, 1e3 * _EPS * side_scale, cfg.abs_tol
-    )
-    if err > max(cfg.rel_tol * abs(best), 1e-8 * abs(best), noise):
-        raise ConvergenceError(
-            "principal value extrapolation did not settle",
-            partial=best,
-            err_estimate=err,
-        )
-    return best, max(err, inner.rel_tol * side_scale)
-
-
-# ---------------------------------------------------------------------------
-# Low-temperature double series of scaled Ei terms
-# ---------------------------------------------------------------------------
-
-def double_ei_series(
-    omega1_over_omegac: float,
-    beta_omega1: float,
-    config: SeriesConfig | None = None,
-) -> float:
-    """Thermal correction series -sum_{n>=1} sum_{z=+-} e^{z c_n} Ei(-z c_n),
-    with c_n = omega1/omegac + n * beta_omega1.
-
-    Terms pair up to ~ -2/c_n^2, so for large c the remainder is summed
-    analytically with polygamma functions; the explicit loop truncates when
-    a term drops below ``term_tol``.  Tends to -pi^2 / (3 (beta omega1)^2)
-    for small omega1/omegac.
-    """
-    cfg = config or DEFAULT_SERIES
-    a = float(omega1_over_omegac)
-    b = float(beta_omega1)
-    if not (a > 0.0):
-        raise DomainError("omega1_over_omegac must be positive")
-    if not (b > 0.0):
-        raise DomainError("beta_omega1 must be positive")
-    if math.isinf(b):
-        return 0.0
-    total = 0.0
-    asymptotic_from = 60.0
-    for n in range(1, cfg.max_terms + 1):
-        c = a + b * n
-        if c >= asymptotic_from:
-            # Remaining sum of pair terms 2 (1/c^2 + 3!/c^4 + 5!/c^6 + ...):
-            # sum_{m >= n} (a + b m)^{-(j+1)} = psi_j(n + a/b) / (j! b^{j+1}).
-            z = n + a / b
-            tail = 0.0
-            for j in (1, 3, 5):
-                tail += float(polygamma(j, z)) / (b ** (j + 1))
-            total -= 2.0 * tail
-            return total
-        term = -(_exp_scaled_ei_neg(c) + _exp_scaled_ei_pos(c))
-        total += term
-        if abs(term) < cfg.term_tol:
-            return total
-    raise ConvergenceError(
-        "double Ei series exhausted max_terms before term_tol",
-        partial=total,
-    )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -297,32 +298,14 @@ def high_T_asymptotes(
     return s1, s2
 
 
-class StaticChain(tuple):
+class StaticChain(NamedTuple):
     """The four mean-field steps: spin polarization, per-mode bath shift
     coefficient, back-shifted first-spin coherence, transferred output."""
 
-    __slots__ = ()
-
-    def __new__(cls, sigma1z_st, boson_shift_coeff, sigma1x_st, sigma2x_st):
-        return super().__new__(
-            cls, (sigma1z_st, boson_shift_coeff, sigma1x_st, sigma2x_st)
-        )
-
-    @property
-    def sigma1z_st(self):
-        return self[0]
-
-    @property
-    def boson_shift_coeff(self):
-        return self[1]
-
-    @property
-    def sigma1x_st(self):
-        return self[2]
-
-    @property
-    def sigma2x_st(self):
-        return self[3]
+    sigma1z_st: float
+    boson_shift_coeff: float
+    sigma1x_st: float
+    sigma2x_st: float
 
 
 def static_chain(

@@ -1,4 +1,4 @@
-"""Coherences at arbitrary inter-spin coupling, and the small-t validity maps.
+"""Coherences at arbitrary inter-spin coupling, and their small-t ratios.
 
 For arbitrary coupling t the pair Hamiltonian is diagonal in a mixed
 basis parameterized by a single angle.  The second-order steady-state
@@ -9,8 +9,9 @@ points at |omega - epsilon|, omega + epsilon (and 2 epsilon for the
 first spin), which the quadrature bridges.
 
 The ratios R1 and R2 of these general coherences to their small-t closed
-forms quantify where the detuned formulas remain accurate; ``r1_map`` and
-``r2_map`` tabulate them over the (omega2/omega1, t/omega1) plane.
+forms quantify where the detuned formulas remain accurate; the validity
+maps in :mod:`cohex.sweep` tabulate them over the (omega2/omega1,
+t/omega1) plane.
 
 Internally every kernel is evaluated with the four hyperbolic weights
 cosh(beta*omega), cosh(beta*epsilon), sinh(beta*omega), sinh(beta*epsilon)
@@ -23,19 +24,18 @@ arbitrarily large beta, including beta = inf.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateBasisError, DomainError
+from .errors import DegenerateBasisError, DomainError
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     thermal_coth_half,
     thermal_tanh_half,
 )
-from .spectral import OhmicDensity, SpectralDensity
+from .spectral import SpectralDensity
 from .spin_detuned import (
     CoherenceResult,
     ModelParams,
@@ -43,17 +43,6 @@ from .spin_detuned import (
     _magnitude_flags,
     coherence_integral,
 )
-from .table import STATUS_OK, SweepTable
-
-# Default map axes: omega2/omega1 in [0, 10], t/omega1 in [0, 5].
-MAP_OMEGA2_MAX = 10.0
-MAP_T_MAX = 5.0
-MAP_POINTS = 101
-
-# Maps trade accuracy for speed; 1e-7 is far below the 1e-3 scale at
-# which the ratio maps are read, and keeps cells near the omega = epsilon
-# surface from chasing cancellation noise.
-MAP_QUADRATURE = DEFAULT_QUADRATURE.replace(rel_tol=1e-7)
 
 _EPS = np.finfo(float).eps
 
@@ -220,59 +209,6 @@ def _f_parts(xi, cothb, omega, epsilon, chw, che, shw, she):
     return f1k, f2k
 
 
-def _raw_weights(mix: SpinMixing, tp: ThermalPoint):
-    if tp.is_zero_temperature:
-        raise DomainError(
-            "raw kernels diverge at T = 0; the assembled coherences handle it"
-        )
-    bw = tp.beta * mix.omega
-    be = tp.beta * mix.epsilon
-    try:
-        return math.cosh(bw), math.cosh(be), math.sinh(bw), math.sinh(be)
-    except OverflowError:
-        raise DomainError(
-            "hyperbolic overflow in the raw kernels; beta too large"
-        ) from None
-
-
-def _checked_xi(xi):
-    arr = np.asarray(xi, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise DomainError("kernel frequency xi must be positive and finite")
-    return arr
-
-
-def g2_kernels(xi, mix: SpinMixing, tp: ThermalPoint):
-    """First-spin kernels (g0, g1, g2) at positive xi, as printed.
-
-    The assembled integrand is g0 + sin(theta) g1 + cos(2 theta) g2;
-    removable singular points sit at |omega - epsilon|, omega + epsilon
-    and 2 epsilon and are bridged by the quadrature, not here.
-    """
-    arr = _checked_xi(xi)
-    chw, che, shw, she = _raw_weights(mix, tp)
-    cothb = thermal_coth_half(tp.beta, arr)
-    g0, g1, g2 = _g_parts(arr, cothb, mix.omega, mix.epsilon, chw, che, shw, she)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(g0), float(g1), float(g2)
-    return g0, g1, g2
-
-
-def f2_kernels(xi, mix: SpinMixing, tp: ThermalPoint):
-    """Second-spin kernels (f1k, f2k) at positive xi, as printed.
-
-    The assembled integrand is cos(theta) [f1k - sin(theta) f2k], with
-    removable points at |omega - epsilon| and omega + epsilon.
-    """
-    arr = _checked_xi(xi)
-    chw, che, shw, she = _raw_weights(mix, tp)
-    cothb = thermal_coth_half(tp.beta, arr)
-    f1k, f2k = _f_parts(arr, cothb, mix.omega, mix.epsilon, chw, che, shw, she)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(f1k), float(f2k)
-    return f1k, f2k
-
-
 def _prepared(params: ModelParams, tp: ThermalPoint, config):
     """Mixing plus an effective quadrature config for one evaluation.
 
@@ -317,18 +253,7 @@ def sigma1x_general(
 ) -> CoherenceResult:
     """First-spin coherence at arbitrary coupling t."""
     params, mix, cfg, flags, extra_rel = _prepared(params, tp, config)
-    weights = _scaled_weights(mix, tp)
-    beta = tp.beta
-    omega, epsilon = mix.omega, mix.epsilon
-    sin_t, cos2t = mix.sin_theta, mix.cos_two_theta
-
-    def kernel(xi):
-        cothb = thermal_coth_half(beta, xi)
-        g0, g1, g2 = _g_parts(xi, cothb, omega, epsilon, *weights)
-        return g0 + sin_t * g1 + cos2t * g2
-
-    removable = (abs(omega - epsilon), omega + epsilon, 2.0 * epsilon)
-    val, err = sd.weighted_integral(kernel, removable, cfg)
+    val, err = _first_spin_integral(sd, tp, mix, cfg)
     pre = params.f1 * params.f2
     value = pre * val
     err_total = abs(pre) * err + extra_rel * abs(value)
@@ -351,7 +276,7 @@ def sigma2x_general(
     if params.t == 0.0:
         return CoherenceResult(0.0, 0.0, "general_mixed_basis", ())
     params, mix, cfg, flags, extra_rel = _prepared(params, tp, config)
-    val, err = _second_spin_integral(params, sd, tp, mix, cfg)
+    val, err = _second_spin_integral(sd, tp, mix, cfg)
     pre = 0.5 * params.f1 * params.f2 * mix.cos_theta
     value = pre * val
     err_total = abs(pre) * err + extra_rel * abs(value)
@@ -360,7 +285,23 @@ def sigma2x_general(
     )
 
 
-def _second_spin_integral(params, sd, tp, mix, cfg):
+def _first_spin_integral(sd, tp, mix, cfg):
+    """Integral of I(xi) [g0 + sin(theta) g1 + cos(2 theta) g2], scaled."""
+    weights = _scaled_weights(mix, tp)
+    beta = tp.beta
+    omega, epsilon = mix.omega, mix.epsilon
+    sin_t, cos2t = mix.sin_theta, mix.cos_two_theta
+
+    def kernel(xi):
+        cothb = thermal_coth_half(beta, xi)
+        g0, g1, g2 = _g_parts(xi, cothb, omega, epsilon, *weights)
+        return g0 + sin_t * g1 + cos2t * g2
+
+    removable = (abs(omega - epsilon), omega + epsilon, 2.0 * epsilon)
+    return sd.weighted_integral(kernel, removable, cfg)
+
+
+def _second_spin_integral(sd, tp, mix, cfg):
     """Integral of I(xi) [f1k - sin(theta) f2k] with scaled weights."""
     weights = _scaled_weights(mix, tp)
     beta = tp.beta
@@ -379,18 +320,7 @@ def _second_spin_integral(params, sd, tp, mix, cfg):
 def _r1_core(params, sd, tp, config, j_val, j_err):
     """R1 from a precomputed small-t reference integral."""
     params, mix, cfg, flags, extra_rel = _prepared(params, tp, config)
-    weights = _scaled_weights(mix, tp)
-    beta = tp.beta
-    omega, epsilon = mix.omega, mix.epsilon
-    sin_t, cos2t = mix.sin_theta, mix.cos_two_theta
-
-    def kernel(xi):
-        cothb = thermal_coth_half(beta, xi)
-        g0, g1, g2 = _g_parts(xi, cothb, omega, epsilon, *weights)
-        return g0 + sin_t * g1 + cos2t * g2
-
-    removable = (abs(omega - epsilon), omega + epsilon, 2.0 * epsilon)
-    num, num_err = sd.weighted_integral(kernel, removable, cfg)
+    num, num_err = _first_spin_integral(sd, tp, mix, cfg)
     th1 = thermal_tanh_half(tp.beta, params.omega1)
     den = -4.0 * th1 * j_val
     if den == 0.0:
@@ -408,7 +338,7 @@ def _r2_core(params, sd, tp, config, j_val, j_err):
     which stays finite on the whole t = 0 edge.
     """
     params, mix, cfg, flags, extra_rel = _prepared(params, tp, config)
-    num, num_err = _second_spin_integral(params, sd, tp, mix, cfg)
+    num, num_err = _second_spin_integral(sd, tp, mix, cfg)
     cos_over_t = 2.0 / math.hypot(2.0 * params.t, params.detuning)
     th1 = thermal_tanh_half(tp.beta, params.omega1)
     th2 = thermal_tanh_half(tp.beta, params.omega2)
@@ -451,105 +381,3 @@ def r2_value(
     """
     j_val, j_err = coherence_integral(params, sd, tp, config)
     return _r2_core(params, sd, tp, config, j_val, j_err)
-
-
-# ---------------------------------------------------------------------------
-# Validity maps
-# ---------------------------------------------------------------------------
-
-def _ratio_cell(task):
-    """One map cell; returns (value, err, status). Picklable for pools."""
-    which, w2r, tr, cutoff, beta, j_val, j_err, cfg = task
-    try:
-        params = ModelParams(1.0, w2r, tr, 1.0, 1.0)  # f1, f2 cancel in the ratio
-        tp = ThermalPoint(beta)
-        sd = OhmicDensity(1.0, cutoff)
-        core = _r1_core if which == "r1" else _r2_core
-        res = core(params, sd, tp, cfg, j_val, j_err)
-        return res.value, res.err_estimate, ";".join(res.flags) or STATUS_OK
-    except DegenerateBasisError:
-        return None, None, "degenerate-basis"
-    except DomainError:
-        return None, None, "invalid-params"
-    except ConvergenceError:
-        return None, None, "no-convergence"
-
-
-def _ratio_map(which, omega2_over_omega1, t_over_omega1, omega1_over_omegac,
-               beta_omega1, config, jobs):
-    if not (omega1_over_omegac > 0.0):
-        raise DomainError("omega1_over_omegac must be positive")
-    w2 = (
-        np.linspace(0.0, MAP_OMEGA2_MAX, MAP_POINTS)
-        if omega2_over_omega1 is None
-        else np.asarray(omega2_over_omega1, dtype=float)
-    )
-    ts = (
-        np.linspace(0.0, MAP_T_MAX, MAP_POINTS)
-        if t_over_omega1 is None
-        else np.asarray(t_over_omega1, dtype=float)
-    )
-    cutoff = 1.0 / omega1_over_omegac
-    tp = ThermalPoint.from_beta_omega1(beta_omega1, 1.0)
-    sd = OhmicDensity(1.0, cutoff)
-    cfg = MAP_QUADRATURE if config is None else config
-    # The small-t reference integral depends only on omega1 = 1, the bath
-    # and the temperature, so it is shared by every cell.
-    ref_params = ModelParams(1.0, 2.0, 0.0, 1.0, 1.0)
-    j_val, j_err = coherence_integral(ref_params, sd, tp, cfg)
-    tasks = [
-        (which, float(a), float(b), cutoff, tp.beta, j_val, j_err, cfg)
-        for a in w2
-        for b in ts
-    ]
-    if jobs is not None and jobs > 1:
-        chunk = max(1, len(tasks) // (8 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_ratio_cell, tasks, chunksize=chunk))
-    else:
-        cells = [_ratio_cell(t) for t in tasks]
-    rows = [
-        (task[1], task[2], val, err, status)
-        for task, (val, err, status) in zip(tasks, cells)
-    ]
-    meta = {
-        "map": which,
-        "omega1_over_omegac": repr(float(omega1_over_omegac)),
-        "beta_omega1": repr(float(beta_omega1)),
-        "grid": "%d x %d" % (len(w2), len(ts)),
-    }
-    return SweepTable(
-        ("omega2_over_omega1", "t_over_omega1", which, "err_estimate", "status"),
-        rows,
-        meta,
-    )
-
-
-def r1_map(
-    omega1_over_omegac: float,
-    beta_omega1: float,
-    omega2_over_omega1=None,
-    t_over_omega1=None,
-    config: QuadratureConfig | None = None,
-    jobs: int | None = None,
-) -> SweepTable:
-    """Map of R1 over the (omega2/omega1, t/omega1) plane, ohmic bath.
-
-    Cells where the ratio is undefined (omega2 = 0, or the degenerate
-    t = 0, omega1 = omega2 corner) are flagged, not failed.
-    """
-    return _ratio_map("r1", omega2_over_omega1, t_over_omega1,
-                      omega1_over_omegac, beta_omega1, config, jobs)
-
-
-def r2_map(
-    omega1_over_omegac: float,
-    beta_omega1: float,
-    omega2_over_omega1=None,
-    t_over_omega1=None,
-    config: QuadratureConfig | None = None,
-    jobs: int | None = None,
-) -> SweepTable:
-    """Map of R2 over the (omega2/omega1, t/omega1) plane, ohmic bath."""
-    return _ratio_map("r2", omega2_over_omega1, t_over_omega1,
-                      omega1_over_omegac, beta_omega1, config, jobs)

@@ -11,17 +11,26 @@ validity boundary stays useful.
 Evaluation order over the grid is fixed by the axis order, and workers only
 compute pure functions of their cell, so the assembled table is identical
 whether the grid is evaluated serially or on a process pool.
+
+The validity maps ``r1_map`` and ``r2_map`` run on the same engine over
+explicit (omega2/omega1, t/omega1) points.  For the ratio quantities the
+engine computes the small-t reference integral J, which depends only on
+omega1, the bath and the temperature, once for every (temperature, cutoff
+ratio) key that several cells share; the shared value has the same bits
+as a per-cell one.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (
+    CohexError,
     ConvergenceError,
     CrossFormError,
     DegenerateBasisError,
@@ -29,11 +38,12 @@ from .errors import (
     KernelError,
     NearResonanceError,
 )
-from .numerics import QuadratureConfig
+from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 from .spectral import OhmicDensity, SpectralDensity
 from .spin_detuned import (
     ModelParams,
     ThermalPoint,
+    coherence_integral,
     normalized_coherences_spin,
     normalized_output_ratio,
     sigma1x,
@@ -43,7 +53,7 @@ from .spin_detuned import (
     static_chain,
     static_chain_flags,
 )
-from .spin_general import r1_value, r2_value, sigma1x_general, sigma2x_general
+from .spin_general import _r1_core, _r2_core, sigma1x_general, sigma2x_general
 from . import fermion as _fermion
 from .table import STATUS_OK, SweepTable
 
@@ -58,6 +68,9 @@ __all__ = [
     "FERMION_QUANTITIES",
     "quantity_names",
     "run_sweep",
+    "MAP_QUADRATURE",
+    "r1_map",
+    "r2_map",
 ]
 
 #: Axes a sweep may walk; every axis is dimensionless.
@@ -71,6 +84,20 @@ AXIS_NAMES = (
 
 #: The two mutually exclusive ways of spelling the temperature axis.
 TEMPERATURE_AXES = ("T_over_omega1", "beta_omega1")
+
+# The axes that fix the small-t reference integral J of a cell: J depends
+# only on omega1 (fixed by the base parameters), the bath and T.
+_J_AXES = TEMPERATURE_AXES + ("omega1_over_omegac",)
+
+# Default map axes: omega2/omega1 in [0, 10], t/omega1 in [0, 5].
+MAP_OMEGA2_MAX = 10.0
+MAP_T_MAX = 5.0
+MAP_POINTS = 101
+
+# Maps trade accuracy for speed; 1e-7 is far below the 1e-3 scale at
+# which the ratio maps are read, and keeps cells near the omega = epsilon
+# surface from chasing cancellation noise.
+MAP_QUADRATURE = DEFAULT_QUADRATURE.replace(rel_tol=1e-7)
 
 
 @dataclass(frozen=True)
@@ -136,7 +163,10 @@ class SweepQuantity:
     """Registry entry tying a quantity name to its evaluator.
 
     ``evaluate(params, sd, tp, config)`` returns ``(values, err, flags)``
-    where ``values`` has one float per entry in ``columns``.
+    where ``values`` has one float per entry in ``columns``.  A quantity
+    with ``shares_j`` is built on the small-t reference integral J and
+    takes ``(j_val, j_err)`` as a fifth argument, which the engine computes
+    once for every cell key that several cells share.
     """
 
     name: str
@@ -144,6 +174,7 @@ class SweepQuantity:
     model: str
     needs_ohmic: bool
     evaluate: object = field(repr=False)
+    shares_j: bool = False
 
 
 def _one(result):
@@ -151,55 +182,9 @@ def _one(result):
     return (result.value,), result.err_estimate, result.flags
 
 
-def _eval_sigma1x(p, sd, tp, cfg):
-    return _one(sigma1x(p, sd, tp, cfg))
-
-
-def _eval_sigma2x(p, sd, tp, cfg):
-    return _one(sigma2x(p, sd, tp, cfg))
-
-
-def _eval_sigma2y(p, sd, tp, cfg):
-    return _one(sigma2y(p, sd, tp))
-
-
-def _eval_sigma1x_general(p, sd, tp, cfg):
-    return _one(sigma1x_general(p, sd, tp, cfg))
-
-
-def _eval_sigma2x_general(p, sd, tp, cfg):
-    return _one(sigma2x_general(p, sd, tp, cfg))
-
-
-def _eval_r1(p, sd, tp, cfg):
-    return _one(r1_value(p, sd, tp, cfg))
-
-
-def _eval_r2(p, sd, tp, cfg):
-    return _one(r2_value(p, sd, tp, cfg))
-
-
-def _eval_static_sigma2x(p, sd, tp, cfg):
-    chain = static_chain(p, sd, tp)
-    return (chain.sigma2x_st,), 0.0, static_chain_flags(p, sd, tp)
-
-
-def _eval_sigma2x_low_T(p, sd, tp, cfg):
-    return _one(sigma2x_low_T(p, sd.coupling, sd.cutoff, tp))
-
-
-def _eval_normalized_output_ratio(p, sd, tp, cfg):
-    return (normalized_output_ratio(p, sd, tp, cfg),), 0.0, ()
-
-
-def _eval_normalized_spin(p, sd, tp, cfg):
-    pair = normalized_coherences_spin(
-        p.omega1 / sd.cutoff,
-        tp.beta_omega1(p.omega1),
-        p.omega2 / p.omega1,
-        cfg,
-    )
-    return pair, 0.0, ()
+def _exact(*values):
+    """Adapt closed-form values, which carry no error estimate or flags."""
+    return values, 0.0, ()
 
 
 def _eval_static_compare(p, sd, tp, cfg):
@@ -214,144 +199,62 @@ def _eval_static_compare(p, sd, tp, cfg):
     return values, full.err_estimate, tuple(flags)
 
 
-def _eval_sigma1x_fermion(p, sd, tp, cfg):
-    return _one(_fermion.sigma1x_fermion(p, sd, tp, cfg))
-
-
-def _eval_sigma2x_fermion(p, sd, tp, cfg):
-    return _one(_fermion.sigma2x_fermion(p, sd, tp, cfg))
-
-
-def _eval_hartree_fock(p, sd, tp, cfg):
-    h1, h2 = _fermion.hartree_static(p, sd, tp)
-    k1, k2 = _fermion.fock_term(p, sd, tp, cfg)
-    return (h1, h2, k1, k2), 0.0, ()
-
-
-def _eval_normalized_fermion(p, sd, tp, cfg):
-    pair = _fermion.normalized_fermion(p, sd.coupling, sd.cutoff, tp, cfg)
-    return pair, 0.0, ()
-
-
-def _eval_ratio_R(p, sd, tp, cfg):
-    return (_fermion.ratio_R(p, sd.coupling, sd.cutoff, tp, cfg),), 0.0, ()
-
-
-def _eval_g_script(p, sd, tp, cfg):
-    value = _fermion.g_script(
-        tp.beta_omega1(p.omega1),
-        p.omega1 / sd.cutoff,
-        p.omega2 / p.omega1,
-        p.t / p.omega1,
-    )
-    return (value,), 0.0, ()
-
-
-def _eval_fermion_high_T(p, sd, tp, cfg):
-    value = _fermion.fermion_high_T(p, sd.coupling, sd.cutoff, tp)
-    return (value,), 0.0, ()
-
-
-def _registry():
-    spin = [
-        SweepQuantity("sigma1x", ("sigma1x",), "spin", False, _eval_sigma1x),
-        SweepQuantity("sigma2x", ("sigma2x",), "spin", False, _eval_sigma2x),
-        SweepQuantity("sigma2y", ("sigma2y",), "spin", False, _eval_sigma2y),
-        SweepQuantity(
-            "sigma1x_general",
-            ("sigma1x_general",),
-            "spin",
-            False,
-            _eval_sigma1x_general,
-        ),
-        SweepQuantity(
-            "sigma2x_general",
-            ("sigma2x_general",),
-            "spin",
-            False,
-            _eval_sigma2x_general,
-        ),
-        SweepQuantity("r1", ("r1",), "spin", False, _eval_r1),
-        SweepQuantity("r2", ("r2",), "spin", False, _eval_r2),
-        SweepQuantity(
-            "static_sigma2x",
-            ("static_sigma2x",),
-            "spin",
-            False,
-            _eval_static_sigma2x,
-        ),
-        SweepQuantity(
-            "sigma2x_low_T",
-            ("sigma2x_low_T",),
-            "spin",
-            True,
-            _eval_sigma2x_low_T,
-        ),
-        SweepQuantity(
-            "normalized_output_ratio",
-            ("normalized_output_ratio",),
-            "spin",
-            True,
-            _eval_normalized_output_ratio,
-        ),
-        SweepQuantity(
-            "normalized_spin",
-            ("normalized_sigma1x", "normalized_sigma2x"),
-            "spin",
-            True,
-            _eval_normalized_spin,
-        ),
-        SweepQuantity(
-            "static_compare",
-            ("sigma2x_full", "sigma2x_static", "sigma2x_low_T"),
-            "spin",
-            True,
-            _eval_static_compare,
-        ),
-    ]
-    fermi = [
-        SweepQuantity(
-            "sigma1x_fermion",
-            ("sigma1x_fermion",),
-            "fermion",
-            False,
-            _eval_sigma1x_fermion,
-        ),
-        SweepQuantity(
-            "sigma2x_fermion",
-            ("sigma2x_fermion",),
-            "fermion",
-            False,
-            _eval_sigma2x_fermion,
-        ),
-        SweepQuantity(
-            "hartree_fock",
-            ("hartree1", "hartree2", "fock1", "fock2"),
-            "fermion",
-            False,
-            _eval_hartree_fock,
-        ),
-        SweepQuantity(
-            "normalized_fermion",
-            ("normalized_fermion1", "normalized_fermion2"),
-            "fermion",
-            True,
-            _eval_normalized_fermion,
-        ),
-        SweepQuantity("ratio_R", ("ratio_R",), "fermion", True, _eval_ratio_R),
-        SweepQuantity("g_script", ("g_script",), "fermion", True, _eval_g_script),
-        SweepQuantity(
-            "fermion_high_T",
-            ("fermion_high_T",),
-            "fermion",
-            True,
-            _eval_fermion_high_T,
-        ),
-    ]
-    return {q.name: q for q in spin + fermi}
-
-
-QUANTITIES = _registry()
+# Evaluators look their functions up at call time, so a function rebound
+# on its module (by a tracer, say) is the one a sweep calls.
+QUANTITIES = {q.name: q for q in (
+    SweepQuantity("sigma1x", ("sigma1x",), "spin", False,
+                  lambda p, sd, tp, cfg: _one(sigma1x(p, sd, tp, cfg))),
+    SweepQuantity("sigma2x", ("sigma2x",), "spin", False,
+                  lambda p, sd, tp, cfg: _one(sigma2x(p, sd, tp, cfg))),
+    SweepQuantity("sigma2y", ("sigma2y",), "spin", False,
+                  lambda p, sd, tp, cfg: _one(sigma2y(p, sd, tp))),
+    SweepQuantity("sigma1x_general", ("sigma1x_general",), "spin", False,
+                  lambda p, sd, tp, cfg: _one(sigma1x_general(p, sd, tp, cfg))),
+    SweepQuantity("sigma2x_general", ("sigma2x_general",), "spin", False,
+                  lambda p, sd, tp, cfg: _one(sigma2x_general(p, sd, tp, cfg))),
+    SweepQuantity("r1", ("r1",), "spin", False,
+                  lambda p, sd, tp, cfg, j: _one(_r1_core(p, sd, tp, cfg, *j)),
+                  shares_j=True),
+    SweepQuantity("r2", ("r2",), "spin", False,
+                  lambda p, sd, tp, cfg, j: _one(_r2_core(p, sd, tp, cfg, *j)),
+                  shares_j=True),
+    SweepQuantity("static_sigma2x", ("static_sigma2x",), "spin", False,
+                  lambda p, sd, tp, cfg: ((static_chain(p, sd, tp).sigma2x_st,), 0.0,
+                                          static_chain_flags(p, sd, tp))),
+    SweepQuantity("sigma2x_low_T", ("sigma2x_low_T",), "spin", True,
+                  lambda p, sd, tp, cfg: _one(sigma2x_low_T(
+                      p, sd.coupling, sd.cutoff, tp))),
+    SweepQuantity("normalized_output_ratio", ("normalized_output_ratio",), "spin", True,
+                  lambda p, sd, tp, cfg: _exact(normalized_output_ratio(p, sd, tp, cfg))),
+    SweepQuantity("normalized_spin", ("normalized_sigma1x", "normalized_sigma2x"),
+                  "spin", True,
+                  lambda p, sd, tp, cfg: _exact(*normalized_coherences_spin(
+                      p.omega1 / sd.cutoff, tp.beta_omega1(p.omega1),
+                      p.omega2 / p.omega1, cfg))),
+    SweepQuantity("static_compare", ("sigma2x_full", "sigma2x_static", "sigma2x_low_T"),
+                  "spin", True, _eval_static_compare),
+    SweepQuantity("sigma1x_fermion", ("sigma1x_fermion",), "fermion", False,
+                  lambda p, sd, tp, cfg: _one(_fermion.sigma1x_fermion(p, sd, tp, cfg))),
+    SweepQuantity("sigma2x_fermion", ("sigma2x_fermion",), "fermion", False,
+                  lambda p, sd, tp, cfg: _one(_fermion.sigma2x_fermion(p, sd, tp, cfg))),
+    SweepQuantity("hartree_fock", ("hartree1", "hartree2", "fock1", "fock2"), "fermion", False,
+                  lambda p, sd, tp, cfg: _exact(*_fermion.hartree_static(p, sd, tp),
+                                                *_fermion.fock_term(p, sd, tp, cfg))),
+    SweepQuantity("normalized_fermion", ("normalized_fermion1", "normalized_fermion2"),
+                  "fermion", True,
+                  lambda p, sd, tp, cfg: _exact(*_fermion.normalized_fermion(
+                      p, sd.coupling, sd.cutoff, tp, cfg))),
+    SweepQuantity("ratio_R", ("ratio_R",), "fermion", True,
+                  lambda p, sd, tp, cfg: _exact(_fermion.ratio_R(
+                      p, sd.coupling, sd.cutoff, tp, cfg))),
+    SweepQuantity("g_script", ("g_script",), "fermion", True,
+                  lambda p, sd, tp, cfg: _exact(_fermion.g_script(
+                      tp.beta_omega1(p.omega1), p.omega1 / sd.cutoff,
+                      p.omega2 / p.omega1, p.t / p.omega1))),
+    SweepQuantity("fermion_high_T", ("fermion_high_T",), "fermion", True,
+                  lambda p, sd, tp, cfg: _exact(_fermion.fermion_high_T(
+                      p, sd.coupling, sd.cutoff, tp))),
+)}
 SPIN_QUANTITIES = tuple(n for n, q in QUANTITIES.items() if q.model == "spin")
 FERMION_QUANTITIES = tuple(
     n for n, q in QUANTITIES.items() if q.model == "fermion"
@@ -446,15 +349,45 @@ def _cell_inputs(spec: SweepSpec, point: dict):
     return p, sd, tp
 
 
+def _j_key(point: dict) -> tuple:
+    return tuple((name, point[name]) for name in _J_AXES if name in point)
+
+
+def _shared_j(spec: SweepSpec, points: list) -> dict:
+    """J, or the error it raised, for every key that several cells share.
+
+    A key used by one cell is left out, and that cell computes J itself.
+    """
+    counts = Counter(_j_key(point) for point in points)
+    shared = {}
+    for key, n in counts.items():
+        if n < 2:
+            continue
+        try:
+            shared[key] = coherence_integral(
+                *_cell_inputs(spec, dict(key)), spec.config
+            )
+        except CohexError as exc:
+            shared[key] = exc
+    return shared
+
+
 def _sweep_cell(task):
-    """One grid cell; returns (values, err, status). Picklable for pools."""
-    spec, values = task
+    """One grid cell; returns (values, err, status). Picklable for pools.
+
+    ``task`` is ``(spec, point, j)``: ``j`` is the cell's shared J, the
+    error computing it raised, or None if the cell computes J itself.
+    """
+    spec, point, j = task
     quantity = QUANTITIES[spec.quantity]
     blank = (None,) * len(quantity.columns)
-    point = dict(zip(spec.axis_names(), values))
     try:
-        p, sd, tp = _cell_inputs(spec, point)
-        cell_values, err, flags = quantity.evaluate(p, sd, tp, spec.config)
+        args = _cell_inputs(spec, point) + (spec.config,)
+        if quantity.shares_j:
+            if isinstance(j, CohexError):
+                raise j.with_traceback(None)
+            args += (coherence_integral(*args) if j is None else j,)
+        cell_values, err, flags = quantity.evaluate(*args)
         return cell_values, err, ";".join(flags) or STATUS_OK
     except NearResonanceError:
         return blank, None, "near-resonance"
@@ -468,6 +401,17 @@ def _sweep_cell(task):
         return blank, None, "cross-form-disagreement"
     except KernelError:
         return blank, None, "kernel-error"
+
+
+def _evaluate_cells(spec: SweepSpec, points: list, jobs: int | None) -> list:
+    """(values, err, status) of every cell point (axis name -> value), in order."""
+    shared = _shared_j(spec, points) if QUANTITIES[spec.quantity].shares_j else {}
+    tasks = [(spec, point, shared.get(_j_key(point))) for point in points]
+    if jobs is not None and jobs > 1 and len(tasks) > 1:
+        chunk = max(1, len(tasks) // (8 * jobs))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_sweep_cell, tasks, chunksize=chunk))
+    return [_sweep_cell(t) for t in tasks]
 
 
 def run_sweep(
@@ -495,20 +439,15 @@ def run_sweep(
         and a ``status`` word (``ok``, advisory flags joined with ``;``, or
         an error word with empty value cells).
     """
-    grids = [spec.axes[i].values() for i in range(len(spec.axes))]
-    tasks = [
-        (spec, tuple(float(v) for v in combo))
-        for combo in itertools.product(*grids)
+    names = spec.axis_names()
+    points = [
+        dict(zip(names, map(float, combo)))
+        for combo in itertools.product(*(axis.values() for axis in spec.axes))
     ]
-    if jobs is not None and jobs > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (8 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_sweep_cell, tasks, chunksize=chunk))
-    else:
-        cells = [_sweep_cell(t) for t in tasks]
+    cells = _evaluate_cells(spec, points, jobs)
     rows = [
-        task[1] + values + (err, status)
-        for task, (values, err, status) in zip(tasks, cells)
+        tuple(point.values()) + values + (err, status)
+        for point, (values, err, status) in zip(points, cells)
     ]
     meta = {
         "quantity": spec.quantity,
@@ -522,3 +461,87 @@ def run_sweep(
         for key, value in extra_meta.items():
             meta[str(key)] = str(value)
     return SweepTable(spec.columns(), rows, meta)
+
+
+# ---------------------------------------------------------------------------
+# Validity maps
+# ---------------------------------------------------------------------------
+
+def _ratio_map(which, omega2_over_omega1, t_over_omega1, omega1_over_omegac,
+               beta_omega1, config, jobs):
+    if not (omega1_over_omegac > 0.0):
+        raise DomainError("omega1_over_omegac must be positive")
+    w2 = (
+        np.linspace(0.0, MAP_OMEGA2_MAX, MAP_POINTS)
+        if omega2_over_omega1 is None
+        else np.asarray(omega2_over_omega1, dtype=float)
+    )
+    ts = (
+        np.linspace(0.0, MAP_T_MAX, MAP_POINTS)
+        if t_over_omega1 is None
+        else np.asarray(t_over_omega1, dtype=float)
+    )
+    tp = ThermalPoint.from_beta_omega1(beta_omega1, 1.0)
+    # A beta_omega1 axis must be finite, so T = 0 is spelled T_over_omega1 = 0.
+    if tp.is_zero_temperature:
+        temperature = ("T_over_omega1", 0.0)
+    else:
+        temperature = ("beta_omega1", tp.beta)
+    spec = SweepSpec(
+        which,
+        (AxisSpec(temperature[0], temperature[1], temperature[1], 1),),
+        OhmicDensity(1.0, 1.0 / omega1_over_omegac),
+        ModelParams(1.0, 1.0, 0.0, 1.0, 1.0),  # f1, f2 cancel in the ratio
+        MAP_QUADRATURE if config is None else config,
+    )
+    points = [
+        dict((temperature, ("omega2_over_omega1", float(a)), ("t_over_omega1", float(b))))
+        for a in w2
+        for b in ts
+    ]
+    cells = _evaluate_cells(spec, points, jobs)
+    rows = [
+        (point["omega2_over_omega1"], point["t_over_omega1"]) + values + (err, status)
+        for point, (values, err, status) in zip(points, cells)
+    ]
+    meta = {
+        "map": which,
+        "omega1_over_omegac": repr(float(omega1_over_omegac)),
+        "beta_omega1": repr(float(beta_omega1)),
+        "grid": "%d x %d" % (len(w2), len(ts)),
+    }
+    return SweepTable(
+        ("omega2_over_omega1", "t_over_omega1", which, "err_estimate", "status"),
+        rows,
+        meta,
+    )
+
+
+def r1_map(
+    omega1_over_omegac: float,
+    beta_omega1: float,
+    omega2_over_omega1=None,
+    t_over_omega1=None,
+    config: QuadratureConfig | None = None,
+    jobs: int | None = None,
+) -> SweepTable:
+    """Map of R1 over the (omega2/omega1, t/omega1) plane, ohmic bath.
+
+    Cells where the ratio is undefined (omega2 = 0, or the degenerate
+    t = 0, omega1 = omega2 corner) are flagged, not failed.
+    """
+    return _ratio_map("r1", omega2_over_omega1, t_over_omega1,
+                      omega1_over_omegac, beta_omega1, config, jobs)
+
+
+def r2_map(
+    omega1_over_omegac: float,
+    beta_omega1: float,
+    omega2_over_omega1=None,
+    t_over_omega1=None,
+    config: QuadratureConfig | None = None,
+    jobs: int | None = None,
+) -> SweepTable:
+    """Map of R2 over the (omega2/omega1, t/omega1) plane, ohmic bath."""
+    return _ratio_map("r2", omega2_over_omega1, t_over_omega1,
+                      omega1_over_omegac, beta_omega1, config, jobs)

@@ -43,7 +43,8 @@ from cohex.spin_detuned import (
     sigma2x_low_T,
     static_dynamical_split,
 )
-from cohex.spin_general import r1_map, r2_map, sigma1x_general, sigma2x_general
+from cohex.spin_general import sigma1x_general, sigma2x_general
+from cohex.sweep import r1_map, r2_map
 
 
 class Criterion:

@@ -43,6 +43,21 @@ FIG_ROWS = [
 ]
 
 
+# A small map grid holding the omega2 = 0 invalid-params row and the
+# t = 0, omega2 = omega1 degenerate-basis corner, with its frozen output.
+MAP_ARGS = (
+    "--set", "omega1_over_omegac=0.1",
+    "--set", "beta_omega1=2",
+    "--set", "omega2_max=4",
+    "--set", "t_max=2",
+    "--set", "points=5",
+)
+MAP_SHA256 = {
+    "r1": "08a03f6f5998348063db61dda7e93f5b4e41a2f580b31264e0b0ba5f9ba34f7f",
+    "r2": "384393d0a50ae86381427fa41d0cce6f588f39aa4288b475dabe000fb41def22",
+}
+
+
 class TestSubcommandSurface:
     def test_help_lists_exactly_the_six_subcommands(self):
         proc = run_cli("--help")
@@ -311,6 +326,13 @@ class TestValidityMap:
         table = parse_csv(proc.stdout)
         assert table.columns[2] == "r2"
         assert len(table.rows) == 9
+
+    @pytest.mark.parametrize("which", ["r1", "r2"])
+    def test_golden_file_for_any_jobs(self, which):
+        for jobs in ("1", "2"):
+            proc = run_cli("validity-map", "--which", which, *MAP_ARGS, "--jobs", jobs)
+            assert proc.returncode == 3
+            assert hashlib.sha256(proc.stdout).hexdigest() == MAP_SHA256[which]
 
     def test_which_flag_is_required(self):
         proc = run_cli("validity-map", "--set", "beta_omega1=1")

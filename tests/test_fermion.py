@@ -20,9 +20,6 @@ from cohex.fermion import (
     ratio_R,
     sigma1x_fermion,
     sigma2x_fermion,
-    sigma2x_fermion_integral,
-    y_fermion,
-    y_spin,
     _combined_route,
     _first_fock_kernel,
     _second_fock_kernel,
@@ -188,7 +185,7 @@ def test_sigma2x_fermion_zero_temperature_transfer():
     assert second.method == "zero_T_transfer"
     assert second.value == (0.1 / 3.0) * first.value
     # the arbitrary-bath organization reduces to the same number
-    vi, _ = sigma2x_fermion_integral(UNIT_WEIGHTS, sd, tz)
+    vi, _, _ = _combined_route(UNIT_WEIGHTS, sd, tz, None)
     assert vi == pytest.approx(second.value, rel=1e-8)
 
 
@@ -212,7 +209,6 @@ def test_near_resonance_refusals():
     tp = ThermalPoint(2.0)
     for call in (
         lambda: sigma2x_fermion(p, sd, tp),
-        lambda: sigma2x_fermion_integral(p, sd, tp),
         lambda: hartree_static(p, sd, tp),
         lambda: fock_term(p, sd, tp),
         lambda: ratio_R(p, 1.0, 1.0, tp),
@@ -376,7 +372,7 @@ def test_combined_route_against_midpoint_oracle():
     )
     const = n1 * (1.0 - 2.0 * n2) * sd.reorganization_omega() / w2
     ref = -4.0 * p.t / dw * (ref_int + const)
-    value, _ = sigma2x_fermion_integral(p, sd, ThermalPoint(beta))
+    value, _, _ = _combined_route(p, sd, ThermalPoint(beta), None)
     assert value == pytest.approx(ref, rel=2e-5)
 
 
@@ -464,20 +460,15 @@ def test_normalized_fermion_peak_structure():
     assert max(wide) < 1.0 + 1e-3
 
 
-def test_y_spin_nonnegative_y_fermion_nonpositive():
+def test_spin_internal_coherence_nonpositive_fermion_nonnegative():
+    # Fermionization flips the internal coherence, over the whole
+    # (omega1/omega_c, beta omega1) quarter-plane.
     for a in (0.1, 1.0, 10.0):
+        sd = OhmicDensity(0.6, 1.0 / a)
         for b in (1e-3, 0.05, 1.0, 10.0, 100.0, math.inf):
-            assert y_spin(a, b) >= 0.0
-            assert y_fermion(a, b) <= 0.0
-    # both reproduce the coherences in units of -4 f1 f2 A
-    sd = OhmicDensity(0.6, 2.0)
-    tp = ThermalPoint(1.5)
-    assert sigma1x(PARAMS, sd, tp).value == pytest.approx(
-        -4.0 * 0.1 * 0.1 * 0.6 * y_spin(0.5, 1.5), rel=1e-10
-    )
-    assert sigma1x_fermion(PARAMS, sd, tp).value == pytest.approx(
-        -4.0 * 0.1 * 0.1 * 0.6 * y_fermion(0.5, 1.5), rel=1e-10
-    )
+            tp = ThermalPoint.from_beta_omega1(b, 1.0)
+            assert sigma1x(PARAMS, sd, tp).value <= 0.0
+            assert sigma1x_fermion(PARAMS, sd, tp).value >= 0.0
 
 
 def test_decoupled_spins_close_the_output_channel():

@@ -14,8 +14,6 @@ import oracles
 # ---------------------------------------------------------------------------
 
 EI_PROBE_POINTS = [
-    1e-8, 1e-3, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0,
-    39.0, 39.9, 40.0, 40.1, 41.0, 60.0, 100.0, 350.0, 700.0, 709.0,
     -1e-8, -1e-3, -0.1, -0.5, -0.9, -0.999, -1.0, -1.001, -1.1,
     -2.0, -5.9, -6.0, -6.1, -10.0, -30.0, -100.0, -300.0, -700.0,
 ]
@@ -40,12 +38,10 @@ def test_expint_ei_deep_negative_asymptotic():
 
 
 def test_expint_ei_domain_and_overflow():
-    with pytest.raises(DomainError):
-        nm.expint_ei(0.0)
-    with pytest.raises(DomainError):
-        nm.expint_ei(math.inf)
-    with pytest.raises(OverflowError):
-        nm.expint_ei(710.0)
+    # Ei is implemented for finite negative argument only.
+    for x in (0.0, math.inf, -math.inf, math.nan, 1.0, 710.0):
+        with pytest.raises(DomainError):
+            nm.expint_ei(x)
 
 
 def test_scaled_ei_helpers():
@@ -58,12 +54,6 @@ def test_scaled_ei_helpers():
             assert got_neg == pytest.approx(ref_neg, rel=1e-13)
         # e^c Ei(-c) ~ -1/c for large c and is always negative
         assert got_neg < 0.0
-        got_pos = nm._exp_scaled_ei_pos(c)
-        if c < 600:
-            ref_pos = oracles.ei_reference(c) * math.exp(-c)
-            assert got_pos == pytest.approx(ref_pos, rel=1e-13)
-        if c > 0.4:  # Ei changes sign near 0.3725
-            assert got_pos > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +131,6 @@ def test_config_validation():
         nm.QuadratureConfig(singularity_window=0.7)
     with pytest.raises(DomainError):
         nm.QuadratureConfig(tail_decay_scale=-1.0)
-    with pytest.raises(DomainError):
-        nm.SeriesConfig(max_terms=0)
 
 
 def test_gk_rule_exactness():
@@ -258,65 +246,3 @@ def test_convergence_error_carries_partial():
         assert exc.err_estimate is not None
     else:
         pytest.fail("expected ConvergenceError with a tiny panel budget")
-
-
-def test_integrate_interval():
-    val, _ = nm.integrate_interval(lambda x: np.sin(x), 0.0, math.pi)
-    assert val == pytest.approx(2.0, rel=1e-12)
-    with pytest.raises(DomainError):
-        nm.integrate_interval(lambda x: x, 1.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Principal value
-# ---------------------------------------------------------------------------
-
-def test_principal_value_ei_pair():
-    for a in (0.5, 1.0, 2.0):
-        def kernel(x, a=a):
-            return np.exp(-a * x) / (x * x - 1.0)
-
-        val, err = nm.principal_value_integral(kernel, 1.0)
-        ref = oracles.pv_reference(a)
-        assert val == pytest.approx(ref, rel=1e-9)
-        assert err < 1e-7 * max(abs(val), 1.0)
-
-
-def test_principal_value_odd_kernel():
-    def kernel(x):
-        return np.exp(-4.0 * (x - 2.0) ** 2) / (x - 2.0)
-
-    val, _ = nm.principal_value_integral(kernel, 2.0)
-    # Exactly zero up to the truncation of the left Gaussian tail at 0.
-    assert abs(val) < 1e-7
-
-
-def test_principal_value_domain():
-    with pytest.raises(DomainError):
-        nm.principal_value_integral(lambda x: 1.0 / (x - 1.0), -1.0)
-
-
-# ---------------------------------------------------------------------------
-# Double Ei series
-# ---------------------------------------------------------------------------
-
-def test_double_ei_series_against_reference():
-    for a, b in [(1.0, 5.0), (0.5, 2.0), (2.0, 0.3), (0.04, 2.5), (0.1, 8.0)]:
-        got = nm.double_ei_series(a, b)
-        ref = oracles.double_ei_series_reference(a, b)
-        assert got == pytest.approx(ref, rel=1e-8), (a, b)
-
-
-def test_double_ei_series_low_temperature_limit():
-    # For a << 1 and b >> 1 the sum approaches -pi^2/(3 b^2).
-    got = nm.double_ei_series(0.1, 50.0)
-    assert got == pytest.approx(-math.pi ** 2 / 7500.0, rel=5e-3)
-
-
-def test_double_ei_series_extremes():
-    assert nm.double_ei_series(1.0, math.inf) == 0.0
-    assert abs(nm.double_ei_series(1.0, 1e6)) < 1e-10
-    with pytest.raises(DomainError):
-        nm.double_ei_series(-1.0, 2.0)
-    with pytest.raises(DomainError):
-        nm.double_ei_series(1.0, 0.0)

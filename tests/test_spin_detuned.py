@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from cohex.errors import DomainError
-from cohex.numerics import (
-    QuadratureConfig,
-    _exp_scaled_ei_neg,
-    bose_n,
-    double_ei_series,
-    principal_value_integral,
-)
+from cohex.numerics import _exp_scaled_ei_neg, bose_n
 from cohex.spectral import DiscreteDensity, OhmicDensity
 from cohex.spin_detuned import (
     ModelParams,
@@ -154,16 +148,14 @@ def test_f_dimensionless_zero_temperature():
 
 
 def test_f_dimensionless_decomposition_oracle():
-    # Exercises three independent routes at once: the direct quadrature,
-    # the principal-value pair, and the thermal Ei series.
+    # Checks the direct quadrature against its decomposition into the
+    # zero-temperature Ei term, the principal-value pair and the thermal
+    # Ei series, the last two from the mpmath references.
     a, b = 0.1, 5.0
     f_val = f_dimensionless(a, b)
-    cfg = QuadratureConfig(tail_decay_scale=1.0 / a)
     t_zero = -_exp_scaled_ei_neg(a)
-    t_pv, _ = principal_value_integral(
-        lambda x: np.exp(-a * x) / (x * x - 1.0), 1.0, cfg
-    )
-    t_series = double_ei_series(a, b)
+    t_pv = oracles.pv_reference(a)
+    t_series = oracles.double_ei_series_reference(a, b)
     decomp = t_zero - 2.0 * bose_n(b, 1.0) * t_pv + t_series
     assert f_val == pytest.approx(decomp, rel=1e-8)
 

@@ -20,16 +20,15 @@ from cohex.spin_detuned import (
 )
 from cohex.spin_general import (
     SpinMixing,
-    f2_kernels,
-    g2_kernels,
+    _f_parts,
+    _g_parts,
     mixing,
-    r1_map,
     r1_value,
-    r2_map,
     r2_value,
     sigma1x_general,
     sigma2x_general,
 )
+from cohex.sweep import r1_map, r2_map
 from cohex.table import SweepTable
 
 import oracles
@@ -37,6 +36,67 @@ import oracles
 
 TP = ThermalPoint(2.0)
 SD = OhmicDensity(1.0, 10.0)
+
+
+# ---------------------------------------------------------------------------
+# The kernels as printed: raw hyperbolic weights, for the transcription
+# checks below.  The package integrates the same _g_parts/_f_parts with
+# the weights scaled by 1/(cosh(beta omega) + cosh(beta epsilon)).
+# ---------------------------------------------------------------------------
+
+def _raw_weights(mix: SpinMixing, tp: ThermalPoint):
+    if tp.is_zero_temperature:
+        raise DomainError(
+            "raw kernels diverge at T = 0; the assembled coherences handle it"
+        )
+    bw = tp.beta * mix.omega
+    be = tp.beta * mix.epsilon
+    try:
+        return math.cosh(bw), math.cosh(be), math.sinh(bw), math.sinh(be)
+    except OverflowError:
+        raise DomainError(
+            "hyperbolic overflow in the raw kernels; beta too large"
+        ) from None
+
+
+def _checked_xi(xi):
+    arr = np.asarray(xi, dtype=float)
+    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+        raise DomainError("kernel frequency xi must be positive and finite")
+    return arr
+
+
+def g2_kernels(xi, mix: SpinMixing, tp: ThermalPoint):
+    """First-spin kernels (g0, g1, g2) at positive xi, as printed.
+
+    The assembled integrand is g0 + sin(theta) g1 + cos(2 theta) g2;
+    removable singular points sit at |omega - epsilon|, omega + epsilon
+    and 2 epsilon and are bridged by the quadrature, not here.
+    """
+    arr = _checked_xi(xi)
+    chw, che, shw, she = _raw_weights(mix, tp)
+    cothb = thermal_coth_half(tp.beta, arr)
+    g0, g1, g2 = _g_parts(arr, cothb, mix.omega, mix.epsilon, chw, che, shw, she)
+    if np.isscalar(xi) or np.ndim(xi) == 0:
+        return float(g0), float(g1), float(g2)
+    return g0, g1, g2
+
+
+def f2_kernels(xi, mix: SpinMixing, tp: ThermalPoint):
+    """Second-spin kernels (f1k, f2k) at positive xi, as printed.
+
+    The assembled integrand is cos(theta) [f1k - sin(theta) f2k], with
+    removable points at |omega - epsilon| and omega + epsilon.
+    """
+    arr = _checked_xi(xi)
+    chw, che, shw, she = _raw_weights(mix, tp)
+    cothb = thermal_coth_half(tp.beta, arr)
+    f1k, f2k = _f_parts(arr, cothb, mix.omega, mix.epsilon, chw, che, shw, she)
+    if np.isscalar(xi) or np.ndim(xi) == 0:
+        return float(f1k), float(f2k)
+    return f1k, f2k
+
+
 
 
 def _combo_g(xi, mix, tp):

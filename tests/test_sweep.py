@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cohex.errors import DomainError
+from cohex import sweep
+from cohex.errors import ConvergenceError, DomainError
 from cohex.fermion import (
     fock_term,
     g_script,
@@ -25,11 +26,14 @@ from cohex.spin_detuned import (
 from cohex.sweep import (
     AXIS_NAMES,
     FERMION_QUANTITIES,
+    MAP_QUADRATURE,
     QUANTITIES,
     SPIN_QUANTITIES,
     AxisSpec,
     SweepSpec,
     quantity_names,
+    r1_map,
+    r2_map,
     run_sweep,
 )
 from cohex.table import STATUS_OK, emit_csv
@@ -275,3 +279,75 @@ class TestRunSweep:
         assert table.meta["axis beta_omega1"] == "1.0:8.0:4:log"
         assert table.meta["run"] == "7"
         assert "OhmicDensity" in table.meta["bath"]
+
+
+# An (omega2, t) plane that holds the omega2 = 0 row.
+PLANE = (
+    AxisSpec("omega2_over_omega1", 0.0, 4.0, 11),
+    AxisSpec("t_over_omega1", 0.0, 2.0, 11),
+)
+
+
+@pytest.fixture
+def j_calls(monkeypatch):
+    """Every call of the reference integral J the sweep engine makes."""
+    calls = []
+    real = sweep.coherence_integral
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sweep, "coherence_integral", counted)
+    return calls
+
+
+class TestSharedReferenceIntegral:
+    def test_plane_sweep_computes_j_once(self, j_calls):
+        table = run_sweep(SweepSpec("r1", (beta_axis(),) + PLANE, BATH, PARAMS))
+        assert len(table.rows) == 121
+        assert len(j_calls) == 1
+
+    @pytest.mark.parametrize("plane", [(), PLANE[:1]])
+    def test_temperature_axis_computes_j_per_point(self, j_calls, plane):
+        axes = (beta_axis(points=3, start=1.0, stop=4.0),) + plane
+        run_sweep(SweepSpec("r2", axes, BATH, PARAMS, MAP_QUADRATURE))
+        assert len(j_calls) == 3
+
+    def test_map_computes_j_once(self, j_calls):
+        r1_map(0.1, 2.0, np.linspace(0.0, 4.0, 3), np.linspace(0.0, 2.0, 3))
+        assert len(j_calls) == 1
+
+    @pytest.mark.parametrize("plane", [(), PLANE])
+    def test_failed_j_fails_exactly_the_cells_that_need_it(self, monkeypatch, plane):
+        def failing(*args):
+            raise ConvergenceError("J did not converge")
+
+        monkeypatch.setattr(sweep, "coherence_integral", failing)
+        axes = (beta_axis(points=2, start=1.0, stop=4.0),) + plane
+        table = run_sweep(SweepSpec("r1", axes, BATH, PARAMS))
+        # omega2 = 0 cells fail on their inputs before they need J.
+        assert [row[-1] for row in table.rows] == [
+            "invalid-params" if plane and row[1] == 0.0 else "no-convergence"
+            for row in table.rows
+        ]
+        table = r1_map(0.1, 2.0, [0.0, 2.0], [0.5])
+        assert [row[-1] for row in table.rows] == ["invalid-params", "no-convergence"]
+
+
+@pytest.mark.parametrize("which, mapper", [("r1", r1_map), ("r2", r2_map)])
+@pytest.mark.parametrize(
+    "beta_omega1, temperature",
+    [
+        (2.0, AxisSpec("beta_omega1", 2.0, 2.0, 1)),
+        (math.inf, AxisSpec("T_over_omega1", 0.0, 0.0, 1)),
+    ],
+)
+def test_map_equals_sweep_cell_by_cell(which, mapper, beta_omega1, temperature):
+    grid = (
+        AxisSpec("omega2_over_omega1", 0.0, 4.0, 5),
+        AxisSpec("t_over_omega1", 0.0, 2.0, 5),
+    )
+    table = mapper(0.1, beta_omega1, grid[0].values(), grid[1].values())
+    spec = SweepSpec(which, (temperature,) + grid, BATH, PARAMS, MAP_QUADRATURE)
+    assert table.rows == [row[1:] for row in run_sweep(spec).rows]
