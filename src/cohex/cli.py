@@ -170,6 +170,17 @@ def _parse_int(key, text):
         raise _UsageError(f"config key {key}: cannot parse {text!r} as an integer") from None
 
 
+def _job_count(text):
+    """The ``--jobs`` value: an integer of at least 1."""
+    try:
+        jobs = int(text, 10)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r} as an integer") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _parse_axis(key, text):
     if ":" not in text:
         return _parse_float(key, text)
@@ -645,7 +656,10 @@ def _build_parser():
         )
         p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-        p.add_argument("--jobs", type=int, default=None, metavar="N", help="worker processes for grid cells")
+        p.add_argument(
+            "--jobs", type=_job_count, default=None, metavar="N",
+            help="worker processes for grid cells (at most one per cell and per CPU)",
+        )
         return p
 
     add(

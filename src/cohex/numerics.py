@@ -7,7 +7,8 @@ integration path.  This module provides
 * ``expint_ei`` -- exponential integral Ei at negative argument with series /
   continued-fraction switchover, plus an exponentially scaled variant,
 * ``bose_n`` / ``fermi_n`` / ``coth_stable`` -- occupation factors that keep
-  full relative accuracy for tiny and huge arguments,
+  full relative accuracy for tiny and huge arguments, in numpy alone (the
+  package imports scipy only for tabulated baths),
 * ``integrate_semi_infinite`` -- adaptive Gauss-Kronrod quadrature on a
   log-mapped semi-infinite domain with windowed polynomial bridging of
   declared removable singularities.
@@ -201,14 +202,18 @@ def bose_n(xi, beta: float):
 
 
 def fermi_n(xi, beta: float):
-    """Fermi occupation 1/(e^{beta xi} + 1); complements sum to 1 exactly."""
+    """Fermi occupation 1/(e^{beta xi} + 1); xi may be a scalar or array.
+
+    ``beta = inf`` gives the zero-temperature step (1/2 at xi = 0).  Above
+    beta xi = 709, where the occupation is below 1e-307, it is exactly 0.
+    """
     x = _thermal_arg(xi, beta)
     if math.isinf(beta):
         out = np.where(x > 0.0, 0.0, np.where(x < 0.0, 1.0, 0.5))
         return float(out) if np.isscalar(xi) else out
-    from scipy.special import expit
-
-    out = expit(-beta * x)
+    bx = beta * x
+    out = 1.0 / (1.0 + np.exp(np.minimum(bx, 709.0)))
+    out = np.where(bx > 709.0, 0.0, out)
     return float(out) if np.isscalar(xi) else out
 
 

@@ -12,6 +12,10 @@ families and as the exact finite sum  sum_k lambda_k^2 kernel(Omega_k)  for
 the discrete one.  That shared dispatch is what lets the perturbative
 formulas and the exact-diagonalization cross-check consume the same bath
 object.
+
+scipy is imported only when a ``TabulatedDensity`` is built (for its
+``PchipInterpolator``); the other three families need numpy alone, so
+code that never builds a tabulated bath never pays scipy's import cost.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, UnsupportedOperationError
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate_semi_infinite
@@ -125,7 +127,7 @@ class GeneralizedOhmicDensity(_ContinuousDensity):
 
     def reorganization_omega(self) -> float:
         # integral A xi^{s-1} e^{-xi/wc} = A Gamma(s) wc^s
-        return self.coupling * gamma_fn(self.exponent) * self.cutoff ** self.exponent
+        return self.coupling * math.gamma(self.exponent) * self.cutoff ** self.exponent
 
     def decay_scale(self) -> float:
         return self.cutoff
@@ -206,6 +208,9 @@ class TabulatedDensity(_ContinuousDensity):
         self.knot_xi = xi
         self.knot_density = dens
         self.tail_decay = _check_positive("tail_decay", tail_decay)
+        # scipy costs ~0.6 s to import, so only tabulated baths pay for it.
+        from scipy.interpolate import PchipInterpolator
+
         self._interp = PchipInterpolator(xi, dens, extrapolate=False)
 
     @classmethod

@@ -23,8 +23,8 @@ as a per-cell one.
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -403,13 +403,30 @@ def _sweep_cell(task):
         return blank, None, "kernel-error"
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _evaluate_cells(spec: SweepSpec, points: list, jobs: int | None) -> list:
-    """(values, err, status) of every cell point (axis name -> value), in order."""
+    """(values, err, status) of every cell point (axis name -> value), in order.
+
+    The pool gets the smallest of ``jobs``, the cell count and the usable
+    CPU count as workers: a fork-based pool starts every worker at its
+    first task, whether or not there is work for it.
+    """
     shared = _shared_j(spec, points) if QUANTITIES[spec.quantity].shares_j else {}
     tasks = [(spec, point, shared.get(_j_key(point))) for point in points]
-    if jobs is not None and jobs > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (8 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs or 1, len(tasks), _usable_cpus())
+    if workers > 1:
+        # Imported here: serial runs skip the pool machinery's import cost.
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunk = max(1, len(tasks) // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_cell, tasks, chunksize=chunk))
     return [_sweep_cell(t) for t in tasks]
 
@@ -426,8 +443,10 @@ def run_sweep(
     spec : SweepSpec
         Quantity, axes, bath, and base parameters.
     jobs : int, optional
-        Process count for parallel evaluation.  The output is identical
-        for any value because rows are assembled in grid order.
+        Process count for parallel evaluation, capped at the number of
+        cells and of usable CPUs; below 2 the grid runs serially.  The
+        output is identical for any value because rows are assembled in
+        grid order.
     extra_meta : dict, optional
         Additional metadata merged into the table (all values coerced to
         strings); used by the command line to embed its resolved config.

@@ -108,6 +108,13 @@ class TestSweepOutput:
         ]
         assert data_lines[1:] == FIG_ROWS
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, jobs):
+        proc = run_cli(*FIG_ARGS, "--jobs", jobs)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert b"--jobs: must be at least 1" in proc.stderr
+
     def test_byte_identical_across_jobs(self):
         one = run_cli(*FIG_ARGS, "--jobs", "1")
         four = run_cli(*FIG_ARGS, "--jobs", "4")

@@ -92,6 +92,30 @@ def test_fermi_complement():
     assert nm.fermi_n(-2.0, math.inf) == 1.0
 
 
+def test_fermi_accuracy_against_mpmath():
+    import mpmath
+    import warnings
+
+    bx = np.concatenate([
+        np.linspace(-800.0, 800.0, 1601),
+        np.linspace(700.0, 750.0, 501),  # the overflow edge of e^{beta xi}
+        np.linspace(-40.0, 40.0, 801),
+        [0.0, 1e-300, -1e-300, 1e-12, -1e-12, 708.99999, 709.0, 709.00001],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nm.fermi_n(bx / 2.0, 2.0)
+        scalar = nm.fermi_n(0.3, 2.0)
+    assert isinstance(got, np.ndarray) and got.shape == bx.shape
+    assert type(scalar) is float
+    with mpmath.workdps(40):
+        for x, value in zip(bx.tolist(), got.tolist()):
+            ref = 1 / (1 + mpmath.exp(mpmath.mpf(x)))
+            if ref < 1e-300 and value == 0.0:
+                continue
+            assert abs(value - ref) <= 1e-15 * ref, (x, value)
+
+
 def test_coth_accuracy():
     import mpmath
     for x in [1e-12, 1e-8, 1e-4, 0.01, 0.1, 0.124, 0.126, 0.5, 1.0, 5.0, 50.0, 400.0]:

@@ -59,6 +59,21 @@ def test_reorganization_closed_forms():
     assert sd.reorganization_omega() == pytest.approx(numeric, rel=1e-10)
 
 
+@pytest.mark.parametrize("exponent", [0.25, 0.5, 1.5, 3.0])
+def test_generalized_reorganization_against_mpmath(exponent):
+    import mpmath
+
+    coupling, cutoff = 0.7, 2.5
+    sd = GeneralizedOhmicDensity(coupling, exponent, cutoff)
+    with mpmath.workdps(30):
+        # integral A x^{s-1} e^{-x/wc} dx with x = u^{1/s}: a smooth integrand
+        s = mpmath.mpf(exponent)
+        ref = coupling / s * mpmath.quad(
+            lambda u: mpmath.exp(-u ** (1 / s) / cutoff), [0, cutoff ** s, mpmath.inf]
+        )
+    assert abs(sd.reorganization_omega() - ref) <= 1e-14 * ref
+
+
 def test_discrete_eval_unsupported():
     sd = DiscreteDensity([(0.5, 1.0)])
     with pytest.raises(UnsupportedOperationError):

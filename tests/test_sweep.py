@@ -175,6 +175,47 @@ class TestRunSweep:
         pooled = run_sweep(spec, jobs=3)
         assert emit_csv(serial) == emit_csv(pooled)
 
+    @pytest.mark.parametrize(
+        "jobs, cpus, cells, workers",
+        [
+            (500, 64, 4, 4),  # never more workers than cells
+            (500, 2, 12, 2),  # nor than usable CPUs
+            (3, 64, 12, 3),
+            (2, 2, 12, 2),
+            (1, 64, 12, None),  # serial: no pool at all
+            (None, 64, 12, None),
+            (8, 1, 12, None),
+            (8, 64, 1, None),
+        ],
+    )
+    def test_pool_size_is_clamped(self, monkeypatch, jobs, cpus, cells, workers):
+        import concurrent.futures
+
+        started = []
+
+        class RecordingExecutor:
+            """Stands in for the process pool; runs cells in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+        axis = beta_axis(points=cells, start=0.5, stop=8.0 if cells > 1 else 0.5)
+        spec = SweepSpec("sigma2x", (axis,), BATH, PARAMS)
+        table = run_sweep(spec, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert emit_csv(table) == emit_csv(run_sweep(spec))
+
     def test_omega2_axis_matches_direct_calls(self):
         axes = (beta_axis(), AxisSpec("omega2_over_omega1", 2.0, 4.0, 2))
         table = run_sweep(SweepSpec("sigma2x", axes, BATH, PARAMS))
