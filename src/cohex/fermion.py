@@ -50,6 +50,7 @@ from .spin_detuned import (
     CoherenceResult,
     ModelParams,
     ThermalPoint,
+    _f_dimensionless,
     _magnitude_flags,
     coherence_integral,
     detuned_validity_flags,
@@ -507,13 +508,21 @@ def fock_term(
 ):
     """Dynamical (Fock) parts of both fermion coherences.
 
-    Returns (full - Hartree) for each coherence, which makes the
-    decomposition identity hartree + fock = full hold exactly.  Each Fock
-    part is also evaluated from its own spectral integral; the subtraction
-    and direct routes are the same quantity by an algebraic identity, so
-    disagreement beyond quadrature tolerance raises ``CrossFormError``.
+    Returns k = full - Hartree for each coherence, bit for bit the rounded
+    difference, so the decomposition h + k = full holds to one rounding:
+    |(h + k) - full| <= ulp(max(|h|, |k|, |full|)), and exactly whenever
+    full - h is exact.  Each Fock part is also evaluated from its own
+    spectral integral; the subtraction and direct routes are the same
+    quantity by an algebraic identity, so disagreement beyond quadrature
+    tolerance raises ``CrossFormError``.
     Unlike the Hartree parts, these depend on the full shape of I(xi).
     """
+    return _fock_term(params, sd, tp, config)[0]
+
+
+def _fock_term(params, sd, tp, config):
+    """((fock1, fock2), (err1, err2)): each Fock part carries the error
+    estimate of the full coherence it is subtracted from."""
     h1, h2 = hartree_static(params, sd, tp)
     full1 = sigma1x_fermion(params, sd, tp, config)
     full2 = sigma2x_fermion(params, sd, tp, config)
@@ -565,7 +574,7 @@ def fock_term(
                 f"disagree: {routes[0]!r} vs {routes[1]!r}",
                 values=routes,
             )
-    return fock1, fock2
+    return (fock1, fock2), (full1.err_estimate, full2.err_estimate)
 
 
 def ratio_R(
@@ -585,25 +594,29 @@ def ratio_R(
     coupling amplitude cancels in the ratio; it is accepted to keep the
     ohmic helpers' signatures uniform.
     """
+    return _ratio_R(params, cutoff, tp, config)[0]
+
+
+def _ratio_R(params, cutoff, tp, config):
+    """R as (value, err_estimate), carried to first order from F_F and F."""
     if tp.is_zero_temperature:
-        return 1.0
+        return 1.0, 0.0
     dw = _guarded_detuning(params)
     a = params.omega1 / cutoff
     b = tp.beta * params.omega1
-    f_f = f_fermion_dimensionless(
+    term0, xint, err_ff = _f_fermion_parts(
         a, b, params.omega2 / params.omega1, config
     )
-    denom = 1.0 / a - f_dimensionless(a, b, config)
+    f_f = term0 + xint
+    f_val, err_f = _f_dimensionless(a, b, config)
+    denom = 1.0 / a - f_val
     if denom == 0.0:
         raise DomainError(
             "internal shape factor F equals omega_c/omega1; R is undefined"
         )
-    return (
-        -(2.0 * params.omega2 / dw)
-        * thermal_coth_half(tp.beta, params.omega1)
-        * f_f
-        / denom
-    )
+    pre = -(2.0 * params.omega2 / dw) * thermal_coth_half(tp.beta, params.omega1)
+    err = abs(pre / denom) * (err_ff + abs(f_f / denom) * err_f)
+    return pre * f_f / denom, err
 
 
 def fermion_high_T(
@@ -635,6 +648,13 @@ def g_script(
     an intermediate temperature for narrow baths (omega1 >> omega_c),
     where the occupation term and the kernel integral compete.
     """
+    return _g_script(
+        beta_omega1, omega1_over_omegac, omega2_over_omega1, t_over_omega1
+    )[0]
+
+
+def _g_script(beta_omega1, omega1_over_omegac, omega2_over_omega1, t_over_omega1):
+    """G as (value, err_estimate), err carried from <sigma2x>_F."""
     if not (omega1_over_omegac > 0.0) or not math.isfinite(omega1_over_omegac):
         raise DomainError("omega1_over_omegac must be positive and finite")
     if not (t_over_omega1 > 0.0):
@@ -647,7 +667,8 @@ def g_script(
     tp = ThermalPoint(beta_omega1)
     levels = FermionLevels.from_params(params)
     result = sigma2x_fermion(params, sd, tp)
-    return result.value / (2.0 * levels.sin_theta_f)
+    scale = 2.0 * levels.sin_theta_f
+    return result.value / scale, result.err_estimate / scale
 
 
 def normalized_fermion(
@@ -665,17 +686,24 @@ def normalized_fermion(
     omega1 >> omega_c, n1 peaks above 1 at beta omega1 near 1: the
     internal coherence is largest at a finite temperature.
     """
+    return _normalized_fermion(params, cutoff, tp, config)[0]
+
+
+def _normalized_fermion(params, cutoff, tp, config):
+    """((n1, n2), err_estimate); err, carried from F and F_F, bounds both."""
     if tp.is_zero_temperature:
-        return 1.0, 1.0
+        return (1.0, 1.0), 0.0
     dw = _guarded_detuning(params)
     a = params.omega1 / cutoff
     b = tp.beta * params.omega1
     denom0 = 1.0 / a - f_dimensionless(a, math.inf, config)
     th1 = thermal_tanh_half(tp.beta, params.omega1)
-    first = th1 * (1.0 / a - f_dimensionless(a, b, config)) / denom0
-    second = (
-        -(2.0 * params.omega2 / dw)
-        * f_fermion_dimensionless(a, b, params.omega2 / params.omega1, config)
-        / denom0
+    f_val, err_f = _f_dimensionless(a, b, config)
+    first = th1 * (1.0 / a - f_val) / denom0
+    pre2 = -(2.0 * params.omega2 / dw)
+    term0, xint, err_ff = _f_fermion_parts(
+        a, b, params.omega2 / params.omega1, config
     )
-    return first, second
+    second = pre2 * (term0 + xint) / denom0
+    err = max(abs(th1) * err_f, abs(pre2) * err_ff) / abs(denom0)
+    return (first, second), err

@@ -187,7 +187,8 @@ class DiscreteDensity(SpectralDensity):
 class TabulatedDensity(_ContinuousDensity):
     """Monotone-cubic interpolation through (xi, I) knots.
 
-    A knot at the origin, (0, 0), is prepended if absent; beyond the last
+    A knot at the origin, (0, 0), is prepended if absent; knot densities
+    below the smallest normal double are flushed to 0; beyond the last
     knot the density continues as I_last * exp(-(xi - xi_last)/tail_decay).
     """
 
@@ -205,6 +206,9 @@ class TabulatedDensity(_ContinuousDensity):
         if xi[0] > 0.0:
             xi = np.concatenate([[0.0], xi])
             dens = np.concatenate([[0.0], dens])
+        # Subnormal densities overflow PCHIP's slope weights (1/slope);
+        # they are zero at every precision the quadrature can resolve.
+        dens = np.where(dens < np.finfo(float).tiny, 0.0, dens)
         self.knot_xi = xi
         self.knot_density = dens
         self.tail_decay = _check_positive("tail_decay", tail_decay)

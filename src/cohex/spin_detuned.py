@@ -225,6 +225,11 @@ def f_dimensionless(
     -e^{omega1/omegac} Ei(-omega1/omegac).  Positive, and grows as the
     temperature drops.
     """
+    return _f_dimensionless(omega1_over_omegac, beta_omega1, config)[0]
+
+
+def _f_dimensionless(omega1_over_omegac, beta_omega1, config):
+    """F as (value, err_estimate); the zero-temperature closed form has err 0."""
     a = float(omega1_over_omegac)
     b = float(beta_omega1)
     if not (a > 0.0) or not math.isfinite(a):
@@ -232,7 +237,7 @@ def f_dimensionless(
     if not (b > 0.0):
         raise DomainError("beta_omega1 must be positive (inf allowed)")
     if math.isinf(b):
-        return -_exp_scaled_ei_neg(a)
+        return -_exp_scaled_ei_neg(a), 0.0
 
     anchor = coth_minus_inv(0.5 * b)
 
@@ -242,8 +247,7 @@ def f_dimensionless(
 
     cfg = config or DEFAULT_QUADRATURE
     cfg = cfg.replace(tail_decay_scale=max(1.0 / a, 1.0))
-    value, _ = integrate_semi_infinite(kernel, (1.0,), cfg)
-    return value
+    return integrate_semi_infinite(kernel, (1.0,), cfg)
 
 
 def sigma2x_low_T(
@@ -372,18 +376,23 @@ def normalized_output_ratio(
     Negative at all T; magnitude 1 at T = 0 when omega2 = omega1, and
     falling off as T^{-3} at high temperature.
     """
+    return _normalized_output_ratio(params, sd, tp, config)[0]
+
+
+def _normalized_output_ratio(params, sd, tp, config):
+    """normalized_output_ratio as (value, err_estimate), err carried from F."""
     if not isinstance(sd, OhmicDensity):
         raise DomainError("the normalized output ratio uses the ohmic closed form")
     a = params.omega1 / sd.cutoff
     b = tp.beta_omega1(params.omega1)
-    f_val = f_dimensionless(a, b, config)
-    return (
+    f_val, f_err = _f_dimensionless(a, b, config)
+    pre = (
         (params.omega1 / params.omega2)
         * thermal_tanh_half(tp.beta, params.omega2)
         * thermal_tanh_half(tp.beta, params.omega1)
-        * f_val
-        / _exp_scaled_ei_neg(a)
     )
+    ei = _exp_scaled_ei_neg(a)
+    return pre * f_val / ei, abs(pre / ei) * f_err
 
 
 def normalized_coherences_spin(
@@ -398,11 +407,21 @@ def normalized_coherences_spin(
     weighted by the thermal polarization factors; both increase
     monotonically as the temperature drops and reach 1 at T = 0.
     """
+    (n1, n2), _ = _normalized_coherences_spin(
+        omega1_over_omegac, beta_omega1, omega2_over_omega1, config
+    )
+    return n1, n2
+
+
+def _normalized_coherences_spin(
+    omega1_over_omegac, beta_omega1, omega2_over_omega1, config
+):
+    """((n1, n2), err_estimate); n1's err, carried from F, bounds n2's too."""
     a = float(omega1_over_omegac)
     b = float(beta_omega1)
-    f_val = f_dimensionless(a, b, config)
+    f_val, f_err = _f_dimensionless(a, b, config)
     f_zero = -_exp_scaled_ei_neg(a)
     tanh1 = thermal_tanh_half(b, 1.0)
     tanh2 = thermal_tanh_half(b, float(omega2_over_omega1))
     n1 = tanh1 * f_val / f_zero
-    return n1, tanh2 * n1
+    return (n1, tanh2 * n1), abs(tanh1 / f_zero) * f_err

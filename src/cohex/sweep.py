@@ -41,11 +41,11 @@ from .errors import (
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 from .spectral import OhmicDensity, SpectralDensity
 from .spin_detuned import (
+    _normalized_coherences_spin,
+    _normalized_output_ratio,
     ModelParams,
     ThermalPoint,
     coherence_integral,
-    normalized_coherences_spin,
-    normalized_output_ratio,
     sigma1x,
     sigma2x,
     sigma2x_low_T,
@@ -187,6 +187,18 @@ def _exact(*values):
     return values, 0.0, ()
 
 
+def _estimated(values, err):
+    """Adapt quadrature-backed values (one value or a tuple of them) and an
+    error estimate that bounds each of them; they carry no flags."""
+    return values if isinstance(values, tuple) else (values,), err, ()
+
+
+def _eval_hartree_fock(p, sd, tp, cfg):
+    hartree = _fermion.hartree_static(p, sd, tp)
+    fock, errs = _fermion._fock_term(p, sd, tp, cfg)
+    return hartree + fock, max(errs), ()
+
+
 def _eval_static_compare(p, sd, tp, cfg):
     full = sigma2x(p, sd, tp, cfg)
     chain = static_chain(p, sd, tp)
@@ -225,10 +237,11 @@ QUANTITIES = {q.name: q for q in (
                   lambda p, sd, tp, cfg: _one(sigma2x_low_T(
                       p, sd.coupling, sd.cutoff, tp))),
     SweepQuantity("normalized_output_ratio", ("normalized_output_ratio",), "spin", True,
-                  lambda p, sd, tp, cfg: _exact(normalized_output_ratio(p, sd, tp, cfg))),
+                  lambda p, sd, tp, cfg: _estimated(*_normalized_output_ratio(
+                      p, sd, tp, cfg))),
     SweepQuantity("normalized_spin", ("normalized_sigma1x", "normalized_sigma2x"),
                   "spin", True,
-                  lambda p, sd, tp, cfg: _exact(*normalized_coherences_spin(
+                  lambda p, sd, tp, cfg: _estimated(*_normalized_coherences_spin(
                       p.omega1 / sd.cutoff, tp.beta_omega1(p.omega1),
                       p.omega2 / p.omega1, cfg))),
     SweepQuantity("static_compare", ("sigma2x_full", "sigma2x_static", "sigma2x_low_T"),
@@ -238,17 +251,16 @@ QUANTITIES = {q.name: q for q in (
     SweepQuantity("sigma2x_fermion", ("sigma2x_fermion",), "fermion", False,
                   lambda p, sd, tp, cfg: _one(_fermion.sigma2x_fermion(p, sd, tp, cfg))),
     SweepQuantity("hartree_fock", ("hartree1", "hartree2", "fock1", "fock2"), "fermion", False,
-                  lambda p, sd, tp, cfg: _exact(*_fermion.hartree_static(p, sd, tp),
-                                                *_fermion.fock_term(p, sd, tp, cfg))),
+                  _eval_hartree_fock),
     SweepQuantity("normalized_fermion", ("normalized_fermion1", "normalized_fermion2"),
                   "fermion", True,
-                  lambda p, sd, tp, cfg: _exact(*_fermion.normalized_fermion(
-                      p, sd.coupling, sd.cutoff, tp, cfg))),
+                  lambda p, sd, tp, cfg: _estimated(*_fermion._normalized_fermion(
+                      p, sd.cutoff, tp, cfg))),
     SweepQuantity("ratio_R", ("ratio_R",), "fermion", True,
-                  lambda p, sd, tp, cfg: _exact(_fermion.ratio_R(
-                      p, sd.coupling, sd.cutoff, tp, cfg))),
+                  lambda p, sd, tp, cfg: _estimated(*_fermion._ratio_R(
+                      p, sd.cutoff, tp, cfg))),
     SweepQuantity("g_script", ("g_script",), "fermion", True,
-                  lambda p, sd, tp, cfg: _exact(_fermion.g_script(
+                  lambda p, sd, tp, cfg: _estimated(*_fermion._g_script(
                       tp.beta_omega1(p.omega1), p.omega1 / sd.cutoff,
                       p.omega2 / p.omega1, p.t / p.omega1))),
     SweepQuantity("fermion_high_T", ("fermion_high_T",), "fermion", True,

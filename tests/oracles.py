@@ -43,6 +43,61 @@ def quad_reference(kernel, points=(), upper=None, dps=30):
         return float(val)
 
 
+def shape_factor_reference(a, b, dps=30):
+    """Ohmic shape factor F(a, b) by mpmath quadrature.
+
+    F = int_0^inf e^{-a x} [x coth(b x/2) - coth(b/2)] / (x^2 - 1) dx, split
+    at the removable point x = 1; the kernel is evaluated at twice the
+    working precision, so the cancellation next to x = 1 stays harmless.
+    """
+    with mpmath.workdps(dps):
+        am, bm = mpmath.mpf(a), mpmath.mpf(b)
+
+        def kernel(x):
+            with mpmath.workdps(2 * dps):
+                num = x * mpmath.coth(bm * x / 2) - mpmath.coth(bm / 2)
+                return mpmath.exp(-am * x) * num / (x * x - 1)
+
+        return float(mpmath.quad(kernel, [0, 1, mpmath.inf]))
+
+
+def fermion_shape_factor_reference(a, b, g, dps=30):
+    """Fermion output shape factor F_F(a, b, g) by mpmath quadrature.
+
+    F_F = n(1) (1 - 2 n(g)) / (a g) + int_0^inf e^{-a x} [W(x) + W(-x)] dx
+    with Fermi and Bose factors n(y) = 1/(e^{b y} + 1), N(y) = 1/(e^{b y} - 1),
+    r = g - 1 and the one-sided weight
+
+        W(x) = (N(x) + n(1)) [x r / (2 g (x - 1)) - n(1 - x) r / ((x - 1)(x + r))
+                              + n(g) x / (g (x + r))],
+
+    removable at x = 1 and x = |r|; evaluated as ``shape_factor_reference``.
+    """
+    with mpmath.workdps(dps):
+        am, bm, gm = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(g)
+        r = gm - 1
+
+        def fermi(y):
+            return 1 / (mpmath.exp(bm * y) + 1)
+
+        def weight(x):
+            braces = (
+                x * r / (2 * gm * (x - 1))
+                - fermi(1 - x) * r / ((x - 1) * (x + r))
+                + fermi(gm) * x / (gm * (x + r))
+            )
+            return (1 / mpmath.expm1(bm * x) + fermi(1)) * braces
+
+        def kernel(x):
+            with mpmath.workdps(2 * dps):
+                return mpmath.exp(-am * x) * (weight(x) + weight(-x))
+
+        split = sorted({mpmath.mpf(0), mpmath.mpf(1), abs(r)}) + [mpmath.inf]
+        integral = mpmath.quad(kernel, split)
+        term0 = fermi(1) * (1 - 2 * fermi(gm)) / (am * gm)
+        return float(term0 + integral)
+
+
 def midpoint_reference(kernel, upper, n=10_000_000, skip_points=(), skip_rel=1e-6):
     """Brute-force midpoint rule on (0, upper), masking removable points.
 

@@ -34,12 +34,12 @@ FIG_ARGS = (
 # Frozen first verified output of FIG_ARGS (whole byte stream, then the
 # data rows on their own so a metadata change is told apart from a
 # numerical regression).
-FIG_SHA256 = "6512b3a2112ab798e699c080134167a1824d34904f51fce8a85073137fc28b2d"
+FIG_SHA256 = "129ac92dddc3d97a12fd256136119eef21ff463c1401554bceb3a61086e87ff0"
 FIG_ROWS = [
-    "5.0000000000000003e-02,9.0842576742551040e-01,9.0842576742551040e-01,0.0000000000000000e+00,ok",
-    "1.0000000000000001e-01,8.0776608452951260e-01,8.0776608452936138e-01,0.0000000000000000e+00,ok",
-    "1.9999999999999998e-01,6.1130526564892262e-01,6.1130489164963842e-01,0.0000000000000000e+00,ok",
-    "4.0000000000000002e-01,3.2454912801883162e-01,3.2419032036962964e-01,0.0000000000000000e+00,ok",
+    "5.0000000000000003e-02,9.0842576742551018e-01,9.0842576742551018e-01,1.0085552031585791e-14,ok",
+    "1.0000000000000001e-01,8.0776608452951260e-01,8.0776608452936138e-01,8.9680050555597541e-15,ok",
+    "1.9999999999999998e-01,6.1130526564892251e-01,6.1130489164963830e-01,6.7868518099803170e-15,ok",
+    "4.0000000000000002e-01,3.2454912801883162e-01,3.2419032036962964e-01,3.6032191454852429e-15,ok",
 ]
 
 
@@ -53,8 +53,8 @@ MAP_ARGS = (
     "--set", "points=5",
 )
 MAP_SHA256 = {
-    "r1": "08a03f6f5998348063db61dda7e93f5b4e41a2f580b31264e0b0ba5f9ba34f7f",
-    "r2": "384393d0a50ae86381427fa41d0cce6f588f39aa4288b475dabe000fb41def22",
+    "r1": "5025be84d0423342b10ccdcaeeb54c52fa73b1a33a138cab25fc8d7e6f374a17",
+    "r2": "8b48440d654618dac15e4bf7e45e88d10ce0bc4601e2c62190c91dfb87d1255a",
 }
 
 

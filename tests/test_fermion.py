@@ -22,6 +22,8 @@ from cohex.fermion import (
     sigma2x_fermion,
     _combined_route,
     _first_fock_kernel,
+    _fock_term,
+    _g_script,
     _second_fock_kernel,
     _shape_factor_route,
 )
@@ -252,13 +254,44 @@ def test_hartree_static_zero_prefactor_skips_resonance_guard():
 
 
 def test_fock_decomposition_is_exact_and_routes_agree():
+    # k = full - h is one rounded subtraction, so h + k restores full to
+    # one rounding only: when full lies a binade below h, no double k
+    # makes the sum exact.
     sd = OhmicDensity(1.0, 1.0)
     for b in (0.7, 2.0, 5.0, math.inf):
         tp = ThermalPoint(b)
-        h1, h2 = hartree_static(PARAMS, sd, tp)
-        k1, k2 = fock_term(PARAMS, sd, tp)  # raises CrossFormError on drift
-        assert h1 + k1 == sigma1x_fermion(PARAMS, sd, tp).value
-        assert h2 + k2 == sigma2x_fermion(PARAMS, sd, tp).value
+        hs = hartree_static(PARAMS, sd, tp)
+        ks = fock_term(PARAMS, sd, tp)  # raises CrossFormError on drift
+        fulls = (
+            sigma1x_fermion(PARAMS, sd, tp).value,
+            sigma2x_fermion(PARAMS, sd, tp).value,
+        )
+        for h, k, full in zip(hs, ks, fulls):
+            assert k == full - h
+            assert abs((h + k) - full) <= math.ulp(max(abs(h), abs(k), abs(full)))
+
+
+@pytest.mark.parametrize("a, b", [(0.4, 0.501), (0.1, 2.0), (1.0, 7.0)])
+def test_fock_and_g_script_errors_bound_mpmath_gap(a, b):
+    # (a, b) = (omega1/omegac, beta omega1); omega1 = 1 and A = 1 below.
+    sd = OhmicDensity(1.0, 1.0 / a)
+    tp = ThermalPoint(b)
+    f_ref = oracles.shape_factor_reference(a, b)
+    ff_ref = oracles.fermion_shape_factor_reference(a, b, 3.0)
+    p = PARAMS
+    full1 = 2.0 * p.f1 * p.f2 * math.tanh(0.5 * b) * (1.0 / a - f_ref)
+    full2 = -4.0 * p.t * p.f1 * p.f2 / (p.omega2 - p.omega1) * ff_ref
+    h1, h2 = hartree_static(p, sd, tp)
+    (k1, k2), (err1, err2) = _fock_term(p, sd, tp, None)
+    assert (k1, k2) == fock_term(p, sd, tp)
+    assert err1 > 0.0 and abs(k1 - (full1 - h1)) <= err1
+    assert err2 > 0.0 and abs(k2 - (full2 - h2)) <= err2
+
+    g_val, g_err = _g_script(b, a, 3.0, 0.1)
+    assert g_val == g_script(b, a, 3.0, 0.1)
+    sin_theta = FermionLevels.from_params(UNIT_WEIGHTS).sin_theta_f
+    g_ref = -4.0 * 0.1 / 2.0 * ff_ref / (2.0 * sin_theta)
+    assert g_err > 0.0 and abs(g_val - g_ref) <= g_err
 
 
 def test_fock_route_guard_detects_sabotage(monkeypatch):

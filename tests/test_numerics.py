@@ -270,3 +270,165 @@ def test_convergence_error_carries_partial():
         assert exc.err_estimate is not None
     else:
         pytest.fail("expected ConvergenceError with a tiny panel budget")
+
+
+# ---------------------------------------------------------------------------
+# Batching: K-way splits and one-call bridges
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("exponent, max_batches", [(None, 7), (0.5, 25)])
+def test_canonical_integral_batch_counts(monkeypatch, exponent, max_batches):
+    # Bisection took 16 and 56 batches for these two integrals.
+    import cohex.spectral as spectral
+    from cohex.spin_detuned import ModelParams, ThermalPoint, coherence_integral
+
+    sd = (spectral.OhmicDensity(1.0, 1.0) if exponent is None
+          else spectral.GeneralizedOhmicDensity(1.0, exponent, 1.0))
+    counts = {"batches": 0, "calls": 0}
+    gk = nm._gk_evaluate
+    integrate = nm.integrate_semi_infinite
+
+    def counting_gk(f, lo, hi):
+        counts["batches"] += 1
+        return gk(f, lo, hi)
+
+    def counting_integrate(kernel, removable_points=(), config=None):
+        def counted(x):
+            counts["calls"] += 1
+            return kernel(x)
+
+        return integrate(counted, removable_points, config)
+
+    monkeypatch.setattr(nm, "_gk_evaluate", counting_gk)
+    monkeypatch.setattr(spectral, "integrate_semi_infinite", counting_integrate)
+    params = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
+    coherence_integral(params, sd, ThermalPoint(2.0))
+    assert counts["batches"] <= max_batches
+    # One removable point (xi = omega1): its bridge costs one kernel call.
+    assert counts["calls"] - counts["batches"] == 1
+
+
+@pytest.mark.parametrize("budget", [8, 16, 40])
+def test_panel_budget_is_never_exceeded(monkeypatch, budget):
+    sizes = []
+    split = nm._split_panels
+    gk = nm._gk_evaluate
+
+    def first_batch(f, lo, hi):
+        if not sizes:
+            sizes.append(lo.size)
+        return gk(f, lo, hi)
+
+    def recording_split(lo, hi, counts):
+        assert np.all(counts >= 2) and np.all(counts <= nm._SPLIT)
+        sizes.append(sizes[-1] + int(np.sum(counts - 1)))
+        return split(lo, hi, counts)
+
+    monkeypatch.setattr(nm, "_gk_evaluate", first_batch)
+    monkeypatch.setattr(nm, "_split_panels", recording_split)
+    cfg = nm.QuadratureConfig(rel_tol=1e-10, max_subdivisions=budget)
+    with pytest.raises(ConvergenceError) as excinfo:
+        nm.integrate_semi_infinite(
+            lambda x: np.exp(-x) * np.cos(40.0 * x) * x ** 2, config=cfg
+        )
+    assert max(sizes) <= budget
+    assert sizes[-1] == budget  # the whole budget is spent before giving up
+    assert math.isfinite(excinfo.value.partial)
+    assert excinfo.value.err_estimate > 1e-10 * abs(excinfo.value.partial)
+
+
+def test_split_panels_tiles_each_parent():
+    lo = np.array([0.0, 0.3, 0.9])
+    hi = np.array([0.3, 0.9, 0.97])
+    counts = np.array([8, 3, 2])
+    child_lo, child_hi = nm._split_panels(lo, hi, counts)
+    assert child_lo.size == child_hi.size == 13
+    starts = np.cumsum(counts) - counts
+    ends = np.cumsum(counts) - 1
+    assert np.array_equal(child_lo[starts], lo)
+    assert np.array_equal(child_hi[ends], hi)
+    inner = np.setdiff1d(np.arange(13), ends)
+    assert np.array_equal(child_hi[inner], child_lo[inner + 1])
+    np.testing.assert_allclose(
+        child_hi - child_lo, np.repeat((hi - lo) / counts, counts), rtol=1e-14
+    )
+
+
+def _bridge_kernel(x):
+    return np.exp(-x) * (np.cos(3.0 * x) + x ** 2 / (1.0 + x))
+
+
+def _assert_bridges_match_polyfit(patched):
+    assert patched.windows
+    for lo, hi, center, half, _ in patched.windows:
+        w = 0.5 * (hi - lo)
+        nodes = np.array([max(lo - w, 0.25 * lo), lo, hi, hi + w])
+        vals = _bridge_kernel(nodes)
+        coeffs = np.polynomial.polynomial.polyfit((nodes - center) / half, vals, 3)
+        x = np.linspace(lo, hi, 41)
+        ref = np.polynomial.polynomial.polyval((x - center) / half, coeffs)
+        # Relative to the fitted data: the cubic may cross zero in the window.
+        scale = np.max(np.abs(vals))
+        assert np.max(np.abs(patched(x) - ref)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("points, delta, n_windows", [
+    ([1.0], 1e-3, 1),
+    ([0.3, 1.0, 4.0], [1e-3, 1e-2, 0.2], 3),
+    ([1.0, 1.0015], 1e-3, 1),       # overlapping windows, merged
+    ([0.001, 0.0015, 50.0], 0.2, 2),  # merged at small xi: clamped outer node
+])
+def test_batched_bridge_matches_polyfit(points, delta, n_windows):
+    calls = []
+
+    def kernel(x):
+        calls.append(x.size)
+        return _bridge_kernel(x)
+
+    patched = nm._PatchedKernel(kernel, points, delta)
+    assert calls == [4 * n_windows]  # every window's nodes in one call
+    assert len(patched.windows) == n_windows
+    _assert_bridges_match_polyfit(patched)
+
+
+def test_clustered_points_bridge_matches_polyfit(monkeypatch):
+    made = []
+    patched_kernel = nm._PatchedKernel
+
+    def recording(kernel, pts, delta):
+        made.append(patched_kernel(kernel, pts, delta))
+        return made[-1]
+
+    monkeypatch.setattr(nm, "_PatchedKernel", recording)
+    # Three points within 1e-6 (relative) are bridged as one feature.
+    nm.integrate_semi_infinite(
+        _bridge_kernel, removable_points=[2.0, 2.0 + 1e-7, 2.0 + 2e-7, 5.0]
+    )
+    (patched,) = made
+    assert len(patched.windows) == 2
+    _assert_bridges_match_polyfit(patched)
+
+
+def _sinc(t, p):
+    return math.sin(t - p) / (t - p) if t != p else 1.0
+
+
+@pytest.mark.parametrize("points", [(), (1.0,), (1.0, 2.5)])
+def test_results_within_estimate_of_mpmath(points):
+    def kernel(x):
+        out = np.exp(-x) * (1.0 + np.cos(3.0 * x))
+        for p in points:
+            away = x != p
+            out = np.where(away, out * np.sin(x - p) / np.where(away, x - p, 1.0), np.nan)
+        return out
+
+    def scalar(t):
+        out = math.exp(-t) * (1.0 + math.cos(3.0 * t))
+        for p in points:
+            out *= _sinc(t, p)
+        return out
+
+    val, err = nm.integrate_semi_infinite(kernel, removable_points=points)
+    ref = oracles.quad_reference(scalar, points=points)
+    assert 0.0 < err < 1e-9 * abs(ref)
+    assert abs(val - ref) <= err

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,22 +155,43 @@ def test_tabulated_from_file(tmp_path):
         TabulatedDensity.from_file(bad, tail_decay=1.0)
 
 
-def test_smeared_discrete_approximates_continuum():
-    # Narrow normalized bumps at each mode should reproduce smooth-kernel
-    # integrals of the discrete density to about a percent.
-    modes = [(0.4, 0.8), (0.3, 1.7)]
-    disc = DiscreteDensity(modes)
-    width = 0.01
+SMEARED_MODES = [(0.4, 0.8), (0.3, 1.7)]
+
+
+def smeared_discrete_knots(width=0.01):
+    """Normalized Gaussian bumps at each mode on 6,000 knots; far from the
+    modes the densities underflow, 73 of them to subnormals."""
     xi = np.linspace(1e-4, 3.0, 6000)
     dens = np.zeros_like(xi)
-    for lam, freq in modes:
+    for lam, freq in SMEARED_MODES:
         dens += (
             lam ** 2
             / (width * math.sqrt(2.0 * math.pi))
             * np.exp(-0.5 * ((xi - freq) / width) ** 2)
         )
-    tab = TabulatedDensity(np.column_stack([xi, dens]), tail_decay=0.05)
+    return np.column_stack([xi, dens])
+
+
+def test_smeared_discrete_approximates_continuum():
+    # Narrow normalized bumps at each mode should reproduce smooth-kernel
+    # integrals of the discrete density to about a percent.
+    disc = DiscreteDensity(SMEARED_MODES)
+    tab = TabulatedDensity(smeared_discrete_knots(), tail_decay=0.05)
     for kern in (lambda x: 1.0 / (x + 0.5), lambda x: np.exp(-x)):
         d_val = disc.moment_integral(kern)
         t_val = tab.moment_integral(kern)
         assert t_val == pytest.approx(d_val, rel=1e-2)
+
+
+def test_subnormal_knot_densities_are_flushed_without_warnings():
+    knots = smeared_discrete_knots()
+    dens = knots[:, 1]
+    subnormal = (dens > 0.0) & (dens < np.finfo(float).tiny)
+    assert np.count_nonzero(subnormal) > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tab = TabulatedDensity(knots, tail_decay=0.05)
+        values = tab.eval(knots[:, 0])
+    assert np.all(tab.knot_density[1:][subnormal] == 0.0)
+    assert np.array_equal(tab.knot_density[1:][~subnormal], dens[~subnormal])
+    assert np.all(np.isfinite(values)) and np.all(values >= 0.0)

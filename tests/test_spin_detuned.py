@@ -7,6 +7,7 @@ from cohex.errors import DomainError
 from cohex.numerics import _exp_scaled_ei_neg, bose_n
 from cohex.spectral import DiscreteDensity, OhmicDensity
 from cohex.spin_detuned import (
+    _f_dimensionless,
     ModelParams,
     ThermalPoint,
     detuned_validity_flags,
@@ -158,6 +159,15 @@ def test_f_dimensionless_decomposition_oracle():
     t_series = oracles.double_ei_series_reference(a, b)
     decomp = t_zero - 2.0 * bose_n(b, 1.0) * t_pv + t_series
     assert f_val == pytest.approx(decomp, rel=1e-8)
+
+
+@pytest.mark.parametrize("a, b", [(100.0, 20.0), (100.0, 5.0), (100.0, 2.5), (0.1, 0.5)])
+def test_f_dimensionless_err_bounds_mpmath_gap(a, b):
+    # At omega1/omegac = 100 the GK differences fall below one ulp of F;
+    # the estimate must still cover the rounding of the panel sum.
+    value, err = _f_dimensionless(a, b, None)
+    assert value == f_dimensionless(a, b)
+    assert abs(value - oracles.shape_factor_reference(a, b)) <= err < 1e-10 * value
 
 
 def test_f_dimensionless_monotone_in_temperature():

@@ -14,6 +14,7 @@ from cohex.fermion import (
     normalized_fermion,
     sigma2x_fermion,
 )
+from cohex.numerics import DEFAULT_QUADRATURE
 from cohex.spectral import DiscreteDensity, OhmicDensity
 from cohex.spin_detuned import (
     ModelParams,
@@ -304,13 +305,26 @@ class TestRunSweep:
         for row in table.rows:
             assert row[1] == g_script(row[0], 10.0, 3.0, 0.1)
 
-    def test_normalized_fermion_err_is_zero(self):
+    def test_normalized_fermion_cell_carries_err_estimate(self):
         table = run_sweep(
             SweepSpec("normalized_fermion", (beta_axis(),), BATH, PARAMS)
         )
         pair = normalized_fermion(PARAMS, 1.0, 10.0, ThermalPoint(2.0))
         assert table.rows[0][1:3] == pair
-        assert table.rows[0][3] == 0.0
+        assert table.rows[0][3] > 0.0
+
+    @pytest.mark.parametrize("name", [
+        "hartree_fock", "g_script", "normalized_fermion", "ratio_R",
+        "normalized_spin", "normalized_output_ratio",
+    ])
+    def test_quadrature_backed_rows_carry_err_estimate(self, name):
+        # Each of these is built on adaptive integrals; a finite-T row
+        # reports their estimate, carried to first order, not 0.
+        for b in (0.5, 2.0, 7.0):
+            values, err, _ = QUANTITIES[name].evaluate(
+                PARAMS, BATH, ThermalPoint(b), DEFAULT_QUADRATURE
+            )
+            assert 0.0 < err < 1e-8 * max(abs(v) for v in values)
 
     def test_meta_includes_axes_and_extra(self):
         spec = SweepSpec("sigma1x", (beta_axis(4, 1.0, 8.0, "log"),), BATH, PARAMS)
