@@ -284,8 +284,6 @@ def _quadrature_config(values, base):
     }
     if not overrides:
         return None
-    if "max_subdivisions" in overrides:
-        overrides["max_subdivisions"] = int(overrides["max_subdivisions"])
     return base.replace(**overrides)
 
 
@@ -302,8 +300,6 @@ def _canonical(value):
         return ",".join(repr(float(v)) for v in value)
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -539,7 +535,7 @@ def _check_ratio_edge():
 def _check_static_bound():
     p = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
     sd = OhmicDensity(0.7, 1.3)
-    static, dynamical = static_dynamical_split(p, sd, None)
+    (static, dynamical), _ = static_dynamical_split(p, sd, None)
     full = sigma2x(p, sd, ThermalPoint(math.inf)).value
     _require(dynamical <= 0.0, f"dynamical term {dynamical!r} is positive")
     resid = abs(static + dynamical - full)
@@ -547,7 +543,7 @@ def _check_static_bound():
 
 
 def _check_low_T_saturation():
-    n1, n2 = normalized_coherences_spin(1.0, 60.0)
+    (n1, n2), _ = normalized_coherences_spin(1.0, 60.0)
     _require(abs(n1 - 1.0) <= 0.02, f"normalized internal coherence {n1!r}")
     _require(abs(n2 - 1.0) <= 0.02, f"normalized output coherence {n2!r}")
 

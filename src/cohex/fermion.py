@@ -26,6 +26,13 @@ hybridized (small t) regime:
 Expressions carrying omega2 - omega1 in a denominator refuse to evaluate
 within a relative 1e-6 of resonance rather than guess an unpublished
 limit; a softer advisory flag appears once |omega2 - omega1| < 10 t.
+
+The two coherences return ``CoherenceResult``.  Every other
+quadrature-backed quantity returns (value, err_estimate): the shape
+factor F_F, R(T) and G as scalars, ``normalized_fermion`` as
+((n1, n2), err) with one estimate bounding both, and ``fock_term`` as
+((k1, k2), (err1, err2)).  The Hartree parts and the high-temperature
+form are closed-form arithmetic and return bare values.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .errors import CrossFormError, DegenerateBasisError, DomainError, NearReson
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
+    _exp_scaled_ei_neg,
     bose_n,
     fermi_n,
     integrate_semi_infinite,
@@ -50,7 +58,6 @@ from .spin_detuned import (
     CoherenceResult,
     ModelParams,
     ThermalPoint,
-    _f_dimensionless,
     _magnitude_flags,
     coherence_integral,
     detuned_validity_flags,
@@ -156,7 +163,8 @@ def sigma1x_fermion(
     if isinstance(sd, OhmicDensity):
         a = params.omega1 / sd.cutoff
         b = tp.beta * params.omega1
-        closed = sd.coupling * f_dimensionless(a, b, config)
+        f_val, _ = f_dimensionless(a, b, config)
+        closed = sd.coupling * f_val
         gap = abs(closed - j)
         if gap > _CLOSED_FORM_RTOL * max(abs(j), abs(closed)) + 4.0 * err:
             raise CrossFormError(
@@ -239,18 +247,19 @@ def f_fermion_dimensionless(
     beta_omega1: float,
     omega2_over_omega1: float,
     config: QuadratureConfig | None = None,
-) -> float:
+):
     """Output-coherence shape factor F_F(omega1/omegac, beta, omega2/omega1).
 
     <sigma2x>_F = -(4 t f1 f2 A / (omega2 - omega1)) F_F for the ohmic
     bath.  F_F is an occupation term plus a two-sided exponential-kernel
     integral; it vanishes as (beta omega1)^2 at high temperature and
-    changes sign at intermediate temperatures for narrow baths.
+    changes sign at intermediate temperatures for narrow baths.  Returns
+    (F_F, err_estimate), the estimate being the integral's.
     """
-    term0, xint, _ = _f_fermion_parts(
+    term0, xint, err = _f_fermion_parts(
         omega1_over_omegac, beta_omega1, omega2_over_omega1, config
     )
-    return term0 + xint
+    return term0 + xint, err
 
 
 def _shape_factor_route(
@@ -508,21 +517,17 @@ def fock_term(
 ):
     """Dynamical (Fock) parts of both fermion coherences.
 
-    Returns k = full - Hartree for each coherence, bit for bit the rounded
-    difference, so the decomposition h + k = full holds to one rounding:
+    Returns ((k1, k2), (err1, err2)) with k = full - Hartree for each
+    coherence, bit for bit the rounded difference, so the decomposition
+    h + k = full holds to one rounding:
     |(h + k) - full| <= ulp(max(|h|, |k|, |full|)), and exactly whenever
-    full - h is exact.  Each Fock part is also evaluated from its own
-    spectral integral; the subtraction and direct routes are the same
+    full - h is exact.  Each Fock part carries the error estimate of the
+    full coherence it is subtracted from.  Each is also evaluated from its
+    own spectral integral; the subtraction and direct routes are the same
     quantity by an algebraic identity, so disagreement beyond quadrature
     tolerance raises ``CrossFormError``.
     Unlike the Hartree parts, these depend on the full shape of I(xi).
     """
-    return _fock_term(params, sd, tp, config)[0]
-
-
-def _fock_term(params, sd, tp, config):
-    """((fock1, fock2), (err1, err2)): each Fock part carries the error
-    estimate of the full coherence it is subtracted from."""
     h1, h2 = hartree_static(params, sd, tp)
     full1 = sigma1x_fermion(params, sd, tp, config)
     full2 = sigma2x_fermion(params, sd, tp, config)
@@ -583,7 +588,7 @@ def ratio_R(
     cutoff: float,
     tp: ThermalPoint,
     config: QuadratureConfig | None = None,
-) -> float:
+):
     """R(T) in <sigma2x>_F = (t/omega2) <sigma1x>_F R(T), ohmic bath.
 
     R = -(2 omega2/(omega2 - omega1)) coth(beta omega1/2)
@@ -592,23 +597,18 @@ def ratio_R(
     R -> 1 at zero temperature (the transfer relation becomes exact) and
     depends on both level energies, unlike its spin counterpart.  The
     coupling amplitude cancels in the ratio; it is accepted to keep the
-    ohmic helpers' signatures uniform.
+    ohmic helpers' signatures uniform.  Returns (R, err_estimate), the
+    estimate carried to first order from F_F and F.
     """
-    return _ratio_R(params, cutoff, tp, config)[0]
-
-
-def _ratio_R(params, cutoff, tp, config):
-    """R as (value, err_estimate), carried to first order from F_F and F."""
     if tp.is_zero_temperature:
         return 1.0, 0.0
     dw = _guarded_detuning(params)
     a = params.omega1 / cutoff
     b = tp.beta * params.omega1
-    term0, xint, err_ff = _f_fermion_parts(
+    f_f, err_ff = f_fermion_dimensionless(
         a, b, params.omega2 / params.omega1, config
     )
-    f_f = term0 + xint
-    f_val, err_f = _f_dimensionless(a, b, config)
+    f_val, err_f = f_dimensionless(a, b, config)
     denom = 1.0 / a - f_val
     if denom == 0.0:
         raise DomainError(
@@ -640,21 +640,16 @@ def g_script(
     omega1_over_omegac: float,
     omega2_over_omega1: float,
     t_over_omega1: float = 0.1,
-) -> float:
+    config: QuadratureConfig | None = None,
+):
     """Dimensionless output coherence <sigma2x>_F/(2 A sin_theta_f f1 f2).
 
     Evaluated at unit omega1, coupling amplitude and bath couplings, with
     the hybridization fixed at t = 0.1 omega1 by default.  Crosses zero at
     an intermediate temperature for narrow baths (omega1 >> omega_c),
-    where the occupation term and the kernel integral compete.
+    where the occupation term and the kernel integral compete.  Returns
+    (G, err_estimate), the estimate carried from <sigma2x>_F.
     """
-    return _g_script(
-        beta_omega1, omega1_over_omegac, omega2_over_omega1, t_over_omega1
-    )[0]
-
-
-def _g_script(beta_omega1, omega1_over_omegac, omega2_over_omega1, t_over_omega1):
-    """G as (value, err_estimate), err carried from <sigma2x>_F."""
     if not (omega1_over_omegac > 0.0) or not math.isfinite(omega1_over_omegac):
         raise DomainError("omega1_over_omegac must be positive and finite")
     if not (t_over_omega1 > 0.0):
@@ -666,7 +661,7 @@ def _g_script(beta_omega1, omega1_over_omegac, omega2_over_omega1, t_over_omega1
     sd = OhmicDensity(1.0, 1.0 / omega1_over_omegac)
     tp = ThermalPoint(beta_omega1)
     levels = FermionLevels.from_params(params)
-    result = sigma2x_fermion(params, sd, tp)
+    result = sigma2x_fermion(params, sd, tp, config)
     scale = 2.0 * levels.sin_theta_f
     return result.value / scale, result.err_estimate / scale
 
@@ -684,26 +679,23 @@ def normalized_fermion(
     e^{omega1/omegac} Ei(-omega1/omegac)) and n2 carries F_F with the same
     zero-temperature denominator.  The coupling amplitude cancels.  For
     omega1 >> omega_c, n1 peaks above 1 at beta omega1 near 1: the
-    internal coherence is largest at a finite temperature.
+    internal coherence is largest at a finite temperature.  Returns
+    ((n1, n2), err_estimate); the estimate, carried from F and F_F, bounds
+    both.
     """
-    return _normalized_fermion(params, cutoff, tp, config)[0]
-
-
-def _normalized_fermion(params, cutoff, tp, config):
-    """((n1, n2), err_estimate); err, carried from F and F_F, bounds both."""
     if tp.is_zero_temperature:
         return (1.0, 1.0), 0.0
     dw = _guarded_detuning(params)
     a = params.omega1 / cutoff
     b = tp.beta * params.omega1
-    denom0 = 1.0 / a - f_dimensionless(a, math.inf, config)
+    f_val, err_f = f_dimensionless(a, b, config)
+    denom0 = 1.0 / a + _exp_scaled_ei_neg(a)
     th1 = thermal_tanh_half(tp.beta, params.omega1)
-    f_val, err_f = _f_dimensionless(a, b, config)
     first = th1 * (1.0 / a - f_val) / denom0
     pre2 = -(2.0 * params.omega2 / dw)
-    term0, xint, err_ff = _f_fermion_parts(
+    f_f, err_ff = f_fermion_dimensionless(
         a, b, params.omega2 / params.omega1, config
     )
-    second = pre2 * (term0 + xint) / denom0
+    second = pre2 * f_f / denom0
     err = max(abs(th1) * err_f, abs(pre2) * err_ff) / abs(denom0)
     return (first, second), err

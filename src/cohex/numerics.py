@@ -300,11 +300,13 @@ class _PatchedKernel:
     """Wraps a kernel, replacing declared removable windows by cubics.
 
     A window around a removable point p spans [p (1 - delta), p (1 + delta)].
-    ``delta`` may be a scalar shared by every point or a sequence aligned
-    with ``points``.  Overlapping windows are merged.  Inside a (merged)
-    window [L, R] the kernel is replaced by the cubic interpolating its
-    values at L - w, L, R, R + w with w = (R - L)/2, so the limit value at
-    the singular abscissa is never requested.
+    ``points`` must be positive, finite, distinct and ascending, as
+    ``integrate_semi_infinite`` passes them.  ``delta`` may be a scalar
+    shared by every point or a sequence aligned with ``points``.
+    Overlapping windows are merged.  Inside a (merged) window [L, R] the
+    kernel is replaced by the cubic interpolating its values at L - w, L,
+    R, R + w with w = (R - L)/2, so the limit value at the singular
+    abscissa is never requested.
     """
 
     def __init__(self, kernel: Callable, points: Sequence[float], delta):
@@ -316,17 +318,9 @@ class _PatchedKernel:
             widths = [float(d) for d in delta]
             if len(widths) != len(pts):
                 raise DomainError("need one window width per removable point")
-        by_point: dict[float, float] = {}
-        for p, d in zip(pts, widths):
-            if not (p > 0.0) or not math.isfinite(p):
-                continue
-            by_point[p] = max(by_point.get(p, 0.0), d)
-        spans = []
-        for p in sorted(by_point):
-            h = by_point[p] * p
-            spans.append([p - h, p + h])
         merged: list[list[float]] = []
-        for lo, hi in spans:
+        for p, d in zip(pts, widths):
+            lo, hi = p - d * p, p + d * p
             # Merge if the outer fit nodes would land inside the neighbour.
             if merged and lo - (hi - lo) / 2.0 <= merged[-1][1]:
                 merged[-1][1] = hi

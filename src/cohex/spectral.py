@@ -45,17 +45,9 @@ class SpectralDensity:
         """The reorganization-type scale  integral I(xi)/xi dxi."""
         raise NotImplementedError
 
-    def decay_scale(self) -> float:
-        """Energy scale of the slowest decay of I, for tail mapping."""
-        raise NotImplementedError
-
     def weighted_integral(self, kernel, removable_points=(), config=None):
         """integral I(xi) kernel(xi) dxi as (value, err_estimate)."""
         raise NotImplementedError
-
-    def moment_integral(self, kernel, removable_points=(), config=None) -> float:
-        """integral I(xi) kernel(xi) dxi (value only)."""
-        return self.weighted_integral(kernel, removable_points, config)[0]
 
     def _checked_xi(self, xi):
         arr = np.asarray(xi, dtype=float)
@@ -65,6 +57,10 @@ class SpectralDensity:
 
 
 class _ContinuousDensity(SpectralDensity):
+    def decay_scale(self) -> float:
+        """Energy scale of the slowest decay of I, for tail mapping."""
+        raise NotImplementedError
+
     def weighted_integral(self, kernel, removable_points=(), config=None):
         cfg = config or DEFAULT_QUADRATURE
         scale = max(cfg.tail_decay_scale, self.decay_scale())
@@ -165,11 +161,6 @@ class DiscreteDensity(SpectralDensity):
         if self.frequencies.size == 0:
             return 0.0
         return float(np.sum(self.couplings ** 2 / self.frequencies))
-
-    def decay_scale(self) -> float:
-        if self.frequencies.size == 0:
-            return 1.0
-        return float(np.max(self.frequencies))
 
     def weighted_integral(self, kernel, removable_points=(), config=None):
         if self.frequencies.size == 0:

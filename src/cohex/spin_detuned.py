@@ -18,6 +18,12 @@ is a separate analytic path where the kernel collapses to
 Conventions: hbar = k_B = 1; beta = +inf encodes T = 0; f1, f2 are the
 dimensionless longitudinal/transverse bath-coupling weights of the first
 spin; t couples the two spins.
+
+Coherences return ``CoherenceResult``.  The quadrature-backed shape factor
+F, the normalized ratios and the static/dynamical split return
+(value, err_estimate), as ``coherence_integral`` does; a function with two
+values returns ((a, b), err_estimate), one estimate bounding both.  The
+asymptotic and static forms are closed-form and return bare values.
 """
 
 from __future__ import annotations
@@ -215,7 +221,7 @@ def f_dimensionless(
     omega1_over_omegac: float,
     beta_omega1: float,
     config: QuadratureConfig | None = None,
-) -> float:
+):
     """The dimensionless ohmic shape factor F(omega1/omegac, beta omega1).
 
     F = integral_0^inf e^{-(omega1/omegac) x}
@@ -223,13 +229,9 @@ def f_dimensionless(
 
     removable at x = 1.  At beta omega1 = +inf it reduces to
     -e^{omega1/omegac} Ei(-omega1/omegac).  Positive, and grows as the
-    temperature drops.
+    temperature drops.  Returns (F, err_estimate); the zero-temperature
+    closed form has err_estimate 0.
     """
-    return _f_dimensionless(omega1_over_omegac, beta_omega1, config)[0]
-
-
-def _f_dimensionless(omega1_over_omegac, beta_omega1, config):
-    """F as (value, err_estimate); the zero-temperature closed form has err 0."""
     a = float(omega1_over_omegac)
     b = float(beta_omega1)
     if not (a > 0.0) or not math.isfinite(a):
@@ -351,15 +353,17 @@ def static_dynamical_split(
     static_term = 4 f1 f2 t Omega/(omega1 omega2) is bath-shape-blind;
     dynamical_term = -(4 f1 f2 t/(omega1 omega2)) integral I/(xi + omega1)
     carries the back-action and is always <= 0, so the static term alone is
-    an upper bound on the true zero-temperature value.
+    an upper bound on the true zero-temperature value.  Returns
+    ((static_term, dynamical_term), err_estimate); the estimate is the
+    dynamical term's, since the static term is closed-form.
     """
     pre = 4.0 * params.f1 * params.f2 * params.t / (params.omega1 * params.omega2)
     omega = sd.reorganization_omega()
     static_term = pre * omega
     if omega == 0.0:
-        return static_term, 0.0
-    integral, _ = sd.weighted_integral(lambda xi: 1.0 / (xi + params.omega1), (), config)
-    return static_term, -pre * integral
+        return (static_term, 0.0), 0.0
+    integral, err = sd.weighted_integral(lambda xi: 1.0 / (xi + params.omega1), (), config)
+    return (static_term, -pre * integral), abs(pre) * err
 
 
 def normalized_output_ratio(
@@ -367,25 +371,21 @@ def normalized_output_ratio(
     sd: SpectralDensity,
     tp: ThermalPoint,
     config: QuadratureConfig | None = None,
-) -> float:
+):
     """(omega1/t) <sigma2x>_T / <sigma1x>_{T=0} for the ohmic bath.
 
     Couplings cancel, leaving
     (omega1/omega2) tanh(beta omega2/2) tanh(beta omega1/2)
         F(a, b) / (e^a Ei(-a)),  a = omega1/omegac.
     Negative at all T; magnitude 1 at T = 0 when omega2 = omega1, and
-    falling off as T^{-3} at high temperature.
+    falling off as T^{-3} at high temperature.  Returns
+    (ratio, err_estimate), the estimate carried from F.
     """
-    return _normalized_output_ratio(params, sd, tp, config)[0]
-
-
-def _normalized_output_ratio(params, sd, tp, config):
-    """normalized_output_ratio as (value, err_estimate), err carried from F."""
     if not isinstance(sd, OhmicDensity):
         raise DomainError("the normalized output ratio uses the ohmic closed form")
     a = params.omega1 / sd.cutoff
     b = tp.beta_omega1(params.omega1)
-    f_val, f_err = _f_dimensionless(a, b, config)
+    f_val, f_err = f_dimensionless(a, b, config)
     pre = (
         (params.omega1 / params.omega2)
         * thermal_tanh_half(tp.beta, params.omega2)
@@ -405,21 +405,13 @@ def normalized_coherences_spin(
 
     Both are ratios of the shape factor F to its zero-temperature value,
     weighted by the thermal polarization factors; both increase
-    monotonically as the temperature drops and reach 1 at T = 0.
+    monotonically as the temperature drops and reach 1 at T = 0.  Returns
+    ((n1, n2), err_estimate); n1's estimate, carried from F, bounds n2's
+    too, since |tanh| <= 1.
     """
-    (n1, n2), _ = _normalized_coherences_spin(
-        omega1_over_omegac, beta_omega1, omega2_over_omega1, config
-    )
-    return n1, n2
-
-
-def _normalized_coherences_spin(
-    omega1_over_omegac, beta_omega1, omega2_over_omega1, config
-):
-    """((n1, n2), err_estimate); n1's err, carried from F, bounds n2's too."""
     a = float(omega1_over_omegac)
     b = float(beta_omega1)
-    f_val, f_err = _f_dimensionless(a, b, config)
+    f_val, f_err = f_dimensionless(a, b, config)
     f_zero = -_exp_scaled_ei_neg(a)
     tanh1 = thermal_tanh_half(b, 1.0)
     tanh2 = thermal_tanh_half(b, float(omega2_over_omega1))

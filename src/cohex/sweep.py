@@ -41,11 +41,11 @@ from .errors import (
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 from .spectral import OhmicDensity, SpectralDensity
 from .spin_detuned import (
-    _normalized_coherences_spin,
-    _normalized_output_ratio,
     ModelParams,
     ThermalPoint,
     coherence_integral,
+    normalized_coherences_spin,
+    normalized_output_ratio,
     sigma1x,
     sigma2x,
     sigma2x_low_T,
@@ -182,11 +182,6 @@ def _one(result):
     return (result.value,), result.err_estimate, result.flags
 
 
-def _exact(*values):
-    """Adapt closed-form values, which carry no error estimate or flags."""
-    return values, 0.0, ()
-
-
 def _estimated(values, err):
     """Adapt quadrature-backed values (one value or a tuple of them) and an
     error estimate that bounds each of them; they carry no flags."""
@@ -195,7 +190,7 @@ def _estimated(values, err):
 
 def _eval_hartree_fock(p, sd, tp, cfg):
     hartree = _fermion.hartree_static(p, sd, tp)
-    fock, errs = _fermion._fock_term(p, sd, tp, cfg)
+    fock, errs = _fermion.fock_term(p, sd, tp, cfg)
     return hartree + fock, max(errs), ()
 
 
@@ -237,11 +232,11 @@ QUANTITIES = {q.name: q for q in (
                   lambda p, sd, tp, cfg: _one(sigma2x_low_T(
                       p, sd.coupling, sd.cutoff, tp))),
     SweepQuantity("normalized_output_ratio", ("normalized_output_ratio",), "spin", True,
-                  lambda p, sd, tp, cfg: _estimated(*_normalized_output_ratio(
+                  lambda p, sd, tp, cfg: _estimated(*normalized_output_ratio(
                       p, sd, tp, cfg))),
     SweepQuantity("normalized_spin", ("normalized_sigma1x", "normalized_sigma2x"),
                   "spin", True,
-                  lambda p, sd, tp, cfg: _estimated(*_normalized_coherences_spin(
+                  lambda p, sd, tp, cfg: _estimated(*normalized_coherences_spin(
                       p.omega1 / sd.cutoff, tp.beta_omega1(p.omega1),
                       p.omega2 / p.omega1, cfg))),
     SweepQuantity("static_compare", ("sigma2x_full", "sigma2x_static", "sigma2x_low_T"),
@@ -254,18 +249,18 @@ QUANTITIES = {q.name: q for q in (
                   _eval_hartree_fock),
     SweepQuantity("normalized_fermion", ("normalized_fermion1", "normalized_fermion2"),
                   "fermion", True,
-                  lambda p, sd, tp, cfg: _estimated(*_fermion._normalized_fermion(
-                      p, sd.cutoff, tp, cfg))),
+                  lambda p, sd, tp, cfg: _estimated(*_fermion.normalized_fermion(
+                      p, sd.coupling, sd.cutoff, tp, cfg))),
     SweepQuantity("ratio_R", ("ratio_R",), "fermion", True,
-                  lambda p, sd, tp, cfg: _estimated(*_fermion._ratio_R(
-                      p, sd.cutoff, tp, cfg))),
+                  lambda p, sd, tp, cfg: _estimated(*_fermion.ratio_R(
+                      p, sd.coupling, sd.cutoff, tp, cfg))),
     SweepQuantity("g_script", ("g_script",), "fermion", True,
-                  lambda p, sd, tp, cfg: _estimated(*_fermion._g_script(
+                  lambda p, sd, tp, cfg: _estimated(*_fermion.g_script(
                       tp.beta_omega1(p.omega1), p.omega1 / sd.cutoff,
-                      p.omega2 / p.omega1, p.t / p.omega1))),
+                      p.omega2 / p.omega1, p.t / p.omega1, cfg))),
     SweepQuantity("fermion_high_T", ("fermion_high_T",), "fermion", True,
-                  lambda p, sd, tp, cfg: _exact(_fermion.fermion_high_T(
-                      p, sd.coupling, sd.cutoff, tp))),
+                  lambda p, sd, tp, cfg: ((_fermion.fermion_high_T(
+                      p, sd.coupling, sd.cutoff, tp),), 0.0, ())),
 )}
 SPIN_QUANTITIES = tuple(n for n, q in QUANTITIES.items() if q.model == "spin")
 FERMION_QUANTITIES = tuple(

@@ -153,18 +153,13 @@ def test_criterion_03_high_temperature_power_laws():
     spin_slopes, fermion_slopes = [], []
     for ratio in ratios:
         params = ModelParams(1.0, ratio, 0.1, 0.1, 0.1)
-        spin_vals = [
-            normalized_output_ratio(
-                params, bath, ThermalPoint.from_beta_omega1(float(b), 1.0)
-            )
-            for b in betas
-        ]
-        fermion_vals = [
-            normalized_fermion(
-                params, 1.0, 1.0, ThermalPoint.from_beta_omega1(float(b), 1.0)
-            )[1]
-            for b in betas
-        ]
+        spin_vals, fermion_vals = [], []
+        for b in betas:
+            tp = ThermalPoint.from_beta_omega1(float(b), 1.0)
+            ratio_val, _ = normalized_output_ratio(params, bath, tp)
+            spin_vals.append(ratio_val)
+            (_, n2), _ = normalized_fermion(params, 1.0, 1.0, tp)
+            fermion_vals.append(n2)
         spin_slopes.append(fit(spin_vals))
         fermion_slopes.append(fit(fermion_vals))
     spin_slopes = np.array(spin_slopes)
@@ -300,17 +295,16 @@ def test_criterion_08_fermionic_finite_temperature_maximum():
     grid = np.geomspace(0.1, 20.0, 160)
 
     def internal_curve(omega1_over_omegac):
-        return np.array(
-            [
-                normalized_fermion(
-                    params,
-                    1.0,
-                    1.0 / omega1_over_omegac,
-                    ThermalPoint.from_beta_omega1(float(b), 1.0),
-                )[0]
-                for b in grid
-            ]
-        )
+        curve = []
+        for b in grid:
+            (n1, _), _ = normalized_fermion(
+                params,
+                1.0,
+                1.0 / omega1_over_omegac,
+                ThermalPoint.from_beta_omega1(float(b), 1.0),
+            )
+            curve.append(n1)
+        return np.array(curve)
 
     narrow = internal_curve(100.0)
     peak = int(narrow.argmax())
@@ -338,9 +332,11 @@ def test_criterion_09_spin_monotonicity():
     crit = Criterion(9, "spin coherences grow monotonically as T drops", 10.0)
     betas = np.geomspace(0.1, 50.0, 200)
     for ratio in (0.01, 1.0, 100.0):
-        pairs = np.array(
-            [normalized_coherences_spin(ratio, float(b)) for b in betas]
-        )
+        pairs = []
+        for b in betas:
+            (n1, n2), _ = normalized_coherences_spin(ratio, float(b))
+            pairs.append((n1, n2))
+        pairs = np.array(pairs)
         for j, label in ((0, "internal"), (1, "output")):
             diffs = np.diff(pairs[:, j])
             crit.check(
@@ -361,7 +357,7 @@ def test_criterion_10_static_upper_bound():
         bath = OhmicDensity(
             float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 10.0))
         )
-        static, dynamical = static_dynamical_split(params, bath, None)
+        (static, dynamical), _ = static_dynamical_split(params, bath, None)
         full = sigma2x(params, bath, tp).value
         crit.check(
             static > full,

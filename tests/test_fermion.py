@@ -22,8 +22,6 @@ from cohex.fermion import (
     sigma2x_fermion,
     _combined_route,
     _first_fock_kernel,
-    _fock_term,
-    _g_script,
     _second_fock_kernel,
     _shape_factor_route,
 )
@@ -121,13 +119,14 @@ def test_sigma1x_fermion_matches_shape_factor_arithmetic():
     r = sigma1x_fermion(PARAMS, sd, tp)
     a = 1.0 / 2.5
     pre = 2.0 * 0.1 * 0.1 * math.tanh(0.5 * 1.3)
-    ref = pre * (sd.reorganization_omega() - 0.8 * f_dimensionless(a, 1.3))
+    f_val, _ = f_dimensionless(a, 1.3)
+    ref = pre * (sd.reorganization_omega() - 0.8 * f_val)
     assert r.value == pytest.approx(ref, rel=1e-10)
 
 
 def test_f_fermion_dimensionless_zero_temperature_reduction():
     for a, g in ((1.0, 3.0), (0.25, 1.5), (4.0, 0.4)):
-        ff = f_fermion_dimensionless(a, math.inf, g)
+        ff, _ = f_fermion_dimensionless(a, math.inf, g)
         ref = -((g - 1.0) / (2.0 * g)) * (1.0 / a + _exp_scaled_ei_neg(a))
         assert ff == pytest.approx(ref, rel=1e-9)
 
@@ -138,7 +137,8 @@ def test_f_fermion_dimensionless_high_temperature_quadratic():
     a, g = 1.0, 3.0
     resid = []
     for b in (0.02, 0.01):
-        ratio = f_fermion_dimensionless(a, b, g) / ((g - 1.0) * b * b / (24.0 * a))
+        ff, _ = f_fermion_dimensionless(a, b, g)
+        ratio = ff / ((g - 1.0) * b * b / (24.0 * a))
         assert ratio == pytest.approx(1.0, abs=5e-2)
         resid.append(ratio - 1.0)
     assert resid[1] / resid[0] == pytest.approx(0.5, abs=0.1)
@@ -261,7 +261,7 @@ def test_fock_decomposition_is_exact_and_routes_agree():
     for b in (0.7, 2.0, 5.0, math.inf):
         tp = ThermalPoint(b)
         hs = hartree_static(PARAMS, sd, tp)
-        ks = fock_term(PARAMS, sd, tp)  # raises CrossFormError on drift
+        ks, _ = fock_term(PARAMS, sd, tp)  # raises CrossFormError on drift
         fulls = (
             sigma1x_fermion(PARAMS, sd, tp).value,
             sigma2x_fermion(PARAMS, sd, tp).value,
@@ -282,13 +282,11 @@ def test_fock_and_g_script_errors_bound_mpmath_gap(a, b):
     full1 = 2.0 * p.f1 * p.f2 * math.tanh(0.5 * b) * (1.0 / a - f_ref)
     full2 = -4.0 * p.t * p.f1 * p.f2 / (p.omega2 - p.omega1) * ff_ref
     h1, h2 = hartree_static(p, sd, tp)
-    (k1, k2), (err1, err2) = _fock_term(p, sd, tp, None)
-    assert (k1, k2) == fock_term(p, sd, tp)
+    (k1, k2), (err1, err2) = fock_term(p, sd, tp)
     assert err1 > 0.0 and abs(k1 - (full1 - h1)) <= err1
     assert err2 > 0.0 and abs(k2 - (full2 - h2)) <= err2
 
-    g_val, g_err = _g_script(b, a, 3.0, 0.1)
-    assert g_val == g_script(b, a, 3.0, 0.1)
+    g_val, g_err = g_script(b, a, 3.0, 0.1)
     sin_theta = FermionLevels.from_params(UNIT_WEIGHTS).sin_theta_f
     g_ref = -4.0 * 0.1 / 2.0 * ff_ref / (2.0 * sin_theta)
     assert g_err > 0.0 and abs(g_val - g_ref) <= g_err
@@ -417,7 +415,7 @@ def test_single_mode_bath_exact_sums():
     assert r.method == "combined_integral"
     assert r.err_estimate == 0.0
     h1, h2 = hartree_static(p, sd, tp)
-    k1, k2 = fock_term(p, sd, tp)
+    (k1, k2), _ = fock_term(p, sd, tp)
     assert h1 + k1 == sigma1x_fermion(p, sd, tp).value
     assert h2 + k2 == r.value
     lhs = sigma1x(p, sd, tp).value
@@ -439,23 +437,21 @@ def test_equal_reorganization_baths_share_hartree_but_not_fock():
     h_narrow = hartree_static(p, narrow, tp)
     h_wide = hartree_static(p, wide, tp)
     assert h_narrow == pytest.approx(h_wide, rel=1e-12)
-    k_narrow = fock_term(p, narrow, tp)
-    k_wide = fock_term(p, wide, tp)
-    assert abs(k_narrow[0] - k_wide[0]) > 1e-3 * abs(k_narrow[0])
+    (k1_narrow, _), _ = fock_term(p, narrow, tp)
+    (k1_wide, _), _ = fock_term(p, wide, tp)
+    assert abs(k1_narrow - k1_wide) > 1e-3 * abs(k1_narrow)
 
 
 def test_ratio_r_transfer_consistency():
     p = UNIT_WEIGHTS
     sd = OhmicDensity(1.0, 1.0)
-    assert ratio_R(p, 1.0, 1.0, ThermalPoint(math.inf)) == 1.0
+    r, err = ratio_R(p, 1.0, 1.0, ThermalPoint(math.inf))
+    assert (r, err) == (1.0, 0.0)
     for b in (0.8, 2.0, 6.0):
         tp = ThermalPoint(b)
         lhs = sigma2x_fermion(p, sd, tp).value
-        rhs = (
-            p.t / p.omega2
-            * sigma1x_fermion(p, sd, tp).value
-            * ratio_R(p, 1.0, 1.0, tp)
-        )
+        r, _ = ratio_R(p, 1.0, 1.0, tp)
+        rhs = p.t / p.omega2 * sigma1x_fermion(p, sd, tp).value * r
         assert lhs == pytest.approx(rhs, rel=1e-7)
 
 
@@ -475,21 +471,31 @@ def test_fermion_high_T_value_and_approach():
 def test_g_script_golden_values_and_sign_change():
     # Narrow bath (omega1 = 10 omegac): the occupation term and the kernel
     # integral compete, so the output coherence changes sign with T.
-    assert g_script(1.0, 10.0, 1.5) == pytest.approx(2.082844223284694e-04, rel=1e-8)
-    assert g_script(5.0, 10.0, 1.5) == pytest.approx(6.310380771526803e-03, rel=1e-8)
-    assert g_script(10.0, 10.0, 1.5) == pytest.approx(3.841190182781396e-03, rel=1e-8)
-    assert g_script(0.2, 10.0, 1.5) < 0.0 < g_script(1.0, 10.0, 1.5)
+    g_cold, _ = g_script(1.0, 10.0, 1.5)
+    assert g_cold == pytest.approx(2.082844223284694e-04, rel=1e-8)
+    g_colder, _ = g_script(5.0, 10.0, 1.5)
+    assert g_colder == pytest.approx(6.310380771526803e-03, rel=1e-8)
+    g_coldest, _ = g_script(10.0, 10.0, 1.5)
+    assert g_coldest == pytest.approx(3.841190182781396e-03, rel=1e-8)
+    g_hot, _ = g_script(0.2, 10.0, 1.5)
+    assert g_hot < 0.0 < g_cold
     with pytest.raises(DomainError):
         g_script(2.0, 10.0, 1.5, 0.0)
 
 
 def test_normalized_fermion_peak_structure():
     p = PARAMS
-    assert normalized_fermion(p, 1.0, 1.0, ThermalPoint(math.inf)) == (1.0, 1.0)
+    (n1, n2), err = normalized_fermion(p, 1.0, 1.0, ThermalPoint(math.inf))
+    assert (n1, n2, err) == (1.0, 1.0, 0.0)
     grid = np.geomspace(0.05, 60.0, 40)
-    narrow = [normalized_fermion(p, 1.0, 0.01, ThermalPoint(float(b)))[0] for b in grid]
+    narrow = []
+    wide = []
+    for b in grid:
+        (n1, _), _ = normalized_fermion(p, 1.0, 0.01, ThermalPoint(float(b)))
+        narrow.append(n1)
+        (n1, _), _ = normalized_fermion(p, 1.0, 100.0, ThermalPoint(float(b)))
+        wide.append(n1)
     assert max(narrow) > 1.0
-    wide = [normalized_fermion(p, 1.0, 100.0, ThermalPoint(float(b)))[0] for b in grid]
     assert max(wide) < 1.0 + 1e-3
 
 
@@ -510,7 +516,7 @@ def test_decoupled_spins_close_the_output_channel():
     tp = ThermalPoint(2.0)
     assert sigma2x_fermion(p, sd, tp).value == 0.0
     h1, h2 = hartree_static(p, sd, tp)
-    k1, k2 = fock_term(p, sd, tp)
+    (k1, k2), _ = fock_term(p, sd, tp)
     assert h2 == 0.0 and k2 == 0.0
     assert k1 != 0.0  # the internal coherence survives t = 0
 
@@ -522,9 +528,9 @@ def test_extreme_temperatures_stay_finite():
     assert hot.method == "dual_form"
     assert math.isfinite(hot.value) and hot.value < 0.0
     fock_term(p, sd, ThermalPoint(5e-3))
-    cold = normalized_fermion(p, 1.0, 1.0, ThermalPoint(80.0))
-    assert cold[0] == pytest.approx(1.0, abs=2e-3)
-    assert cold[1] == pytest.approx(1.0, abs=2e-3)
+    (n1, n2), _ = normalized_fermion(p, 1.0, 1.0, ThermalPoint(80.0))
+    assert n1 == pytest.approx(1.0, abs=2e-3)
+    assert n2 == pytest.approx(1.0, abs=2e-3)
 
 
 def test_perturbative_magnitude_flag():

@@ -409,6 +409,31 @@ def test_clustered_points_bridge_matches_polyfit(monkeypatch):
     _assert_bridges_match_polyfit(patched)
 
 
+def test_bridge_rejects_non_finite_fit_nodes():
+    # Finite everywhere except next to the window's left fit node
+    # (xi = 1 - 2e-3 for a 1e-3 window at 1), so only the bridge sees it.
+    def kernel(x):
+        return np.where(np.abs(x - 0.998) < 1e-9, np.nan, np.exp(-x))
+
+    with pytest.raises(KernelError, match="bridging nodes"):
+        nm._PatchedKernel(kernel, [1.0], 1e-3)
+    with pytest.raises(KernelError, match="bridging nodes"):
+        nm.integrate_semi_infinite(kernel, removable_points=[1.0])
+
+
+def test_bridged_kernel_rejects_non_finite_values_outside_windows():
+    # Finite at the window and its fit nodes, infinite beyond xi = 3.
+    def kernel(x):
+        return np.where(x > 3.0, np.inf, np.exp(-x))
+
+    patched = nm._PatchedKernel(kernel, [1.0], 1e-3)
+    assert np.all(np.isfinite(patched(np.array([0.5, 1.0, 2.5]))))
+    with pytest.raises(KernelError, match="outside any declared removable window"):
+        patched(np.array([1.0, 4.0]))
+    with pytest.raises(KernelError, match="outside any declared removable window"):
+        nm.integrate_semi_infinite(kernel, removable_points=[1.0])
+
+
 def _sinc(t, p):
     return math.sin(t - p) / (t - p) if t != p else 1.0
 

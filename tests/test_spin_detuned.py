@@ -7,7 +7,6 @@ from cohex.errors import DomainError
 from cohex.numerics import _exp_scaled_ei_neg, bose_n
 from cohex.spectral import DiscreteDensity, OhmicDensity
 from cohex.spin_detuned import (
-    _f_dimensionless,
     ModelParams,
     ThermalPoint,
     detuned_validity_flags,
@@ -141,11 +140,12 @@ def test_sign_structure():
 
 
 def test_f_dimensionless_zero_temperature():
-    assert f_dimensionless(1.0, math.inf) == pytest.approx(
-        -math.e * oracles.ei_reference(-1.0), rel=1e-13
-    )
+    f_val, err = f_dimensionless(1.0, math.inf)
+    assert f_val == pytest.approx(-math.e * oracles.ei_reference(-1.0), rel=1e-13)
+    assert err == 0.0  # closed form
     # deep adiabatic limit: F -> omegac/omega1
-    assert f_dimensionless(100.0, math.inf) == pytest.approx(0.01, rel=2e-2)
+    f_val, _ = f_dimensionless(100.0, math.inf)
+    assert f_val == pytest.approx(0.01, rel=2e-2)
 
 
 def test_f_dimensionless_decomposition_oracle():
@@ -153,7 +153,7 @@ def test_f_dimensionless_decomposition_oracle():
     # zero-temperature Ei term, the principal-value pair and the thermal
     # Ei series, the last two from the mpmath references.
     a, b = 0.1, 5.0
-    f_val = f_dimensionless(a, b)
+    f_val, _ = f_dimensionless(a, b)
     t_zero = -_exp_scaled_ei_neg(a)
     t_pv = oracles.pv_reference(a)
     t_series = oracles.double_ei_series_reference(a, b)
@@ -165,14 +165,13 @@ def test_f_dimensionless_decomposition_oracle():
 def test_f_dimensionless_err_bounds_mpmath_gap(a, b):
     # At omega1/omegac = 100 the GK differences fall below one ulp of F;
     # the estimate must still cover the rounding of the panel sum.
-    value, err = _f_dimensionless(a, b, None)
-    assert value == f_dimensionless(a, b)
+    value, err = f_dimensionless(a, b)
     assert abs(value - oracles.shape_factor_reference(a, b)) <= err < 1e-10 * value
 
 
 def test_f_dimensionless_monotone_in_temperature():
     a = 0.5
-    vals = [f_dimensionless(a, b) for b in (0.5, 1.0, 2.0, 5.0, 20.0, math.inf)]
+    vals = [f_dimensionless(a, b)[0] for b in (0.5, 1.0, 2.0, 5.0, 20.0, math.inf)]
     assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
     assert all(v > 0 for v in vals)
 
@@ -270,10 +269,11 @@ def test_static_chain_flags():
 
 def test_static_dynamical_split():
     empty = DiscreteDensity([])
-    assert static_dynamical_split(PARAMS, empty) == (0.0, 0.0)
+    (static_term, dynamical_term), err = static_dynamical_split(PARAMS, empty)
+    assert (static_term, dynamical_term, err) == (0.0, 0.0, 0.0)
 
     sd = OhmicDensity(1.0, 10.0)
-    static_term, dynamical_term = static_dynamical_split(PARAMS, sd)
+    (static_term, dynamical_term), err = static_dynamical_split(PARAMS, sd)
     # dynamical integrand against midpoint oracle
     ref = oracles.midpoint_reference(
         lambda x: x * np.exp(-x / 10.0) / (x + 1.0), upper=400.0, n=10_000_000
@@ -285,18 +285,19 @@ def test_static_dynamical_split():
     full = sigma2x(PARAMS, sd, ThermalPoint(math.inf))
     assert static_term + dynamical_term == pytest.approx(full.value, rel=1e-9)
     assert static_term >= full.value
+    gap = abs(static_term + dynamical_term - full.value)
+    assert 0.0 < err and gap <= err + full.err_estimate
 
 
 def test_normalized_output_ratio():
     sd = OhmicDensity(1.0, 100.0)
     p_res = ModelParams(omega1=1.0, omega2=1.0, t=0.1, f1=0.1, f2=0.1)
-    assert normalized_output_ratio(p_res, sd, ThermalPoint(math.inf)) == pytest.approx(
-        -1.0, rel=1e-12
-    )
+    ratio, _ = normalized_output_ratio(p_res, sd, ThermalPoint(math.inf))
+    assert ratio == pytest.approx(-1.0, rel=1e-12)
     # direct-quotient oracle
     p = ModelParams(omega1=1.0, omega2=2.0, t=0.07, f1=0.1, f2=0.1)
     tp = ThermalPoint(1.0)
-    ratio = normalized_output_ratio(p, sd, tp)
+    ratio, _ = normalized_output_ratio(p, sd, tp)
     quotient = (
         p.omega1 / p.t
         * sigma2x(p, sd, tp).value
@@ -311,12 +312,14 @@ def test_normalized_coherences_monotone_short_grid():
     # the acceptance suite runs the full 200-point version
     for a in (0.01, 1.0):
         b_grid = np.logspace(-1.5, 1.5, 25)
-        n1_vals, n2_vals = zip(
-            *(normalized_coherences_spin(a, float(b), 3.0) for b in b_grid)
-        )
+        n1_vals, n2_vals = [], []
+        for b in b_grid:
+            (n1, n2), _ = normalized_coherences_spin(a, float(b), 3.0)
+            n1_vals.append(n1)
+            n2_vals.append(n2)
         assert all(x < y for x, y in zip(n1_vals, n1_vals[1:]))
         assert all(x < y for x, y in zip(n2_vals, n2_vals[1:]))
-        n1_cold, n2_cold = normalized_coherences_spin(a, math.inf, 3.0)
+        (n1_cold, n2_cold), _ = normalized_coherences_spin(a, math.inf, 3.0)
         assert n1_cold == pytest.approx(1.0, rel=1e-12)
         assert n2_cold == pytest.approx(1.0, rel=1e-12)
 

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from cohex import sweep
+from cohex import fermion, sweep
 from cohex.errors import ConvergenceError, DomainError
 from cohex.fermion import (
+    FermionLevels,
     fock_term,
     g_script,
     hartree_static,
@@ -270,14 +271,34 @@ class TestRunSweep:
         assert table.rows[0][-1] == "invalid-params"
         assert table.rows[1][-1] == STATUS_OK
 
+    def test_cross_form_disagreement_status(self, monkeypatch):
+        # A wrong direct Fock kernel makes the two Fock routes disagree.
+        monkeypatch.setattr(
+            fermion,
+            "_first_fock_kernel",
+            lambda params, tp: (lambda xi: 1.0 / (1.0 + xi * xi)),
+        )
+        table = run_sweep(SweepSpec("hartree_fock", (beta_axis(),), BATH, PARAMS))
+        assert table.rows[0][1:] == (None,) * 5 + ("cross-form-disagreement",)
+
+    def test_kernel_error_status(self, monkeypatch):
+        # A kernel that turns non-finite away from its removable points.
+        monkeypatch.setattr(
+            fermion,
+            "_combined_second_kernel",
+            lambda params, tp: (lambda xi: np.where(xi > 5.0, np.nan, 1.0)),
+        )
+        table = run_sweep(SweepSpec("sigma2x_fermion", (beta_axis(),), BATH, PARAMS))
+        assert table.rows[0][1:] == (None, None, "kernel-error")
+
     def test_normalized_spin_columns(self):
         bath = OhmicDensity(1.0, 100.0)
         table = run_sweep(
             SweepSpec("normalized_spin", (beta_axis(start=5.0, stop=5.0),), bath, PARAMS)
         )
         assert table.columns[1:3] == ("normalized_sigma1x", "normalized_sigma2x")
-        expected = normalized_coherences_spin(0.01, 5.0, 3.0)
-        assert table.rows[0][1:3] == expected
+        (n1, n2), _ = normalized_coherences_spin(0.01, 5.0, 3.0)
+        assert table.rows[0][1:3] == (n1, n2)
 
     def test_static_compare_columns(self):
         table = run_sweep(
@@ -295,7 +316,7 @@ class TestRunSweep:
         )
         tp = ThermalPoint.from_beta_omega1(2.0, 1.0)
         h1, h2 = hartree_static(PARAMS, BATH, tp)
-        k1, k2 = fock_term(PARAMS, BATH, tp)
+        (k1, k2), _ = fock_term(PARAMS, BATH, tp)
         assert table.rows[0][1:5] == (h1, h2, k1, k2)
 
     def test_g_script_cell_matches_direct_call(self):
@@ -303,14 +324,36 @@ class TestRunSweep:
         axes = (beta_axis(points=2, start=1.0, stop=5.0),)
         table = run_sweep(SweepSpec("g_script", axes, bath, PARAMS))
         for row in table.rows:
-            assert row[1] == g_script(row[0], 10.0, 3.0, 0.1)
+            g_val, _ = g_script(row[0], 10.0, 3.0, 0.1)
+            assert row[1] == g_val
+
+    def test_g_script_sweep_passes_its_config(self, monkeypatch):
+        cfg = DEFAULT_QUADRATURE.replace(rel_tol=1e-6)
+        real = fermion.sigma2x_fermion
+        seen = []
+
+        def spy(params, sd, tp, config=None):
+            seen.append(config)
+            return real(params, sd, tp, config)
+
+        monkeypatch.setattr(fermion, "sigma2x_fermion", spy)
+        axes = (beta_axis(points=2, start=1.0, stop=5.0),)
+        table = run_sweep(SweepSpec("g_script", axes, OhmicDensity(1.0, 0.1), PARAMS, cfg))
+        assert seen == [cfg, cfg]
+        # g_script's unit-weight model at this cell: omega2/omega1 = 3,
+        # t/omega1 = 0.1, omega_c = 0.1 omega1.
+        unit = ModelParams(1.0, 3.0, 0.1, 1.0, 1.0)
+        scale = 2.0 * FermionLevels.from_params(unit).sin_theta_f
+        for row in table.rows:
+            direct = real(unit, OhmicDensity(1.0, 0.1), ThermalPoint(row[0]), cfg)
+            assert row[1] == direct.value / scale
 
     def test_normalized_fermion_cell_carries_err_estimate(self):
         table = run_sweep(
             SweepSpec("normalized_fermion", (beta_axis(),), BATH, PARAMS)
         )
-        pair = normalized_fermion(PARAMS, 1.0, 10.0, ThermalPoint(2.0))
-        assert table.rows[0][1:3] == pair
+        (n1, n2), _ = normalized_fermion(PARAMS, 1.0, 10.0, ThermalPoint(2.0))
+        assert table.rows[0][1:3] == (n1, n2)
         assert table.rows[0][3] > 0.0
 
     @pytest.mark.parametrize("name", [
