@@ -20,6 +20,7 @@ from .errors import (
     KernelError,
     NearResonanceError,
     OracleSizeError,
+    SectorError,
     UnsupportedOperationError,
 )
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
@@ -79,6 +80,7 @@ __all__ = [
     "KernelError",
     "NearResonanceError",
     "OracleSizeError",
+    "SectorError",
     "UnsupportedOperationError",
     # configuration and baths
     "DEFAULT_QUADRATURE",

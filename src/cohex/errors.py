@@ -62,3 +62,8 @@ class EigensolverError(CohexError):
 class HermiticityError(CohexError):
     """A matrix that must be Hermitian is not, or a thermal average came
     out with a non-negligible imaginary part."""
+
+
+class SectorError(CohexError):
+    """An operator the oracle solves sector by sector has a nonzero entry
+    between two of its model's conserved sectors."""

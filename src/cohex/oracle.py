@@ -8,9 +8,17 @@ quadratically when both bath couplings are rescaled, because the
 formulas are second order in f1, f2 and the first neglected
 contribution is fourth order.
 
-Matrices are dense on purpose.  At the guarded sizes the
-eigendecomposition dominates anyway, and dense construction keeps the
-Hamiltonian manifestly Hermitian: every term is either symmetric by
+Both models are system x bath products whose system factor declares its
+conserved sectors: the spin model has one (all four states), the
+fermion model one per particle number n0 + n1 + n2 (1, 3, 3 and 1 of
+its eight states).  Every system operator is checked to be exactly zero
+between sectors, so the Hamiltonian is block diagonal and each block is
+eigensolved on its own; observables are contracted on the system factor
+of each block's eigenvectors, never expanded into ``O x 1``.
+
+Matrices are dense per sector on purpose.  At the guarded sizes the
+eigendecomposition dominates anyway, and dense construction keeps each
+block manifestly Hermitian: every term is either symmetric by
 construction or added together with its exact transpose, so
 ``max|H - H^dagger|`` is identically zero, not merely small.
 """
@@ -29,6 +37,7 @@ from .errors import (
     EigensolverError,
     HermiticityError,
     OracleSizeError,
+    SectorError,
 )
 from .numerics import thermal_tanh_half
 from .spectral import DiscreteDensity
@@ -77,6 +86,11 @@ def _jw_modes():
 
 
 _A0, _A1, _A2 = _jw_modes()
+
+_SPIN_SECTORS = (np.arange(4),)
+# One sector per total particle number n0 + n1 + n2 of the JW basis states.
+_FERMION_NUMBER = np.diag(_A0.T @ _A0 + _A1.T @ _A1 + _A2.T @ _A2)
+_FERMION_SECTORS = tuple(np.flatnonzero(_FERMION_NUMBER == n) for n in range(4))
 
 
 @dataclass(frozen=True)
@@ -184,27 +198,21 @@ def _fermion_system(params: ModelParams):
     return h_sys, c_sys
 
 
-def build_hamiltonian(spec: OracleSpec) -> np.ndarray:
-    """Dense Hamiltonian of the truncated model, exactly Hermitian.
+def _system(spec: OracleSpec):
+    """(system Hamiltonian, coupling operator, conserved sectors).
 
-    H = H_system x 1 + 1 x H_bath + C_system x sum_k lambda_k (b_k +
-    b_k^dagger), with the spin system (f1 sigma1z + f2 sigma1x) or the
-    fermion system (2 f1 n1 - f2 (a1^dagger a0 + a0^dagger a1)) in the
-    coupling slot.
+    The coupling operator multiplies sum_k lambda_k (b_k + b_k^dagger):
+    f1 sigma1z + f2 sigma1x for the spin system, 2 f1 n1 - f2
+    (a1^dagger a0 + a0^dagger a1) for the fermion system.  The sectors
+    are index arrays partitioning the system states; every system
+    operator of the model is exactly zero between two of them.
     """
-    h_b, coupling_op = _bath_matrices(spec.bath, spec.fock_cutoff)
     if spec.model == "spin":
         h_sys = _two_spin_hamiltonian(spec.params)
         c_sys = spec.params.f1 * _S1Z + spec.params.f2 * _S1X
-    else:
-        h_sys, c_sys = _fermion_system(spec.params)
-    eye_sys = np.eye(h_sys.shape[0])
-    eye_b = np.eye(h_b.shape[0])
-    return (
-        np.kron(h_sys, eye_b)
-        + np.kron(eye_sys, h_b)
-        + np.kron(c_sys, coupling_op)
-    )
+        return h_sys, c_sys, _SPIN_SECTORS
+    h_sys, c_sys = _fermion_system(spec.params)
+    return h_sys, c_sys, _FERMION_SECTORS
 
 
 def _check_observable(spec: OracleSpec, observable: str) -> None:
@@ -221,46 +229,63 @@ def _check_observable(spec: OracleSpec, observable: str) -> None:
         )
 
 
-def observable_matrix(spec: OracleSpec, observable: str) -> np.ndarray:
-    """The named observable on the full system x bath space."""
+def _system_operator(spec: OracleSpec, observable: str) -> np.ndarray:
+    """The named observable on the system factor alone."""
     _check_observable(spec, observable)
-    if observable == "fermion_coh1":
-        mix = _A1.T @ _A0
-        sys_op = -(mix + mix.T)
-    elif observable == "fermion_coh2":
-        mix = _A2.T @ _A0
-        sys_op = -(mix + mix.T)
-    else:
-        sys_op = {
-            "sigma1x": _S1X,
-            "sigma2x": _S2X,
-            "sigma1z": _S1Z,
-            "sigma2z": _S2Z,
-            "sigma2y": _S2Y,
-        }[observable]
-    d = (int(spec.fock_cutoff) + 1) ** spec.n_modes
-    return np.kron(sys_op, np.eye(d))
+    if observable in FERMION_OBSERVABLES:
+        mode = _A1 if observable == "fermion_coh1" else _A2
+        mix = mode.T @ _A0
+        return -(mix + mix.T)
+    return {
+        "sigma1x": _S1X,
+        "sigma2x": _S2X,
+        "sigma1z": _S1Z,
+        "sigma2z": _S2Z,
+        "sigma2y": _S2Y,
+    }[observable]
 
 
-def thermal_average(h: np.ndarray, observable: np.ndarray, beta: float) -> float:
-    """Tr[e^(-beta H) O] / Tr[e^(-beta H)] by full eigendecomposition.
+def _check_sectors(sectors, operators: dict) -> None:
+    """Refuse any named operator with a nonzero entry between two sectors."""
+    labels = np.empty(sum(states.size for states in sectors), dtype=int)
+    for label, states in enumerate(sectors):
+        labels[states] = label
+    crossing = labels[:, None] != labels[None, :]
+    for name, operator in operators.items():
+        if np.any(operator[crossing] != 0):
+            raise SectorError(f"the {name} connects two conserved sectors")
+
+
+def _eigh(h: np.ndarray):
+    """(energies, eigenvectors) of an exactly Hermitian matrix."""
+    if not np.array_equal(h, h.conj().T):
+        raise HermiticityError("the Hamiltonian is not exactly Hermitian")
+    try:
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
+
+
+def _diagonal(states: np.ndarray, sys_op: np.ndarray) -> np.ndarray:
+    """<n| sys_op x 1 |n> for every eigenvector column n.
+
+    Column n reshaped to (k, d) is the system x bath amplitude matrix
+    psi_n, and <n| O x 1 |n> = sum_ai conj(psi_n)_ai (O psi_n)_ai, so the
+    k x k operator acts on the system index alone.
+    """
+    amplitudes = states.reshape(sys_op.shape[0], -1)
+    products = amplitudes.conj() * (sys_op @ amplitudes)
+    return products.reshape(-1, states.shape[1]).sum(axis=0)
+
+
+def _boltzmann_mean(energies, diagonal, beta: float) -> float:
+    """sum_n e^(-beta E_n) O_nn / sum_n e^(-beta E_n) over all eigenstates.
 
     The ground energy is subtracted before exponentiating so large beta
     never overflows.  The result must be real; an imaginary residue
     beyond 1e-10 means a non-Hermitian observable slipped in.
     """
-    if not (beta > 0.0) or not math.isfinite(beta):
-        raise DomainError("thermal_average needs finite beta > 0")
-    if not np.array_equal(h, h.conj().T):
-        raise HermiticityError("the Hamiltonian is not exactly Hermitian")
-    try:
-        energies, states = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
-    weights = np.exp(-beta * (energies - energies[0]))
-    diagonal = np.einsum(
-        "in,ij,jn->n", states.conj(), observable, states, optimize=True
-    )
+    weights = np.exp(-beta * (energies - energies.min()))
     value = complex(np.sum(weights * diagonal) / np.sum(weights))
     if abs(value.imag) > _IMAG_RESIDUE_ABS:
         raise HermiticityError(
@@ -269,11 +294,43 @@ def thermal_average(h: np.ndarray, observable: np.ndarray, beta: float) -> float
     return float(value.real)
 
 
+def thermal_average(h: np.ndarray, observable: np.ndarray, beta: float) -> float:
+    """Tr[e^(-beta H) O] / Tr[e^(-beta H)] by full eigendecomposition."""
+    if not (beta > 0.0) or not math.isfinite(beta):
+        raise DomainError("thermal_average needs finite beta > 0")
+    energies, states = _eigh(h)
+    return _boltzmann_mean(energies, _diagonal(states, observable), beta)
+
+
 def exact_average(spec: OracleSpec, observable: str) -> float:
-    """Exact thermal average of one named observable for this spec."""
-    h = build_hamiltonian(spec)
-    obs = observable_matrix(spec, observable)
-    return thermal_average(h, obs, spec.beta)
+    """Exact thermal average of one named observable for this spec.
+
+    Each conserved sector's block kron(h_sys[S,S], 1) + kron(1_S, H_B) +
+    kron(c_sys[S,S], X) is eigensolved on its own.
+    """
+    sys_op = _system_operator(spec, observable)
+    h_sys, c_sys, sectors = _system(spec)
+    _check_sectors(sectors, {
+        "system Hamiltonian": h_sys,
+        "bath-coupling operator": c_sys,
+        f"observable '{observable}'": sys_op,
+    })
+    h_b, coupling_op = _bath_matrices(spec.bath, spec.fock_cutoff)
+    eye_b = np.eye(h_b.shape[0])
+    energies, diagonals = [], []
+    for states in sectors:
+        block = np.ix_(states, states)
+        h = (
+            np.kron(h_sys[block], eye_b)
+            + np.kron(np.eye(states.size), h_b)
+            + np.kron(c_sys[block], coupling_op)
+        )
+        sector_energies, vectors = _eigh(h)
+        energies.append(sector_energies)
+        diagonals.append(_diagonal(vectors, sys_op[block]))
+    return _boltzmann_mean(
+        np.concatenate(energies), np.concatenate(diagonals), spec.beta
+    )
 
 
 def _stable_exact(spec: OracleSpec, observable: str):
@@ -283,10 +340,10 @@ def _stable_exact(spec: OracleSpec, observable: str):
     only admitted into a comparison after doubling the cutoff moves it
     by less than 1e-8.  The doubled-cutoff value is the one returned.
     """
+    # Built first, so its dimension guard fires before any solve.
+    refined_spec = replace(spec, fock_cutoff=2 * int(spec.fock_cutoff))
     base = exact_average(spec, observable)
-    refined = exact_average(
-        replace(spec, fock_cutoff=2 * int(spec.fock_cutoff)), observable
-    )
+    refined = exact_average(refined_spec, observable)
     shift = abs(refined - base)
     if shift >= _CUTOFF_STABILITY_ABS:
         raise ConvergenceError(

@@ -11,6 +11,8 @@ import math
 import mpmath
 import numpy as np
 
+from cohex import oracle
+
 
 def ei_reference(x, dps=50):
     """Ei(x) from the defining power series gamma + ln|x| + sum x^n/(n n!).
@@ -163,6 +165,27 @@ def thermal_average_reference(hamiltonian, observable, beta):
             vi = V[:, i]
             total += weights[i] * (vi.T * O * vi)[0]
         return float(total / z)
+
+
+def build_hamiltonian(spec):
+    """Dense full-space Hamiltonian H_sys x 1 + 1 x H_B + C_sys x X.
+
+    The kron reference for the sector-split solve: one matrix over every
+    system state, with no sector structure assumed.
+    """
+    h_sys, c_sys, _ = oracle._system(spec)
+    h_b, coupling_op = oracle._bath_matrices(spec.bath, spec.fock_cutoff)
+    return (
+        np.kron(h_sys, np.eye(h_b.shape[0]))
+        + np.kron(np.eye(h_sys.shape[0]), h_b)
+        + np.kron(c_sys, coupling_op)
+    )
+
+
+def observable_matrix(spec, observable):
+    """The named observable expanded to sys_op x 1 on the full space."""
+    sys_op = oracle._system_operator(spec, observable)
+    return np.kron(sys_op, np.eye((int(spec.fock_cutoff) + 1) ** spec.n_modes))
 
 
 def _simplex_transform(corr, xi, beta, n=64):

@@ -9,16 +9,18 @@ from cohex.errors import (
     EigensolverError,
     HermiticityError,
     OracleSizeError,
+    SectorError,
 )
+from cohex import oracle
 from cohex.oracle import (
+    FERMION_OBSERVABLES,
+    SPIN_OBSERVABLES,
     OracleSpec,
-    build_hamiltonian,
     compare_perturbative,
     convergence_order,
     exact_average,
     formula_value,
     jw_residual,
-    observable_matrix,
     thermal_average,
     _A0,
     _A1,
@@ -26,6 +28,8 @@ from cohex.oracle import (
 )
 from cohex.spectral import DiscreteDensity, OhmicDensity
 from cohex.spin_detuned import ModelParams
+
+from oracles import build_hamiltonian, observable_matrix
 
 
 BATH = DiscreteDensity([(0.05, 0.8)])
@@ -69,6 +73,88 @@ def test_jordan_wigner_algebra():
             expected = eye if i == j else np.zeros((8, 8))
             assert np.array_equal(anti, expected)
             assert np.array_equal(ai @ aj + aj @ ai, np.zeros((8, 8)))
+
+
+def test_fermion_sectors_are_particle_number_sectors():
+    # JW basis index 4 b0 + 2 b1 + b2, so the particle number is its popcount
+    number = np.array([bin(i).count("1") for i in range(8)])
+    sectors = oracle._FERMION_SECTORS
+    assert [states.size for states in sectors] == [1, 3, 3, 1]
+    for n, states in enumerate(sectors):
+        assert np.array_equal(states, np.flatnonzero(number == n))
+    off_sector = number[:, None] != number[None, :]
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        params = ModelParams(*rng.uniform(0.05, 3.0, size=5))
+        spec = OracleSpec(BATH, 2, "fermion", params, 2.0)
+        h_sys, c_sys, _ = oracle._system(spec)
+        coherences = [oracle._system_operator(spec, o) for o in FERMION_OBSERVABLES]
+        for op in [h_sys, c_sys] + coherences:
+            assert np.all(op[off_sector] == 0.0)
+
+
+def test_off_sector_entry_is_refused(monkeypatch):
+    fermion_system = oracle._fermion_system
+
+    def leaky(params):
+        h_sys, c_sys = fermion_system(params)
+        return h_sys, c_sys + 1e-300 * (_A0 + _A0.T)
+
+    monkeypatch.setattr(oracle, "_fermion_system", leaky)
+    with pytest.raises(SectorError):
+        exact_average(FERMION, "fermion_coh1")
+
+
+@pytest.mark.parametrize("modes, cutoff", [(1, 4), (2, 3), (3, 2)])
+def test_sector_solve_matches_dense_reference(modes, cutoff):
+    bath = DiscreteDensity([(0.2, 0.8), (0.15, 1.3), (0.1, 1.9)][:modes])
+    params = ModelParams(1.0, 3.0, 0.3, 0.3, 0.2)
+    for model, observables in (
+        ("spin", SPIN_OBSERVABLES),
+        ("fermion", FERMION_OBSERVABLES),
+    ):
+        for beta in (0.5, 2.0, 5.0):
+            spec = OracleSpec(bath, cutoff, model, params, beta)
+            h = build_hamiltonian(spec)
+            for obs in observables:
+                value = exact_average(spec, obs)
+                dense = thermal_average(h, observable_matrix(spec, obs), beta)
+                assert value == pytest.approx(dense, abs=1e-12)
+                if obs == "sigma2y":
+                    assert value == 0.0
+
+
+@pytest.mark.parametrize(
+    "model, observable, system_sizes",
+    [("fermion", "fermion_coh1", (1, 3, 3, 1)), ("spin", "sigma1x", (4,))],
+)
+def test_each_sector_is_solved_on_its_own(monkeypatch, model, observable, system_sizes):
+    solved = []
+    eigh = np.linalg.eigh
+
+    def recording(h):
+        solved.append(h.shape[0])
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    spec = OracleSpec(BATH, 8, model, PARAMS, 2.0)
+    compare_perturbative(spec, observable)
+    expected = [k * (c + 1) for c in (8, 16) for k in system_sizes]
+    assert sorted(solved) == sorted(expected)
+    assert max(solved) == max(system_sizes) * 17
+
+
+def test_doubled_cutoff_is_refused_before_any_solve(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("nothing may be built or solved")
+
+    monkeypatch.setattr(oracle, "_bath_matrices", unreachable)
+    monkeypatch.setattr(np.linalg, "eigh", unreachable)
+    spec = OracleSpec(BATH, 2600, "spin", PARAMS, 2.0)  # 4 * 2601 = 10404
+    with pytest.raises(OracleSizeError):  # doubled: 4 * 5201 = 20804
+        compare_perturbative(spec, "sigma1x")
+    with pytest.raises(OracleSizeError):
+        convergence_order(spec, "sigma1x")
 
 
 def test_hamiltonians_exactly_hermitian():
