@@ -444,8 +444,11 @@ def _cmd_oracle_check(ns):
     else:
         beta = ThermalPoint.from_T_over_omega1(temp_value, omega1).beta
     spec = OracleSpec(bath, values["fock_cutoff"], ns.model, params, beta)
-    exact, formula, rel_dev = compare_perturbative(spec, ns.observable)
-    fit = convergence_order(spec, ns.observable, values["scale_factors"])
+    comparison = compare_perturbative(spec, ns.observable)
+    exact, formula, rel_dev = comparison
+    fit = convergence_order(
+        spec, ns.observable, values["scale_factors"], unscaled=comparison
+    )
     if fit.inconclusive or not math.isfinite(fit.order):
         order, status = None, "inconclusive-fit"
     else:
@@ -502,7 +505,8 @@ def _check_spin_fermion_identity():
     tp = ThermalPoint(2.0)
     spin = sigma1x(p, sd, tp).value
     ferm = sigma1x_fermion(p, sd, tp).value
-    shift = 4.0 * p.f1 * p.f2 * sd.reorganization_omega()
+    omega, _ = sd.reorganization_omega()  # closed form: exact
+    shift = 4.0 * p.f1 * p.f2 * omega
     mapped = 2.0 * ferm - shift * thermal_tanh_half(tp.beta, p.omega1) / p.omega1
     resid = abs(spin - mapped)
     _require(resid <= 1e-12 * abs(spin), f"identity residual {resid:.3e}")

@@ -58,6 +58,7 @@ from .spin_detuned import (
     CoherenceResult,
     ModelParams,
     ThermalPoint,
+    _linear_in_omega_err,
     _magnitude_flags,
     coherence_integral,
     detuned_validity_flags,
@@ -173,9 +174,13 @@ def sigma1x_fermion(
                 values=(j, closed),
             )
         err = max(err, gap)
-    value = pre * (sd.reorganization_omega() / params.omega1 - j)
+    omega, omega_err = sd.reorganization_omega()
+    value = pre * (omega / params.omega1 - j)
     return CoherenceResult(
-        value, abs(pre) * err, "full", flags + _magnitude_flags(value)
+        value,
+        abs(pre) * (err + omega_err / params.omega1),
+        "full",
+        flags + _magnitude_flags(value),
     )
 
 
@@ -336,16 +341,16 @@ def _combined_route(
         if floor > cfg.rel_tol:
             cfg = cfg.replace(rel_tol=floor)
     integral, err = sd.weighted_integral(kernel, (params.omega1, abs(dw)), cfg)
-    const = (
+    omega, omega_err = sd.reorganization_omega()
+    occupation = (
         fermi_n(params.omega1, tp.beta)
         * (1.0 - 2.0 * fermi_n(params.omega2, tp.beta))
-        * sd.reorganization_omega()
-        / params.omega2
     )
+    const = occupation * omega / params.omega2
     pre = -4.0 * params.t * params.f1 * params.f2 / dw
     return (
         pre * (integral + const),
-        abs(pre) * err,
+        abs(pre) * (err + abs(occupation) * omega_err / params.omega2),
         abs(pre) * (abs(integral) + abs(const)),
     )
 
@@ -411,13 +416,16 @@ def hartree_static(
     sigma2x_st_F = (4 f1 f2 Omega t/(omega2 - omega1)) n(omega1)
                    [tanh(beta omega1/2)/omega1 - tanh(beta omega2/2)/omega2].
 
-    Pure arithmetic, no quadrature.  Both vanish at zero temperature with
-    the Fermi factor n(omega1).
+    Pure arithmetic on Omega.  Both vanish at zero temperature with the
+    Fermi factor n(omega1).  Returns ((first, second), err_estimate); both
+    are linear in Omega, so the estimate is Omega's relative one on the
+    larger of the two.
     """
     n1 = fermi_n(params.omega1, tp.beta)
-    pre = 4.0 * params.f1 * params.f2 * sd.reorganization_omega() * n1
+    omega, omega_err = sd.reorganization_omega()
+    pre = 4.0 * params.f1 * params.f2 * omega * n1
     if pre == 0.0:
-        return 0.0, 0.0
+        return (0.0, 0.0), 0.0
     dw = _guarded_detuning(params)
     th1 = thermal_tanh_half(tp.beta, params.omega1)
     th2 = thermal_tanh_half(tp.beta, params.omega2)
@@ -425,7 +433,7 @@ def hartree_static(
     second = (
         pre * params.t / dw * (th1 / params.omega1 - th2 / params.omega2)
     )
-    return first, second
+    return (first, second), _linear_in_omega_err((first, second), omega, omega_err)
 
 
 def _first_fock_kernel(params: ModelParams, tp: ThermalPoint):
@@ -522,13 +530,13 @@ def fock_term(
     h + k = full holds to one rounding:
     |(h + k) - full| <= ulp(max(|h|, |k|, |full|)), and exactly whenever
     full - h is exact.  Each Fock part carries the error estimate of the
-    full coherence it is subtracted from.  Each is also evaluated from its
-    own spectral integral; the subtraction and direct routes are the same
-    quantity by an algebraic identity, so disagreement beyond quadrature
-    tolerance raises ``CrossFormError``.
+    full coherence it is subtracted from plus the Hartree part's.  Each is
+    also evaluated from its own spectral integral; the subtraction and
+    direct routes are the same quantity by an algebraic identity, so
+    disagreement beyond quadrature tolerance raises ``CrossFormError``.
     Unlike the Hartree parts, these depend on the full shape of I(xi).
     """
-    h1, h2 = hartree_static(params, sd, tp)
+    (h1, h2), h_err = hartree_static(params, sd, tp)
     full1 = sigma1x_fermion(params, sd, tp, config)
     full2 = sigma2x_fermion(params, sd, tp, config)
     fock1 = full1.value - h1
@@ -579,7 +587,7 @@ def fock_term(
                 f"disagree: {routes[0]!r} vs {routes[1]!r}",
                 values=routes,
             )
-    return (fock1, fock2), (full1.err_estimate, full2.err_estimate)
+    return (fock1, fock2), (full1.err_estimate + h_err, full2.err_estimate + h_err)
 
 
 def ratio_R(

@@ -8,7 +8,7 @@ integration path.  This module provides
   continued-fraction switchover, plus an exponentially scaled variant,
 * ``bose_n`` / ``fermi_n`` / ``coth_stable`` -- occupation factors that keep
   full relative accuracy for tiny and huge arguments, in numpy alone (the
-  package imports scipy only for tabulated baths),
+  package's only run-time dependency),
 * ``integrate_semi_infinite`` -- adaptive Gauss-Kronrod quadrature on a
   log-mapped semi-infinite domain with windowed polynomial bridging of
   declared removable singularities.

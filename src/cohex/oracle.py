@@ -302,6 +302,26 @@ def thermal_average(h: np.ndarray, observable: np.ndarray, beta: float) -> float
     return _boltzmann_mean(energies, _diagonal(states, observable), beta)
 
 
+def _sector_hamiltonian(h_sys, c_sys, h_b, coupling_op) -> np.ndarray:
+    """kron(h_sys, 1) + kron(1, H_B) + kron(c_sys, X) for one sector.
+
+    Filled one system block at a time, H[a,:,b,:] = h_ab 1 + delta_ab H_B
+    + c_ab X, with the sums in the kron order, so the entries equal the
+    kron sum's without building three full-size products.
+    """
+    k, d = h_sys.shape[0], h_b.shape[0]
+    eye_b = np.eye(d)
+    h = np.empty((k, d, k, d), dtype=np.result_type(h_sys, c_sys, h_b))
+    for a in range(k):
+        for b in range(k):
+            block = h_sys[a, b] * eye_b
+            if a == b:
+                block += h_b
+            block += c_sys[a, b] * coupling_op
+            h[a, :, b, :] = block
+    return h.reshape(k * d, k * d)
+
+
 def exact_average(spec: OracleSpec, observable: str) -> float:
     """Exact thermal average of one named observable for this spec.
 
@@ -316,15 +336,10 @@ def exact_average(spec: OracleSpec, observable: str) -> float:
         f"observable '{observable}'": sys_op,
     })
     h_b, coupling_op = _bath_matrices(spec.bath, spec.fock_cutoff)
-    eye_b = np.eye(h_b.shape[0])
     energies, diagonals = [], []
     for states in sectors:
         block = np.ix_(states, states)
-        h = (
-            np.kron(h_sys[block], eye_b)
-            + np.kron(np.eye(states.size), h_b)
-            + np.kron(c_sys[block], coupling_op)
-        )
+        h = _sector_hamiltonian(h_sys[block], c_sys[block], h_b, coupling_op)
         sector_energies, vectors = _eigh(h)
         energies.append(sector_energies)
         diagonals.append(_diagonal(vectors, sys_op[block]))
@@ -416,13 +431,16 @@ def convergence_order(
     spec: OracleSpec,
     observable: str,
     scale_factors=(1.0, 0.5, 0.25),
+    unscaled=None,
 ) -> ConvergenceFit:
     """Fit the order of formula/exact agreement under coupling rescaling.
 
     Both f1 and f2 are multiplied by each scale factor s, so the
     coherences scale as s^2 and the first neglected term as s^4: the
     relative deviation must fall as s^2 and the fitted log-log slope
-    should sit near 2.
+    should sit near 2.  A caller that already holds
+    ``compare_perturbative(spec, observable)`` passes it as ``unscaled``,
+    and the s = 1 point reuses it instead of solving the same spec again.
     """
     factors = sorted((float(s) for s in scale_factors), reverse=True)
     if len(factors) < 2:
@@ -434,6 +452,9 @@ def convergence_order(
         )
     deviations = []
     for s in factors:
+        if s == 1.0 and unscaled is not None:
+            deviations.append(unscaled[2])
+            continue
         scaled_params = replace(
             spec.params, f1=s * spec.params.f1, f2=s * spec.params.f2
         )
@@ -472,11 +493,12 @@ def jw_residual(spec: OracleSpec):
     spin_value = exact_average(replace(spec, model="spin"), "sigma1x")
     coh1 = exact_average(replace(spec, model="fermion"), "fermion_coh1")
     p = spec.params
+    omega, _ = spec.bath.reorganization_omega()  # a finite sum: exact
     offset = (
         4.0
         * p.f1
         * p.f2
-        * spec.bath.reorganization_omega()
+        * omega
         * thermal_tanh_half(spec.beta, p.omega1)
         / p.omega1
     )

@@ -13,9 +13,14 @@ the discrete one.  That shared dispatch is what lets the perturbative
 formulas and the exact-diagonalization cross-check consume the same bath
 object.
 
-scipy is imported only when a ``TabulatedDensity`` is built (for its
-``PchipInterpolator``); the other three families need numpy alone, so
-code that never builds a tabulated bath never pays scipy's import cost.
+A tabulated curve is the piecewise cubic Hermite interpolant (PCHIP) of
+Fritsch & Carlson (SIAM J. Numer. Anal. 17 (1980) 238) with the knot slopes
+of Fritsch & Butland (SIAM J. Sci. Stat. Comput. 5 (1984) 300): the
+weighted harmonic mean of the neighbouring secants where they share a
+sign, 0 at a local extremum or flat secant, and a shape-preserving
+one-sided three-point rule at both ends.  It preserves monotonicity
+between knots, so a non-negative table never interpolates below zero.
+Every family needs numpy alone.
 """
 
 from __future__ import annotations
@@ -41,8 +46,9 @@ class SpectralDensity:
         """Pointwise density I(xi); xi may be a positive scalar or array."""
         raise NotImplementedError
 
-    def reorganization_omega(self) -> float:
-        """The reorganization-type scale  integral I(xi)/xi dxi."""
+    def reorganization_omega(self):
+        """The reorganization-type scale  integral I(xi)/xi dxi, as
+        (value, err_estimate); closed forms and finite sums report 0."""
         raise NotImplementedError
 
     def weighted_integral(self, kernel, removable_points=(), config=None):
@@ -97,8 +103,8 @@ class OhmicDensity(_ContinuousDensity):
     def _eval_unchecked(self, xi):
         return self.coupling * xi * np.exp(-xi / self.cutoff)
 
-    def reorganization_omega(self) -> float:
-        return self.coupling * self.cutoff
+    def reorganization_omega(self):
+        return self.coupling * self.cutoff, 0.0
 
     def decay_scale(self) -> float:
         return self.cutoff
@@ -121,9 +127,10 @@ class GeneralizedOhmicDensity(_ContinuousDensity):
     def _eval_unchecked(self, xi):
         return self.coupling * xi ** self.exponent * np.exp(-xi / self.cutoff)
 
-    def reorganization_omega(self) -> float:
+    def reorganization_omega(self):
         # integral A xi^{s-1} e^{-xi/wc} = A Gamma(s) wc^s
-        return self.coupling * math.gamma(self.exponent) * self.cutoff ** self.exponent
+        value = self.coupling * math.gamma(self.exponent) * self.cutoff ** self.exponent
+        return value, 0.0
 
     def decay_scale(self) -> float:
         return self.cutoff
@@ -157,10 +164,10 @@ class DiscreteDensity(SpectralDensity):
             "or reorganization_omega instead of pointwise evaluation"
         )
 
-    def reorganization_omega(self) -> float:
+    def reorganization_omega(self):
         if self.frequencies.size == 0:
-            return 0.0
-        return float(np.sum(self.couplings ** 2 / self.frequencies))
+            return 0.0, 0.0
+        return float(np.sum(self.couplings ** 2 / self.frequencies)), 0.0
 
     def weighted_integral(self, kernel, removable_points=(), config=None):
         if self.frequencies.size == 0:
@@ -173,6 +180,43 @@ class DiscreteDensity(SpectralDensity):
                 "cannot bridge removable points" % (bad.tolist(),)
             )
         return float(np.sum(self.couplings ** 2 * vals)), 0.0
+
+
+def _pchip_coefficients(x, y):
+    """(4, n - 1) power-form coefficients, highest power first, of the
+    cubic on each interval in the local variable s = xi - x_i."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = _pchip_slopes(h, m)
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
+def _pchip_slopes(h, m):
+    """Fritsch-Butland knot slopes from the interval widths h and secants m."""
+    if m.size == 1:
+        return np.array([m[0], m[0]])
+    w_left = 2.0 * h[1:] + h[:-1]
+    w_right = h[1:] + 2.0 * h[:-1]
+    same = np.sign(m[:-1]) * np.sign(m[1:]) > 0.0
+    d = np.zeros(m.size + 1)
+    inverse_mean = (
+        w_left[same] / m[:-1][same] + w_right[same] / m[1:][same]
+    ) / (w_left + w_right)[same]
+    d[1:-1][same] = 1.0 / inverse_mean
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, limited to keep the shape."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 class TabulatedDensity(_ContinuousDensity):
@@ -197,16 +241,14 @@ class TabulatedDensity(_ContinuousDensity):
         if xi[0] > 0.0:
             xi = np.concatenate([[0.0], xi])
             dens = np.concatenate([[0.0], dens])
-        # Subnormal densities overflow PCHIP's slope weights (1/slope);
-        # they are zero at every precision the quadrature can resolve.
+        # The harmonic-mean slopes divide by the secants, and a secant
+        # between two subnormal densities overflows that quotient; such
+        # densities are zero at every precision the quadrature can resolve.
         dens = np.where(dens < np.finfo(float).tiny, 0.0, dens)
         self.knot_xi = xi
         self.knot_density = dens
         self.tail_decay = _check_positive("tail_decay", tail_decay)
-        # scipy costs ~0.6 s to import, so only tabulated baths pay for it.
-        from scipy.interpolate import PchipInterpolator
-
-        self._interp = PchipInterpolator(xi, dens, extrapolate=False)
+        self._coefficients = _pchip_coefficients(xi, dens)
 
     @classmethod
     def from_file(cls, path, tail_decay: float) -> "TabulatedDensity":
@@ -229,15 +271,29 @@ class TabulatedDensity(_ContinuousDensity):
         inside = xi <= last_xi
         out = np.empty(xi.shape, dtype=float)
         if np.any(inside):
-            out[inside] = self._interp(xi[inside])
+            out[inside] = self._pchip(xi[inside])
         tail = ~inside
         if np.any(tail):
             out[tail] = last_density * np.exp(-(xi[tail] - last_xi) / self.tail_decay)
         return out
 
-    def reorganization_omega(self) -> float:
-        value, _ = self.weighted_integral(lambda x: 1.0 / x)
-        return value
+    def _pchip(self, xi):
+        """The interpolant at 0 <= xi <= last knot.
+
+        Summed in ascending powers, c0 + c1 s + c2 s^2 + c3 s^3, as common
+        piecewise-polynomial libraries sum them, so this interpolant and
+        theirs agree bit for bit (``tests/test_spectral.py`` checks it).
+        """
+        # Interval k holds knot_xi[k] <= xi < knot_xi[k + 1]; the last
+        # knot closes the last interval.
+        k = np.searchsorted(self.knot_xi[1:-1], xi, side="right")
+        c3, c2, c1, c0 = self._coefficients.take(k, axis=1)
+        s = xi - self.knot_xi.take(k)
+        s2 = s * s
+        return c0 + c1 * s + c2 * s2 + c3 * (s2 * s)
+
+    def reorganization_omega(self):
+        return self.weighted_integral(lambda x: 1.0 / x)
 
     def decay_scale(self) -> float:
         # quadrature must resolve both the knot span and the declared tail

@@ -140,6 +140,14 @@ def _magnitude_flags(value: float) -> tuple:
     return ()
 
 
+def _linear_in_omega_err(values, omega: float, omega_err: float) -> float:
+    """Estimate bounding each of values proportional to Omega: Omega's
+    relative estimate carried to the largest of them."""
+    if omega_err == 0.0:
+        return 0.0
+    return max(abs(v) for v in values) * omega_err / abs(omega)
+
+
 def coherence_integral(
     params: ModelParams,
     sd: SpectralDensity,
@@ -291,17 +299,19 @@ def high_T_asymptotes(
 
     Only the reorganization scale Omega = integral I/xi survives:
     sigma1x ~ -f1 f2 (Omega/3 omega1) (beta omega1)^2 and
-    sigma2x ~ +f1 f2 t Omega omega1 beta^3 / 6.
+    sigma2x ~ +f1 f2 t Omega omega1 beta^3 / 6.  Returns
+    ((sigma1x, sigma2x), err_estimate); both are linear in Omega, so the
+    estimate is Omega's relative one on the larger of the two.
     """
     if tp.is_zero_temperature:
         raise DomainError("high-temperature asymptote is meaningless at T = 0")
-    omega = sd.reorganization_omega()
+    omega, omega_err = sd.reorganization_omega()
     b = tp.beta_omega1(params.omega1)
     s1 = -params.f1 * params.f2 * (omega / (3.0 * params.omega1)) * b * b
     s2 = (params.f1 * params.f2 * params.t / params.omega1) * (
         omega / (6.0 * params.omega1)
     ) * b ** 3
-    return s1, s2
+    return (s1, s2), _linear_in_omega_err((s1, s2), omega, omega_err)
 
 
 class StaticChain(NamedTuple):
@@ -321,20 +331,23 @@ def static_chain(
 
     The thermalized first spin polarizes the bath, the shifted bath tilts
     the first spin, and the tilt transfers to the second spin.  Every step
-    is closed-form; the bath enters only through Omega.
+    is closed-form; the bath enters only through Omega.  Returns
+    (StaticChain, err_estimate); the estimate bounds both coherences and
+    is Omega's, carried through the linear chain.
     """
-    omega = sd.reorganization_omega()
+    omega, omega_err = sd.reorganization_omega()
     s1z = -thermal_tanh_half(tp.beta, params.omega1)
     shift_coeff = -2.0 * params.f1 * s1z
     s1x = -4.0 * params.f1 * params.f2 * s1z * s1z * omega / params.omega1
     s2x = -(params.t / params.omega2) * thermal_tanh_half(tp.beta, params.omega2) * s1x
-    return StaticChain(s1z, shift_coeff, s1x, s2x)
+    err = _linear_in_omega_err((s1x, s2x), omega, omega_err)
+    return StaticChain(s1z, shift_coeff, s1x, s2x), err
 
 
 def static_chain_flags(params: ModelParams, sd: SpectralDensity, tp: ThermalPoint) -> tuple:
     """Advisory flags for the static chain's weak-coupling assumptions."""
-    omega = sd.reorganization_omega()
-    chain = static_chain(params, sd, tp)
+    omega, _ = sd.reorganization_omega()
+    chain, _ = static_chain(params, sd, tp)
     flags = []
     if 4.0 * abs(params.f1 * params.f2) * omega > STATIC_VALIDITY_FACTOR * params.omega1:
         flags.append("static-bath-coupling")
@@ -354,16 +367,17 @@ def static_dynamical_split(
     dynamical_term = -(4 f1 f2 t/(omega1 omega2)) integral I/(xi + omega1)
     carries the back-action and is always <= 0, so the static term alone is
     an upper bound on the true zero-temperature value.  Returns
-    ((static_term, dynamical_term), err_estimate); the estimate is the
-    dynamical term's, since the static term is closed-form.
+    ((static_term, dynamical_term), err_estimate); the estimate bounds
+    each term: Omega's estimate for the static one, the integral's for
+    the dynamical one.
     """
     pre = 4.0 * params.f1 * params.f2 * params.t / (params.omega1 * params.omega2)
-    omega = sd.reorganization_omega()
+    omega, omega_err = sd.reorganization_omega()
     static_term = pre * omega
     if omega == 0.0:
         return (static_term, 0.0), 0.0
     integral, err = sd.weighted_integral(lambda xi: 1.0 / (xi + params.omega1), (), config)
-    return (static_term, -pre * integral), abs(pre) * err
+    return (static_term, -pre * integral), abs(pre) * max(err, omega_err)
 
 
 def normalized_output_ratio(

@@ -189,14 +189,20 @@ def _estimated(values, err):
 
 
 def _eval_hartree_fock(p, sd, tp, cfg):
-    hartree = _fermion.hartree_static(p, sd, tp)
+    hartree, _ = _fermion.hartree_static(p, sd, tp)
+    # Each Fock estimate already carries the Hartree one, so it bounds both.
     fock, errs = _fermion.fock_term(p, sd, tp, cfg)
     return hartree + fock, max(errs), ()
 
 
+def _eval_static_sigma2x(p, sd, tp, cfg):
+    chain, err = static_chain(p, sd, tp)
+    return (chain.sigma2x_st,), err, static_chain_flags(p, sd, tp)
+
+
 def _eval_static_compare(p, sd, tp, cfg):
     full = sigma2x(p, sd, tp, cfg)
-    chain = static_chain(p, sd, tp)
+    chain, _ = static_chain(p, sd, tp)  # ohmic: Omega is exact
     low = sigma2x_low_T(p, sd.coupling, sd.cutoff, tp)
     flags = []
     for f in full.flags + static_chain_flags(p, sd, tp) + low.flags:
@@ -226,8 +232,7 @@ QUANTITIES = {q.name: q for q in (
                   lambda p, sd, tp, cfg, j: _one(_r2_core(p, sd, tp, cfg, *j)),
                   shares_j=True),
     SweepQuantity("static_sigma2x", ("static_sigma2x",), "spin", False,
-                  lambda p, sd, tp, cfg: ((static_chain(p, sd, tp).sigma2x_st,), 0.0,
-                                          static_chain_flags(p, sd, tp))),
+                  _eval_static_sigma2x),
     SweepQuantity("sigma2x_low_T", ("sigma2x_low_T",), "spin", True,
                   lambda p, sd, tp, cfg: _one(sigma2x_low_T(
                       p, sd.coupling, sd.cutoff, tp))),

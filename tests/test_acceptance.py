@@ -264,7 +264,7 @@ def test_criterion_06_spin_fermion_identity():
             tp = ThermalPoint(beta)
             spin = sigma1x(params, sd, tp).value
             ferm = sigma1x_fermion(params, sd, tp).value
-            shift = 4.0 * params.f1 * params.f2 * sd.reorganization_omega()
+            shift = 4.0 * params.f1 * params.f2 * sd.reorganization_omega()[0]
             mapped = (
                 2.0 * ferm
                 - shift * thermal_tanh_half(tp.beta, params.omega1) / params.omega1

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from cohex import cli, oracle
 from cohex.spin_detuned import ModelParams, ThermalPoint, sigma2x, static_chain
 from cohex.spectral import OhmicDensity
 from cohex.table import parse_csv
@@ -360,6 +361,25 @@ class TestOracleCheck:
         assert 1.7 <= order <= 2.3
         assert math.copysign(1.0, exact) == math.copysign(1.0, formula)
 
+    def test_default_check_runs_six_solves(self, monkeypatch, capsys):
+        # compare_perturbative at s = 1 and the fit at s = 1, 0.5, 0.25,
+        # each at the cutoff and twice it: the s = 1 pair is solved once.
+        solved = []
+        real = oracle.exact_average
+
+        def counting(spec, observable):
+            solved.append((spec.params.f1, spec.fock_cutoff))
+            return real(spec, observable)
+
+        monkeypatch.setattr(oracle, "exact_average", counting)
+        code = cli.main([
+            "oracle-check", "--model", "spin", "--observable", "sigma1x",
+            "--set", "beta_omega1=2",
+        ])
+        assert code == 0
+        assert len(solved) == 6 and len(set(solved)) == 6
+        assert parse_csv(capsys.readouterr().out.encode()).rows[0][4] == "ok"
+
     def test_vanishing_observable_is_inconclusive(self):
         proc = run_cli(
             "oracle-check", "--model", "spin", "--observable", "sigma2y",
@@ -413,7 +433,7 @@ class TestStaticCompare:
         bath = OhmicDensity(1.0, 1.0)
         tp = ThermalPoint.from_beta_omega1(8.0, 1.0)
         assert table.rows[0][1] == sigma2x(params, bath, tp).value
-        assert table.rows[0][2] == static_chain(params, bath, tp).sigma2x_st
+        assert table.rows[0][2] == static_chain(params, bath, tp)[0].sigma2x_st
 
     def test_takes_no_quantity_key(self):
         proc = run_cli(

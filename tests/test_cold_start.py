@@ -1,10 +1,10 @@
-"""Import graph: scipy and the process pool load only where they are used.
+"""Import graph: scipy never loads, and the process pool only where used.
 
 scipy costs about 0.6 s to import and the CLI is import-bound, so the
-command line and every code path that does not build a tabulated bath
-must run without it; the process-pool machinery loads only for a pooled
-grid.  Each check runs in a fresh interpreter so the test process's own
-imports cannot hide a regression.
+command line and every bath family, tabulated baths included, must run
+without it; the process-pool machinery loads only for a pooled grid.
+Each check runs in a fresh interpreter so the test process's own imports
+cannot hide a regression.
 """
 
 import subprocess
@@ -39,13 +39,15 @@ for quantity in ("sigma2x", "sigma2x_fermion"):
     assert table.all_ok(), quantity
     assert heavy() == [], (quantity, heavy())
 
-assert GeneralizedOhmicDensity(1.0, 0.5, 2.0).reorganization_omega() > 0.0
+assert GeneralizedOhmicDensity(1.0, 0.5, 2.0).reorganization_omega()[0] > 0.0
 spec = OracleSpec(DiscreteDensity([(0.05, 0.8)]), 6, "spin", params, 2.0)
 compare_perturbative(spec, "sigma2y")
 assert heavy() == [], ("scipy-free paths", heavy())
 
-TabulatedDensity([(0.5, 0.2), (1.0, 0.3), (2.0, 0.1)], tail_decay=1.0)
-assert "scipy.interpolate" in sys.modules
+tabulated = TabulatedDensity([(0.5, 0.2), (1.0, 0.3), (2.0, 0.1)], tail_decay=1.0)
+table = run_sweep(SweepSpec("sigma2x", beta, tabulated, params))
+assert table.all_ok()
+assert heavy() == [], ("tabulated bath", heavy())
 
 grid = SweepSpec(
     "sigma2x",

@@ -32,7 +32,13 @@ from cohex.spectral import (
     OhmicDensity,
     TabulatedDensity,
 )
-from cohex.spin_detuned import ModelParams, ThermalPoint, f_dimensionless, sigma1x
+from cohex.spin_detuned import (
+    ModelParams,
+    ThermalPoint,
+    coherence_integral,
+    f_dimensionless,
+    sigma1x,
+)
 
 import oracles
 
@@ -108,7 +114,7 @@ def test_spin_fermion_identity_every_bath():
             th1 = thermal_tanh_half(tp.beta, PARAMS.omega1)
             rhs = (
                 2.0 * sigma1x_fermion(PARAMS, sd, tp).value
-                - 4.0 * 0.1 * 0.1 * sd.reorganization_omega() * th1
+                - 4.0 * 0.1 * 0.1 * sd.reorganization_omega()[0] * th1
             )
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
 
@@ -120,7 +126,7 @@ def test_sigma1x_fermion_matches_shape_factor_arithmetic():
     a = 1.0 / 2.5
     pre = 2.0 * 0.1 * 0.1 * math.tanh(0.5 * 1.3)
     f_val, _ = f_dimensionless(a, 1.3)
-    ref = pre * (sd.reorganization_omega() - 0.8 * f_val)
+    ref = pre * (sd.reorganization_omega()[0] - 0.8 * f_val)
     assert r.value == pytest.approx(ref, rel=1e-10)
 
 
@@ -231,7 +237,7 @@ def test_near_resonance_advisory_flag():
 def test_hartree_static_closed_form():
     sd = OhmicDensity(2.0, 5.0)  # Omega = 10
     tp = ThermalPoint(2.0)
-    h1, h2 = hartree_static(PARAMS, sd, tp)
+    (h1, h2), _ = hartree_static(PARAMS, sd, tp)
     n1 = 1.0 / (math.exp(2.0) + 1.0)
     ref1 = 4.0 * 0.1 * 0.1 * 10.0 * n1 * math.tanh(1.0)
     ref2 = (
@@ -240,7 +246,7 @@ def test_hartree_static_closed_form():
     )
     assert h1 == pytest.approx(ref1, rel=1e-14)
     assert h2 == pytest.approx(ref2, rel=1e-14)
-    assert hartree_static(PARAMS, sd, ThermalPoint(math.inf)) == (0.0, 0.0)
+    assert hartree_static(PARAMS, sd, ThermalPoint(math.inf)) == ((0.0, 0.0), 0.0)
 
 
 def test_hartree_static_zero_prefactor_skips_resonance_guard():
@@ -248,9 +254,9 @@ def test_hartree_static_zero_prefactor_skips_resonance_guard():
     # even on resonance, where the finite-T formula would be refused.
     resonant = ModelParams(omega1=1.0, omega2=1.0, t=0.05, f1=0.1, f2=0.1)
     sd = OhmicDensity(1.0, 1.0)
-    assert hartree_static(resonant, sd, ThermalPoint(math.inf)) == (0.0, 0.0)
+    assert hartree_static(resonant, sd, ThermalPoint(math.inf)) == ((0.0, 0.0), 0.0)
     no_weight = ModelParams(omega1=1.0, omega2=1.0, t=0.05, f1=0.0, f2=0.1)
-    assert hartree_static(no_weight, sd, ThermalPoint(2.0)) == (0.0, 0.0)
+    assert hartree_static(no_weight, sd, ThermalPoint(2.0)) == ((0.0, 0.0), 0.0)
 
 
 def test_fock_decomposition_is_exact_and_routes_agree():
@@ -260,7 +266,7 @@ def test_fock_decomposition_is_exact_and_routes_agree():
     sd = OhmicDensity(1.0, 1.0)
     for b in (0.7, 2.0, 5.0, math.inf):
         tp = ThermalPoint(b)
-        hs = hartree_static(PARAMS, sd, tp)
+        hs, _ = hartree_static(PARAMS, sd, tp)
         ks, _ = fock_term(PARAMS, sd, tp)  # raises CrossFormError on drift
         fulls = (
             sigma1x_fermion(PARAMS, sd, tp).value,
@@ -281,7 +287,7 @@ def test_fock_and_g_script_errors_bound_mpmath_gap(a, b):
     p = PARAMS
     full1 = 2.0 * p.f1 * p.f2 * math.tanh(0.5 * b) * (1.0 / a - f_ref)
     full2 = -4.0 * p.t * p.f1 * p.f2 / (p.omega2 - p.omega1) * ff_ref
-    h1, h2 = hartree_static(p, sd, tp)
+    (h1, h2), _ = hartree_static(p, sd, tp)
     (k1, k2), (err1, err2) = fock_term(p, sd, tp)
     assert err1 > 0.0 and abs(k1 - (full1 - h1)) <= err1
     assert err2 > 0.0 and abs(k2 - (full2 - h2)) <= err2
@@ -401,7 +407,7 @@ def test_combined_route_against_midpoint_oracle():
     ref_int = oracles.midpoint_reference(
         integrand, upper=40.0 * wc, n=10_000_000, skip_points=[w1, dw]
     )
-    const = n1 * (1.0 - 2.0 * n2) * sd.reorganization_omega() / w2
+    const = n1 * (1.0 - 2.0 * n2) * sd.reorganization_omega()[0] / w2
     ref = -4.0 * p.t / dw * (ref_int + const)
     value, _, _ = _combined_route(p, sd, ThermalPoint(beta), None)
     assert value == pytest.approx(ref, rel=2e-5)
@@ -414,14 +420,14 @@ def test_single_mode_bath_exact_sums():
     r = sigma2x_fermion(p, sd, tp)
     assert r.method == "combined_integral"
     assert r.err_estimate == 0.0
-    h1, h2 = hartree_static(p, sd, tp)
+    (h1, h2), _ = hartree_static(p, sd, tp)
     (k1, k2), _ = fock_term(p, sd, tp)
     assert h1 + k1 == sigma1x_fermion(p, sd, tp).value
     assert h2 + k2 == r.value
     lhs = sigma1x(p, sd, tp).value
     rhs = (
         2.0 * sigma1x_fermion(p, sd, tp).value
-        - 4.0 * 0.1 * 0.1 * sd.reorganization_omega() * math.tanh(1.0)
+        - 4.0 * 0.1 * 0.1 * sd.reorganization_omega()[0] * math.tanh(1.0)
     )
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -433,9 +439,9 @@ def test_equal_reorganization_baths_share_hartree_but_not_fock():
     tp = ThermalPoint(2.0)
     narrow = OhmicDensity(2.0, 1.0)
     wide = OhmicDensity(0.2, 10.0)  # same Omega = 2
-    assert narrow.reorganization_omega() == pytest.approx(wide.reorganization_omega())
-    h_narrow = hartree_static(p, narrow, tp)
-    h_wide = hartree_static(p, wide, tp)
+    assert narrow.reorganization_omega()[0] == pytest.approx(wide.reorganization_omega()[0])
+    h_narrow, _ = hartree_static(p, narrow, tp)
+    h_wide, _ = hartree_static(p, wide, tp)
     assert h_narrow == pytest.approx(h_wide, rel=1e-12)
     (k1_narrow, _), _ = fock_term(p, narrow, tp)
     (k1_wide, _), _ = fock_term(p, wide, tp)
@@ -515,7 +521,7 @@ def test_decoupled_spins_close_the_output_channel():
     sd = OhmicDensity(1.0, 1.0)
     tp = ThermalPoint(2.0)
     assert sigma2x_fermion(p, sd, tp).value == 0.0
-    h1, h2 = hartree_static(p, sd, tp)
+    (h1, h2), _ = hartree_static(p, sd, tp)
     (k1, k2), _ = fock_term(p, sd, tp)
     assert h2 == 0.0 and k2 == 0.0
     assert k1 != 0.0  # the internal coherence survives t = 0
@@ -537,3 +543,20 @@ def test_perturbative_magnitude_flag():
     p = ModelParams(omega1=1.0, omega2=3.0, t=0.1, f1=1.0, f2=1.0)
     r = sigma1x_fermion(p, OhmicDensity(1.0, 10.0), ThermalPoint(math.inf))
     assert "perturbative-magnitude" in r.flags
+
+
+def test_sigma1x_fermion_estimate_carries_tabulated_omega():
+    # On a tabulated bath Omega is itself a quadrature result; its
+    # estimate reaches the coherence through the Omega/omega1 term.
+    xi = np.linspace(1e-3, 18.0, 200)
+    sd = TabulatedDensity(np.column_stack([xi, xi * np.exp(-xi)]), tail_decay=1.0)
+    p = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
+    tp = ThermalPoint(2.0)
+    _, omega_err = sd.reorganization_omega()
+    _, j_err = coherence_integral(p, sd, tp)
+    pre = 2.0 * p.f1 * p.f2 * math.tanh(1.0)
+    omega_share = pre * omega_err / p.omega1
+    assert omega_share > 3e-13
+    result = sigma1x_fermion(p, sd, tp)
+    assert result.err_estimate >= omega_share
+    assert result.err_estimate == pytest.approx(pre * j_err + omega_share, rel=1e-12)

@@ -124,6 +124,38 @@ def test_sector_solve_matches_dense_reference(modes, cutoff):
                     assert value == 0.0
 
 
+@pytest.mark.parametrize("model", ["spin", "fermion"])
+@pytest.mark.parametrize("cutoff", [3, 6])
+def test_sector_blocks_equal_dense_kron_reference(model, cutoff):
+    bath = DiscreteDensity([(0.2, 0.8), (0.15, 1.3)])
+    spec = OracleSpec(bath, cutoff, model, ModelParams(1.0, 3.0, 0.3, 0.3, 0.2), 2.0)
+    dense = build_hamiltonian(spec)
+    h_sys, c_sys, sectors = oracle._system(spec)
+    h_b, coupling_op = oracle._bath_matrices(bath, cutoff)
+    d = h_b.shape[0]
+    for states in sectors:
+        rows = (states[:, None] * d + np.arange(d)).ravel()
+        block = np.ix_(states, states)
+        h = oracle._sector_hamiltonian(h_sys[block], c_sys[block], h_b, coupling_op)
+        assert np.array_equal(h, dense[np.ix_(rows, rows)])
+
+
+def test_convergence_order_reuses_the_unscaled_comparison(monkeypatch):
+    reference = convergence_order(SPIN, "sigma1x")
+    comparison = compare_perturbative(SPIN, "sigma1x")
+    solved = []
+    real = oracle.exact_average
+
+    def counting(spec, observable):
+        solved.append(spec.params.f1)
+        return real(spec, observable)
+
+    monkeypatch.setattr(oracle, "exact_average", counting)
+    fit = convergence_order(SPIN, "sigma1x", unscaled=comparison)
+    assert fit == reference
+    assert sorted(solved) == [0.025, 0.025, 0.05, 0.05]
+
+
 @pytest.mark.parametrize(
     "model, observable, system_sizes",
     [("fermion", "fermion_coh1", (1, 3, 3, 1)), ("spin", "sigma1x", (4,))],

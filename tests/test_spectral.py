@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from cohex.errors import DomainError, UnsupportedOperationError
 from cohex.numerics import QuadratureConfig
@@ -49,15 +50,15 @@ def test_construction_validation():
 
 
 def test_reorganization_closed_forms():
-    assert OhmicDensity(1.0, 2.0).reorganization_omega() == pytest.approx(2.0)
-    assert DiscreteDensity([(0.3, 1.5)]).reorganization_omega() == pytest.approx(0.06)
-    assert DiscreteDensity([]).reorganization_omega() == 0.0
+    assert OhmicDensity(1.0, 2.0).reorganization_omega() == (2.0, 0.0)
+    assert DiscreteDensity([(0.3, 1.5)]).reorganization_omega() == (pytest.approx(0.06), 0.0)
+    assert DiscreteDensity([]).reorganization_omega() == (0.0, 0.0)
     # Gamma(2) = 1
     sd = GeneralizedOhmicDensity(1.0, 2.0, 1.0)
-    assert sd.reorganization_omega() == pytest.approx(1.0, rel=1e-14)
+    assert sd.reorganization_omega() == (pytest.approx(1.0, rel=1e-14), 0.0)
     # quadrature oracle for the same quantity
     numeric, _ = sd.weighted_integral(lambda x: 1.0 / x)
-    assert sd.reorganization_omega() == pytest.approx(numeric, rel=1e-10)
+    assert sd.reorganization_omega()[0] == pytest.approx(numeric, rel=1e-10)
 
 
 @pytest.mark.parametrize("exponent", [0.25, 0.5, 1.5, 3.0])
@@ -72,7 +73,7 @@ def test_generalized_reorganization_against_mpmath(exponent):
         ref = coupling / s * mpmath.quad(
             lambda u: mpmath.exp(-u ** (1 / s) / cutoff), [0, cutoff ** s, mpmath.inf]
         )
-    assert abs(sd.reorganization_omega() - ref) <= 1e-14 * ref
+    assert abs(sd.reorganization_omega()[0] - ref) <= 1e-14 * ref
 
 
 def test_discrete_eval_unsupported():
@@ -114,8 +115,8 @@ def test_generalized_matches_ohmic_at_s_one():
     gen = GeneralizedOhmicDensity(a, 1.0, wc)
     xi = np.linspace(0.05, 12.0, 40)
     np.testing.assert_allclose(gen.eval(xi), ohm.eval(xi), rtol=1e-14)
-    assert gen.reorganization_omega() == pytest.approx(
-        ohm.reorganization_omega(), rel=1e-14
+    assert gen.reorganization_omega()[0] == pytest.approx(
+        ohm.reorganization_omega()[0], rel=1e-14
     )
     for kern in (lambda x: 1.0 / (x + 0.3), lambda x: np.exp(-0.5 * x)):
         gen_val, _ = gen.weighted_integral(kern)
@@ -130,7 +131,7 @@ def test_tabulated_matches_sampled_ohmic():
     sd = TabulatedDensity(knots, tail_decay=wc)
     assert sd.eval(0.37) == pytest.approx(0.37 * math.exp(-0.37), abs=1e-6)
     # reorganization integral close to the analytic A*wc
-    assert sd.reorganization_omega() == pytest.approx(1.0, rel=1e-4)
+    assert sd.reorganization_omega()[0] == pytest.approx(1.0, rel=1e-4)
 
 
 def test_tabulated_tail_and_origin():
@@ -198,3 +199,65 @@ def test_subnormal_knot_densities_are_flushed_without_warnings():
     assert np.all(tab.knot_density[1:][subnormal] == 0.0)
     assert np.array_equal(tab.knot_density[1:][~subnormal], dens[~subnormal])
     assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+
+
+def _pchip_knot_sets():
+    rng = np.random.default_rng(7)
+    random_xi = np.sort(rng.uniform(0.05, 6.0, 60))
+    steep_xi = np.linspace(0.0, 1.0, 41)
+    steep = 1.0 + rng.uniform(0.0, 1.0, 41)
+    steep[(np.arange(41) // 3) % 2 == 1] += 1e12
+    wavy_xi = np.linspace(0.0, 3.0, 31)
+    return {
+        "random": np.column_stack([random_xi, rng.uniform(0.0, 2.0, 60)]),
+        "flat": np.column_stack([np.linspace(0.0, 2.0, 25), np.full(25, 0.7)]),
+        "steep": np.column_stack([steep_xi, steep]),
+        "two knots": [(0.0, 0.5), (2.0, 1.5)],
+        "non-monotone": np.column_stack(
+            [wavy_xi, 1.5 + np.sin(4.0 * wavy_xi) + 0.3 * np.cos(9.0 * wavy_xi)]
+        ),
+        "smeared, subnormal": smeared_discrete_knots(),
+    }
+
+
+@pytest.mark.parametrize("name", list(_pchip_knot_sets()))
+def test_tabulated_interpolant_matches_reference_pchip(name):
+    # The reference interpolant is built on the stored (flushed) knots.
+    tab = TabulatedDensity(_pchip_knot_sets()[name], tail_decay=1.0)
+    xi, dens = tab.knot_xi, tab.knot_density
+    reference = PchipInterpolator(xi, dens, extrapolate=False)
+    rng = np.random.default_rng(11)
+    points = np.concatenate([xi[1:], rng.uniform(xi[0], xi[-1], 1000)])
+
+    k = np.searchsorted(xi[1:-1], points, side="right")
+    c3, c2, c1, _ = tab._coefficients[:, k]
+    s = points - xi[k]
+    # d/dxi of the stored cubic, summed in ascending powers as the
+    # reference sums it.
+    slopes = c1 + c2 * s * 2.0 + c3 * (s * s) * 3.0
+
+    for ours, ref in ((tab.eval(points), reference(points)),
+                      (slopes, reference(points, 1))):
+        assert np.all(np.abs(ours - ref) <= 1e-14 * np.abs(ref))
+    # At the origin knot (no positive xi reaches it) the cubic starts at
+    # the knot value with the knot slope.
+    assert tab._coefficients[3, 0] == dens[0]
+    assert abs(tab._coefficients[2, 0] - reference(0.0, 1)) <= 1e-14 * abs(reference(0.0, 1))
+
+
+def test_tabulated_interpolant_is_flat_at_local_extrema():
+    knots = _pchip_knot_sets()["non-monotone"]
+    tab = TabulatedDensity(knots, tail_decay=1.0)
+    secant = np.diff(tab.knot_density)
+    extrema = np.flatnonzero(np.sign(secant[:-1]) != np.sign(secant[1:])) + 1
+    assert extrema.size >= 4
+    assert np.all(tab._coefficients[2, extrema] == 0.0)
+    # Monotone between knots: no sample leaves its interval's knot range
+    # by more than rounding.
+    xi = np.linspace(0.0, 3.0, 30001)[1:]
+    values = tab.eval(xi)
+    k = np.searchsorted(tab.knot_xi[1:-1], xi, side="right")
+    low = np.minimum(tab.knot_density[k], tab.knot_density[k + 1])
+    high = np.maximum(tab.knot_density[k], tab.knot_density[k + 1])
+    ulps = 4.0 * np.finfo(float).eps * high
+    assert np.all((values >= low - ulps) & (values <= high + ulps))

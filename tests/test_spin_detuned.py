@@ -212,7 +212,7 @@ def test_low_T_advisory_flag():
 def test_high_T_asymptotes_ohmic_identity():
     sd = OhmicDensity(2.0, 5.0)  # Omega = 10
     tp = ThermalPoint(0.05)
-    s1, s2 = high_T_asymptotes(PARAMS, sd, tp)
+    (s1, s2), _ = high_T_asymptotes(PARAMS, sd, tp)
     b = 0.05
     assert s1 == pytest.approx(-0.1 * 0.1 * (10.0 / 3.0) * b * b, rel=1e-14)
     assert s2 == pytest.approx(0.1 * 0.1 * 0.1 * 10.0 * b ** 3 / 6.0, rel=1e-14)
@@ -225,11 +225,11 @@ def test_high_T_asymptotes_converge_to_full():
     # omegac = 100 it is 1, leaving a ~3% residual, which shrinks with b.
     sd = OhmicDensity(1.0, 100.0)
     tp = ThermalPoint(0.01)
-    s1_ht, s2_ht = high_T_asymptotes(PARAMS, sd, tp)
+    (s1_ht, s2_ht), _ = high_T_asymptotes(PARAMS, sd, tp)
     assert sigma1x(PARAMS, sd, tp).value / s1_ht == pytest.approx(1.0, abs=4e-2)
     assert sigma2x(PARAMS, sd, tp).value / s2_ht == pytest.approx(1.0, abs=4e-2)
     tp_hotter = ThermalPoint(0.001)
-    s1_ht, s2_ht = high_T_asymptotes(PARAMS, sd, tp_hotter)
+    (s1_ht, s2_ht), _ = high_T_asymptotes(PARAMS, sd, tp_hotter)
     assert sigma1x(PARAMS, sd, tp_hotter).value / s1_ht == pytest.approx(1.0, abs=1e-3)
     assert sigma2x(PARAMS, sd, tp_hotter).value / s2_ht == pytest.approx(1.0, abs=1e-3)
 
@@ -237,7 +237,7 @@ def test_high_T_asymptotes_converge_to_full():
 def test_static_chain_closed_form():
     sd = OhmicDensity(1.0, 10.0)  # Omega = 10
     tp = ThermalPoint(2.0)
-    chain = static_chain(PARAMS, sd, tp)
+    chain, _ = static_chain(PARAMS, sd, tp)
     # independent re-composition from primitives
     s1z = -math.tanh(1.0)
     assert chain.sigma1z_st == pytest.approx(s1z, rel=1e-15)
@@ -254,7 +254,7 @@ def test_static_chain_closed_form():
 
 def test_static_chain_zero_coupling():
     p = ModelParams(omega1=1.0, omega2=3.0, t=0.1, f1=0.0, f2=0.1)
-    chain = static_chain(p, OhmicDensity(1.0, 10.0), ThermalPoint(2.0))
+    chain, _ = static_chain(p, OhmicDensity(1.0, 10.0), ThermalPoint(2.0))
     assert chain.sigma1x_st == 0.0 and chain.sigma2x_st == 0.0
     assert chain.sigma1z_st == pytest.approx(-math.tanh(1.0))
 

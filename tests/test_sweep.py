@@ -16,7 +16,7 @@ from cohex.fermion import (
     sigma2x_fermion,
 )
 from cohex.numerics import DEFAULT_QUADRATURE
-from cohex.spectral import DiscreteDensity, OhmicDensity
+from cohex.spectral import DiscreteDensity, OhmicDensity, TabulatedDensity
 from cohex.spin_detuned import (
     ModelParams,
     ThermalPoint,
@@ -306,7 +306,7 @@ class TestRunSweep:
         )
         tp = ThermalPoint.from_beta_omega1(8.0, 1.0)
         full = sigma2x(PARAMS, BATH, tp)
-        chain = static_chain(PARAMS, BATH, tp)
+        chain, _ = static_chain(PARAMS, BATH, tp)
         low = sigma2x_low_T(PARAMS, BATH.coupling, BATH.cutoff, tp)
         assert table.rows[0][1:4] == (full.value, chain.sigma2x_st, low.value)
 
@@ -315,7 +315,7 @@ class TestRunSweep:
             SweepSpec("hartree_fock", (beta_axis(),), BATH, PARAMS)
         )
         tp = ThermalPoint.from_beta_omega1(2.0, 1.0)
-        h1, h2 = hartree_static(PARAMS, BATH, tp)
+        (h1, h2), _ = hartree_static(PARAMS, BATH, tp)
         (k1, k2), _ = fock_term(PARAMS, BATH, tp)
         assert table.rows[0][1:5] == (h1, h2, k1, k2)
 
@@ -368,6 +368,22 @@ class TestRunSweep:
                 PARAMS, BATH, ThermalPoint(b), DEFAULT_QUADRATURE
             )
             assert 0.0 < err < 1e-8 * max(abs(v) for v in values)
+
+    @pytest.mark.parametrize("name, n_linear", [
+        ("static_sigma2x", 1), ("hartree_fock", 2),
+    ])
+    def test_tabulated_omega_estimate_reaches_the_row(self, name, n_linear):
+        # The first n_linear columns are proportional to Omega, which a
+        # tabulated bath gets by quadrature: the row reports at least
+        # Omega's relative estimate on them.
+        xi = np.linspace(1e-3, 18.0, 200)
+        bath = TabulatedDensity(np.column_stack([xi, xi * np.exp(-xi)]), 1.0)
+        omega, omega_err = bath.reorganization_omega()
+        values, err, _ = QUANTITIES[name].evaluate(
+            PARAMS, bath, ThermalPoint(2.0), DEFAULT_QUADRATURE
+        )
+        share = max(abs(v) for v in values[:n_linear]) * omega_err / omega
+        assert 0.0 < share <= err
 
     def test_meta_includes_axes_and_extra(self):
         spec = SweepSpec("sigma1x", (beta_axis(4, 1.0, 8.0, "log"),), BATH, PARAMS)
