@@ -35,9 +35,7 @@ from . import __version__
 from .errors import CohexError, DomainError
 from .numerics import DEFAULT_QUADRATURE, thermal_tanh_half
 from .oracle import (
-    FERMION_OBSERVABLES,
     OBSERVABLES,
-    SPIN_OBSERVABLES,
     OracleSpec,
     compare_perturbative,
     convergence_order,
@@ -55,7 +53,10 @@ from .spin_detuned import (
 from .spin_general import r1_value
 from .fermion import sigma1x_fermion, sigma2x_fermion
 from .sweep import (
+    MAP_OMEGA2_MAX,
+    MAP_POINTS,
     MAP_QUADRATURE,
+    MAP_T_MAX,
     AxisSpec,
     SweepSpec,
     quantity_names,
@@ -130,9 +131,9 @@ _MAP_SCHEMA = {
     "omega1_over_omegac": _Key("scalar", 1.0, (), "first splitting over the bath cutoff"),
     "T_over_omega1": _Key("scalar", None, (), "fixed temperature"),
     "beta_omega1": _Key("scalar", None, (), "fixed inverse temperature"),
-    "omega2_max": _Key("scalar", 10.0, (), "upper edge of the omega2/omega1 axis"),
-    "t_max": _Key("scalar", 5.0, (), "upper edge of the t/omega1 axis"),
-    "points": _Key("int", 101, (), "grid points per axis"),
+    "omega2_max": _Key("scalar", MAP_OMEGA2_MAX, (), "upper edge of the omega2/omega1 axis"),
+    "t_max": _Key("scalar", MAP_T_MAX, (), "upper edge of the t/omega1 axis"),
+    "points": _Key("int", MAP_POINTS, (), "grid points per axis"),
 }
 _MAP_SCHEMA.update(_QUADRATURE_KEYS)
 
@@ -414,12 +415,6 @@ def _cmd_validity_map(ns):
 
 def _cmd_oracle_check(ns):
     values = _resolve_config(_ORACLE_SCHEMA, ns)
-    valid = SPIN_OBSERVABLES if ns.model == "spin" else FERMION_OBSERVABLES
-    if ns.observable not in valid:
-        raise _UsageError(
-            f"observable {ns.observable!r} is not available for model "
-            f"'{ns.model}'; valid observables: {', '.join(valid)}"
-        )
     couplings = values["mode_coupling"]
     frequencies = values["mode_frequency_over_omega1"]
     if len(couplings) != len(frequencies):

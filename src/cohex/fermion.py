@@ -38,11 +38,10 @@ form are closed-form arithmetic and return bare values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossFormError, DegenerateBasisError, DomainError, NearResonanceError
+from .errors import CrossFormError, DomainError, NearResonanceError
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
@@ -64,6 +63,7 @@ from .spin_detuned import (
     detuned_validity_flags,
     f_dimensionless,
 )
+from .spin_general import mixing
 
 # Hard refusal below this |omega2 - omega1| / omega1; advisory flag when
 # the detuning is within this factor of t.
@@ -79,44 +79,6 @@ _CLOSED_FORM_RTOL = 1e-6
 _ROUTE_RTOL = 1e-5
 
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class FermionLevels:
-    """Single-particle levels of the fermionized three-level chain.
-
-    ``eps0`` is the auxiliary zero-energy level; ``eps1 <= eps2`` are the
-    hybridized pair with splitting delta_eps = sqrt(delta_omega^2 + 4 t^2),
-    never below |delta_omega| or 2 t.  ``delta_omega`` = omega2 - omega1
-    keeps its sign; ``sin_theta_f`` = 2 t / delta_eps measures how strongly
-    the two physical levels mix.
-    """
-
-    eps0: float
-    eps1: float
-    eps2: float
-    sin_theta_f: float
-    delta_omega: float
-    delta_eps: float
-
-    @classmethod
-    def from_params(cls, params: ModelParams) -> "FermionLevels":
-        dw = params.omega2 - params.omega1
-        split = math.hypot(dw, 2.0 * params.t)
-        if split == 0.0:
-            raise DegenerateBasisError(
-                "fermion levels are degenerate at t = 0 with omega1 = omega2"
-            )
-        half_sum = 0.5 * (params.omega1 + params.omega2)
-        half_split = 0.5 * split
-        return cls(
-            eps0=0.0,
-            eps1=half_sum - half_split,
-            eps2=half_sum + half_split,
-            sin_theta_f=2.0 * params.t / split,
-            delta_omega=dw,
-            delta_eps=split,
-        )
 
 
 def _guarded_detuning(params: ModelParams) -> float:
@@ -668,9 +630,9 @@ def g_script(
     params = ModelParams(1.0, omega2_over_omega1, t_over_omega1, 1.0, 1.0)
     sd = OhmicDensity(1.0, 1.0 / omega1_over_omegac)
     tp = ThermalPoint(beta_omega1)
-    levels = FermionLevels.from_params(params)
     result = sigma2x_fermion(params, sd, tp, config)
-    scale = 2.0 * levels.sin_theta_f
+    # sin(theta_f) = 2 t / sqrt(delta_omega^2 + 4 t^2), the spin cos(theta)
+    scale = 2.0 * mixing(params).cos_theta
     return result.value / scale, result.err_estimate / scale
 
 

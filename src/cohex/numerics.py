@@ -301,25 +301,18 @@ class _PatchedKernel:
 
     A window around a removable point p spans [p (1 - delta), p (1 + delta)].
     ``points`` must be positive, finite, distinct and ascending, as
-    ``integrate_semi_infinite`` passes them.  ``delta`` may be a scalar
-    shared by every point or a sequence aligned with ``points``.
-    Overlapping windows are merged.  Inside a (merged) window [L, R] the
-    kernel is replaced by the cubic interpolating its values at L - w, L,
-    R, R + w with w = (R - L)/2, so the limit value at the singular
-    abscissa is never requested.
+    ``integrate_semi_infinite`` passes them, with one relative width
+    delta per point in ``deltas``.  Overlapping windows are merged.
+    Inside a (merged) window [L, R] the kernel is replaced by the cubic
+    interpolating its values at L - w, L, R, R + w with w = (R - L)/2, so
+    the limit value at the singular abscissa is never requested.
     """
 
-    def __init__(self, kernel: Callable, points: Sequence[float], delta):
+    def __init__(self, kernel: Callable, points: Sequence[float],
+                 deltas: Sequence[float]):
         self.kernel = kernel
-        pts = [float(q) for q in points]
-        if np.isscalar(delta):
-            widths = [float(delta)] * len(pts)
-        else:
-            widths = [float(d) for d in delta]
-            if len(widths) != len(pts):
-                raise DomainError("need one window width per removable point")
         merged: list[list[float]] = []
-        for p, d in zip(pts, widths):
+        for p, d in zip(points, deltas):
             lo, hi = p - d * p, p + d * p
             # Merge if the outer fit nodes would land inside the neighbour.
             if merged and lo - (hi - lo) / 2.0 <= merged[-1][1]:

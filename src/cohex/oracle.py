@@ -221,11 +221,11 @@ def _check_observable(spec: OracleSpec, observable: str) -> None:
             f"unknown observable '{observable}'; valid ids: "
             + ", ".join(OBSERVABLES)
         )
-    needed = "fermion" if observable in FERMION_OBSERVABLES else "spin"
-    if spec.model != needed:
+    valid = FERMION_OBSERVABLES if spec.model == "fermion" else SPIN_OBSERVABLES
+    if observable not in valid:
         raise DomainError(
-            f"observable '{observable}' belongs to the {needed} model, "
-            f"not '{spec.model}'"
+            f"observable '{observable}' is not available for model "
+            f"'{spec.model}'; valid observables: {', '.join(valid)}"
         )
 
 

@@ -249,6 +249,7 @@ class TabulatedDensity(_ContinuousDensity):
         self.knot_density = dens
         self.tail_decay = _check_positive("tail_decay", tail_decay)
         self._coefficients = _pchip_coefficients(xi, dens)
+        self._omega = None
 
     @classmethod
     def from_file(cls, path, tail_decay: float) -> "TabulatedDensity":
@@ -293,7 +294,11 @@ class TabulatedDensity(_ContinuousDensity):
         return c0 + c1 * s + c2 * s2 + c3 * (s2 * s)
 
     def reorganization_omega(self):
-        return self.weighted_integral(lambda x: 1.0 / x)
+        # Kept after the first call, but not computed at construction, so
+        # a bath whose Omega integral fails can still be built.
+        if self._omega is None:
+            self._omega = self.weighted_integral(lambda x: 1.0 / x)
+        return self._omega
 
     def decay_scale(self) -> float:
         # quadrature must resolve both the knot span and the declared tail

@@ -58,47 +58,23 @@ _COUPLING_NUDGE = 3e-5
 class SpinMixing:
     """Mixed-basis data of the pair Hamiltonian at arbitrary coupling.
 
-    omega is the mean splitting (omega1 + omega2)/2, epsilon the mixed
-    gap sqrt(t^2 + delta_omega^2/4).  The angle theta rotates the central
-    two-dimensional block; z_s is the pair partition function
-    2 cosh(beta omega) + 2 cosh(beta epsilon) (inf at beta = inf).
+    omega is the mean splitting (omega1 + omega2)/2 and epsilon the mixed
+    gap sqrt(t^2 + (omega1 - omega2)^2/4); cos_theta = t/epsilon and
+    sin_theta = (omega1 - omega2)/(2 epsilon) rotate the central
+    two-dimensional block.
     """
 
     omega: float
     epsilon: float
-    delta_omega: float
     cos_theta: float
     sin_theta: float
-    z_s: float
-
-    @property
-    def theta(self) -> float:
-        return math.atan2(self.sin_theta, self.cos_theta)
-
-    @property
-    def phi(self) -> float:
-        return 0.25 * math.pi - 0.5 * self.theta
 
     @property
     def cos_two_theta(self) -> float:
         return (self.cos_theta - self.sin_theta) * (self.cos_theta + self.sin_theta)
 
-    @property
-    def eta(self) -> float:
-        """Sign of the detuning; 0 at exact resonance."""
-        if self.delta_omega == 0.0:
-            return 0.0
-        return math.copysign(1.0, self.delta_omega)
 
-
-def _cosh_safe(x: float) -> float:
-    try:
-        return math.cosh(x)
-    except OverflowError:
-        return math.inf
-
-
-def mixing(params: ModelParams, tp: ThermalPoint) -> SpinMixing:
+def mixing(params: ModelParams) -> SpinMixing:
     """Mixed-basis quantities for the given spin pair.
 
     Raises a degenerate-basis error at t = 0 with omega1 = omega2, where
@@ -111,9 +87,7 @@ def mixing(params: ModelParams, tp: ThermalPoint) -> SpinMixing:
         )
     r = math.hypot(2.0 * params.t, d)
     omega = 0.5 * (params.omega1 + params.omega2)
-    epsilon = 0.5 * r
-    z_s = 2.0 * _cosh_safe(tp.beta * omega) + 2.0 * _cosh_safe(tp.beta * epsilon)
-    return SpinMixing(omega, epsilon, d, 2.0 * params.t / r, d / r, z_s)
+    return SpinMixing(omega, 0.5 * r, 2.0 * params.t / r, d / r)
 
 
 def _scaled_weights(mix: SpinMixing, tp: ThermalPoint):
@@ -209,7 +183,7 @@ def _f_parts(xi, cothb, omega, epsilon, chw, che, shw, she):
     return f1k, f2k
 
 
-def _prepared(params: ModelParams, tp: ThermalPoint, config):
+def _prepared(params: ModelParams, config):
     """Mixing plus an effective quadrature config for one evaluation.
 
     Near the surface t^2 = omega1 omega2 the 1/(omega^2 - epsilon^2)
@@ -227,11 +201,11 @@ def _prepared(params: ModelParams, tp: ThermalPoint, config):
     cfg = DEFAULT_QUADRATURE if config is None else config
     flags = ()
     extra_rel = 0.0
-    mix = mixing(params, tp)
+    mix = mixing(params)
     if params.t > 0.0 and abs(mix.omega - mix.epsilon) < _NEAR_SURFACE_GAP_RTOL * mix.omega:
         bump = _COUPLING_NUDGE if mix.epsilon >= mix.omega else -_COUPLING_NUDGE
         params = replace(params, t=params.t * (1.0 + bump))
-        mix = mixing(params, tp)
+        mix = mixing(params)
         flags = ("mixing-regularized",)
         extra_rel = 3.0 * _COUPLING_NUDGE
     gap_rel = abs(mix.omega - mix.epsilon) / mix.omega
@@ -252,7 +226,7 @@ def sigma1x_general(
     config: QuadratureConfig | None = None,
 ) -> CoherenceResult:
     """First-spin coherence at arbitrary coupling t."""
-    params, mix, cfg, flags, extra_rel = _prepared(params, tp, config)
+    params, mix, cfg, flags, extra_rel = _prepared(params, config)
     val, err = _first_spin_integral(sd, tp, mix, cfg)
     pre = params.f1 * params.f2
     value = pre * val
@@ -272,10 +246,9 @@ def sigma2x_general(
 
     Exactly zero at t = 0: the prefactor cos(theta) epsilon equals t.
     """
-    mixing(params, tp)  # surface the degenerate-basis error first
+    params, mix, cfg, flags, extra_rel = _prepared(params, config)
     if params.t == 0.0:
         return CoherenceResult(0.0, 0.0, "general_mixed_basis", ())
-    params, mix, cfg, flags, extra_rel = _prepared(params, tp, config)
     val, err = _second_spin_integral(sd, tp, mix, cfg)
     pre = 0.5 * params.f1 * params.f2 * mix.cos_theta
     value = pre * val
@@ -319,7 +292,7 @@ def _second_spin_integral(sd, tp, mix, cfg):
 
 def _r1_core(params, sd, tp, config, j_val, j_err):
     """R1 from a precomputed small-t reference integral."""
-    params, mix, cfg, flags, extra_rel = _prepared(params, tp, config)
+    params, mix, cfg, flags, extra_rel = _prepared(params, config)
     num, num_err = _first_spin_integral(sd, tp, mix, cfg)
     th1 = thermal_tanh_half(tp.beta, params.omega1)
     den = -4.0 * th1 * j_val
@@ -334,12 +307,12 @@ def _r1_core(params, sd, tp, config, j_val, j_err):
 def _r2_core(params, sd, tp, config, j_val, j_err):
     """R2 from a precomputed small-t reference integral.
 
-    The cos(theta)/t prefactor is evaluated as 2/hypot(2t, delta_omega),
-    which stays finite on the whole t = 0 edge.
+    The cos(theta)/t prefactor is evaluated as 1/epsilon, which stays
+    finite on the whole t = 0 edge.
     """
-    params, mix, cfg, flags, extra_rel = _prepared(params, tp, config)
+    params, mix, cfg, flags, extra_rel = _prepared(params, config)
     num, num_err = _second_spin_integral(sd, tp, mix, cfg)
-    cos_over_t = 2.0 / math.hypot(2.0 * params.t, params.detuning)
+    cos_over_t = 1.0 / mix.epsilon
     th1 = thermal_tanh_half(tp.beta, params.omega1)
     th2 = thermal_tanh_half(tp.beta, params.omega2)
     den = 8.0 * th2 * th1 * j_val

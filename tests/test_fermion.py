@@ -5,12 +5,10 @@ import pytest
 
 from cohex.errors import (
     CrossFormError,
-    DegenerateBasisError,
     DomainError,
     NearResonanceError,
 )
 from cohex.fermion import (
-    FermionLevels,
     f_fermion_dimensionless,
     fermion_high_T,
     fock_term,
@@ -39,6 +37,7 @@ from cohex.spin_detuned import (
     f_dimensionless,
     sigma1x,
 )
+from cohex.spin_general import mixing
 
 import oracles
 
@@ -55,38 +54,6 @@ def four_bath_family():
         DiscreteDensity([(0.05, 0.8), (0.03, 2.6), (0.08, 0.33)]),
         TabulatedDensity(knots, 1.5),
     ]
-
-
-def test_fermion_levels_structure():
-    lv = FermionLevels.from_params(PARAMS)
-    assert lv.eps0 == 0.0
-    assert lv.eps1 <= lv.eps2
-    assert lv.delta_omega == pytest.approx(2.0)
-    assert lv.delta_eps == pytest.approx(math.hypot(2.0, 0.2), rel=1e-15)
-    assert lv.sin_theta_f == pytest.approx(0.2 / math.hypot(2.0, 0.2), rel=1e-15)
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        p = ModelParams(
-            float(rng.uniform(0.2, 3.0)),
-            float(rng.uniform(0.2, 3.0)),
-            float(rng.uniform(0.0, 0.5)),
-            1.0,
-            1.0,
-        )
-        lv = FermionLevels.from_params(p)
-        assert lv.delta_eps >= max(abs(lv.delta_omega), 2.0 * p.t) - 1e-15
-        assert 0.0 <= lv.sin_theta_f <= 1.0
-        assert lv.eps1 + lv.eps2 == pytest.approx(p.omega1 + p.omega2, rel=1e-14)
-
-
-def test_fermion_levels_decoupled_limits_and_degeneracy():
-    for w1, w2 in ((1.0, 3.0), (3.0, 1.0)):
-        lv = FermionLevels.from_params(ModelParams(w1, w2, 0.0, 1.0, 1.0))
-        assert lv.eps1 == pytest.approx(min(w1, w2), rel=1e-15)
-        assert lv.eps2 == pytest.approx(max(w1, w2), rel=1e-15)
-        assert lv.sin_theta_f == 0.0
-    with pytest.raises(DegenerateBasisError):
-        FermionLevels.from_params(ModelParams(1.0, 1.0, 0.0, 1.0, 1.0))
 
 
 def test_sigma1x_fermion_vanishing_coupling():
@@ -293,7 +260,7 @@ def test_fock_and_g_script_errors_bound_mpmath_gap(a, b):
     assert err2 > 0.0 and abs(k2 - (full2 - h2)) <= err2
 
     g_val, g_err = g_script(b, a, 3.0, 0.1)
-    sin_theta = FermionLevels.from_params(UNIT_WEIGHTS).sin_theta_f
+    sin_theta = mixing(UNIT_WEIGHTS).cos_theta
     g_ref = -4.0 * 0.1 / 2.0 * ff_ref / (2.0 * sin_theta)
     assert g_err > 0.0 and abs(g_val - g_ref) <= g_err
 

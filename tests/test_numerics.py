@@ -385,7 +385,8 @@ def test_batched_bridge_matches_polyfit(points, delta, n_windows):
         calls.append(x.size)
         return _bridge_kernel(x)
 
-    patched = nm._PatchedKernel(kernel, points, delta)
+    deltas = np.broadcast_to(delta, len(points)).tolist()
+    patched = nm._PatchedKernel(kernel, points, deltas)
     assert calls == [4 * n_windows]  # every window's nodes in one call
     assert len(patched.windows) == n_windows
     _assert_bridges_match_polyfit(patched)
@@ -395,8 +396,8 @@ def test_clustered_points_bridge_matches_polyfit(monkeypatch):
     made = []
     patched_kernel = nm._PatchedKernel
 
-    def recording(kernel, pts, delta):
-        made.append(patched_kernel(kernel, pts, delta))
+    def recording(kernel, pts, deltas):
+        made.append(patched_kernel(kernel, pts, deltas))
         return made[-1]
 
     monkeypatch.setattr(nm, "_PatchedKernel", recording)
@@ -416,7 +417,7 @@ def test_bridge_rejects_non_finite_fit_nodes():
         return np.where(np.abs(x - 0.998) < 1e-9, np.nan, np.exp(-x))
 
     with pytest.raises(KernelError, match="bridging nodes"):
-        nm._PatchedKernel(kernel, [1.0], 1e-3)
+        nm._PatchedKernel(kernel, [1.0], [1e-3])
     with pytest.raises(KernelError, match="bridging nodes"):
         nm.integrate_semi_infinite(kernel, removable_points=[1.0])
 
@@ -426,7 +427,7 @@ def test_bridged_kernel_rejects_non_finite_values_outside_windows():
     def kernel(x):
         return np.where(x > 3.0, np.inf, np.exp(-x))
 
-    patched = nm._PatchedKernel(kernel, [1.0], 1e-3)
+    patched = nm._PatchedKernel(kernel, [1.0], [1e-3])
     assert np.all(np.isfinite(patched(np.array([0.5, 1.0, 2.5]))))
     with pytest.raises(KernelError, match="outside any declared removable window"):
         patched(np.array([1.0, 4.0]))

@@ -59,6 +59,11 @@ def _raw_weights(mix: SpinMixing, tp: ThermalPoint):
         ) from None
 
 
+def _partition_function(mix: SpinMixing, tp: ThermalPoint):
+    """The pair partition function 2 cosh(beta omega) + 2 cosh(beta epsilon)."""
+    return 2.0 * (math.cosh(tp.beta * mix.omega) + math.cosh(tp.beta * mix.epsilon))
+
+
 def _checked_xi(xi):
     arr = np.asarray(xi, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
@@ -115,32 +120,33 @@ def _combo_f(xi, mix, tp):
 
 def test_mixing_basics():
     p = ModelParams(omega1=1.0, omega2=2.0, t=0.3, f1=0.1, f2=0.1)
-    mix = mixing(p, TP)
+    mix = mixing(p)
     assert mix.omega == pytest.approx(1.5)
     assert mix.epsilon == pytest.approx(0.5 * math.hypot(0.6, 1.0))
     assert mix.cos_theta == pytest.approx(0.6 / math.hypot(0.6, 1.0))
     assert mix.sin_theta == pytest.approx(-1.0 / math.hypot(0.6, 1.0))
     assert mix.cos_theta**2 + mix.sin_theta**2 == pytest.approx(1.0)
-    assert mix.cos_two_theta == pytest.approx(math.cos(2.0 * mix.theta))
-    assert mix.phi == pytest.approx(0.25 * math.pi - 0.5 * mix.theta)
-    zs = 2.0 * math.cosh(2.0 * mix.omega) + 2.0 * math.cosh(2.0 * mix.epsilon)
-    assert mix.z_s == pytest.approx(zs)
+    theta = math.atan2(mix.sin_theta, mix.cos_theta)
+    assert mix.cos_two_theta == pytest.approx(math.cos(2.0 * theta))
 
 
 def test_mixing_detuning_sign_bookkeeping():
-    up = mixing(ModelParams(1.0, 2.0, 0.3, 0.1, 0.1), TP)
-    down = mixing(ModelParams(2.0, 1.0, 0.3, 0.1, 0.1), TP)
-    assert up.eta == -1.0 and down.eta == 1.0
+    up = mixing(ModelParams(1.0, 2.0, 0.3, 0.1, 0.1))
+    down = mixing(ModelParams(2.0, 1.0, 0.3, 0.1, 0.1))
+    assert up.sin_theta < 0.0 < down.sin_theta
     assert up.sin_theta == pytest.approx(-down.sin_theta)
     # omega, epsilon, cos(theta) only see |detuning|
     assert up.omega == down.omega
     assert up.epsilon == down.epsilon
     assert up.cos_theta == pytest.approx(down.cos_theta)
-    res = mixing(ModelParams(1.0, 1.0, 0.3, 0.1, 0.1), TP)
-    assert res.eta == 0.0 and res.sin_theta == 0.0
+    res = mixing(ModelParams(1.0, 1.0, 0.3, 0.1, 0.1))
+    assert res.sin_theta == 0.0
 
 
-def test_mixing_partition_function_bounds():
+def test_mixing_gap_bounds():
+    # The mixed gap 2 epsilon is never below |detuning| or 2 t, and
+    # cos(theta) = 2 t / (2 epsilon), the fermion image's sin(theta_f),
+    # lies in [0, 1] and vanishes exactly at t = 0.
     rng = np.random.default_rng(7)
     for _ in range(20):
         w1 = float(rng.uniform(0.2, 3.0))
@@ -148,17 +154,17 @@ def test_mixing_partition_function_bounds():
         t = float(rng.uniform(0.0, 2.0))
         if t == 0.0 and w1 == w2:
             continue
-        beta = float(rng.uniform(0.1, 8.0))
-        mix = mixing(ModelParams(w1, w2, t, 0.1, 0.1), ThermalPoint(beta))
-        assert mix.z_s >= 4.0
+        mix = mixing(ModelParams(w1, w2, t, 0.1, 0.1))
         assert mix.epsilon >= 0.5 * abs(w1 - w2)
-    cold = mixing(ModelParams(1.0, 2.0, 0.3, 0.1, 0.1), ThermalPoint(math.inf))
-    assert math.isinf(cold.z_s)
+        assert mix.epsilon >= t
+        assert 0.0 <= mix.cos_theta <= 1.0
+    for w1, w2 in ((1.0, 3.0), (3.0, 1.0)):
+        assert mixing(ModelParams(w1, w2, 0.0, 0.1, 0.1)).cos_theta == 0.0
 
 
 def test_mixing_degenerate_basis_rejected():
     with pytest.raises(DegenerateBasisError):
-        mixing(ModelParams(1.0, 1.0, 0.0, 0.1, 0.1), TP)
+        mixing(ModelParams(1.0, 1.0, 0.0, 0.1, 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +173,7 @@ def test_mixing_degenerate_basis_rejected():
 
 def test_kernels_reference_point_against_tau_oracle():
     p = ModelParams(omega1=1.0, omega2=2.0, t=0.3, f1=0.1, f2=0.1)
-    mix = mixing(p, TP)
+    mix = mixing(p)
     xi = 0.7
     og = oracles.g2_combo_tau_reference(xi, mix.omega, mix.epsilon,
                                         mix.sin_theta, TP.beta)
@@ -180,7 +186,7 @@ def test_kernels_reference_point_against_tau_oracle():
 def test_kernels_reference_point_frozen_values():
     # Regression anchors for the oracle-checked point above.
     p = ModelParams(omega1=1.0, omega2=2.0, t=0.3, f1=0.1, f2=0.1)
-    mix = mixing(p, TP)
+    mix = mixing(p)
     g0, g1, g2 = g2_kernels(0.7, mix, TP)
     f1k, f2k = f2_kernels(0.7, mix, TP)
     assert g0 == pytest.approx(-1.64350512495960537e+01, rel=1e-12)
@@ -199,7 +205,7 @@ def test_kernels_random_sweep_against_tau_oracle():
         t = float(rng.uniform(0.05, 2.0))
         beta = float(rng.uniform(0.5, 4.0))
         p = ModelParams(w1, w2, t, 0.1, 0.1)
-        mix = mixing(p, ThermalPoint(beta))
+        mix = mixing(p)
         # stay away from the degenerate mixing surface and pick an
         # abscissa clear of every removable point
         if abs(mix.omega - mix.epsilon) < 1e-2 * mix.omega:
@@ -224,11 +230,11 @@ def test_kernels_vanishing_coupling_identity():
     # detuned integrand times 8 cosh(beta omega2 / 2) cosh(beta omega1 / 2).
     for w1, w2 in [(1.0, 2.0), (2.0, 1.0)]:
         p = ModelParams(w1, w2, 0.0, 0.1, 0.1)
-        mix = mixing(p, TP)
+        mix = mixing(p)
         b = TP.beta
         for xi in (0.35, 0.8, 2.3, 6.0):
             g0, g1, g2 = g2_kernels(xi, mix, TP)
-            combo = g0 + mix.eta * g1 - g2
+            combo = g0 + math.copysign(1.0, p.detuning) * g1 - g2
             pref = 8.0 * math.cosh(0.5 * b * w2) * math.cosh(0.5 * b * w1)
             kern = (w1 - xi * thermal_coth_half(b, xi)
                     * thermal_tanh_half(b, w1)) / (xi * (xi * xi - w1 * w1))
@@ -241,7 +247,7 @@ def test_second_spin_kernel_resonant_leading_order():
     #   / (xi omega (xi^2 - omega^2)).
     w, t, b = 1.0, 1e-5, 2.0
     p = ModelParams(w, w, t, 0.1, 0.1)
-    mix = mixing(p, ThermalPoint(b))
+    mix = mixing(p)
     for xi in (0.4, 1.7, 3.0):
         f1k, _ = f2_kernels(xi, mix, ThermalPoint(b))
         lead = (8.0 * t / (xi * w * (xi * xi - w * w))) * (
@@ -260,19 +266,18 @@ def test_kernel_combinations_high_temperature_order():
     vals_g, vals_f = [], []
     for beta in (2e-2, 1e-2):
         tp = ThermalPoint(beta)
-        mix = mixing(p, tp)
-        vals_g.append(_combo_g(xi, mix, tp) / mix.z_s)
-        vals_f.append(_combo_f(xi, mix, tp) / mix.z_s)
+        mix = mixing(p)
+        vals_g.append(_combo_g(xi, mix, tp) / _partition_function(mix, tp))
+        vals_f.append(_combo_f(xi, mix, tp) / _partition_function(mix, tp))
     assert vals_g[1] / vals_g[0] == pytest.approx(0.25, rel=5e-3)
     assert vals_f[1] / vals_f[0] == pytest.approx(0.125, rel=5e-3)
 
 
 def test_raw_kernels_reject_zero_temperature_and_bad_xi():
     p = ModelParams(1.0, 2.0, 0.3, 0.1, 0.1)
-    mix = mixing(p, ThermalPoint(math.inf))
+    mix = mixing(p)
     with pytest.raises(DomainError):
         g2_kernels(0.7, mix, ThermalPoint(math.inf))
-    mix = mixing(p, TP)
     with pytest.raises(DomainError):
         g2_kernels(-0.5, mix, TP)
     with pytest.raises(DomainError):
@@ -286,8 +291,8 @@ def test_raw_kernels_reject_zero_temperature_and_bad_xi():
 def test_sigma1x_general_against_tau_oracle_integral():
     p = ModelParams(omega1=1.0, omega2=2.0, t=0.3, f1=0.2, f2=0.3)
     tp = ThermalPoint(2.0)
-    mix = mixing(p, tp)
-    h = 0.5 * mix.z_s
+    mix = mixing(p)
+    h = 0.5 * _partition_function(mix, tp)
 
     def integrand(xi):
         return SD.eval(xi) * oracles.g2_combo_tau_reference(
@@ -303,8 +308,8 @@ def test_sigma1x_general_against_tau_oracle_integral():
 def test_sigma2x_general_against_tau_oracle_integral():
     p = ModelParams(omega1=1.0, omega2=2.0, t=0.3, f1=0.2, f2=0.3)
     tp = ThermalPoint(2.0)
-    mix = mixing(p, tp)
-    h = 0.5 * mix.z_s
+    mix = mixing(p)
+    h = 0.5 * _partition_function(mix, tp)
 
     def integrand(xi):
         return SD.eval(xi) * oracles.f2_combo_tau_reference(

@@ -8,7 +8,6 @@ import pytest
 from cohex import fermion, sweep
 from cohex.errors import ConvergenceError, DomainError
 from cohex.fermion import (
-    FermionLevels,
     fock_term,
     g_script,
     hartree_static,
@@ -25,6 +24,7 @@ from cohex.spin_detuned import (
     sigma2x_low_T,
     static_chain,
 )
+from cohex.spin_general import mixing
 from cohex.sweep import (
     AXIS_NAMES,
     FERMION_QUANTITIES,
@@ -343,7 +343,7 @@ class TestRunSweep:
         # g_script's unit-weight model at this cell: omega2/omega1 = 3,
         # t/omega1 = 0.1, omega_c = 0.1 omega1.
         unit = ModelParams(1.0, 3.0, 0.1, 1.0, 1.0)
-        scale = 2.0 * FermionLevels.from_params(unit).sin_theta_f
+        scale = 2.0 * mixing(unit).cos_theta
         for row in table.rows:
             direct = real(unit, OhmicDensity(1.0, 0.1), ThermalPoint(row[0]), cfg)
             assert row[1] == direct.value / scale
@@ -384,6 +384,27 @@ class TestRunSweep:
         )
         share = max(abs(v) for v in values[:n_linear]) * omega_err / omega
         assert 0.0 < share <= err
+
+    @pytest.mark.parametrize("name", ["static_sigma2x", "hartree_fock"])
+    def test_tabulated_omega_is_integrated_once_per_bath(self, monkeypatch, name):
+        # Omega is the weighted integral of 1/xi.  Each cell reads it
+        # several times; the bath integrates it once for the whole sweep.
+        xi = np.linspace(1e-3, 18.0, 200)
+        bath = TabulatedDensity(np.column_stack([xi, xi * np.exp(-xi)]), 1.0)
+        real = TabulatedDensity.weighted_integral
+        probe = np.array([0.618, 1.414])
+        omega_calls = []
+
+        def spy(self, kernel, *args, **kwargs):
+            with np.errstate(all="ignore"):
+                if np.array_equal(kernel(probe), 1.0 / probe):
+                    omega_calls.append(self)
+            return real(self, kernel, *args, **kwargs)
+
+        monkeypatch.setattr(TabulatedDensity, "weighted_integral", spy)
+        spec = SweepSpec(name, (beta_axis(4, 0.5, 8.0, "log"),), bath, PARAMS)
+        assert len(run_sweep(spec).rows) == 4
+        assert omega_calls == [bath]
 
     def test_meta_includes_axes_and_extra(self):
         spec = SweepSpec("sigma1x", (beta_axis(4, 1.0, 8.0, "log"),), BATH, PARAMS)
