@@ -33,6 +33,19 @@ factor F_F, R(T) and G as scalars, ``normalized_fermion`` as
 ((n1, n2), err) with one estimate bounding both, and ``fock_term`` as
 ((k1, k2), (err1, err2)).  The Hartree parts and the high-temperature
 form are closed-form arithmetic and return bare values.
+
+Each quadrature-backed quantity is written once, as a step (see
+``numerics.run_steps``): a generator that checks its inputs, yields all
+its integral requests at once, then assembles and cross-checks the
+outcomes.  Composite quantities ``gather`` the steps they build on, so
+``fock_term`` states its six integrals in one yield.  The public
+functions run their step alone; a sweep runs the steps of many cells in
+lockstep, so every integral of one kernel across the block goes to the
+engine together.  The kernels are module-level functions of xi and
+per-integral parameter columns.  Where a kernel's cancellation noise
+lifts the quadrature tolerance above the requested one, the results of
+``sigma2x_fermion`` and the ``hartree_fock`` sweep rows carry the
+``tolerance-floor`` flag.
 """
 
 from __future__ import annotations
@@ -44,11 +57,15 @@ import numpy as np
 from .errors import CrossFormError, DomainError, NearResonanceError
 from .numerics import (
     DEFAULT_QUADRATURE,
+    Integral,
     QuadratureConfig,
     _exp_scaled_ei_neg,
     bose_n,
     fermi_n,
-    integrate_semi_infinite,
+    gather,
+    requested,
+    run_step,
+    take,
     thermal_coth_half,
     thermal_tanh_half,
 )
@@ -59,9 +76,9 @@ from .spin_detuned import (
     ThermalPoint,
     _linear_in_omega_err,
     _magnitude_flags,
-    coherence_integral,
+    coherence_request,
     detuned_validity_flags,
-    f_dimensionless,
+    f_request,
 )
 from .spin_general import mixing
 
@@ -99,34 +116,37 @@ def _second_flags(params: ModelParams, dw: float) -> tuple:
     return flags
 
 
-def sigma1x_fermion(
-    params: ModelParams,
-    sd: SpectralDensity,
-    tp: ThermalPoint,
-    config: QuadratureConfig | None = None,
-) -> CoherenceResult:
-    """<sigma1x>_F: internal coherence of the fermionized chain.
+def _noise_floor(config: QuadratureConfig, beta_omega1: float, power: int):
+    """``config`` with rel_tol raised to a kernel's cancellation-noise floor.
 
-    Evaluated as 2 f1 f2 tanh(beta omega1/2) (Omega/omega1 - J) with the
-    same shared integral J as the spin coherence, so the exact relation
-
-        <sigma1x> = 2 <sigma1x>_F - 4 f1 f2 Omega tanh(beta omega1/2)/omega1
-
-    holds by construction for any bath.  For an ohmic bath the
-    dimensionless shape-factor form A (omega_c/omega1 - F) is evaluated as
-    well; the J and F routes must agree, and their gap is folded into the
-    error estimate.
+    Relative to its integral, the noise of a thermal kernel grows as a
+    power of 1/(beta omega1); at the hottest points the requested
+    tolerance can sit below it.  Returns (config, raised): ``raised`` is
+    True when the floor lifted rel_tol, which results report as the
+    ``tolerance-floor`` flag.
     """
+    floor = 64.0 * _EPS * max(1.0, 1.0 / beta_omega1) ** power
+    if floor > config.rel_tol:
+        return config.replace(rel_tol=floor), True
+    return config, False
+
+
+def _sigma1x_fermion_step(params, sd, tp, config):
     flags = detuned_validity_flags(params)
     th1 = thermal_tanh_half(tp.beta, params.omega1)
     pre = 2.0 * params.f1 * params.f2 * th1
     if pre == 0.0:
         return CoherenceResult(0.0, 0.0, "full", flags)
-    j, err = coherence_integral(params, sd, tp, config)
-    if isinstance(sd, OhmicDensity):
-        a = params.omega1 / sd.cutoff
-        b = tp.beta * params.omega1
-        f_val, _ = f_dimensionless(a, b, config)
+    ohmic = isinstance(sd, OhmicDensity)
+    requests = [coherence_request(params, sd, tp, config)]
+    if ohmic:
+        requests.append(
+            f_request(params.omega1 / sd.cutoff, tp.beta * params.omega1, config)
+        )
+    outcomes = yield requests
+    j, err = take(outcomes[0])
+    if ohmic:
+        f_val, _ = take(outcomes[1])
         closed = sd.coupling * f_val
         gap = abs(closed - j)
         if gap > _CLOSED_FORM_RTOL * max(abs(j), abs(closed)) + 4.0 * err:
@@ -146,22 +166,39 @@ def sigma1x_fermion(
     )
 
 
-def _folded_x_kernel(
-    omega1_over_omegac: float, beta_omega1: float, omega2_over_omega1: float
-):
+def sigma1x_fermion(
+    params: ModelParams,
+    sd: SpectralDensity,
+    tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
+) -> CoherenceResult:
+    """<sigma1x>_F: internal coherence of the fermionized chain.
+
+    Evaluated as 2 f1 f2 tanh(beta omega1/2) (Omega/omega1 - J) with the
+    same shared integral J as the spin coherence, so the exact relation
+
+        <sigma1x> = 2 <sigma1x>_F - 4 f1 f2 Omega tanh(beta omega1/2)/omega1
+
+    holds by construction for any bath.  For an ohmic bath the
+    dimensionless shape-factor form A (omega_c/omega1 - F) is evaluated as
+    well; the J and F routes must agree, and their gap is folded into the
+    error estimate.
+    """
+    return run_step(_sigma1x_fermion_step(params, sd, tp, config))
+
+
+def _folded_x_kernel(x, a, beta_omega1, g, n1, n2):
     """e^{-a|x|}-weighted kernel of the output shape factor, folded to x > 0.
 
-    Works in units of omega1 (x = xi/omega1).  The two half-lines carry
-    the same rational structure with Bose/Fermi weights of opposite-sign
-    arguments and share the e^{-a|x|} damping, so folding keeps the
-    integration domain semi-infinite; the rational part alone tends to a
-    nonzero constant, so the damping cannot be factored out of the tail.
+    Works in units of omega1 (x = xi/omega1), with a = omega1/omega_c,
+    g = omega2/omega1 and the level occupations n1 = n(omega1), n2 =
+    n(omega2).  The two half-lines carry the same rational structure with
+    Bose/Fermi weights of opposite-sign arguments and share the e^{-a|x|}
+    damping, so folding keeps the integration domain semi-infinite; the
+    rational part alone tends to a nonzero constant, so the damping cannot
+    be factored out of the tail.
     """
-    a = omega1_over_omegac
-    g = omega2_over_omega1
     r = g - 1.0
-    n1 = fermi_n(1.0, beta_omega1)
-    n2 = fermi_n(g, beta_omega1)
 
     def one_side(x):
         nb = bose_n(x, beta_omega1)
@@ -173,18 +210,17 @@ def _folded_x_kernel(
         )
         return (nb + n1) * braces
 
-    def kernel(x):
-        return np.exp(-a * x) * (one_side(x) + one_side(-x))
-
-    return kernel
+    return np.exp(-a * x) * (one_side(x) + one_side(-x))
 
 
-def _f_fermion_parts(
-    omega1_over_omegac: float,
-    beta_omega1: float,
-    omega2_over_omega1: float,
-    config: QuadratureConfig | None,
-):
+def _f_step(omega1_over_omegac, beta_omega1, config):
+    """Step returning the spin shape factor F as (value, err_estimate)."""
+    (outcome,) = yield [f_request(omega1_over_omegac, beta_omega1, config)]
+    return take(outcome)
+
+
+def _f_fermion_parts_step(omega1_over_omegac, beta_omega1, omega2_over_omega1, config):
+    """Step returning (occupation term, kernel integral, its estimate) of F_F."""
     a = float(omega1_over_omegac)
     b = float(beta_omega1)
     g = float(omega2_over_omega1)
@@ -194,18 +230,16 @@ def _f_fermion_parts(
         raise DomainError("omega2_over_omega1 must be positive and finite")
     if not (b > 0.0):
         raise DomainError("beta_omega1 must be positive (inf allowed)")
-    term0 = fermi_n(1.0, b) * (1.0 - 2.0 * fermi_n(g, b)) / (a * g)
+    n1 = fermi_n(1.0, b)
+    n2 = fermi_n(g, b)
+    term0 = n1 * (1.0 - 2.0 * n2) / (a * g)
     cfg = config or DEFAULT_QUADRATURE
-    cfg = cfg.replace(tail_decay_scale=max(1.0 / a, 1.0))
-    # Relative to the integral, the kernel's cancellation noise grows as
-    # the square of 1/(beta omega1); at the hottest points the default
-    # tolerance sits below that floor.
-    floor = 64.0 * _EPS * max(1.0, 1.0 / b) ** 2
-    if floor > cfg.rel_tol:
-        cfg = cfg.replace(rel_tol=floor)
-    xint, err = integrate_semi_infinite(
-        _folded_x_kernel(a, b, g), (1.0, abs(g - 1.0)), cfg
-    )
+    # The kernel's cancellation noise grows as the square of 1/(beta omega1).
+    cfg, _ = _noise_floor(cfg.replace(tail_decay_scale=max(1.0 / a, 1.0)), b, 2)
+    (outcome,) = yield [
+        Integral(_folded_x_kernel, (a, b, g, n1, n2), (1.0, abs(g - 1.0)), cfg)
+    ]
+    xint, err = take(outcome)
     return term0, xint, err
 
 
@@ -223,22 +257,17 @@ def f_fermion_dimensionless(
     changes sign at intermediate temperatures for narrow baths.  Returns
     (F_F, err_estimate), the estimate being the integral's.
     """
-    term0, xint, err = _f_fermion_parts(
+    term0, xint, err = run_step(_f_fermion_parts_step(
         omega1_over_omegac, beta_omega1, omega2_over_omega1, config
-    )
+    ))
     return term0 + xint, err
 
 
-def _shape_factor_route(
-    params: ModelParams,
-    coupling: float,
-    cutoff: float,
-    tp: ThermalPoint,
-    config: QuadratureConfig | None,
-):
-    """(value, err, scale) of <sigma2x>_F from the folded x-kernel form."""
+def _shape_factor_route(params, coupling, cutoff, tp, config):
+    """Step returning (value, err, scale) of <sigma2x>_F from the folded
+    x-kernel form."""
     dw = params.omega2 - params.omega1
-    term0, xint, err = _f_fermion_parts(
+    term0, xint, err = yield from _f_fermion_parts_step(
         params.omega1 / cutoff,
         tp.beta * params.omega1,
         params.omega2 / params.omega1,
@@ -252,68 +281,98 @@ def _shape_factor_route(
     )
 
 
-def _combined_second_kernel(params: ModelParams, tp: ThermalPoint):
+def _combined_second_kernel(xi, w1, w2, beta, n1, n2):
     """Single xi-kernel of the arbitrary-bath <sigma2x>_F organization.
 
     The two occupation groupings diverge like 1/xi^2 individually and
     cancel only in their sum, so they must be evaluated together.
+    n1 and n2 are the level occupations n(w1) and n(w2).
     """
-    w1, w2 = params.omega1, params.omega2
     dw = w2 - w1
-    beta = tp.beta
-    n1 = fermi_n(w1, beta)
-    n2 = fermi_n(w2, beta)
-
-    def kernel(xi):
-        nb = bose_n(xi, beta)
-        below = fermi_n(w1 - xi, beta)
-        above = fermi_n(w1 + xi, beta)
-        group_a = (
-            0.5 / (w1 * (xi - w1))
-            - 0.5 / (w2 * (xi - w1))
-            - below / (xi * (xi - w1))
-            + n2 / (w2 * (xi + dw))
-            + below / ((xi - w1) * (xi + dw))
-        )
-        group_b = (
-            above / ((xi + w1) * (xi - dw))
-            - n2 / (w2 * (xi - dw))
-            - above / (xi * (xi + w1))
-            + 0.5 / ((xi + w1) * w2)
-            - 0.5 / ((xi + w1) * w1)
-        )
-        return (nb + n1) * group_a + (nb + 1.0 - n1) * group_b
-
-    return kernel
+    nb = bose_n(xi, beta)
+    below = fermi_n(w1 - xi, beta)
+    above = fermi_n(w1 + xi, beta)
+    group_a = (
+        0.5 / (w1 * (xi - w1))
+        - 0.5 / (w2 * (xi - w1))
+        - below / (xi * (xi - w1))
+        + n2 / (w2 * (xi + dw))
+        + below / ((xi - w1) * (xi + dw))
+    )
+    group_b = (
+        above / ((xi + w1) * (xi - dw))
+        - n2 / (w2 * (xi - dw))
+        - above / (xi * (xi + w1))
+        + 0.5 / ((xi + w1) * w2)
+        - 0.5 / ((xi + w1) * w1)
+    )
+    return (nb + n1) * group_a + (nb + 1.0 - n1) * group_b
 
 
-def _combined_route(
-    params: ModelParams,
-    sd: SpectralDensity,
-    tp: ThermalPoint,
-    config: QuadratureConfig | None,
-):
-    """(value, err, scale) of <sigma2x>_F from the weighted spectral integral."""
-    dw = params.omega2 - params.omega1
-    kernel = _combined_second_kernel(params, tp)
+def _combined_route(params, sd, tp, config):
+    """Step returning (value, err, scale) of <sigma2x>_F from the weighted
+    spectral integral."""
+    w1, w2, beta = params.omega1, params.omega2, tp.beta
+    dw = w2 - w1
     cfg = config or DEFAULT_QUADRATURE
     if not tp.is_zero_temperature:
         # Same quadratic noise floor as the x-kernel organization.
-        floor = 64.0 * _EPS * max(1.0, 1.0 / (tp.beta * params.omega1)) ** 2
-        if floor > cfg.rel_tol:
-            cfg = cfg.replace(rel_tol=floor)
-    integral, err = sd.weighted_integral(kernel, (params.omega1, abs(dw)), cfg)
+        cfg, _ = _noise_floor(cfg, beta * w1, 2)
+    n1 = fermi_n(w1, beta)
+    n2 = fermi_n(w2, beta)
+    (outcome,) = yield [
+        sd.integral(_combined_second_kernel, (w1, w2, beta, n1, n2), (w1, abs(dw)), cfg)
+    ]
+    integral, err = take(outcome)
     omega, omega_err = sd.reorganization_omega()
-    occupation = (
-        fermi_n(params.omega1, tp.beta)
-        * (1.0 - 2.0 * fermi_n(params.omega2, tp.beta))
-    )
-    const = occupation * omega / params.omega2
+    occupation = n1 * (1.0 - 2.0 * n2)
+    const = occupation * omega / w2
     pre = -4.0 * params.t * params.f1 * params.f2 / dw
     return (
         pre * (integral + const),
-        abs(pre) * (err + abs(occupation) * omega_err / params.omega2),
+        abs(pre) * (err + abs(occupation) * omega_err / w2),
         abs(pre) * (abs(integral) + abs(const)),
+    )
+
+
+def _sigma2x_fermion_step(params, sd, tp, config):
+    dw = _guarded_detuning(params)
+    flags = _second_flags(params, dw)
+    if tp.is_zero_temperature:
+        first = yield from _sigma1x_fermion_step(params, sd, tp, config)
+        factor = params.t / params.omega2
+        value = factor * first.value
+        return CoherenceResult(
+            value,
+            abs(factor) * first.err_estimate,
+            "zero_T_transfer",
+            flags + _magnitude_flags(value),
+        )
+    _, raised = _noise_floor(config or DEFAULT_QUADRATURE, tp.beta * params.omega1, 2)
+    if raised:
+        flags = flags + ("tolerance-floor",)
+    if not isinstance(sd, OhmicDensity):
+        value_c, err_c, _ = yield from _combined_route(params, sd, tp, config)
+        return CoherenceResult(
+            value_c, err_c, "combined_integral", flags + _magnitude_flags(value_c)
+        )
+    (value_c, err_c, scale_c), (value_s, err_s, scale_s) = yield from gather(
+        _combined_route(params, sd, tp, config),
+        _shape_factor_route(params, sd.coupling, sd.cutoff, tp, config),
+    )
+    gap = abs(value_s - value_c)
+    if gap > _DUAL_FORM_RTOL * max(scale_s, scale_c) + 4.0 * (err_s + err_c):
+        raise CrossFormError(
+            "the two organizations of <sigma2x>_F disagree: "
+            f"{value_s!r} (x-kernel) vs {value_c!r} (spectral integral)",
+            values=(value_s, value_c),
+        )
+    value = 0.5 * (value_s + value_c)
+    return CoherenceResult(
+        value,
+        max(err_s, err_c) + 0.5 * gap,
+        "dual_form",
+        flags + _magnitude_flags(value),
     )
 
 
@@ -332,41 +391,11 @@ def sigma2x_fermion(
     well; the result is then their mean with the (typically ~1e-9
     relative) gap folded into ``err_estimate``.  Disagreement beyond
     ``_DUAL_FORM_RTOL`` of the term magnitudes raises ``CrossFormError``.
+    Where the kernels' cancellation noise lifts the quadrature tolerance
+    above the requested one (high temperature), the result carries the
+    ``tolerance-floor`` flag.
     """
-    dw = _guarded_detuning(params)
-    flags = _second_flags(params, dw)
-    if tp.is_zero_temperature:
-        first = sigma1x_fermion(params, sd, tp, config)
-        factor = params.t / params.omega2
-        value = factor * first.value
-        return CoherenceResult(
-            value,
-            abs(factor) * first.err_estimate,
-            "zero_T_transfer",
-            flags + _magnitude_flags(value),
-        )
-    value_c, err_c, scale_c = _combined_route(params, sd, tp, config)
-    if not isinstance(sd, OhmicDensity):
-        return CoherenceResult(
-            value_c, err_c, "combined_integral", flags + _magnitude_flags(value_c)
-        )
-    value_s, err_s, scale_s = _shape_factor_route(
-        params, sd.coupling, sd.cutoff, tp, config
-    )
-    gap = abs(value_s - value_c)
-    if gap > _DUAL_FORM_RTOL * max(scale_s, scale_c) + 4.0 * (err_s + err_c):
-        raise CrossFormError(
-            "the two organizations of <sigma2x>_F disagree: "
-            f"{value_s!r} (x-kernel) vs {value_c!r} (spectral integral)",
-            values=(value_s, value_c),
-        )
-    value = 0.5 * (value_s + value_c)
-    return CoherenceResult(
-        value,
-        max(err_s, err_c) + 0.5 * gap,
-        "dual_form",
-        flags + _magnitude_flags(value),
-    )
+    return run_step(_sigma2x_fermion_step(params, sd, tp, config))
 
 
 def hartree_static(
@@ -398,37 +427,31 @@ def hartree_static(
     return (first, second), _linear_in_omega_err((first, second), omega, omega_err)
 
 
-def _first_fock_kernel(params: ModelParams, tp: ThermalPoint):
-    # Grouped through coth(beta xi/2) and tanh(beta omega1/2): the raw
-    # occupation form pairs 1/(beta xi^2)-sized pieces whose cancellation
-    # noise swamps the small high-temperature remainder.
-    w1 = params.omega1
-    beta = tp.beta
-    n1 = fermi_n(w1, beta)
-    th1 = thermal_tanh_half(beta, w1)
-
-    def kernel(xi):
-        c = thermal_coth_half(beta, xi)
-        denom = xi * xi - w1 * w1
-        return (
-            -0.5 * th1 * c / denom
-            + 0.5 * th1 * xi / (w1 * denom)
-            + n1 * (w1 * w1 - th1 * denom) / (w1 * xi * denom)
-        )
-
-    return kernel
+def _first_fock_kernel(xi, w1, beta, n1, th1):
+    # Grouped through coth(beta xi/2) and tanh(beta omega1/2) = th1: the
+    # raw occupation form pairs 1/(beta xi^2)-sized pieces whose
+    # cancellation noise swamps the small high-temperature remainder.
+    c = thermal_coth_half(beta, xi)
+    denom = xi * xi - w1 * w1
+    return (
+        -0.5 * th1 * c / denom
+        + 0.5 * th1 * xi / (w1 * denom)
+        + n1 * (w1 * w1 - th1 * denom) / (w1 * xi * denom)
+    )
 
 
-def _fermi_diff_over_xi(w1: float, xi, beta: float):
+def _fermi_diff_over_xi(w1, xi, beta):
     """[n(w1 - xi) - n(w1 + xi)] / xi without cancellation at small xi.
 
     The direct difference loses all significance once beta xi is small;
     there the identity n(u) - n(v) = e^{-beta u} (1 - e^{-beta (v - u)}) /
     ((1 + e^{-beta u})(1 + e^{-beta v})) evaluates it through expm1.
+    ``beta`` may be an array, one entry per abscissa; an inf entry takes
+    the direct difference, as a scalar inf does.
     """
     xi = np.asarray(xi, dtype=float)
     direct = (fermi_n(w1 - xi, beta) - fermi_n(w1 + xi, beta)) / xi
-    if math.isinf(beta):
+    if np.ndim(beta) == 0 and math.isinf(beta):
         return direct
     small = (beta * xi < 0.5) & (xi < 0.5 * w1)
     xs = np.where(small, xi, 0.25 * w1)
@@ -439,7 +462,7 @@ def _fermi_diff_over_xi(w1: float, xi, beta: float):
     return np.where(small, stable, direct)
 
 
-def _second_fock_kernel(params: ModelParams, tp: ThermalPoint):
+def _second_fock_kernel(xi, w1, w2, beta, th1, n1, n2):
     """Difference of the two level-resolved dynamical weights.
 
     Each weight alone has poles at xi = omega1 that cancel only inside a
@@ -448,83 +471,64 @@ def _second_fock_kernel(params: ModelParams, tp: ThermalPoint):
     regrouped so Bose and Fermi occupations enter only through coth, tanh
     and the stable Fermi difference: the raw weight difference pairs
     1/(beta xi^2)-sized pieces near xi = 0 whose cancellation noise would
-    defeat the quadrature at high temperature.
+    defeat the quadrature at high temperature.  th1 = tanh(beta w1/2),
+    n1 = n(w1) and n2 = n(w2).
     """
-    w1, w2 = params.omega1, params.omega2
     dw = w2 - w1
-    beta = tp.beta
-    th1 = thermal_tanh_half(beta, w1)
-    n1 = fermi_n(w1, beta)
-    n2 = fermi_n(w2, beta)
     level_pre = 0.5 * (1.0 / w2 - 1.0 / w1)
-
-    def kernel(xi):
-        c = thermal_coth_half(beta, xi)
-        above = fermi_n(w1 + xi, beta)
-        below = fermi_n(w1 - xi, beta)
-        level = level_pre * (th1 * xi - c * w1) / (xi * xi - w1 * w1)
-        shifted = (n2 / w2) * (c * dw + th1 * xi) / (
-            dw * dw - xi * xi
-        ) + n1 * th1 / (w1 * xi)
-        q = (w1 * w1 - xi * xi) * (xi * xi - dw * dw)
-        sum_part = (
-            (below + above) * (w1 - dw)
-            + _fermi_diff_over_xi(w1, xi, beta) * (xi * xi - w1 * dw)
-        ) / q
-        diff_part = (
-            above / ((w1 + xi) * (xi - dw)) - below / ((w1 - xi) * (xi + dw))
-        ) / xi
-        return level + shifted + 0.5 * dw * (c * sum_part + th1 * diff_part)
-
-    return kernel
+    c = thermal_coth_half(beta, xi)
+    above = fermi_n(w1 + xi, beta)
+    below = fermi_n(w1 - xi, beta)
+    level = level_pre * (th1 * xi - c * w1) / (xi * xi - w1 * w1)
+    shifted = (n2 / w2) * (c * dw + th1 * xi) / (
+        dw * dw - xi * xi
+    ) + n1 * th1 / (w1 * xi)
+    q = (w1 * w1 - xi * xi) * (xi * xi - dw * dw)
+    sum_part = (
+        (below + above) * (w1 - dw)
+        + _fermi_diff_over_xi(w1, xi, beta) * (xi * xi - w1 * dw)
+    ) / q
+    diff_part = (
+        above / ((w1 + xi) * (xi - dw)) - below / ((w1 - xi) * (xi + dw))
+    ) / xi
+    return level + shifted + 0.5 * dw * (c * sum_part + th1 * diff_part)
 
 
-def fock_term(
-    params: ModelParams,
-    sd: SpectralDensity,
-    tp: ThermalPoint,
-    config: QuadratureConfig | None = None,
-):
-    """Dynamical (Fock) parts of both fermion coherences.
-
-    Returns ((k1, k2), (err1, err2)) with k = full - Hartree for each
-    coherence, bit for bit the rounded difference, so the decomposition
-    h + k = full holds to one rounding:
-    |(h + k) - full| <= ulp(max(|h|, |k|, |full|)), and exactly whenever
-    full - h is exact.  Each Fock part carries the error estimate of the
-    full coherence it is subtracted from plus the Hartree part's.  Each is
-    also evaluated from its own spectral integral; the subtraction and
-    direct routes are the same quantity by an algebraic identity, so
-    disagreement beyond quadrature tolerance raises ``CrossFormError``.
-    Unlike the Hartree parts, these depend on the full shape of I(xi).
-    """
+def _fock_step(params, sd, tp, config):
+    """Step returning ((k1, k2), (err1, err2), flags) of ``fock_term``."""
     (h1, h2), h_err = hartree_static(params, sd, tp)
-    full1 = sigma1x_fermion(params, sd, tp, config)
-    full2 = sigma2x_fermion(params, sd, tp, config)
-    fock1 = full1.value - h1
-    fock2 = full2.value - h2
-
+    w1, w2, beta = params.omega1, params.omega2, tp.beta
+    dw = w2 - w1
     # The direct integrands carry cancellation noise that grows as the
     # cube of 1/(beta omega1) relative to the Fock remainder, so at high
     # temperature the default tolerance is unreachable; loosen it to the
     # noise floor and let err_estimate report the achieved accuracy.
     cfg = config or DEFAULT_QUADRATURE
+    flags = ()
     if not tp.is_zero_temperature:
-        floor = 64.0 * _EPS * max(1.0, 1.0 / (tp.beta * params.omega1)) ** 3
-        if floor > cfg.rel_tol:
-            cfg = cfg.replace(rel_tol=floor)
-
-    direct1, err1 = sd.weighted_integral(
-        _first_fock_kernel(params, tp), (params.omega1,), cfg
+        cfg, raised = _noise_floor(cfg, beta * w1, 3)
+        flags = ("tolerance-floor",) if raised else ()
+    n1 = fermi_n(w1, beta)
+    th1 = thermal_tanh_half(beta, w1)
+    direct = [
+        sd.integral(_first_fock_kernel, (w1, beta, n1, th1), (w1,), cfg),
+        sd.integral(_second_fock_kernel, (w1, w2, beta, th1, n1, fermi_n(w2, beta)),
+                    (w1, abs(dw)), cfg),
+    ]
+    full1, full2, outcomes = yield from gather(
+        _sigma1x_fermion_step(params, sd, tp, config),
+        _sigma2x_fermion_step(params, sd, tp, config),
+        requested(direct),
     )
+    fock1 = full1.value - h1
+    fock2 = full2.value - h2
+
+    direct1, err1 = take(outcomes[0])
     pre1 = 4.0 * params.f1 * params.f2
     direct1 *= pre1
     err1 *= abs(pre1)
 
-    dw = params.omega2 - params.omega1
-    direct2, err2 = sd.weighted_integral(
-        _second_fock_kernel(params, tp), (params.omega1, abs(dw)), cfg
-    )
+    direct2, err2 = take(outcomes[1])
     pre2 = -4.0 * params.t * params.f1 * params.f2 / dw
     direct2 *= pre2
     err2 *= abs(pre2)
@@ -549,7 +553,57 @@ def fock_term(
                 f"disagree: {routes[0]!r} vs {routes[1]!r}",
                 values=routes,
             )
-    return (fock1, fock2), (full1.err_estimate + h_err, full2.err_estimate + h_err)
+    # The cubic floor lies above the quadratic ones of full2, so ``flags``
+    # covers every raised tolerance of this step.
+    return (
+        (fock1, fock2),
+        (full1.err_estimate + h_err, full2.err_estimate + h_err),
+        flags,
+    )
+
+
+def fock_term(
+    params: ModelParams,
+    sd: SpectralDensity,
+    tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
+):
+    """Dynamical (Fock) parts of both fermion coherences.
+
+    Returns ((k1, k2), (err1, err2)) with k = full - Hartree for each
+    coherence, bit for bit the rounded difference, so the decomposition
+    h + k = full holds to one rounding:
+    |(h + k) - full| <= ulp(max(|h|, |k|, |full|)), and exactly whenever
+    full - h is exact.  Each Fock part carries the error estimate of the
+    full coherence it is subtracted from plus the Hartree part's.  Each is
+    also evaluated from its own spectral integral; the subtraction and
+    direct routes are the same quantity by an algebraic identity, so
+    disagreement beyond quadrature tolerance raises ``CrossFormError``.
+    Unlike the Hartree parts, these depend on the full shape of I(xi).
+    """
+    fock, errs, _ = run_step(_fock_step(params, sd, tp, config))
+    return fock, errs
+
+
+def _ratio_r_step(params, coupling, cutoff, tp, config):
+    if tp.is_zero_temperature:
+        return 1.0, 0.0
+    dw = _guarded_detuning(params)
+    a = params.omega1 / cutoff
+    b = tp.beta * params.omega1
+    (term0, xint, err_ff), (f_val, err_f) = yield from gather(
+        _f_fermion_parts_step(a, b, params.omega2 / params.omega1, config),
+        _f_step(a, b, config),
+    )
+    f_f = term0 + xint
+    denom = 1.0 / a - f_val
+    if denom == 0.0:
+        raise DomainError(
+            "internal shape factor F equals omega_c/omega1; R is undefined"
+        )
+    pre = -(2.0 * params.omega2 / dw) * thermal_coth_half(tp.beta, params.omega1)
+    err = abs(pre / denom) * (err_ff + abs(f_f / denom) * err_f)
+    return pre * f_f / denom, err
 
 
 def ratio_R(
@@ -570,23 +624,7 @@ def ratio_R(
     ohmic helpers' signatures uniform.  Returns (R, err_estimate), the
     estimate carried to first order from F_F and F.
     """
-    if tp.is_zero_temperature:
-        return 1.0, 0.0
-    dw = _guarded_detuning(params)
-    a = params.omega1 / cutoff
-    b = tp.beta * params.omega1
-    f_f, err_ff = f_fermion_dimensionless(
-        a, b, params.omega2 / params.omega1, config
-    )
-    f_val, err_f = f_dimensionless(a, b, config)
-    denom = 1.0 / a - f_val
-    if denom == 0.0:
-        raise DomainError(
-            "internal shape factor F equals omega_c/omega1; R is undefined"
-        )
-    pre = -(2.0 * params.omega2 / dw) * thermal_coth_half(tp.beta, params.omega1)
-    err = abs(pre / denom) * (err_ff + abs(f_f / denom) * err_f)
-    return pre * f_f / denom, err
+    return run_step(_ratio_r_step(params, coupling, cutoff, tp, config))
 
 
 def fermion_high_T(
@@ -605,6 +643,24 @@ def fermion_high_T(
     return -params.t * params.f1 * params.f2 * tp.beta ** 2 * omega / 6.0
 
 
+def _g_script_step(beta_omega1, omega1_over_omegac, omega2_over_omega1,
+                   t_over_omega1, config):
+    if not (omega1_over_omegac > 0.0) or not math.isfinite(omega1_over_omegac):
+        raise DomainError("omega1_over_omegac must be positive and finite")
+    if not (t_over_omega1 > 0.0):
+        raise DomainError(
+            "t_over_omega1 must be positive: the output coherence and "
+            "sin_theta_f both vanish with t and their ratio needs t > 0"
+        )
+    params = ModelParams(1.0, omega2_over_omega1, t_over_omega1, 1.0, 1.0)
+    sd = OhmicDensity(1.0, 1.0 / omega1_over_omegac)
+    tp = ThermalPoint(beta_omega1)
+    result = yield from _sigma2x_fermion_step(params, sd, tp, config)
+    # sin(theta_f) = 2 t / sqrt(delta_omega^2 + 4 t^2), the spin cos(theta)
+    scale = 2.0 * mixing(params).cos_theta
+    return result.value / scale, result.err_estimate / scale
+
+
 def g_script(
     beta_omega1: float,
     omega1_over_omegac: float,
@@ -620,20 +676,29 @@ def g_script(
     where the occupation term and the kernel integral compete.  Returns
     (G, err_estimate), the estimate carried from <sigma2x>_F.
     """
-    if not (omega1_over_omegac > 0.0) or not math.isfinite(omega1_over_omegac):
-        raise DomainError("omega1_over_omegac must be positive and finite")
-    if not (t_over_omega1 > 0.0):
-        raise DomainError(
-            "t_over_omega1 must be positive: the output coherence and "
-            "sin_theta_f both vanish with t and their ratio needs t > 0"
-        )
-    params = ModelParams(1.0, omega2_over_omega1, t_over_omega1, 1.0, 1.0)
-    sd = OhmicDensity(1.0, 1.0 / omega1_over_omegac)
-    tp = ThermalPoint(beta_omega1)
-    result = sigma2x_fermion(params, sd, tp, config)
-    # sin(theta_f) = 2 t / sqrt(delta_omega^2 + 4 t^2), the spin cos(theta)
-    scale = 2.0 * mixing(params).cos_theta
-    return result.value / scale, result.err_estimate / scale
+    return run_step(_g_script_step(
+        beta_omega1, omega1_over_omegac, omega2_over_omega1, t_over_omega1, config
+    ))
+
+
+def _normalized_fermion_step(params, coupling, cutoff, tp, config):
+    if tp.is_zero_temperature:
+        return (1.0, 1.0), 0.0
+    dw = _guarded_detuning(params)
+    a = params.omega1 / cutoff
+    b = tp.beta * params.omega1
+    (f_val, err_f), (term0, xint, err_ff) = yield from gather(
+        _f_step(a, b, config),
+        _f_fermion_parts_step(a, b, params.omega2 / params.omega1, config),
+    )
+    denom0 = 1.0 / a + _exp_scaled_ei_neg(a)
+    th1 = thermal_tanh_half(tp.beta, params.omega1)
+    first = th1 * (1.0 / a - f_val) / denom0
+    pre2 = -(2.0 * params.omega2 / dw)
+    f_f = term0 + xint
+    second = pre2 * f_f / denom0
+    err = max(abs(th1) * err_f, abs(pre2) * err_ff) / abs(denom0)
+    return (first, second), err
 
 
 def normalized_fermion(
@@ -653,19 +718,4 @@ def normalized_fermion(
     ((n1, n2), err_estimate); the estimate, carried from F and F_F, bounds
     both.
     """
-    if tp.is_zero_temperature:
-        return (1.0, 1.0), 0.0
-    dw = _guarded_detuning(params)
-    a = params.omega1 / cutoff
-    b = tp.beta * params.omega1
-    f_val, err_f = f_dimensionless(a, b, config)
-    denom0 = 1.0 / a + _exp_scaled_ei_neg(a)
-    th1 = thermal_tanh_half(tp.beta, params.omega1)
-    first = th1 * (1.0 / a - f_val) / denom0
-    pre2 = -(2.0 * params.omega2 / dw)
-    f_f, err_ff = f_fermion_dimensionless(
-        a, b, params.omega2 / params.omega1, config
-    )
-    second = pre2 * f_f / denom0
-    err = max(abs(th1) * err_f, abs(pre2) * err_ff) / abs(denom0)
-    return (first, second), err
+    return run_step(_normalized_fermion_step(params, coupling, cutoff, tp, config))

@@ -9,15 +9,28 @@ integration path.  This module provides
 * ``bose_n`` / ``fermi_n`` / ``coth_stable`` -- occupation factors that keep
   full relative accuracy for tiny and huge arguments, in numpy alone (the
   package's only run-time dependency),
-* ``integrate_semi_infinite`` -- adaptive Gauss-Kronrod quadrature on a
-  log-mapped semi-infinite domain with windowed polynomial bridging of
-  declared removable singularities.
+* ``integrate_many`` -- adaptive Gauss-Kronrod quadrature on a log-mapped
+  semi-infinite domain with windowed polynomial bridging of declared
+  removable singularities, for many integrals at once;
+  ``integrate_semi_infinite`` is its one-integral call,
+* ``run_steps`` -- the driver of steps: computations that state their
+  integrals (``Integral`` requests), receive the outcomes of one
+  ``integrate_many`` run shared with other steps, then finish.
 
-Each kernel call carries a fixed numpy overhead of a few hundred
-microseconds, far more than the arithmetic on its points, so the engine
-makes few, full calls: a refined panel is cut into ``_SPLIT`` = 8 children
-rather than bisected, and every bridge's fit nodes are evaluated in one
-call and solved in one batched 4 x 4 Vandermonde solve.
+Each kernel call carries a fixed numpy overhead of tens of microseconds,
+far more than the arithmetic on its points, so the engine makes few, full
+calls.  Every requested integral is an owner of panels and refines by its
+own rule: the smallest set of its panels carrying 90% of its error
+estimate is cut into ``_SPLIT`` = 8 children per pass, against its own
+tolerances, panel budget and bridged windows, and its failure
+(``ConvergenceError``, ``KernelError``) is its own.  Only the kernel calls
+are shared: a pass sends the new nodes of all live owners of one kernel
+(and density) in calls of at most ``_MAX_NODES`` = 4,096 nodes, with the
+owners' parameters as per-node columns; the bridges of all owners share
+one call per kernel and one batched 4 x 4 Vandermonde solve.  Every
+reduction is batch-independent (row-wise ``vecdot`` for the GK sums,
+``np.add.reduceat`` and a row-wise cumulative sum per owner), so an
+integral has the same bits alone or in any batch.
 
 Reduced units (hbar = k_B = 1) throughout the package.
 """
@@ -40,6 +53,12 @@ _CLUSTER_RTOL = 1e-6
 
 # Children per refined panel in the adaptive quadrature.
 _SPLIT = 8
+
+# Nodes per kernel call: a pass hands the new panels of many integrals to
+# one kernel in calls of at most this many nodes, which keeps the
+# temporaries of a call small (a 43,000-node call of the heaviest kernel
+# adds about 5 MB of peak memory, a 4,096-node call none).
+_MAX_NODES = 4096
 
 # 15-point Kronrod extension of the 7-point Gauss rule (abscissae in (-1, 1)).
 _XGK = np.array([
@@ -65,6 +84,7 @@ _WG = np.array([
 ])
 
 from .errors import (  # noqa: E402  (exceptions shared across modules)
+    CohexError,
     ConvergenceError,
     DomainError,
     KernelError,
@@ -183,20 +203,36 @@ def _exp_scaled_ei_neg(c: float) -> float:
 # Occupation factors
 # ---------------------------------------------------------------------------
 
-def _thermal_arg(xi, beta: float):
-    if not (beta > 0.0):
+def _thermal_arg(xi, beta):
+    if not (np.all(beta > 0.0) if np.ndim(beta) else beta > 0.0):
         raise DomainError("beta must be positive (use math.inf for zero temperature)")
     return np.asarray(xi, dtype=float)
 
 
-def bose_n(xi, beta: float):
+def _step_temperature(beta) -> bool:
+    """True for a scalar beta = inf: the zero-temperature step functions.
+
+    An array beta (one entry per abscissa, as the quadrature engine passes
+    the columns of integrals it refines together) always takes the
+    finite-temperature formulas.
+    Its entries may be inf: for xi != 0 those formulas then give the step
+    values exactly (exp saturates to 0 or inf, tanh to +-1), while at
+    xi = 0 exactly the product inf * 0 is NaN, which the engine reports as
+    a non-finite kernel value.
+    """
+    return np.ndim(beta) == 0 and math.isinf(beta)
+
+
+def bose_n(xi, beta):
     """Bose occupation 1/(e^{beta xi} - 1); xi may be a scalar or array.
 
     ``beta = inf`` gives the zero-temperature step (0 for xi > 0, -1 for
-    xi < 0).  ``xi = 0`` at finite beta is a domain error.
+    xi < 0).  ``xi = 0`` at finite beta is a domain error.  ``beta`` may
+    be an array broadcasting against ``xi``; see ``_step_temperature``
+    for its inf entries.
     """
     x = _thermal_arg(xi, beta)
-    if math.isinf(beta):
+    if _step_temperature(beta):
         if np.any(x == 0.0):
             raise DomainError("bose_n diverges at xi = 0")
         out = np.where(x > 0.0, 0.0, -1.0)
@@ -210,14 +246,16 @@ def bose_n(xi, beta: float):
     return float(out) if np.isscalar(xi) else out
 
 
-def fermi_n(xi, beta: float):
+def fermi_n(xi, beta):
     """Fermi occupation 1/(e^{beta xi} + 1); xi may be a scalar or array.
 
     ``beta = inf`` gives the zero-temperature step (1/2 at xi = 0).  Above
     beta xi = 709, where the occupation is below 1e-307, it is exactly 0.
+    ``beta`` may be an array broadcasting against ``xi``; see
+    ``_step_temperature`` for its inf entries.
     """
     x = _thermal_arg(xi, beta)
-    if math.isinf(beta):
+    if _step_temperature(beta):
         out = np.where(x > 0.0, 0.0, np.where(x < 0.0, 1.0, 0.5))
         return float(out) if np.isscalar(xi) else out
     bx = beta * x
@@ -283,9 +321,13 @@ def thermal_tanh_half(beta: float, energy: float) -> float:
     return math.tanh(0.5 * beta * energy)
 
 
-def thermal_coth_half(beta: float, xi):
-    """coth(beta * xi / 2); at beta = inf this is sign(xi)."""
-    if math.isinf(beta):
+def thermal_coth_half(beta, xi):
+    """coth(beta * xi / 2); at beta = inf this is sign(xi).
+
+    ``beta`` may be an array broadcasting against ``xi``; see
+    ``_step_temperature`` for its inf entries.
+    """
+    if _step_temperature(beta):
         arr = np.asarray(xi, dtype=float)
         out = np.sign(arr)
         return float(out) if np.isscalar(xi) else out
@@ -296,200 +338,34 @@ def thermal_coth_half(beta: float, xi):
 # Adaptive Gauss-Kronrod engine
 # ---------------------------------------------------------------------------
 
-class _PatchedKernel:
-    """Wraps a kernel, replacing declared removable windows by cubics.
+class Integral:
+    """One integral over (0, inf), as the quadrature engine takes it.
 
-    A window around a removable point p spans [p (1 - delta), p (1 + delta)].
-    ``points`` must be positive, finite, distinct and ascending, as
-    ``integrate_semi_infinite`` passes them, with one relative width
-    delta per point in ``deltas``.  Overlapping windows are merged.
-    Inside a (merged) window [L, R] the kernel is replaced by the cubic
-    interpolating its values at L - w, L, R, R + w with w = (R - L)/2, so
-    the limit value at the singular abscissa is never requested.
+    The integrand is ``kernel(xi, *columns)``, times ``density(xi,
+    *density_columns)`` when a density is given (and exactly 0 wherever
+    the density is 0).  ``columns`` and ``density_columns`` are the
+    integral's own scalars: the engine hands the functions one array per
+    column, with one entry per node, so the nodes of every integral of one
+    kernel and density go to them in shared calls.
     """
 
-    def __init__(self, kernel: Callable, points: Sequence[float],
-                 deltas: Sequence[float]):
+    __slots__ = ("kernel", "columns", "removable_points", "config",
+                 "density", "density_columns")
+
+    def __init__(self, kernel: Callable, columns: tuple = (),
+                 removable_points: Sequence[float] = (),
+                 config: QuadratureConfig | None = None,
+                 density: Callable | None = None, density_columns: tuple = ()):
         self.kernel = kernel
-        merged: list[list[float]] = []
-        for p, d in zip(points, deltas):
-            lo, hi = p - d * p, p + d * p
-            # Merge if the outer fit nodes would land inside the neighbour.
-            if merged and lo - (hi - lo) / 2.0 <= merged[-1][1]:
-                merged[-1][1] = hi
-            else:
-                merged.append([lo, hi])
-        self.windows = []
-        if not merged:
-            return
-        # All windows' fit nodes go to the kernel in one call, and the
-        # cubics come from one batched solve of the 4 x 4 Vandermonde
-        # systems: a cubic through four nodes is their interpolant.
-        lo = np.array([m[0] for m in merged])
-        hi = np.array([m[1] for m in merged])
-        w = 0.5 * (hi - lo)
-        nodes = np.stack([np.maximum(lo - w, 0.25 * lo), lo, hi, hi + w], axis=1)
-        vals = np.asarray(kernel(nodes.reshape(-1)), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise KernelError(
-                "kernel is non-finite at bridging nodes near a removable point"
-            )
-        center = 0.5 * (lo + hi)
-        half = np.maximum(0.5 * (nodes[:, -1] - nodes[:, 0]), 1e-300)
-        t = (nodes - center[:, None]) / half[:, None]
-        coeffs = np.linalg.solve(
-            t[:, :, None] ** np.arange(4), vals.reshape(-1, 4, 1)
-        )[:, :, 0]
-        self.windows = list(zip(lo.tolist(), hi.tolist(), center.tolist(),
-                                half.tolist(), coeffs))
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        outside = np.ones(x.shape, dtype=bool)
-        for lo, hi, center, half, coeffs in self.windows:
-            mask = (x >= lo) & (x <= hi)
-            if np.any(mask):
-                out[mask] = np.polynomial.polynomial.polyval(
-                    (x[mask] - center) / half, coeffs
-                )
-            outside &= ~mask
-        if np.any(outside):
-            vals = np.asarray(self.kernel(x[outside]), dtype=float)
-            if not np.all(np.isfinite(vals)):
-                bad = x[outside][~np.isfinite(vals)]
-                raise KernelError(
-                    "kernel returned a non-finite value at xi = %r outside any "
-                    "declared removable window" % (bad[:3].tolist(),)
-                )
-            out[outside] = vals
-        return out
+        self.columns = tuple(columns)
+        self.removable_points = tuple(removable_points)
+        self.config = config or DEFAULT_QUADRATURE
+        self.density = density
+        self.density_columns = tuple(density_columns)
 
 
-def _gk_evaluate(f, lo: np.ndarray, hi: np.ndarray):
-    """Evaluate the GK15 rule on a batch of panels; returns (k15, err, resabs)."""
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = center[:, None] + half[:, None] * _XGK[None, :]
-    vals = np.asarray(f(nodes.reshape(-1)), dtype=float).reshape(nodes.shape)
-    k15 = (vals @ _WGK) * half
-    g7 = (vals[:, 1::2] @ _WG) * half
-    resabs = (np.abs(vals) @ _WGK) * half
-    err = np.abs(k15 - g7)
-    return k15, err, resabs
-
-
-def _split_panels(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray):
-    """Cut panel i into counts[i] equal children; returns their (lo, hi).
-
-    Children of one panel share their inner edges bit for bit, and the
-    outer edges are the parent's own.
-    """
-    owner = np.repeat(np.arange(lo.size), counts)
-    n = counts[owner]
-    j = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
-    base = lo[owner]
-    width = hi[owner] - base
-    child_lo = base + width * (j / n)
-    child_hi = np.where(j + 1 == n, hi[owner], base + width * ((j + 1) / n))
-    return child_lo, child_hi
-
-
-def _adaptive_panels(f, breaks: np.ndarray, config: QuadratureConfig):
-    """Adaptive refinement on (breaks[0], breaks[-1]) driven by GK15 estimates.
-
-    Each pass selects the smallest set of panels carrying ~90% of the error
-    estimate and cuts every selected panel into ``_SPLIT`` equal children,
-    all evaluated in one kernel batch.  The fixed cost of a batch dwarfs
-    its arithmetic, so fewer, fuller batches are cheaper than bisection,
-    even though they spend some extra points on panels that two children
-    would have settled.  When the panel budget cannot take full splits,
-    the worst panels get them and one more gets the children that still
-    fit, so the panel count never exceeds ``max_subdivisions``.
-
-    Returns (value, err_estimate), the estimate being at least the rounding
-    floor 50 eps integral |f|.  Raises ConvergenceError if the panel budget
-    is exhausted while the estimate is still above both the requested
-    target and the rounding floor.
-    """
-    lo = breaks[:-1].copy()
-    hi = breaks[1:].copy()
-    k15, err, resabs = _gk_evaluate(f, lo, hi)
-    for _ in range(10000):
-        order = np.argsort(lo, kind="stable")
-        total = float(np.sum(k15[order]))
-        total_err = float(np.sum(err))
-        floor = 50.0 * _EPS * float(np.sum(resabs))
-        target = max(config.rel_tol * abs(total), config.abs_tol, floor)
-        if total_err <= target:
-            # As in QUADPACK, the estimate never claims more accuracy than
-            # the rounding floor: GK differences of a smooth integrand can
-            # fall below one ulp of the sum.
-            return total, max(total_err, floor)
-        budget = config.max_subdivisions - lo.size
-        if budget <= 0:
-            if total_err <= 10.0 * floor:
-                return total, total_err
-            raise ConvergenceError(
-                "quadrature did not reach tolerance within the panel budget",
-                partial=total,
-                err_estimate=total_err,
-            )
-        # Split the smallest set of panels carrying ~90% of the error.
-        rank = np.argsort(-err, kind="stable")
-        cum = np.cumsum(err[rank])
-        n_split = int(np.searchsorted(cum, 0.9 * total_err)) + 1
-        n_full, rest = divmod(budget, _SPLIT - 1)
-        counts = np.full(min(n_split, n_full, lo.size), _SPLIT)
-        if counts.size < min(n_split, lo.size) and rest:
-            counts = np.append(counts, rest + 1)
-        sel = rank[:counts.size]
-        keep = np.ones(lo.size, dtype=bool)
-        keep[sel] = False
-        child_lo, child_hi = _split_panels(lo[sel], hi[sel], counts)
-        k15_new, err_new, resabs_new = _gk_evaluate(f, child_lo, child_hi)
-        lo = np.concatenate([lo[keep], child_lo])
-        hi = np.concatenate([hi[keep], child_hi])
-        k15 = np.concatenate([k15[keep], k15_new])
-        err = np.concatenate([err[keep], err_new])
-        resabs = np.concatenate([resabs[keep], resabs_new])
-    raise ConvergenceError("quadrature refinement loop did not terminate")
-
-
-def _semi_infinite_breaks(interior: Sequence[float], scale: float) -> np.ndarray:
-    u_pts = [0.0, 1.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.97]
-    for x in interior:
-        if x > 0.0 and math.isfinite(x):
-            u = -math.expm1(-x / scale)
-            if 1e-14 < u < 1.0 - 1e-14:
-                u_pts.append(u)
-    return np.array(sorted(set(u_pts)))
-
-
-def integrate_semi_infinite(
-    kernel: Callable,
-    removable_points: Sequence[float] = (),
-    config: QuadratureConfig | None = None,
-):
-    """Integrate ``kernel`` over (0, inf).
-
-    Parameters
-    ----------
-    kernel : callable
-        Vectorized map from an array of abscissae to integrand values.
-        Must be finite everywhere except possibly at the declared
-        removable points.
-    removable_points : sequence of float
-        Abscissae where the kernel is 0/0-removable.  A window around each
-        is bridged by a cubic through straddling sample points.
-    config : QuadratureConfig, optional
-
-    Returns
-    -------
-    (value, err_estimate) : tuple of float
-    """
-    cfg = config or DEFAULT_QUADRATURE
-    scale = cfg.tail_decay_scale
+def _bridge_points(removable_points: Sequence[float], cfg: QuadratureConfig):
+    """Removable points to bridge and each one's relative window width."""
     raw = sorted(float(p) for p in removable_points if p > 0.0 and math.isfinite(p))
     # Two removable points closer than the bridge resolution act as one
     # removable feature: the kernel is regular between them, but sampled
@@ -515,27 +391,615 @@ def integrate_semi_infinite(
         if near:
             delta = min(delta, 0.2 * min(near))
         deltas.append(max(delta, 3.0 * spread / p))
-    patched = _PatchedKernel(kernel, pts, deltas) if pts else kernel
+    return pts, deltas
 
-    def f_u(u):
-        u = np.asarray(u, dtype=float)
-        # Nodes of very deep panels can round to u = 1.0 exactly; by then
-        # xi > 35 * scale and the mapped integrand is below double noise.
-        live = u < 1.0 - 4.9e-16
-        u_safe = np.where(live, u, 0.5)
-        xi = -scale * np.log1p(-u_safe)
-        jac = scale / (1.0 - u_safe)
-        vals = np.asarray(patched(xi), dtype=float)
-        if patched is kernel and not np.all(np.isfinite(vals)):
-            bad = xi[~np.isfinite(vals)]
-            raise KernelError(
-                "kernel returned a non-finite value at xi = %r" % (bad[:3].tolist(),)
+
+def _merged_windows(points: Sequence[float], deltas: Sequence[float]) -> list:
+    """[lo, hi] of the bridged windows around ascending removable points.
+
+    A window around p spans [p (1 - delta), p (1 + delta)]; windows whose
+    outer fit nodes would land inside a neighbour are merged.
+    """
+    merged: list[list[float]] = []
+    for p, d in zip(points, deltas):
+        lo, hi = p - d * p, p + d * p
+        if merged and lo - (hi - lo) / 2.0 <= merged[-1][1]:
+            merged[-1][1] = hi
+        else:
+            merged.append([lo, hi])
+    return merged
+
+
+def _bridge_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(n, 4) fit nodes L - w, L, R, R + w of windows [L, R], w = (R - L)/2."""
+    w = 0.5 * (hi - lo)
+    return np.stack([np.maximum(lo - w, 0.25 * lo), lo, hi, hi + w], axis=1)
+
+
+def _bridge_cubics(nodes: np.ndarray, vals: np.ndarray):
+    """(center, half, coefficients) of the cubics through each window's nodes.
+
+    One batched solve of the 4 x 4 Vandermonde systems in the window's
+    own variable t = (xi - center)/half; each system is solved on its
+    own, so a cubic does not depend on the others in the batch.
+    """
+    center = 0.5 * (nodes[:, 1] + nodes[:, 2])
+    half = np.maximum(0.5 * (nodes[:, -1] - nodes[:, 0]), 1e-300)
+    t = (nodes - center[:, None]) / half[:, None]
+    coeffs = np.linalg.solve(t[:, :, None] ** np.arange(4), vals.reshape(-1, 4, 1))
+    return center, half, coeffs[:, :, 0]
+
+
+def _gk_evaluate(f, lo: np.ndarray, hi: np.ndarray):
+    """Evaluate the GK15 rule on a batch of panels; returns (k15, err, resabs).
+
+    Each panel's sums are reduced on their own row (``vecdot``, one dot
+    product per row, not a matrix product whose blocking depends on the
+    batch), so a panel's results do not depend on the other panels
+    evaluated with it.
+    """
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = center[:, None] + half[:, None] * _XGK[None, :]
+    vals = np.asarray(f(nodes.reshape(-1)), dtype=float).reshape(nodes.shape)
+    k15 = np.vecdot(vals, _WGK) * half
+    g7 = np.vecdot(vals[:, 1::2], _WG) * half
+    resabs = np.vecdot(np.abs(vals), _WGK) * half
+    err = np.abs(k15 - g7)
+    return k15, err, resabs
+
+
+def _split_panels(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray):
+    """Cut panel i into counts[i] equal children; returns their (lo, hi).
+
+    Children of one panel share their inner edges bit for bit, and the
+    outer edges are the parent's own.
+    """
+    owner = np.repeat(np.arange(lo.size), counts)
+    n = counts[owner]
+    j = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+    base = lo[owner]
+    width = hi[owner] - base
+    child_lo = base + width * (j / n)
+    child_hi = np.where(j + 1 == n, hi[owner], base + width * ((j + 1) / n))
+    return child_lo, child_hi
+
+
+def _semi_infinite_breaks(interior: Sequence[float], scale: float) -> np.ndarray:
+    u_pts = [0.0, 1.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.97]
+    for x in interior:
+        if x > 0.0 and math.isfinite(x):
+            u = -math.expm1(-x / scale)
+            if 1e-14 < u < 1.0 - 1e-14:
+                u_pts.append(u)
+    return np.array(sorted(set(u_pts)))
+
+
+def _cubic(t, c):
+    """sum c[k] t^k by Horner's rule from the top, as numpy's polyval sums it."""
+    v = c[3] + t * 0
+    v = c[2] + v * t
+    v = c[1] + v * t
+    return c[0] + v * t
+
+
+def _owners_of(own, which):
+    """The owners of the nodes or panels ``which`` (a mask or a slice) selects.
+
+    ``own`` holds one owner per node or panel, or is one owner's index for
+    all of them: a lone integral's columns and windows stay scalars.
+    """
+    return own[which] if isinstance(own, np.ndarray) else own
+
+
+class _Group:
+    """The integrals of one (kernel, density) pair, owners from ``first`` on."""
+
+    def __init__(self, kernel, density, first, requests):
+        self.kernel = kernel
+        self.density = density
+        self.first = first
+        self.columns = [np.array(c, dtype=float) for c in zip(*(r.columns for r in requests))]
+        self.density_columns = [
+            np.array(c, dtype=float) for c in zip(*(r.density_columns for r in requests))
+        ]
+        self.max_windows = 0
+
+
+def _split_counts(err, n_pan, starts, total_err, budget):
+    """Children per panel: each owner splits the smallest set of its
+    panels carrying ~90% of its error estimate into ``_SPLIT`` children.
+
+    When an owner's panel budget cannot take full splits, its worst
+    panels get them and one more gets the children that still fit, so
+    no owner exceeds ``max_subdivisions``.
+    """
+    pos = np.repeat(np.arange(n_pan.size), n_pan)
+    rank = np.lexsort((-err, pos))
+    r = np.arange(err.size) - starts[pos]
+    sorted_err = np.zeros((n_pan.size, int(n_pan.max())))
+    sorted_err[pos, r] = err[rank]
+    cum = np.cumsum(sorted_err, axis=1)
+    n_split = np.count_nonzero(cum < (0.9 * total_err)[:, None], axis=1) + 1
+    n_full, rest = np.divmod(budget, _SPLIT - 1)
+    n_sel = np.minimum(np.minimum(n_split, n_full), n_pan)
+    extra = (n_sel < np.minimum(n_split, n_pan)) & (rest > 0)
+    n_sel, extra, rest = n_sel[pos], extra[pos], rest[pos]
+    by_rank = np.where(r < n_sel, _SPLIT, np.where(extra & (r == n_sel), rest + 1, 1))
+    counts = np.empty_like(by_rank)
+    counts[rank] = by_rank
+    return counts
+
+
+def _merged(counts, old, children):
+    """Panel arrays with each split panel replaced, in place, by its children."""
+    fresh = (counts > 1).repeat(counts).nonzero()[0]
+    out = []
+    for a, c in zip(old, children):
+        arr = a.repeat(counts)
+        arr[fresh] = c
+        out.append(arr)
+    return out
+
+
+class _Engine:
+    """Owner-indexed adaptive GK15 on the log-mapped half line.
+
+    Every owner (one requested integral) refines exactly as it would
+    alone: its own panels, tolerances, panel budget and bridged windows.
+    Only the kernel calls are shared: each pass evaluates the new panels
+    of all live owners of one group in calls of at most ``_MAX_NODES``
+    nodes.  Panels are kept sorted by (owner, lo), and every per-owner
+    reduction (``np.add.reduceat``, a row-wise cumulative sum) reads that
+    owner's panels alone, so an owner's result has the same bits in any
+    batch.
+    """
+
+    def __init__(self, requests):
+        keyed: dict = {}
+        for i, r in enumerate(requests):
+            keyed.setdefault((r.kernel, r.density), []).append(i)
+        self.order = [i for members in keyed.values() for i in members]
+        self.owners = [requests[i] for i in self.order]
+        self.groups = []
+        group_of = []
+        for (kernel, density), members in keyed.items():
+            group = _Group(kernel, density, len(group_of),
+                           [requests[i] for i in members])
+            group_of.extend([len(self.groups)] * len(members))
+            self.groups.append(group)
+        self.group_of = np.array(group_of, dtype=np.intp)
+        n = len(self.owners)
+        self.scale = np.array([r.config.tail_decay_scale for r in self.owners])
+        self.outcome: list = [None] * n
+        self.dead = np.zeros(n, dtype=bool)
+        windows, breaks = [], []
+        for o, r in enumerate(self.owners):
+            pts, deltas = _bridge_points(r.removable_points, r.config)
+            merged = _merged_windows(pts, deltas)
+            windows.append(merged)
+            group = self.groups[group_of[o]]
+            group.max_windows = max(group.max_windows, len(merged))
+            interior = []
+            for p, delta in zip(pts, deltas):
+                h = delta * p
+                interior.extend([p - h, p, p + h, p + 2 * h, max(p - 2 * h, p / 2)])
+            breaks.append(_semi_infinite_breaks(interior, r.config.tail_decay_scale))
+        self.has_windows = [bool(w) for w in windows]
+        self._bridge(windows)
+        self.breaks = breaks
+
+    # -- integrand ---------------------------------------------------------
+    def _fail(self, owner: int, message: str):
+        if not self.dead[owner]:
+            self.dead[owner] = True
+            self.outcome[owner] = KernelError(message)
+
+    def _integrand(self, group: _Group, xi: np.ndarray, own):
+        """Kernel (times density) at xi, each node with its owner's columns."""
+        if not (group.columns or group.density_columns):
+            vals = np.asarray(group.kernel(xi), dtype=float)
+            if group.density is not None:
+                dens = group.density(xi)
+                vals = np.where(dens == 0.0, 0.0, dens * vals)
+            return vals
+        local = own - group.first
+        vals = np.asarray(
+            group.kernel(xi, *[c[local] for c in group.columns]), dtype=float
+        )
+        if group.density is not None:
+            dens = group.density(xi, *[c[local] for c in group.density_columns])
+            vals = np.where(dens == 0.0, 0.0, dens * vals)
+        return vals
+
+    def _bridge(self, windows):
+        """Fit every owner's window cubics: one call per group, one solve."""
+        count = np.array([len(w) for w in windows], dtype=np.intp)
+        self.w_start = np.cumsum(count) - count
+        self.w_count = count
+        flat = [w for ws in windows for w in ws]
+        if not flat:
+            return
+        lo = np.array([w[0] for w in flat])
+        hi = np.array([w[1] for w in flat])
+        nodes = _bridge_nodes(lo, hi)
+        w_owner = np.repeat(np.arange(count.size), count)
+        vals = np.empty_like(nodes)
+        for a, b, group in self._segments(w_owner):
+            per_call = _MAX_NODES // 4
+            for c in range(a, b, per_call):
+                d = min(c + per_call, b)
+                vals[c:d] = self._integrand(
+                    group, nodes[c:d].reshape(-1), np.repeat(w_owner[c:d], 4)
+                ).reshape(-1, 4)
+        self.w_lo, self.w_hi = lo, hi
+        # Per owner, the bounds and index of its k-th window, for each k;
+        # an owner with fewer windows gets the empty window [inf, -inf].
+        rank = np.arange(int(count.max()))
+        has = count[:, None] > rank
+        w = np.where(has, self.w_start[:, None] + rank, 0)
+        self.w_by_rank = list(zip(np.where(has, lo[w], np.inf).T,
+                                  np.where(has, hi[w], -np.inf).T, w.T))
+        good = np.isfinite(vals).all(axis=1)
+        if good.all():
+            self.w_center, self.w_half, self.w_coef = _bridge_cubics(nodes, vals)
+            return
+        for o in sorted(set(w_owner[~good].tolist())):
+            self._fail(o, "kernel is non-finite at bridging nodes near a removable point")
+        # A failed owner's windows are never read again.
+        self.w_center = np.zeros(lo.size)
+        self.w_half = np.ones(lo.size)
+        self.w_coef = np.zeros((lo.size, 4))
+        if good.any():
+            center, half, coef = _bridge_cubics(nodes[good], vals[good])
+            self.w_center[good], self.w_half[good], self.w_coef[good] = center, half, coef
+
+    def _segments(self, own: np.ndarray):
+        """(start, end, group) of the runs of one group in an owner-sorted array."""
+        if len(self.groups) == 1:
+            return [(0, own.size, self.groups[0])]
+        grp = self.group_of[own]
+        cuts = np.flatnonzero(grp[1:] != grp[:-1]) + 1
+        bounds = [0] + cuts.tolist() + [own.size]
+        return [(a, b, self.groups[grp[a]]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def _bridged(self, group: _Group, xi: np.ndarray, own):
+        """The integrand at xi, with every owner's windows replaced by cubics."""
+        if group.max_windows == 0:
+            return self._checked(group, xi, own)
+        out = np.empty_like(xi)
+        inside = np.zeros(xi.shape, dtype=bool)
+        for w_lo, w_hi, w in self.w_by_rank[:group.max_windows]:
+            mask = (xi >= w_lo[own]) & (xi <= w_hi[own])
+            if mask.any():
+                wm = w[_owners_of(own, mask)]
+                out[mask] = _cubic((xi[mask] - self.w_center[wm]) / self.w_half[wm],
+                                   self.w_coef[wm].T)
+                inside |= mask
+        outside = ~inside
+        if outside.any():
+            out[outside] = self._checked(group, xi[outside], _owners_of(own, outside))
+        return out
+
+    def _checked(self, group: _Group, xi: np.ndarray, own):
+        """The integrand at xi; an owner with a non-finite value fails."""
+        vals = self._integrand(group, xi, own)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            bad_own = np.broadcast_to(own, xi.shape)[bad]
+            for o in sorted(set(bad_own.tolist())):
+                hit = xi[bad][bad_own == o]
+                msg = "kernel returned a non-finite value at xi = %r" % (hit[:3].tolist(),)
+                if self.has_windows[o]:
+                    msg += " outside any declared removable window"
+                self._fail(o, msg)
+            vals = np.where(bad, 0.0, vals)
+        return vals
+
+    def _evaluate(self, lo: np.ndarray, hi: np.ndarray, own: np.ndarray):
+        """GK15 on owner-sorted panels: (k15, err, resabs) per panel."""
+        k15 = np.empty(lo.size)
+        err = np.empty(lo.size)
+        res = np.empty(lo.size)
+        if lo.size == 0:
+            return k15, err, res
+        for a, b, group in self._segments(own):
+            k15[a:b], err[a:b], res[a:b] = self._evaluate_group(
+                group, lo[a:b], hi[a:b], own[a:b]
             )
-        return np.where(live, vals * jac, 0.0)
+        return k15, err, res
 
-    interior = []
-    for p, delta in zip(pts, deltas):
-        h = delta * p
-        interior.extend([p - h, p, p + h, p + 2 * h, max(p - 2 * h, p / 2)])
-    breaks = _semi_infinite_breaks(interior, scale)
-    return _adaptive_panels(f_u, breaks, cfg)
+    def _evaluate_group(self, group: _Group, lo, hi, own):
+        """GK15 on panels of one group, in calls of at most _MAX_NODES nodes."""
+        per_call = _MAX_NODES // _XGK.size
+        if lo.size <= per_call:
+            return _gk_evaluate(self._mapped(group, own), lo, hi)
+        parts = [
+            _gk_evaluate(self._mapped(group, _owners_of(own, slice(c, c + per_call))),
+                         lo[c:c + per_call], hi[c:c + per_call])
+            for c in range(0, lo.size, per_call)
+        ]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    def _mapped(self, group: _Group, own):
+        """The integrand in u = 1 - exp(-xi/scale) at the nodes of ``own``'s panels."""
+        node_own = np.repeat(own, _XGK.size) if isinstance(own, np.ndarray) else own
+        scale = self.scale[node_own]
+
+        def f_u(u):
+            # Nodes of very deep panels can round to u = 1.0 exactly; by
+            # then xi > 35 * scale and the mapped integrand is below
+            # double noise.
+            live = u < 1.0 - 4.9e-16
+            u_safe = np.where(live, u, 0.5)
+            xi = -scale * np.log1p(-u_safe)
+            jac = scale / (1.0 - u_safe)
+            vals = self._bridged(group, xi, node_own)
+            return np.where(live, vals * jac, 0.0)
+
+        return f_u
+
+    # -- refinement --------------------------------------------------------
+    def run(self) -> list:
+        # Owner-count switch: a lone integral (every public one-integral
+        # call) refines in scalars, its owner one index for all nodes.  Run
+        # through ``_refine``, the per-owner bookkeeping of a pass (segment
+        # starts, a lexsort, a padded row-wise cumulative sum, owner arrays
+        # per panel and node) makes a lone ohmic coherence_integral about
+        # 50% slower (1.19-1.31 ms against 0.81-0.87 ms, timeit minimum on
+        # a 2-CPU x86 box).  Both loops do the same arithmetic on each node
+        # and make the same choices, so an integral has the same bits
+        # either way.
+        if len(self.owners) == 1:
+            self._refine_one()
+        else:
+            self._refine()
+        outcomes = [None] * len(self.order)
+        for owner, i in enumerate(self.order):
+            outcomes[i] = self.outcome[owner]
+        return outcomes
+
+    def _refine_one(self):
+        """``_refine`` for a lone owner, with its per-owner arrays as scalars."""
+        if self.dead[0]:
+            return
+        group = self.groups[0]
+        cfg = self.owners[0].config
+        rel_tol, abs_tol, max_sub = cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions
+        # reduceat sums in order, as ``_refine``'s per-owner sums do; np.sum
+        # would sum pairwise and round differently.
+        first = np.zeros(1, dtype=np.intp)
+        lo, hi = self.breaks[0][:-1], self.breaks[0][1:]
+        k15, err, res = self._evaluate_group(group, lo, hi, 0)
+        for _ in range(10000):
+            if self.dead[0]:
+                return
+            total = float(np.add.reduceat(k15, first)[0])
+            total_err = float(np.add.reduceat(err, first)[0])
+            floor = 50.0 * _EPS * float(np.add.reduceat(res, first)[0])
+            done = total_err <= max(rel_tol * abs(total), abs_tol, floor)
+            budget = max_sub - lo.size
+            if done or budget <= 0:
+                self._finish(0, total, total_err, floor, done)
+                return
+            rank = np.argsort(-err, kind="stable")
+            cum = np.cumsum(err[rank])
+            n_split = int(np.searchsorted(cum, 0.9 * total_err)) + 1
+            n_full, rest = divmod(budget, _SPLIT - 1)
+            n_sel = min(n_split, n_full, lo.size)
+            counts = np.ones(lo.size, dtype=np.intp)
+            counts[rank[:n_sel]] = _SPLIT
+            if n_sel < min(n_split, lo.size) and rest:
+                counts[rank[n_sel]] = rest + 1
+            sel = np.flatnonzero(counts > 1)
+            child_lo, child_hi = _split_panels(lo[sel], hi[sel], counts[sel])
+            new = self._evaluate_group(group, child_lo, child_hi, 0)
+            lo, hi, k15, err, res = _merged(
+                counts, (lo, hi, k15, err, res), (child_lo, child_hi) + new
+            )
+        raise ConvergenceError("quadrature refinement loop did not terminate")
+
+    def _refine(self):
+        configs = [r.config for r in self.owners]
+        rel_tol = np.array([c.rel_tol for c in configs])
+        abs_tol = np.array([c.abs_tol for c in configs])
+        max_sub = np.array([c.max_subdivisions for c in configs])
+        live = np.flatnonzero(~self.dead).tolist()
+        lo = np.concatenate([self.breaks[o][:-1] for o in live] or [np.empty(0)])
+        hi = np.concatenate([self.breaks[o][1:] for o in live] or [np.empty(0)])
+        own = np.repeat(np.array(live, dtype=np.intp),
+                        [self.breaks[o].size - 1 for o in live])
+        k15, err, res = self._evaluate(lo, hi, own)
+        for _ in range(10000):
+            if self.dead[own].any():
+                keep = ~self.dead[own]
+                lo, hi, k15, err, res, own = (a[keep] for a in (lo, hi, k15, err, res, own))
+            if own.size == 0:
+                return
+            starts = np.flatnonzero(np.concatenate(([True], own[1:] != own[:-1])))
+            owners = own[starts]
+            n_pan = np.diff(np.append(starts, own.size))
+            total = np.add.reduceat(k15, starts)
+            total_err = np.add.reduceat(err, starts)
+            floor = 50.0 * _EPS * np.add.reduceat(res, starts)
+            target = np.maximum(
+                np.maximum(rel_tol[owners] * np.abs(total), abs_tol[owners]),
+                floor,
+            )
+            done = total_err <= target
+            budget = max_sub[owners] - n_pan
+            stop = done | (budget <= 0)
+            if stop.any():
+                for i in np.flatnonzero(stop).tolist():
+                    self._finish(int(owners[i]), float(total[i]), float(total_err[i]),
+                                 float(floor[i]), bool(done[i]))
+                more = ~stop
+                if not more.any():
+                    return
+                keep = np.repeat(more, n_pan)
+                lo, hi, k15, err, res, own = (a[keep] for a in (lo, hi, k15, err, res, own))
+                n_pan, total_err, budget = n_pan[more], total_err[more], budget[more]
+                starts = np.cumsum(n_pan) - n_pan
+            counts = _split_counts(err, n_pan, starts, total_err, budget)
+            sel = np.flatnonzero(counts > 1)
+            child_lo, child_hi = _split_panels(lo[sel], hi[sel], counts[sel])
+            new = self._evaluate(child_lo, child_hi, np.repeat(own[sel], counts[sel]))
+            lo, hi, k15, err, res = _merged(
+                counts, (lo, hi, k15, err, res), (child_lo, child_hi) + new
+            )
+            own = np.repeat(own, counts)
+        raise ConvergenceError("quadrature refinement loop did not terminate")
+
+    def _finish(self, owner, total, total_err, floor, done):
+        if done:
+            # As in QUADPACK, the estimate never claims more accuracy than
+            # the rounding floor: GK differences of a smooth integrand can
+            # fall below one ulp of the sum.
+            self.outcome[owner] = (total, max(total_err, floor))
+        elif total_err <= 10.0 * floor:
+            self.outcome[owner] = (total, total_err)
+        else:
+            self.outcome[owner] = ConvergenceError(
+                "quadrature did not reach tolerance within the panel budget",
+                partial=total,
+                err_estimate=total_err,
+            )
+
+
+def integrate_many(requests: Sequence[Integral]) -> list:
+    """Integrate every request; one outcome per request, in order.
+
+    An outcome is (value, err_estimate), the estimate being at least the
+    rounding floor 50 eps integral |f|, or the ``ConvergenceError`` or
+    ``KernelError`` that request's integral raised; one request's failure
+    never touches another's result.  Each request is refined by its own
+    rule (the smallest set of panels carrying ~90% of its error estimate
+    is cut into ``_SPLIT`` children per pass) and gets the same bits
+    whichever requests share its passes.
+    """
+    if not requests:
+        return []
+    return _Engine(requests).run()
+
+
+def integrate_semi_infinite(
+    kernel: Callable,
+    removable_points: Sequence[float] = (),
+    config: QuadratureConfig | None = None,
+):
+    """Integrate ``kernel`` over (0, inf).
+
+    Parameters
+    ----------
+    kernel : callable
+        Vectorized map from an array of abscissae to integrand values.
+        Must be finite everywhere except possibly at the declared
+        removable points.
+    removable_points : sequence of float
+        Abscissae where the kernel is 0/0-removable.  A window around each
+        is bridged by a cubic through straddling sample points.
+    config : QuadratureConfig, optional
+
+    Returns
+    -------
+    (value, err_estimate) : tuple of float
+
+    Raises ``ConvergenceError`` if the panel budget is exhausted while the
+    estimate is still above both the requested target and the rounding
+    floor, and ``KernelError`` if the kernel turns non-finite.
+    """
+    (outcome,) = integrate_many([Integral(kernel, (), removable_points, config)])
+    return take(outcome)
+
+
+# ---------------------------------------------------------------------------
+# Steps: computations that hand their integrals to the engine together
+# ---------------------------------------------------------------------------
+
+def requested(requests):
+    """Step that yields ``requests`` and returns their outcomes."""
+    outcomes = yield list(requests)
+    return outcomes
+
+
+def take(outcome):
+    """The (value, err_estimate) of an integral's outcome, or raise its error."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _start(step):
+    """Run a step to its yield: (step, requests) or (None, result or error)."""
+    try:
+        return step, step.send(None)
+    except StopIteration as stop:
+        return None, stop.value
+    except CohexError as exc:
+        return None, exc
+
+
+def _finish(step, outcomes):
+    try:
+        step.send(outcomes)
+    except StopIteration as stop:
+        return stop.value
+    raise RuntimeError("a step yields its integral requests once")
+
+
+def gather(*steps):
+    """Step running sub-steps together: one yield for all their requests.
+
+    Returns their results in order.  The first failure in that order is
+    raised, as if the sub-steps had run one after another.
+    """
+    started = [_start(step) for step in steps]
+    requests = [r for step, reqs in started if step is not None for r in reqs]
+    outcomes = (yield requests) if requests else []
+    results = []
+    at = 0
+    for step, reqs in started:
+        if step is None:
+            if isinstance(reqs, CohexError):
+                raise reqs
+            results.append(reqs)
+            continue
+        results.append(_finish(step, outcomes[at:at + len(reqs)]))
+        at += len(reqs)
+    return results
+
+
+def run_steps(steps) -> list:
+    """Drive steps in lockstep: every step's integrals go to one engine run.
+
+    A step is a generator that yields once, a list whose items are
+    ``Integral`` requests or ready outcomes ((value, err_estimate) or a
+    ``CohexError``), receives their outcomes in the same order, and
+    returns its result.  Returns each step's result or the ``CohexError``
+    it raised, in order.
+    """
+    started = [_start(step) for step in steps]
+    pending = [r for step, reqs in started if step is not None for r in reqs]
+    engine_items = [r for r in pending if isinstance(r, Integral)]
+    solved = iter(integrate_many(engine_items))
+    outcomes = [next(solved) if isinstance(r, Integral) else r for r in pending]
+    results = []
+    at = 0
+    for step, reqs in started:
+        if step is None:
+            results.append(reqs)
+            continue
+        try:
+            results.append(_finish(step, outcomes[at:at + len(reqs)]))
+        except CohexError as exc:
+            results.append(exc)
+        at += len(reqs)
+    return results
+
+
+def run_step(step):
+    """Run one step alone; return its result or raise its error."""
+    (result,) = run_steps([step])
+    if isinstance(result, CohexError):
+        raise result
+    return result

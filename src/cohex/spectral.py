@@ -11,7 +11,11 @@ integral I(xi) kernel(xi) dxi -- by adaptive quadrature for the continuous
 families and as the exact finite sum  sum_k lambda_k^2 kernel(Omega_k)  for
 the discrete one.  That shared dispatch is what lets the perturbative
 formulas and the exact-diagonalization cross-check consume the same bath
-object.
+object.  ``integral(kernel, columns, ...)`` states the same integral for a
+kernel of xi and per-integral columns, without evaluating it: a
+continuous family returns a ``numerics.Integral`` for the engine, which
+integrates many such requests together, and the discrete family returns
+its finite sum (or the error computing it raised) at once.
 
 A tabulated curve is the piecewise cubic Hermite interpolant (PCHIP) of
 Fritsch & Carlson (SIAM J. Numer. Anal. 17 (1980) 238) with the knot slopes
@@ -29,8 +33,13 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedOperationError
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate_semi_infinite
+from .errors import CohexError, DomainError, UnsupportedOperationError
+from .numerics import (
+    DEFAULT_QUADRATURE,
+    Integral,
+    QuadratureConfig,
+    integrate_semi_infinite,
+)
 
 
 def _check_positive(name, value):
@@ -55,6 +64,15 @@ class SpectralDensity:
         """integral I(xi) kernel(xi) dxi as (value, err_estimate)."""
         raise NotImplementedError
 
+    def integral(self, kernel, columns=(), removable_points=(), config=None):
+        """integral I(xi) kernel(xi, *columns) dxi, stated for the engine.
+
+        Returns a ``numerics.Integral``, or an outcome that needs no
+        quadrature: (value, err_estimate), or the ``CohexError`` that
+        computing it raised.
+        """
+        raise NotImplementedError
+
     def _checked_xi(self, xi):
         arr = np.asarray(xi, dtype=float)
         if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
@@ -62,28 +80,50 @@ class SpectralDensity:
         return arr
 
 
+def _ohmic_density(xi, coupling, cutoff):
+    return coupling * xi * np.exp(-xi / cutoff)
+
+
+def _generalized_density(xi, coupling, exponent, cutoff):
+    return coupling * np.power(xi, exponent) * np.exp(-xi / cutoff)
+
+
 class _ContinuousDensity(SpectralDensity):
     def decay_scale(self) -> float:
         """Energy scale of the slowest decay of I, for tail mapping."""
         raise NotImplementedError
 
-    def weighted_integral(self, kernel, removable_points=(), config=None):
+    def _density(self):
+        """(function, columns) with I(xi) = function(xi, *columns)."""
+        raise NotImplementedError
+
+    def _config(self, config):
         cfg = config or DEFAULT_QUADRATURE
         scale = max(cfg.tail_decay_scale, self.decay_scale())
         if scale != cfg.tail_decay_scale:
             cfg = cfg.replace(tail_decay_scale=scale)
+        return cfg
+
+    def integral(self, kernel, columns=(), removable_points=(), config=None):
+        density, density_columns = self._density()
+        return Integral(kernel, columns, removable_points, self._config(config),
+                        density, density_columns)
+
+    def weighted_integral(self, kernel, removable_points=(), config=None):
+        density, columns = self._density()
 
         def integrand(x):
-            dens = self._eval_unchecked(x)
+            dens = density(x, *columns)
             vals = np.asarray(kernel(x), dtype=float)
             # 0 * inf at the origin (or in the tail) is a genuine 0 here:
             # the density vanishes identically there.
             return np.where(dens == 0.0, 0.0, dens * vals)
 
-        return integrate_semi_infinite(integrand, removable_points, cfg)
+        return integrate_semi_infinite(integrand, removable_points, self._config(config))
 
     def _eval_unchecked(self, xi):
-        raise NotImplementedError
+        density, columns = self._density()
+        return density(xi, *columns)
 
     def eval(self, xi):
         out = self._eval_unchecked(self._checked_xi(xi))
@@ -100,8 +140,8 @@ class OhmicDensity(_ContinuousDensity):
     def __repr__(self):
         return f"OhmicDensity(coupling={self.coupling!r}, cutoff={self.cutoff!r})"
 
-    def _eval_unchecked(self, xi):
-        return self.coupling * xi * np.exp(-xi / self.cutoff)
+    def _density(self):
+        return _ohmic_density, (self.coupling, self.cutoff)
 
     def reorganization_omega(self):
         return self.coupling * self.cutoff, 0.0
@@ -124,8 +164,8 @@ class GeneralizedOhmicDensity(_ContinuousDensity):
             f"exponent={self.exponent!r}, cutoff={self.cutoff!r})"
         )
 
-    def _eval_unchecked(self, xi):
-        return self.coupling * xi ** self.exponent * np.exp(-xi / self.cutoff)
+    def _density(self):
+        return _generalized_density, (self.coupling, self.exponent, self.cutoff)
 
     def reorganization_omega(self):
         # integral A xi^{s-1} e^{-xi/wc} = A Gamma(s) wc^s
@@ -180,6 +220,12 @@ class DiscreteDensity(SpectralDensity):
                 "cannot bridge removable points" % (bad.tolist(),)
             )
         return float(np.sum(self.couplings ** 2 * vals)), 0.0
+
+    def integral(self, kernel, columns=(), removable_points=(), config=None):
+        try:
+            return self.weighted_integral(lambda x: kernel(x, *columns))
+        except CohexError as exc:
+            return exc
 
 
 def _pchip_coefficients(x, y):
@@ -265,7 +311,10 @@ class TabulatedDensity(_ContinuousDensity):
             f"[0, {self.knot_xi[-1]!r}]>, tail_decay={self.tail_decay!r})"
         )
 
-    def _eval_unchecked(self, xi):
+    def _density(self):
+        return self._tabulated, ()
+
+    def _tabulated(self, xi):
         xi = np.asarray(xi, dtype=float)
         last_xi = self.knot_xi[-1]
         last_density = self.knot_density[-1]

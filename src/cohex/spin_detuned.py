@@ -37,10 +37,12 @@ import numpy as np
 from .errors import DomainError
 from .numerics import (
     DEFAULT_QUADRATURE,
+    Integral,
     QuadratureConfig,
     _exp_scaled_ei_neg,
     coth_minus_inv,
     integrate_semi_infinite,
+    take,
     thermal_tanh_half,
 )
 from .spectral import OhmicDensity, SpectralDensity
@@ -148,6 +150,37 @@ def _linear_in_omega_err(values, omega: float, omega_err: float) -> float:
     return max(abs(v) for v in values) * omega_err / abs(omega)
 
 
+def _j_kernel(xi, omega1, half_beta, anchor):
+    # xi coth(beta xi/2) - omega1 coth(beta omega1/2) with the common 2/beta
+    # part removed analytically; essential at high temperature.
+    num = xi * coth_minus_inv(half_beta * xi) - anchor
+    return num / (xi * (xi * xi - omega1 * omega1))
+
+
+def _j_kernel_zero(xi, omega1):
+    return 1.0 / (xi * (xi + omega1))
+
+
+def _j_integrand(params: ModelParams, tp: ThermalPoint):
+    """(kernel, columns, removable points) of the shared integral J."""
+    w1 = params.omega1
+    if tp.is_zero_temperature:
+        return _j_kernel_zero, (w1,), ()
+    half_beta = 0.5 * tp.beta
+    return _j_kernel, (w1, half_beta, w1 * coth_minus_inv(half_beta * w1)), (w1,)
+
+
+def coherence_request(
+    params: ModelParams,
+    sd: SpectralDensity,
+    tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
+):
+    """The shared integral J stated for the engine (``sd.integral``)."""
+    kernel, columns, removable = _j_integrand(params, tp)
+    return sd.integral(kernel, columns, removable, config)
+
+
 def coherence_integral(
     params: ModelParams,
     sd: SpectralDensity,
@@ -159,24 +192,8 @@ def coherence_integral(
     All detuned coherences are proportional to this one number, which is
     why the transfer relation between the two spins is exact here.
     """
-    w1 = params.omega1
-    if tp.is_zero_temperature:
-
-        def kernel_zero(xi):
-            return 1.0 / (xi * (xi + w1))
-
-        return sd.weighted_integral(kernel_zero, (), config)
-
-    beta = tp.beta
-    # xi coth(beta xi/2) - w1 coth(beta w1/2) with the common 2/beta part
-    # removed analytically; essential at high temperature.
-    anchor = w1 * coth_minus_inv(0.5 * beta * w1)
-
-    def kernel(xi):
-        num = xi * coth_minus_inv(0.5 * beta * xi) - anchor
-        return num / (xi * (xi * xi - w1 * w1))
-
-    return sd.weighted_integral(kernel, (w1,), config)
+    kernel, columns, removable = _j_integrand(params, tp)
+    return sd.weighted_integral(lambda xi: kernel(xi, *columns), removable, config)
 
 
 def sigma1x(
@@ -225,6 +242,36 @@ def sigma2y(params: ModelParams, sd: SpectralDensity, tp: ThermalPoint) -> Coher
     return CoherenceResult(0.0, 0.0, "full", ())
 
 
+def _f_kernel(x, a, half_b, anchor):
+    num = x * coth_minus_inv(half_b * x) - anchor
+    return np.exp(-a * x) * num / (x * x - 1.0)
+
+
+def f_request(
+    omega1_over_omegac: float,
+    beta_omega1: float,
+    config: QuadratureConfig | None = None,
+):
+    """The shape factor F stated for the engine.
+
+    Returns a ``numerics.Integral``, or an outcome that needs no
+    quadrature: the zero-temperature closed form (F, 0), or the
+    ``DomainError`` for arguments outside its domain.
+    """
+    a = float(omega1_over_omegac)
+    b = float(beta_omega1)
+    if not (a > 0.0) or not math.isfinite(a):
+        return DomainError("omega1_over_omegac must be positive and finite")
+    if not (b > 0.0):
+        return DomainError("beta_omega1 must be positive (inf allowed)")
+    if math.isinf(b):
+        return -_exp_scaled_ei_neg(a), 0.0
+    cfg = config or DEFAULT_QUADRATURE
+    cfg = cfg.replace(tail_decay_scale=max(1.0 / a, 1.0))
+    half_b = 0.5 * b
+    return Integral(_f_kernel, (a, half_b, coth_minus_inv(half_b)), (1.0,), cfg)
+
+
 def f_dimensionless(
     omega1_over_omegac: float,
     beta_omega1: float,
@@ -240,24 +287,13 @@ def f_dimensionless(
     temperature drops.  Returns (F, err_estimate); the zero-temperature
     closed form has err_estimate 0.
     """
-    a = float(omega1_over_omegac)
-    b = float(beta_omega1)
-    if not (a > 0.0) or not math.isfinite(a):
-        raise DomainError("omega1_over_omegac must be positive and finite")
-    if not (b > 0.0):
-        raise DomainError("beta_omega1 must be positive (inf allowed)")
-    if math.isinf(b):
-        return -_exp_scaled_ei_neg(a), 0.0
-
-    anchor = coth_minus_inv(0.5 * b)
-
-    def kernel(x):
-        num = x * coth_minus_inv(0.5 * b * x) - anchor
-        return np.exp(-a * x) * num / (x * x - 1.0)
-
-    cfg = config or DEFAULT_QUADRATURE
-    cfg = cfg.replace(tail_decay_scale=max(1.0 / a, 1.0))
-    return integrate_semi_infinite(kernel, (1.0,), cfg)
+    request = f_request(omega1_over_omegac, beta_omega1, config)
+    if not isinstance(request, Integral):
+        return take(request)
+    columns = request.columns
+    return integrate_semi_infinite(
+        lambda x: request.kernel(x, *columns), request.removable_points, request.config
+    )
 
 
 def sigma2x_low_T(

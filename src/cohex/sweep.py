@@ -12,6 +12,16 @@ Evaluation order over the grid is fixed by the axis order, and workers only
 compute pure functions of their cell, so the assembled table is identical
 whether the grid is evaluated serially or on a process pool.
 
+Cells run in lockstep blocks of contiguous cells: every cell of a block
+starts, the quadrature-backed fermion quantities hand their integral
+requests to one engine run for the whole block (``numerics.run_steps``),
+and then every cell assembles and cross-checks its own results.  A
+serial sweep cuts its grid into blocks of ``_LOCKSTEP_CELLS`` cells;
+under ``jobs`` each pool task is cut the same way.  An integral has the
+same bits in any block, so the table does not depend on how the grid is
+cut.  Spin quantities compute their integrals one at a time inside the
+same cell path.
+
 The validity maps ``r1_map`` and ``r2_map`` run on the same engine over
 explicit (omega2/omega1, t/omega1) points.  For the ratio quantities the
 engine computes the small-t reference integral J, which depends only on
@@ -38,7 +48,7 @@ from .errors import (
     KernelError,
     NearResonanceError,
 )
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
+from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, run_step, run_steps
 from .spectral import OhmicDensity, SpectralDensity
 from .spin_detuned import (
     ModelParams,
@@ -93,6 +103,14 @@ _J_AXES = TEMPERATURE_AXES + ("omega1_over_omegac",)
 MAP_OMEGA2_MAX = 10.0
 MAP_T_MAX = 5.0
 MAP_POINTS = 101
+
+# Cells that run in one lockstep block.  The engine keeps the panels of
+# every integral of a block alive at once, so the block bounds its memory:
+# three 72-cell fermion sweeps raise a fresh process's peak RSS by 2.0 MB
+# as whole-grid blocks and by 0.8 MB in 24-cell blocks (0.26 MB one
+# integral at a time), at the same time per cell, since most kernel calls
+# of a 24-cell block already carry the full 4,096 nodes.
+_LOCKSTEP_CELLS = 24
 
 # Maps trade accuracy for speed; 1e-7 is far below the 1e-3 scale at
 # which the ratio maps are read, and keeps cells near the omega = epsilon
@@ -166,7 +184,11 @@ class SweepQuantity:
     where ``values`` has one float per entry in ``columns``.  A quantity
     with ``shares_j`` is built on the small-t reference integral J and
     takes ``(j_val, j_err)`` as a fifth argument, which the engine computes
-    once for every cell key that several cells share.
+    once for every cell key that several cells share.  A quantity with
+    ``steps`` states its integrals instead: ``steps(params, sd, tp,
+    config)`` is a step (see ``numerics.run_steps``) returning the same
+    triple, a sweep runs the steps of a block in lockstep, and
+    ``evaluate`` runs one step alone.
     """
 
     name: str
@@ -175,6 +197,7 @@ class SweepQuantity:
     needs_ohmic: bool
     evaluate: object = field(repr=False)
     shares_j: bool = False
+    steps: object = field(default=None, repr=False)
 
 
 def _one(result):
@@ -188,11 +211,25 @@ def _estimated(values, err):
     return values if isinstance(values, tuple) else (values,), err, ()
 
 
-def _eval_hartree_fock(p, sd, tp, cfg):
+def _stepped(name, columns, needs_ohmic, steps):
+    """A fermion quantity whose cells hand their integrals to the sweep."""
+    return SweepQuantity(name, columns, "fermion", needs_ohmic,
+                         lambda *args: run_step(steps(*args)), steps=steps)
+
+
+def _one_steps(step):
+    return _one((yield from step))
+
+
+def _estimated_steps(step):
+    return _estimated(*(yield from step))
+
+
+def _hartree_fock_steps(p, sd, tp, cfg):
     hartree, _ = _fermion.hartree_static(p, sd, tp)
     # Each Fock estimate already carries the Hartree one, so it bounds both.
-    fock, errs = _fermion.fock_term(p, sd, tp, cfg)
-    return hartree + fock, max(errs), ()
+    fock, errs, flags = yield from _fermion._fock_step(p, sd, tp, cfg)
+    return hartree + fock, max(errs), flags
 
 
 def _eval_static_sigma2x(p, sd, tp, cfg):
@@ -246,23 +283,24 @@ QUANTITIES = {q.name: q for q in (
                       p.omega2 / p.omega1, cfg))),
     SweepQuantity("static_compare", ("sigma2x_full", "sigma2x_static", "sigma2x_low_T"),
                   "spin", True, _eval_static_compare),
-    SweepQuantity("sigma1x_fermion", ("sigma1x_fermion",), "fermion", False,
-                  lambda p, sd, tp, cfg: _one(_fermion.sigma1x_fermion(p, sd, tp, cfg))),
-    SweepQuantity("sigma2x_fermion", ("sigma2x_fermion",), "fermion", False,
-                  lambda p, sd, tp, cfg: _one(_fermion.sigma2x_fermion(p, sd, tp, cfg))),
-    SweepQuantity("hartree_fock", ("hartree1", "hartree2", "fock1", "fock2"), "fermion", False,
-                  _eval_hartree_fock),
-    SweepQuantity("normalized_fermion", ("normalized_fermion1", "normalized_fermion2"),
-                  "fermion", True,
-                  lambda p, sd, tp, cfg: _estimated(*_fermion.normalized_fermion(
-                      p, sd.coupling, sd.cutoff, tp, cfg))),
-    SweepQuantity("ratio_R", ("ratio_R",), "fermion", True,
-                  lambda p, sd, tp, cfg: _estimated(*_fermion.ratio_R(
-                      p, sd.coupling, sd.cutoff, tp, cfg))),
-    SweepQuantity("g_script", ("g_script",), "fermion", True,
-                  lambda p, sd, tp, cfg: _estimated(*_fermion.g_script(
-                      tp.beta_omega1(p.omega1), p.omega1 / sd.cutoff,
-                      p.omega2 / p.omega1, p.t / p.omega1, cfg))),
+    _stepped("sigma1x_fermion", ("sigma1x_fermion",), False,
+             lambda p, sd, tp, cfg: _one_steps(
+                 _fermion._sigma1x_fermion_step(p, sd, tp, cfg))),
+    _stepped("sigma2x_fermion", ("sigma2x_fermion",), False,
+             lambda p, sd, tp, cfg: _one_steps(
+                 _fermion._sigma2x_fermion_step(p, sd, tp, cfg))),
+    _stepped("hartree_fock", ("hartree1", "hartree2", "fock1", "fock2"), False,
+             _hartree_fock_steps),
+    _stepped("normalized_fermion", ("normalized_fermion1", "normalized_fermion2"), True,
+             lambda p, sd, tp, cfg: _estimated_steps(_fermion._normalized_fermion_step(
+                 p, sd.coupling, sd.cutoff, tp, cfg))),
+    _stepped("ratio_R", ("ratio_R",), True,
+             lambda p, sd, tp, cfg: _estimated_steps(_fermion._ratio_r_step(
+                 p, sd.coupling, sd.cutoff, tp, cfg))),
+    _stepped("g_script", ("g_script",), True,
+             lambda p, sd, tp, cfg: _estimated_steps(_fermion._g_script_step(
+                 tp.beta_omega1(p.omega1), p.omega1 / sd.cutoff,
+                 p.omega2 / p.omega1, p.t / p.omega1, cfg))),
     SweepQuantity("fermion_high_T", ("fermion_high_T",), "fermion", True,
                   lambda p, sd, tp, cfg: ((_fermion.fermion_high_T(
                       p, sd.coupling, sd.cutoff, tp),), 0.0, ())),
@@ -384,35 +422,59 @@ def _shared_j(spec: SweepSpec, points: list) -> dict:
     return shared
 
 
-def _sweep_cell(task):
-    """One grid cell; returns (values, err, status). Picklable for pools.
+def _cell_step(spec: SweepSpec, point: dict, j):
+    """One grid cell as a step returning (values, err, flags).
 
-    ``task`` is ``(spec, point, j)``: ``j`` is the cell's shared J, the
-    error computing it raised, or None if the cell computes J itself.
+    ``j`` is the cell's shared J, the error computing it raised, or None
+    if the cell computes J itself.  A quantity with steps yields its
+    integral requests; any other is evaluated at once and yields nothing.
     """
-    spec, point, j = task
     quantity = QUANTITIES[spec.quantity]
-    blank = (None,) * len(quantity.columns)
-    try:
-        args = _cell_inputs(spec, point) + (spec.config,)
-        if quantity.shares_j:
-            if isinstance(j, CohexError):
-                raise j.with_traceback(None)
-            args += (coherence_integral(*args) if j is None else j,)
-        cell_values, err, flags = quantity.evaluate(*args)
-        return cell_values, err, ";".join(flags) or STATUS_OK
-    except NearResonanceError:
-        return blank, None, "near-resonance"
-    except DegenerateBasisError:
-        return blank, None, "degenerate-basis"
-    except DomainError:
-        return blank, None, "invalid-params"
-    except ConvergenceError:
-        return blank, None, "no-convergence"
-    except CrossFormError:
-        return blank, None, "cross-form-disagreement"
-    except KernelError:
-        return blank, None, "kernel-error"
+    args = _cell_inputs(spec, point) + (spec.config,)
+    if quantity.steps is not None:
+        return (yield from quantity.steps(*args))
+    if quantity.shares_j:
+        if isinstance(j, CohexError):
+            raise j.with_traceback(None)
+        args += (coherence_integral(*args) if j is None else j,)
+    return quantity.evaluate(*args)
+
+
+_STATUS = (
+    (NearResonanceError, "near-resonance"),
+    (DegenerateBasisError, "degenerate-basis"),
+    (DomainError, "invalid-params"),
+    (ConvergenceError, "no-convergence"),
+    (CrossFormError, "cross-form-disagreement"),
+    (KernelError, "kernel-error"),
+)
+
+
+def _sweep_cells(task):
+    """(values, err, status) of each cell of a task. Picklable for pools.
+
+    ``task`` is ``(spec, cells)`` with ``cells`` a list of ``(point, j)``;
+    they run in lockstep blocks of ``_LOCKSTEP_CELLS`` cells.
+    """
+    spec, cells = task
+    return [cell for i in range(0, len(cells), _LOCKSTEP_CELLS)
+            for cell in _sweep_block(spec, cells[i:i + _LOCKSTEP_CELLS])]
+
+
+def _sweep_block(spec: SweepSpec, cells: list) -> list:
+    """(values, err, status) of each cell of one lockstep block."""
+    blank = (None,) * len(QUANTITIES[spec.quantity].columns)
+    out = []
+    for result in run_steps([_cell_step(spec, point, j) for point, j in cells]):
+        if isinstance(result, CohexError):
+            status = next((word for kind, word in _STATUS if isinstance(result, kind)), None)
+            if status is None:
+                raise result
+            out.append((blank, None, status))
+        else:
+            cell_values, err, flags = result
+            out.append((cell_values, err, ";".join(flags) or STATUS_OK))
+    return out
 
 
 def _usable_cpus() -> int:
@@ -428,19 +490,21 @@ def _evaluate_cells(spec: SweepSpec, points: list, jobs: int | None) -> list:
 
     The pool gets the smallest of ``jobs``, the cell count and the usable
     CPU count as workers: a fork-based pool starts every worker at its
-    first task, whether or not there is work for it.
+    first task, whether or not there is work for it.  Each pool task is a
+    contiguous run of about an eighth of a worker's share of the cells.
     """
     shared = _shared_j(spec, points) if QUANTITIES[spec.quantity].shares_j else {}
-    tasks = [(spec, point, shared.get(_j_key(point))) for point in points]
-    workers = min(jobs or 1, len(tasks), _usable_cpus())
+    cells = [(point, shared.get(_j_key(point))) for point in points]
+    workers = min(jobs or 1, len(cells), _usable_cpus())
     if workers > 1:
         # Imported here: serial runs skip the pool machinery's import cost.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(tasks) // (8 * workers))
+        size = max(1, len(cells) // (8 * workers))
+        tasks = [(spec, cells[i:i + size]) for i in range(0, len(cells), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_cell, tasks, chunksize=chunk))
-    return [_sweep_cell(t) for t in tasks]
+            return [cell for part in pool.map(_sweep_cells, tasks) for cell in part]
+    return _sweep_cells((spec, cells))
 
 
 def run_sweep(

@@ -1,0 +1,326 @@
+"""Pooled quadrature: many integrals refined together, each as if alone.
+
+The engine (``numerics.integrate_many``) refines every requested integral
+by its own rule and shares only the kernel calls, so an integral has the
+same bits alone or in any batch, a failure stays with its owner, and a
+sweep of fermion quantities (whose cells run in lockstep) equals the
+public functions cell by cell.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import cohex.fermion as fermion
+import cohex.numerics as nm
+import cohex.spin_detuned as spin_detuned
+from cohex.errors import CohexError, KernelError
+from cohex.fermion import (
+    fock_term,
+    g_script,
+    hartree_static,
+    normalized_fermion,
+    ratio_R,
+)
+from cohex.numerics import (
+    DEFAULT_QUADRATURE,
+    Integral,
+    fermi_n,
+    integrate_many,
+    thermal_tanh_half,
+)
+from cohex.spectral import GeneralizedOhmicDensity, OhmicDensity, TabulatedDensity
+from cohex.spin_detuned import ModelParams, ThermalPoint, coherence_request, f_request
+from cohex.sweep import AxisSpec, SweepSpec, _sweep_block, run_sweep
+from cohex.table import emit_csv
+
+PARAMS = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
+_KNOTS = [(x, x * np.exp(-x / 10.0)) for x in np.linspace(0.0, 60.0, 40)]
+BATHS = (
+    OhmicDensity(1.0, 1.0),
+    OhmicDensity(1.0, 10.0),
+    GeneralizedOhmicDensity(1.0, 0.75, 10.0),
+    TabulatedDensity(_KNOTS, 10.0),
+)
+
+
+def _decay(xi, rate):
+    return np.exp(-rate * xi)
+
+
+def _mixed_requests():
+    """J, the combined and both Fock kernels on four baths, F and the
+    folded kernel on the ohmic cutoffs, and exponentials that converge
+    in the first pass."""
+    requests = []
+    cfg = DEFAULT_QUADRATURE
+    w1, w2 = PARAMS.omega1, PARAMS.omega2
+    for beta in (0.3, 2.0, 9.0):
+        n1, n2 = fermi_n(w1, beta), fermi_n(w2, beta)
+        th1 = math.tanh(0.5 * beta * w1)
+        for sd in BATHS:
+            requests.append(coherence_request(PARAMS, sd, ThermalPoint(beta)))
+            requests.append(sd.integral(fermion._combined_second_kernel,
+                                        (w1, w2, beta, n1, n2), (w1, w2 - w1), cfg))
+            requests.append(sd.integral(fermion._first_fock_kernel,
+                                        (w1, beta, n1, th1), (w1,), cfg))
+            requests.append(sd.integral(fermion._second_fock_kernel,
+                                        (w1, w2, beta, th1, n1, n2), (w1, w2 - w1), cfg))
+        for a in (1.0, 0.1):
+            requests.append(f_request(a, beta, cfg))
+            requests.append(Integral(fermion._folded_x_kernel, (a, beta, 3.0, n1, n2),
+                                     (1.0, 2.0), cfg.replace(tail_decay_scale=1.0 / a)))
+    requests += [Integral(_decay, (rate,), (), cfg.replace(tail_decay_scale=1.0 / rate))
+                 for rate in (0.5, 2.0)]
+    return requests
+
+
+def _batches_alone(request, monkeypatch):
+    count = []
+    gk = nm._gk_evaluate
+
+    def counting(f, lo, hi):
+        count.append(lo.size)
+        return gk(f, lo, hi)
+
+    monkeypatch.setattr(nm, "_gk_evaluate", counting)
+    (outcome,) = integrate_many([request])
+    monkeypatch.setattr(nm, "_gk_evaluate", gk)
+    return outcome, len(count)
+
+
+def test_an_integral_has_the_same_bits_alone_or_in_any_batch(monkeypatch):
+    requests = _mixed_requests()
+    assert all(isinstance(r, Integral) for r in requests)
+    assert len({r.kernel for r in requests}) >= 3
+    pooled = integrate_many(requests)
+    reordered = integrate_many(requests[::-1])[::-1]
+    passes = []
+    for request, together, backwards in zip(requests, pooled, reordered):
+        alone, batches = _batches_alone(request, monkeypatch)
+        passes.append(batches)
+        for outcome in (together, backwards):
+            assert np.array_equal(np.array(outcome), np.array(alone))
+    # Owners that converge in the first pass and owners that take many.
+    assert min(passes) == 1 and max(passes) >= 5
+
+
+def _tripwire(xi, trip):
+    return np.where(xi > trip, np.nan, np.exp(-xi))
+
+
+def test_a_failing_integral_fails_alone():
+    trips = (math.inf, 3.0, math.inf, 6.0)
+    requests = [Integral(_tripwire, (trip,)) for trip in trips]
+    outcomes = integrate_many(requests)
+    for trip, request, outcome in zip(trips, requests, outcomes):
+        if math.isinf(trip):
+            assert outcome == integrate_many([request])[0]
+        else:
+            assert isinstance(outcome, KernelError)
+            assert "non-finite" in str(outcome)
+
+
+def test_a_failing_cell_fails_alone_in_a_sweep(monkeypatch):
+    axes = (AxisSpec("beta_omega1", 1.0, 8.0, 4, "log"),)
+    spec = SweepSpec("sigma2x_fermion", axes, OhmicDensity(1.0, 10.0), PARAMS)
+    clean = emit_csv(run_sweep(spec)).splitlines()
+    real = fermion._combined_second_kernel
+
+    def hot_cells_fail(xi, w1, w2, beta, n1, n2):
+        # Non-finite only in the cells at beta omega1 = 8.
+        return np.where((beta > 7.0) & (xi > 5.0), np.nan, real(xi, w1, w2, beta, n1, n2))
+
+    monkeypatch.setattr(fermion, "_combined_second_kernel", hot_cells_fail)
+    table = run_sweep(spec)
+    assert [row[-1] for row in table.rows] == ["ok", "ok", "ok", "kernel-error"]
+    lines = emit_csv(table).splitlines()
+    assert lines[:-1] == clean[:-1]
+
+
+def _count_kernel_calls(monkeypatch):
+    sizes = []
+    for module, names in (
+        (spin_detuned, ("_j_kernel", "_j_kernel_zero", "_f_kernel")),
+        (fermion, ("_folded_x_kernel", "_combined_second_kernel",
+                   "_first_fock_kernel", "_second_fock_kernel")),
+    ):
+        for name in names:
+            real = getattr(module, name)
+
+            def counted(xi, *columns, real=real):
+                sizes.append(xi.size)
+                return real(xi, *columns)
+
+            monkeypatch.setattr(module, name, counted)
+    return sizes
+
+
+@pytest.mark.parametrize("name, calls, nodes", [
+    ("hartree_fock", 149, 317_232),  # 2,722 kernel calls one integral at a time
+    ("sigma2x_fermion", 48, 101_952),
+])
+def test_pooled_kernel_calls_on_the_benchmark_grid(monkeypatch, name, calls, nodes):
+    # The fermion grid of the sweep_T benchmark at seed 0: 24 beta omega1
+    # on a log grid from 0.1 to 30 shifted up by a quarter step, times
+    # omega1/omega_c = 0.1, 0.4, 1.6, on an ohmic bath with A = 1.
+    shift = ((30.0 / 0.1) ** (1.0 / 23.0)) ** 0.25
+    axes = (
+        AxisSpec("beta_omega1", 0.1 * shift, 30.0 * shift, 24, "log"),
+        AxisSpec("omega1_over_omegac", 0.1, 1.6, 3, "log"),
+    )
+    sizes = _count_kernel_calls(monkeypatch)
+    table = run_sweep(SweepSpec(name, axes, OhmicDensity(1.0, 1.0), PARAMS))
+    assert all(row[-1] == "ok" for row in table.rows)
+    assert (len(sizes), sum(sizes)) == (calls, nodes)
+    assert max(sizes) <= nm._MAX_NODES
+
+
+def _public_row(name, p, sd, tp):
+    """(values, err, flags) of one cell through the public functions."""
+    if name in ("sigma1x_fermion", "sigma2x_fermion"):
+        r = getattr(fermion, name)(p, sd, tp)
+        return (r.value,), r.err_estimate, r.flags
+    if name == "hartree_fock":
+        hartree, _ = hartree_static(p, sd, tp)
+        fock, errs = fock_term(p, sd, tp)
+        return hartree + fock, max(errs), ()
+    if name == "normalized_fermion":
+        values, err = normalized_fermion(p, sd.coupling, sd.cutoff, tp)
+        return values, err, ()
+    if name == "ratio_R":
+        value, err = ratio_R(p, sd.coupling, sd.cutoff, tp)
+        return (value,), err, ()
+    value, err = g_script(tp.beta, 1.0 / sd.cutoff, p.omega2, p.t)
+    return (value,), err, ()
+
+
+@pytest.mark.parametrize("name", [
+    "sigma1x_fermion", "sigma2x_fermion", "hartree_fock",
+    "normalized_fermion", "ratio_R", "g_script",
+])
+def test_every_fermion_row_equals_its_public_function(name):
+    axes = (
+        AxisSpec("T_over_omega1", 0.0, 5.0, 4),
+        AxisSpec("omega2_over_omega1", 1.0, 3.0, 3),
+        AxisSpec("omega1_over_omegac", 0.1, 1.0, 2, "log"),
+    )
+    table = run_sweep(SweepSpec(name, axes, OhmicDensity(1.0, 1.0), PARAMS))
+    statuses = set()
+    for row in table.rows:
+        t_rel, ratio, a = row[:3]
+        p = ModelParams(1.0, ratio, PARAMS.t, PARAMS.f1, PARAMS.f2)
+        sd = OhmicDensity(1.0, 1.0 / a)
+        tp = ThermalPoint.from_T_over_omega1(t_rel, 1.0)
+        statuses.add(row[-1])
+        try:
+            values, err, flags = _public_row(name, p, sd, tp)
+        except CohexError:
+            assert row[3] is None and row[-1] != "ok"
+            continue
+        assert row[3:-1] == tuple(values) + (err,)
+        assert row[-1] == (";".join(flags) or "ok")
+    assert "ok" in statuses
+
+
+def test_lockstep_blocks_cut_anywhere_give_the_same_cells():
+    axis = AxisSpec("beta_omega1", 0.5, 8.0, 7, "log")
+    spec = SweepSpec("hartree_fock", (axis,), OhmicDensity(1.0, 10.0), PARAMS)
+    cells = [({"beta_omega1": float(b)}, None) for b in axis.values()]
+    whole = _sweep_block(spec, cells)
+    for cut in (1, 3, 4):
+        parts = _sweep_block(spec, cells[:cut]) + _sweep_block(spec, cells[cut:])
+        assert parts == whole
+
+
+def test_integrals_failing_at_their_bridges_leave_no_work():
+    def broken(xi, shift):
+        return np.full(xi.shape, np.nan) + shift
+
+    def also_broken(xi):
+        return np.full(xi.shape, np.inf)
+
+    outcomes = integrate_many([Integral(broken, (0.0,), (1.0,)),
+                               Integral(also_broken, (), (2.0,))])
+    assert all(isinstance(o, KernelError) and "bridging nodes" in str(o) for o in outcomes)
+
+
+def _oscillating(xi, freq):
+    return np.exp(-xi) * np.cos(freq * xi) * xi * xi
+
+
+def test_panel_budgets_run_out_alike_alone_and_pooled():
+    # Small budgets end in the partial split (the worst panels get 8
+    # children, one more gets what still fits) or in ConvergenceError.
+    requests = [
+        Integral(_oscillating, (freq,), (), DEFAULT_QUADRATURE.replace(max_subdivisions=budget))
+        for budget in (8, 16, 40, 100, 4000)
+        for freq in (3.0, 40.0)
+    ]
+
+    def key(outcome):
+        if isinstance(outcome, nm.ConvergenceError):
+            return ("no-convergence", outcome.partial, outcome.err_estimate)
+        return outcome
+
+    pooled = [key(o) for o in integrate_many(requests)]
+    alone = [key(integrate_many([r])[0]) for r in requests]
+    assert pooled == alone
+    assert sum(isinstance(o[0], str) for o in pooled) >= 3
+
+
+def test_zero_temperature_owners_pooled_with_warm_ones_match_the_step_kernels():
+    # The engine hands a zero-temperature owner beta = inf as a column
+    # entry, so its kernels take the finite-temperature formulas, which
+    # saturate to the step functions that a scalar beta = inf selects.
+    w1, w2 = PARAMS.omega1, PARAMS.omega2
+    sd = OhmicDensity(1.0, 1.0)
+    cfg = DEFAULT_QUADRATURE
+
+    def stated(beta):
+        n1, n2, th1 = fermi_n(w1, beta), fermi_n(w2, beta), thermal_tanh_half(beta, w1)
+        return [
+            (fermion._first_fock_kernel, (w1, beta, n1, th1), (w1,)),
+            (fermion._second_fock_kernel, (w1, w2, beta, th1, n1, n2), (w1, w2 - w1)),
+            (fermion._combined_second_kernel, (w1, w2, beta, n1, n2), (w1, w2 - w1)),
+        ]
+
+    pooled = integrate_many([
+        sd.integral(kernel, columns, points, cfg)
+        for beta in (math.inf, 2.0, 0.5) for kernel, columns, points in stated(beta)
+    ])
+    for (kernel, columns, points), outcome in zip(stated(math.inf), pooled):
+        step = sd.weighted_integral(lambda x: kernel(x, *columns), points, cfg)
+        assert np.array_equal(np.array(outcome), np.array(step))
+    axis = AxisSpec("T_over_omega1", 0.0, 2.0, 3)
+    table = run_sweep(SweepSpec("hartree_fock", (axis,), sd, PARAMS))
+    zero = table.rows[0]
+    assert zero[0] == 0.0 and zero[-1] == "ok"
+    values, err, _ = _public_row("hartree_fock", PARAMS, sd, ThermalPoint(math.inf))
+    assert zero[1:-1] == tuple(values) + (err,)
+
+
+def _noise(xi, *columns):
+    return np.random.default_rng(7).standard_normal(xi.shape) * np.exp(-xi)
+
+
+def _nan(xi, *columns):
+    return np.full(xi.shape, np.nan)
+
+
+@pytest.mark.parametrize("name, status", [
+    ("normalized_fermion", "kernel-error"),  # F is computed before F_F
+    ("ratio_R", "no-convergence"),  # F_F is computed before F
+])
+def test_the_first_failing_integral_of_a_cell_names_its_status(monkeypatch, name, status):
+    # F's kernel turns non-finite and F_F's never converges.
+    monkeypatch.setattr(spin_detuned, "_f_kernel", _nan)
+    monkeypatch.setattr(fermion, "_folded_x_kernel", _noise)
+    p, sd, tp = PARAMS, OhmicDensity(1.0, 1.0), ThermalPoint(2.0)
+    error = nm.KernelError if status == "kernel-error" else nm.ConvergenceError
+    with pytest.raises(error):
+        _public_row(name, p, sd, tp)
+    axis = AxisSpec("beta_omega1", 2.0, 2.0, 1)
+    table = run_sweep(SweepSpec(name, (axis,), sd, p))
+    assert table.rows[0][-1] == status

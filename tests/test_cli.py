@@ -35,12 +35,12 @@ FIG_ARGS = (
 # Frozen first verified output of FIG_ARGS (whole byte stream, then the
 # data rows on their own so a metadata change is told apart from a
 # numerical regression).
-FIG_SHA256 = "129ac92dddc3d97a12fd256136119eef21ff463c1401554bceb3a61086e87ff0"
+FIG_SHA256 = "5b647b56be2c1545b60c1cdb9aa02d0ed9a966b95bd3c0ed8d65d3ed3642c3cc"
 FIG_ROWS = [
     "5.0000000000000003e-02,9.0842576742551018e-01,9.0842576742551018e-01,1.0085552031585791e-14,ok",
     "1.0000000000000001e-01,8.0776608452951260e-01,8.0776608452936138e-01,8.9680050555597541e-15,ok",
-    "1.9999999999999998e-01,6.1130526564892251e-01,6.1130489164963830e-01,6.7868518099803170e-15,ok",
-    "4.0000000000000002e-01,3.2454912801883162e-01,3.2419032036962964e-01,3.6032191454852429e-15,ok",
+    "1.9999999999999998e-01,6.1130526564892262e-01,6.1130489164963842e-01,6.7868518099803170e-15,ok",
+    "4.0000000000000002e-01,3.2454912801883162e-01,3.2419032036962964e-01,3.6032191454852437e-15,ok",
 ]
 
 
@@ -54,8 +54,8 @@ MAP_ARGS = (
     "--set", "points=5",
 )
 MAP_SHA256 = {
-    "r1": "5025be84d0423342b10ccdcaeeb54c52fa73b1a33a138cab25fc8d7e6f374a17",
-    "r2": "8b48440d654618dac15e4bf7e45e88d10ce0bc4601e2c62190c91dfb87d1255a",
+    "r1": "e4424098ba7a7b1f78847dc978097ea79a233416907d2bcfc39fe5c51bad9f07",
+    "r2": "ef42fe0847c8b170b9685dd87e47a8daa93e2a1e0954887c7d9c1e552389a73a",
 }
 
 

@@ -23,7 +23,14 @@ from cohex.fermion import (
     _second_fock_kernel,
     _shape_factor_route,
 )
-from cohex.numerics import _exp_scaled_ei_neg, bose_n, fermi_n, thermal_tanh_half
+from cohex.numerics import (
+    QuadratureConfig,
+    _exp_scaled_ei_neg,
+    bose_n,
+    fermi_n,
+    run_step,
+    thermal_tanh_half,
+)
 from cohex.spectral import (
     DiscreteDensity,
     GeneralizedOhmicDensity,
@@ -146,8 +153,8 @@ def test_sigma2x_fermion_dual_organizations_random_ohmic():
         )
         sd = OhmicDensity(float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.3, 3.0)))
         tp = ThermalPoint(float(rng.uniform(0.5, 5.0)))
-        va, _, _ = _shape_factor_route(p, sd.coupling, sd.cutoff, tp, None)
-        vb, _, _ = _combined_route(p, sd, tp, None)
+        va, _, _ = run_step(_shape_factor_route(p, sd.coupling, sd.cutoff, tp, None))
+        vb, _, _ = run_step(_combined_route(p, sd, tp, None))
         assert abs(va - vb) <= 1e-6 * max(abs(va), abs(vb))
         assert sigma2x_fermion(p, sd, tp).method == "dual_form"
 
@@ -160,7 +167,7 @@ def test_sigma2x_fermion_zero_temperature_transfer():
     assert second.method == "zero_T_transfer"
     assert second.value == (0.1 / 3.0) * first.value
     # the arbitrary-bath organization reduces to the same number
-    vi, _, _ = _combined_route(UNIT_WEIGHTS, sd, tz, None)
+    vi, _, _ = run_step(_combined_route(UNIT_WEIGHTS, sd, tz, None))
     assert vi == pytest.approx(second.value, rel=1e-8)
 
 
@@ -173,8 +180,8 @@ def test_sigma2x_fermion_mirror_ordering():
         tp = ThermalPoint(b)
         r = sigma2x_fermion(p, sd, tp)
         assert r.method == "dual_form"
-        va, _, sa = _shape_factor_route(p, sd.coupling, sd.cutoff, tp, None)
-        vb, _, sb = _combined_route(p, sd, tp, None)
+        va, _, sa = run_step(_shape_factor_route(p, sd.coupling, sd.cutoff, tp, None))
+        vb, _, sb = run_step(_combined_route(p, sd, tp, None))
         assert abs(va - vb) <= 1e-8 * max(sa, sb)
 
 
@@ -271,7 +278,7 @@ def test_fock_route_guard_detects_sabotage(monkeypatch):
     monkeypatch.setattr(
         fermion_module,
         "_first_fock_kernel",
-        lambda params, tp: (lambda xi: 1.0 / (1.0 + xi * xi)),
+        lambda xi, *columns: 1.0 / (1.0 + xi * xi),
     )
     with pytest.raises(CrossFormError):
         fock_term(PARAMS, OhmicDensity(1.0, 1.0), ThermalPoint(2.0))
@@ -283,7 +290,7 @@ def test_dual_form_guard_detects_sabotage(monkeypatch):
     true_route = fermion_module._shape_factor_route
 
     def skewed(params, coupling, cutoff, tp, config):
-        value, err, scale = true_route(params, coupling, cutoff, tp, config)
+        value, err, scale = yield from true_route(params, coupling, cutoff, tp, config)
         return value + 1e-3 * scale, err, scale
 
     monkeypatch.setattr(fermion_module, "_shape_factor_route", skewed)
@@ -298,10 +305,10 @@ def test_first_fock_kernel_matches_raw_occupation_form():
     # well conditioned.
     beta = 1.7
     w1 = PARAMS.omega1
-    kernel = _first_fock_kernel(PARAMS, ThermalPoint(beta))
+    n1 = fermi_n(w1, beta)
+    th1 = thermal_tanh_half(beta, w1)
     xi = np.array([0.11, 0.37, 0.63, 1.45, 2.2, 3.3, 5.7])
     nb = bose_n(xi, beta)
-    n1 = fermi_n(w1, beta)
     raw = (
         -(((2.0 * nb + 1.0) * w1 + (2.0 * n1 - 1.0) * xi))
         / (2.0 * w1 * (xi * xi - w1 * w1))
@@ -309,19 +316,24 @@ def test_first_fock_kernel_matches_raw_occupation_form():
         + (nb + 1.0) * n1 / (xi * (xi - w1))
         + nb * n1 / (xi * (xi + w1))
     )
-    assert kernel(xi) == pytest.approx(raw, rel=1e-11)
-    cold = _first_fock_kernel(PARAMS, ThermalPoint(math.inf))
-    assert cold(xi) == pytest.approx(1.0 / (2.0 * w1 * (xi + w1)), rel=1e-13)
+    assert _first_fock_kernel(xi, w1, beta, n1, th1) == pytest.approx(raw, rel=1e-11)
+    # Per-node temperatures, as a pooled call passes them.
+    betas = np.full(xi.size, beta)
+    assert np.array_equal(_first_fock_kernel(xi, w1, betas, n1, th1),
+                          _first_fock_kernel(xi, w1, beta, n1, th1))
+    cold = _first_fock_kernel(xi, w1, math.inf, 0.0, 1.0)
+    assert cold == pytest.approx(1.0 / (2.0 * w1 * (xi + w1)), rel=1e-13)
 
 
 def test_second_fock_kernel_matches_raw_weight_difference():
     beta = 1.7
     p = PARAMS
     w1, w2 = p.omega1, p.omega2
-    kernel = _second_fock_kernel(p, ThermalPoint(beta))
+    th1 = thermal_tanh_half(beta, w1)
     xi = np.array([0.11, 0.37, 0.63, 1.45, 2.45, 3.3, 5.7])
     nb = bose_n(xi, beta)
     n1 = fermi_n(w1, beta)
+    n2 = fermi_n(w2, beta)
 
     def raw_weight(w):
         nw = fermi_n(w, beta)
@@ -334,10 +346,13 @@ def test_second_fock_kernel_matches_raw_weight_difference():
             + minus * fermi_n(w1 - xi, beta) / ((w1 - xi) * (w1 - xi - w))
         )
 
-    assert kernel(xi) == pytest.approx(raw_weight(w2) - raw_weight(w1), rel=1e-10)
-    cold = _second_fock_kernel(p, ThermalPoint(math.inf))
+    kernel = _second_fock_kernel(xi, w1, w2, beta, th1, n1, n2)
+    assert kernel == pytest.approx(raw_weight(w2) - raw_weight(w1), rel=1e-10)
+    betas = np.full(xi.size, beta)
+    assert np.array_equal(_second_fock_kernel(xi, w1, w2, betas, th1, n1, n2), kernel)
+    cold = _second_fock_kernel(xi, w1, w2, math.inf, 1.0, 0.0, 0.0)
     ref = 0.5 * (1.0 / w2 - 1.0 / w1) / (xi + w1)
-    assert cold(xi) == pytest.approx(ref, rel=1e-13)
+    assert cold == pytest.approx(ref, rel=1e-13)
 
 
 def test_combined_route_against_midpoint_oracle():
@@ -376,7 +391,7 @@ def test_combined_route_against_midpoint_oracle():
     )
     const = n1 * (1.0 - 2.0 * n2) * sd.reorganization_omega()[0] / w2
     ref = -4.0 * p.t / dw * (ref_int + const)
-    value, _, _ = _combined_route(p, sd, ThermalPoint(beta), None)
+    value, _, _ = run_step(_combined_route(p, sd, ThermalPoint(beta), None))
     assert value == pytest.approx(ref, rel=2e-5)
 
 
@@ -527,3 +542,35 @@ def test_sigma1x_fermion_estimate_carries_tabulated_omega():
     result = sigma1x_fermion(p, sd, tp)
     assert result.err_estimate >= omega_share
     assert result.err_estimate == pytest.approx(pre * j_err + omega_share, rel=1e-12)
+
+
+def test_tolerance_floor_is_flagged():
+    # At beta omega1 = 0.005 the kernels' cancellation noise lifts rel_tol
+    # from the requested 1e-10 to 64 eps / 0.005^2 (both <sigma2x>_F
+    # organizations) and 64 eps / 0.005^3 (the direct Fock integrals).
+    from cohex.sweep import AxisSpec, SweepSpec, run_sweep
+
+    sd = OhmicDensity(1.0, 1.0)
+    hot = ThermalPoint(0.005)
+    assert "tolerance-floor" in sigma2x_fermion(PARAMS, sd, hot).flags
+    axis = (AxisSpec("beta_omega1", 0.005, 0.005, 1),)
+    for name in ("sigma2x_fermion", "hartree_fock"):
+        (row,) = run_sweep(SweepSpec(name, axis, sd, PARAMS)).rows
+        assert "tolerance-floor" in row[-1].split(";")
+    # A tolerance below 64 eps is floored at any temperature.
+    tight = sigma2x_fermion(PARAMS, sd, ThermalPoint(2.0), QuadratureConfig(rel_tol=1e-15))
+    assert "tolerance-floor" in tight.flags
+
+
+def test_no_tolerance_floor_at_default_tolerance_from_beta_omega1_0_1():
+    # The floors stay below 1e-10 there (1.4e-12 and 1.4e-11 at 0.1).
+    from cohex.sweep import AxisSpec, SweepSpec, run_sweep
+
+    axes = (
+        AxisSpec("beta_omega1", 0.1, 30.0, 6, "log"),
+        AxisSpec("omega1_over_omegac", 0.1, 1.6, 3, "log"),
+    )
+    for name in ("sigma2x_fermion", "hartree_fock"):
+        table = run_sweep(SweepSpec(name, axes, OhmicDensity(1.0, 1.0), PARAMS))
+        assert all(row[-1] == "ok" for row in table.rows)
+    assert sigma2x_fermion(PARAMS, OhmicDensity(1.0, 1.0), ThermalPoint(0.1)).flags == ()

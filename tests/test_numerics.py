@@ -358,9 +358,11 @@ def _bridge_kernel(x):
     return np.exp(-x) * (np.cos(3.0 * x) + x ** 2 / (1.0 + x))
 
 
-def _assert_bridges_match_polyfit(patched):
-    assert patched.windows
-    for lo, hi, center, half, _ in patched.windows:
+def _assert_bridges_match_polyfit(windows, bridged):
+    """Each window's cubic is the interpolant of the kernel at its four
+    fit nodes, and ``bridged`` evaluates it inside the window."""
+    assert windows
+    for lo, hi, center, half, _ in windows:
         w = 0.5 * (hi - lo)
         nodes = np.array([max(lo - w, 0.25 * lo), lo, hi, hi + w])
         vals = _bridge_kernel(nodes)
@@ -369,7 +371,12 @@ def _assert_bridges_match_polyfit(patched):
         ref = np.polynomial.polynomial.polyval((x - center) / half, coeffs)
         # Relative to the fitted data: the cubic may cross zero in the window.
         scale = np.max(np.abs(vals))
-        assert np.max(np.abs(patched(x) - ref)) <= 1e-13 * scale
+        assert np.max(np.abs(bridged(x) - ref)) <= 1e-13 * scale
+
+
+def _engine_windows(engine):
+    return list(zip(engine.w_lo, engine.w_hi, engine.w_center, engine.w_half,
+                    engine.w_coef))
 
 
 @pytest.mark.parametrize("points, delta, n_windows", [
@@ -379,35 +386,59 @@ def _assert_bridges_match_polyfit(patched):
     ([0.001, 0.0015, 50.0], 0.2, 2),  # merged at small xi: clamped outer node
 ])
 def test_batched_bridge_matches_polyfit(points, delta, n_windows):
+    deltas = np.broadcast_to(delta, len(points)).tolist()
+    merged = nm._merged_windows(points, deltas)
+    assert len(merged) == n_windows
+    lo, hi = np.array(merged).T
+    nodes = nm._bridge_nodes(lo, hi)
+    assert nodes.shape == (n_windows, 4)
+    center, half, coeffs = nm._bridge_cubics(nodes, _bridge_kernel(nodes.reshape(-1)))
+
+    def bridged(x):
+        inside = [(x >= a) & (x <= b) for a, b in zip(lo, hi)]
+        (k,) = [k for k, m in enumerate(inside) if m.all()]
+        return nm._cubic((x - center[k]) / half[k], coeffs[k])
+
+    _assert_bridges_match_polyfit(list(zip(lo, hi, center, half, coeffs)), bridged)
+
+
+def test_bridges_of_every_integral_share_one_call():
     calls = []
 
-    def kernel(x):
+    def kernel(x, shift):
         calls.append(x.size)
-        return _bridge_kernel(x)
+        return _bridge_kernel(x) + 0.0 * shift
 
-    deltas = np.broadcast_to(delta, len(points)).tolist()
-    patched = nm._PatchedKernel(kernel, points, deltas)
-    assert calls == [4 * n_windows]  # every window's nodes in one call
-    assert len(patched.windows) == n_windows
-    _assert_bridges_match_polyfit(patched)
+    points = ([1.0], [0.3, 4.0], [2.0, 2.0 + 1e-7, 5.0])
+    engine = nm._Engine([nm.Integral(kernel, (0.0,), p) for p in points])
+    assert calls == [4 * 5]  # five windows, one call
+    group = engine.groups[0]
+    for owner in range(3):
+        first = engine.w_start[owner]
+        windows = _engine_windows(engine)[first:first + engine.w_count[owner]]
+        own = np.full(41, owner)
+        _assert_bridges_match_polyfit(windows, lambda x: engine._bridged(group, x, own))
 
 
 def test_clustered_points_bridge_matches_polyfit(monkeypatch):
     made = []
-    patched_kernel = nm._PatchedKernel
+    engine_class = nm._Engine
 
-    def recording(kernel, pts, deltas):
-        made.append(patched_kernel(kernel, pts, deltas))
+    def recording(requests):
+        made.append(engine_class(requests))
         return made[-1]
 
-    monkeypatch.setattr(nm, "_PatchedKernel", recording)
+    monkeypatch.setattr(nm, "_Engine", recording)
     # Three points within 1e-6 (relative) are bridged as one feature.
     nm.integrate_semi_infinite(
         _bridge_kernel, removable_points=[2.0, 2.0 + 1e-7, 2.0 + 2e-7, 5.0]
     )
-    (patched,) = made
-    assert len(patched.windows) == 2
-    _assert_bridges_match_polyfit(patched)
+    (engine,) = made
+    assert len(engine.w_lo) == 2
+    group = engine.groups[0]
+    _assert_bridges_match_polyfit(
+        _engine_windows(engine), lambda x: engine._bridged(group, x, 0)
+    )
 
 
 def test_bridge_rejects_non_finite_fit_nodes():
@@ -417,8 +448,6 @@ def test_bridge_rejects_non_finite_fit_nodes():
         return np.where(np.abs(x - 0.998) < 1e-9, np.nan, np.exp(-x))
 
     with pytest.raises(KernelError, match="bridging nodes"):
-        nm._PatchedKernel(kernel, [1.0], [1e-3])
-    with pytest.raises(KernelError, match="bridging nodes"):
         nm.integrate_semi_infinite(kernel, removable_points=[1.0])
 
 
@@ -427,10 +456,13 @@ def test_bridged_kernel_rejects_non_finite_values_outside_windows():
     def kernel(x):
         return np.where(x > 3.0, np.inf, np.exp(-x))
 
-    patched = nm._PatchedKernel(kernel, [1.0], [1e-3])
-    assert np.all(np.isfinite(patched(np.array([0.5, 1.0, 2.5]))))
-    with pytest.raises(KernelError, match="outside any declared removable window"):
-        patched(np.array([1.0, 4.0]))
+    engine = nm._Engine([nm.Integral(kernel, (), [1.0])])
+    group = engine.groups[0]
+    assert np.all(np.isfinite(engine._bridged(group, np.array([0.5, 1.0, 2.5]), 0)))
+    assert engine.outcome[0] is None
+    engine._bridged(group, np.array([1.0, 4.0]), 0)
+    assert isinstance(engine.outcome[0], KernelError)
+    assert "outside any declared removable window" in str(engine.outcome[0])
     with pytest.raises(KernelError, match="outside any declared removable window"):
         nm.integrate_semi_infinite(kernel, removable_points=[1.0])
 

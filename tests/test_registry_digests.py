@@ -44,47 +44,47 @@ def data_digest(bath: str, quantity: str) -> str:
 
 
 DIGESTS = {
-    "ohmic/sigma1x": "f89684712fd6518547b75a78073f87adc45e598cb2061e1db4997307f8882c11",
-    "ohmic/sigma2x": "d2c6c06b8e14dfaca431dd062607770a27c4d3874101fed487c9e035c6f004a3",
+    "ohmic/sigma1x": "8494452f86778c309a815a80a7632b52bd01f9e3909edb4c89b4afa62a50729e",
+    "ohmic/sigma2x": "be32a48b4337fa148ebd0a56f2ad7a5638573b3cc3f5bc7e6094996b47955e00",
     "ohmic/sigma2y": "84bce8ae49cd624daa7bfe9bf591de646ab66d8bb81127f5005b758ea714c007",
-    "ohmic/sigma1x_general": "7df126be92a7ce2017bcbada6bd5a4847c2286142caecb8a1b3b989a0a79ca8d",
-    "ohmic/sigma2x_general": "ea3b61e8eb39ab5f9c1fab0fbb76800f176ca33cf9cb9ef798ba3124cadfcd8f",
-    "ohmic/r1": "e564e95bcd804b8fb9cfeb7cfd7e50e7c1823f8254543763034ec27b3bfa8a69",
-    "ohmic/r2": "3e7e4bf9afe000753ed95e2530f45f79467934995098d60e6ee5f128b86074c6",
+    "ohmic/sigma1x_general": "e0cd1cd479f8b8925faa4b8db7e02509fa93bbf91dcfbb11c56d5515f242722f",
+    "ohmic/sigma2x_general": "5076d1ddd28bbdeb2c66a5270f0be074c5f67535f6e34d48da95e592c2783fe8",
+    "ohmic/r1": "854bc38f8d5812b7dc2c4eac3cc32ab322335a51ecc59d6c7b4fbe48ca867a19",
+    "ohmic/r2": "94feebe6611067ec78a3d8b1e24044412c6e69a36c60ce9a6a3fa845eec82576",
     "ohmic/static_sigma2x": "ce0ee251f1f68906355ec3aa7c19cfb265769ba365e02229359e306c39e67841",
     "ohmic/sigma2x_low_T": "7dee9a13ccf15fdfaec0cbd095b662eb199f5dca8828f73b479c9d4a4e3dd25d",
-    "ohmic/normalized_output_ratio": "789355beaf40d283f47feda29908273a1ecc95d3416ae87b7f73fce58bfae5cc",
-    "ohmic/normalized_spin": "7491ae9df58ba309fce2ebd1e6b73fa0607194caa8dc7ee7ef92be5e900070fe",
-    "ohmic/static_compare": "27744773dc3d4e5beb8c8ccea7656d915a89924b15baa2a798e2fe02a3820840",
-    "ohmic/sigma1x_fermion": "7803a97eb57180eb3190dfa30f4f3a2e7c84cfac3daf71a0be3a397ba4cb4cf7",
-    "ohmic/sigma2x_fermion": "f58598f7358c4807c7609ae80c170050a9280b2c338f11ed986e20d07bfd980b",
-    "ohmic/hartree_fock": "57a9cace85eebbec4b5de1d0e42554a31d26106dd243c04f860e3f54a12ffbc6",
-    "ohmic/normalized_fermion": "bc99c6e8a7465fa83f97f0227279fb822de41d3afb8ed4d579f542a81e884397",
-    "ohmic/ratio_R": "9b91e3d487b0394b2761d7272e26dfa418d0ce40486cbf2863402ebd6b4ea44f",
-    "ohmic/g_script": "4da873bd4263a441686234101f59eb86fd2c3eb1ee2829e1f7b571ebd2c8fc68",
+    "ohmic/normalized_output_ratio": "f933749cc3d6f361ac04c0f517797737f1fa538ef0e65ae55d214f9d6d2c2158",
+    "ohmic/normalized_spin": "9d2f0d9de8a72674f846be73634be7186b740823f3adcd1810071e626f71d746",
+    "ohmic/static_compare": "469ae60fc8879f020360839a987958b8e4ff5ecbd5f0cd948fc4124e54ee89df",
+    "ohmic/sigma1x_fermion": "52d16d05ab3ef6f5cd1e22bef78cf7f6cafc404fb5628e80c2d528bca756822d",
+    "ohmic/sigma2x_fermion": "41a055af228fa4c9d98ebaa925b63d4dd74ab855db079c62d3a7b01d47d0416d",
+    "ohmic/hartree_fock": "57f948c0c0d24cad5cd92eed82cbf15e3c03240e94d501a4f9d872f099fb2ddd",
+    "ohmic/normalized_fermion": "30671b433a67bf48a368a613f66abb83e2e084e83384e37484cbff8e070b13b7",
+    "ohmic/ratio_R": "79675aa0ad100f95ffa0aad4e79ead76b5aed8aa5a1af40d817fb414d111a6b3",
+    "ohmic/g_script": "fb16f4f8dc08df10e059a2befe1c1ce1f8c0a2bbe98c356022386e648779f736",
     "ohmic/fermion_high_T": "b3040d6d11644b3477849127a3679e98353aaa2a6c3636ca8e5580aff88c66bf",
-    "generalized/sigma1x": "1f82adc347f8c897a2e3f9c376851ab57d02c4b7ddef1928726d536eeee0f894",
-    "generalized/sigma2x": "b0c4f85bfaf263091793150e94b2634e74cc5ec1c5ebc21c489b909dcf9778d8",
+    "generalized/sigma1x": "b63b323cb6779c5e12e92d40eccbe9c3881129287249795c2743ea9f1d4d1c0e",
+    "generalized/sigma2x": "628b3eeb465814597a12a27489d5bdec751378c2189b1246682c486ce3c25b03",
     "generalized/sigma2y": "84bce8ae49cd624daa7bfe9bf591de646ab66d8bb81127f5005b758ea714c007",
-    "generalized/sigma1x_general": "4208fa875532bfac280a8e0a0c7ed2b366b04625a1e758bac4779f67aaf082dc",
-    "generalized/sigma2x_general": "43bec76efa9baa69c5449f64564d15ae3622000528cc7fbb5c6272ee3cc7da98",
-    "generalized/r1": "f5e59896e940c345a325d04a2e835d88c2c3edc84eb7ab981085f2161aee3c42",
-    "generalized/r2": "88cc0ebd28b54ec7f0a793b613ff7f2062447d468148aa4c762756c24f2d119d",
+    "generalized/sigma1x_general": "b74e41c0e6831f36e7f991e189b2b890c1fe7f44ed0a74c3380f5ed8b0220f41",
+    "generalized/sigma2x_general": "e05f266b0dc3f92d076ab6bc1fd5877d33ac1f652592cbadb983d98bde9dd5bf",
+    "generalized/r1": "c5ebfdfbf7807dd8baacd4bc26a6ca0770ddacd93fa1b2cc0b1fef21de49fbee",
+    "generalized/r2": "76412ab9b699657a10f3bdfdcbdd54cfce2a0ad92e72e7756f784182bddafa74",
     "generalized/static_sigma2x": "11dc255e59ebad4ca4d655c313a7abd2c84619d77359a113303ada1afbea24f5",
-    "generalized/sigma1x_fermion": "ff5ddf5a629b77a2946b952b81a1dc630c6cb4f8884384e077d4797bfd1ad53f",
-    "generalized/sigma2x_fermion": "ada17f8e9f6a6ede8f6772658edf819114554e05136ad997cd28ac6fd713affd",
-    "generalized/hartree_fock": "8ff64fd2127e2a7404248e285b28e6460fedba6ca8d5e34c5b52ccaff6c910d2",
-    "tabulated/sigma1x": "d0243e737103017129681d840010e825121b376495552d10caf1e26e86e6bfc6",
-    "tabulated/sigma2x": "2596b2a20b42597ff1747a6b4a9c70cb22db93bc213ea42dc0be6916d44db80f",
+    "generalized/sigma1x_fermion": "98783441e505b9bb32cb39e85939457fa8496dbb51f74ea8ccc6e99967b9d7bc",
+    "generalized/sigma2x_fermion": "c8df9bad8c6ee592fa284b6d5d5b9d29218ba5b3f0e7cadf4633fb3a8a8c706b",
+    "generalized/hartree_fock": "f7dddeaa013da60ff7b8c5d5146e33abeea3a308249e7669dad26eb00ffec8cb",
+    "tabulated/sigma1x": "63ae05b61f8a244c44b3de19731dd74c333bdb762b59f867febd32e09c9bfe39",
+    "tabulated/sigma2x": "0d39acc0b2fb2d7a397303f4d1553baea5365d467280b8b5581fe3be6cfcb6a6",
     "tabulated/sigma2y": "84bce8ae49cd624daa7bfe9bf591de646ab66d8bb81127f5005b758ea714c007",
-    "tabulated/sigma1x_general": "c23336048915b2a598a1a92985e2699969f50ce7a6f82975a618e7e4eaa7c904",
-    "tabulated/sigma2x_general": "26415a0d16cfb50f8a598be707046623939c72f8349d23328d07ce8e6cd38207",
-    "tabulated/r1": "54d35a9a5a52d1a9c5747a1abf9a1c79d8c48a7d90e36be0ef10e9e159704626",
-    "tabulated/r2": "72e50acdac3ebf8b34d19ab8fad8abfdc67b0516fa9c94be3b5310352098b47f",
-    "tabulated/static_sigma2x": "63371c9089b87af89de2de583fe5e6c2ab5fee7fa3a7396d6797f3d0dcea2b60",
-    "tabulated/sigma1x_fermion": "79d100ae2d46bfa348303ffdaa88cf74eb704ea9ed96cbaabb8315f24847b412",
-    "tabulated/sigma2x_fermion": "c5ad23c6be0e515df33ca9c6eb4b61ae44514f52b2e6b72591d86358da2b1759",
-    "tabulated/hartree_fock": "1d3d1de52cb3c5e69012b30d08b0a57a2fb28c7d4f2134e75ae6b01ac12bb0a5",
+    "tabulated/sigma1x_general": "1262c1878a653e27814100cab5d4553442b3e88ac8a970ae5a0fe776b9542366",
+    "tabulated/sigma2x_general": "1207ebf12d19eeb33ecc5afa5bc328d31e45d964b81a4704ec747675a81da94a",
+    "tabulated/r1": "d8c2c31432aa3f4f94bfaf6710e2429ad756df2d113f2a01185f83e1ac11ccf7",
+    "tabulated/r2": "9b9b32cb6c5bc71731c71cde3b348d208fc4b28c46a6cab02a04cecf1b22f797",
+    "tabulated/static_sigma2x": "2203c7cb3c748811611fd64717280d98daf93d41e355739929849f399aeecfc0",
+    "tabulated/sigma1x_fermion": "4916a8d4cdbc8fb328c572ae665e2d348f6d5f531ff0bc5f7da5beca7d1f9017",
+    "tabulated/sigma2x_fermion": "ae6a4e9104e4c97c53178faf3b63db9a2b7576586289ebe9d6101f45548cf399",
+    "tabulated/hartree_fock": "0996fa7362c92584d1bc7f220416a691b94b4320fdc950b39a6f41d25d202adb",
 }
 
 

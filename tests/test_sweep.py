@@ -176,6 +176,13 @@ class TestRunSweep:
         serial = run_sweep(spec)
         pooled = run_sweep(spec, jobs=3)
         assert emit_csv(serial) == emit_csv(pooled)
+        # Fermion cells run in lockstep blocks, which a 7-cell grid cuts
+        # differently for every job count.
+        axis = beta_axis(points=7, start=0.5, stop=8.0, spacing="log")
+        for name in ("hartree_fock", "g_script", "ratio_R"):
+            spec = SweepSpec(name, (axis,), BATH, PARAMS)
+            outputs = {emit_csv(run_sweep(spec, jobs=jobs)) for jobs in (1, 2, 3)}
+            assert len(outputs) == 1
 
     @pytest.mark.parametrize(
         "jobs, cpus, cells, workers",
@@ -276,7 +283,7 @@ class TestRunSweep:
         monkeypatch.setattr(
             fermion,
             "_first_fock_kernel",
-            lambda params, tp: (lambda xi: 1.0 / (1.0 + xi * xi)),
+            lambda xi, *columns: 1.0 / (1.0 + xi * xi),
         )
         table = run_sweep(SweepSpec("hartree_fock", (beta_axis(),), BATH, PARAMS))
         assert table.rows[0][1:] == (None,) * 5 + ("cross-form-disagreement",)
@@ -286,7 +293,7 @@ class TestRunSweep:
         monkeypatch.setattr(
             fermion,
             "_combined_second_kernel",
-            lambda params, tp: (lambda xi: np.where(xi > 5.0, np.nan, 1.0)),
+            lambda xi, *columns: np.where(xi > 5.0, np.nan, 1.0),
         )
         table = run_sweep(SweepSpec("sigma2x_fermion", (beta_axis(),), BATH, PARAMS))
         assert table.rows[0][1:] == (None, None, "kernel-error")
@@ -329,14 +336,14 @@ class TestRunSweep:
 
     def test_g_script_sweep_passes_its_config(self, monkeypatch):
         cfg = DEFAULT_QUADRATURE.replace(rel_tol=1e-6)
-        real = fermion.sigma2x_fermion
+        real = fermion._sigma2x_fermion_step
         seen = []
 
-        def spy(params, sd, tp, config=None):
+        def spy(params, sd, tp, config):
             seen.append(config)
             return real(params, sd, tp, config)
 
-        monkeypatch.setattr(fermion, "sigma2x_fermion", spy)
+        monkeypatch.setattr(fermion, "_sigma2x_fermion_step", spy)
         axes = (beta_axis(points=2, start=1.0, stop=5.0),)
         table = run_sweep(SweepSpec("g_script", axes, OhmicDensity(1.0, 0.1), PARAMS, cfg))
         assert seen == [cfg, cfg]
@@ -345,7 +352,9 @@ class TestRunSweep:
         unit = ModelParams(1.0, 3.0, 0.1, 1.0, 1.0)
         scale = 2.0 * mixing(unit).cos_theta
         for row in table.rows:
-            direct = real(unit, OhmicDensity(1.0, 0.1), ThermalPoint(row[0]), cfg)
+            direct = fermion.sigma2x_fermion(
+                unit, OhmicDensity(1.0, 0.1), ThermalPoint(row[0]), cfg
+            )
             assert row[1] == direct.value / scale
 
     def test_normalized_fermion_cell_carries_err_estimate(self):
