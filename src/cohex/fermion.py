@@ -44,8 +44,9 @@ lockstep, so every integral of one kernel across the block goes to the
 engine together.  The kernels are module-level functions of xi and
 per-integral parameter columns.  Where a kernel's cancellation noise
 lifts the quadrature tolerance above the requested one, the results of
-``sigma2x_fermion`` and the ``hartree_fock`` sweep rows carry the
-``tolerance-floor`` flag.
+``sigma2x_fermion`` and the sweep rows of ``hartree_fock``, ``g_script``,
+``ratio_R`` and ``normalized_fermion`` carry the ``tolerance-floor``
+flag.
 """
 
 from __future__ import annotations
@@ -220,7 +221,8 @@ def _f_step(omega1_over_omegac, beta_omega1, config):
 
 
 def _f_fermion_parts_step(omega1_over_omegac, beta_omega1, omega2_over_omega1, config):
-    """Step returning (occupation term, kernel integral, its estimate) of F_F."""
+    """Step returning (occupation term, kernel integral, its estimate,
+    flags) of F_F; the flags name a raised tolerance."""
     a = float(omega1_over_omegac)
     b = float(beta_omega1)
     g = float(omega2_over_omega1)
@@ -235,12 +237,12 @@ def _f_fermion_parts_step(omega1_over_omegac, beta_omega1, omega2_over_omega1, c
     term0 = n1 * (1.0 - 2.0 * n2) / (a * g)
     cfg = config or DEFAULT_QUADRATURE
     # The kernel's cancellation noise grows as the square of 1/(beta omega1).
-    cfg, _ = _noise_floor(cfg.replace(tail_decay_scale=max(1.0 / a, 1.0)), b, 2)
+    cfg, raised = _noise_floor(cfg.replace(tail_decay_scale=max(1.0 / a, 1.0)), b, 2)
     (outcome,) = yield [
         Integral(_folded_x_kernel, (a, b, g, n1, n2), (1.0, abs(g - 1.0)), cfg)
     ]
     xint, err = take(outcome)
-    return term0, xint, err
+    return term0, xint, err, ("tolerance-floor",) if raised else ()
 
 
 def f_fermion_dimensionless(
@@ -257,7 +259,7 @@ def f_fermion_dimensionless(
     changes sign at intermediate temperatures for narrow baths.  Returns
     (F_F, err_estimate), the estimate being the integral's.
     """
-    term0, xint, err = run_step(_f_fermion_parts_step(
+    term0, xint, err, _ = run_step(_f_fermion_parts_step(
         omega1_over_omegac, beta_omega1, omega2_over_omega1, config
     ))
     return term0 + xint, err
@@ -267,7 +269,7 @@ def _shape_factor_route(params, coupling, cutoff, tp, config):
     """Step returning (value, err, scale) of <sigma2x>_F from the folded
     x-kernel form."""
     dw = params.omega2 - params.omega1
-    term0, xint, err = yield from _f_fermion_parts_step(
+    term0, xint, err, _ = yield from _f_fermion_parts_step(
         params.omega1 / cutoff,
         tp.beta * params.omega1,
         params.omega2 / params.omega1,
@@ -587,11 +589,11 @@ def fock_term(
 
 def _ratio_r_step(params, coupling, cutoff, tp, config):
     if tp.is_zero_temperature:
-        return 1.0, 0.0
+        return 1.0, 0.0, ()
     dw = _guarded_detuning(params)
     a = params.omega1 / cutoff
     b = tp.beta * params.omega1
-    (term0, xint, err_ff), (f_val, err_f) = yield from gather(
+    (term0, xint, err_ff, flags), (f_val, err_f) = yield from gather(
         _f_fermion_parts_step(a, b, params.omega2 / params.omega1, config),
         _f_step(a, b, config),
     )
@@ -603,7 +605,7 @@ def _ratio_r_step(params, coupling, cutoff, tp, config):
         )
     pre = -(2.0 * params.omega2 / dw) * thermal_coth_half(tp.beta, params.omega1)
     err = abs(pre / denom) * (err_ff + abs(f_f / denom) * err_f)
-    return pre * f_f / denom, err
+    return pre * f_f / denom, err, flags
 
 
 def ratio_R(
@@ -624,7 +626,8 @@ def ratio_R(
     ohmic helpers' signatures uniform.  Returns (R, err_estimate), the
     estimate carried to first order from F_F and F.
     """
-    return run_step(_ratio_r_step(params, coupling, cutoff, tp, config))
+    value, err, _ = run_step(_ratio_r_step(params, coupling, cutoff, tp, config))
+    return value, err
 
 
 def fermion_high_T(
@@ -658,7 +661,8 @@ def _g_script_step(beta_omega1, omega1_over_omegac, omega2_over_omega1,
     result = yield from _sigma2x_fermion_step(params, sd, tp, config)
     # sin(theta_f) = 2 t / sqrt(delta_omega^2 + 4 t^2), the spin cos(theta)
     scale = 2.0 * mixing(params).cos_theta
-    return result.value / scale, result.err_estimate / scale
+    flags = tuple(f for f in result.flags if f == "tolerance-floor")
+    return result.value / scale, result.err_estimate / scale, flags
 
 
 def g_script(
@@ -676,18 +680,19 @@ def g_script(
     where the occupation term and the kernel integral compete.  Returns
     (G, err_estimate), the estimate carried from <sigma2x>_F.
     """
-    return run_step(_g_script_step(
+    value, err, _ = run_step(_g_script_step(
         beta_omega1, omega1_over_omegac, omega2_over_omega1, t_over_omega1, config
     ))
+    return value, err
 
 
 def _normalized_fermion_step(params, coupling, cutoff, tp, config):
     if tp.is_zero_temperature:
-        return (1.0, 1.0), 0.0
+        return (1.0, 1.0), 0.0, ()
     dw = _guarded_detuning(params)
     a = params.omega1 / cutoff
     b = tp.beta * params.omega1
-    (f_val, err_f), (term0, xint, err_ff) = yield from gather(
+    (f_val, err_f), (term0, xint, err_ff, flags) = yield from gather(
         _f_step(a, b, config),
         _f_fermion_parts_step(a, b, params.omega2 / params.omega1, config),
     )
@@ -698,7 +703,7 @@ def _normalized_fermion_step(params, coupling, cutoff, tp, config):
     f_f = term0 + xint
     second = pre2 * f_f / denom0
     err = max(abs(th1) * err_f, abs(pre2) * err_ff) / abs(denom0)
-    return (first, second), err
+    return (first, second), err, flags
 
 
 def normalized_fermion(
@@ -718,4 +723,5 @@ def normalized_fermion(
     ((n1, n2), err_estimate); the estimate, carried from F and F_F, bounds
     both.
     """
-    return run_step(_normalized_fermion_step(params, coupling, cutoff, tp, config))
+    values, err, _ = run_step(_normalized_fermion_step(params, coupling, cutoff, tp, config))
+    return values, err

@@ -12,7 +12,9 @@ integration path.  This module provides
 * ``integrate_many`` -- adaptive Gauss-Kronrod quadrature on a log-mapped
   semi-infinite domain with windowed polynomial bridging of declared
   removable singularities, for many integrals at once;
-  ``integrate_semi_infinite`` is its one-integral call,
+  ``integrate_semi_infinite`` is its one-integral call, and ``integrate``
+  runs one stated integral (an ``Integral`` request or a ready outcome)
+  through it,
 * ``run_steps`` -- the driver of steps: computations that state their
   integrals (``Integral`` requests), receive the outcomes of one
   ``integrate_many`` run shared with other steps, then finish.
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -116,16 +119,16 @@ class QuadratureConfig:
     tail_decay_scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise DomainError("rel_tol must be positive")
-        if self.abs_tol < 0.0:
-            raise DomainError("abs_tol must be non-negative")
-        if self.max_subdivisions < 8:
-            raise DomainError("max_subdivisions must be at least 8")
+        if not (0.0 < self.rel_tol < math.inf):
+            raise DomainError("rel_tol must be positive and finite")
+        if not (0.0 <= self.abs_tol < math.inf):
+            raise DomainError("abs_tol must be non-negative and finite")
+        if not isinstance(self.max_subdivisions, numbers.Integral) or self.max_subdivisions < 8:
+            raise DomainError("max_subdivisions must be an integer of at least 8")
         if not (0.0 < self.singularity_window < 0.5):
             raise DomainError("singularity_window must lie in (0, 0.5)")
-        if not (self.tail_decay_scale > 0.0):
-            raise DomainError("tail_decay_scale must be positive")
+        if not (0.0 < self.tail_decay_scale < math.inf):
+            raise DomainError("tail_decay_scale must be positive and finite")
 
     def replace(self, **kwargs) -> "QuadratureConfig":
         return dataclasses.replace(self, **kwargs)
@@ -597,12 +600,6 @@ class _Engine:
 
     def _integrand(self, group: _Group, xi: np.ndarray, own):
         """Kernel (times density) at xi, each node with its owner's columns."""
-        if not (group.columns or group.density_columns):
-            vals = np.asarray(group.kernel(xi), dtype=float)
-            if group.density is not None:
-                dens = group.density(xi)
-                vals = np.where(dens == 0.0, 0.0, dens * vals)
-            return vals
         local = own - group.first
         vals = np.asarray(
             group.kernel(xi, *[c[local] for c in group.columns]), dtype=float
@@ -886,8 +883,9 @@ def integrate_semi_infinite(
     kernel: Callable,
     removable_points: Sequence[float] = (),
     config: QuadratureConfig | None = None,
+    density: tuple | None = None,
 ):
-    """Integrate ``kernel`` over (0, inf).
+    """Integrate ``kernel`` (times a density) over (0, inf).
 
     Parameters
     ----------
@@ -899,6 +897,9 @@ def integrate_semi_infinite(
         Abscissae where the kernel is 0/0-removable.  A window around each
         is bridged by a cubic through straddling sample points.
     config : QuadratureConfig, optional
+    density : (function, columns), optional
+        A weight ``function(xi, *columns)`` the kernel is multiplied by;
+        the product is exactly 0 wherever the weight is 0.
 
     Returns
     -------
@@ -908,8 +909,26 @@ def integrate_semi_infinite(
     estimate is still above both the requested target and the rounding
     floor, and ``KernelError`` if the kernel turns non-finite.
     """
-    (outcome,) = integrate_many([Integral(kernel, (), removable_points, config)])
+    weight, columns = density or (None, ())
+    (outcome,) = integrate_many([Integral(kernel, (), removable_points, config, weight, columns)])
     return take(outcome)
+
+
+def integrate(request):
+    """The (value, err_estimate) of one stated integral, or raise its error.
+
+    ``request`` is an ``Integral`` or a ready outcome (see ``take``).  An
+    ``Integral`` runs alone through ``integrate_semi_infinite``, its
+    columns bound into a kernel of xi and its density passed alongside.
+    """
+    if not isinstance(request, Integral):
+        return take(request)
+    kernel, columns = request.kernel, request.columns
+    density = None if request.density is None else (request.density, request.density_columns)
+    return integrate_semi_infinite(
+        lambda xi: kernel(xi, *columns), request.removable_points, request.config,
+        density=density,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -947,42 +966,14 @@ def _finish(step, outcomes):
     raise RuntimeError("a step yields its integral requests once")
 
 
-def gather(*steps):
-    """Step running sub-steps together: one yield for all their requests.
+def _lockstep(steps):
+    """Step running ``steps`` with one yield for all their requests.
 
-    Returns their results in order.  The first failure in that order is
-    raised, as if the sub-steps had run one after another.
+    Returns each step's result or the ``CohexError`` it raised, in order.
     """
     started = [_start(step) for step in steps]
     requests = [r for step, reqs in started if step is not None for r in reqs]
     outcomes = (yield requests) if requests else []
-    results = []
-    at = 0
-    for step, reqs in started:
-        if step is None:
-            if isinstance(reqs, CohexError):
-                raise reqs
-            results.append(reqs)
-            continue
-        results.append(_finish(step, outcomes[at:at + len(reqs)]))
-        at += len(reqs)
-    return results
-
-
-def run_steps(steps) -> list:
-    """Drive steps in lockstep: every step's integrals go to one engine run.
-
-    A step is a generator that yields once, a list whose items are
-    ``Integral`` requests or ready outcomes ((value, err_estimate) or a
-    ``CohexError``), receives their outcomes in the same order, and
-    returns its result.  Returns each step's result or the ``CohexError``
-    it raised, in order.
-    """
-    started = [_start(step) for step in steps]
-    pending = [r for step, reqs in started if step is not None for r in reqs]
-    engine_items = [r for r in pending if isinstance(r, Integral)]
-    solved = iter(integrate_many(engine_items))
-    outcomes = [next(solved) if isinstance(r, Integral) else r for r in pending]
     results = []
     at = 0
     for step, reqs in started:
@@ -995,6 +986,35 @@ def run_steps(steps) -> list:
             results.append(exc)
         at += len(reqs)
     return results
+
+
+def gather(*steps):
+    """Step running sub-steps together: one yield for all their requests.
+
+    Returns their results in order.  The first failure in that order is
+    raised, as if the sub-steps had run one after another.
+    """
+    results = yield from _lockstep(steps)
+    for result in results:
+        if isinstance(result, CohexError):
+            raise result
+    return results
+
+
+def run_steps(steps) -> list:
+    """Drive steps in lockstep: every step's integrals go to one engine run.
+
+    A step is a generator that yields once, a list whose items are
+    ``Integral`` requests or ready outcomes ((value, err_estimate) or a
+    ``CohexError``), receives their outcomes in the same order, and
+    returns its result.  Returns each step's result or the ``CohexError``
+    it raised, in order.
+    """
+    lock, pending = _start(_lockstep(steps))
+    if lock is None:
+        return pending
+    solved = iter(integrate_many([r for r in pending if isinstance(r, Integral)]))
+    return _finish(lock, [next(solved) if isinstance(r, Integral) else r for r in pending])
 
 
 def run_step(step):

@@ -5,17 +5,17 @@ A xi exp(-xi/omega_c), its generalized power-law form A xi^s exp(-xi/omega_c),
 an explicit finite set of modes (a sum of delta peaks), and a tabulated
 curve interpolated monotonically with a declared exponential tail.
 
-The one method every coherence formula actually consumes is
-``weighted_integral(kernel, ...)`` which evaluates
-integral I(xi) kernel(xi) dxi -- by adaptive quadrature for the continuous
-families and as the exact finite sum  sum_k lambda_k^2 kernel(Omega_k)  for
-the discrete one.  That shared dispatch is what lets the perturbative
+Every integral against a bath is stated through one method,
+``integral(kernel, columns, ...)``, for integral I(xi) kernel(xi, *columns)
+dxi with a kernel of xi and per-integral columns, without evaluating it: a
+continuous family returns a ``numerics.Integral`` for the adaptive
+quadrature engine, which integrates many such requests together, and the
+discrete family returns the exact finite sum
+sum_k lambda_k^2 kernel(Omega_k, *columns) (or the error computing it
+raised) at once.  That shared dispatch is what lets the perturbative
 formulas and the exact-diagonalization cross-check consume the same bath
-object.  ``integral(kernel, columns, ...)`` states the same integral for a
-kernel of xi and per-integral columns, without evaluating it: a
-continuous family returns a ``numerics.Integral`` for the engine, which
-integrates many such requests together, and the discrete family returns
-its finite sum (or the error computing it raised) at once.
+object.  ``weighted_integral(kernel, ...)`` evaluates one such integral of
+a kernel of xi alone, through ``numerics.integrate``.
 
 A tabulated curve is the piecewise cubic Hermite interpolant (PCHIP) of
 Fritsch & Carlson (SIAM J. Numer. Anal. 17 (1980) 238) with the knot slopes
@@ -34,12 +34,7 @@ import math
 import numpy as np
 
 from .errors import CohexError, DomainError, UnsupportedOperationError
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    Integral,
-    QuadratureConfig,
-    integrate_semi_infinite,
-)
+from .numerics import DEFAULT_QUADRATURE, Integral, QuadratureConfig, integrate
 
 
 def _check_positive(name, value):
@@ -62,7 +57,7 @@ class SpectralDensity:
 
     def weighted_integral(self, kernel, removable_points=(), config=None):
         """integral I(xi) kernel(xi) dxi as (value, err_estimate)."""
-        raise NotImplementedError
+        return integrate(self.integral(kernel, (), removable_points, config))
 
     def integral(self, kernel, columns=(), removable_points=(), config=None):
         """integral I(xi) kernel(xi, *columns) dxi, stated for the engine.
@@ -88,6 +83,10 @@ def _generalized_density(xi, coupling, exponent, cutoff):
     return coupling * np.power(xi, exponent) * np.exp(-xi / cutoff)
 
 
+def _reciprocal(xi):
+    return 1.0 / xi
+
+
 class _ContinuousDensity(SpectralDensity):
     def decay_scale(self) -> float:
         """Energy scale of the slowest decay of I, for tail mapping."""
@@ -109,24 +108,9 @@ class _ContinuousDensity(SpectralDensity):
         return Integral(kernel, columns, removable_points, self._config(config),
                         density, density_columns)
 
-    def weighted_integral(self, kernel, removable_points=(), config=None):
-        density, columns = self._density()
-
-        def integrand(x):
-            dens = density(x, *columns)
-            vals = np.asarray(kernel(x), dtype=float)
-            # 0 * inf at the origin (or in the tail) is a genuine 0 here:
-            # the density vanishes identically there.
-            return np.where(dens == 0.0, 0.0, dens * vals)
-
-        return integrate_semi_infinite(integrand, removable_points, self._config(config))
-
-    def _eval_unchecked(self, xi):
-        density, columns = self._density()
-        return density(xi, *columns)
-
     def eval(self, xi):
-        out = self._eval_unchecked(self._checked_xi(xi))
+        density, columns = self._density()
+        out = density(self._checked_xi(xi), *columns)
         return float(out) if np.isscalar(xi) else out
 
 
@@ -209,23 +193,20 @@ class DiscreteDensity(SpectralDensity):
             return 0.0, 0.0
         return float(np.sum(self.couplings ** 2 / self.frequencies)), 0.0
 
-    def weighted_integral(self, kernel, removable_points=(), config=None):
+    def integral(self, kernel, columns=(), removable_points=(), config=None):
         if self.frequencies.size == 0:
             return 0.0, 0.0
-        vals = np.asarray(kernel(self.frequencies), dtype=float)
+        try:
+            vals = np.asarray(kernel(self.frequencies, *columns), dtype=float)
+        except CohexError as exc:
+            return exc
         if not np.all(np.isfinite(vals)):
             bad = self.frequencies[~np.isfinite(vals)]
-            raise DomainError(
+            return DomainError(
                 "kernel is singular at mode frequencies %r; discrete sums "
                 "cannot bridge removable points" % (bad.tolist(),)
             )
         return float(np.sum(self.couplings ** 2 * vals)), 0.0
-
-    def integral(self, kernel, columns=(), removable_points=(), config=None):
-        try:
-            return self.weighted_integral(lambda x: kernel(x, *columns))
-        except CohexError as exc:
-            return exc
 
 
 def _pchip_coefficients(x, y):
@@ -346,7 +327,7 @@ class TabulatedDensity(_ContinuousDensity):
         # Kept after the first call, but not computed at construction, so
         # a bath whose Omega integral fails can still be built.
         if self._omega is None:
-            self._omega = self.weighted_integral(lambda x: 1.0 / x)
+            self._omega = self.weighted_integral(_reciprocal)
         return self._omega
 
     def decay_scale(self) -> float:

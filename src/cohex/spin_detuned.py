@@ -41,8 +41,7 @@ from .numerics import (
     QuadratureConfig,
     _exp_scaled_ei_neg,
     coth_minus_inv,
-    integrate_semi_infinite,
-    take,
+    integrate,
     thermal_tanh_half,
 )
 from .spectral import OhmicDensity, SpectralDensity
@@ -161,15 +160,6 @@ def _j_kernel_zero(xi, omega1):
     return 1.0 / (xi * (xi + omega1))
 
 
-def _j_integrand(params: ModelParams, tp: ThermalPoint):
-    """(kernel, columns, removable points) of the shared integral J."""
-    w1 = params.omega1
-    if tp.is_zero_temperature:
-        return _j_kernel_zero, (w1,), ()
-    half_beta = 0.5 * tp.beta
-    return _j_kernel, (w1, half_beta, w1 * coth_minus_inv(half_beta * w1)), (w1,)
-
-
 def coherence_request(
     params: ModelParams,
     sd: SpectralDensity,
@@ -177,8 +167,12 @@ def coherence_request(
     config: QuadratureConfig | None = None,
 ):
     """The shared integral J stated for the engine (``sd.integral``)."""
-    kernel, columns, removable = _j_integrand(params, tp)
-    return sd.integral(kernel, columns, removable, config)
+    w1 = params.omega1
+    if tp.is_zero_temperature:
+        return sd.integral(_j_kernel_zero, (w1,), (), config)
+    half_beta = 0.5 * tp.beta
+    anchor = w1 * coth_minus_inv(half_beta * w1)
+    return sd.integral(_j_kernel, (w1, half_beta, anchor), (w1,), config)
 
 
 def coherence_integral(
@@ -192,8 +186,7 @@ def coherence_integral(
     All detuned coherences are proportional to this one number, which is
     why the transfer relation between the two spins is exact here.
     """
-    kernel, columns, removable = _j_integrand(params, tp)
-    return sd.weighted_integral(lambda xi: kernel(xi, *columns), removable, config)
+    return integrate(coherence_request(params, sd, tp, config))
 
 
 def sigma1x(
@@ -287,13 +280,7 @@ def f_dimensionless(
     temperature drops.  Returns (F, err_estimate); the zero-temperature
     closed form has err_estimate 0.
     """
-    request = f_request(omega1_over_omegac, beta_omega1, config)
-    if not isinstance(request, Integral):
-        return take(request)
-    columns = request.columns
-    return integrate_semi_infinite(
-        lambda x: request.kernel(x, *columns), request.removable_points, request.config
-    )
+    return integrate(f_request(omega1_over_omegac, beta_omega1, config))
 
 
 def sigma2x_low_T(
@@ -392,6 +379,10 @@ def static_chain_flags(params: ModelParams, sd: SpectralDensity, tp: ThermalPoin
     return tuple(flags)
 
 
+def _dynamical_kernel(xi, omega1):
+    return 1.0 / (xi + omega1)
+
+
 def static_dynamical_split(
     params: ModelParams,
     sd: SpectralDensity,
@@ -412,7 +403,7 @@ def static_dynamical_split(
     static_term = pre * omega
     if omega == 0.0:
         return (static_term, 0.0), 0.0
-    integral, err = sd.weighted_integral(lambda xi: 1.0 / (xi + params.omega1), (), config)
+    integral, err = integrate(sd.integral(_dynamical_kernel, (params.omega1,), (), config))
     return (static_term, -pre * integral), abs(pre) * max(err, omega_err)
 
 

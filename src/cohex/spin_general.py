@@ -32,6 +32,7 @@ from .errors import DegenerateBasisError, DomainError
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
+    integrate,
     thermal_coth_half,
     thermal_tanh_half,
 )
@@ -227,7 +228,7 @@ def sigma1x_general(
 ) -> CoherenceResult:
     """First-spin coherence at arbitrary coupling t."""
     params, mix, cfg, flags, extra_rel = _prepared(params, config)
-    val, err = _first_spin_integral(sd, tp, mix, cfg)
+    val, err = integrate(_first_spin_request(sd, tp, mix, cfg))
     pre = params.f1 * params.f2
     value = pre * val
     err_total = abs(pre) * err + extra_rel * abs(value)
@@ -249,7 +250,7 @@ def sigma2x_general(
     params, mix, cfg, flags, extra_rel = _prepared(params, config)
     if params.t == 0.0:
         return CoherenceResult(0.0, 0.0, "general_mixed_basis", ())
-    val, err = _second_spin_integral(sd, tp, mix, cfg)
+    val, err = integrate(_second_spin_request(sd, tp, mix, cfg))
     pre = 0.5 * params.f1 * params.f2 * mix.cos_theta
     value = pre * val
     err_total = abs(pre) * err + extra_rel * abs(value)
@@ -258,42 +259,38 @@ def sigma2x_general(
     )
 
 
-def _first_spin_integral(sd, tp, mix, cfg):
+def _first_spin_kernel(xi, beta, omega, epsilon, sin_t, cos2t, chw, che, shw, she):
+    """g0 + sin(theta) g1 + cos(2 theta) g2 with scaled weights."""
+    g0, g1, g2 = _g_parts(xi, thermal_coth_half(beta, xi), omega, epsilon, chw, che, shw, she)
+    return g0 + sin_t * g1 + cos2t * g2
+
+
+def _second_spin_kernel(xi, beta, omega, epsilon, sin_t, chw, che, shw, she):
+    """f1k - sin(theta) f2k with scaled weights."""
+    f1k, f2k = _f_parts(xi, thermal_coth_half(beta, xi), omega, epsilon, chw, che, shw, she)
+    return f1k - sin_t * f2k
+
+
+def _first_spin_request(sd, tp, mix, cfg):
     """Integral of I(xi) [g0 + sin(theta) g1 + cos(2 theta) g2], scaled."""
-    weights = _scaled_weights(mix, tp)
-    beta = tp.beta
     omega, epsilon = mix.omega, mix.epsilon
-    sin_t, cos2t = mix.sin_theta, mix.cos_two_theta
-
-    def kernel(xi):
-        cothb = thermal_coth_half(beta, xi)
-        g0, g1, g2 = _g_parts(xi, cothb, omega, epsilon, *weights)
-        return g0 + sin_t * g1 + cos2t * g2
-
+    columns = (tp.beta, omega, epsilon, mix.sin_theta, mix.cos_two_theta)
     removable = (abs(omega - epsilon), omega + epsilon, 2.0 * epsilon)
-    return sd.weighted_integral(kernel, removable, cfg)
+    return sd.integral(_first_spin_kernel, columns + _scaled_weights(mix, tp), removable, cfg)
 
 
-def _second_spin_integral(sd, tp, mix, cfg):
+def _second_spin_request(sd, tp, mix, cfg):
     """Integral of I(xi) [f1k - sin(theta) f2k] with scaled weights."""
-    weights = _scaled_weights(mix, tp)
-    beta = tp.beta
     omega, epsilon = mix.omega, mix.epsilon
-    sin_t = mix.sin_theta
-
-    def kernel(xi):
-        cothb = thermal_coth_half(beta, xi)
-        f1k, f2k = _f_parts(xi, cothb, omega, epsilon, *weights)
-        return f1k - sin_t * f2k
-
+    columns = (tp.beta, omega, epsilon, mix.sin_theta)
     removable = (abs(omega - epsilon), omega + epsilon)
-    return sd.weighted_integral(kernel, removable, cfg)
+    return sd.integral(_second_spin_kernel, columns + _scaled_weights(mix, tp), removable, cfg)
 
 
 def _r1_core(params, sd, tp, config, j_val, j_err):
     """R1 from a precomputed small-t reference integral."""
     params, mix, cfg, flags, extra_rel = _prepared(params, config)
-    num, num_err = _first_spin_integral(sd, tp, mix, cfg)
+    num, num_err = integrate(_first_spin_request(sd, tp, mix, cfg))
     th1 = thermal_tanh_half(tp.beta, params.omega1)
     den = -4.0 * th1 * j_val
     if den == 0.0:
@@ -311,7 +308,7 @@ def _r2_core(params, sd, tp, config, j_val, j_err):
     finite on the whole t = 0 edge.
     """
     params, mix, cfg, flags, extra_rel = _prepared(params, config)
-    num, num_err = _second_spin_integral(sd, tp, mix, cfg)
+    num, num_err = integrate(_second_spin_request(sd, tp, mix, cfg))
     cos_over_t = 1.0 / mix.epsilon
     th1 = thermal_tanh_half(tp.beta, params.omega1)
     th2 = thermal_tanh_half(tp.beta, params.omega2)

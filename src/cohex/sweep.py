@@ -205,10 +205,10 @@ def _one(result):
     return (result.value,), result.err_estimate, result.flags
 
 
-def _estimated(values, err):
-    """Adapt quadrature-backed values (one value or a tuple of them) and an
-    error estimate that bounds each of them; they carry no flags."""
-    return values if isinstance(values, tuple) else (values,), err, ()
+def _estimated(values, err, flags=()):
+    """Adapt quadrature-backed values (one value or a tuple of them), an
+    error estimate that bounds each of them, and their flags."""
+    return values if isinstance(values, tuple) else (values,), err, flags
 
 
 def _stepped(name, columns, needs_ohmic, steps):

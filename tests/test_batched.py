@@ -32,6 +32,7 @@ from cohex.numerics import (
 )
 from cohex.spectral import GeneralizedOhmicDensity, OhmicDensity, TabulatedDensity
 from cohex.spin_detuned import ModelParams, ThermalPoint, coherence_request, f_request
+from cohex.spin_general import _first_spin_request, _second_spin_request, mixing
 from cohex.sweep import AxisSpec, SweepSpec, _sweep_block, run_sweep
 from cohex.table import emit_csv
 
@@ -50,17 +51,21 @@ def _decay(xi, rate):
 
 
 def _mixed_requests():
-    """J, the combined and both Fock kernels on four baths, F and the
-    folded kernel on the ohmic cutoffs, and exponentials that converge
-    in the first pass."""
+    """J, both spin_general kernels, the combined and both Fock kernels on
+    four baths, F and the folded kernel on the ohmic cutoffs, both
+    spin_general kernels at T = 0 (a beta column holding inf), and
+    exponentials that converge in the first pass."""
     requests = []
     cfg = DEFAULT_QUADRATURE
     w1, w2 = PARAMS.omega1, PARAMS.omega2
+    mix = mixing(PARAMS)
     for beta in (0.3, 2.0, 9.0):
         n1, n2 = fermi_n(w1, beta), fermi_n(w2, beta)
         th1 = math.tanh(0.5 * beta * w1)
         for sd in BATHS:
             requests.append(coherence_request(PARAMS, sd, ThermalPoint(beta)))
+            requests.append(_first_spin_request(sd, ThermalPoint(beta), mix, cfg))
+            requests.append(_second_spin_request(sd, ThermalPoint(beta), mix, cfg))
             requests.append(sd.integral(fermion._combined_second_kernel,
                                         (w1, w2, beta, n1, n2), (w1, w2 - w1), cfg))
             requests.append(sd.integral(fermion._first_fock_kernel,
@@ -71,6 +76,9 @@ def _mixed_requests():
             requests.append(f_request(a, beta, cfg))
             requests.append(Integral(fermion._folded_x_kernel, (a, beta, 3.0, n1, n2),
                                      (1.0, 2.0), cfg.replace(tail_decay_scale=1.0 / a)))
+    cold = ThermalPoint(math.inf)
+    requests.append(_first_spin_request(BATHS[0], cold, mix, cfg))
+    requests.append(_second_spin_request(BATHS[0], cold, mix, cfg))
     requests += [Integral(_decay, (rate,), (), cfg.replace(tail_decay_scale=1.0 / rate))
                  for rate in (0.5, 2.0)]
     return requests

@@ -301,6 +301,19 @@ class TestConfigHandling:
         default_err = parse_csv(default.stdout).rows[0][2]
         assert relaxed_err >= default_err
 
+    @pytest.mark.parametrize("setting", [
+        "tail_decay_scale=inf", "rel_tol=inf", "abs_tol=inf",
+    ])
+    def test_non_finite_quadrature_setting_is_usage_error(self, setting, capsys):
+        code = cli.main([
+            "spin-sweep", "--set", "quantity=sigma1x", "--set", "beta_omega1=2",
+            "--set", setting,
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert setting.partition("=")[0] + " must be" in captured.err
+
 
 class TestValidityMap:
     def test_small_map_structure_and_edge(self):

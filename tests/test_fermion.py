@@ -562,6 +562,25 @@ def test_tolerance_floor_is_flagged():
     assert "tolerance-floor" in tight.flags
 
 
+@pytest.mark.parametrize("name", ["g_script", "ratio_R", "normalized_fermion"])
+def test_rows_built_on_a_floored_f_f_carry_only_the_floor_flag(name):
+    # Each row integrates F_F, whose quadratic noise floor lifts rel_tol at
+    # beta omega1 = 0.005; the public functions keep their (value, err).
+    from cohex.sweep import AxisSpec, SweepSpec, run_sweep
+
+    sd = OhmicDensity(1.0, 1.0)
+    axis = (AxisSpec("beta_omega1", 0.005, 0.005, 1),)
+    (row,) = run_sweep(SweepSpec(name, axis, sd, PARAMS)).rows
+    assert row[-1] == "tolerance-floor"
+    hot = ThermalPoint(0.005)
+    value, err = {
+        "g_script": lambda: g_script(0.005, 1.0, 3.0, 0.1),
+        "ratio_R": lambda: ratio_R(PARAMS, 1.0, 1.0, hot),
+        "normalized_fermion": lambda: normalized_fermion(PARAMS, 1.0, 1.0, hot),
+    }[name]()
+    assert (value if isinstance(value, tuple) else (value,)) + (err,) == row[1:-1]
+
+
 def test_no_tolerance_floor_at_default_tolerance_from_beta_omega1_0_1():
     # The floors stay below 1e-10 there (1.4e-12 and 1.4e-11 at 0.1).
     from cohex.sweep import AxisSpec, SweepSpec, run_sweep
@@ -570,7 +589,8 @@ def test_no_tolerance_floor_at_default_tolerance_from_beta_omega1_0_1():
         AxisSpec("beta_omega1", 0.1, 30.0, 6, "log"),
         AxisSpec("omega1_over_omegac", 0.1, 1.6, 3, "log"),
     )
-    for name in ("sigma2x_fermion", "hartree_fock"):
+    for name in ("sigma2x_fermion", "hartree_fock", "g_script", "ratio_R",
+                 "normalized_fermion"):
         table = run_sweep(SweepSpec(name, axes, OhmicDensity(1.0, 1.0), PARAMS))
         assert all(row[-1] == "ok" for row in table.rows)
     assert sigma2x_fermion(PARAMS, OhmicDensity(1.0, 1.0), ThermalPoint(0.1)).flags == ()

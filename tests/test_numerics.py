@@ -149,12 +149,19 @@ def test_thermal_helpers_zero_temperature():
 # ---------------------------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(DomainError):
-        nm.QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        nm.QuadratureConfig(singularity_window=0.7)
-    with pytest.raises(DomainError):
-        nm.QuadratureConfig(tail_decay_scale=-1.0)
+    for field, value in (
+        ("rel_tol", 0.0), ("rel_tol", math.nan), ("rel_tol", math.inf),
+        ("abs_tol", -1e-12), ("abs_tol", math.nan), ("abs_tol", math.inf),
+        ("max_subdivisions", 7), ("max_subdivisions", 100.5), ("max_subdivisions", 100.0),
+        ("singularity_window", 0.7),
+        ("tail_decay_scale", -1.0), ("tail_decay_scale", math.nan),
+        ("tail_decay_scale", math.inf),
+    ):
+        with pytest.raises(DomainError):
+            nm.QuadratureConfig(**{field: value})
+        with pytest.raises(DomainError):
+            nm.DEFAULT_QUADRATURE.replace(**{field: value})
+    assert nm.QuadratureConfig(max_subdivisions=np.int64(8)).max_subdivisions == 8
 
 
 def test_gk_rule_exactness():
@@ -276,6 +283,33 @@ def test_convergence_error_carries_partial():
 # Batching: K-way splits and one-call bridges
 # ---------------------------------------------------------------------------
 
+def _spy_lone_integrals(monkeypatch):
+    """Count the integrals made through ``numerics.integrate_semi_infinite``
+    (where a tracer counts them), those weighted by a bath density, their
+    kernel calls, and every integral the engine makes."""
+    counts = {"integrals": 0, "densities": 0, "calls": 0, "engine": 0}
+    integrate = nm.integrate_semi_infinite
+    integrate_many = nm.integrate_many
+
+    def counting_integrate(kernel, removable_points=(), config=None, density=None):
+        counts["integrals"] += 1
+        counts["densities"] += density is not None
+
+        def counted(x):
+            counts["calls"] += 1
+            return kernel(x)
+
+        return integrate(counted, removable_points, config, density=density)
+
+    def counting_many(requests):
+        counts["engine"] += len(requests)
+        return integrate_many(requests)
+
+    monkeypatch.setattr(nm, "integrate_semi_infinite", counting_integrate)
+    monkeypatch.setattr(nm, "integrate_many", counting_many)
+    return counts
+
+
 @pytest.mark.parametrize("exponent, max_batches", [(None, 7), (0.5, 25)])
 def test_canonical_integral_batch_counts(monkeypatch, exponent, max_batches):
     # Bisection took 16 and 56 batches for these two integrals.
@@ -284,28 +318,52 @@ def test_canonical_integral_batch_counts(monkeypatch, exponent, max_batches):
 
     sd = (spectral.OhmicDensity(1.0, 1.0) if exponent is None
           else spectral.GeneralizedOhmicDensity(1.0, exponent, 1.0))
-    counts = {"batches": 0, "calls": 0}
+    batches = []
     gk = nm._gk_evaluate
-    integrate = nm.integrate_semi_infinite
 
     def counting_gk(f, lo, hi):
-        counts["batches"] += 1
+        batches.append(lo.size)
         return gk(f, lo, hi)
 
-    def counting_integrate(kernel, removable_points=(), config=None):
-        def counted(x):
-            counts["calls"] += 1
-            return kernel(x)
-
-        return integrate(counted, removable_points, config)
-
     monkeypatch.setattr(nm, "_gk_evaluate", counting_gk)
-    monkeypatch.setattr(spectral, "integrate_semi_infinite", counting_integrate)
+    counts = _spy_lone_integrals(monkeypatch)
     params = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
     coherence_integral(params, sd, ThermalPoint(2.0))
-    assert counts["batches"] <= max_batches
+    assert counts["integrals"] == counts["engine"] == counts["densities"] == 1
+    assert len(batches) <= max_batches
     # One removable point (xi = omega1): its bridge costs one kernel call.
-    assert counts["calls"] - counts["batches"] == 1
+    assert counts["calls"] - len(batches) == 1
+
+
+def _lone_sites():
+    from cohex import spectral, spin_detuned, spin_general
+    from cohex.spin_detuned import ModelParams, ThermalPoint
+
+    p = ModelParams(1.0, 3.0, 0.4, 0.1, 0.1)
+    sd = spectral.OhmicDensity(1.0, 2.0)
+    tp = ThermalPoint(2.0)
+    knots = [(x, x * math.exp(-x / 5.0)) for x in np.linspace(0.0, 40.0, 30)]
+    return {
+        "sigma1x_general": (1, lambda: spin_general.sigma1x_general(p, sd, tp)),
+        "sigma2x_general": (1, lambda: spin_general.sigma2x_general(p, sd, tp)),
+        "r1_value": (2, lambda: spin_general.r1_value(p, sd, tp)),
+        "f_dimensionless": (1, lambda: spin_detuned.f_dimensionless(0.5, 2.0)),
+        "static_dynamical_split": (1, lambda: spin_detuned.static_dynamical_split(p, sd)),
+        "tabulated_omega": (
+            1, lambda: spectral.TabulatedDensity(knots, 5.0).reorganization_omega()
+        ),
+    }
+
+
+@pytest.mark.parametrize("site", sorted(_lone_sites()))
+def test_every_lone_integral_runs_through_integrate_semi_infinite(monkeypatch, site):
+    expected, compute = _lone_sites()[site]
+    counts = _spy_lone_integrals(monkeypatch)
+    compute()
+    assert counts["integrals"] == counts["engine"] == expected
+    # Every bath integral hands its density to the engine; F has no bath.
+    assert counts["densities"] == (0 if site == "f_dimensionless" else expected)
+    assert counts["calls"] > expected
 
 
 @pytest.mark.parametrize("budget", [8, 16, 40])
