@@ -28,11 +28,11 @@ within a relative 1e-6 of resonance rather than guess an unpublished
 limit; a softer advisory flag appears once |omega2 - omega1| < 10 t.
 
 The two coherences return ``CoherenceResult``.  Every other
-quadrature-backed quantity returns (value, err_estimate): the shape
-factor F_F, R(T) and G as scalars, ``normalized_fermion`` as
-((n1, n2), err) with one estimate bounding both, and ``fock_term`` as
-((k1, k2), (err1, err2)).  The Hartree parts and the high-temperature
-form are closed-form arithmetic and return bare values.
+quadrature-backed quantity returns (value, err_estimate): R(T) and G
+as scalars, ``normalized_fermion`` as ((n1, n2), err) with one
+estimate bounding both, and ``fock_term`` as ((k1, k2), (err1, err2)).
+The Hartree parts and the high-temperature form are closed-form
+arithmetic and return bare values.
 
 Each quadrature-backed quantity is written once, as a step (see
 ``numerics.run_steps``): a generator that checks its inputs, yields all
@@ -243,26 +243,6 @@ def _f_fermion_parts_step(omega1_over_omegac, beta_omega1, omega2_over_omega1, c
     ]
     xint, err = take(outcome)
     return term0, xint, err, ("tolerance-floor",) if raised else ()
-
-
-def f_fermion_dimensionless(
-    omega1_over_omegac: float,
-    beta_omega1: float,
-    omega2_over_omega1: float,
-    config: QuadratureConfig | None = None,
-):
-    """Output-coherence shape factor F_F(omega1/omegac, beta, omega2/omega1).
-
-    <sigma2x>_F = -(4 t f1 f2 A / (omega2 - omega1)) F_F for the ohmic
-    bath.  F_F is an occupation term plus a two-sided exponential-kernel
-    integral; it vanishes as (beta omega1)^2 at high temperature and
-    changes sign at intermediate temperatures for narrow baths.  Returns
-    (F_F, err_estimate), the estimate being the integral's.
-    """
-    term0, xint, err, _ = run_step(_f_fermion_parts_step(
-        omega1_over_omegac, beta_omega1, omega2_over_omega1, config
-    ))
-    return term0 + xint, err
 
 
 def _shape_factor_route(params, coupling, cutoff, tp, config):

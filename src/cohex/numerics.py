@@ -11,7 +11,8 @@ integration path.  This module provides
   package's only run-time dependency),
 * ``integrate_many`` -- adaptive Gauss-Kronrod quadrature on a log-mapped
   semi-infinite domain with windowed polynomial bridging of declared
-  removable singularities, for many integrals at once;
+  removable singularities and a graded map for integrable endpoint
+  singularities, for many integrals at once;
   ``integrate_semi_infinite`` is its one-integral call, and ``integrate``
   runs one stated integral (an ``Integral`` request or a ready outcome)
   through it,
@@ -33,6 +34,17 @@ one call per kernel and one batched 4 x 4 Vandermonde solve.  Every
 reduction is batch-independent (row-wise ``vecdot`` for the GK sums,
 ``np.add.reduceat`` and a row-wise cumulative sum per owner), so an
 integral has the same bits alone or in any batch.
+
+The half line is mapped onto (0, 1) by u = 1 - exp(-xi/scale), which
+keeps a small-xi power law: a density I ~ xi^s against a kernel ~ 1/xi
+leaves u^(s - 1), on which GK15 converges slowly and |K15 - G7| is no
+error bound.  An integral whose density declares such a power carries an
+integer grade k >= 1 (``endpoint_grade``), and the engine integrates it
+in v = u^(1/k) instead: the integrand at u = v^k, times du/dv = k
+v^(k - 1), goes like v^(ks - 1), a polynomial in v when ks is an integer.
+v^k is a product of k factors at every node, so a node's bits do not
+depend on the other grades in its batch, and an ungraded owner (k = 1)
+keeps the arithmetic of the plain map, in any batch.
 
 Reduced units (hbar = k_B = 1) throughout the package.
 """
@@ -135,6 +147,29 @@ class QuadratureConfig:
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
+
+# Largest grade the integer-ks rule of ``endpoint_grade`` tries, and the
+# largest grade at all: beyond 64, v^k underflows at nodes a few panels
+# deep at v = 0, and the product v^k costs one pass per rank.
+_MAX_GRADE = 8
+_GRADE_CAP = 64
+
+
+def endpoint_grade(power: float | None) -> int:
+    """Grade k of the map v = u^(1/k) for a density ~ xi^power near 0.
+
+    The smallest k <= 8 making k * power an integer of at least 1 (so the
+    mapped integrand is a polynomial in v near 0 against kernels with
+    integer small-xi powers), else ceil(1/power) up to 64; 1 (no grading)
+    when no power is declared.
+    """
+    if power is None:
+        return 1
+    for k in range(1, _MAX_GRADE + 1):
+        ks = float(k * power)
+        if ks >= 1.0 and ks.is_integer():
+            return k
+    return min(math.ceil(1.0 / power), _GRADE_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +384,26 @@ class Integral:
     the density is 0).  ``columns`` and ``density_columns`` are the
     integral's own scalars: the engine hands the functions one array per
     column, with one entry per node, so the nodes of every integral of one
-    kernel and density go to them in shared calls.
+    kernel and density go to them in shared calls.  ``grade`` is the
+    density's endpoint grade (``endpoint_grade``): the engine integrates
+    in v = u^(1/grade).
     """
 
     __slots__ = ("kernel", "columns", "removable_points", "config",
-                 "density", "density_columns")
+                 "density", "density_columns", "grade")
 
     def __init__(self, kernel: Callable, columns: tuple = (),
                  removable_points: Sequence[float] = (),
                  config: QuadratureConfig | None = None,
-                 density: Callable | None = None, density_columns: tuple = ()):
+                 density: Callable | None = None, density_columns: tuple = (),
+                 grade: int = 1):
         self.kernel = kernel
         self.columns = tuple(columns)
         self.removable_points = tuple(removable_points)
         self.config = config or DEFAULT_QUADRATURE
         self.density = density
         self.density_columns = tuple(density_columns)
+        self.grade = int(grade)
 
 
 def _bridge_points(removable_points: Sequence[float], cfg: QuadratureConfig):
@@ -507,6 +546,7 @@ class _Group:
             np.array(c, dtype=float) for c in zip(*(r.density_columns for r in requests))
         ]
         self.max_windows = 0
+        self.max_grade = max(r.grade for r in requests)
 
 
 def _split_counts(err, n_pan, starts, total_err, budget):
@@ -574,6 +614,7 @@ class _Engine:
         self.group_of = np.array(group_of, dtype=np.intp)
         n = len(self.owners)
         self.scale = np.array([r.config.tail_decay_scale for r in self.owners])
+        self.grade = np.array([r.grade for r in self.owners], dtype=float)
         self.outcome: list = [None] * n
         self.dead = np.zeros(n, dtype=bool)
         windows, breaks = [], []
@@ -587,7 +628,8 @@ class _Engine:
             for p, delta in zip(pts, deltas):
                 h = delta * p
                 interior.extend([p - h, p, p + h, p + 2 * h, max(p - 2 * h, p / 2)])
-            breaks.append(_semi_infinite_breaks(interior, r.config.tail_decay_scale))
+            u_breaks = _semi_infinite_breaks(interior, r.config.tail_decay_scale)
+            breaks.append(u_breaks if r.grade == 1 else u_breaks ** (1.0 / r.grade))
         self.has_windows = [bool(w) for w in windows]
         self._bridge(windows)
         self.breaks = breaks
@@ -719,11 +761,14 @@ class _Engine:
         return tuple(np.concatenate(p) for p in zip(*parts))
 
     def _mapped(self, group: _Group, own):
-        """The integrand in u = 1 - exp(-xi/scale) at the nodes of ``own``'s panels."""
+        """The integrand in u = 1 - exp(-xi/scale) at the nodes of ``own``'s
+        panels, or in v = u^(1/k) for a group with graded owners."""
         node_own = np.repeat(own, _XGK.size) if isinstance(own, np.ndarray) else own
         scale = self.scale[node_own]
+        graded = group.max_grade > 1
 
-        def f_u(u):
+        def f_mapped(x):
+            u, du = self._graded_nodes(group, x, node_own) if graded else (x, None)
             # Nodes of very deep panels can round to u = 1.0 exactly; by
             # then xi > 35 * scale and the mapped integrand is below
             # double noise.
@@ -731,10 +776,36 @@ class _Engine:
             u_safe = np.where(live, u, 0.5)
             xi = -scale * np.log1p(-u_safe)
             jac = scale / (1.0 - u_safe)
+            if du is not None:
+                jac = jac * du
             vals = self._bridged(group, xi, node_own)
             return np.where(live, vals * jac, 0.0)
 
-        return f_u
+        return f_mapped
+
+    def _graded_nodes(self, group: _Group, v, node_own):
+        """u = v^k and du/dv = k v^(k - 1) at nodes v of a graded group.
+
+        v^(k - 1) is a product of factors of v, one per rank below each
+        node's own grade, so k = 1 multiplies by 1.0 exactly and keeps
+        the plain map's bits; ``**`` would round a scalar grade (libm
+        pow) and per-node grades (numpy's loop) differently.  A node so
+        deep in the first panel that v^k underflows would hand the kernel
+        xi = 0: its owner fails, and the node is dropped as u = 1 is.
+        """
+        grade = self.grade[node_own]
+        power = np.ones_like(v)
+        for rank in range(1, group.max_grade):
+            power = np.where(grade > rank, power * v, power)
+        u = power * v
+        under = u == 0.0
+        if under.any():
+            hit = np.broadcast_to(node_own, v.shape)[under]
+            for o in sorted(set(hit.tolist())):
+                self._fail(o, "graded map underflows: v^%d = 0 at v = %.3g"
+                           % (self.owners[o].grade, v[under][hit == o][0]))
+            u = np.where(under, 1.0, u)
+        return u, grade * power
 
     # -- refinement --------------------------------------------------------
     def run(self) -> list:
@@ -897,9 +968,10 @@ def integrate_semi_infinite(
         Abscissae where the kernel is 0/0-removable.  A window around each
         is bridged by a cubic through straddling sample points.
     config : QuadratureConfig, optional
-    density : (function, columns), optional
+    density : (function, columns) or (function, columns, grade), optional
         A weight ``function(xi, *columns)`` the kernel is multiplied by;
-        the product is exactly 0 wherever the weight is 0.
+        the product is exactly 0 wherever the weight is 0.  ``grade`` is
+        its endpoint grade (see ``Integral``), 1 if left out.
 
     Returns
     -------
@@ -909,8 +981,7 @@ def integrate_semi_infinite(
     estimate is still above both the requested target and the rounding
     floor, and ``KernelError`` if the kernel turns non-finite.
     """
-    weight, columns = density or (None, ())
-    (outcome,) = integrate_many([Integral(kernel, (), removable_points, config, weight, columns)])
+    (outcome,) = integrate_many([Integral(kernel, (), removable_points, config, *(density or ()))])
     return take(outcome)
 
 
@@ -919,12 +990,15 @@ def integrate(request):
 
     ``request`` is an ``Integral`` or a ready outcome (see ``take``).  An
     ``Integral`` runs alone through ``integrate_semi_infinite``, its
-    columns bound into a kernel of xi and its density passed alongside.
+    columns bound into a kernel of xi and its density (with its grade)
+    passed alongside.
     """
     if not isinstance(request, Integral):
         return take(request)
     kernel, columns = request.kernel, request.columns
-    density = None if request.density is None else (request.density, request.density_columns)
+    density = None if request.density is None else (
+        request.density, request.density_columns, request.grade
+    )
     return integrate_semi_infinite(
         lambda xi: kernel(xi, *columns), request.removable_points, request.config,
         density=density,

@@ -17,6 +17,14 @@ formulas and the exact-diagonalization cross-check consume the same bath
 object.  ``weighted_integral(kernel, ...)`` evaluates one such integral of
 a kernel of xi alone, through ``numerics.integrate``.
 
+A bath may declare its small-xi power (``small_xi_power``): s for the
+generalized family, whose density goes like xi^s at 0; the ohmic,
+tabulated and discrete families declare none.  A continuous family
+stamps the grade ``numerics.endpoint_grade`` gives that power on every
+request it states, so the engine integrates a sub-ohmic endpoint
+singularity xi^(s - 1) in a graded variable in which it is smooth (see
+``numerics``); a request without a declared power keeps the plain map.
+
 A tabulated curve is the piecewise cubic Hermite interpolant (PCHIP) of
 Fritsch & Carlson (SIAM J. Numer. Anal. 17 (1980) 238) with the knot slopes
 of Fritsch & Butland (SIAM J. Sci. Stat. Comput. 5 (1984) 300): the
@@ -34,7 +42,13 @@ import math
 import numpy as np
 
 from .errors import CohexError, DomainError, UnsupportedOperationError
-from .numerics import DEFAULT_QUADRATURE, Integral, QuadratureConfig, integrate
+from .numerics import (
+    DEFAULT_QUADRATURE,
+    Integral,
+    QuadratureConfig,
+    endpoint_grade,
+    integrate,
+)
 
 
 def _check_positive(name, value):
@@ -45,6 +59,9 @@ def _check_positive(name, value):
 
 class SpectralDensity:
     """Common interface of the four bath families."""
+
+    # The power p of I(xi) ~ xi^p as xi -> 0, where a family declares one.
+    small_xi_power: float | None = None
 
     def eval(self, xi):
         """Pointwise density I(xi); xi may be a positive scalar or array."""
@@ -80,7 +97,10 @@ def _ohmic_density(xi, coupling, cutoff):
 
 
 def _generalized_density(xi, coupling, exponent, cutoff):
-    return coupling * np.power(xi, exponent) * np.exp(-xi / cutoff)
+    # The exponent is spread to one entry per node: numpy takes a square
+    # root for a lone integral's scalar exponent 0.5 (and a square for 2)
+    # but pow for pooled per-node exponents, which round differently.
+    return coupling * np.power(xi, np.full_like(xi, exponent)) * np.exp(-xi / cutoff)
 
 
 def _reciprocal(xi):
@@ -106,7 +126,7 @@ class _ContinuousDensity(SpectralDensity):
     def integral(self, kernel, columns=(), removable_points=(), config=None):
         density, density_columns = self._density()
         return Integral(kernel, columns, removable_points, self._config(config),
-                        density, density_columns)
+                        density, density_columns, endpoint_grade(self.small_xi_power))
 
     def eval(self, xi):
         density, columns = self._density()
@@ -141,6 +161,7 @@ class GeneralizedOhmicDensity(_ContinuousDensity):
         self.coupling = _check_positive("coupling", coupling)
         self.exponent = _check_positive("exponent", exponent)
         self.cutoff = _check_positive("cutoff", cutoff)
+        self.small_xi_power = self.exponent
 
     def __repr__(self):
         return (

@@ -120,16 +120,21 @@ def _g_parts(xi, cothb, omega, epsilon, chw, che, shw, she):
     cothb is coth(beta xi / 2) at the same xi.  With the raw hyperbolic
     values these are the printed kernels; the integral routines pass the
     values divided by cosh(beta omega) + cosh(beta epsilon), which simply
-    divides the (linear) kernels by the same factor.
+    divides the (linear) kernels by the same factor.  Squares are
+    products: numpy rounds ``scalar ** 2`` (libm pow) and ``array ** 2``
+    (a square) differently, and a lone integral's columns are scalars
+    where pooled ones are arrays.
     """
     w2 = omega * omega
     e2 = epsilon * epsilon
     x2 = xi * xi
-    d2 = (x2 - (omega + epsilon) ** 2) * (x2 - (omega - epsilon) ** 2)
+    wpe = omega + epsilon
+    wme = omega - epsilon
+    d2 = (x2 - wpe * wpe) * (x2 - wme * wme)
     we = w2 - e2
     x2m4e = x2 - 4.0 * e2
     g0 = (-1.0 / (we * d2)) * (
-        4.0 * omega * chw * ((e2 - w2) ** 2 - x2 * w2) / xi
+        4.0 * omega * chw * (we * we - x2 * w2) / xi
         - 4.0 * omega * che * (
             x2 * w2 * (x2 - w2)
             + e2 * e2 * (3.0 * x2 - 4.0 * w2)
@@ -169,8 +174,11 @@ def _f_parts(xi, cothb, omega, epsilon, chw, che, shw, she):
     w2 = omega * omega
     e2 = epsilon * epsilon
     x2 = xi * xi
-    den = (w2 - e2) * (x2 - (omega - epsilon) ** 2) * (x2 - (omega + epsilon) ** 2)
-    sq = (w2 - e2) ** 2 - x2 * (w2 + e2)
+    we = w2 - e2
+    wme = omega - epsilon
+    wpe = omega + epsilon
+    den = we * (x2 - wme * wme) * (x2 - wpe * wpe)
+    sq = we * we - x2 * (w2 + e2)
     f1k = (
         8.0 * epsilon * (shw / xi) * sq
         + 16.0 * xi * omega * e2 * she

@@ -491,7 +491,9 @@ def _evaluate_cells(spec: SweepSpec, points: list, jobs: int | None) -> list:
     The pool gets the smallest of ``jobs``, the cell count and the usable
     CPU count as workers: a fork-based pool starts every worker at its
     first task, whether or not there is work for it.  Each pool task is a
-    contiguous run of about an eighth of a worker's share of the cells.
+    contiguous run of about an eighth of a worker's share of the cells,
+    rounded up to whole lockstep blocks so a task pools its cells' kernel
+    calls as a serial run does.
     """
     shared = _shared_j(spec, points) if QUANTITIES[spec.quantity].shares_j else {}
     cells = [(point, shared.get(_j_key(point))) for point in points]
@@ -501,6 +503,7 @@ def _evaluate_cells(spec: SweepSpec, points: list, jobs: int | None) -> list:
         from concurrent.futures import ProcessPoolExecutor
 
         size = max(1, len(cells) // (8 * workers))
+        size = -(-size // _LOCKSTEP_CELLS) * _LOCKSTEP_CELLS
         tasks = [(spec, cells[i:i + size]) for i in range(0, len(cells), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return [cell for part in pool.map(_sweep_cells, tasks) for cell in part]

@@ -12,6 +12,8 @@ import mpmath
 import numpy as np
 
 from cohex import oracle
+from cohex.fermion import _f_fermion_parts_step
+from cohex.numerics import run_step
 
 
 def ei_reference(x, dps=50):
@@ -98,6 +100,23 @@ def fermion_shape_factor_reference(a, b, g, dps=30):
         integral = mpmath.quad(kernel, split)
         term0 = fermi(1) * (1 - 2 * fermi(gm)) / (am * gm)
         return float(term0 + integral)
+
+
+def f_fermion_dimensionless(omega1_over_omegac, beta_omega1, omega2_over_omega1,
+                            config=None):
+    """The package's output-coherence shape factor F_F(omega1/omegac, beta
+    omega1, omega2/omega1) as (F_F, err_estimate): the occupation term
+    plus the folded kernel integral its sweeps compute.
+
+    <sigma2x>_F = -(4 t f1 f2 A / (omega2 - omega1)) F_F for the ohmic
+    bath; F_F vanishes as (beta omega1)^2 at high temperature.  Not an
+    independent reference: it runs the package's own step alone, so the
+    tests can check that step's limits.
+    """
+    term0, xint, err, _ = run_step(_f_fermion_parts_step(
+        omega1_over_omegac, beta_omega1, omega2_over_omega1, config
+    ))
+    return term0 + xint, err
 
 
 def midpoint_reference(kernel, upper, n=10_000_000, skip_points=(), skip_rel=1e-6):

@@ -33,7 +33,7 @@ from cohex.numerics import (
 from cohex.spectral import GeneralizedOhmicDensity, OhmicDensity, TabulatedDensity
 from cohex.spin_detuned import ModelParams, ThermalPoint, coherence_request, f_request
 from cohex.spin_general import _first_spin_request, _second_spin_request, mixing
-from cohex.sweep import AxisSpec, SweepSpec, _sweep_block, run_sweep
+from cohex.sweep import MAP_QUADRATURE, AxisSpec, SweepSpec, _sweep_block, run_sweep
 from cohex.table import emit_csv
 
 PARAMS = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
@@ -42,8 +42,19 @@ BATHS = (
     OhmicDensity(1.0, 1.0),
     OhmicDensity(1.0, 10.0),
     GeneralizedOhmicDensity(1.0, 0.75, 10.0),
+    GeneralizedOhmicDensity(1.0, 0.5, 10.0),
     TabulatedDensity(_KNOTS, 10.0),
 )
+# Owners of the generalized density's group with grades 8, 1 and 4: the
+# ungraded one runs through the graded map at k = 1.
+GRADED_J_BATHS = (
+    GeneralizedOhmicDensity(1.0, 0.125, 10.0),
+    GeneralizedOhmicDensity(1.0, 1.0, 10.0),
+    GeneralizedOhmicDensity(1.0, 0.25, 0.625),
+)
+# A map cell where numpy's scalar ``** 2`` (a lone integral's columns)
+# and array ``** 2`` (pooled columns) round its kernels' squares apart.
+MAP_CELL = (ModelParams(1.0, 5.0, 4.0, 0.1, 0.1), OhmicDensity(1.0, 1.0), ThermalPoint(1.0))
 
 
 def _decay(xi, rate):
@@ -52,8 +63,9 @@ def _decay(xi, rate):
 
 def _mixed_requests():
     """J, both spin_general kernels, the combined and both Fock kernels on
-    four baths, F and the folded kernel on the ohmic cutoffs, both
-    spin_general kernels at T = 0 (a beta column holding inf), and
+    five baths (two of them graded), J on three more generalized baths, F
+    and the folded kernel on the ohmic cutoffs, both spin_general kernels
+    at T = 0 (a beta column holding inf) and on the map cell, and
     exponentials that converge in the first pass."""
     requests = []
     cfg = DEFAULT_QUADRATURE
@@ -72,6 +84,8 @@ def _mixed_requests():
                                         (w1, beta, n1, th1), (w1,), cfg))
             requests.append(sd.integral(fermion._second_fock_kernel,
                                         (w1, w2, beta, th1, n1, n2), (w1, w2 - w1), cfg))
+        for sd in GRADED_J_BATHS:
+            requests.append(coherence_request(PARAMS, sd, ThermalPoint(beta)))
         for a in (1.0, 0.1):
             requests.append(f_request(a, beta, cfg))
             requests.append(Integral(fermion._folded_x_kernel, (a, beta, 3.0, n1, n2),
@@ -79,6 +93,9 @@ def _mixed_requests():
     cold = ThermalPoint(math.inf)
     requests.append(_first_spin_request(BATHS[0], cold, mix, cfg))
     requests.append(_second_spin_request(BATHS[0], cold, mix, cfg))
+    params, sd, tp = MAP_CELL
+    for stated in (_first_spin_request, _second_spin_request):
+        requests.append(stated(sd, tp, mixing(params), MAP_QUADRATURE))
     requests += [Integral(_decay, (rate,), (), cfg.replace(tail_decay_scale=1.0 / rate))
                  for rate in (0.5, 2.0)]
     return requests
@@ -102,6 +119,7 @@ def test_an_integral_has_the_same_bits_alone_or_in_any_batch(monkeypatch):
     requests = _mixed_requests()
     assert all(isinstance(r, Integral) for r in requests)
     assert len({r.kernel for r in requests}) >= 3
+    assert {r.grade for r in requests} == {1, 2, 4, 8}
     pooled = integrate_many(requests)
     reordered = integrate_many(requests[::-1])[::-1]
     passes = []

@@ -9,7 +9,6 @@ from cohex.errors import (
     NearResonanceError,
 )
 from cohex.fermion import (
-    f_fermion_dimensionless,
     fermion_high_T,
     fock_term,
     g_script,
@@ -106,7 +105,7 @@ def test_sigma1x_fermion_matches_shape_factor_arithmetic():
 
 def test_f_fermion_dimensionless_zero_temperature_reduction():
     for a, g in ((1.0, 3.0), (0.25, 1.5), (4.0, 0.4)):
-        ff, _ = f_fermion_dimensionless(a, math.inf, g)
+        ff, _ = oracles.f_fermion_dimensionless(a, math.inf, g)
         ref = -((g - 1.0) / (2.0 * g)) * (1.0 / a + _exp_scaled_ei_neg(a))
         assert ff == pytest.approx(ref, rel=1e-9)
 
@@ -117,7 +116,7 @@ def test_f_fermion_dimensionless_high_temperature_quadratic():
     a, g = 1.0, 3.0
     resid = []
     for b in (0.02, 0.01):
-        ff, _ = f_fermion_dimensionless(a, b, g)
+        ff, _ = oracles.f_fermion_dimensionless(a, b, g)
         ratio = ff / ((g - 1.0) * b * b / (24.0 * a))
         assert ratio == pytest.approx(1.0, abs=5e-2)
         resid.append(ratio - 1.0)
@@ -126,11 +125,11 @@ def test_f_fermion_dimensionless_high_temperature_quadratic():
 
 def test_f_fermion_dimensionless_domain():
     with pytest.raises(DomainError):
-        f_fermion_dimensionless(-1.0, 2.0, 3.0)
+        oracles.f_fermion_dimensionless(-1.0, 2.0, 3.0)
     with pytest.raises(DomainError):
-        f_fermion_dimensionless(1.0, -2.0, 3.0)
+        oracles.f_fermion_dimensionless(1.0, -2.0, 3.0)
     with pytest.raises(DomainError):
-        f_fermion_dimensionless(1.0, 2.0, -3.0)
+        oracles.f_fermion_dimensionless(1.0, 2.0, -3.0)
 
 
 def test_sigma2x_fermion_reference_point_dual_form():

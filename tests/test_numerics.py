@@ -310,14 +310,21 @@ def _spy_lone_integrals(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("exponent, max_batches", [(None, 7), (0.5, 25)])
-def test_canonical_integral_batch_counts(monkeypatch, exponent, max_batches):
-    # Bisection took 16 and 56 batches for these two integrals.
+@pytest.mark.parametrize("exponent, cutoff, beta, max_batches", [
+    (None, 1.0, 2.0, 6),  # bisection took 16 batches
+    (0.5, 1.0, 2.0, 8),  # bisection 56, 8-way splits in u 20
+    (None, 10.0, 1.0, 6),
+    (0.5, 10.0, 1.0, 8),  # 20 in u
+    (0.25, 10.0, 1.0, 8),  # 41 in u
+])
+def test_canonical_integral_batch_counts(monkeypatch, exponent, cutoff, beta, max_batches):
+    # Sub-ohmic J is graded (v = u^(1/k)); an ohmic J is not, and keeps
+    # exactly the count of the plain map.
     import cohex.spectral as spectral
     from cohex.spin_detuned import ModelParams, ThermalPoint, coherence_integral
 
-    sd = (spectral.OhmicDensity(1.0, 1.0) if exponent is None
-          else spectral.GeneralizedOhmicDensity(1.0, exponent, 1.0))
+    sd = (spectral.OhmicDensity(1.0, cutoff) if exponent is None
+          else spectral.GeneralizedOhmicDensity(1.0, exponent, cutoff))
     batches = []
     gk = nm._gk_evaluate
 
@@ -328,11 +335,22 @@ def test_canonical_integral_batch_counts(monkeypatch, exponent, max_batches):
     monkeypatch.setattr(nm, "_gk_evaluate", counting_gk)
     counts = _spy_lone_integrals(monkeypatch)
     params = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
-    coherence_integral(params, sd, ThermalPoint(2.0))
+    coherence_integral(params, sd, ThermalPoint(beta))
     assert counts["integrals"] == counts["engine"] == counts["densities"] == 1
     assert len(batches) <= max_batches
+    if exponent is None:
+        assert len(batches) == max_batches
     # One removable point (xi = omega1): its bridge costs one kernel call.
     assert counts["calls"] - len(batches) == 1
+
+
+def test_endpoint_grade_rule():
+    # The smallest k <= 8 with k s an integer of at least 1, else ceil(1/s)
+    # up to 64.
+    cases = {None: 1, 1.0: 1, 2.0: 1, 0.5: 2, 0.25: 4, 0.75: 4, 1.5: 2,
+             0.2: 5, 0.6: 5, 0.125: 8, 0.3: 4, 0.7: 2, 0.1: 10, 1.3: 1,
+             0.02: 50, 0.01: 64, 1e-300: 64}
+    assert {s: nm.endpoint_grade(s) for s in cases} == cases
 
 
 def _lone_sites():

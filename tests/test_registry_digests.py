@@ -63,17 +63,17 @@ DIGESTS = {
     "ohmic/ratio_R": "79675aa0ad100f95ffa0aad4e79ead76b5aed8aa5a1af40d817fb414d111a6b3",
     "ohmic/g_script": "fb16f4f8dc08df10e059a2befe1c1ce1f8c0a2bbe98c356022386e648779f736",
     "ohmic/fermion_high_T": "b3040d6d11644b3477849127a3679e98353aaa2a6c3636ca8e5580aff88c66bf",
-    "generalized/sigma1x": "b63b323cb6779c5e12e92d40eccbe9c3881129287249795c2743ea9f1d4d1c0e",
-    "generalized/sigma2x": "628b3eeb465814597a12a27489d5bdec751378c2189b1246682c486ce3c25b03",
+    "generalized/sigma1x": "89fb2cd922242b87b0a01ccecd01342a74a736449da798b0f583281b57cd6308",
+    "generalized/sigma2x": "c3537f4e2121f84d61345257fd921623dc858d43ba4e34c0e02e078ace036719",
     "generalized/sigma2y": "84bce8ae49cd624daa7bfe9bf591de646ab66d8bb81127f5005b758ea714c007",
-    "generalized/sigma1x_general": "b74e41c0e6831f36e7f991e189b2b890c1fe7f44ed0a74c3380f5ed8b0220f41",
-    "generalized/sigma2x_general": "e05f266b0dc3f92d076ab6bc1fd5877d33ac1f652592cbadb983d98bde9dd5bf",
-    "generalized/r1": "c5ebfdfbf7807dd8baacd4bc26a6ca0770ddacd93fa1b2cc0b1fef21de49fbee",
-    "generalized/r2": "76412ab9b699657a10f3bdfdcbdd54cfce2a0ad92e72e7756f784182bddafa74",
+    "generalized/sigma1x_general": "3451af5a1d17f7d4eb810a3d81d11352a6192b5fe668180b758bb7f103ea41fc",
+    "generalized/sigma2x_general": "95e231aa0faa5dd0ccb7077a3d0d55690902037c244c3fcef8ce10cb9c7c8de6",
+    "generalized/r1": "f138ec631765906fdf36e9681f271f6fe8820c65a71012d610125babb55b0fa9",
+    "generalized/r2": "57e8af37c623e1fd50ca04d80806ac477fe1108d7f09fda65460f38bb1b87f92",
     "generalized/static_sigma2x": "11dc255e59ebad4ca4d655c313a7abd2c84619d77359a113303ada1afbea24f5",
-    "generalized/sigma1x_fermion": "98783441e505b9bb32cb39e85939457fa8496dbb51f74ea8ccc6e99967b9d7bc",
-    "generalized/sigma2x_fermion": "c8df9bad8c6ee592fa284b6d5d5b9d29218ba5b3f0e7cadf4633fb3a8a8c706b",
-    "generalized/hartree_fock": "f7dddeaa013da60ff7b8c5d5146e33abeea3a308249e7669dad26eb00ffec8cb",
+    "generalized/sigma1x_fermion": "d3852b6b1f0749e5d485fad67892578593210efaa4cfd26d504db69974e0fd8b",
+    "generalized/sigma2x_fermion": "f4bcf4b60cf0dcc6ebd2a6209cb694f2caaafb60d085297b63181d8f1afd74b8",
+    "generalized/hartree_fock": "4efc49a5e02c96d623751ce1a6206628a14a3fb61d6a7259f7bbf50fa78a3563",
     "tabulated/sigma1x": "63ae05b61f8a244c44b3de19731dd74c333bdb762b59f867febd32e09c9bfe39",
     "tabulated/sigma2x": "0d39acc0b2fb2d7a397303f4d1553baea5365d467280b8b5581fe3be6cfcb6a6",
     "tabulated/sigma2y": "84bce8ae49cd624daa7bfe9bf591de646ab66d8bb81127f5005b758ea714c007",

@@ -144,6 +144,32 @@ class TestRegistry:
         )
 
 
+def _recording_pool(monkeypatch, cpus):
+    """Stand in for the process pool on ``cpus`` usable CPUs: tasks run in
+    this process, and the pool sizes and task lengths are recorded."""
+    import concurrent.futures
+
+    record = {"started": [], "tasks": []}
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            record["started"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            record["tasks"].extend(len(task[1]) for task in tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+    return record
+
+
 class TestRunSweep:
     def test_single_point_matches_library_call(self):
         spec = SweepSpec("sigma2x", (beta_axis(),), BATH, PARAMS)
@@ -198,32 +224,24 @@ class TestRunSweep:
         ],
     )
     def test_pool_size_is_clamped(self, monkeypatch, jobs, cpus, cells, workers):
-        import concurrent.futures
-
-        started = []
-
-        class RecordingExecutor:
-            """Stands in for the process pool; runs cells in this process."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+        pool = _recording_pool(monkeypatch, cpus)
         axis = beta_axis(points=cells, start=0.5, stop=8.0 if cells > 1 else 0.5)
         spec = SweepSpec("sigma2x", (axis,), BATH, PARAMS)
         table = run_sweep(spec, jobs=jobs)
-        assert started == ([] if workers is None else [workers])
+        assert pool["started"] == ([] if workers is None else [workers])
         assert emit_csv(table) == emit_csv(run_sweep(spec))
+
+    @pytest.mark.parametrize("cells, sizes", [
+        (72, [24, 24, 24]),  # an eighth of a worker's share is 4 cells
+        (30, [24, 6]),
+        (400, [48] * 8 + [16]),  # 25 cells rounded up to two blocks
+    ])
+    def test_pool_tasks_are_whole_lockstep_blocks(self, monkeypatch, cells, sizes):
+        pool = _recording_pool(monkeypatch, 2)
+        axis = beta_axis(points=cells, start=0.5, stop=8.0)
+        run_sweep(SweepSpec("sigma2x", (axis,), BATH, PARAMS), jobs=2)
+        assert sweep._LOCKSTEP_CELLS == 24
+        assert pool["tasks"] == sizes
 
     def test_omega2_axis_matches_direct_calls(self):
         axes = (beta_axis(), AxisSpec("omega2_over_omega1", 2.0, 4.0, 2))
