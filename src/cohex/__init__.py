@@ -7,129 +7,108 @@ variables and the fermion variables reached by a Jordan-Wigner
 transformation.  Alongside the closed forms it carries validity
 diagnostics, parameter sweeps, and a brute-force single-mode oracle
 used to check every formula against exact diagonalization.
+
+``import cohex`` loads no numpy: the public names below bind on first
+use (PEP 562).  Looking up any of them, or a submodule such as
+``cohex.numerics``, imports every module of the table at once, so from
+then on the package namespace is the one an eager import would have
+built.
 """
 
-from .errors import (
-    CohexError,
-    ConvergenceError,
-    CrossFormError,
-    DegenerateBasisError,
-    DomainError,
-    EigensolverError,
-    HermiticityError,
-    KernelError,
-    NearResonanceError,
-    OracleSizeError,
-    SectorError,
-    UnsupportedOperationError,
-)
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
-from .spectral import (
-    DiscreteDensity,
-    GeneralizedOhmicDensity,
-    OhmicDensity,
-    SpectralDensity,
-    TabulatedDensity,
-)
-from .spin_detuned import (
-    CoherenceResult,
-    ModelParams,
-    ThermalPoint,
-    high_T_asymptotes,
-    normalized_coherences_spin,
-    normalized_output_ratio,
-    sigma1x,
-    sigma2x,
-    sigma2x_low_T,
-    sigma2y,
-    static_chain,
-    static_dynamical_split,
-)
-from .spin_general import r1_value, r2_value, sigma1x_general, sigma2x_general
-from .fermion import (
-    fermion_high_T,
-    g_script,
-    normalized_fermion,
-    ratio_R,
-    sigma1x_fermion,
-    sigma2x_fermion,
-)
-from .oracle import (
-    OracleSpec,
-    compare_perturbative,
-    convergence_order,
-    exact_average,
-    formula_value,
-    jw_residual,
-)
-from .sweep import AxisSpec, SweepSpec, r1_map, r2_map, run_sweep
-from .table import SweepTable, emit, emit_csv, emit_json, parse_csv
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "CohexError",
-    "ConvergenceError",
-    "CrossFormError",
-    "DegenerateBasisError",
-    "DomainError",
-    "EigensolverError",
-    "HermiticityError",
-    "KernelError",
-    "NearResonanceError",
-    "OracleSizeError",
-    "SectorError",
-    "UnsupportedOperationError",
+#: The public names, by the module that defines them, in import order.
+_EXPORTS = {
+    "errors": (
+        "CohexError",
+        "ConvergenceError",
+        "CrossFormError",
+        "DegenerateBasisError",
+        "DomainError",
+        "EigensolverError",
+        "HermiticityError",
+        "KernelError",
+        "NearResonanceError",
+        "OracleSizeError",
+        "SectorError",
+        "UnsupportedOperationError",
+    ),
     # configuration and baths
-    "DEFAULT_QUADRATURE",
-    "QuadratureConfig",
-    "SpectralDensity",
-    "OhmicDensity",
-    "GeneralizedOhmicDensity",
-    "DiscreteDensity",
-    "TabulatedDensity",
+    "numerics": ("DEFAULT_QUADRATURE", "QuadratureConfig"),
+    "spectral": (
+        "SpectralDensity",
+        "OhmicDensity",
+        "GeneralizedOhmicDensity",
+        "DiscreteDensity",
+        "TabulatedDensity",
+    ),
     # model and spin coherences
-    "ModelParams",
-    "ThermalPoint",
-    "CoherenceResult",
-    "sigma1x",
-    "sigma2x",
-    "sigma2y",
-    "sigma2x_low_T",
-    "high_T_asymptotes",
-    "static_chain",
-    "static_dynamical_split",
-    "normalized_output_ratio",
-    "normalized_coherences_spin",
-    "sigma1x_general",
-    "sigma2x_general",
-    "r1_value",
-    "r2_value",
-    "r1_map",
-    "r2_map",
+    "spin_detuned": (
+        "ModelParams",
+        "ThermalPoint",
+        "CoherenceResult",
+        "sigma1x",
+        "sigma2x",
+        "sigma2y",
+        "sigma2x_low_T",
+        "high_T_asymptotes",
+        "static_chain",
+        "static_dynamical_split",
+        "normalized_output_ratio",
+        "normalized_coherences_spin",
+    ),
+    "spin_general": ("sigma1x_general", "sigma2x_general", "r1_value", "r2_value"),
     # fermionized chain
-    "sigma1x_fermion",
-    "sigma2x_fermion",
-    "ratio_R",
-    "g_script",
-    "fermion_high_T",
-    "normalized_fermion",
-    # oracle
-    "OracleSpec",
-    "exact_average",
-    "formula_value",
-    "compare_perturbative",
-    "convergence_order",
-    "jw_residual",
+    "fermion": (
+        "sigma1x_fermion",
+        "sigma2x_fermion",
+        "ratio_R",
+        "g_script",
+        "fermion_high_T",
+        "normalized_fermion",
+    ),
+    "oracle": (
+        "OracleSpec",
+        "exact_average",
+        "formula_value",
+        "compare_perturbative",
+        "convergence_order",
+        "jw_residual",
+    ),
     # sweeps and tables
-    "AxisSpec",
-    "SweepSpec",
-    "run_sweep",
-    "SweepTable",
-    "emit",
-    "emit_csv",
-    "emit_json",
-    "parse_csv",
-]
+    "sweep": ("AxisSpec", "SweepSpec", "run_sweep", "r1_map", "r2_map"),
+    "table": ("SweepTable", "emit", "emit_csv", "emit_json", "parse_csv"),
+}
+
+__all__ = ["__version__"] + [name for names in _EXPORTS.values() for name in names]
+
+
+def __getattr__(name):
+    # A submodule name loads the table too, unless the import system is
+    # asking on behalf of a module still running (see ``_executing``).
+    if not (name in __all__ or (name in _EXPORTS and not _executing())):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    namespace = globals()
+    for module, names in _EXPORTS.items():
+        loaded = importlib.import_module(f"{__name__}.{module}")
+        for public in names:
+            namespace[public] = getattr(loaded, public)
+    return namespace[name]
+
+
+def _executing():
+    """Whether a module of the table is still running its body.
+
+    ``from . import fermion`` there asks this package for the attribute
+    before importing it; answering "absent" lets the import system load
+    that one module.  A submodule is bound on the package only once its
+    body has run, so one in ``sys.modules`` but not yet bound is running.
+    """
+    return any(f"{__name__}.{m}" in sys.modules and m not in globals() for m in _EXPORTS)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

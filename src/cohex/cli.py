@@ -19,52 +19,23 @@ for any ``--jobs`` value.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numeric or
 convergence error, 3 validity flags present (data still emitted).
+
+Only the command that runs pays for its imports.  The parser, the
+top-level help, ``--version`` and usage errors load no numpy and no
+numerical module; a command's config keys and flag choices, which come
+from those modules, load when argv names the command, and its runner
+imports what it evaluates when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
-from dataclasses import dataclass
-
-import numpy as np
+from collections import namedtuple
 
 from . import __version__
 from .errors import CohexError, DomainError
-from .numerics import DEFAULT_QUADRATURE, thermal_tanh_half
-from .oracle import (
-    OBSERVABLES,
-    OracleSpec,
-    compare_perturbative,
-    convergence_order,
-    exact_average,
-)
-from .spectral import DiscreteDensity, OhmicDensity
-from .spin_detuned import (
-    ModelParams,
-    ThermalPoint,
-    normalized_coherences_spin,
-    sigma1x,
-    sigma2x,
-    static_dynamical_split,
-)
-from .spin_general import r1_value
-from .fermion import sigma1x_fermion, sigma2x_fermion
-from .sweep import (
-    MAP_OMEGA2_MAX,
-    MAP_POINTS,
-    MAP_QUADRATURE,
-    MAP_T_MAX,
-    AxisSpec,
-    SweepSpec,
-    quantity_names,
-    r1_map,
-    r2_map,
-    run_sweep,
-)
-from .table import STATUS_OK, SweepTable, emit, emit_csv, parse_csv
 
 __all__ = ["main"]
 
@@ -82,14 +53,8 @@ class _Parser(argparse.ArgumentParser):
 # Configuration schema and parsing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Key:
-    """One config key: how to parse it and its default (None = unset)."""
-
-    kind: str
-    default: object = None
-    choices: tuple = ()
-    help: str = ""
+#: One config key: how to parse it and its default (None = unset).
+_Key = namedtuple("_Key", "kind default choices help", defaults=(None, (), ""))
 
 
 #: Shorthand accepted on the command line and in config files.
@@ -105,6 +70,8 @@ _QUADRATURE_KEYS = {
 
 
 def _sweep_schema(model):
+    from .sweep import quantity_names
+
     schema = {
         "quantity": _Key("choice", None, quantity_names(model), "quantity to evaluate (required)"),
         "omega1": _Key("scalar", 1.0, (), "first splitting; sets the energy unit"),
@@ -127,15 +94,20 @@ def _static_compare_schema():
     return schema
 
 
-_MAP_SCHEMA = {
-    "omega1_over_omegac": _Key("scalar", 1.0, (), "first splitting over the bath cutoff"),
-    "T_over_omega1": _Key("scalar", None, (), "fixed temperature"),
-    "beta_omega1": _Key("scalar", None, (), "fixed inverse temperature"),
-    "omega2_max": _Key("scalar", MAP_OMEGA2_MAX, (), "upper edge of the omega2/omega1 axis"),
-    "t_max": _Key("scalar", MAP_T_MAX, (), "upper edge of the t/omega1 axis"),
-    "points": _Key("int", MAP_POINTS, (), "grid points per axis"),
-}
-_MAP_SCHEMA.update(_QUADRATURE_KEYS)
+def _map_schema():
+    from .sweep import MAP_OMEGA2_MAX, MAP_POINTS, MAP_T_MAX
+
+    schema = {
+        "omega1_over_omegac": _Key("scalar", 1.0, (), "first splitting over the bath cutoff"),
+        "T_over_omega1": _Key("scalar", None, (), "fixed temperature"),
+        "beta_omega1": _Key("scalar", None, (), "fixed inverse temperature"),
+        "omega2_max": _Key("scalar", MAP_OMEGA2_MAX, (), "upper edge of the omega2/omega1 axis"),
+        "t_max": _Key("scalar", MAP_T_MAX, (), "upper edge of the t/omega1 axis"),
+        "points": _Key("int", MAP_POINTS, (), "grid points per axis"),
+    }
+    schema.update(_QUADRATURE_KEYS)
+    return schema
+
 
 _ORACLE_SCHEMA = {
     "omega1": _Key("scalar", 1.0, (), "first splitting; sets the energy unit"),
@@ -185,6 +157,8 @@ def _job_count(text):
 def _parse_axis(key, text):
     if ":" not in text:
         return _parse_float(key, text)
+    from .sweep import AxisSpec
+
     parts = [p.strip() for p in text.split(":")]
     if len(parts) not in (3, 4):
         raise _UsageError(f"config key {key}: axis syntax is min:max:points[:spacing]")
@@ -295,17 +269,19 @@ def _quadrature_config(values, base):
 def _canonical(value):
     if value is None:
         return "unset"
-    if isinstance(value, AxisSpec):
-        return value.describe()
     if isinstance(value, tuple):
         return ",".join(repr(float(v)) for v in value)
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    if isinstance(value, (int, str)):
+        return str(value)
+    return value.describe()  # an AxisSpec: only sweep commands load its module
 
 
 def _config_meta(command, values, extra=None):
     """Metadata block: resolved config echo, its hash, and the version."""
+    import hashlib
+
     canon = {name: _canonical(values[name]) for name in sorted(values)}
     digest = hashlib.sha256(
         "".join(f"{name} = {text}\n" for name, text in canon.items()).encode("utf-8")
@@ -325,6 +301,11 @@ def _config_meta(command, values, extra=None):
 
 def _assemble_sweep(schema, values):
     """Axes, base parameters, bath, and quadrature from resolved keys."""
+    from .numerics import DEFAULT_QUADRATURE
+    from .spectral import OhmicDensity
+    from .spin_detuned import ModelParams
+    from .sweep import AxisSpec
+
     temp_name, temp_value = _temperature_value(values)
     if isinstance(temp_value, AxisSpec):
         axes = [temp_value]
@@ -355,6 +336,9 @@ def _assemble_sweep(schema, values):
 
 
 def _sweep_command(ns, model, fixed_quantity=None):
+    from .sweep import SweepSpec, quantity_names, run_sweep
+    from .table import emit
+
     if fixed_quantity is None:
         schema = _sweep_schema(model)
     else:
@@ -386,7 +370,13 @@ def _cmd_static_compare(ns):
 
 
 def _cmd_validity_map(ns):
-    values = _resolve_config(_MAP_SCHEMA, ns)
+    import numpy as np
+
+    from .spin_detuned import ThermalPoint
+    from .sweep import MAP_QUADRATURE, r1_map, r2_map
+    from .table import SweepTable, emit
+
+    values = _resolve_config(_map_schema(), ns)
     temp_name, temp_value = _temperature_value(values)
     if temp_name == "beta_omega1":
         beta_omega1 = ThermalPoint.from_beta_omega1(temp_value, 1.0).beta
@@ -395,6 +385,9 @@ def _cmd_validity_map(ns):
     points = values["points"]
     if points < 1:
         raise _UsageError("config key points: must be at least 1")
+    for name in ("omega2_max", "t_max"):
+        if not math.isfinite(values[name]):
+            raise _UsageError(f"config key {name}: must be finite")
     omega2 = np.linspace(0.0, values["omega2_max"], points)
     hopping = np.linspace(0.0, values["t_max"], points)
     config = _quadrature_config(values, MAP_QUADRATURE)
@@ -414,6 +407,11 @@ def _cmd_validity_map(ns):
 
 
 def _cmd_oracle_check(ns):
+    from .oracle import OracleSpec, compare_perturbative, convergence_order
+    from .spectral import DiscreteDensity
+    from .spin_detuned import ModelParams, ThermalPoint
+    from .table import STATUS_OK, SweepTable, emit
+
     values = _resolve_config(_ORACLE_SCHEMA, ns)
     couplings = values["mode_coupling"]
     frequencies = values["mode_frequency_over_omega1"]
@@ -461,152 +459,11 @@ def _cmd_oracle_check(ns):
     return emit(table, ns.format), (0 if status == STATUS_OK else 3)
 
 
-# ---------------------------------------------------------------------------
-# Selftest
-# ---------------------------------------------------------------------------
-
-class _CheckFailure(Exception):
-    pass
-
-
-def _require(condition, message):
-    if not condition:
-        raise _CheckFailure(message)
-
-
-def _check_transfer_ohmic():
-    p = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
-    sd = OhmicDensity(0.7, 1.3)
-    tp = ThermalPoint(2.0)
-    s1 = sigma1x(p, sd, tp).value
-    s2 = sigma2x(p, sd, tp).value
-    resid = abs(s2 + (p.t / p.omega2) * thermal_tanh_half(tp.beta, p.omega2) * s1)
-    _require(resid <= 1e-12 * abs(s2), f"transfer residual {resid:.3e}")
-
-
-def _check_transfer_discrete_zero_T():
-    p = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
-    sd = DiscreteDensity([(0.05, 0.8), (0.02, 1.7)])
-    tp = ThermalPoint(math.inf)
-    s1 = sigma1x(p, sd, tp).value
-    s2 = sigma2x(p, sd, tp).value
-    resid = abs(s2 + (p.t / p.omega2) * s1)
-    _require(resid <= 1e-12 * abs(s2), f"transfer residual {resid:.3e}")
-
-
-def _check_spin_fermion_identity():
-    p = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
-    sd = OhmicDensity(0.7, 1.3)
-    tp = ThermalPoint(2.0)
-    spin = sigma1x(p, sd, tp).value
-    ferm = sigma1x_fermion(p, sd, tp).value
-    omega, _ = sd.reorganization_omega()  # closed form: exact
-    shift = 4.0 * p.f1 * p.f2 * omega
-    mapped = 2.0 * ferm - shift * thermal_tanh_half(tp.beta, p.omega1) / p.omega1
-    resid = abs(spin - mapped)
-    _require(resid <= 1e-12 * abs(spin), f"identity residual {resid:.3e}")
-
-
-def _check_fermion_zero_T_transfer():
-    p = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
-    sd = OhmicDensity(0.7, 1.3)
-    tp = ThermalPoint(math.inf)
-    s2 = sigma2x_fermion(p, sd, tp).value
-    s1 = sigma1x_fermion(p, sd, tp).value
-    _require(s2 == (p.t / p.omega2) * s1, "zero-T transfer is not exact")
-
-
-def _check_fermion_dual_form():
-    p = ModelParams(1.0, 3.0, 0.1, 1.0, 1.0)
-    result = sigma2x_fermion(p, OhmicDensity(1.0, 1.0), ThermalPoint(2.0))
-    reference = 2.444942159528389e-02
-    rel = abs(result.value - reference) / abs(reference)
-    _require(rel <= 1e-9, f"reference value off by {rel:.3e}")
-    _require(result.flags == (), f"unexpected flags {result.flags}")
-
-
-def _check_ratio_edge():
-    p = ModelParams(1.0, 2.0, 1e-4, 1.0, 1.0)
-    r = r1_value(p, OhmicDensity(1.0, 1.0), ThermalPoint(1.0)).value
-    _require(abs(r - 1.0) <= 1e-3, f"small-hopping ratio {r!r}")
-
-
-def _check_static_bound():
-    p = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
-    sd = OhmicDensity(0.7, 1.3)
-    (static, dynamical), _ = static_dynamical_split(p, sd, None)
-    full = sigma2x(p, sd, ThermalPoint(math.inf)).value
-    _require(dynamical <= 0.0, f"dynamical term {dynamical!r} is positive")
-    resid = abs(static + dynamical - full)
-    _require(resid <= 1e-10 * abs(full), f"split residual {resid:.3e}")
-
-
-def _check_low_T_saturation():
-    (n1, n2), _ = normalized_coherences_spin(1.0, 60.0)
-    _require(abs(n1 - 1.0) <= 0.02, f"normalized internal coherence {n1!r}")
-    _require(abs(n2 - 1.0) <= 0.02, f"normalized output coherence {n2!r}")
-
-
-def _check_oracle_sigma2y():
-    spec = OracleSpec(
-        DiscreteDensity([(0.05, 0.8)]), 8, "spin",
-        ModelParams(1.0, 3.0, 0.05, 0.1, 0.1), 2.0,
-    )
-    value = exact_average(spec, "sigma2y")
-    _require(abs(value) <= 1e-10, f"sigma2y = {value!r}")
-
-
-def _check_oracle_sigma1x():
-    spec = OracleSpec(
-        DiscreteDensity([(0.05, 0.8)]), 10, "spin",
-        ModelParams(1.0, 3.0, 0.05, 0.1, 0.1), 2.0,
-    )
-    _, _, rel_dev = compare_perturbative(spec, "sigma1x")
-    _require(rel_dev <= 5e-3, f"relative deviation {rel_dev:.3e}")
-
-
-def _check_table_round_trip():
-    table = SweepTable(
-        ("a", "b", "status"),
-        [(1.0, None, "kernel-error"), (0.5, -2.0e-7, STATUS_OK)],
-        {"note": "round trip"},
-    )
-    data = emit_csv(table)
-    again = emit_csv(parse_csv(data))
-    _require(data == again, "CSV round trip changed the table")
-
-
-_SELFTEST_CHECKS = (
-    ("transfer relation, ohmic bath", _check_transfer_ohmic),
-    ("transfer relation, discrete bath at T=0", _check_transfer_discrete_zero_T),
-    ("spin-fermion internal coherence identity", _check_spin_fermion_identity),
-    ("fermion zero-T transfer", _check_fermion_zero_T_transfer),
-    ("fermion dual-form reference point", _check_fermion_dual_form),
-    ("general/detuned ratio at small hopping", _check_ratio_edge),
-    ("static term bounds the zero-T output", _check_static_bound),
-    ("normalized coherences saturate at low T", _check_low_T_saturation),
-    ("oracle: sigma2y vanishes", _check_oracle_sigma2y),
-    ("oracle: sigma1x matches exact diagonalization", _check_oracle_sigma1x),
-    ("table CSV round trip", _check_table_round_trip),
-)
-
-
 def _cmd_selftest(ns):
     _resolve_config(_SELFTEST_SCHEMA, ns)
-    lines = []
-    failures = 0
-    for name, check in _SELFTEST_CHECKS:
-        try:
-            check()
-        except Exception as exc:
-            failures += 1
-            lines.append(f"FAIL - {name}: {exc}")
-        else:
-            lines.append(f"ok - {name}")
-    total = len(_SELFTEST_CHECKS)
-    lines.append(f"{total - failures}/{total} checks passed")
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    return data, (0 if failures == 0 else 2)
+    from .selftest import run
+
+    return run()
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +481,77 @@ def _config_epilog(schema):
     return "\n".join(lines)
 
 
+def _which_flag(parser):
+    parser.add_argument("--which", choices=("r1", "r2"), required=True, help="which ratio to map")
+
+
+def _oracle_flags(parser):
+    from .oracle import OBSERVABLES
+
+    parser.add_argument("--model", choices=("spin", "fermion"), required=True)
+    parser.add_argument("--observable", choices=OBSERVABLES, required=True)
+
+
+#: One subcommand.  ``schema()`` (its config keys) and ``flags(parser)``
+#: (its own options) run only once argv names it, since both may import
+#: the numerical modules; ``run(ns)`` returns (output bytes, exit code).
+_Command = namedtuple(
+    "_Command", "summary schema run flags", defaults=(lambda parser: None,)
+)
+
+
+_COMMANDS = {
+    "spin-sweep": _Command(
+        "sweep a spin-model quantity over a parameter grid",
+        lambda: _sweep_schema("spin"),
+        _cmd_spin_sweep,
+    ),
+    "fermion-sweep": _Command(
+        "sweep a fermionized-chain quantity over a parameter grid",
+        lambda: _sweep_schema("fermion"),
+        _cmd_fermion_sweep,
+    ),
+    "validity-map": _Command(
+        "map a general-to-leading-order coherence ratio over (omega2, t)",
+        _map_schema,
+        _cmd_validity_map,
+        _which_flag,
+    ),
+    "oracle-check": _Command(
+        "compare a closed form against single-mode exact diagonalization",
+        lambda: _ORACLE_SCHEMA,
+        _cmd_oracle_check,
+        _oracle_flags,
+    ),
+    "static-compare": _Command(
+        "emit full, static, and low-T output coherence side by side",
+        _static_compare_schema,
+        _cmd_static_compare,
+    ),
+    "selftest": _Command(
+        "run fast invariant checks, one line per check",
+        lambda: _SELFTEST_SCHEMA,
+        _cmd_selftest,
+    ),
+}
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Subparsers that add a command's epilog and own flags when it is named.
+
+    Both come from the numerical modules (quantity names, map defaults,
+    observable ids), so the top-level help, ``--version`` and a usage
+    error that names no command load none of them.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        command, subparser = _COMMANDS[name], self.choices[name]
+        subparser.epilog = _config_epilog(command.schema())
+        command.flags(subparser)
+        super().__call__(parser, namespace, values, option_string)
+
+
 def _build_parser():
     parser = _Parser(
         prog="cohex",
@@ -633,15 +561,14 @@ def _build_parser():
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(
-        dest="command", required=True, metavar="command", parser_class=_Parser
+        dest="command", required=True, metavar="command", parser_class=_Parser,
+        action=_Subcommands,
     )
-
-    def add(name, summary, schema):
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(
             name,
-            help=summary,
-            description=summary,
-            epilog=_config_epilog(schema),
+            help=command.summary,
+            description=command.summary,
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         p.add_argument("--config", metavar="PATH", help="key = value file; '#' starts a comment")
@@ -655,48 +582,7 @@ def _build_parser():
             "--jobs", type=_job_count, default=None, metavar="N",
             help="worker processes for grid cells (at most one per cell and per CPU)",
         )
-        return p
-
-    add(
-        "spin-sweep",
-        "sweep a spin-model quantity over a parameter grid",
-        _sweep_schema("spin"),
-    )
-    add(
-        "fermion-sweep",
-        "sweep a fermionized-chain quantity over a parameter grid",
-        _sweep_schema("fermion"),
-    )
-    mapper = add(
-        "validity-map",
-        "map a general-to-leading-order coherence ratio over (omega2, t)",
-        _MAP_SCHEMA,
-    )
-    mapper.add_argument("--which", choices=("r1", "r2"), required=True, help="which ratio to map")
-    oracle = add(
-        "oracle-check",
-        "compare a closed form against single-mode exact diagonalization",
-        _ORACLE_SCHEMA,
-    )
-    oracle.add_argument("--model", choices=("spin", "fermion"), required=True)
-    oracle.add_argument("--observable", choices=OBSERVABLES, required=True)
-    add(
-        "static-compare",
-        "emit full, static, and low-T output coherence side by side",
-        _static_compare_schema(),
-    )
-    add("selftest", "run fast invariant checks, one line per check", _SELFTEST_SCHEMA)
     return parser
-
-
-_COMMANDS = {
-    "spin-sweep": _cmd_spin_sweep,
-    "fermion-sweep": _cmd_fermion_sweep,
-    "validity-map": _cmd_validity_map,
-    "oracle-check": _cmd_oracle_check,
-    "static-compare": _cmd_static_compare,
-    "selftest": _cmd_selftest,
-}
 
 
 def _write_output(data, out):
@@ -716,7 +602,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        data, code = _COMMANDS[ns.command](ns)
+        data, code = _COMMANDS[ns.command].run(ns)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -81,7 +81,6 @@ from .spin_detuned import (
     detuned_validity_flags,
     f_request,
 )
-from .spin_general import mixing
 
 # Hard refusal below this |omega2 - omega1| / omega1; advisory flag when
 # the detuning is within this factor of t.
@@ -639,6 +638,10 @@ def _g_script_step(beta_omega1, omega1_over_omegac, omega2_over_omega1,
     sd = OhmicDensity(1.0, 1.0 / omega1_over_omegac)
     tp = ThermalPoint(beta_omega1)
     result = yield from _sigma2x_fermion_step(params, sd, tp, config)
+    # Imported here so the oracle, which needs this module, loads no
+    # spin_general.
+    from .spin_general import mixing
+
     # sin(theta_f) = 2 t / sqrt(delta_omega^2 + 4 t^2), the spin cos(theta)
     scale = 2.0 * mixing(params).cos_theta
     flags = tuple(f for f in result.flags if f == "tolerance-floor")

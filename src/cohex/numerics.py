@@ -944,10 +944,15 @@ def integrate_many(requests: Sequence[Integral]) -> list:
     rule (the smallest set of panels carrying ~90% of its error estimate
     is cut into ``_SPLIT`` children per pass) and gets the same bits
     whichever requests share its passes.
+
+    Kernels run with numpy's floating-point warnings off: an overflow or
+    0/0 shows up as a non-finite value, which fails its owner with a
+    ``KernelError`` instead of reaching the caller as a warning.
     """
     if not requests:
         return []
-    return _Engine(requests).run()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _Engine(requests).run()
 
 
 def integrate_semi_infinite(

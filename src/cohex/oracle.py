@@ -445,6 +445,11 @@ def convergence_order(
     factors = sorted((float(s) for s in scale_factors), reverse=True)
     if len(factors) < 2:
         raise DomainError("need at least two scale factors to fit a slope")
+    if len(set(factors)) < len(factors):
+        raise DomainError(
+            "scale factors must be distinct: a repeated factor solves the "
+            "same spec again and adds no point to the fit"
+        )
     if factors[-1] <= 0.0:
         raise DomainError(
             "scale factors must be positive: at s = 0 both sides vanish "

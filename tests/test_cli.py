@@ -359,6 +359,16 @@ class TestValidityMap:
         proc = run_cli("validity-map", "--set", "beta_omega1=1")
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("setting", ["omega2_max=inf", "t_max=-inf"])
+    def test_non_finite_extent_is_usage_error(self, setting):
+        proc = run_cli(
+            "validity-map", "--which", "r1", "--set", "beta_omega1=1", "--set", setting,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        name = setting.partition("=")[0]
+        assert proc.stderr.decode() == f"error: config key {name}: must be finite\n"
+
 
 class TestOracleCheck:
     def test_spin_coherence_check(self):
@@ -423,6 +433,16 @@ class TestOracleCheck:
         )
         assert proc.returncode == 2
         assert proc.stderr.decode().startswith("numeric error:")
+
+    def test_repeated_scale_factors_are_usage_error(self):
+        proc = run_cli(
+            "oracle-check", "--model", "spin", "--observable", "sigma1x",
+            "--set", "beta_omega1=2", "--set", "scale_factors=1,1",
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        (line,) = proc.stderr.decode().splitlines()
+        assert line.startswith("error: scale factors must be distinct")
 
     def test_mismatched_mode_lists(self):
         proc = run_cli(

@@ -1,15 +1,21 @@
-"""Import graph: scipy never loads, and the process pool only where used.
+"""Import graph: scipy never loads, numpy and each command's modules only
+where used, and the process pool only for a pooled grid.
 
 scipy costs about 0.6 s to import and the CLI is import-bound, so the
 command line and every bath family, tabulated baths included, must run
-without it; the process-pool machinery loads only for a pooled grid.
-Each check runs in a fresh interpreter so the test process's own imports
-cannot hide a regression.
+without it.  The CLI's help, ``--version`` and usage errors, and a bare
+``import cohex``, load no numpy and no numerical module; a command loads
+the modules it runs.  Each check runs in a fresh interpreter so the test
+process's own imports cannot hide a regression.
 """
 
+import json
 import subprocess
 import sys
 
+import pytest
+
+import cohex
 from cohex.sweep import _usable_cpus
 
 SCRIPT = r"""
@@ -68,3 +74,68 @@ def test_scipy_and_pool_load_only_where_used():
     # A pool starts only when this process may use more than one CPU.
     expected = "pooled" if _usable_cpus() > 1 else "serial"
     assert proc.stdout.split() == [expected]
+
+
+FRONT_END = {"cohex", "cohex.__main__", "cohex.cli", "cohex.errors"}
+
+# Runs ``python -m cohex <args>`` (or, given ``--import``, only ``import
+# cohex``) and reports its exit code and every module it loaded, however
+# loaded: ``-X importtime`` misses modules imported through importlib.
+LOADED = r"""
+import json, runpy, sys
+code = 0
+if sys.argv[1:] == ["--import"]:
+    import cohex
+else:
+    try:
+        runpy.run_module("cohex", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
+"""
+
+
+def _loaded(*args):
+    """(exit code, modules loaded) of one fresh run of ``LOADED``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED, *args],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, names = json.loads(proc.stderr.splitlines()[-1])
+    return code, set(names)
+
+
+@pytest.mark.parametrize("args, code", [
+    (("--help",), 0),
+    (("--version",), 0),
+    ((), 1),
+    (("no-such-command",), 1),
+    (("--import",), 0),
+])
+def test_front_end_loads_no_numpy(args, code):
+    returncode, names = _loaded(*args)
+    assert returncode == code
+    assert "numpy" not in names
+    assert {n for n in names if n.split(".")[0] == "cohex"} <= FRONT_END
+
+
+def test_oracle_check_loads_no_sweep():
+    code, names = _loaded(
+        "oracle-check", "--model", "spin", "--observable", "sigma1x",
+        "--set", "beta_omega1=2",
+    )
+    assert code == 0
+    assert "cohex.oracle" in names
+    assert not names & {"cohex.sweep", "cohex.spin_general", "cohex.selftest"}
+
+
+def test_every_public_name_resolves():
+    for name in cohex.__all__:
+        assert getattr(cohex, name) is not None
+        assert name in dir(cohex)
+    for module, names in cohex._EXPORTS.items():
+        for name in names:
+            assert getattr(cohex, name) is getattr(getattr(cohex, module), name)
+    with pytest.raises(AttributeError):
+        cohex.no_such_name

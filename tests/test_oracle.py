@@ -336,6 +336,10 @@ def test_convergence_order_guards_and_inconclusive_path():
         convergence_order(SPIN, "sigma1x", scale_factors=(1.0,))
     with pytest.raises(DomainError):
         convergence_order(SPIN, "sigma1x", scale_factors=(1.0, 0.0))
+    # A repeated factor adds no abscissa: (1, 1) leaves polyfit singular.
+    for factors in ((1.0, 1.0), (0.5, 0.5, 1.0)):
+        with pytest.raises(DomainError, match="distinct"):
+            convergence_order(SPIN, "sigma1x", scale_factors=factors)
     # a symmetry-protected zero has no order to fit
     fit = convergence_order(SPIN, "sigma2y")
     assert fit.inconclusive

@@ -9,6 +9,7 @@ converge over the declared temperature range.
 
 import json
 import pathlib
+import warnings
 
 import pytest
 
@@ -85,3 +86,16 @@ def test_an_underflowing_grade_fails_its_own_integral():
     axis = AxisSpec("beta_omega1", 0.5, 2.0, 2)
     table = run_sweep(SweepSpec("r1", (axis,), sd, PARAMS))
     assert [row[-1] for row in table.rows] == ["kernel-error"] * 2
+
+
+@pytest.mark.parametrize("quantity", ["sigma2x_fermion", "sigma1x_general", "hartree_fock"])
+def test_an_overflowing_kernel_fails_its_cell_without_a_warning(quantity):
+    # At s = 0.01 the kernels can overflow near xi = 0 (the fermion ones
+    # do); the engine's non-finite check must turn that into the cell's
+    # status, not a numpy RuntimeWarning escaping run_sweep.
+    sd = GeneralizedOhmicDensity(1.0, 0.01, 10.0)
+    axis = AxisSpec("beta_omega1", 1.0, 1.0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = run_sweep(SweepSpec(quantity, (axis,), sd, PARAMS))
+    assert [row[-1] for row in table.rows] == ["kernel-error"]
