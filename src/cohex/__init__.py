@@ -16,7 +16,6 @@ built.
 """
 
 import importlib
-import sys
 
 __version__ = "0.1.0"
 
@@ -87,9 +86,7 @@ __all__ = ["__version__"] + [name for names in _EXPORTS.values() for name in nam
 
 
 def __getattr__(name):
-    # A submodule name loads the table too, unless the import system is
-    # asking on behalf of a module still running (see ``_executing``).
-    if not (name in __all__ or (name in _EXPORTS and not _executing())):
+    if not (name in __all__ or name in _EXPORTS):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     namespace = globals()
     for module, names in _EXPORTS.items():
@@ -97,17 +94,6 @@ def __getattr__(name):
         for public in names:
             namespace[public] = getattr(loaded, public)
     return namespace[name]
-
-
-def _executing():
-    """Whether a module of the table is still running its body.
-
-    ``from . import fermion`` there asks this package for the attribute
-    before importing it; answering "absent" lets the import system load
-    that one module.  A submodule is bound on the package only once its
-    body has run, so one in ``sys.modules`` but not yet bound is running.
-    """
-    return any(f"{__name__}.{m}" in sys.modules and m not in globals() for m in _EXPORTS)
 
 
 def __dir__():

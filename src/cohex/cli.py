@@ -407,12 +407,13 @@ def _cmd_validity_map(ns):
 
 
 def _cmd_oracle_check(ns):
-    from .oracle import OracleSpec, compare_perturbative, convergence_order
+    from .oracle import OracleSpec, _checked_scale_factors, compare_perturbative, convergence_order
     from .spectral import DiscreteDensity
     from .spin_detuned import ModelParams, ThermalPoint
     from .table import STATUS_OK, SweepTable, emit
 
     values = _resolve_config(_ORACLE_SCHEMA, ns)
+    factors = _checked_scale_factors(values["scale_factors"])
     couplings = values["mode_coupling"]
     frequencies = values["mode_frequency_over_omega1"]
     if len(couplings) != len(frequencies):
@@ -439,9 +440,7 @@ def _cmd_oracle_check(ns):
     spec = OracleSpec(bath, values["fock_cutoff"], ns.model, params, beta)
     comparison = compare_perturbative(spec, ns.observable)
     exact, formula, rel_dev = comparison
-    fit = convergence_order(
-        spec, ns.observable, values["scale_factors"], unscaled=comparison
-    )
+    fit = convergence_order(spec, ns.observable, factors, unscaled=comparison)
     if fit.inconclusive or not math.isfinite(fit.order):
         order, status = None, "inconclusive-fit"
     else:

@@ -18,7 +18,8 @@ integration path.  This module provides
   through it,
 * ``run_steps`` -- the driver of steps: computations that state their
   integrals (``Integral`` requests), receive the outcomes of one
-  ``integrate_many`` run shared with other steps, then finish.
+  ``integrate_many`` run shared with other steps, then finish; identical
+  requests are integrated once.
 
 Each kernel call carries a fixed numpy overhead of tens of microseconds,
 far more than the arithmetic on its points, so the engine makes few, full
@@ -54,6 +55,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -1021,9 +1023,13 @@ def requested(requests):
 
 
 def take(outcome):
-    """The (value, err_estimate) of an integral's outcome, or raise its error."""
+    """The (value, err_estimate) of an integral's outcome, or raise its error.
+
+    The error is raised with a fresh traceback: one outcome may be taken
+    by many steps, and each raise would otherwise extend the last one's.
+    """
     if isinstance(outcome, Exception):
-        raise outcome
+        raise outcome.with_traceback(None)
     return outcome
 
 
@@ -1080,7 +1086,18 @@ def gather(*steps):
     return results
 
 
-def run_steps(steps) -> list:
+def _request_key(request: Integral):
+    """Equal for two requests exactly when they have the same kernel and
+    density objects and the same bits in every number the engine reads."""
+    cfg = request.config
+    numbers = (request.columns + request.removable_points + request.density_columns
+               + (cfg.rel_tol, cfg.abs_tol, cfg.singularity_window, cfg.tail_decay_scale))
+    return (request.kernel, request.density, len(request.columns),
+            len(request.removable_points), request.grade, cfg.max_subdivisions,
+            struct.pack("%dd" % len(numbers), *numbers))
+
+
+def run_steps(steps, known: dict | None = None) -> list:
     """Drive steps in lockstep: every step's integrals go to one engine run.
 
     A step is a generator that yields once, a list whose items are
@@ -1088,12 +1105,22 @@ def run_steps(steps) -> list:
     ``CohexError``), receives their outcomes in the same order, and
     returns its result.  Returns each step's result or the ``CohexError``
     it raised, in order.
+
+    Identical requests are integrated once and share their outcome.
+    ``known`` holds the outcomes of the caller's previous run, which are
+    reused, and is left holding this run's, so it never outgrows one run.
     """
     lock, pending = _start(_lockstep(steps))
     if lock is None:
         return pending
-    solved = iter(integrate_many([r for r in pending if isinstance(r, Integral)]))
-    return _finish(lock, [next(solved) if isinstance(r, Integral) else r for r in pending])
+    known = {} if known is None else known
+    keys = [_request_key(r) if isinstance(r, Integral) else None for r in pending]
+    fresh = {key: r for key, r in zip(keys, pending) if key is not None and key not in known}
+    outcomes = {key: known[key] for key in keys if key in known}
+    outcomes.update(zip(fresh, integrate_many(list(fresh.values()))))
+    known.clear()
+    known.update(outcomes)
+    return _finish(lock, [r if key is None else known[key] for key, r in zip(keys, pending)])
 
 
 def run_step(step):

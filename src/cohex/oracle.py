@@ -427,6 +427,24 @@ class ConvergenceFit:
     inconclusive: bool
 
 
+def _checked_scale_factors(scale_factors) -> tuple:
+    """The scale factors of a convergence fit, largest first, or raise."""
+    factors = sorted((float(s) for s in scale_factors), reverse=True)
+    if len(factors) < 2:
+        raise DomainError("need at least two scale factors to fit a slope")
+    if len(set(factors)) < len(factors):
+        raise DomainError(
+            "scale factors must be distinct: a repeated factor solves the "
+            "same spec again and adds no point to the fit"
+        )
+    if factors[-1] <= 0.0:
+        raise DomainError(
+            "scale factors must be positive: at s = 0 both sides vanish "
+            "and the relative deviation is 0/0"
+        )
+    return tuple(factors)
+
+
 def convergence_order(
     spec: OracleSpec,
     observable: str,
@@ -442,19 +460,7 @@ def convergence_order(
     ``compare_perturbative(spec, observable)`` passes it as ``unscaled``,
     and the s = 1 point reuses it instead of solving the same spec again.
     """
-    factors = sorted((float(s) for s in scale_factors), reverse=True)
-    if len(factors) < 2:
-        raise DomainError("need at least two scale factors to fit a slope")
-    if len(set(factors)) < len(factors):
-        raise DomainError(
-            "scale factors must be distinct: a repeated factor solves the "
-            "same spec again and adds no point to the fit"
-        )
-    if factors[-1] <= 0.0:
-        raise DomainError(
-            "scale factors must be positive: at s = 0 both sides vanish "
-            "and the relative deviation is 0/0"
-        )
+    factors = _checked_scale_factors(scale_factors)
     deviations = []
     for s in factors:
         if s == 1.0 and unscaled is not None:
@@ -469,7 +475,7 @@ def convergence_order(
     if min(deviations) <= 0.0:
         return ConvergenceFit(
             order=math.nan,
-            scales=tuple(factors),
+            scales=factors,
             deviations=tuple(deviations),
             inconclusive=True,
         )
@@ -479,7 +485,7 @@ def convergence_order(
     )
     return ConvergenceFit(
         order=float(slope),
-        scales=tuple(factors),
+        scales=factors,
         deviations=tuple(deviations),
         inconclusive=not monotone,
     )

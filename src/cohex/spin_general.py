@@ -11,7 +11,9 @@ first spin), which the quadrature bridges.
 The ratios R1 and R2 of these general coherences to their small-t closed
 forms quantify where the detuned formulas remain accurate; the validity
 maps in :mod:`cohex.sweep` tabulate them over the (omega2/omega1,
-t/omega1) plane.
+t/omega1) plane.  Each ratio is a step (see ``numerics.run_steps``) that
+states the small-t reference integral J as a request, so the cells of a
+sweep that need the same J share one integration of it.
 
 Internally every kernel is evaluated with the four hyperbolic weights
 cosh(beta*omega), cosh(beta*epsilon), sinh(beta*omega), sinh(beta*epsilon)
@@ -33,6 +35,8 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     integrate,
+    run_step,
+    take,
     thermal_coth_half,
     thermal_tanh_half,
 )
@@ -42,7 +46,7 @@ from .spin_detuned import (
     ModelParams,
     ThermalPoint,
     _magnitude_flags,
-    coherence_integral,
+    coherence_request,
 )
 
 _EPS = np.finfo(float).eps
@@ -295,8 +299,10 @@ def _second_spin_request(sd, tp, mix, cfg):
     return sd.integral(_second_spin_kernel, columns + _scaled_weights(mix, tp), removable, cfg)
 
 
-def _r1_core(params, sd, tp, config, j_val, j_err):
-    """R1 from a precomputed small-t reference integral."""
+def _r1_step(params, sd, tp, config):
+    """R1 as a step: it states J, then integrates its numerator alone."""
+    (j,) = yield [coherence_request(params, sd, tp, config)]
+    j_val, j_err = take(j)
     params, mix, cfg, flags, extra_rel = _prepared(params, config)
     num, num_err = integrate(_first_spin_request(sd, tp, mix, cfg))
     th1 = thermal_tanh_half(tp.beta, params.omega1)
@@ -309,12 +315,14 @@ def _r1_core(params, sd, tp, config, j_val, j_err):
     return CoherenceResult(value, err, "ratio_r1", flags)
 
 
-def _r2_core(params, sd, tp, config, j_val, j_err):
-    """R2 from a precomputed small-t reference integral.
+def _r2_step(params, sd, tp, config):
+    """R2 as a step: it states J, then integrates its numerator alone.
 
     The cos(theta)/t prefactor is evaluated as 1/epsilon, which stays
     finite on the whole t = 0 edge.
     """
+    (j,) = yield [coherence_request(params, sd, tp, config)]
+    j_val, j_err = take(j)
     params, mix, cfg, flags, extra_rel = _prepared(params, config)
     num, num_err = integrate(_second_spin_request(sd, tp, mix, cfg))
     cos_over_t = 1.0 / mix.epsilon
@@ -342,8 +350,7 @@ def r1_value(
     The coupling weights f1, f2 cancel; the result depends on omega1,
     omega2, t, the bath, and the temperature only.
     """
-    j_val, j_err = coherence_integral(params, sd, tp, config)
-    return _r1_core(params, sd, tp, config, j_val, j_err)
+    return run_step(_r1_step(params, sd, tp, config))
 
 
 def r2_value(
@@ -357,5 +364,4 @@ def r2_value(
     Finite on the whole t = 0 edge (away from omega1 = omega2), where it
     tends to 1 by construction.
     """
-    j_val, j_err = coherence_integral(params, sd, tp, config)
-    return _r2_core(params, sd, tp, config, j_val, j_err)
+    return run_step(_r2_step(params, sd, tp, config))

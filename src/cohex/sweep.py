@@ -13,28 +13,28 @@ compute pure functions of their cell, so the assembled table is identical
 whether the grid is evaluated serially or on a process pool.
 
 Cells run in lockstep blocks of contiguous cells: every cell of a block
-starts, the quadrature-backed fermion quantities hand their integral
-requests to one engine run for the whole block (``numerics.run_steps``),
-and then every cell assembles and cross-checks its own results.  A
-serial sweep cuts its grid into blocks of ``_LOCKSTEP_CELLS`` cells;
-under ``jobs`` each pool task is cut the same way.  An integral has the
-same bits in any block, so the table does not depend on how the grid is
-cut.  Spin quantities compute their integrals one at a time inside the
-same cell path.
+starts, the quantities built as steps (the fermion quantities and the
+ratios R1, R2) hand their integral requests to one engine run for the
+whole block (``numerics.run_steps``), and then every cell assembles and
+cross-checks its own results.  A serial sweep cuts its grid into blocks
+of ``_LOCKSTEP_CELLS`` cells; under ``jobs`` each pool task is cut the
+same way.  An integral has the same bits in any block, so the table does
+not depend on how the grid is cut.  The other spin quantities compute
+their integrals one at a time inside the same cell path.
 
-The validity maps ``r1_map`` and ``r2_map`` run on the same engine over
-explicit (omega2/omega1, t/omega1) points.  For the ratio quantities the
-engine computes the small-t reference integral J, which depends only on
-omega1, the bath and the temperature, once for every (temperature, cutoff
-ratio) key that several cells share; the shared value has the same bits
-as a per-cell one.
+Identical requests are integrated once, and each block hands its outcomes
+on to the next one of its task.  So the small-t reference integral J that
+every R1 and R2 cell states is integrated once for all cells that state
+the same J, whichever axes they differ in, and once more only where a
+pool task starts.  The validity maps ``r1_map`` and ``r2_map`` run on the
+same engine over explicit (omega2/omega1, t/omega1) points.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 import os
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,7 +53,6 @@ from .spectral import OhmicDensity, SpectralDensity
 from .spin_detuned import (
     ModelParams,
     ThermalPoint,
-    coherence_integral,
     normalized_coherences_spin,
     normalized_output_ratio,
     sigma1x,
@@ -63,8 +62,17 @@ from .spin_detuned import (
     static_chain,
     static_chain_flags,
 )
-from .spin_general import _r1_core, _r2_core, sigma1x_general, sigma2x_general
-from . import fermion as _fermion
+from .spin_general import _r1_step, _r2_step, sigma1x_general, sigma2x_general
+from .fermion import (
+    _fock_step,
+    _g_script_step,
+    _normalized_fermion_step,
+    _ratio_r_step,
+    _sigma1x_fermion_step,
+    _sigma2x_fermion_step,
+    fermion_high_T,
+    hartree_static,
+)
 from .table import STATUS_OK, SweepTable
 
 __all__ = [
@@ -94,10 +102,6 @@ AXIS_NAMES = (
 
 #: The two mutually exclusive ways of spelling the temperature axis.
 TEMPERATURE_AXES = ("T_over_omega1", "beta_omega1")
-
-# The axes that fix the small-t reference integral J of a cell: J depends
-# only on omega1 (fixed by the base parameters), the bath and T.
-_J_AXES = TEMPERATURE_AXES + ("omega1_over_omegac",)
 
 # Default map axes: omega2/omega1 in [0, 10], t/omega1 in [0, 5].
 MAP_OMEGA2_MAX = 10.0
@@ -148,8 +152,8 @@ class AxisSpec:
         for label, v in (("start", self.start), ("stop", self.stop)):
             if not np.isfinite(v):
                 raise DomainError(f"axis {self.name}: {label} must be finite")
-        if self.points < 1:
-            raise DomainError(f"axis {self.name}: points must be at least 1")
+        if not isinstance(self.points, numbers.Integral) or self.points < 1:
+            raise DomainError(f"axis {self.name}: points must be an integer of at least 1")
         if self.points == 1 and self.start != self.stop:
             raise DomainError(
                 f"axis {self.name}: a single-point axis needs start == stop"
@@ -182,10 +186,7 @@ class SweepQuantity:
 
     ``evaluate(params, sd, tp, config)`` returns ``(values, err, flags)``
     where ``values`` has one float per entry in ``columns``.  A quantity
-    with ``shares_j`` is built on the small-t reference integral J and
-    takes ``(j_val, j_err)`` as a fifth argument, which the engine computes
-    once for every cell key that several cells share.  A quantity with
-    ``steps`` states its integrals instead: ``steps(params, sd, tp,
+    with ``steps`` states its integrals instead: ``steps(params, sd, tp,
     config)`` is a step (see ``numerics.run_steps``) returning the same
     triple, a sweep runs the steps of a block in lockstep, and
     ``evaluate`` runs one step alone.
@@ -196,7 +197,6 @@ class SweepQuantity:
     model: str
     needs_ohmic: bool
     evaluate: object = field(repr=False)
-    shares_j: bool = False
     steps: object = field(default=None, repr=False)
 
 
@@ -211,9 +211,9 @@ def _estimated(values, err, flags=()):
     return values if isinstance(values, tuple) else (values,), err, flags
 
 
-def _stepped(name, columns, needs_ohmic, steps):
-    """A fermion quantity whose cells hand their integrals to the sweep."""
-    return SweepQuantity(name, columns, "fermion", needs_ohmic,
+def _stepped(name, columns, model, needs_ohmic, steps):
+    """A quantity whose cells hand their integrals to the sweep."""
+    return SweepQuantity(name, columns, model, needs_ohmic,
                          lambda *args: run_step(steps(*args)), steps=steps)
 
 
@@ -226,9 +226,9 @@ def _estimated_steps(step):
 
 
 def _hartree_fock_steps(p, sd, tp, cfg):
-    hartree, _ = _fermion.hartree_static(p, sd, tp)
+    hartree, _ = hartree_static(p, sd, tp)
     # Each Fock estimate already carries the Hartree one, so it bounds both.
-    fock, errs, flags = yield from _fermion._fock_step(p, sd, tp, cfg)
+    fock, errs, flags = yield from _fock_step(p, sd, tp, cfg)
     return hartree + fock, max(errs), flags
 
 
@@ -262,12 +262,10 @@ QUANTITIES = {q.name: q for q in (
                   lambda p, sd, tp, cfg: _one(sigma1x_general(p, sd, tp, cfg))),
     SweepQuantity("sigma2x_general", ("sigma2x_general",), "spin", False,
                   lambda p, sd, tp, cfg: _one(sigma2x_general(p, sd, tp, cfg))),
-    SweepQuantity("r1", ("r1",), "spin", False,
-                  lambda p, sd, tp, cfg, j: _one(_r1_core(p, sd, tp, cfg, *j)),
-                  shares_j=True),
-    SweepQuantity("r2", ("r2",), "spin", False,
-                  lambda p, sd, tp, cfg, j: _one(_r2_core(p, sd, tp, cfg, *j)),
-                  shares_j=True),
+    _stepped("r1", ("r1",), "spin", False,
+             lambda p, sd, tp, cfg: _one_steps(_r1_step(p, sd, tp, cfg))),
+    _stepped("r2", ("r2",), "spin", False,
+             lambda p, sd, tp, cfg: _one_steps(_r2_step(p, sd, tp, cfg))),
     SweepQuantity("static_sigma2x", ("static_sigma2x",), "spin", False,
                   _eval_static_sigma2x),
     SweepQuantity("sigma2x_low_T", ("sigma2x_low_T",), "spin", True,
@@ -283,26 +281,25 @@ QUANTITIES = {q.name: q for q in (
                       p.omega2 / p.omega1, cfg))),
     SweepQuantity("static_compare", ("sigma2x_full", "sigma2x_static", "sigma2x_low_T"),
                   "spin", True, _eval_static_compare),
-    _stepped("sigma1x_fermion", ("sigma1x_fermion",), False,
-             lambda p, sd, tp, cfg: _one_steps(
-                 _fermion._sigma1x_fermion_step(p, sd, tp, cfg))),
-    _stepped("sigma2x_fermion", ("sigma2x_fermion",), False,
-             lambda p, sd, tp, cfg: _one_steps(
-                 _fermion._sigma2x_fermion_step(p, sd, tp, cfg))),
-    _stepped("hartree_fock", ("hartree1", "hartree2", "fock1", "fock2"), False,
+    _stepped("sigma1x_fermion", ("sigma1x_fermion",), "fermion", False,
+             lambda p, sd, tp, cfg: _one_steps(_sigma1x_fermion_step(p, sd, tp, cfg))),
+    _stepped("sigma2x_fermion", ("sigma2x_fermion",), "fermion", False,
+             lambda p, sd, tp, cfg: _one_steps(_sigma2x_fermion_step(p, sd, tp, cfg))),
+    _stepped("hartree_fock", ("hartree1", "hartree2", "fock1", "fock2"), "fermion", False,
              _hartree_fock_steps),
-    _stepped("normalized_fermion", ("normalized_fermion1", "normalized_fermion2"), True,
-             lambda p, sd, tp, cfg: _estimated_steps(_fermion._normalized_fermion_step(
+    _stepped("normalized_fermion", ("normalized_fermion1", "normalized_fermion2"),
+             "fermion", True,
+             lambda p, sd, tp, cfg: _estimated_steps(_normalized_fermion_step(
                  p, sd.coupling, sd.cutoff, tp, cfg))),
-    _stepped("ratio_R", ("ratio_R",), True,
-             lambda p, sd, tp, cfg: _estimated_steps(_fermion._ratio_r_step(
+    _stepped("ratio_R", ("ratio_R",), "fermion", True,
+             lambda p, sd, tp, cfg: _estimated_steps(_ratio_r_step(
                  p, sd.coupling, sd.cutoff, tp, cfg))),
-    _stepped("g_script", ("g_script",), True,
-             lambda p, sd, tp, cfg: _estimated_steps(_fermion._g_script_step(
+    _stepped("g_script", ("g_script",), "fermion", True,
+             lambda p, sd, tp, cfg: _estimated_steps(_g_script_step(
                  tp.beta_omega1(p.omega1), p.omega1 / sd.cutoff,
                  p.omega2 / p.omega1, p.t / p.omega1, cfg))),
     SweepQuantity("fermion_high_T", ("fermion_high_T",), "fermion", True,
-                  lambda p, sd, tp, cfg: ((_fermion.fermion_high_T(
+                  lambda p, sd, tp, cfg: ((fermion_high_T(
                       p, sd.coupling, sd.cutoff, tp),), 0.0, ())),
 )}
 SPIN_QUANTITIES = tuple(n for n, q in QUANTITIES.items() if q.model == "spin")
@@ -399,44 +396,16 @@ def _cell_inputs(spec: SweepSpec, point: dict):
     return p, sd, tp
 
 
-def _j_key(point: dict) -> tuple:
-    return tuple((name, point[name]) for name in _J_AXES if name in point)
-
-
-def _shared_j(spec: SweepSpec, points: list) -> dict:
-    """J, or the error it raised, for every key that several cells share.
-
-    A key used by one cell is left out, and that cell computes J itself.
-    """
-    counts = Counter(_j_key(point) for point in points)
-    shared = {}
-    for key, n in counts.items():
-        if n < 2:
-            continue
-        try:
-            shared[key] = coherence_integral(
-                *_cell_inputs(spec, dict(key)), spec.config
-            )
-        except CohexError as exc:
-            shared[key] = exc
-    return shared
-
-
-def _cell_step(spec: SweepSpec, point: dict, j):
+def _cell_step(spec: SweepSpec, point: dict):
     """One grid cell as a step returning (values, err, flags).
 
-    ``j`` is the cell's shared J, the error computing it raised, or None
-    if the cell computes J itself.  A quantity with steps yields its
-    integral requests; any other is evaluated at once and yields nothing.
+    A quantity with steps yields its integral requests; any other is
+    evaluated at once and yields nothing.
     """
     quantity = QUANTITIES[spec.quantity]
     args = _cell_inputs(spec, point) + (spec.config,)
     if quantity.steps is not None:
         return (yield from quantity.steps(*args))
-    if quantity.shares_j:
-        if isinstance(j, CohexError):
-            raise j.with_traceback(None)
-        args += (coherence_integral(*args) if j is None else j,)
     return quantity.evaluate(*args)
 
 
@@ -453,19 +422,25 @@ _STATUS = (
 def _sweep_cells(task):
     """(values, err, status) of each cell of a task. Picklable for pools.
 
-    ``task`` is ``(spec, cells)`` with ``cells`` a list of ``(point, j)``;
-    they run in lockstep blocks of ``_LOCKSTEP_CELLS`` cells.
+    ``task`` is ``(spec, points)``; the cells run in lockstep blocks of
+    ``_LOCKSTEP_CELLS`` cells, each handing its integrals' outcomes on to
+    the next.
     """
-    spec, cells = task
-    return [cell for i in range(0, len(cells), _LOCKSTEP_CELLS)
-            for cell in _sweep_block(spec, cells[i:i + _LOCKSTEP_CELLS])]
+    spec, points = task
+    known = {}
+    return [cell for i in range(0, len(points), _LOCKSTEP_CELLS)
+            for cell in _sweep_block(spec, points[i:i + _LOCKSTEP_CELLS], known)]
 
 
-def _sweep_block(spec: SweepSpec, cells: list) -> list:
-    """(values, err, status) of each cell of one lockstep block."""
+def _sweep_block(spec: SweepSpec, points: list, known: dict) -> list:
+    """(values, err, status) of each cell of one lockstep block.
+
+    ``known`` holds the outcomes of the previous block (see
+    ``numerics.run_steps``) and is left holding this block's.
+    """
     blank = (None,) * len(QUANTITIES[spec.quantity].columns)
     out = []
-    for result in run_steps([_cell_step(spec, point, j) for point, j in cells]):
+    for result in run_steps([_cell_step(spec, point) for point in points], known):
         if isinstance(result, CohexError):
             status = next((word for kind, word in _STATUS if isinstance(result, kind)), None)
             if status is None:
@@ -495,19 +470,17 @@ def _evaluate_cells(spec: SweepSpec, points: list, jobs: int | None) -> list:
     rounded up to whole lockstep blocks so a task pools its cells' kernel
     calls as a serial run does.
     """
-    shared = _shared_j(spec, points) if QUANTITIES[spec.quantity].shares_j else {}
-    cells = [(point, shared.get(_j_key(point))) for point in points]
-    workers = min(jobs or 1, len(cells), _usable_cpus())
+    workers = min(jobs or 1, len(points), _usable_cpus())
     if workers > 1:
         # Imported here: serial runs skip the pool machinery's import cost.
         from concurrent.futures import ProcessPoolExecutor
 
-        size = max(1, len(cells) // (8 * workers))
+        size = max(1, len(points) // (8 * workers))
         size = -(-size // _LOCKSTEP_CELLS) * _LOCKSTEP_CELLS
-        tasks = [(spec, cells[i:i + size]) for i in range(0, len(cells), size)]
+        tasks = [(spec, points[i:i + size]) for i in range(0, len(points), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return [cell for part in pool.map(_sweep_cells, tasks) for cell in part]
-    return _sweep_cells((spec, cells))
+    return _sweep_cells((spec, points))
 
 
 def run_sweep(

@@ -3,11 +3,13 @@
 The engine (``numerics.integrate_many``) refines every requested integral
 by its own rule and shares only the kernel calls, so an integral has the
 same bits alone or in any batch, a failure stays with its owner, and a
-sweep of fermion quantities (whose cells run in lockstep) equals the
-public functions cell by cell.
+sweep of stepped quantities (whose cells run in lockstep) equals the
+public functions cell by cell.  The step driver integrates identical
+requests once.
 """
 
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -32,7 +34,13 @@ from cohex.numerics import (
 )
 from cohex.spectral import GeneralizedOhmicDensity, OhmicDensity, TabulatedDensity
 from cohex.spin_detuned import ModelParams, ThermalPoint, coherence_request, f_request
-from cohex.spin_general import _first_spin_request, _second_spin_request, mixing
+from cohex.spin_general import (
+    _first_spin_request,
+    _second_spin_request,
+    mixing,
+    r1_value,
+    r2_value,
+)
 from cohex.sweep import MAP_QUADRATURE, AxisSpec, SweepSpec, _sweep_block, run_sweep
 from cohex.table import emit_csv
 
@@ -205,8 +213,9 @@ def test_pooled_kernel_calls_on_the_benchmark_grid(monkeypatch, name, calls, nod
 
 def _public_row(name, p, sd, tp):
     """(values, err, flags) of one cell through the public functions."""
-    if name in ("sigma1x_fermion", "sigma2x_fermion"):
-        r = getattr(fermion, name)(p, sd, tp)
+    if name in ("sigma1x_fermion", "sigma2x_fermion", "r1", "r2"):
+        function = {"r1": r1_value, "r2": r2_value}.get(name) or getattr(fermion, name)
+        r = function(p, sd, tp)
         return (r.value,), r.err_estimate, r.flags
     if name == "hartree_fock":
         hartree, _ = hartree_static(p, sd, tp)
@@ -222,9 +231,10 @@ def _public_row(name, p, sd, tp):
     return (value,), err, ()
 
 
+# The spin ratios r1, r2 run as steps too.
 @pytest.mark.parametrize("name", [
     "sigma1x_fermion", "sigma2x_fermion", "hartree_fock",
-    "normalized_fermion", "ratio_R", "g_script",
+    "normalized_fermion", "ratio_R", "g_script", "r1", "r2",
 ])
 def test_every_fermion_row_equals_its_public_function(name):
     axes = (
@@ -253,10 +263,11 @@ def test_every_fermion_row_equals_its_public_function(name):
 def test_lockstep_blocks_cut_anywhere_give_the_same_cells():
     axis = AxisSpec("beta_omega1", 0.5, 8.0, 7, "log")
     spec = SweepSpec("hartree_fock", (axis,), OhmicDensity(1.0, 10.0), PARAMS)
-    cells = [({"beta_omega1": float(b)}, None) for b in axis.values()]
-    whole = _sweep_block(spec, cells)
+    points = [{"beta_omega1": float(b)} for b in axis.values()]
+    whole = _sweep_block(spec, points, {})
     for cut in (1, 3, 4):
-        parts = _sweep_block(spec, cells[:cut]) + _sweep_block(spec, cells[cut:])
+        known = {}
+        parts = _sweep_block(spec, points[:cut], known) + _sweep_block(spec, points[cut:], known)
         assert parts == whole
 
 
@@ -350,3 +361,55 @@ def test_the_first_failing_integral_of_a_cell_names_its_status(monkeypatch, name
     axis = AxisSpec("beta_omega1", 2.0, 2.0, 1)
     table = run_sweep(SweepSpec(name, (axis,), sd, p))
     assert table.rows[0][-1] == status
+
+
+def _taking_step(requests):
+    outcomes = yield requests
+    return [nm.take(outcome) for outcome in outcomes]
+
+
+def test_identical_requests_of_a_block_are_integrated_once(monkeypatch):
+    # Every step states its own request objects; J comes three times, a
+    # failing integral twice, F once.
+    sd, tp = OhmicDensity(1.0, 10.0), ThermalPoint(2.0)
+
+    def j():
+        return coherence_request(PARAMS, sd, tp)
+
+    def failing():
+        return Integral(_tripwire, (3.0,))
+
+    def f():
+        return f_request(0.5, 2.0, DEFAULT_QUADRATURE)
+
+    alone = [integrate_many([request()])[0] for request in (j, failing, f)]
+    stated = [[j(), f()], [j(), failing()], [j()], [failing()]]
+    runs = []
+
+    def counted(requests):
+        runs.append(requests)
+        return integrate_many(requests)
+
+    monkeypatch.setattr(nm, "integrate_many", counted)
+    known = {}
+    results = nm.run_steps([_taking_step(requests) for requests in stated], known)
+    assert [len(run) for run in runs] == [3]
+    assert len(known) == 3
+    first, second, third, fourth = results
+    for outcome, expected in zip(first, (alone[0], alone[2])):
+        assert np.array_equal(np.array(outcome), np.array(expected))
+    assert np.array_equal(np.array(third[0]), np.array(alone[0]))
+    for result in (second, fourth):
+        assert isinstance(result, KernelError) and "non-finite" in str(result)
+    # A next run finds its requests among the outcomes of the last one.
+    again = nm.run_steps([_taking_step([j()])], known)
+    assert [len(run) for run in runs] == [3, 0]
+    assert np.array_equal(np.array(again[0][0]), np.array(alone[0]))
+    assert len(known) == 1
+
+
+def test_a_shared_failure_keeps_a_short_traceback():
+    results = nm.run_steps([_taking_step([Integral(_tripwire, (3.0,))]) for _ in range(1000)])
+    assert all(result is results[0] for result in results)
+    assert isinstance(results[0], KernelError)
+    assert len(traceback.extract_tb(results[0].__traceback__)) < 10

@@ -444,6 +444,24 @@ class TestOracleCheck:
         (line,) = proc.stderr.decode().splitlines()
         assert line.startswith("error: scale factors must be distinct")
 
+    @pytest.mark.parametrize("factors", ["1,1", "1", "0,1"])
+    def test_bad_scale_factors_fail_before_any_solve(self, monkeypatch, capsys, factors):
+        solved = []
+        real = oracle.exact_average
+
+        def counting(spec, observable):
+            solved.append(spec)
+            return real(spec, observable)
+
+        monkeypatch.setattr(oracle, "exact_average", counting)
+        code = cli.main([
+            "oracle-check", "--model", "spin", "--observable", "sigma1x",
+            "--set", "beta_omega1=2", "--set", f"scale_factors={factors}",
+        ])
+        assert code == 1
+        assert solved == []
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_mismatched_mode_lists(self):
         proc = run_cli(
             "oracle-check", "--model", "spin", "--observable", "sigma1x",

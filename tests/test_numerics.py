@@ -361,24 +361,30 @@ def _lone_sites():
     sd = spectral.OhmicDensity(1.0, 2.0)
     tp = ThermalPoint(2.0)
     knots = [(x, x * math.exp(-x / 5.0)) for x in np.linspace(0.0, 40.0, 30)]
+    # (lone integrals, integrals the engine makes, the computation): r1_value
+    # states J as a step's request, which reaches the engine directly, and
+    # integrates its numerator alone.
     return {
-        "sigma1x_general": (1, lambda: spin_general.sigma1x_general(p, sd, tp)),
-        "sigma2x_general": (1, lambda: spin_general.sigma2x_general(p, sd, tp)),
-        "r1_value": (2, lambda: spin_general.r1_value(p, sd, tp)),
-        "f_dimensionless": (1, lambda: spin_detuned.f_dimensionless(0.5, 2.0)),
-        "static_dynamical_split": (1, lambda: spin_detuned.static_dynamical_split(p, sd)),
+        "sigma1x_general": (1, 1, lambda: spin_general.sigma1x_general(p, sd, tp)),
+        "sigma2x_general": (1, 1, lambda: spin_general.sigma2x_general(p, sd, tp)),
+        "r1_value": (1, 2, lambda: spin_general.r1_value(p, sd, tp)),
+        "f_dimensionless": (1, 1, lambda: spin_detuned.f_dimensionless(0.5, 2.0)),
+        "static_dynamical_split": (
+            1, 1, lambda: spin_detuned.static_dynamical_split(p, sd)
+        ),
         "tabulated_omega": (
-            1, lambda: spectral.TabulatedDensity(knots, 5.0).reorganization_omega()
+            1, 1, lambda: spectral.TabulatedDensity(knots, 5.0).reorganization_omega()
         ),
     }
 
 
 @pytest.mark.parametrize("site", sorted(_lone_sites()))
 def test_every_lone_integral_runs_through_integrate_semi_infinite(monkeypatch, site):
-    expected, compute = _lone_sites()[site]
+    expected, engine, compute = _lone_sites()[site]
     counts = _spy_lone_integrals(monkeypatch)
     compute()
-    assert counts["integrals"] == counts["engine"] == expected
+    assert counts["integrals"] == expected
+    assert counts["engine"] == engine
     # Every bath integral hands its density to the engine; F has no bath.
     assert counts["densities"] == (0 if site == "f_dimensionless" else expected)
     assert counts["calls"] > expected

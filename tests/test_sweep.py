@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cohex import fermion, sweep
+import cohex.numerics as nm
+from cohex import fermion, spin_detuned, sweep
 from cohex.errors import ConvergenceError, DomainError
 from cohex.fermion import (
     fock_term,
@@ -74,6 +75,7 @@ class TestAxisSpec:
             dict(name="beta_omega1", start=0.0, stop=1.0, points=3, spacing="log"),
             dict(name="beta_omega1", start=1.0, stop=2.0, points=3, spacing="cubic"),
             dict(name="beta_omega1", start=math.inf, stop=2.0, points=3),
+            dict(name="beta_omega1", start=1.0, stop=2.0, points=2.5),
         ],
     )
     def test_rejects_bad_axes(self, kwargs):
@@ -450,42 +452,61 @@ PLANE = (
 )
 
 
+def _is_j(request):
+    return request.kernel in (spin_detuned._j_kernel, spin_detuned._j_kernel_zero)
+
+
 @pytest.fixture
-def j_calls(monkeypatch):
-    """Every call of the reference integral J the sweep engine makes."""
-    calls = []
-    real = sweep.coherence_integral
+def j_runs(monkeypatch):
+    """The J requests of every engine run a sweep makes, one list per run."""
+    runs = []
+    real = nm.integrate_many
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(requests):
+        runs.append([r for r in requests if _is_j(r)])
+        return real(requests)
 
-    monkeypatch.setattr(sweep, "coherence_integral", counted)
-    return calls
+    monkeypatch.setattr(nm, "integrate_many", counted)
+    return runs
 
 
 class TestSharedReferenceIntegral:
-    def test_plane_sweep_computes_j_once(self, j_calls):
+    def test_plane_sweep_computes_j_once(self, j_runs):
         table = run_sweep(SweepSpec("r1", (beta_axis(),) + PLANE, BATH, PARAMS))
         assert len(table.rows) == 121
-        assert len(j_calls) == 1
+        assert sum(map(len, j_runs)) == 1
 
     @pytest.mark.parametrize("plane", [(), PLANE[:1]])
-    def test_temperature_axis_computes_j_per_point(self, j_calls, plane):
+    def test_temperature_axis_computes_j_per_point(self, j_runs, plane):
         axes = (beta_axis(points=3, start=1.0, stop=4.0),) + plane
         run_sweep(SweepSpec("r2", axes, BATH, PARAMS, MAP_QUADRATURE))
-        assert len(j_calls) == 3
+        assert sum(map(len, j_runs)) == 3
 
-    def test_map_computes_j_once(self, j_calls):
+    def test_map_computes_j_once(self, j_runs):
         r1_map(0.1, 2.0, np.linspace(0.0, 4.0, 3), np.linspace(0.0, 2.0, 3))
-        assert len(j_calls) == 1
+        assert sum(map(len, j_runs)) == 1
+
+    def test_distinct_j_pool_by_block(self, j_runs):
+        # 72 cells with 72 different J: each 24-cell block states its 24
+        # in one engine run.
+        axes = (
+            beta_axis(points=24, start=0.1, stop=30.0, spacing="log"),
+            AxisSpec("omega1_over_omegac", 0.1, 1.6, 3, "log"),
+        )
+        run_sweep(SweepSpec("r1", axes, BATH, PARAMS))
+        assert [len(run) for run in j_runs if run] == [24, 24, 24]
+        assert len({nm._request_key(r) for run in j_runs for r in run}) == 72
 
     @pytest.mark.parametrize("plane", [(), PLANE])
     def test_failed_j_fails_exactly_the_cells_that_need_it(self, monkeypatch, plane):
-        def failing(*args):
-            raise ConvergenceError("J did not converge")
+        real = nm.integrate_many
 
-        monkeypatch.setattr(sweep, "coherence_integral", failing)
+        def failing(requests):
+            rest = iter(real([r for r in requests if not _is_j(r)]))
+            return [ConvergenceError("J did not converge") if _is_j(r) else next(rest)
+                    for r in requests]
+
+        monkeypatch.setattr(nm, "integrate_many", failing)
         axes = (beta_axis(points=2, start=1.0, stop=4.0),) + plane
         table = run_sweep(SweepSpec("r1", axes, BATH, PARAMS))
         # omega2 = 0 cells fail on their inputs before they need J.
