@@ -75,6 +75,7 @@ from .spin_detuned import (
     CoherenceResult,
     ModelParams,
     ThermalPoint,
+    _f_step,
     _linear_in_omega_err,
     _magnitude_flags,
     coherence_request,
@@ -211,12 +212,6 @@ def _folded_x_kernel(x, a, beta_omega1, g, n1, n2):
         return (nb + n1) * braces
 
     return np.exp(-a * x) * (one_side(x) + one_side(-x))
-
-
-def _f_step(omega1_over_omegac, beta_omega1, config):
-    """Step returning the spin shape factor F as (value, err_estimate)."""
-    (outcome,) = yield [f_request(omega1_over_omegac, beta_omega1, config)]
-    return take(outcome)
 
 
 def _f_fermion_parts_step(omega1_over_omegac, beta_omega1, omega2_over_omega1, config):

@@ -336,7 +336,17 @@ def coth_minus_inv(y):
     this helper so their 1/b parts cancel algebraically rather than in
     floating point, which matters at high temperature where 1/b dominates
     the difference by many orders of magnitude.
+
+    A float takes a scalar path (numpy's 0-d array path costs tens of
+    microseconds per call) doing the same operations in the same order,
+    so it has the bits of the array path.
     """
+    if isinstance(y, float):
+        if y == 0.0:
+            raise DomainError("coth - 1/y is evaluated away from 0 only")
+        if abs(y) < 0.125:
+            return float(_coth_minus_inv_series(y))
+        return float(1.0 / np.tanh(y) - 1.0 / y)
     arr = np.asarray(y, dtype=float)
     if np.any(arr == 0.0):
         raise DomainError("coth - 1/y is evaluated away from 0 only")
@@ -344,14 +354,17 @@ def coth_minus_inv(y):
     y_safe = np.where(small, 1.0, arr)
     with np.errstate(divide="ignore"):
         out = 1.0 / np.tanh(y_safe) - 1.0 / y_safe
-    ys = np.where(small, arr, 1.0)
-    y2 = ys * ys
-    series = ys * (
+    out = np.where(small, _coth_minus_inv_series(np.where(small, arr, 1.0)), out)
+    return float(out) if np.isscalar(y) else out
+
+
+def _coth_minus_inv_series(y):
+    """coth(y) - 1/y through y^9, for |y| < 0.125 (a float or an array)."""
+    y2 = y * y
+    return y * (
         1.0 / 3.0
         - y2 * (1.0 / 45.0 - y2 * (2.0 / 945.0 - y2 * (1.0 / 4725.0 - y2 * (2.0 / 93555.0))))
     )
-    out = np.where(small, series, out)
-    return float(out) if np.isscalar(y) else out
 
 
 def thermal_tanh_half(beta: float, energy: float) -> float:

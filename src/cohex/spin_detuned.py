@@ -19,6 +19,12 @@ Conventions: hbar = k_B = 1; beta = +inf encodes T = 0; f1, f2 are the
 dimensionless longitudinal/transverse bath-coupling weights of the first
 spin; t couples the two spins.
 
+The quadrature-backed coherences and normalized ratios are each written
+once, as a step (see ``numerics.run_steps``) that yields its request for
+J or F; the public functions run their step alone, and a sweep pools the
+requests of many cells in one engine run.  ``coherence_integral`` and
+``f_dimensionless`` integrate J and F alone.
+
 Coherences return ``CoherenceResult``.  The quadrature-backed shape factor
 F, the normalized ratios and the static/dynamical split return
 (value, err_estimate), as ``coherence_integral`` does; a function with two
@@ -42,6 +48,8 @@ from .numerics import (
     _exp_scaled_ei_neg,
     coth_minus_inv,
     integrate,
+    run_step,
+    take,
     thermal_tanh_half,
 )
 from .spectral import OhmicDensity, SpectralDensity
@@ -189,6 +197,19 @@ def coherence_integral(
     return integrate(coherence_request(params, sd, tp, config))
 
 
+def _sigma1x_step(params, sd, tp, config):
+    flags = detuned_validity_flags(params)
+    pre = -4.0 * params.f1 * params.f2 * thermal_tanh_half(tp.beta, params.omega1)
+    if pre == 0.0:
+        return CoherenceResult(0.0, 0.0, "full", flags)
+    (outcome,) = yield [coherence_request(params, sd, tp, config)]
+    j, err = take(outcome)
+    value = pre * j
+    return CoherenceResult(
+        value, abs(pre) * err, "full", flags + _magnitude_flags(value)
+    )
+
+
 def sigma1x(
     params: ModelParams,
     sd: SpectralDensity,
@@ -196,14 +217,18 @@ def sigma1x(
     config: QuadratureConfig | None = None,
 ) -> CoherenceResult:
     """<sigma1x> at temperature 1/beta: -4 f1 f2 tanh(beta omega1/2) J."""
-    flags = detuned_validity_flags(params)
-    pre = -4.0 * params.f1 * params.f2 * thermal_tanh_half(tp.beta, params.omega1)
-    if pre == 0.0:
-        return CoherenceResult(0.0, 0.0, "full", flags)
-    j, err = coherence_integral(params, sd, tp, config)
-    value = pre * j
+    return run_step(_sigma1x_step(params, sd, tp, config))
+
+
+def _sigma2x_step(params, sd, tp, config):
+    first = yield from _sigma1x_step(params, sd, tp, config)
+    factor = -(params.t / params.omega2) * thermal_tanh_half(tp.beta, params.omega2)
+    value = factor * first.value
     return CoherenceResult(
-        value, abs(pre) * err, "full", flags + _magnitude_flags(value)
+        value,
+        abs(factor) * first.err_estimate,
+        "full",
+        detuned_validity_flags(params) + _magnitude_flags(value),
     )
 
 
@@ -219,15 +244,7 @@ def sigma2x(
     identical J evaluation, so the proportionality is structural rather
     than a numerical coincidence.
     """
-    first = sigma1x(params, sd, tp, config)
-    factor = -(params.t / params.omega2) * thermal_tanh_half(tp.beta, params.omega2)
-    value = factor * first.value
-    return CoherenceResult(
-        value,
-        abs(factor) * first.err_estimate,
-        "full",
-        detuned_validity_flags(params) + _magnitude_flags(value),
-    )
+    return run_step(_sigma2x_step(params, sd, tp, config))
 
 
 def sigma2y(params: ModelParams, sd: SpectralDensity, tp: ThermalPoint) -> CoherenceResult:
@@ -281,6 +298,12 @@ def f_dimensionless(
     closed form has err_estimate 0.
     """
     return integrate(f_request(omega1_over_omegac, beta_omega1, config))
+
+
+def _f_step(omega1_over_omegac, beta_omega1, config):
+    """Step returning the shape factor F as (value, err_estimate)."""
+    (outcome,) = yield [f_request(omega1_over_omegac, beta_omega1, config)]
+    return take(outcome)
 
 
 def sigma2x_low_T(
@@ -407,6 +430,21 @@ def static_dynamical_split(
     return (static_term, -pre * integral), abs(pre) * max(err, omega_err)
 
 
+def _normalized_output_ratio_step(params, sd, tp, config):
+    if not isinstance(sd, OhmicDensity):
+        raise DomainError("the normalized output ratio uses the ohmic closed form")
+    a = params.omega1 / sd.cutoff
+    b = tp.beta_omega1(params.omega1)
+    f_val, f_err = yield from _f_step(a, b, config)
+    pre = (
+        (params.omega1 / params.omega2)
+        * thermal_tanh_half(tp.beta, params.omega2)
+        * thermal_tanh_half(tp.beta, params.omega1)
+    )
+    ei = _exp_scaled_ei_neg(a)
+    return pre * f_val / ei, abs(pre / ei) * f_err
+
+
 def normalized_output_ratio(
     params: ModelParams,
     sd: SpectralDensity,
@@ -422,18 +460,19 @@ def normalized_output_ratio(
     falling off as T^{-3} at high temperature.  Returns
     (ratio, err_estimate), the estimate carried from F.
     """
-    if not isinstance(sd, OhmicDensity):
-        raise DomainError("the normalized output ratio uses the ohmic closed form")
-    a = params.omega1 / sd.cutoff
-    b = tp.beta_omega1(params.omega1)
-    f_val, f_err = f_dimensionless(a, b, config)
-    pre = (
-        (params.omega1 / params.omega2)
-        * thermal_tanh_half(tp.beta, params.omega2)
-        * thermal_tanh_half(tp.beta, params.omega1)
-    )
-    ei = _exp_scaled_ei_neg(a)
-    return pre * f_val / ei, abs(pre / ei) * f_err
+    return run_step(_normalized_output_ratio_step(params, sd, tp, config))
+
+
+def _normalized_coherences_spin_step(omega1_over_omegac, beta_omega1,
+                                     omega2_over_omega1, config):
+    a = float(omega1_over_omegac)
+    b = float(beta_omega1)
+    f_val, f_err = yield from _f_step(a, b, config)
+    f_zero = -_exp_scaled_ei_neg(a)
+    tanh1 = thermal_tanh_half(b, 1.0)
+    tanh2 = thermal_tanh_half(b, float(omega2_over_omega1))
+    n1 = tanh1 * f_val / f_zero
+    return (n1, tanh2 * n1), abs(tanh1 / f_zero) * f_err
 
 
 def normalized_coherences_spin(
@@ -450,11 +489,5 @@ def normalized_coherences_spin(
     ((n1, n2), err_estimate); n1's estimate, carried from F, bounds n2's
     too, since |tanh| <= 1.
     """
-    a = float(omega1_over_omegac)
-    b = float(beta_omega1)
-    f_val, f_err = f_dimensionless(a, b, config)
-    f_zero = -_exp_scaled_ei_neg(a)
-    tanh1 = thermal_tanh_half(b, 1.0)
-    tanh2 = thermal_tanh_half(b, float(omega2_over_omega1))
-    n1 = tanh1 * f_val / f_zero
-    return (n1, tanh2 * n1), abs(tanh1 / f_zero) * f_err
+    return run_step(_normalized_coherences_spin_step(
+        omega1_over_omegac, beta_omega1, omega2_over_omega1, config))

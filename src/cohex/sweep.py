@@ -12,15 +12,18 @@ Evaluation order over the grid is fixed by the axis order, and workers only
 compute pure functions of their cell, so the assembled table is identical
 whether the grid is evaluated serially or on a process pool.
 
-Cells run in lockstep blocks of contiguous cells: every cell of a block
-starts, the quantities built as steps (the fermion quantities and the
-ratios R1, R2) hand their integral requests to one engine run for the
-whole block (``numerics.run_steps``), and then every cell assembles and
-cross-checks its own results.  A serial sweep cuts its grid into blocks
-of ``_LOCKSTEP_CELLS`` cells; under ``jobs`` each pool task is cut the
-same way.  An integral has the same bits in any block, so the table does
-not depend on how the grid is cut.  The other spin quantities compute
-their integrals one at a time inside the same cell path.
+Every registry quantity is a step (see ``numerics.run_steps``), and
+cells run in lockstep blocks of contiguous cells: every cell of a block
+starts and hands its integral requests to one engine run for the whole
+block, and then every cell assembles and cross-checks its own results.
+A closed form is a step that states no integral.  A serial sweep cuts
+its grid into blocks of ``_LOCKSTEP_CELLS`` cells; under ``jobs`` each
+pool task is cut the same way.  An integral has the same bits in any
+block, so the table does not depend on how the grid is cut.  The
+fermion quantities, the detuned spin quantities (their J or their
+shape factor F) and the reference integral J of R1 and R2 pool this
+way; ``sigma1x_general``, ``sigma2x_general`` and the numerators of R1
+and R2 still compute their integrals one at a time inside their cells.
 
 Identical requests are integrated once, and each block hands its outcomes
 on to the next one of its task.  So the small-t reference integral J that
@@ -53,10 +56,10 @@ from .spectral import OhmicDensity, SpectralDensity
 from .spin_detuned import (
     ModelParams,
     ThermalPoint,
-    normalized_coherences_spin,
-    normalized_output_ratio,
-    sigma1x,
-    sigma2x,
+    _normalized_coherences_spin_step,
+    _normalized_output_ratio_step,
+    _sigma1x_step,
+    _sigma2x_step,
     sigma2x_low_T,
     sigma2y,
     static_chain,
@@ -152,7 +155,8 @@ class AxisSpec:
         for label, v in (("start", self.start), ("stop", self.stop)):
             if not np.isfinite(v):
                 raise DomainError(f"axis {self.name}: {label} must be finite")
-        if not isinstance(self.points, numbers.Integral) or self.points < 1:
+        if (isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral)
+                or self.points < 1):
             raise DomainError(f"axis {self.name}: points must be an integer of at least 1")
         if self.points == 1 and self.start != self.stop:
             raise DomainError(
@@ -182,14 +186,16 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class SweepQuantity:
-    """Registry entry tying a quantity name to its evaluator.
+    """Registry entry tying a quantity name to its step.
 
-    ``evaluate(params, sd, tp, config)`` returns ``(values, err, flags)``
-    where ``values`` has one float per entry in ``columns``.  A quantity
-    with ``steps`` states its integrals instead: ``steps(params, sd, tp,
-    config)`` is a step (see ``numerics.run_steps``) returning the same
-    triple, a sweep runs the steps of a block in lockstep, and
-    ``evaluate`` runs one step alone.
+    ``steps(params, sd, tp, config)`` is a step (see
+    ``numerics.run_steps``) returning ``(values, err, flags)``, where
+    ``values`` has one float per entry in ``columns``: a sweep runs the
+    steps of a block in lockstep, and a closed form is a step that yields
+    nothing.  ``evaluate`` runs one step alone.  It is derived from
+    ``steps`` (see ``_stepped``) and kept as a field only because the
+    benchmark's tracer (``bench/tracing.py``) rebuilds entries with
+    ``dataclasses.replace(q, evaluate=...)``.
     """
 
     name: str
@@ -197,32 +203,33 @@ class SweepQuantity:
     model: str
     needs_ohmic: bool
     evaluate: object = field(repr=False)
-    steps: object = field(default=None, repr=False)
-
-
-def _one(result):
-    """Adapt a CoherenceResult to the (values, err, flags) protocol."""
-    return (result.value,), result.err_estimate, result.flags
-
-
-def _estimated(values, err, flags=()):
-    """Adapt quadrature-backed values (one value or a tuple of them), an
-    error estimate that bounds each of them, and their flags."""
-    return values if isinstance(values, tuple) else (values,), err, flags
+    steps: object = field(repr=False)
 
 
 def _stepped(name, columns, model, needs_ohmic, steps):
-    """A quantity whose cells hand their integrals to the sweep."""
+    """The registry entry of a quantity whose cells run ``steps``."""
     return SweepQuantity(name, columns, model, needs_ohmic,
                          lambda *args: run_step(steps(*args)), steps=steps)
 
 
-def _one_steps(step):
-    return _one((yield from step))
+def _now(function, *args):
+    """Step stating no integral: it yields nothing and returns function(*args)."""
+    yield from ()
+    return function(*args)
 
 
-def _estimated_steps(step):
-    return _estimated(*(yield from step))
+def _one(step):
+    """Adapt a step's CoherenceResult to the (values, err, flags) protocol."""
+    result = yield from step
+    return (result.value,), result.err_estimate, result.flags
+
+
+def _estimated(step):
+    """Adapt a step's quadrature-backed values (one value or a tuple of
+    them), an error estimate that bounds each of them, and any flags."""
+    values, err, *flags = yield from step
+    values = values if isinstance(values, tuple) else (values,)
+    return values, err, flags[0] if flags else ()
 
 
 def _hartree_fock_steps(p, sd, tp, cfg):
@@ -232,13 +239,13 @@ def _hartree_fock_steps(p, sd, tp, cfg):
     return hartree + fock, max(errs), flags
 
 
-def _eval_static_sigma2x(p, sd, tp, cfg):
-    chain, err = static_chain(p, sd, tp)
+def _static_sigma2x_steps(p, sd, tp, cfg):
+    chain, err = yield from _now(static_chain, p, sd, tp)
     return (chain.sigma2x_st,), err, static_chain_flags(p, sd, tp)
 
 
-def _eval_static_compare(p, sd, tp, cfg):
-    full = sigma2x(p, sd, tp, cfg)
+def _static_compare_steps(p, sd, tp, cfg):
+    full = yield from _sigma2x_step(p, sd, tp, cfg)
     chain, _ = static_chain(p, sd, tp)  # ohmic: Omega is exact
     low = sigma2x_low_T(p, sd.coupling, sd.cutoff, tp)
     flags = []
@@ -249,58 +256,65 @@ def _eval_static_compare(p, sd, tp, cfg):
     return values, full.err_estimate, tuple(flags)
 
 
-# Evaluators look their functions up at call time, so a function rebound
-# on its module (by a tracer, say) is the one a sweep calls.
+def _fermion_high_T_steps(p, sd, tp, cfg):
+    value = yield from _now(fermion_high_T, p, sd.coupling, sd.cutoff, tp)
+    return (value,), 0.0, ()
+
+
+# Steps look their public functions up at call time, so a function rebound
+# on its module (by a tracer, say) is the one a sweep calls.  The detuned
+# spin quantities and the fermion quantities yield their integral
+# requests; sigma1x_general and sigma2x_general still integrate alone
+# inside their cells, as do the numerators of r1 and r2.
 QUANTITIES = {q.name: q for q in (
-    SweepQuantity("sigma1x", ("sigma1x",), "spin", False,
-                  lambda p, sd, tp, cfg: _one(sigma1x(p, sd, tp, cfg))),
-    SweepQuantity("sigma2x", ("sigma2x",), "spin", False,
-                  lambda p, sd, tp, cfg: _one(sigma2x(p, sd, tp, cfg))),
-    SweepQuantity("sigma2y", ("sigma2y",), "spin", False,
-                  lambda p, sd, tp, cfg: _one(sigma2y(p, sd, tp))),
-    SweepQuantity("sigma1x_general", ("sigma1x_general",), "spin", False,
-                  lambda p, sd, tp, cfg: _one(sigma1x_general(p, sd, tp, cfg))),
-    SweepQuantity("sigma2x_general", ("sigma2x_general",), "spin", False,
-                  lambda p, sd, tp, cfg: _one(sigma2x_general(p, sd, tp, cfg))),
+    _stepped("sigma1x", ("sigma1x",), "spin", False,
+             lambda p, sd, tp, cfg: _one(_sigma1x_step(p, sd, tp, cfg))),
+    _stepped("sigma2x", ("sigma2x",), "spin", False,
+             lambda p, sd, tp, cfg: _one(_sigma2x_step(p, sd, tp, cfg))),
+    _stepped("sigma2y", ("sigma2y",), "spin", False,
+             lambda p, sd, tp, cfg: _one(_now(sigma2y, p, sd, tp))),
+    _stepped("sigma1x_general", ("sigma1x_general",), "spin", False,
+             lambda p, sd, tp, cfg: _one(_now(sigma1x_general, p, sd, tp, cfg))),
+    _stepped("sigma2x_general", ("sigma2x_general",), "spin", False,
+             lambda p, sd, tp, cfg: _one(_now(sigma2x_general, p, sd, tp, cfg))),
     _stepped("r1", ("r1",), "spin", False,
-             lambda p, sd, tp, cfg: _one_steps(_r1_step(p, sd, tp, cfg))),
+             lambda p, sd, tp, cfg: _one(_r1_step(p, sd, tp, cfg))),
     _stepped("r2", ("r2",), "spin", False,
-             lambda p, sd, tp, cfg: _one_steps(_r2_step(p, sd, tp, cfg))),
-    SweepQuantity("static_sigma2x", ("static_sigma2x",), "spin", False,
-                  _eval_static_sigma2x),
-    SweepQuantity("sigma2x_low_T", ("sigma2x_low_T",), "spin", True,
-                  lambda p, sd, tp, cfg: _one(sigma2x_low_T(
-                      p, sd.coupling, sd.cutoff, tp))),
-    SweepQuantity("normalized_output_ratio", ("normalized_output_ratio",), "spin", True,
-                  lambda p, sd, tp, cfg: _estimated(*normalized_output_ratio(
-                      p, sd, tp, cfg))),
-    SweepQuantity("normalized_spin", ("normalized_sigma1x", "normalized_sigma2x"),
-                  "spin", True,
-                  lambda p, sd, tp, cfg: _estimated(*normalized_coherences_spin(
-                      p.omega1 / sd.cutoff, tp.beta_omega1(p.omega1),
-                      p.omega2 / p.omega1, cfg))),
-    SweepQuantity("static_compare", ("sigma2x_full", "sigma2x_static", "sigma2x_low_T"),
-                  "spin", True, _eval_static_compare),
+             lambda p, sd, tp, cfg: _one(_r2_step(p, sd, tp, cfg))),
+    _stepped("static_sigma2x", ("static_sigma2x",), "spin", False,
+             _static_sigma2x_steps),
+    _stepped("sigma2x_low_T", ("sigma2x_low_T",), "spin", True,
+             lambda p, sd, tp, cfg: _one(_now(
+                 sigma2x_low_T, p, sd.coupling, sd.cutoff, tp))),
+    _stepped("normalized_output_ratio", ("normalized_output_ratio",), "spin", True,
+             lambda p, sd, tp, cfg: _estimated(_normalized_output_ratio_step(
+                 p, sd, tp, cfg))),
+    _stepped("normalized_spin", ("normalized_sigma1x", "normalized_sigma2x"),
+             "spin", True,
+             lambda p, sd, tp, cfg: _estimated(_normalized_coherences_spin_step(
+                 p.omega1 / sd.cutoff, tp.beta_omega1(p.omega1),
+                 p.omega2 / p.omega1, cfg))),
+    _stepped("static_compare", ("sigma2x_full", "sigma2x_static", "sigma2x_low_T"),
+             "spin", True, _static_compare_steps),
     _stepped("sigma1x_fermion", ("sigma1x_fermion",), "fermion", False,
-             lambda p, sd, tp, cfg: _one_steps(_sigma1x_fermion_step(p, sd, tp, cfg))),
+             lambda p, sd, tp, cfg: _one(_sigma1x_fermion_step(p, sd, tp, cfg))),
     _stepped("sigma2x_fermion", ("sigma2x_fermion",), "fermion", False,
-             lambda p, sd, tp, cfg: _one_steps(_sigma2x_fermion_step(p, sd, tp, cfg))),
+             lambda p, sd, tp, cfg: _one(_sigma2x_fermion_step(p, sd, tp, cfg))),
     _stepped("hartree_fock", ("hartree1", "hartree2", "fock1", "fock2"), "fermion", False,
              _hartree_fock_steps),
     _stepped("normalized_fermion", ("normalized_fermion1", "normalized_fermion2"),
              "fermion", True,
-             lambda p, sd, tp, cfg: _estimated_steps(_normalized_fermion_step(
+             lambda p, sd, tp, cfg: _estimated(_normalized_fermion_step(
                  p, sd.coupling, sd.cutoff, tp, cfg))),
     _stepped("ratio_R", ("ratio_R",), "fermion", True,
-             lambda p, sd, tp, cfg: _estimated_steps(_ratio_r_step(
+             lambda p, sd, tp, cfg: _estimated(_ratio_r_step(
                  p, sd.coupling, sd.cutoff, tp, cfg))),
     _stepped("g_script", ("g_script",), "fermion", True,
-             lambda p, sd, tp, cfg: _estimated_steps(_g_script_step(
+             lambda p, sd, tp, cfg: _estimated(_g_script_step(
                  tp.beta_omega1(p.omega1), p.omega1 / sd.cutoff,
                  p.omega2 / p.omega1, p.t / p.omega1, cfg))),
-    SweepQuantity("fermion_high_T", ("fermion_high_T",), "fermion", True,
-                  lambda p, sd, tp, cfg: ((fermion_high_T(
-                      p, sd.coupling, sd.cutoff, tp),), 0.0, ())),
+    _stepped("fermion_high_T", ("fermion_high_T",), "fermion", True,
+             _fermion_high_T_steps),
 )}
 SPIN_QUANTITIES = tuple(n for n, q in QUANTITIES.items() if q.model == "spin")
 FERMION_QUANTITIES = tuple(
@@ -397,16 +411,9 @@ def _cell_inputs(spec: SweepSpec, point: dict):
 
 
 def _cell_step(spec: SweepSpec, point: dict):
-    """One grid cell as a step returning (values, err, flags).
-
-    A quantity with steps yields its integral requests; any other is
-    evaluated at once and yields nothing.
-    """
-    quantity = QUANTITIES[spec.quantity]
+    """One grid cell as a step returning (values, err, flags)."""
     args = _cell_inputs(spec, point) + (spec.config,)
-    if quantity.steps is not None:
-        return (yield from quantity.steps(*args))
-    return quantity.evaluate(*args)
+    return (yield from QUANTITIES[spec.quantity].steps(*args))
 
 
 _STATUS = (

@@ -10,6 +10,7 @@ requests once.
 
 import math
 import traceback
+import types
 
 import numpy as np
 import pytest
@@ -33,7 +34,19 @@ from cohex.numerics import (
     thermal_tanh_half,
 )
 from cohex.spectral import GeneralizedOhmicDensity, OhmicDensity, TabulatedDensity
-from cohex.spin_detuned import ModelParams, ThermalPoint, coherence_request, f_request
+from cohex.spin_detuned import (
+    ModelParams,
+    ThermalPoint,
+    coherence_request,
+    f_request,
+    normalized_coherences_spin,
+    normalized_output_ratio,
+    sigma1x,
+    sigma2x,
+    sigma2x_low_T,
+    static_chain,
+    static_chain_flags,
+)
 from cohex.spin_general import (
     _first_spin_request,
     _second_spin_request,
@@ -41,7 +54,14 @@ from cohex.spin_general import (
     r1_value,
     r2_value,
 )
-from cohex.sweep import MAP_QUADRATURE, AxisSpec, SweepSpec, _sweep_block, run_sweep
+from cohex.sweep import (
+    MAP_QUADRATURE,
+    QUANTITIES,
+    AxisSpec,
+    SweepSpec,
+    _sweep_block,
+    run_sweep,
+)
 from cohex.table import emit_csv
 
 PARAMS = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
@@ -213,10 +233,26 @@ def test_pooled_kernel_calls_on_the_benchmark_grid(monkeypatch, name, calls, nod
 
 def _public_row(name, p, sd, tp):
     """(values, err, flags) of one cell through the public functions."""
-    if name in ("sigma1x_fermion", "sigma2x_fermion", "r1", "r2"):
-        function = {"r1": r1_value, "r2": r2_value}.get(name) or getattr(fermion, name)
+    if name in ("sigma1x", "sigma2x", "sigma1x_fermion", "sigma2x_fermion", "r1", "r2"):
+        function = {
+            "sigma1x": sigma1x, "sigma2x": sigma2x, "r1": r1_value, "r2": r2_value,
+        }.get(name) or getattr(fermion, name)
         r = function(p, sd, tp)
         return (r.value,), r.err_estimate, r.flags
+    if name == "normalized_spin":
+        values, err = normalized_coherences_spin(
+            p.omega1 / sd.cutoff, tp.beta_omega1(p.omega1), p.omega2 / p.omega1
+        )
+        return values, err, ()
+    if name == "normalized_output_ratio":
+        value, err = normalized_output_ratio(p, sd, tp)
+        return (value,), err, ()
+    if name == "static_compare":
+        full = sigma2x(p, sd, tp)
+        chain, _ = static_chain(p, sd, tp)
+        low = sigma2x_low_T(p, sd.coupling, sd.cutoff, tp)
+        flags = dict.fromkeys(full.flags + static_chain_flags(p, sd, tp) + low.flags)
+        return (full.value, chain.sigma2x_st, low.value), full.err_estimate, tuple(flags)
     if name == "hartree_fock":
         hartree, _ = hartree_static(p, sd, tp)
         fock, errs = fock_term(p, sd, tp)
@@ -231,10 +267,12 @@ def _public_row(name, p, sd, tp):
     return (value,), err, ()
 
 
-# The spin ratios r1, r2 run as steps too.
+# The detuned spin quantities and the spin ratios r1, r2 run as steps too.
 @pytest.mark.parametrize("name", [
     "sigma1x_fermion", "sigma2x_fermion", "hartree_fock",
     "normalized_fermion", "ratio_R", "g_script", "r1", "r2",
+    "sigma1x", "sigma2x", "normalized_spin", "normalized_output_ratio",
+    "static_compare",
 ])
 def test_every_fermion_row_equals_its_public_function(name):
     axes = (
@@ -258,6 +296,69 @@ def test_every_fermion_row_equals_its_public_function(name):
         assert row[3:-1] == tuple(values) + (err,)
         assert row[-1] == (";".join(flags) or "ok")
     assert "ok" in statuses
+
+
+def _spy_engine(monkeypatch):
+    """The request count of every engine run, and the count of integrals
+    made alone through ``numerics.integrate_semi_infinite``."""
+    runs, lone = [], []
+    many, semi = nm.integrate_many, nm.integrate_semi_infinite
+
+    def counted_many(requests):
+        runs.append(len(requests))
+        return many(requests)
+
+    def counted_lone(*args, **kwargs):
+        lone.append(1)
+        return semi(*args, **kwargs)
+
+    monkeypatch.setattr(nm, "integrate_many", counted_many)
+    monkeypatch.setattr(nm, "integrate_semi_infinite", counted_lone)
+    return runs, lone
+
+
+@pytest.mark.parametrize("name", ["sigma2x", "normalized_spin"])
+def test_detuned_spin_cells_pool_by_block(monkeypatch, name):
+    # The spin grid of the sweep_T benchmark: 24 beta omega1 x 3 cutoffs,
+    # 72 different J (or F), stated by three 24-cell blocks.
+    axes = (
+        AxisSpec("beta_omega1", 0.1, 30.0, 24, "log"),
+        AxisSpec("omega1_over_omegac", 0.1, 1.6, 3, "log"),
+    )
+    runs, lone = _spy_engine(monkeypatch)
+    table = run_sweep(SweepSpec(name, axes, OhmicDensity(1.0, 1.0), PARAMS))
+    assert all(row[2] is not None for row in table.rows)
+    assert runs == [24, 24, 24]
+    assert lone == []
+
+
+# Integrals a cell of these quantities still makes alone, through
+# ``numerics.integrate``; every other integral goes to the sweep's
+# lockstep block.  Pooling these waits for the benchmark harness to stop
+# keeping every result (ROADMAP item 1).
+_LONE_PER_CELL = {"sigma1x_general": 1, "sigma2x_general": 1, "r1": 1, "r2": 1}
+# Quantities whose steps yield no request: the closed forms, and the two
+# whose only integral is still made alone.
+_NOTHING_POOLED = (
+    "sigma2y", "sigma2x_low_T", "static_sigma2x", "fermion_high_T",
+    "sigma1x_general", "sigma2x_general",
+)
+
+
+@pytest.mark.parametrize("name", sorted(QUANTITIES))
+def test_every_registry_entry_is_a_step(monkeypatch, name):
+    quantity = QUANTITIES[name]
+    step = quantity.steps(PARAMS, OhmicDensity(1.0, 1.0), ThermalPoint(2.0), None)
+    assert isinstance(step, types.GeneratorType)
+    step.close()
+    runs, lone = _spy_engine(monkeypatch)
+    axes = (AxisSpec("beta_omega1", 1.0, 4.0, 3, "log"),)
+    table = run_sweep(SweepSpec(name, axes, OhmicDensity(1.0, 1.0), PARAMS))
+    assert all(row[1] is not None for row in table.rows)
+    assert len(lone) == 3 * _LONE_PER_CELL.get(name, 0)
+    # A lone integral is an engine run of its own; the block's requests
+    # make one more.
+    assert len(runs) - len(lone) == (name not in _NOTHING_POOLED)
 
 
 def test_lockstep_blocks_cut_anywhere_give_the_same_cells():

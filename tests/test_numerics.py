@@ -134,6 +134,27 @@ def test_coth_difference_near_zero():
     assert diff == pytest.approx(x / 3.0, abs=5e-12)
 
 
+def test_coth_minus_inv_scalar_has_the_array_bits():
+    # A float takes its own path; it must round exactly as the array path
+    # on both branches (|y| < 0.125 series, 1/tanh(y) - 1/y beyond), for
+    # either sign, far into the tails and at the branch edge.
+    rng = np.random.default_rng(7)
+    edge = np.nextafter(0.125, 0.0)
+    y = np.concatenate([
+        rng.uniform(-0.2, 0.2, 2000),
+        np.exp(rng.uniform(-10.0, 6.0, 1000)),
+        -np.exp(rng.uniform(-10.0, 6.0, 1000)),
+        [0.125, -0.125, edge, -edge, 1e-300, 5e-324, 700.0, 1e300, -1e300, np.inf],
+    ])
+    scalar = np.array([nm.coth_minus_inv(v) for v in y.tolist()])
+    assert all(type(nm.coth_minus_inv(v)) is float for v in (0.5, -0.01, np.float64(2.0)))
+    assert np.array_equal(scalar.view(np.int64), nm.coth_minus_inv(y).view(np.int64))
+    with pytest.raises(DomainError):
+        nm.coth_minus_inv(0.0)
+    with pytest.raises(DomainError):
+        nm.coth_minus_inv(-0.0)
+
+
 def test_thermal_helpers_zero_temperature():
     assert nm.thermal_tanh_half(math.inf, 2.0) == 1.0
     assert nm.thermal_tanh_half(math.inf, -2.0) == -1.0

@@ -76,6 +76,7 @@ class TestAxisSpec:
             dict(name="beta_omega1", start=1.0, stop=2.0, points=3, spacing="cubic"),
             dict(name="beta_omega1", start=math.inf, stop=2.0, points=3),
             dict(name="beta_omega1", start=1.0, stop=2.0, points=2.5),
+            dict(name="beta_omega1", start=1.0, stop=1.0, points=True),
         ],
     )
     def test_rejects_bad_axes(self, kwargs):
