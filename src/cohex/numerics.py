@@ -401,17 +401,19 @@ class Integral:
     column, with one entry per node, so the nodes of every integral of one
     kernel and density go to them in shared calls.  ``grade`` is the
     density's endpoint grade (``endpoint_grade``): the engine integrates
-    in v = u^(1/grade).
+    in v = u^(1/grade).  Each of the ``breakpoints`` (a tabulated density's
+    knots, not bridged as ``removable_points`` are) starts a panel edge; an
+    integral whose first panels exceed its panel budget fails (``DomainError``).
     """
 
     __slots__ = ("kernel", "columns", "removable_points", "config",
-                 "density", "density_columns", "grade")
+                 "density", "density_columns", "grade", "breakpoints")
 
     def __init__(self, kernel: Callable, columns: tuple = (),
                  removable_points: Sequence[float] = (),
                  config: QuadratureConfig | None = None,
                  density: Callable | None = None, density_columns: tuple = (),
-                 grade: int = 1):
+                 grade: int = 1, breakpoints: Sequence[float] = ()):
         self.kernel = kernel
         self.columns = tuple(columns)
         self.removable_points = tuple(removable_points)
@@ -419,6 +421,7 @@ class Integral:
         self.density = density
         self.density_columns = tuple(density_columns)
         self.grade = int(grade)
+        self.breakpoints = tuple(breakpoints)
 
 
 def _bridge_points(removable_points: Sequence[float], cfg: QuadratureConfig):
@@ -639,11 +642,18 @@ class _Engine:
             windows.append(merged)
             group = self.groups[group_of[o]]
             group.max_windows = max(group.max_windows, len(merged))
-            interior = []
+            interior = list(r.breakpoints)
             for p, delta in zip(pts, deltas):
                 h = delta * p
                 interior.extend([p - h, p, p + h, p + 2 * h, max(p - 2 * h, p / 2)])
             u_breaks = _semi_infinite_breaks(interior, r.config.tail_decay_scale)
+            if r.breakpoints and u_breaks.size > r.config.max_subdivisions:
+                # As QUADPACK's QAGP rejects more breakpoints than its limit.
+                self.dead[o] = True
+                self.outcome[o] = DomainError(
+                    "%d breakpoints (knots) start %d panels, over the panel budget "
+                    "max_subdivisions = %d"
+                    % (len(r.breakpoints), u_breaks.size - 1, r.config.max_subdivisions))
             breaks.append(u_breaks if r.grade == 1 else u_breaks ** (1.0 / r.grade))
         self.has_windows = [bool(w) for w in windows]
         self._bridge(windows)
@@ -988,10 +998,11 @@ def integrate_semi_infinite(
         Abscissae where the kernel is 0/0-removable.  A window around each
         is bridged by a cubic through straddling sample points.
     config : QuadratureConfig, optional
-    density : (function, columns) or (function, columns, grade), optional
+    density : (function, columns[, grade[, breakpoints]]), optional
         A weight ``function(xi, *columns)`` the kernel is multiplied by;
         the product is exactly 0 wherever the weight is 0.  ``grade`` is
-        its endpoint grade (see ``Integral``), 1 if left out.
+        its endpoint grade and ``breakpoints`` its knots (see
+        ``Integral``), 1 and none if left out.
 
     Returns
     -------
@@ -1010,14 +1021,14 @@ def integrate(request):
 
     ``request`` is an ``Integral`` or a ready outcome (see ``take``).  An
     ``Integral`` runs alone through ``integrate_semi_infinite``, its
-    columns bound into a kernel of xi and its density (with its grade)
-    passed alongside.
+    columns bound into a kernel of xi and its density (with its grade
+    and breakpoints) passed alongside.
     """
     if not isinstance(request, Integral):
         return take(request)
     kernel, columns = request.kernel, request.columns
     density = None if request.density is None else (
-        request.density, request.density_columns, request.grade
+        request.density, request.density_columns, request.grade, request.breakpoints
     )
     return integrate_semi_infinite(
         lambda xi: kernel(xi, *columns), request.removable_points, request.config,
@@ -1104,10 +1115,11 @@ def _request_key(request: Integral):
     density objects and the same bits in every number the engine reads."""
     cfg = request.config
     numbers = (request.columns + request.removable_points + request.density_columns
+               + request.breakpoints
                + (cfg.rel_tol, cfg.abs_tol, cfg.singularity_window, cfg.tail_decay_scale))
     return (request.kernel, request.density, len(request.columns),
-            len(request.removable_points), request.grade, cfg.max_subdivisions,
-            struct.pack("%dd" % len(numbers), *numbers))
+            len(request.removable_points), len(request.breakpoints), request.grade,
+            cfg.max_subdivisions, struct.pack("%dd" % len(numbers), *numbers))
 
 
 def run_steps(steps, known: dict | None = None) -> list:

@@ -24,6 +24,10 @@ stamps the grade ``numerics.endpoint_grade`` gives that power on every
 request it states, so the engine integrates a sub-ohmic endpoint
 singularity xi^(s - 1) in a graded variable in which it is smooth (see
 ``numerics``); a request without a declared power keeps the plain map.
+Likewise a tabulated bath declares its knots as ``breakpoints`` (the
+others declare none), stamped on every request: the engine starts each
+integral with a panel edge at every knot, so no Gauss-Kronrod panel
+straddles a knot, where the interpolant is only once differentiable.
 
 A tabulated curve is the piecewise cubic Hermite interpolant (PCHIP) of
 Fritsch & Carlson (SIAM J. Numer. Anal. 17 (1980) 238) with the knot slopes
@@ -62,6 +66,8 @@ class SpectralDensity:
 
     # The power p of I(xi) ~ xi^p as xi -> 0, where a family declares one.
     small_xi_power: float | None = None
+    # Abscissae where I is less smooth than elsewhere (a table's knots).
+    breakpoints: tuple = ()
 
     def eval(self, xi):
         """Pointwise density I(xi); xi may be a positive scalar or array."""
@@ -126,7 +132,8 @@ class _ContinuousDensity(SpectralDensity):
     def integral(self, kernel, columns=(), removable_points=(), config=None):
         density, density_columns = self._density()
         return Integral(kernel, columns, removable_points, self._config(config),
-                        density, density_columns, endpoint_grade(self.small_xi_power))
+                        density, density_columns, endpoint_grade(self.small_xi_power),
+                        self.breakpoints)
 
     def eval(self, xi):
         density, columns = self._density()
@@ -295,6 +302,7 @@ class TabulatedDensity(_ContinuousDensity):
         dens = np.where(dens < np.finfo(float).tiny, 0.0, dens)
         self.knot_xi = xi
         self.knot_density = dens
+        self.breakpoints = tuple(xi.tolist())
         self.tail_decay = _check_positive("tail_decay", tail_decay)
         self._coefficients = _pchip_coefficients(xi, dens)
         self._omega = None

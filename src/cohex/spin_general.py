@@ -11,9 +11,10 @@ first spin), which the quadrature bridges.
 The ratios R1 and R2 of these general coherences to their small-t closed
 forms quantify where the detuned formulas remain accurate; the validity
 maps in :mod:`cohex.sweep` tabulate them over the (omega2/omega1,
-t/omega1) plane.  Each ratio is a step (see ``numerics.run_steps``) that
-states the small-t reference integral J as a request, so the cells of a
-sweep that need the same J share one integration of it.
+t/omega1) plane.  Coherences and ratios are steps (see ``numerics.run_steps``)
+that state their integrals as requests, which a sweep's cells pool: a
+ratio states the small-t reference integral J, integrated once for all
+cells that need it, and integrates its numerator alone.
 
 Internally every kernel is evaluated with the four hyperbolic weights
 cosh(beta*omega), cosh(beta*epsilon), sinh(beta*omega), sinh(beta*epsilon)
@@ -232,6 +233,22 @@ def _prepared(params: ModelParams, config):
     return params, mix, cfg, flags, extra_rel
 
 
+def _general_step(params, sd, tp, config, second=False):
+    """sigma1x_general, or sigma2x_general if ``second``, as a step."""
+    params, mix, cfg, flags, extra_rel = _prepared(params, config)
+    if second and params.t == 0.0:
+        return CoherenceResult(0.0, 0.0, "general_mixed_basis", ())
+    stated = _second_spin_request if second else _first_spin_request
+    (outcome,) = yield [stated(sd, tp, mix, cfg)]
+    val, err = take(outcome)
+    pre = 0.5 * params.f1 * params.f2 * mix.cos_theta if second else params.f1 * params.f2
+    value = pre * val
+    err_total = abs(pre) * err + extra_rel * abs(value)
+    return CoherenceResult(
+        value, err_total, "general_mixed_basis", flags + _magnitude_flags(value)
+    )
+
+
 def sigma1x_general(
     params: ModelParams,
     sd: SpectralDensity,
@@ -239,14 +256,7 @@ def sigma1x_general(
     config: QuadratureConfig | None = None,
 ) -> CoherenceResult:
     """First-spin coherence at arbitrary coupling t."""
-    params, mix, cfg, flags, extra_rel = _prepared(params, config)
-    val, err = integrate(_first_spin_request(sd, tp, mix, cfg))
-    pre = params.f1 * params.f2
-    value = pre * val
-    err_total = abs(pre) * err + extra_rel * abs(value)
-    return CoherenceResult(
-        value, err_total, "general_mixed_basis", flags + _magnitude_flags(value)
-    )
+    return run_step(_general_step(params, sd, tp, config))
 
 
 def sigma2x_general(
@@ -259,16 +269,7 @@ def sigma2x_general(
 
     Exactly zero at t = 0: the prefactor cos(theta) epsilon equals t.
     """
-    params, mix, cfg, flags, extra_rel = _prepared(params, config)
-    if params.t == 0.0:
-        return CoherenceResult(0.0, 0.0, "general_mixed_basis", ())
-    val, err = integrate(_second_spin_request(sd, tp, mix, cfg))
-    pre = 0.5 * params.f1 * params.f2 * mix.cos_theta
-    value = pre * val
-    err_total = abs(pre) * err + extra_rel * abs(value)
-    return CoherenceResult(
-        value, err_total, "general_mixed_basis", flags + _magnitude_flags(value)
-    )
+    return run_step(_general_step(params, sd, tp, config, second=True))
 
 
 def _first_spin_kernel(xi, beta, omega, epsilon, sin_t, cos2t, chw, che, shw, she):

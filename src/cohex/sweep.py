@@ -19,11 +19,11 @@ block, and then every cell assembles and cross-checks its own results.
 A closed form is a step that states no integral.  A serial sweep cuts
 its grid into blocks of ``_LOCKSTEP_CELLS`` cells; under ``jobs`` each
 pool task is cut the same way.  An integral has the same bits in any
-block, so the table does not depend on how the grid is cut.  The
-fermion quantities, the detuned spin quantities (their J or their
-shape factor F) and the reference integral J of R1 and R2 pool this
-way; ``sigma1x_general``, ``sigma2x_general`` and the numerators of R1
-and R2 still compute their integrals one at a time inside their cells.
+block, so the table does not depend on how the grid is cut.  Every
+integral of a cell pools this way (J, the shape factor F, the fermion
+and general-coupling spin integrals, and the reference integral J of R1
+and R2), except the numerators of R1 and R2, which are still computed
+one at a time inside their cells.
 
 Identical requests are integrated once, and each block hands its outcomes
 on to the next one of its task.  So the small-t reference integral J that
@@ -65,7 +65,7 @@ from .spin_detuned import (
     static_chain,
     static_chain_flags,
 )
-from .spin_general import _r1_step, _r2_step, sigma1x_general, sigma2x_general
+from .spin_general import _general_step, _r1_step, _r2_step
 from .fermion import (
     _fock_step,
     _g_script_step,
@@ -153,8 +153,8 @@ class AxisSpec:
                 f"unknown axis {self.name!r}; valid axes: {', '.join(AXIS_NAMES)}"
             )
         for label, v in (("start", self.start), ("stop", self.stop)):
-            if not np.isfinite(v):
-                raise DomainError(f"axis {self.name}: {label} must be finite")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not np.isfinite(v):
+                raise DomainError(f"axis {self.name}: {label} must be a finite number")
         if (isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral)
                 or self.points < 1):
             raise DomainError(f"axis {self.name}: points must be an integer of at least 1")
@@ -262,10 +262,9 @@ def _fermion_high_T_steps(p, sd, tp, cfg):
 
 
 # Steps look their public functions up at call time, so a function rebound
-# on its module (by a tracer, say) is the one a sweep calls.  The detuned
-# spin quantities and the fermion quantities yield their integral
-# requests; sigma1x_general and sigma2x_general still integrate alone
-# inside their cells, as do the numerators of r1 and r2.
+# on its module (by a tracer, say) is the one a sweep calls.  Every
+# quantity that integrates yields its integral requests, except the
+# numerators of r1 and r2, which still integrate alone inside their cells.
 QUANTITIES = {q.name: q for q in (
     _stepped("sigma1x", ("sigma1x",), "spin", False,
              lambda p, sd, tp, cfg: _one(_sigma1x_step(p, sd, tp, cfg))),
@@ -274,9 +273,9 @@ QUANTITIES = {q.name: q for q in (
     _stepped("sigma2y", ("sigma2y",), "spin", False,
              lambda p, sd, tp, cfg: _one(_now(sigma2y, p, sd, tp))),
     _stepped("sigma1x_general", ("sigma1x_general",), "spin", False,
-             lambda p, sd, tp, cfg: _one(_now(sigma1x_general, p, sd, tp, cfg))),
+             lambda p, sd, tp, cfg: _one(_general_step(p, sd, tp, cfg))),
     _stepped("sigma2x_general", ("sigma2x_general",), "spin", False,
-             lambda p, sd, tp, cfg: _one(_now(sigma2x_general, p, sd, tp, cfg))),
+             lambda p, sd, tp, cfg: _one(_general_step(p, sd, tp, cfg, second=True))),
     _stepped("r1", ("r1",), "spin", False,
              lambda p, sd, tp, cfg: _one(_r1_step(p, sd, tp, cfg))),
     _stepped("r2", ("r2",), "spin", False,

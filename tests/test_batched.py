@@ -53,6 +53,8 @@ from cohex.spin_general import (
     mixing,
     r1_value,
     r2_value,
+    sigma1x_general,
+    sigma2x_general,
 )
 from cohex.sweep import (
     MAP_QUADRATURE,
@@ -233,9 +235,11 @@ def test_pooled_kernel_calls_on_the_benchmark_grid(monkeypatch, name, calls, nod
 
 def _public_row(name, p, sd, tp):
     """(values, err, flags) of one cell through the public functions."""
-    if name in ("sigma1x", "sigma2x", "sigma1x_fermion", "sigma2x_fermion", "r1", "r2"):
+    if name in ("sigma1x", "sigma2x", "sigma1x_fermion", "sigma2x_fermion", "r1", "r2",
+                "sigma1x_general", "sigma2x_general"):
         function = {
             "sigma1x": sigma1x, "sigma2x": sigma2x, "r1": r1_value, "r2": r2_value,
+            "sigma1x_general": sigma1x_general, "sigma2x_general": sigma2x_general,
         }.get(name) or getattr(fermion, name)
         r = function(p, sd, tp)
         return (r.value,), r.err_estimate, r.flags
@@ -267,35 +271,50 @@ def _public_row(name, p, sd, tp):
     return (value,), err, ()
 
 
-# The detuned spin quantities and the spin ratios r1, r2 run as steps too.
+_AXES = (
+    AxisSpec("T_over_omega1", 0.0, 5.0, 4),
+    AxisSpec("omega2_over_omega1", 1.0, 3.0, 3),
+    AxisSpec("omega1_over_omegac", 0.1, 1.0, 2, "log"),
+)
+# One pooled block of general-coupling cells: the degenerate corner
+# (t = 0, omega2 = omega1), a cell on the surface t^2 = omega1 omega2
+# (t = omega2 = omega1, mixing-regularized) and ordinary cells.
+_GENERAL_AXES = (
+    AxisSpec("T_over_omega1", 0.0, 0.5, 2),
+    AxisSpec("omega2_over_omega1", 1.0, 2.0, 2),
+    AxisSpec("t_over_omega1", 0.0, 1.0, 3),
+)
+
+
+# The spin quantities run as steps too.
 @pytest.mark.parametrize("name", [
     "sigma1x_fermion", "sigma2x_fermion", "hartree_fock",
     "normalized_fermion", "ratio_R", "g_script", "r1", "r2",
     "sigma1x", "sigma2x", "normalized_spin", "normalized_output_ratio",
-    "static_compare",
+    "static_compare", "sigma1x_general", "sigma2x_general",
 ])
 def test_every_fermion_row_equals_its_public_function(name):
-    axes = (
-        AxisSpec("T_over_omega1", 0.0, 5.0, 4),
-        AxisSpec("omega2_over_omega1", 1.0, 3.0, 3),
-        AxisSpec("omega1_over_omegac", 0.1, 1.0, 2, "log"),
-    )
+    axes = _GENERAL_AXES if name.endswith("_general") else _AXES
     table = run_sweep(SweepSpec(name, axes, OhmicDensity(1.0, 1.0), PARAMS))
     statuses = set()
+    n = len(axes)
     for row in table.rows:
-        t_rel, ratio, a = row[:3]
-        p = ModelParams(1.0, ratio, PARAMS.t, PARAMS.f1, PARAMS.f2)
-        sd = OhmicDensity(1.0, 1.0 / a)
-        tp = ThermalPoint.from_T_over_omega1(t_rel, 1.0)
+        cell = dict(zip(table.columns, row))
+        p = ModelParams(1.0, cell["omega2_over_omega1"], cell.get("t_over_omega1", PARAMS.t),
+                        PARAMS.f1, PARAMS.f2)
+        sd = OhmicDensity(1.0, 1.0 / cell.get("omega1_over_omegac", 1.0))
+        tp = ThermalPoint.from_T_over_omega1(cell["T_over_omega1"], 1.0)
         statuses.add(row[-1])
         try:
             values, err, flags = _public_row(name, p, sd, tp)
         except CohexError:
-            assert row[3] is None and row[-1] != "ok"
+            assert row[n] is None and row[-1] != "ok"
             continue
-        assert row[3:-1] == tuple(values) + (err,)
+        assert row[n:-1] == tuple(values) + (err,)
         assert row[-1] == (";".join(flags) or "ok")
     assert "ok" in statuses
+    if axes is _GENERAL_AXES:
+        assert {"degenerate-basis", "mixing-regularized"} <= statuses
 
 
 def _spy_engine(monkeypatch):
@@ -317,10 +336,9 @@ def _spy_engine(monkeypatch):
     return runs, lone
 
 
-@pytest.mark.parametrize("name", ["sigma2x", "normalized_spin"])
-def test_detuned_spin_cells_pool_by_block(monkeypatch, name):
+def _assert_pooled_by_block(monkeypatch, name):
     # The spin grid of the sweep_T benchmark: 24 beta omega1 x 3 cutoffs,
-    # 72 different J (or F), stated by three 24-cell blocks.
+    # 72 different integrals, stated by three 24-cell blocks.
     axes = (
         AxisSpec("beta_omega1", 0.1, 30.0, 24, "log"),
         AxisSpec("omega1_over_omegac", 0.1, 1.6, 3, "log"),
@@ -332,17 +350,23 @@ def test_detuned_spin_cells_pool_by_block(monkeypatch, name):
     assert lone == []
 
 
+@pytest.mark.parametrize("name", ["sigma2x", "normalized_spin"])
+def test_detuned_spin_cells_pool_by_block(monkeypatch, name):
+    _assert_pooled_by_block(monkeypatch, name)
+
+
+@pytest.mark.parametrize("name", ["sigma1x_general", "sigma2x_general"])
+def test_general_spin_cells_pool_by_block(monkeypatch, name):
+    _assert_pooled_by_block(monkeypatch, name)
+
+
 # Integrals a cell of these quantities still makes alone, through
-# ``numerics.integrate``; every other integral goes to the sweep's
-# lockstep block.  Pooling these waits for the benchmark harness to stop
-# keeping every result (ROADMAP item 1).
-_LONE_PER_CELL = {"sigma1x_general": 1, "sigma2x_general": 1, "r1": 1, "r2": 1}
-# Quantities whose steps yield no request: the closed forms, and the two
-# whose only integral is still made alone.
-_NOTHING_POOLED = (
-    "sigma2y", "sigma2x_low_T", "static_sigma2x", "fermion_high_T",
-    "sigma1x_general", "sigma2x_general",
-)
+# ``numerics.integrate``: the numerators of the ratios.  Every other
+# integral goes to the sweep's lockstep block.  Pooling these waits for
+# the benchmark harness to stop keeping every result (ROADMAP item 1).
+_LONE_PER_CELL = {"r1": 1, "r2": 1}
+# Quantities whose steps yield no request: the closed forms.
+_NOTHING_POOLED = ("sigma2y", "sigma2x_low_T", "static_sigma2x", "fermion_high_T")
 
 
 @pytest.mark.parametrize("name", sorted(QUANTITIES))

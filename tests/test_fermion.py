@@ -537,7 +537,7 @@ def test_sigma1x_fermion_estimate_carries_tabulated_omega():
     _, j_err = coherence_integral(p, sd, tp)
     pre = 2.0 * p.f1 * p.f2 * math.tanh(1.0)
     omega_share = pre * omega_err / p.omega1
-    assert omega_share > 3e-13
+    assert omega_share > pre * j_err
     result = sigma1x_fermion(p, sd, tp)
     assert result.err_estimate >= omega_share
     assert result.err_estimate == pytest.approx(pre * j_err + omega_share, rel=1e-12)

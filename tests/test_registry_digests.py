@@ -74,17 +74,17 @@ DIGESTS = {
     "generalized/sigma1x_fermion": "d3852b6b1f0749e5d485fad67892578593210efaa4cfd26d504db69974e0fd8b",
     "generalized/sigma2x_fermion": "f4bcf4b60cf0dcc6ebd2a6209cb694f2caaafb60d085297b63181d8f1afd74b8",
     "generalized/hartree_fock": "4efc49a5e02c96d623751ce1a6206628a14a3fb61d6a7259f7bbf50fa78a3563",
-    "tabulated/sigma1x": "63ae05b61f8a244c44b3de19731dd74c333bdb762b59f867febd32e09c9bfe39",
-    "tabulated/sigma2x": "0d39acc0b2fb2d7a397303f4d1553baea5365d467280b8b5581fe3be6cfcb6a6",
+    "tabulated/sigma1x": "8c00c6ca3cc7399ba540ddb859c5131cdc1c47e62ca5945b26f0502c071a30fe",
+    "tabulated/sigma2x": "5984616fdd54f936ee3ae247e86bca11054c7e9fe453b9d7d2fffd6465a26e25",
     "tabulated/sigma2y": "84bce8ae49cd624daa7bfe9bf591de646ab66d8bb81127f5005b758ea714c007",
-    "tabulated/sigma1x_general": "1262c1878a653e27814100cab5d4553442b3e88ac8a970ae5a0fe776b9542366",
-    "tabulated/sigma2x_general": "1207ebf12d19eeb33ecc5afa5bc328d31e45d964b81a4704ec747675a81da94a",
-    "tabulated/r1": "d8c2c31432aa3f4f94bfaf6710e2429ad756df2d113f2a01185f83e1ac11ccf7",
-    "tabulated/r2": "9b9b32cb6c5bc71731c71cde3b348d208fc4b28c46a6cab02a04cecf1b22f797",
-    "tabulated/static_sigma2x": "2203c7cb3c748811611fd64717280d98daf93d41e355739929849f399aeecfc0",
-    "tabulated/sigma1x_fermion": "4916a8d4cdbc8fb328c572ae665e2d348f6d5f531ff0bc5f7da5beca7d1f9017",
-    "tabulated/sigma2x_fermion": "ae6a4e9104e4c97c53178faf3b63db9a2b7576586289ebe9d6101f45548cf399",
-    "tabulated/hartree_fock": "0996fa7362c92584d1bc7f220416a691b94b4320fdc950b39a6f41d25d202adb",
+    "tabulated/sigma1x_general": "88906c0db1c80e6ca3b49cfc5fdf7b6390a0a9a31d7d3fcd10eea232c8d4ca95",
+    "tabulated/sigma2x_general": "1d6cc3f38b430477dee831a1dc5829dd078d0e0c36e2eb2e70d87841065d64d4",
+    "tabulated/r1": "2cd799759a3db5987e6c67966623e701974f2dc39b9d01d055eb17d81e16f4db",
+    "tabulated/r2": "df936e5d8270a04bdc2d2ec72be9954adc8585a315a282c9979419b045539cc9",
+    "tabulated/static_sigma2x": "2a3ba0ca2630cf6632973a30ff24eb152335d3f4d052a0814ed4cad59b176d9b",
+    "tabulated/sigma1x_fermion": "1813f2cb8246801f78c388746f9ff16cc502a003f5752a0126e8555e004f6b8f",
+    "tabulated/sigma2x_fermion": "3b534770a5d8eebfe8d8b3515d79eaddca0a6fc64f154dd2adb79a28361017c3",
+    "tabulated/hartree_fock": "a75473a3390828665e05e8f3a71d2a3824492eebc00ae64885ff97eb7a647f87",
 }
 
 

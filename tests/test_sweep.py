@@ -77,6 +77,10 @@ class TestAxisSpec:
             dict(name="beta_omega1", start=math.inf, stop=2.0, points=3),
             dict(name="beta_omega1", start=1.0, stop=2.0, points=2.5),
             dict(name="beta_omega1", start=1.0, stop=1.0, points=True),
+            dict(name="beta_omega1", start=True, stop=True, points=1),
+            dict(name="beta_omega1", start=0.0, stop=True, points=2),
+            dict(name="beta_omega1", start="1.0", stop=2.0, points=2),
+            dict(name="beta_omega1", start=1.0, stop="2.0", points=2),
         ],
     )
     def test_rejects_bad_axes(self, kwargs):
