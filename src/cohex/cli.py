@@ -535,23 +535,14 @@ _COMMANDS = {
 }
 
 
-class _Subcommands(argparse._SubParsersAction):
-    """Subparsers that add a command's epilog and own flags when it is named.
+def _build_parser(argv):
+    """The parser, with the epilog and own flags of the command argv names.
 
     Both come from the numerical modules (quantity names, map defaults,
     observable ids), so the top-level help, ``--version`` and a usage
-    error that names no command load none of them.
+    error that names no command load none of them.  The top-level
+    options both exit, so a command that runs is argv[0].
     """
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]
-        command, subparser = _COMMANDS[name], self.choices[name]
-        subparser.epilog = _config_epilog(command.schema())
-        command.flags(subparser)
-        super().__call__(parser, namespace, values, option_string)
-
-
-def _build_parser():
     parser = _Parser(
         prog="cohex",
         description="Steady-state coherence sweeps, validity maps, and oracle checks.",
@@ -561,8 +552,8 @@ def _build_parser():
     )
     sub = parser.add_subparsers(
         dest="command", required=True, metavar="command", parser_class=_Parser,
-        action=_Subcommands,
     )
+    named = argv[0] if argv else None
     for name, command in _COMMANDS.items():
         p = sub.add_parser(
             name,
@@ -581,6 +572,9 @@ def _build_parser():
             "--jobs", type=_job_count, default=None, metavar="N",
             help="worker processes for grid cells (at most one per cell and per CPU)",
         )
+        if name == named:
+            p.epilog = _config_epilog(command.schema())
+            command.flags(p)
     return parser
 
 
@@ -598,7 +592,9 @@ def _write_output(data, out):
 
 def main(argv=None) -> int:
     """Entry point; returns the process exit code."""
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         ns = parser.parse_args(argv)
         data, code = _COMMANDS[ns.command].run(ns)

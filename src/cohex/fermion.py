@@ -157,7 +157,7 @@ def _sigma1x_fermion_step(params, sd, tp, config):
                 values=(j, closed),
             )
         err = max(err, gap)
-    omega, omega_err = sd.reorganization_omega()
+    omega, omega_err = sd.reorganization_omega(config)
     value = pre * (omega / params.omega1 - j)
     return CoherenceResult(
         value,
@@ -290,17 +290,15 @@ def _combined_route(params, sd, tp, config):
     spectral integral."""
     w1, w2, beta = params.omega1, params.omega2, tp.beta
     dw = w2 - w1
-    cfg = config or DEFAULT_QUADRATURE
-    if not tp.is_zero_temperature:
-        # Same quadratic noise floor as the x-kernel organization.
-        cfg, _ = _noise_floor(cfg, beta * w1, 2)
+    # Same quadratic noise floor as the x-kernel organization.
+    cfg, _ = _noise_floor(config or DEFAULT_QUADRATURE, beta * w1, 2)
     n1 = fermi_n(w1, beta)
     n2 = fermi_n(w2, beta)
     (outcome,) = yield [
         sd.integral(_combined_second_kernel, (w1, w2, beta, n1, n2), (w1, abs(dw)), cfg)
     ]
     integral, err = take(outcome)
-    omega, omega_err = sd.reorganization_omega()
+    omega, omega_err = sd.reorganization_omega(config)
     occupation = n1 * (1.0 - 2.0 * n2)
     const = occupation * omega / w2
     pre = -4.0 * params.t * params.f1 * params.f2 / dw
@@ -375,7 +373,10 @@ def sigma2x_fermion(
 
 
 def hartree_static(
-    params: ModelParams, sd: SpectralDensity, tp: ThermalPoint
+    params: ModelParams,
+    sd: SpectralDensity,
+    tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
 ):
     """Static (Hartree) coherences; the bath enters only through Omega.
 
@@ -383,13 +384,14 @@ def hartree_static(
     sigma2x_st_F = (4 f1 f2 Omega t/(omega2 - omega1)) n(omega1)
                    [tanh(beta omega1/2)/omega1 - tanh(beta omega2/2)/omega2].
 
-    Pure arithmetic on Omega.  Both vanish at zero temperature with the
+    Pure arithmetic on Omega, which a tabulated bath integrates under
+    ``config``.  Both vanish at zero temperature with the
     Fermi factor n(omega1).  Returns ((first, second), err_estimate); both
     are linear in Omega, so the estimate is Omega's relative one on the
     larger of the two.
     """
     n1 = fermi_n(params.omega1, tp.beta)
-    omega, omega_err = sd.reorganization_omega()
+    omega, omega_err = sd.reorganization_omega(config)
     pre = 4.0 * params.f1 * params.f2 * omega * n1
     if pre == 0.0:
         return (0.0, 0.0), 0.0
@@ -422,13 +424,11 @@ def _fermi_diff_over_xi(w1, xi, beta):
     The direct difference loses all significance once beta xi is small;
     there the identity n(u) - n(v) = e^{-beta u} (1 - e^{-beta (v - u)}) /
     ((1 + e^{-beta u})(1 + e^{-beta v})) evaluates it through expm1.
-    ``beta`` may be an array, one entry per abscissa; an inf entry takes
-    the direct difference, as a scalar inf does.
+    ``beta`` may be an array, one entry per abscissa; at beta = inf no xi
+    is small, so the direct difference is taken.
     """
     xi = np.asarray(xi, dtype=float)
     direct = (fermi_n(w1 - xi, beta) - fermi_n(w1 + xi, beta)) / xi
-    if np.ndim(beta) == 0 and math.isinf(beta):
-        return direct
     small = (beta * xi < 0.5) & (xi < 0.5 * w1)
     xs = np.where(small, xi, 0.25 * w1)
     em = np.exp(-beta * (w1 - xs))
@@ -472,7 +472,7 @@ def _second_fock_kernel(xi, w1, w2, beta, th1, n1, n2):
 
 def _fock_step(params, sd, tp, config):
     """Step returning ((k1, k2), (err1, err2), flags) of ``fock_term``."""
-    (h1, h2), h_err = hartree_static(params, sd, tp)
+    (h1, h2), h_err = hartree_static(params, sd, tp, config)
     w1, w2, beta = params.omega1, params.omega2, tp.beta
     dw = w2 - w1
     # The direct integrands carry cancellation noise that grows as the

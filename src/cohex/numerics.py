@@ -8,7 +8,8 @@ integration path.  This module provides
   continued-fraction switchover, plus an exponentially scaled variant,
 * ``bose_n`` / ``fermi_n`` / ``coth_stable`` -- occupation factors that keep
   full relative accuracy for tiny and huge arguments, in numpy alone (the
-  package's only run-time dependency),
+  package's only run-time dependency); zero temperature, beta = inf, takes
+  the same formulas, which saturate to the step functions,
 * ``integrate_many`` -- adaptive Gauss-Kronrod quadrature on a log-mapped
   semi-infinite domain with windowed polynomial bridging of declared
   removable singularities and a graded map for integrable endpoint
@@ -243,41 +244,23 @@ def _exp_scaled_ei_neg(c: float) -> float:
 # Occupation factors
 # ---------------------------------------------------------------------------
 
-def _thermal_arg(xi, beta):
-    if not (np.all(beta > 0.0) if np.ndim(beta) else beta > 0.0):
+def _beta_xi(xi, beta):
+    """beta * xi, with beta * 0 = 0 at every beta, inf included."""
+    if not np.greater(beta, 0.0).all():
         raise DomainError("beta must be positive (use math.inf for zero temperature)")
-    return np.asarray(xi, dtype=float)
-
-
-def _step_temperature(beta) -> bool:
-    """True for a scalar beta = inf: the zero-temperature step functions.
-
-    An array beta (one entry per abscissa, as the quadrature engine passes
-    the columns of integrals it refines together) always takes the
-    finite-temperature formulas.
-    Its entries may be inf: for xi != 0 those formulas then give the step
-    values exactly (exp saturates to 0 or inf, tanh to +-1), while at
-    xi = 0 exactly the product inf * 0 is NaN, which the engine reports as
-    a non-finite kernel value.
-    """
-    return np.ndim(beta) == 0 and math.isinf(beta)
+    x = np.asarray(xi, dtype=float)
+    return np.where(x == 0.0, 0.0, beta) * x
 
 
 def bose_n(xi, beta):
     """Bose occupation 1/(e^{beta xi} - 1); xi may be a scalar or array.
 
-    ``beta = inf`` gives the zero-temperature step (0 for xi > 0, -1 for
-    xi < 0).  ``xi = 0`` at finite beta is a domain error.  ``beta`` may
-    be an array broadcasting against ``xi``; see ``_step_temperature``
-    for its inf entries.
+    ``xi = 0`` is a domain error at every beta.  ``beta`` may be an array
+    broadcasting against ``xi``; an inf entry (zero temperature) needs no
+    branch of its own: the exponential saturates, giving the step values
+    0 for xi > 0 and -1 for xi < 0 exactly.
     """
-    x = _thermal_arg(xi, beta)
-    if _step_temperature(beta):
-        if np.any(x == 0.0):
-            raise DomainError("bose_n diverges at xi = 0")
-        out = np.where(x > 0.0, 0.0, -1.0)
-        return float(out) if np.isscalar(xi) else out
-    bx = beta * x
+    bx = _beta_xi(xi, beta)
     if np.any(bx == 0.0):
         raise DomainError("bose_n diverges at xi = 0")
     with np.errstate(over="ignore"):
@@ -289,16 +272,12 @@ def bose_n(xi, beta):
 def fermi_n(xi, beta):
     """Fermi occupation 1/(e^{beta xi} + 1); xi may be a scalar or array.
 
-    ``beta = inf`` gives the zero-temperature step (1/2 at xi = 0).  Above
-    beta xi = 709, where the occupation is below 1e-307, it is exactly 0.
-    ``beta`` may be an array broadcasting against ``xi``; see
-    ``_step_temperature`` for its inf entries.
+    Above beta xi = 709, where the occupation is below 1e-307, it is
+    exactly 0, so an inf entry of ``beta`` (zero temperature) saturates
+    to the step values 0 and 1; at xi = 0 it is 1/2 at every beta.
+    ``beta`` may be an array broadcasting against ``xi``.
     """
-    x = _thermal_arg(xi, beta)
-    if _step_temperature(beta):
-        out = np.where(x > 0.0, 0.0, np.where(x < 0.0, 1.0, 0.5))
-        return float(out) if np.isscalar(xi) else out
-    bx = beta * x
+    bx = _beta_xi(xi, beta)
     out = 1.0 / (1.0 + np.exp(np.minimum(bx, 709.0)))
     out = np.where(bx > 709.0, 0.0, out)
     return float(out) if np.isscalar(xi) else out
@@ -319,12 +298,7 @@ def coth_stable(x):
     with np.errstate(divide="ignore"):
         out = 1.0 / np.tanh(x_safe)
     xs = np.where(small, arr, 1.0)
-    x2 = xs * xs
-    poly = 1.0 / 3.0 - x2 * (
-        1.0 / 45.0 - x2 * (2.0 / 945.0 - x2 * (1.0 / 4725.0 - x2 * (2.0 / 93555.0)))
-    )
-    series = 1.0 / xs + xs * poly
-    out = np.where(small, series, out)
+    out = np.where(small, 1.0 / xs + _coth_minus_inv_series(xs), out)
     return float(out) if np.isscalar(x) else out
 
 
@@ -368,22 +342,18 @@ def _coth_minus_inv_series(y):
 
 
 def thermal_tanh_half(beta: float, energy: float) -> float:
-    """tanh(beta * energy / 2) with beta = inf mapped to sign(energy)."""
-    if math.isinf(beta):
-        return math.copysign(1.0, energy) if energy != 0.0 else 0.0
+    """tanh(beta * energy / 2); at beta = inf it saturates to sign(energy),
+    and it is 0 at energy = 0 at every beta."""
+    if energy == 0.0:
+        return 0.0
     return math.tanh(0.5 * beta * energy)
 
 
 def thermal_coth_half(beta, xi):
-    """coth(beta * xi / 2); at beta = inf this is sign(xi).
-
-    ``beta`` may be an array broadcasting against ``xi``; see
-    ``_step_temperature`` for its inf entries.
-    """
-    if _step_temperature(beta):
-        arr = np.asarray(xi, dtype=float)
-        out = np.sign(arr)
-        return float(out) if np.isscalar(xi) else out
+    """coth(beta * xi / 2); ``beta`` may be an array broadcasting against
+    ``xi``, and an inf entry saturates to sign(xi).  At xi = 0 coth
+    diverges: a finite beta raises ``DomainError``, and beta = inf gives
+    NaN."""
     return coth_stable(0.5 * beta * np.asarray(xi, dtype=float))
 
 

@@ -73,9 +73,10 @@ class SpectralDensity:
         """Pointwise density I(xi); xi may be a positive scalar or array."""
         raise NotImplementedError
 
-    def reorganization_omega(self):
+    def reorganization_omega(self, config=None):
         """The reorganization-type scale  integral I(xi)/xi dxi, as
-        (value, err_estimate); closed forms and finite sums report 0."""
+        (value, err_estimate); closed forms and finite sums report 0 and
+        ignore ``config``, the quadrature config of an integrated Omega."""
         raise NotImplementedError
 
     def weighted_integral(self, kernel, removable_points=(), config=None):
@@ -154,7 +155,7 @@ class OhmicDensity(_ContinuousDensity):
     def _density(self):
         return _ohmic_density, (self.coupling, self.cutoff)
 
-    def reorganization_omega(self):
+    def reorganization_omega(self, config=None):
         return self.coupling * self.cutoff, 0.0
 
     def decay_scale(self) -> float:
@@ -179,7 +180,7 @@ class GeneralizedOhmicDensity(_ContinuousDensity):
     def _density(self):
         return _generalized_density, (self.coupling, self.exponent, self.cutoff)
 
-    def reorganization_omega(self):
+    def reorganization_omega(self, config=None):
         # integral A xi^{s-1} e^{-xi/wc} = A Gamma(s) wc^s
         value = self.coupling * math.gamma(self.exponent) * self.cutoff ** self.exponent
         return value, 0.0
@@ -216,7 +217,7 @@ class DiscreteDensity(SpectralDensity):
             "or reorganization_omega instead of pointwise evaluation"
         )
 
-    def reorganization_omega(self):
+    def reorganization_omega(self, config=None):
         if self.frequencies.size == 0:
             return 0.0, 0.0
         return float(np.sum(self.couplings ** 2 / self.frequencies)), 0.0
@@ -305,7 +306,7 @@ class TabulatedDensity(_ContinuousDensity):
         self.breakpoints = tuple(xi.tolist())
         self.tail_decay = _check_positive("tail_decay", tail_decay)
         self._coefficients = _pchip_coefficients(xi, dens)
-        self._omega = None
+        self._omega = {}
 
     @classmethod
     def from_file(cls, path, tail_decay: float) -> "TabulatedDensity":
@@ -352,12 +353,14 @@ class TabulatedDensity(_ContinuousDensity):
         s2 = s * s
         return c0 + c1 * s + c2 * s2 + c3 * (s2 * s)
 
-    def reorganization_omega(self):
-        # Kept after the first call, but not computed at construction, so
-        # a bath whose Omega integral fails can still be built.
-        if self._omega is None:
-            self._omega = self.weighted_integral(_reciprocal)
-        return self._omega
+    def reorganization_omega(self, config=None):
+        # Kept per config after its first call, but not computed at
+        # construction, so a bath whose Omega integral fails can still be
+        # built.
+        cfg = config or DEFAULT_QUADRATURE
+        if cfg not in self._omega:
+            self._omega[cfg] = self.weighted_integral(_reciprocal, (), cfg)
+        return self._omega[cfg]
 
     def decay_scale(self) -> float:
         # quadrature must resolve both the knot span and the declared tail

@@ -371,17 +371,21 @@ class StaticChain(NamedTuple):
 
 
 def static_chain(
-    params: ModelParams, sd: SpectralDensity, tp: ThermalPoint
+    params: ModelParams,
+    sd: SpectralDensity,
+    tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
 ) -> StaticChain:
     """Mean-field chain ignoring back-action dynamics.
 
     The thermalized first spin polarizes the bath, the shifted bath tilts
     the first spin, and the tilt transfers to the second spin.  Every step
-    is closed-form; the bath enters only through Omega.  Returns
+    is closed-form; the bath enters only through Omega, which a tabulated
+    bath integrates under ``config``.  Returns
     (StaticChain, err_estimate); the estimate bounds both coherences and
     is Omega's, carried through the linear chain.
     """
-    omega, omega_err = sd.reorganization_omega()
+    omega, omega_err = sd.reorganization_omega(config)
     s1z = -thermal_tanh_half(tp.beta, params.omega1)
     shift_coeff = -2.0 * params.f1 * s1z
     s1x = -4.0 * params.f1 * params.f2 * s1z * s1z * omega / params.omega1
@@ -390,10 +394,15 @@ def static_chain(
     return StaticChain(s1z, shift_coeff, s1x, s2x), err
 
 
-def static_chain_flags(params: ModelParams, sd: SpectralDensity, tp: ThermalPoint) -> tuple:
+def static_chain_flags(
+    params: ModelParams,
+    sd: SpectralDensity,
+    tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
+) -> tuple:
     """Advisory flags for the static chain's weak-coupling assumptions."""
-    omega, _ = sd.reorganization_omega()
-    chain, _ = static_chain(params, sd, tp)
+    omega, _ = sd.reorganization_omega(config)
+    chain, _ = static_chain(params, sd, tp, config)
     flags = []
     if 4.0 * abs(params.f1 * params.f2) * omega > STATIC_VALIDITY_FACTOR * params.omega1:
         flags.append("static-bath-coupling")
@@ -422,7 +431,7 @@ def static_dynamical_split(
     the dynamical one.
     """
     pre = 4.0 * params.f1 * params.f2 * params.t / (params.omega1 * params.omega2)
-    omega, omega_err = sd.reorganization_omega()
+    omega, omega_err = sd.reorganization_omega(config)
     static_term = pre * omega
     if omega == 0.0:
         return (static_term, 0.0), 0.0

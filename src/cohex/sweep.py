@@ -233,15 +233,15 @@ def _estimated(step):
 
 
 def _hartree_fock_steps(p, sd, tp, cfg):
-    hartree, _ = hartree_static(p, sd, tp)
+    hartree, _ = hartree_static(p, sd, tp, cfg)
     # Each Fock estimate already carries the Hartree one, so it bounds both.
     fock, errs, flags = yield from _fock_step(p, sd, tp, cfg)
     return hartree + fock, max(errs), flags
 
 
 def _static_sigma2x_steps(p, sd, tp, cfg):
-    chain, err = yield from _now(static_chain, p, sd, tp)
-    return (chain.sigma2x_st,), err, static_chain_flags(p, sd, tp)
+    chain, err = yield from _now(static_chain, p, sd, tp, cfg)
+    return (chain.sigma2x_st,), err, static_chain_flags(p, sd, tp, cfg)
 
 
 def _static_compare_steps(p, sd, tp, cfg):

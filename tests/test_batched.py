@@ -434,8 +434,8 @@ def test_panel_budgets_run_out_alike_alone_and_pooled():
 
 def test_zero_temperature_owners_pooled_with_warm_ones_match_the_step_kernels():
     # The engine hands a zero-temperature owner beta = inf as a column
-    # entry, so its kernels take the finite-temperature formulas, which
-    # saturate to the step functions that a scalar beta = inf selects.
+    # entry, and a lone call as a scalar; both take the finite-temperature
+    # formulas, which saturate to the step functions, to the same bits.
     w1, w2 = PARAMS.omega1, PARAMS.omega2
     sd = OhmicDensity(1.0, 1.0)
     cfg = DEFAULT_QUADRATURE

@@ -70,6 +70,17 @@ class TestSubcommandSurface:
         ):
             assert name in text
 
+    def test_command_help_shows_its_own_keys_and_flags(self):
+        sweep = run_cli("spin-sweep", "--help")
+        assert sweep.returncode == 0
+        text = sweep.stdout.decode()
+        assert "config keys" in text
+        for key in ("quantity", "beta_omega1", "omega2_over_omega1", "rel_tol"):
+            assert f"  {key} (default " in text
+        ratio = run_cli("validity-map", "--help")
+        assert ratio.returncode == 0
+        assert "--which {r1,r2}" in ratio.stdout.decode()
+
     def test_version_flag(self):
         proc = run_cli("--version")
         assert proc.returncode == 0

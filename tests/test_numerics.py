@@ -164,6 +164,33 @@ def test_thermal_helpers_zero_temperature():
     )
     assert nm.thermal_coth_half(2.0, 1.0) == pytest.approx(1.0 / math.tanh(1.0))
 
+    # beta = inf is an ordinary point: the finite-temperature formulas
+    # saturate to the zero-temperature steps exactly, from tiny to huge
+    # |xi|, and a scalar beta and an array of mixed finite and inf entries
+    # give the same bits.
+    def coth(xi, beta):
+        return nm.thermal_coth_half(beta, xi)
+
+    xi = np.array([-50.0, -3.0, -1e-300, 1e-300, 0.5, 2.0, 700.0, 1e300])
+    steps = (
+        (nm.bose_n, np.where(xi > 0.0, 0.0, -1.0)),
+        (nm.fermi_n, np.where(xi > 0.0, 0.0, 1.0)),
+        (coth, np.sign(xi)),
+    )
+    mixed = np.where(np.arange(xi.size) % 2 == 0, math.inf, 1.3)
+    cold = np.isinf(mixed)
+    for factor, step in steps:
+        assert np.array_equal(factor(xi, math.inf), step)
+        assert np.array_equal(factor(xi, np.full(xi.shape, math.inf)), step)
+        got = factor(xi, mixed)
+        assert np.array_equal(got[cold], step[cold])
+        one_by_one = np.array([factor(x, b) for x, b in zip(xi.tolist(), mixed.tolist())])
+        assert np.array_equal(got.view(np.int64), one_by_one.view(np.int64))
+    assert nm.fermi_n(0.0, math.inf) == 0.5
+    assert nm.thermal_tanh_half(math.inf, 0.0) == 0.0
+    with pytest.raises(DomainError):
+        nm.bose_n(0.0, math.inf)
+
 
 # ---------------------------------------------------------------------------
 # Quadrature engine

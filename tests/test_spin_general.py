@@ -409,6 +409,21 @@ def test_r2_finite_on_zero_coupling_edge():
     assert r.value == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("value, ratio_map", [(r1_value, r1_map), (r2_value, r2_map)])
+def test_ratio_j_failure_comes_before_degenerate_basis(value, ratio_map):
+    # At t = 0, omega2 = omega1 the mixing basis is degenerate, but the
+    # ratios take J first: a J that cannot converge is the cell's status.
+    failing = DEFAULT_QUADRATURE.replace(rel_tol=1e-15, max_subdivisions=8)
+    corner = dict(omega2_over_omega1=np.array([1.0]), t_over_omega1=np.array([0.0]))
+    (row,) = ratio_map(0.1, 2.0, config=failing, **corner).rows
+    assert row[4] == "no-convergence"
+    p = ModelParams(omega1=1.0, omega2=1.0, t=0.0, f1=1.0, f2=1.0)
+    with pytest.raises(ConvergenceError):
+        value(p, SD, TP, failing)
+    (row,) = ratio_map(0.1, 2.0, **corner).rows
+    assert row[4] == "degenerate-basis"
+
+
 def test_ratio_map_structure_and_statuses():
     w2_grid = np.array([0.0, 1.0, 2.0, 4.0, 6.0])
     t_grid = np.array([0.0, 0.5, 1.0, 2.0, 3.5])

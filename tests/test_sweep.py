@@ -440,6 +440,22 @@ class TestRunSweep:
         assert len(run_sweep(spec).rows) == 4
         assert omega_calls == [bath]
 
+    @pytest.mark.parametrize("name", [
+        "static_sigma2x", "hartree_fock", "sigma1x_fermion", "sigma2x_fermion",
+    ])
+    def test_tabulated_omega_takes_the_sweep_config(self, name):
+        # 6,001 knots start over 6,000 panels, past the default budget: Omega
+        # converges only with the sweep's raised budget, as J does.
+        xi = np.linspace(1e-3, 18.0, 6000)
+        bath = TabulatedDensity(np.column_stack([xi, xi * np.exp(-xi)]), 1.0)
+        roomy = DEFAULT_QUADRATURE.replace(max_subdivisions=8000)
+        for config, status in ((None, "invalid-params"), (roomy, STATUS_OK)):
+            (row,) = run_sweep(SweepSpec(name, (beta_axis(),), bath, PARAMS, config)).rows
+            assert row[-1] == status
+        assert bath.reorganization_omega(roomy) is bath.reorganization_omega(roomy)
+        with pytest.raises(DomainError):
+            bath.reorganization_omega()
+
     def test_meta_includes_axes_and_extra(self):
         spec = SweepSpec("sigma1x", (beta_axis(4, 1.0, 8.0, "log"),), BATH, PARAMS)
         table = run_sweep(spec, extra_meta={"run": 7})
