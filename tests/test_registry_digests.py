@@ -24,11 +24,14 @@ AXES = (
     AxisSpec("t_over_omega1", 0.0, 0.4, 3),
 )
 _KNOTS = [(x, x * np.exp(-x / 10.0)) for x in np.linspace(0.0, 60.0, 40)]
-BATHS = {
-    "ohmic": OhmicDensity(1.0, 10.0),
-    "generalized": GeneralizedOhmicDensity(1.0, 0.75, 10.0),
-    "tabulated": TabulatedDensity(_KNOTS, 10.0),
+# Each bath family as a maker: a tabulated bath keeps its Omega once
+# integrated, so a fresh bath per sweep states every integral it needs.
+BATH_MAKERS = {
+    "ohmic": lambda: OhmicDensity(1.0, 10.0),
+    "generalized": lambda: GeneralizedOhmicDensity(1.0, 0.75, 10.0),
+    "tabulated": lambda: TabulatedDensity(_KNOTS, 10.0),
 }
+BATHS = {name: make() for name, make in BATH_MAKERS.items()}
 ANY_BATH = tuple(name for name, q in QUANTITIES.items() if not q.needs_ohmic)
 CASES = [("ohmic", name) for name in QUANTITIES] + [
     (bath, name) for bath in ("generalized", "tabulated") for name in ANY_BATH
