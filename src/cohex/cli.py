@@ -30,6 +30,7 @@ imports what it evaluates when it runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -53,77 +54,9 @@ class _Parser(argparse.ArgumentParser):
 # Configuration schema and parsing
 # ---------------------------------------------------------------------------
 
-#: One config key: how to parse it and its default (None = unset).
-_Key = namedtuple("_Key", "kind default choices help", defaults=(None, (), ""))
-
-
-#: Shorthand accepted on the command line and in config files.
-_ALIASES = {"t": "t_over_omega1", "T": "T_over_omega1"}
-
-_QUADRATURE_KEYS = {
-    "rel_tol": _Key("scalar", None, (), "quadrature relative tolerance"),
-    "abs_tol": _Key("scalar", None, (), "quadrature absolute tolerance"),
-    "max_subdivisions": _Key("int", None, (), "quadrature subdivision cap"),
-    "singularity_window": _Key("scalar", None, (), "width skirted around kernel singularities"),
-    "tail_decay_scale": _Key("scalar", None, (), "decay scale assumed for infinite tails"),
-}
-
-
-def _sweep_schema(model):
-    from .sweep import quantity_names
-
-    schema = {
-        "quantity": _Key("choice", None, quantity_names(model), "quantity to evaluate (required)"),
-        "omega1": _Key("scalar", 1.0, (), "first splitting; sets the energy unit"),
-        "omega2_over_omega1": _Key("axis", 3.0, (), "second splitting over the first"),
-        "t_over_omega1": _Key("axis", 0.1, (), "hopping over the first splitting"),
-        "f1": _Key("scalar", 0.1, (), "longitudinal bath weight"),
-        "f2": _Key("scalar", 0.1, (), "transverse bath weight"),
-        "bath_coupling": _Key("scalar", 1.0, (), "ohmic amplitude A"),
-        "omega1_over_omegac": _Key("axis", 1.0, (), "first splitting over the bath cutoff"),
-        "T_over_omega1": _Key("axis", None, (), "temperature axis (or fixed value)"),
-        "beta_omega1": _Key("axis", None, (), "inverse-temperature axis (or fixed value)"),
-    }
-    schema.update(_QUADRATURE_KEYS)
-    return schema
-
-
-def _static_compare_schema():
-    schema = _sweep_schema("spin")
-    del schema["quantity"]
-    return schema
-
-
-def _map_schema():
-    from .sweep import MAP_OMEGA2_MAX, MAP_POINTS, MAP_T_MAX
-
-    schema = {
-        "omega1_over_omegac": _Key("scalar", 1.0, (), "first splitting over the bath cutoff"),
-        "T_over_omega1": _Key("scalar", None, (), "fixed temperature"),
-        "beta_omega1": _Key("scalar", None, (), "fixed inverse temperature"),
-        "omega2_max": _Key("scalar", MAP_OMEGA2_MAX, (), "upper edge of the omega2/omega1 axis"),
-        "t_max": _Key("scalar", MAP_T_MAX, (), "upper edge of the t/omega1 axis"),
-        "points": _Key("int", MAP_POINTS, (), "grid points per axis"),
-    }
-    schema.update(_QUADRATURE_KEYS)
-    return schema
-
-
-_ORACLE_SCHEMA = {
-    "omega1": _Key("scalar", 1.0, (), "first splitting; sets the energy unit"),
-    "omega2_over_omega1": _Key("scalar", 3.0, (), "second splitting over the first"),
-    "t_over_omega1": _Key("scalar", 0.001, (), "hopping over the first splitting"),
-    "f1": _Key("scalar", 0.1, (), "longitudinal bath weight"),
-    "f2": _Key("scalar", 0.1, (), "transverse bath weight"),
-    "mode_coupling": _Key("floats", (0.05,), (), "discrete mode couplings (comma separated)"),
-    "mode_frequency_over_omega1": _Key("floats", (0.8,), (), "discrete mode frequencies (comma separated)"),
-    "fock_cutoff": _Key("int", 14, (), "bosonic occupation cutoff per mode"),
-    "T_over_omega1": _Key("scalar", None, (), "fixed temperature"),
-    "beta_omega1": _Key("scalar", None, (), "fixed inverse temperature"),
-    "scale_factors": _Key("floats", (1.0, 0.5, 0.25), (), "coupling rescalings for the convergence fit"),
-}
-
-_SELFTEST_SCHEMA = {}
+#: One config key: its parser ``parse(name, text)``, its default (None =
+#: unset) and its help line.
+_Key = namedtuple("_Key", "parse default help")
 
 
 def _parse_float(key, text):
@@ -179,22 +112,84 @@ def _parse_floats(key, text):
     return tuple(_parse_float(key, s) for s in items)
 
 
-def _parse_value(name, keyspec, text):
-    if keyspec.kind == "scalar":
-        return _parse_float(name, text)
-    if keyspec.kind == "axis":
-        return _parse_axis(name, text)
-    if keyspec.kind == "int":
-        return _parse_int(name, text)
-    if keyspec.kind == "floats":
-        return _parse_floats(name, text)
-    if keyspec.kind == "choice":
-        if text not in keyspec.choices:
-            raise _UsageError(
-                f"config key {name}: must be one of {', '.join(keyspec.choices)}"
-            )
+def _choice(names):
+    """The parser of a key whose value is one of ``names``."""
+
+    def parse(key, text):
+        if text not in names:
+            raise _UsageError(f"config key {key}: must be one of {', '.join(names)}")
         return text
-    raise AssertionError(f"unhandled key kind {keyspec.kind!r}")
+
+    return parse
+
+
+#: Shorthand accepted on the command line and in config files.
+_ALIASES = {"t": "t_over_omega1", "T": "T_over_omega1"}
+
+_QUADRATURE_KEYS = {
+    "rel_tol": _Key(_parse_float, None, "quadrature relative tolerance"),
+    "abs_tol": _Key(_parse_float, None, "quadrature absolute tolerance"),
+    "max_subdivisions": _Key(_parse_int, None, "quadrature subdivision cap"),
+    "singularity_window": _Key(_parse_float, None, "width skirted around kernel singularities"),
+    "tail_decay_scale": _Key(_parse_float, None, "decay scale assumed for infinite tails"),
+}
+
+
+def _sweep_schema(model):
+    from .sweep import quantity_names
+
+    schema = {
+        "quantity": _Key(_choice(quantity_names(model)), None, "quantity to evaluate (required)"),
+        "omega1": _Key(_parse_float, 1.0, "first splitting; sets the energy unit"),
+        "omega2_over_omega1": _Key(_parse_axis, 3.0, "second splitting over the first"),
+        "t_over_omega1": _Key(_parse_axis, 0.1, "hopping over the first splitting"),
+        "f1": _Key(_parse_float, 0.1, "longitudinal bath weight"),
+        "f2": _Key(_parse_float, 0.1, "transverse bath weight"),
+        "bath_coupling": _Key(_parse_float, 1.0, "ohmic amplitude A"),
+        "omega1_over_omegac": _Key(_parse_axis, 1.0, "first splitting over the bath cutoff"),
+        "T_over_omega1": _Key(_parse_axis, None, "temperature axis (or fixed value)"),
+        "beta_omega1": _Key(_parse_axis, None, "inverse-temperature axis (or fixed value)"),
+    }
+    schema.update(_QUADRATURE_KEYS)
+    return schema
+
+
+def _static_compare_schema():
+    schema = _sweep_schema("spin")
+    del schema["quantity"]
+    return schema
+
+
+def _map_schema():
+    from .sweep import MAP_OMEGA2_MAX, MAP_POINTS, MAP_T_MAX
+
+    schema = {
+        "omega1_over_omegac": _Key(_parse_float, 1.0, "first splitting over the bath cutoff"),
+        "T_over_omega1": _Key(_parse_float, None, "fixed temperature"),
+        "beta_omega1": _Key(_parse_float, None, "fixed inverse temperature"),
+        "omega2_max": _Key(_parse_float, MAP_OMEGA2_MAX, "upper edge of the omega2/omega1 axis"),
+        "t_max": _Key(_parse_float, MAP_T_MAX, "upper edge of the t/omega1 axis"),
+        "points": _Key(_parse_int, MAP_POINTS, "grid points per axis"),
+    }
+    schema.update(_QUADRATURE_KEYS)
+    return schema
+
+
+_ORACLE_SCHEMA = {
+    "omega1": _Key(_parse_float, 1.0, "first splitting; sets the energy unit"),
+    "omega2_over_omega1": _Key(_parse_float, 3.0, "second splitting over the first"),
+    "t_over_omega1": _Key(_parse_float, 0.001, "hopping over the first splitting"),
+    "f1": _Key(_parse_float, 0.1, "longitudinal bath weight"),
+    "f2": _Key(_parse_float, 0.1, "transverse bath weight"),
+    "mode_coupling": _Key(_parse_floats, (0.05,), "discrete mode couplings (comma separated)"),
+    "mode_frequency_over_omega1": _Key(_parse_floats, (0.8,), "discrete mode frequencies (comma separated)"),
+    "fock_cutoff": _Key(_parse_int, 14, "bosonic occupation cutoff per mode"),
+    "T_over_omega1": _Key(_parse_float, None, "fixed temperature"),
+    "beta_omega1": _Key(_parse_float, None, "fixed inverse temperature"),
+    "scale_factors": _Key(_parse_floats, (1.0, 0.5, 0.25), "coupling rescalings for the convergence fit"),
+}
+
+_SELFTEST_SCHEMA = {}
 
 
 def _load_config_file(path):
@@ -231,7 +226,7 @@ def _resolve_config(schema, ns):
         if name not in schema:
             valid = ", ".join(sorted(schema)) if schema else "(this command takes none)"
             raise _UsageError(f"unknown config key {key!r}; valid keys: {valid}")
-        values[name] = _parse_value(name, schema[name], text)
+        values[name] = schema[name].parse(name, text)
     return values
 
 
@@ -327,10 +322,7 @@ def _assemble_sweep(schema, values):
         values["f1"],
         values["f2"],
     )
-    ratio = fixed["omega1_over_omegac"]
-    if not (ratio > 0.0):
-        raise DomainError("omega1_over_omegac must be positive")
-    bath = OhmicDensity(values["bath_coupling"], omega1 / ratio)
+    bath = OhmicDensity.from_ratio(values["bath_coupling"], omega1, fixed["omega1_over_omegac"])
     config = _quadrature_config(values, DEFAULT_QUADRATURE)
     return tuple(axes), params, bath, config
 
@@ -357,18 +349,6 @@ def _sweep_command(ns, model, fixed_quantity=None):
     return emit(table, ns.format), (0 if table.all_ok() else 3)
 
 
-def _cmd_spin_sweep(ns):
-    return _sweep_command(ns, "spin")
-
-
-def _cmd_fermion_sweep(ns):
-    return _sweep_command(ns, "fermion")
-
-
-def _cmd_static_compare(ns):
-    return _sweep_command(ns, "spin", fixed_quantity="static_compare")
-
-
 def _cmd_validity_map(ns):
     import numpy as np
 
@@ -377,11 +357,7 @@ def _cmd_validity_map(ns):
     from .table import SweepTable, emit
 
     values = _resolve_config(_map_schema(), ns)
-    temp_name, temp_value = _temperature_value(values)
-    if temp_name == "beta_omega1":
-        beta_omega1 = ThermalPoint.from_beta_omega1(temp_value, 1.0).beta
-    else:
-        beta_omega1 = ThermalPoint.from_T_over_omega1(temp_value, 1.0).beta
+    beta_omega1 = ThermalPoint.from_axis(*_temperature_value(values), 1.0).beta
     points = values["points"]
     if points < 1:
         raise _UsageError("config key points: must be at least 1")
@@ -432,11 +408,7 @@ def _cmd_oracle_check(ns):
         values["f1"],
         values["f2"],
     )
-    temp_name, temp_value = _temperature_value(values)
-    if temp_name == "beta_omega1":
-        beta = ThermalPoint.from_beta_omega1(temp_value, omega1).beta
-    else:
-        beta = ThermalPoint.from_T_over_omega1(temp_value, omega1).beta
+    beta = ThermalPoint.from_axis(*_temperature_value(values), omega1).beta
     spec = OracleSpec(bath, values["fock_cutoff"], ns.model, params, beta)
     comparison = compare_perturbative(spec, ns.observable)
     exact, formula, rel_dev = comparison
@@ -503,12 +475,12 @@ _COMMANDS = {
     "spin-sweep": _Command(
         "sweep a spin-model quantity over a parameter grid",
         lambda: _sweep_schema("spin"),
-        _cmd_spin_sweep,
+        functools.partial(_sweep_command, model="spin"),
     ),
     "fermion-sweep": _Command(
         "sweep a fermionized-chain quantity over a parameter grid",
         lambda: _sweep_schema("fermion"),
-        _cmd_fermion_sweep,
+        functools.partial(_sweep_command, model="fermion"),
     ),
     "validity-map": _Command(
         "map a general-to-leading-order coherence ratio over (omega2, t)",
@@ -525,7 +497,7 @@ _COMMANDS = {
     "static-compare": _Command(
         "emit full, static, and low-T output coherence side by side",
         _static_compare_schema,
-        _cmd_static_compare,
+        functools.partial(_sweep_command, model="spin", fixed_quantity="static_compare"),
     ),
     "selftest": _Command(
         "run fast invariant checks, one line per check",
@@ -598,18 +570,11 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         data, code = _COMMANDS[ns.command].run(ns)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
+        _write_output(data, ns.out)
+    except (_UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CohexError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
-    try:
-        _write_output(data, ns.out)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     return code

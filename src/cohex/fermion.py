@@ -622,15 +622,13 @@ def fermion_high_T(
 
 def _g_script_step(beta_omega1, omega1_over_omegac, omega2_over_omega1,
                    t_over_omega1, config):
-    if not (omega1_over_omegac > 0.0) or not math.isfinite(omega1_over_omegac):
-        raise DomainError("omega1_over_omegac must be positive and finite")
+    sd = OhmicDensity.from_ratio(1.0, 1.0, omega1_over_omegac)
     if not (t_over_omega1 > 0.0):
         raise DomainError(
             "t_over_omega1 must be positive: the output coherence and "
             "sin_theta_f both vanish with t and their ratio needs t > 0"
         )
     params = ModelParams(1.0, omega2_over_omega1, t_over_omega1, 1.0, 1.0)
-    sd = OhmicDensity(1.0, 1.0 / omega1_over_omegac)
     tp = ThermalPoint(beta_omega1)
     result = yield from _sigma2x_fermion_step(params, sd, tp, config)
     # Imported here so the oracle, which needs this module, loads no

@@ -149,6 +149,15 @@ class OhmicDensity(_ContinuousDensity):
         self.coupling = _check_positive("coupling", coupling)
         self.cutoff = _check_positive("cutoff", cutoff)
 
+    @classmethod
+    def from_ratio(cls, coupling: float, omega1: float,
+                   omega1_over_omegac: float) -> "OhmicDensity":
+        """The ohmic bath with cutoff omega1 / omega1_over_omegac; the
+        ratio must be positive and finite."""
+        if not (omega1_over_omegac > 0.0) or not math.isfinite(omega1_over_omegac):
+            raise DomainError("omega1_over_omegac must be positive and finite")
+        return cls(coupling, omega1 / omega1_over_omegac)
+
     def __repr__(self):
         return f"OhmicDensity(coupling={self.coupling!r}, cutoff={self.cutoff!r})"
 

@@ -102,9 +102,14 @@ class ThermalPoint:
             raise DomainError("beta must be positive (inf allowed for T = 0)")
 
     @classmethod
+    def from_axis(cls, name: str, value: float, omega1: float) -> "ThermalPoint":
+        """The point a temperature key names: ``T_over_omega1`` or
+        ``beta_omega1`` at ``value``, in units of ``omega1``."""
+        make = {"T_over_omega1": cls.from_T_over_omega1, "beta_omega1": cls.from_beta_omega1}
+        return make[name](value, omega1)
+
+    @classmethod
     def from_beta_omega1(cls, beta_omega1: float, omega1: float) -> "ThermalPoint":
-        if beta_omega1 == math.inf:
-            return cls(math.inf)
         return cls(beta_omega1 / omega1)
 
     @classmethod

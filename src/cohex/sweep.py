@@ -398,15 +398,9 @@ def _cell_inputs(spec: SweepSpec, point: dict):
         p = replace(p, t=point["t_over_omega1"] * w1)
     sd = spec.bath
     if "omega1_over_omegac" in point:
-        ratio = point["omega1_over_omegac"]
-        if not (ratio > 0.0):
-            raise DomainError("omega1_over_omegac must be positive")
-        sd = OhmicDensity(spec.bath.coupling, w1 / ratio)
-    if "beta_omega1" in point:
-        tp = ThermalPoint.from_beta_omega1(point["beta_omega1"], w1)
-    else:
-        tp = ThermalPoint.from_T_over_omega1(point["T_over_omega1"], w1)
-    return p, sd, tp
+        sd = OhmicDensity.from_ratio(sd.coupling, w1, point["omega1_over_omegac"])
+    temperature = next(name for name in TEMPERATURE_AXES if name in point)
+    return p, sd, ThermalPoint.from_axis(temperature, point[temperature], w1)
 
 
 def _cell_step(spec: SweepSpec, point: dict):
@@ -546,8 +540,7 @@ def run_sweep(
 
 def _ratio_map(which, omega2_over_omega1, t_over_omega1, omega1_over_omegac,
                beta_omega1, config, jobs):
-    if not (omega1_over_omegac > 0.0):
-        raise DomainError("omega1_over_omegac must be positive")
+    bath = OhmicDensity.from_ratio(1.0, 1.0, omega1_over_omegac)
     w2 = (
         np.linspace(0.0, MAP_OMEGA2_MAX, MAP_POINTS)
         if omega2_over_omega1 is None
@@ -567,7 +560,7 @@ def _ratio_map(which, omega2_over_omega1, t_over_omega1, omega1_over_omegac,
     spec = SweepSpec(
         which,
         (AxisSpec(temperature[0], temperature[1], temperature[1], 1),),
-        OhmicDensity(1.0, 1.0 / omega1_over_omegac),
+        bath,
         ModelParams(1.0, 1.0, 0.0, 1.0, 1.0),  # f1, f2 cancel in the ratio
         MAP_QUADRATURE if config is None else config,
     )
