@@ -69,6 +69,7 @@ from .numerics import (
     take,
     thermal_coth_half,
     thermal_tanh_half,
+    with_tail_scale,
 )
 from .spectral import OhmicDensity, SpectralDensity
 from .spin_detuned import (
@@ -229,9 +230,8 @@ def _f_fermion_parts_step(omega1_over_omegac, beta_omega1, omega2_over_omega1, c
     n1 = fermi_n(1.0, b)
     n2 = fermi_n(g, b)
     term0 = n1 * (1.0 - 2.0 * n2) / (a * g)
-    cfg = config or DEFAULT_QUADRATURE
     # The kernel's cancellation noise grows as the square of 1/(beta omega1).
-    cfg, raised = _noise_floor(cfg.replace(tail_decay_scale=max(1.0 / a, 1.0)), b, 2)
+    cfg, raised = _noise_floor(with_tail_scale(config, 1.0 / a), b, 2)
     (outcome,) = yield [
         Integral(_folded_x_kernel, (a, b, g, n1, n2), (1.0, abs(g - 1.0)), cfg)
     ]

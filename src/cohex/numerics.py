@@ -151,6 +151,16 @@ class QuadratureConfig:
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
+
+def with_tail_scale(config: QuadratureConfig | None, decay_scale: float) -> QuadratureConfig:
+    """``config`` (the default if None) with its ``tail_decay_scale``
+    raised to ``decay_scale`` where that is larger: a tail is mapped at the
+    slower of the caller's scale and the integrand's own decay."""
+    cfg = config or DEFAULT_QUADRATURE
+    if decay_scale > cfg.tail_decay_scale:
+        cfg = cfg.replace(tail_decay_scale=decay_scale)
+    return cfg
+
 # Largest grade the integer-ks rule of ``endpoint_grade`` tries, and the
 # largest grade at all: beyond 64, v^k underflows at nodes a few panels
 # deep at v = 0, and the product v^k costs one pass per rank.

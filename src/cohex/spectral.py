@@ -49,9 +49,9 @@ from .errors import CohexError, DomainError, UnsupportedOperationError
 from .numerics import (
     DEFAULT_QUADRATURE,
     Integral,
-    QuadratureConfig,
     endpoint_grade,
     integrate,
+    with_tail_scale,
 )
 
 
@@ -123,16 +123,10 @@ class _ContinuousDensity(SpectralDensity):
         """(function, columns) with I(xi) = function(xi, *columns)."""
         raise NotImplementedError
 
-    def _config(self, config):
-        cfg = config or DEFAULT_QUADRATURE
-        scale = max(cfg.tail_decay_scale, self.decay_scale())
-        if scale != cfg.tail_decay_scale:
-            cfg = cfg.replace(tail_decay_scale=scale)
-        return cfg
-
     def integral(self, kernel, columns=(), removable_points=(), config=None):
         density, density_columns = self._density()
-        return Integral(kernel, columns, removable_points, self._config(config),
+        return Integral(kernel, columns, removable_points,
+                        with_tail_scale(config, self.decay_scale()),
                         density, density_columns, endpoint_grade(self.small_xi_power),
                         self.breakpoints)
 
@@ -227,13 +221,9 @@ class DiscreteDensity(SpectralDensity):
         )
 
     def reorganization_omega(self, config=None):
-        if self.frequencies.size == 0:
-            return 0.0, 0.0
         return float(np.sum(self.couplings ** 2 / self.frequencies)), 0.0
 
     def integral(self, kernel, columns=(), removable_points=(), config=None):
-        if self.frequencies.size == 0:
-            return 0.0, 0.0
         try:
             vals = np.asarray(kernel(self.frequencies, *columns), dtype=float)
         except CohexError as exc:

@@ -42,7 +42,6 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import (
-    DEFAULT_QUADRATURE,
     Integral,
     QuadratureConfig,
     _exp_scaled_ei_neg,
@@ -51,6 +50,7 @@ from .numerics import (
     run_step,
     take,
     thermal_tanh_half,
+    with_tail_scale,
 )
 from .spectral import OhmicDensity, SpectralDensity
 
@@ -281,10 +281,9 @@ def f_request(
         return DomainError("beta_omega1 must be positive (inf allowed)")
     if math.isinf(b):
         return -_exp_scaled_ei_neg(a), 0.0
-    cfg = config or DEFAULT_QUADRATURE
-    cfg = cfg.replace(tail_decay_scale=max(1.0 / a, 1.0))
     half_b = 0.5 * b
-    return Integral(_f_kernel, (a, half_b, coth_minus_inv(half_b)), (1.0,), cfg)
+    return Integral(_f_kernel, (a, half_b, coth_minus_inv(half_b)), (1.0,),
+                    with_tail_scale(config, 1.0 / a))
 
 
 def f_dimensionless(
@@ -327,13 +326,10 @@ def sigma2x_low_T(
     to beta omega1 ~ 2.5.
     """
     a = params.omega1 / cutoff
-    bracket = -_exp_scaled_ei_neg(a)
-    flags = ()
-    if not tp.is_zero_temperature:
-        b = tp.beta_omega1(params.omega1)
-        bracket -= math.pi ** 2 / (3.0 * b * b)
-        if b < LOW_T_MIN_BETA_OMEGA1:
-            flags = ("low-T-advisory",)
+    b = tp.beta_omega1(params.omega1)
+    # At T = 0, b = inf: the thermal correction is 0.0 and no flag is raised.
+    bracket = -_exp_scaled_ei_neg(a) - math.pi ** 2 / (3.0 * b * b)
+    flags = ("low-T-advisory",) if b < LOW_T_MIN_BETA_OMEGA1 else ()
     value = (
         4.0 * coupling * params.f1 * params.f2 * params.t / params.omega2
         * thermal_tanh_half(tp.beta, params.omega2)
@@ -344,19 +340,23 @@ def sigma2x_low_T(
 
 
 def high_T_asymptotes(
-    params: ModelParams, sd: SpectralDensity, tp: ThermalPoint
+    params: ModelParams,
+    sd: SpectralDensity,
+    tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
 ):
     """Leading high-temperature forms of both coherences (any bath).
 
     Only the reorganization scale Omega = integral I/xi survives:
     sigma1x ~ -f1 f2 (Omega/3 omega1) (beta omega1)^2 and
     sigma2x ~ +f1 f2 t Omega omega1 beta^3 / 6.  Returns
-    ((sigma1x, sigma2x), err_estimate); both are linear in Omega, so the
-    estimate is Omega's relative one on the larger of the two.
+    ((sigma1x, sigma2x), err_estimate); both are linear in Omega, which a
+    tabulated bath integrates under ``config``, so the estimate is Omega's
+    relative one on the larger of the two.
     """
     if tp.is_zero_temperature:
         raise DomainError("high-temperature asymptote is meaningless at T = 0")
-    omega, omega_err = sd.reorganization_omega()
+    omega, omega_err = sd.reorganization_omega(config)
     b = tp.beta_omega1(params.omega1)
     s1 = -params.f1 * params.f2 * (omega / (3.0 * params.omega1)) * b * b
     s2 = (params.f1 * params.f2 * params.t / params.omega1) * (

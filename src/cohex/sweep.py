@@ -261,10 +261,12 @@ def _fermion_high_T_steps(p, sd, tp, cfg):
     return (value,), 0.0, ()
 
 
-# Steps look their public functions up at call time, so a function rebound
-# on its module (by a tracer, say) is the one a sweep calls.  Every
-# quantity that integrates yields its integral requests, except the
-# numerators of r1 and r2, which still integrate alone inside their cells.
+# Only the closed forms (sigma2y, sigma2x_low_T, static_chain,
+# hartree_static, fermion_high_T) call public functions, looked up here at
+# call time, so one rebound on this module (by a tracer, say) is the one a
+# sweep calls.  Every quantity that integrates yields its integral
+# requests, except the numerators of r1 and r2, which still integrate
+# alone inside their cells.
 QUANTITIES = {q.name: q for q in (
     _stepped("sigma1x", ("sigma1x",), "spin", False,
              lambda p, sd, tp, cfg: _one(_sigma1x_step(p, sd, tp, cfg))),

@@ -18,7 +18,7 @@ import pytest
 import cohex.fermion as fermion
 import cohex.numerics as nm
 import cohex.spin_detuned as spin_detuned
-from cohex.errors import CohexError, KernelError
+from cohex.errors import CohexError, ConvergenceError, KernelError
 from cohex.fermion import (
     fock_term,
     g_script,
@@ -538,3 +538,47 @@ def test_a_shared_failure_keeps_a_short_traceback():
     assert all(result is results[0] for result in results)
     assert isinstance(results[0], KernelError)
     assert len(traceback.extract_tb(results[0].__traceback__)) < 10
+
+
+def _wiggle(xi, amplitude):
+    return np.exp(-xi) * (1.0 + amplitude * np.sin(3e5 * xi))
+
+
+@pytest.mark.parametrize("amplitude, converges", [(3e-13, True), (1e-12, False)])
+def test_a_spent_budget_near_the_rounding_floor(amplitude, converges):
+    # rel_tol = 1e-300 is never met, so eight panels spend the budget.  An
+    # estimate within 10x the rounding floor 50 eps integral |f| is still a
+    # success (3.96x here), the only one whose estimate is above its
+    # target; 13.2x the floor fails.  Alone and pooled give the same bits.
+    cfg = DEFAULT_QUADRATURE.replace(rel_tol=1e-300, max_subdivisions=8)
+    request = Integral(_wiggle, (amplitude,), (), cfg)
+    (alone,) = integrate_many([request])
+    pooled, _ = integrate_many([request, Integral(_decay, (2.0,))])
+    if converges:
+        value, err = alone
+        floor = 50.0 * np.finfo(float).eps * value
+        assert floor < err <= 10.0 * floor
+        assert np.array_equal(np.array(pooled), np.array(alone))
+    else:
+        assert isinstance(alone, ConvergenceError)
+        assert isinstance(pooled, ConvergenceError)
+        assert (pooled.partial, pooled.err_estimate) == (alone.partial, alone.err_estimate)
+        assert pooled.err_estimate > 10.0 * 50.0 * np.finfo(float).eps * alone.partial
+
+
+def test_f_requests_keep_a_wider_configured_tail_scale():
+    # The tail is mapped at the wider of the configured scale and the
+    # integrand's own decay (1/a for F and F_F, the cutoff for J), so
+    # F, F_F and J keep a configured 5.0 over their decay scale 2.0.
+    wide = DEFAULT_QUADRATURE.replace(tail_decay_scale=5.0)
+    (f_f,) = next(fermion._f_fermion_parts_step(0.5, 2.0, 3.0, wide))
+    j = coherence_request(PARAMS, OhmicDensity(1.0, 2.0), ThermalPoint(2.0), wide)
+    for request in (f_request(0.5, 2.0, wide), f_f, j):
+        assert request.config.tail_decay_scale == 5.0
+    # Under the default scale 1.0 the integrand's decay still wins.
+    assert f_request(0.5, 2.0).config.tail_decay_scale == 2.0
+    assert f_request(4.0, 2.0).config.tail_decay_scale == 1.0
+    # Mapped either way, F agrees within its estimates.
+    (narrow_f, narrow_err), (wide_f, wide_err) = integrate_many(
+        [f_request(0.5, 2.0), f_request(0.5, 2.0, wide)])
+    assert abs(wide_f - narrow_f) <= narrow_err + wide_err

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cohex.errors import DomainError
-from cohex.numerics import _exp_scaled_ei_neg, bose_n
-from cohex.spectral import DiscreteDensity, OhmicDensity
+from cohex.numerics import DEFAULT_QUADRATURE, _exp_scaled_ei_neg, bose_n
+from cohex.spectral import DiscreteDensity, OhmicDensity, TabulatedDensity
 from cohex.spin_detuned import (
     ModelParams,
     ThermalPoint,
@@ -24,6 +24,7 @@ from cohex.spin_detuned import (
 )
 
 import oracles
+from test_spectral import smeared_discrete_knots
 
 
 PARAMS = ModelParams(omega1=1.0, omega2=3.0, t=0.1, f1=0.1, f2=0.1)
@@ -193,6 +194,17 @@ def test_low_T_zero_temperature_bracket_exact():
     assert r.method == "low_T_asymptotic"
 
 
+@pytest.mark.parametrize("coupling, cutoff, value", [
+    (1.0, 10.0, 0.0026861900596112692),
+    (0.7, 0.3, 0.00022433215831498552),
+])
+def test_low_T_zero_temperature_takes_the_finite_formula(coupling, cutoff, value):
+    # At beta = inf the thermal correction pi^2/(3 b^2) is 0.0 and b < 5 is
+    # false: the values are the ones a separate T = 0 branch gave.
+    r = sigma2x_low_T(PARAMS, coupling, cutoff, ThermalPoint(math.inf))
+    assert (r.value, r.err_estimate, r.flags) == (value, 0.0, ())
+
+
 def test_low_T_close_to_full_at_deep_cold():
     # omega1/omegac = 1, beta omega1 = 20
     p = ModelParams(omega1=1.0, omega2=3.0, t=0.1, f1=0.1, f2=0.1)
@@ -218,6 +230,20 @@ def test_high_T_asymptotes_ohmic_identity():
     assert s2 == pytest.approx(0.1 * 0.1 * 0.1 * 10.0 * b ** 3 / 6.0, rel=1e-14)
     with pytest.raises(DomainError):
         high_T_asymptotes(PARAMS, sd, ThermalPoint(math.inf))
+
+
+def test_high_T_asymptotes_take_the_config_of_omega():
+    # 6,001 knots start more panels than the default budget of 4,000, so a
+    # tabulated Omega converges only under a raised one.
+    bath = TabulatedDensity(smeared_discrete_knots(), tail_decay=0.05)
+    tp = ThermalPoint(0.1)
+    with pytest.raises(DomainError, match="over the panel budget"):
+        high_T_asymptotes(PARAMS, bath, tp)
+    roomy = DEFAULT_QUADRATURE.replace(max_subdivisions=8000)
+    (s1, s2), err = high_T_asymptotes(PARAMS, bath, tp, roomy)
+    omega, omega_err = bath.reorganization_omega(roomy)
+    assert s1 == -0.1 * 0.1 * (omega / 3.0) * 0.1 * 0.1
+    assert s2 > 0.0 and err == pytest.approx(abs(s1) * omega_err / omega, rel=1e-12)
 
 
 def test_high_T_asymptotes_converge_to_full():

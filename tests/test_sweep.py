@@ -555,3 +555,22 @@ def test_map_equals_sweep_cell_by_cell(which, mapper, beta_omega1, temperature):
     table = mapper(0.1, beta_omega1, grid[0].values(), grid[1].values())
     spec = SweepSpec(which, (temperature,) + grid, BATH, PARAMS, MAP_QUADRATURE)
     assert table.rows == [row[1:] for row in run_sweep(spec).rows]
+
+
+@pytest.mark.parametrize("name", [n for n, q in QUANTITIES.items() if not q.needs_ohmic])
+def test_an_empty_bath_sums_to_zero(name):
+    # Every sum over an empty mode list is 0.0 with estimate 0.0, as the
+    # early returns an empty bath once took gave: the coherences are 0 (at
+    # T = 0 too), and the ratios r1 and r2 have no reference integral.
+    axes = (AxisSpec("T_over_omega1", 0.0, 0.5, 2), AxisSpec("t_over_omega1", 0.0, 0.2, 2))
+    table = run_sweep(SweepSpec(name, axes, DiscreteDensity([]), PARAMS))
+    zeros = (0.0,) * len(QUANTITIES[name].columns)
+    detuned = {"sigma1x", "sigma2x", "sigma1x_fermion", "sigma2x_fermion"}
+    for row in table.rows:
+        t = row[1]
+        if name in ("r1", "r2"):
+            expected = (None,) * len(zeros) + (None, "invalid-params")
+        else:
+            status = "detuned-coupling" if name in detuned and t > 0.0 else STATUS_OK
+            expected = zeros + (0.0, status)
+        assert row[2:] == expected
