@@ -418,17 +418,18 @@ def _first_fock_kernel(xi, w1, beta, n1, th1):
     )
 
 
-def _fermi_diff_over_xi(w1, xi, beta):
+def _fermi_diff_over_xi(w1, xi, beta, below, above):
     """[n(w1 - xi) - n(w1 + xi)] / xi without cancellation at small xi.
 
-    The direct difference loses all significance once beta xi is small;
-    there the identity n(u) - n(v) = e^{-beta u} (1 - e^{-beta (v - u)}) /
-    ((1 + e^{-beta u})(1 + e^{-beta v})) evaluates it through expm1.
-    ``beta`` may be an array, one entry per abscissa; at beta = inf no xi
-    is small, so the direct difference is taken.
+    ``below`` and ``above`` are n(w1 - xi) and n(w1 + xi), which the
+    caller has at hand.  The direct difference loses all significance once
+    beta xi is small; there the identity n(u) - n(v) = e^{-beta u}
+    (1 - e^{-beta (v - u)}) / ((1 + e^{-beta u})(1 + e^{-beta v}))
+    evaluates it through expm1.  ``beta`` may be an array, one entry per
+    abscissa; at beta = inf no xi is small, so the direct difference is
+    taken.
     """
-    xi = np.asarray(xi, dtype=float)
-    direct = (fermi_n(w1 - xi, beta) - fermi_n(w1 + xi, beta)) / xi
+    direct = (below - above) / xi
     small = (beta * xi < 0.5) & (xi < 0.5 * w1)
     xs = np.where(small, xi, 0.25 * w1)
     em = np.exp(-beta * (w1 - xs))
@@ -462,7 +463,7 @@ def _second_fock_kernel(xi, w1, w2, beta, th1, n1, n2):
     q = (w1 * w1 - xi * xi) * (xi * xi - dw * dw)
     sum_part = (
         (below + above) * (w1 - dw)
-        + _fermi_diff_over_xi(w1, xi, beta) * (xi * xi - w1 * dw)
+        + _fermi_diff_over_xi(w1, xi, beta, below, above) * (xi * xi - w1 * dw)
     ) / q
     diff_part = (
         above / ((w1 + xi) * (xi - dw)) - below / ((w1 - xi) * (xi + dw))

@@ -254,12 +254,22 @@ def _exp_scaled_ei_neg(c: float) -> float:
 # Occupation factors
 # ---------------------------------------------------------------------------
 
+_BETA_DOMAIN = "beta must be positive (use math.inf for zero temperature)"
+
+
 def _beta_xi(xi, beta):
     """beta * xi, with beta * 0 = 0 at every beta, inf included."""
     if not np.greater(beta, 0.0).all():
-        raise DomainError("beta must be positive (use math.inf for zero temperature)")
+        raise DomainError(_BETA_DOMAIN)
     x = np.asarray(xi, dtype=float)
     return np.where(x == 0.0, 0.0, beta) * x
+
+
+def _float_beta_xi(xi: float, beta: float) -> float:
+    """``_beta_xi`` of a float xi and beta, as a float with the same bits."""
+    if not beta > 0.0:
+        raise DomainError(_BETA_DOMAIN)
+    return beta * xi if xi != 0.0 else xi
 
 
 def bose_n(xi, beta):
@@ -269,7 +279,19 @@ def bose_n(xi, beta):
     broadcasting against ``xi``; an inf entry (zero temperature) needs no
     branch of its own: the exponential saturates, giving the step values
     0 for xi > 0 and -1 for xi < 0 exactly.
+
+    A float ``xi`` and ``beta`` take a scalar path (numpy's 0-d array path
+    costs tens of microseconds per call) doing the same operations in the
+    same order, so it has the bits of the array path.
     """
+    if isinstance(xi, float) and isinstance(beta, float):
+        bx = _float_beta_xi(xi, beta)
+        if bx == 0.0:
+            raise DomainError("bose_n diverges at xi = 0")
+        # 0 before expm1 is called: it overflows, with a warning, above
+        # 709.78 (the array path clips); expm1 saturates to -1 below -37.
+        # A float divides without a warning where 1/expm1 overflows.
+        return 0.0 if bx > 709.0 else 1.0 / float(np.expm1(bx))
     bx = _beta_xi(xi, beta)
     if np.any(bx == 0.0):
         raise DomainError("bose_n diverges at xi = 0")
@@ -285,8 +307,13 @@ def fermi_n(xi, beta):
     Above beta xi = 709, where the occupation is below 1e-307, it is
     exactly 0, so an inf entry of ``beta`` (zero temperature) saturates
     to the step values 0 and 1; at xi = 0 it is 1/2 at every beta.
-    ``beta`` may be an array broadcasting against ``xi``.
+    ``beta`` may be an array broadcasting against ``xi``.  A float ``xi``
+    and ``beta`` take a scalar path with the bits of the array path, as
+    in ``bose_n``.
     """
+    if isinstance(xi, float) and isinstance(beta, float):
+        bx = _float_beta_xi(xi, beta)
+        return 0.0 if bx > 709.0 else 1.0 / (1.0 + float(np.exp(bx)))
     bx = _beta_xi(xi, beta)
     out = 1.0 / (1.0 + np.exp(np.minimum(bx, 709.0)))
     out = np.where(bx > 709.0, 0.0, out)
@@ -404,7 +431,7 @@ class Integral:
         self.breakpoints = tuple(breakpoints)
 
 
-def _bridge_points(removable_points: Sequence[float], cfg: QuadratureConfig):
+def _bridge_points(removable_points: Sequence[float], singularity_window: float):
     """Removable points to bridge and each one's relative window width."""
     raw = sorted(float(p) for p in removable_points if p > 0.0 and math.isfinite(p))
     # Two removable points closer than the bridge resolution act as one
@@ -425,7 +452,7 @@ def _bridge_points(removable_points: Sequence[float], cfg: QuadratureConfig):
     # together (near-degenerate level pairs produce exactly that layout).
     deltas = []
     for p, spread in zip(pts, spreads):
-        delta = cfg.singularity_window
+        delta = singularity_window
         near = [abs(q - p) / max(q, p) for q in pts if q != p]
         near = [g for g in near if g > 0.0]
         if near:
@@ -453,7 +480,12 @@ def _merged_windows(points: Sequence[float], deltas: Sequence[float]) -> list:
 def _bridge_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """(n, 4) fit nodes L - w, L, R, R + w of windows [L, R], w = (R - L)/2."""
     w = 0.5 * (hi - lo)
-    return np.stack([np.maximum(lo - w, 0.25 * lo), lo, hi, hi + w], axis=1)
+    nodes = np.empty((lo.size, 4))
+    nodes[:, 0] = np.maximum(lo - w, 0.25 * lo)
+    nodes[:, 1] = lo
+    nodes[:, 2] = hi
+    nodes[:, 3] = hi + w
+    return nodes
 
 
 def _bridge_cubics(nodes: np.ndarray, vals: np.ndarray):
@@ -473,6 +505,8 @@ def _bridge_cubics(nodes: np.ndarray, vals: np.ndarray):
 def _gk_evaluate(f, lo: np.ndarray, hi: np.ndarray):
     """Evaluate the GK15 rule on a batch of panels; returns (k15, err, resabs).
 
+    ``f`` takes the (panels, 15) array of nodes and returns its values.
+
     Each panel's sums are reduced on their own row (``vecdot``, one dot
     product per row, not a matrix product whose blocking depends on the
     batch), so a panel's results do not depend on the other panels
@@ -481,7 +515,7 @@ def _gk_evaluate(f, lo: np.ndarray, hi: np.ndarray):
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = center[:, None] + half[:, None] * _XGK[None, :]
-    vals = np.asarray(f(nodes.reshape(-1)), dtype=float).reshape(nodes.shape)
+    vals = f(nodes)
     k15 = np.vecdot(vals, _WGK) * half
     g7 = np.vecdot(vals[:, 1::2], _WG) * half
     resabs = np.vecdot(np.abs(vals), _WGK) * half
@@ -513,6 +547,19 @@ def _semi_infinite_breaks(interior: Sequence[float], scale: float) -> np.ndarray
             if 1e-14 < u < 1.0 - 1e-14:
                 u_pts.append(u)
     return np.array(sorted(set(u_pts)))
+
+
+def _set_up(removable_points, breakpoints, singularity_window, scale, grade):
+    """Merged bridged windows ([lo, hi] each) and first panel breaks (in u,
+    or v = u^(1/grade)) of one integral, from the numbers they depend on."""
+    pts, deltas = _bridge_points(removable_points, singularity_window)
+    interior = list(breakpoints)
+    for p, delta in zip(pts, deltas):
+        h = delta * p
+        interior.extend([p - h, p, p + h, p + 2 * h, max(p - 2 * h, p / 2)])
+    u_breaks = _semi_infinite_breaks(interior, scale)
+    return (_merged_windows(pts, deltas),
+            u_breaks if grade == 1 else u_breaks ** (1.0 / grade))
 
 
 def _cubic(t, c):
@@ -556,9 +603,15 @@ def _split_counts(err, n_pan, starts, total_err, budget):
     no owner exceeds ``max_subdivisions``.
     """
     pos = np.repeat(np.arange(n_pan.size), n_pan)
-    rank = np.lexsort((-err, pos))
     r = np.arange(err.size) - starts[pos]
-    sorted_err = np.zeros((n_pan.size, int(n_pan.max())))
+    # Each owner's panels by decreasing error, ties in panel order: the
+    # order of lexsort((-err, pos)), from a stable sort of each owner's
+    # row padded with inf, at half the cost.
+    key = np.full((n_pan.size, int(n_pan.max())), np.inf)
+    key[pos, r] = -err
+    by_err = np.argsort(key, axis=1, kind="stable")
+    rank = (by_err + starts[:, None])[by_err < n_pan[:, None]]
+    sorted_err = np.zeros(key.shape)
     sorted_err[pos, r] = err[rank]
     cum = np.cumsum(sorted_err, axis=1)
     n_split = np.count_nonzero(cum < (0.9 * total_err)[:, None], axis=1) + 1
@@ -615,26 +668,29 @@ class _Engine:
         self.grade = np.array([r.grade for r in self.owners], dtype=float)
         self.outcome: list = [None] * n
         self.dead = np.zeros(n, dtype=bool)
+        # The owners of a run mostly share their set-up (a temperature sweep
+        # moves no removable point), so each distinct one is planned once.
+        plans: dict = {}
         windows, breaks = [], []
         for o, r in enumerate(self.owners):
-            pts, deltas = _bridge_points(r.removable_points, r.config)
-            merged = _merged_windows(pts, deltas)
+            cfg = r.config
+            key = (r.removable_points, r.breakpoints, cfg.singularity_window,
+                   cfg.tail_decay_scale, r.grade)
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = _set_up(*key)
+            merged, u_breaks = plan
             windows.append(merged)
             group = self.groups[group_of[o]]
             group.max_windows = max(group.max_windows, len(merged))
-            interior = list(r.breakpoints)
-            for p, delta in zip(pts, deltas):
-                h = delta * p
-                interior.extend([p - h, p, p + h, p + 2 * h, max(p - 2 * h, p / 2)])
-            u_breaks = _semi_infinite_breaks(interior, r.config.tail_decay_scale)
-            if r.breakpoints and u_breaks.size > r.config.max_subdivisions:
+            if r.breakpoints and u_breaks.size > cfg.max_subdivisions:
                 # As QUADPACK's QAGP rejects more breakpoints than its limit.
                 self.dead[o] = True
                 self.outcome[o] = DomainError(
                     "%d breakpoints (knots) start %d panels, over the panel budget "
                     "max_subdivisions = %d"
-                    % (len(r.breakpoints), u_breaks.size - 1, r.config.max_subdivisions))
-            breaks.append(u_breaks if r.grade == 1 else u_breaks ** (1.0 / r.grade))
+                    % (len(r.breakpoints), u_breaks.size - 1, cfg.max_subdivisions))
+            breaks.append(u_breaks)
         self.has_windows = [bool(w) for w in windows]
         self._bridge(windows)
         self.breaks = breaks
@@ -662,6 +718,7 @@ class _Engine:
         self.w_start = np.cumsum(count) - count
         self.w_count = count
         flat = [w for ws in windows for w in ws]
+        self.w_by_rank = []
         if not flat:
             return
         lo = np.array([w[0] for w in flat])
@@ -708,22 +765,36 @@ class _Engine:
         return [(a, b, self.groups[grp[a]]) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def _bridged(self, group: _Group, xi: np.ndarray, own):
-        """The integrand at xi, with every owner's windows replaced by cubics."""
-        if group.max_windows == 0:
-            return self._checked(group, xi, own)
-        out = np.empty_like(xi)
-        inside = np.zeros(xi.shape, dtype=bool)
+        """The integrand at xi, with every owner's windows replaced by cubics.
+
+        ``xi`` holds one row of nodes per panel, and ``own`` each row's
+        owner (or one owner's index for all), so window bounds are
+        gathered per panel.  When no node lies in a window, the nodes go to
+        the kernel without a mask.
+        """
+        m = xi.shape[1]
+        pooled = isinstance(own, np.ndarray)
+        node_own = np.repeat(own, m) if pooled else own
+        flat = xi.reshape(-1)
+        out = inside = None
         for w_lo, w_hi, w in self.w_by_rank[:group.max_windows]:
-            mask = (xi >= w_lo[own]) & (xi <= w_hi[own])
+            lo, hi = w_lo[own], w_hi[own]
+            if pooled:
+                lo, hi = lo.repeat(m), hi.repeat(m)
+            mask = (flat >= lo) & (flat <= hi)
             if mask.any():
-                wm = w[_owners_of(own, mask)]
-                out[mask] = _cubic((xi[mask] - self.w_center[wm]) / self.w_half[wm],
+                if inside is None:
+                    out, inside = np.empty(flat.shape), np.zeros(flat.shape, dtype=bool)
+                wm = w[_owners_of(node_own, mask)]
+                out[mask] = _cubic((flat[mask] - self.w_center[wm]) / self.w_half[wm],
                                    self.w_coef[wm].T)
                 inside |= mask
+        if inside is None:
+            return self._checked(group, flat, node_own).reshape(xi.shape)
         outside = ~inside
         if outside.any():
-            out[outside] = self._checked(group, xi[outside], _owners_of(own, outside))
-        return out
+            out[outside] = self._checked(group, flat[outside], _owners_of(node_own, outside))
+        return out.reshape(xi.shape)
 
     def _checked(self, group: _Group, xi: np.ndarray, own):
         """The integrand at xi; an owner with a non-finite value fails."""
@@ -767,13 +838,14 @@ class _Engine:
 
     def _mapped(self, group: _Group, own):
         """The integrand in u = 1 - exp(-xi/scale) at the nodes of ``own``'s
-        panels, or in v = u^(1/k) for a group with graded owners."""
-        node_own = np.repeat(own, _XGK.size) if isinstance(own, np.ndarray) else own
-        scale = self.scale[node_own]
+        panels (one row per panel), or in v = u^(1/k) for a group with
+        graded owners."""
+        row_own = own[:, None] if isinstance(own, np.ndarray) else own
+        scale = self.scale[row_own]
         graded = group.max_grade > 1
 
         def f_mapped(x):
-            u, du = self._graded_nodes(group, x, node_own) if graded else (x, None)
+            u, du = self._graded_nodes(group, x, row_own) if graded else (x, None)
             # Nodes of very deep panels can round to u = 1.0 exactly; by
             # then xi > 35 * scale and the mapped integrand is below
             # double noise.
@@ -783,12 +855,12 @@ class _Engine:
             jac = scale / (1.0 - u_safe)
             if du is not None:
                 jac = jac * du
-            vals = self._bridged(group, xi, node_own)
+            vals = self._bridged(group, xi, own)
             return np.where(live, vals * jac, 0.0)
 
         return f_mapped
 
-    def _graded_nodes(self, group: _Group, v, node_own):
+    def _graded_nodes(self, group: _Group, v, row_own):
         """u = v^k and du/dv = k v^(k - 1) at nodes v of a graded group.
 
         v^(k - 1) is a product of factors of v, one per rank below each
@@ -798,14 +870,14 @@ class _Engine:
         deep in the first panel that v^k underflows would hand the kernel
         xi = 0: its owner fails, and the node is dropped as u = 1 is.
         """
-        grade = self.grade[node_own]
+        grade = self.grade[row_own]
         power = np.ones_like(v)
         for rank in range(1, group.max_grade):
             power = np.where(grade > rank, power * v, power)
         u = power * v
         under = u == 0.0
         if under.any():
-            hit = np.broadcast_to(node_own, v.shape)[under]
+            hit = np.broadcast_to(row_own, v.shape)[under]
             for o in sorted(set(hit.tolist())):
                 self._fail(o, "graded map underflows: v^%d = 0 at v = %.3g"
                            % (self.owners[o].grade, v[under][hit == o][0]))

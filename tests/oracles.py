@@ -275,3 +275,77 @@ def f2_combo_tau_reference(xi, omega, epsilon, sin_theta, cos_theta, beta, n=64)
                 - cos_theta * sin_theta * ((a1 + a2) + (a3 + a4) - csym))
 
     return _simplex_transform(corr, xi, beta, n)
+
+
+# The quadrature engine's set-up of one integral, owner by owner in Python
+# loops: the reference for the engine's set-up in arrays
+# (``numerics._plan``), which must give every owner exactly these values.
+
+def bridge_points(removable_points, singularity_window, cluster_rtol=1e-6):
+    """Removable points to bridge and each one's relative window width."""
+    raw = sorted(float(p) for p in removable_points if p > 0.0 and math.isfinite(p))
+    clusters = []
+    for q in raw:
+        if clusters and q - clusters[-1][-1] <= cluster_rtol * q:
+            clusters[-1].append(q)
+        else:
+            clusters.append([q])
+    pts = [0.5 * (g[0] + g[-1]) for g in clusters]
+    spreads = [g[-1] - g[0] for g in clusters]
+    deltas = []
+    for p, spread in zip(pts, spreads):
+        delta = singularity_window
+        near = [abs(q - p) / max(q, p) for q in pts if q != p]
+        near = [g for g in near if g > 0.0]
+        if near:
+            delta = min(delta, 0.2 * min(near))
+        deltas.append(max(delta, 3.0 * spread / p))
+    return pts, deltas
+
+
+def merged_windows(points, deltas):
+    """[lo, hi] of the bridged windows around ascending removable points."""
+    merged = []
+    for p, d in zip(points, deltas):
+        lo, hi = p - d * p, p + d * p
+        if merged and lo - (hi - lo) / 2.0 <= merged[-1][1]:
+            merged[-1][1] = hi
+        else:
+            merged.append([lo, hi])
+    return merged
+
+
+def first_u_breaks(removable_points, breakpoints, singularity_window, scale):
+    """The u-breaks an integral's first panels start from."""
+    pts, deltas = bridge_points(removable_points, singularity_window)
+    interior = list(breakpoints)
+    for p, delta in zip(pts, deltas):
+        h = delta * p
+        interior.extend([p - h, p, p + h, p + 2 * h, max(p - 2 * h, p / 2)])
+    u_pts = [0.0, 1.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.97]
+    for x in interior:
+        if x > 0.0 and math.isfinite(x):
+            u = -math.expm1(-x / scale)
+            if 1e-14 < u < 1.0 - 1e-14:
+                u_pts.append(u)
+    return np.array(sorted(set(u_pts)))
+
+
+def split_counts(err, n_pan, starts, total_err, budget, split=8):
+    """Children per panel of owner-sorted panels, ranked by ``np.lexsort``:
+    the reference for the engine's ranking (``numerics._split_counts``)."""
+    pos = np.repeat(np.arange(n_pan.size), n_pan)
+    rank = np.lexsort((-err, pos))
+    r = np.arange(err.size) - starts[pos]
+    sorted_err = np.zeros((n_pan.size, int(n_pan.max())))
+    sorted_err[pos, r] = err[rank]
+    cum = np.cumsum(sorted_err, axis=1)
+    n_split = np.count_nonzero(cum < (0.9 * total_err)[:, None], axis=1) + 1
+    n_full, rest = np.divmod(budget, split - 1)
+    n_sel = np.minimum(np.minimum(n_split, n_full), n_pan)
+    extra = (n_sel < np.minimum(n_split, n_pan)) & (rest > 0)
+    n_sel, extra, rest = n_sel[pos], extra[pos], rest[pos]
+    by_rank = np.where(r < n_sel, split, np.where(extra & (r == n_sel), rest + 1, 1))
+    counts = np.empty_like(by_rank)
+    counts[rank] = by_rank
+    return counts

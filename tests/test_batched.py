@@ -66,6 +66,8 @@ from cohex.sweep import (
 )
 from cohex.table import emit_csv
 
+import oracles
+
 PARAMS = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
 _KNOTS = [(x, x * np.exp(-x / 10.0)) for x in np.linspace(0.0, 60.0, 40)]
 BATHS = (
@@ -160,6 +162,100 @@ def test_an_integral_has_the_same_bits_alone_or_in_any_batch(monkeypatch):
             assert np.array_equal(np.array(outcome), np.array(alone))
     # Owners that converge in the first pass and owners that take many.
     assert min(passes) == 1 and max(passes) >= 5
+
+
+def _mixed_set_ups():
+    """Owners with 0, 1, 2, 3 and 121 removable points: a pair within
+    ``_CLUSTER_RTOL`` (one window), neighbours that shrink each other's
+    windows, a long cluster whose widened window merges with its
+    neighbour's, a graded owner, a knotted tabulated owner, one whose
+    knots start more panels than its budget (dead at set-up, the eighth),
+    an owner sharing the second's set-up and one that differs from it only
+    in its tail scale."""
+    cfg = DEFAULT_QUADRATURE
+    w1, w2, beta = PARAMS.omega1, PARAMS.omega2, 2.0
+    n1, n2 = fermi_n(w1, beta), fermi_n(w2, beta)
+    chain = tuple(1.0 + 9e-7 * k for k in range(120)) + (1.00055,)
+    combined = (fermion._combined_second_kernel, (w1, w2, beta, n1, n2), (w1, w2 - w1))
+    return [
+        Integral(_decay, (1.0,), (), cfg),
+        Integral(_decay, (0.5,), (2.0,), cfg),
+        Integral(_decay, (0.7,), (3.0 + 2e-6, 0.5, 3.0), cfg),
+        Integral(_decay, (0.9,), (1.0, 1.002, 4.0), cfg),
+        Integral(_decay, (1.1,), chain[::-1], cfg),
+        BATHS[3].integral(*combined, cfg),
+        BATHS[-1].integral(*combined, cfg),
+        BATHS[-1].integral(*combined, cfg.replace(max_subdivisions=40)),
+        Integral(_decay, (0.6,), (2.0,), cfg),
+        Integral(_decay, (0.6,), (2.0,), cfg.replace(tail_decay_scale=3.0)),
+    ]
+
+
+def test_a_mixed_run_sets_up_every_owner_as_alone(monkeypatch):
+    requests = _mixed_set_ups()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        engine = nm._Engine(requests)
+    assert max(len(r.removable_points) for r in requests) == 121
+    assert sorted(engine.w_count.tolist()) == [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]
+    for owner, i in enumerate(engine.order):
+        r = requests[i]
+        cfg = r.config
+        points, deltas = oracles.bridge_points(r.removable_points, cfg.singularity_window)
+        first, count = engine.w_start[owner], engine.w_count[owner]
+        windows = np.column_stack((engine.w_lo, engine.w_hi))[first:first + count]
+        assert np.array_equal(windows, np.array(oracles.merged_windows(points, deltas))
+                              .reshape(-1, 2))
+        breaks = oracles.first_u_breaks(r.removable_points, r.breakpoints,
+                                        cfg.singularity_window, cfg.tail_decay_scale)
+        breaks = breaks if r.grade == 1 else breaks ** (1.0 / r.grade)
+        assert np.array_equal(engine.breaks[owner], breaks)
+        assert engine.dead[owner] == (i == 7)
+    assert {r.grade for r in requests} == {1, 2}
+    # Every owner's outcome, its set-up failure included, is its lone run's.
+    nodes = []
+    integrand = nm._Engine._integrand
+
+    def counted(engine, group, xi, own):
+        nodes.append(xi.size)
+        return integrand(engine, group, xi, own)
+
+    monkeypatch.setattr(nm._Engine, "_integrand", counted)
+    outcomes = integrate_many(requests)
+    pooled_nodes = sum(nodes)
+    for request, outcome in zip(requests, outcomes):
+        (alone,) = integrate_many([request])
+        if isinstance(alone, Exception):
+            assert type(outcome) is type(alone) and str(outcome) == str(alone)
+        else:
+            assert np.array_equal(np.array(outcome).view(np.int64),
+                                  np.array(alone).view(np.int64))
+    assert "over the panel budget" in str(outcomes[7])
+    # Pooled, the owners evaluate the nodes they evaluate alone: the dead
+    # owner's panels none.
+    assert sum(nodes) == 2 * pooled_nodes
+
+
+def test_a_node_on_a_window_edge_is_bridged():
+    requests = _mixed_set_ups()
+    engine = nm._Engine(requests)
+    owner = engine.order.index(1)  # one removable point, at 2
+    group = engine.groups[engine.group_of[owner]]
+    w = engine.w_start[owner]
+    lo, hi = engine.w_lo[w], engine.w_hi[w]
+    row = np.array([lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)])
+    cubic = nm._cubic((row[:2] - engine.w_center[w]) / engine.w_half[w], engine.w_coef[w])
+    expected = np.concatenate((cubic, _decay(row[2:], 0.5)))
+    integrand, seen = engine._integrand, []
+
+    def recorded(group, xi, own):
+        seen.append(xi.copy())
+        return integrand(group, xi, own)
+
+    engine._integrand = recorded
+    for own in (owner, np.array([owner])):
+        assert np.array_equal(engine._bridged(group, row[None, :], own)[0], expected)
+        # Only the two nodes outside the window reach the kernel.
+        assert np.array_equal(seen.pop(), row[2:]) and not seen
 
 
 def _tripwire(xi, trip):

@@ -155,6 +155,40 @@ def test_coth_minus_inv_scalar_has_the_array_bits():
         nm.coth_minus_inv(-0.0)
 
 
+def _domain_message(f, *args):
+    with pytest.raises(DomainError) as excinfo:
+        f(*args)
+    return str(excinfo.value)
+
+
+def test_occupations_scalar_have_the_array_bits():
+    # A float xi and beta take their own path; it must round exactly as
+    # the array path for either sign of xi, from tiny to huge |xi|, at
+    # xi = +-0, at zero temperature and next to the cut-offs of beta xi
+    # (709, past which both are 0, and the clip of bose_n at 745).
+    rng = np.random.default_rng(11)
+    edges = [np.nextafter(t, d) for t in (709.0, 745.0) for d in (0.0, np.inf)]
+    xi = np.concatenate([
+        rng.uniform(-3.0, 3.0, 1000),
+        np.exp(rng.uniform(-30.0, 7.0, 500)),
+        -np.exp(rng.uniform(-30.0, 7.0, 500)),
+        [709.0, 745.0, -709.0, -745.0], edges, np.negative(edges),
+        [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan],
+    ])
+    for f in (nm.fermi_n, nm.bose_n):
+        for beta in (0.37, 1.0, 25.0, math.inf):
+            # bose_n is a domain error wherever beta xi is 0 (test below).
+            x = xi if f is nm.fermi_n else xi[nm._beta_xi(xi, beta) != 0.0]
+            scalar = [f(v, beta) for v in x.tolist()]
+            assert all(type(v) is float for v in scalar)
+            assert np.array_equal(np.array(scalar).view(np.int64), f(x, beta).view(np.int64))
+        for beta in (0.0, -1.0, -math.inf, math.nan):
+            assert _domain_message(f, 1.0, beta) == _domain_message(f, np.array([1.0]), beta)
+    for v in (0.0, -0.0):
+        assert (_domain_message(nm.bose_n, v, 2.0)
+                == _domain_message(nm.bose_n, np.array([v]), 2.0))
+
+
 def test_thermal_helpers_zero_temperature():
     assert nm.thermal_tanh_half(math.inf, 2.0) == 1.0
     assert nm.thermal_tanh_half(math.inf, -2.0) == -1.0
@@ -468,6 +502,22 @@ def test_panel_budget_is_never_exceeded(monkeypatch, budget):
     assert excinfo.value.err_estimate > 1e-10 * abs(excinfo.value.partial)
 
 
+def test_split_ranking_keeps_lexsort_order():
+    # Panels of equal error (0 among them), inf and NaN errors, and
+    # budgets that leave room for only part of a pass: ties must fall in
+    # panel order, or another panel of a tie gets split.
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        n_pan = rng.integers(1, 40, rng.integers(1, 12))
+        starts = np.cumsum(n_pan) - n_pan
+        values = [0.0, 1e-9, 2e-9, 3.0] + ([np.inf, np.nan] if trial % 4 == 0 else [])
+        err = rng.choice(values, n_pan.sum())
+        total_err = np.add.reduceat(err, starts)
+        budget = rng.integers(1, 60, n_pan.size)
+        assert np.array_equal(nm._split_counts(err, n_pan, starts, total_err, budget),
+                              oracles.split_counts(err, n_pan, starts, total_err, budget))
+
+
 def test_split_panels_tiles_each_parent():
     lo = np.array([0.0, 0.3, 0.9])
     hi = np.array([0.3, 0.9, 0.97])
@@ -548,7 +598,8 @@ def test_bridges_of_every_integral_share_one_call():
         first = engine.w_start[owner]
         windows = _engine_windows(engine)[first:first + engine.w_count[owner]]
         own = np.full(41, owner)
-        _assert_bridges_match_polyfit(windows, lambda x: engine._bridged(group, x, own))
+        _assert_bridges_match_polyfit(
+            windows, lambda x: engine._bridged(group, x[:, None], own)[:, 0])
 
 
 def test_clustered_points_bridge_matches_polyfit(monkeypatch):
@@ -568,7 +619,7 @@ def test_clustered_points_bridge_matches_polyfit(monkeypatch):
     assert len(engine.w_lo) == 2
     group = engine.groups[0]
     _assert_bridges_match_polyfit(
-        _engine_windows(engine), lambda x: engine._bridged(group, x, 0)
+        _engine_windows(engine), lambda x: engine._bridged(group, x[:, None], 0)[:, 0]
     )
 
 
@@ -589,9 +640,9 @@ def test_bridged_kernel_rejects_non_finite_values_outside_windows():
 
     engine = nm._Engine([nm.Integral(kernel, (), [1.0])])
     group = engine.groups[0]
-    assert np.all(np.isfinite(engine._bridged(group, np.array([0.5, 1.0, 2.5]), 0)))
+    assert np.all(np.isfinite(engine._bridged(group, np.array([[0.5, 1.0, 2.5]]), 0)))
     assert engine.outcome[0] is None
-    engine._bridged(group, np.array([1.0, 4.0]), 0)
+    engine._bridged(group, np.array([[1.0, 4.0]]), 0)
     assert isinstance(engine.outcome[0], KernelError)
     assert "outside any declared removable window" in str(engine.outcome[0])
     with pytest.raises(KernelError, match="outside any declared removable window"):

@@ -8,8 +8,10 @@ The digests pin the bytes; these budgets pin the work, so a change that
 sends pooled integrals back to lone ones, or doubles the panels, fails
 here instead of showing up only as a slower benchmark.
 
-Any increase fails.  Lowering a budget is a CHANGES.md line; raising one
-needs a CHANGES.md entry that says why, as a digest re-freeze does.
+Any difference fails, a saving too, so the table never lags behind the
+engine; the failure prints the measured table line to paste.  Lowering a
+budget is a CHANGES.md line; raising one needs a CHANGES.md entry that
+says why, as a digest re-freeze does.
 """
 
 import pytest
@@ -92,7 +94,8 @@ def test_budgets_cover_the_registry():
 @pytest.mark.parametrize("bath, quantity", CASES)
 def test_work_stays_within_budget(monkeypatch, bath, quantity):
     spent = work(monkeypatch, bath, quantity)
-    budget = BUDGETS[f"{bath}/{quantity}"]
-    assert all(s <= b for s, b in zip(spent, budget)), (
-        f"(calls, nodes, runs) {spent} over the budget {budget}"
+    key = f"{bath}/{quantity}"
+    assert spent == BUDGETS[key], (
+        f"(calls, nodes, runs) {spent} against the budget {BUDGETS[key]}; "
+        f"measured table line:\n    \"{key}\": {spent},"
     )
