@@ -79,6 +79,7 @@ from .spin_detuned import (
     _f_step,
     _linear_in_omega_err,
     _magnitude_flags,
+    _ohmic,
     coherence_request,
     detuned_validity_flags,
     f_request,
@@ -125,12 +126,29 @@ def _noise_floor(config: QuadratureConfig, beta_omega1: float, power: int):
     power of 1/(beta omega1); at the hottest points the requested
     tolerance can sit below it.  Returns (config, raised): ``raised`` is
     True when the floor lifted rel_tol, which results report as the
-    ``tolerance-floor`` flag.
+    ``tolerance-floor`` flag.  A floor past the largest double raises
+    ``DomainError``.
     """
-    floor = 64.0 * _EPS * max(1.0, 1.0 / beta_omega1) ** power
+    try:
+        floor = 64.0 * _EPS * max(1.0, 1.0 / beta_omega1) ** power
+    except OverflowError:
+        raise DomainError(
+            f"beta omega1 = {beta_omega1!r} is too hot for the fermion kernels: "
+            f"their noise floor (1/(beta omega1))^{power} overflows; "
+            "fermion_high_T and high_T_asymptotes hold there"
+        ) from None
     if floor > config.rel_tol:
         return config.replace(rel_tol=floor), True
     return config, False
+
+
+def _agreement(what, a, b, rtol, scale, err):
+    """|a - b| for two routes to one quantity that must agree within
+    rtol * scale + 4 err; otherwise ``CrossFormError`` naming both."""
+    gap = abs(a - b)
+    if gap > rtol * scale + 4.0 * err:
+        raise CrossFormError(f"{what} disagree: {a!r} vs {b!r}", values=(a, b))
+    return gap
 
 
 def _sigma1x_fermion_step(params, sd, tp, config):
@@ -150,13 +168,10 @@ def _sigma1x_fermion_step(params, sd, tp, config):
     if ohmic:
         f_val, _ = take(outcomes[1])
         closed = sd.coupling * f_val
-        gap = abs(closed - j)
-        if gap > _CLOSED_FORM_RTOL * max(abs(j), abs(closed)) + 4.0 * err:
-            raise CrossFormError(
-                "ohmic shape-factor and spectral-integral routes for "
-                f"<sigma1x>_F disagree: {j!r} vs {closed!r}",
-                values=(j, closed),
-            )
+        gap = _agreement(
+            "the spectral-integral and ohmic shape-factor routes for <sigma1x>_F",
+            j, closed, _CLOSED_FORM_RTOL, max(abs(j), abs(closed)), err,
+        )
         err = max(err, gap)
     omega, omega_err = sd.reorganization_omega(config)
     value = pre * (omega / params.omega1 - j)
@@ -239,17 +254,17 @@ def _f_fermion_parts_step(omega1_over_omegac, beta_omega1, omega2_over_omega1, c
     return term0, xint, err, ("tolerance-floor",) if raised else ()
 
 
-def _shape_factor_route(params, coupling, cutoff, tp, config):
+def _shape_factor_route(params, sd, tp, config):
     """Step returning (value, err, scale) of <sigma2x>_F from the folded
-    x-kernel form."""
+    x-kernel form on the ohmic bath ``sd``."""
     dw = params.omega2 - params.omega1
     term0, xint, err, _ = yield from _f_fermion_parts_step(
-        params.omega1 / cutoff,
+        params.omega1 / sd.cutoff,
         tp.beta * params.omega1,
         params.omega2 / params.omega1,
         config,
     )
-    pre = -4.0 * params.t * params.f1 * params.f2 * coupling / dw
+    pre = -4.0 * params.t * params.f1 * params.f2 * sd.coupling / dw
     return (
         pre * (term0 + xint),
         abs(pre) * err,
@@ -332,15 +347,12 @@ def _sigma2x_fermion_step(params, sd, tp, config):
         )
     (value_c, err_c, scale_c), (value_s, err_s, scale_s) = yield from gather(
         _combined_route(params, sd, tp, config),
-        _shape_factor_route(params, sd.coupling, sd.cutoff, tp, config),
+        _shape_factor_route(params, sd, tp, config),
     )
-    gap = abs(value_s - value_c)
-    if gap > _DUAL_FORM_RTOL * max(scale_s, scale_c) + 4.0 * (err_s + err_c):
-        raise CrossFormError(
-            "the two organizations of <sigma2x>_F disagree: "
-            f"{value_s!r} (x-kernel) vs {value_c!r} (spectral integral)",
-            values=(value_s, value_c),
-        )
+    gap = _agreement(
+        "the x-kernel and spectral-integral organizations of <sigma2x>_F",
+        value_s, value_c, _DUAL_FORM_RTOL, max(scale_s, scale_c), err_s + err_c,
+    )
     value = 0.5 * (value_s + value_c)
     return CoherenceResult(
         value,
@@ -472,7 +484,8 @@ def _second_fock_kernel(xi, w1, w2, beta, th1, n1, n2):
 
 
 def _fock_step(params, sd, tp, config):
-    """Step returning ((k1, k2), (err1, err2), flags) of ``fock_term``."""
+    """Step returning ((h1, h2), (k1, k2), (err1, err2), flags): the
+    Hartree parts, then the Fock parts of ``fock_term``."""
     (h1, h2), h_err = hartree_static(params, sd, tp, config)
     w1, w2, beta = params.omega1, params.omega2, tp.beta
     dw = w2 - w1
@@ -510,29 +523,14 @@ def _fock_step(params, sd, tp, config):
     direct2 *= pre2
     err2 *= abs(pre2)
 
-    for label, routes, tol in (
-        (
-            "first",
-            (fock1, direct1),
-            _ROUTE_RTOL * (abs(full1.value) + abs(h1) + abs(direct1))
-            + 4.0 * (full1.err_estimate + err1),
-        ),
-        (
-            "second",
-            (fock2, direct2),
-            _ROUTE_RTOL * (abs(full2.value) + abs(h2) + abs(direct2))
-            + 4.0 * (full2.err_estimate + err2),
-        ),
-    ):
-        if abs(routes[0] - routes[1]) > tol:
-            raise CrossFormError(
-                f"subtraction and direct routes for the {label} Fock term "
-                f"disagree: {routes[0]!r} vs {routes[1]!r}",
-                values=routes,
-            )
+    _agreement("the subtraction and direct routes for the first Fock term", fock1, direct1,
+               _ROUTE_RTOL, abs(full1.value) + abs(h1) + abs(direct1), full1.err_estimate + err1)
+    _agreement("the subtraction and direct routes for the second Fock term", fock2, direct2,
+               _ROUTE_RTOL, abs(full2.value) + abs(h2) + abs(direct2), full2.err_estimate + err2)
     # The cubic floor lies above the quadratic ones of full2, so ``flags``
     # covers every raised tolerance of this step.
     return (
+        (h1, h2),
         (fock1, fock2),
         (full1.err_estimate + h_err, full2.err_estimate + h_err),
         flags,
@@ -558,11 +556,12 @@ def fock_term(
     disagreement beyond quadrature tolerance raises ``CrossFormError``.
     Unlike the Hartree parts, these depend on the full shape of I(xi).
     """
-    fock, errs, _ = run_step(_fock_step(params, sd, tp, config))
+    _, fock, errs, _ = run_step(_fock_step(params, sd, tp, config))
     return fock, errs
 
 
-def _ratio_r_step(params, coupling, cutoff, tp, config):
+def _ratio_r_step(params, sd, tp, config):
+    cutoff = _ohmic(sd, "R(T)").cutoff
     if tp.is_zero_temperature:
         return 1.0, 0.0, ()
     dw = _guarded_detuning(params)
@@ -585,8 +584,7 @@ def _ratio_r_step(params, coupling, cutoff, tp, config):
 
 def ratio_R(
     params: ModelParams,
-    coupling: float,
-    cutoff: float,
+    sd: SpectralDensity,
     tp: ThermalPoint,
     config: QuadratureConfig | None = None,
 ):
@@ -597,17 +595,14 @@ def ratio_R(
 
     R -> 1 at zero temperature (the transfer relation becomes exact) and
     depends on both level energies, unlike its spin counterpart.  The
-    coupling amplitude cancels in the ratio; it is accepted to keep the
-    ohmic helpers' signatures uniform.  Returns (R, err_estimate), the
-    estimate carried to first order from F_F and F.
+    coupling amplitude cancels in the ratio.  Returns (R, err_estimate),
+    the estimate carried to first order from F_F and F.
     """
-    value, err, _ = run_step(_ratio_r_step(params, coupling, cutoff, tp, config))
+    value, err, _ = run_step(_ratio_r_step(params, sd, tp, config))
     return value, err
 
 
-def fermion_high_T(
-    params: ModelParams, coupling: float, cutoff: float, tp: ThermalPoint
-) -> float:
+def fermion_high_T(params: ModelParams, sd: SpectralDensity, tp: ThermalPoint) -> float:
     """Leading high-temperature value of <sigma2x>_F, ohmic bath.
 
     -(t f1 f2 beta^2/6) Omega with Omega = A omega_c: quadratic in beta,
@@ -615,10 +610,16 @@ def fermion_high_T(
     limit here.  The normalized output ratio therefore falls as T^-2,
     against T^-3 for the spins.
     """
+    omega, _ = _ohmic(sd, "the fermion high-temperature form").reorganization_omega()
     if tp.is_zero_temperature:
         raise DomainError("high-temperature asymptote is meaningless at T = 0")
-    omega = coupling * cutoff
-    return -params.t * params.f1 * params.f2 * tp.beta ** 2 * omega / 6.0
+    try:
+        beta2 = tp.beta ** 2
+    except OverflowError:
+        raise DomainError(
+            f"beta = {tp.beta!r} is too cold for the high-temperature form: beta^2 overflows"
+        ) from None
+    return -params.t * params.f1 * params.f2 * beta2 * omega / 6.0
 
 
 def _g_script_step(beta_omega1, omega1_over_omegac, omega2_over_omega1,
@@ -663,7 +664,8 @@ def g_script(
     return value, err
 
 
-def _normalized_fermion_step(params, coupling, cutoff, tp, config):
+def _normalized_fermion_step(params, sd, tp, config):
+    cutoff = _ohmic(sd, "the normalized fermion coherence").cutoff
     if tp.is_zero_temperature:
         return (1.0, 1.0), 0.0, ()
     dw = _guarded_detuning(params)
@@ -674,6 +676,11 @@ def _normalized_fermion_step(params, coupling, cutoff, tp, config):
         _f_fermion_parts_step(a, b, params.omega2 / params.omega1, config),
     )
     denom0 = 1.0 / a + _exp_scaled_ei_neg(a)
+    if denom0 == 0.0:
+        raise DomainError(
+            f"omega1/omega_c = {a!r} is too narrow a bath: the zero-temperature "
+            "denominator omega_c/omega1 + e^a Ei(-a) underflows to 0"
+        )
     th1 = thermal_tanh_half(tp.beta, params.omega1)
     first = th1 * (1.0 / a - f_val) / denom0
     pre2 = -(2.0 * params.omega2 / dw)
@@ -685,8 +692,7 @@ def _normalized_fermion_step(params, coupling, cutoff, tp, config):
 
 def normalized_fermion(
     params: ModelParams,
-    coupling: float,
-    cutoff: float,
+    sd: SpectralDensity,
     tp: ThermalPoint,
     config: QuadratureConfig | None = None,
 ):
@@ -700,5 +706,5 @@ def normalized_fermion(
     ((n1, n2), err_estimate); the estimate, carried from F and F_F, bounds
     both.
     """
-    values, err, _ = run_step(_normalized_fermion_step(params, coupling, cutoff, tp, config))
+    values, err, _ = run_step(_normalized_fermion_step(params, sd, tp, config))
     return values, err

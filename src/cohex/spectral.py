@@ -185,7 +185,15 @@ class GeneralizedOhmicDensity(_ContinuousDensity):
 
     def reorganization_omega(self, config=None):
         # integral A xi^{s-1} e^{-xi/wc} = A Gamma(s) wc^s
-        value = self.coupling * math.gamma(self.exponent) * self.cutoff ** self.exponent
+        try:
+            value = self.coupling * math.gamma(self.exponent) * self.cutoff ** self.exponent
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise DomainError(
+                f"Omega = A Gamma(s) omega_c^s overflows at A = {self.coupling!r}, "
+                f"s = {self.exponent!r}, omega_c = {self.cutoff!r}"
+            )
         return value, 0.0
 
     def decay_scale(self) -> float:
@@ -206,6 +214,8 @@ class DiscreteDensity(SpectralDensity):
         for entry in modes:
             l_k, w_k = entry
             lam.append(float(l_k))
+            if not math.isfinite(lam[-1]):
+                raise DomainError(f"mode coupling must be finite, got {l_k!r}")
             freq.append(_check_positive("mode frequency", w_k))
         self.couplings = np.asarray(lam, dtype=float)
         self.frequencies = np.asarray(freq, dtype=float)
@@ -287,6 +297,8 @@ class TabulatedDensity(_ContinuousDensity):
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise DomainError("knots must be a sequence of at least two (xi, I) pairs")
         xi, dens = pts[:, 0], pts[:, 1]
+        if not np.all(np.isfinite(xi)):
+            raise DomainError("knot abscissae must be finite")
         if np.any(np.diff(xi) <= 0.0):
             raise DomainError("knot abscissae must be strictly increasing")
         if xi[0] < 0.0:

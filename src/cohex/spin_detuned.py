@@ -310,10 +310,16 @@ def _f_step(omega1_over_omegac, beta_omega1, config):
     return take(outcome)
 
 
+def _ohmic(sd: SpectralDensity, what: str) -> OhmicDensity:
+    """``sd``, which must be the ohmic bath that ``what`` is written for."""
+    if not isinstance(sd, OhmicDensity):
+        raise DomainError(f"{what} uses the ohmic closed form")
+    return sd
+
+
 def sigma2x_low_T(
     params: ModelParams,
-    coupling: float,
-    cutoff: float,
+    sd: SpectralDensity,
     tp: ThermalPoint,
 ) -> CoherenceResult:
     """Low-temperature closed form of <sigma2x> for the ohmic bath.
@@ -325,13 +331,19 @@ def sigma2x_low_T(
     tanh(beta omega1/2) keeps the approximation within a few percent down
     to beta omega1 ~ 2.5.
     """
-    a = params.omega1 / cutoff
+    a = params.omega1 / _ohmic(sd, "the low-temperature form of <sigma2x>").cutoff
     b = tp.beta_omega1(params.omega1)
     # At T = 0, b = inf: the thermal correction is 0.0 and no flag is raised.
-    bracket = -_exp_scaled_ei_neg(a) - math.pi ** 2 / (3.0 * b * b)
+    denom = 3.0 * b * b
+    if denom == 0.0:
+        raise DomainError(
+            f"beta omega1 = {b!r} is too hot for the low-temperature form: "
+            "(beta omega1)^2 underflows; high_T_asymptotes holds there"
+        )
+    bracket = -_exp_scaled_ei_neg(a) - math.pi ** 2 / denom
     flags = ("low-T-advisory",) if b < LOW_T_MIN_BETA_OMEGA1 else ()
     value = (
-        4.0 * coupling * params.f1 * params.f2 * params.t / params.omega2
+        4.0 * sd.coupling * params.f1 * params.f2 * params.t / params.omega2
         * thermal_tanh_half(tp.beta, params.omega2)
         * thermal_tanh_half(tp.beta, params.omega1)
         * bracket
@@ -445,9 +457,7 @@ def static_dynamical_split(
 
 
 def _normalized_output_ratio_step(params, sd, tp, config):
-    if not isinstance(sd, OhmicDensity):
-        raise DomainError("the normalized output ratio uses the ohmic closed form")
-    a = params.omega1 / sd.cutoff
+    a = params.omega1 / _ohmic(sd, "the normalized output ratio").cutoff
     b = tp.beta_omega1(params.omega1)
     f_val, f_err = yield from _f_step(a, b, config)
     pre = (

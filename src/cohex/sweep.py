@@ -74,7 +74,6 @@ from .fermion import (
     _sigma1x_fermion_step,
     _sigma2x_fermion_step,
     fermion_high_T,
-    hartree_static,
 )
 from .table import STATUS_OK, SweepTable
 
@@ -233,9 +232,8 @@ def _estimated(step):
 
 
 def _hartree_fock_steps(p, sd, tp, cfg):
-    hartree, _ = hartree_static(p, sd, tp, cfg)
     # Each Fock estimate already carries the Hartree one, so it bounds both.
-    fock, errs, flags = yield from _fock_step(p, sd, tp, cfg)
+    hartree, fock, errs, flags = yield from _fock_step(p, sd, tp, cfg)
     return hartree + fock, max(errs), flags
 
 
@@ -247,7 +245,7 @@ def _static_sigma2x_steps(p, sd, tp, cfg):
 def _static_compare_steps(p, sd, tp, cfg):
     full = yield from _sigma2x_step(p, sd, tp, cfg)
     chain, _ = static_chain(p, sd, tp)  # ohmic: Omega is exact
-    low = sigma2x_low_T(p, sd.coupling, sd.cutoff, tp)
+    low = sigma2x_low_T(p, sd, tp)
     flags = []
     for f in full.flags + static_chain_flags(p, sd, tp) + low.flags:
         if f not in flags:
@@ -257,12 +255,12 @@ def _static_compare_steps(p, sd, tp, cfg):
 
 
 def _fermion_high_T_steps(p, sd, tp, cfg):
-    value = yield from _now(fermion_high_T, p, sd.coupling, sd.cutoff, tp)
+    value = yield from _now(fermion_high_T, p, sd, tp)
     return (value,), 0.0, ()
 
 
 # Only the closed forms (sigma2y, sigma2x_low_T, static_chain,
-# hartree_static, fermion_high_T) call public functions, looked up here at
+# fermion_high_T) call public functions, looked up here at
 # call time, so one rebound on this module (by a tracer, say) is the one a
 # sweep calls.  Every quantity that integrates yields its integral
 # requests, except the numerators of r1 and r2, which still integrate
@@ -285,8 +283,7 @@ QUANTITIES = {q.name: q for q in (
     _stepped("static_sigma2x", ("static_sigma2x",), "spin", False,
              _static_sigma2x_steps),
     _stepped("sigma2x_low_T", ("sigma2x_low_T",), "spin", True,
-             lambda p, sd, tp, cfg: _one(_now(
-                 sigma2x_low_T, p, sd.coupling, sd.cutoff, tp))),
+             lambda p, sd, tp, cfg: _one(_now(sigma2x_low_T, p, sd, tp))),
     _stepped("normalized_output_ratio", ("normalized_output_ratio",), "spin", True,
              lambda p, sd, tp, cfg: _estimated(_normalized_output_ratio_step(
                  p, sd, tp, cfg))),
@@ -305,11 +302,9 @@ QUANTITIES = {q.name: q for q in (
              _hartree_fock_steps),
     _stepped("normalized_fermion", ("normalized_fermion1", "normalized_fermion2"),
              "fermion", True,
-             lambda p, sd, tp, cfg: _estimated(_normalized_fermion_step(
-                 p, sd.coupling, sd.cutoff, tp, cfg))),
+             lambda p, sd, tp, cfg: _estimated(_normalized_fermion_step(p, sd, tp, cfg))),
     _stepped("ratio_R", ("ratio_R",), "fermion", True,
-             lambda p, sd, tp, cfg: _estimated(_ratio_r_step(
-                 p, sd.coupling, sd.cutoff, tp, cfg))),
+             lambda p, sd, tp, cfg: _estimated(_ratio_r_step(p, sd, tp, cfg))),
     _stepped("g_script", ("g_script",), "fermion", True,
              lambda p, sd, tp, cfg: _estimated(_g_script_step(
                  tp.beta_omega1(p.omega1), p.omega1 / sd.cutoff,

@@ -133,7 +133,7 @@ def test_criterion_02_low_temperature_approximation():
     for t_rel in np.linspace(0.02, 0.4, 20):
         tp = ThermalPoint.from_T_over_omega1(float(t_rel), 1.0)
         full = sigma2x(params, bath, tp).value
-        low = sigma2x_low_T(params, bath.coupling, bath.cutoff, tp).value
+        low = sigma2x_low_T(params, bath, tp).value
         rel = abs(low - full) / abs(full)
         crit.check(rel <= 0.05, f"deviation {rel:.3f} at T/omega1 = {t_rel:.3f}")
         worst = max(worst, rel)
@@ -158,7 +158,7 @@ def test_criterion_03_high_temperature_power_laws():
             tp = ThermalPoint.from_beta_omega1(float(b), 1.0)
             ratio_val, _ = normalized_output_ratio(params, bath, tp)
             spin_vals.append(ratio_val)
-            (_, n2), _ = normalized_fermion(params, 1.0, 1.0, tp)
+            (_, n2), _ = normalized_fermion(params, bath, tp)
             fermion_vals.append(n2)
         spin_slopes.append(fit(spin_vals))
         fermion_slopes.append(fit(fermion_vals))
@@ -246,7 +246,7 @@ def test_criterion_05_fermion_dual_form():
         )
         sd = OhmicDensity(float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 5.0)))
         tp = ThermalPoint(float(rng.uniform(0.1, 30.0)))
-        va, _, _ = run_step(_shape_factor_route(params, sd.coupling, sd.cutoff, tp, None))
+        va, _, _ = run_step(_shape_factor_route(params, sd, tp, None))
         vb, _, _ = run_step(_combined_route(params, sd, tp, None))
         rel = abs(va - vb) / max(abs(va), abs(vb))
         crit.check(rel <= 1e-6, f"routes disagree by {rel:.2e} at {params}")
@@ -299,8 +299,7 @@ def test_criterion_08_fermionic_finite_temperature_maximum():
         for b in grid:
             (n1, _), _ = normalized_fermion(
                 params,
-                1.0,
-                1.0 / omega1_over_omegac,
+                OhmicDensity.from_ratio(1.0, 1.0, omega1_over_omegac),
                 ThermalPoint.from_beta_omega1(float(b), 1.0),
             )
             curve.append(n1)

@@ -350,7 +350,7 @@ def _public_row(name, p, sd, tp):
     if name == "static_compare":
         full = sigma2x(p, sd, tp)
         chain, _ = static_chain(p, sd, tp)
-        low = sigma2x_low_T(p, sd.coupling, sd.cutoff, tp)
+        low = sigma2x_low_T(p, sd, tp)
         flags = dict.fromkeys(full.flags + static_chain_flags(p, sd, tp) + low.flags)
         return (full.value, chain.sigma2x_st, low.value), full.err_estimate, tuple(flags)
     if name == "hartree_fock":
@@ -358,10 +358,10 @@ def _public_row(name, p, sd, tp):
         fock, errs = fock_term(p, sd, tp)
         return hartree + fock, max(errs), ()
     if name == "normalized_fermion":
-        values, err = normalized_fermion(p, sd.coupling, sd.cutoff, tp)
+        values, err = normalized_fermion(p, sd, tp)
         return values, err, ()
     if name == "ratio_R":
-        value, err = ratio_R(p, sd.coupling, sd.cutoff, tp)
+        value, err = ratio_R(p, sd, tp)
         return (value,), err, ()
     value, err = g_script(tp.beta, 1.0 / sd.cutoff, p.omega2, p.t)
     return (value,), err, ()

@@ -201,6 +201,18 @@ class TestSweepOutput:
         resonant = [r for r in table.rows if r[-1] == "near-resonance"]
         assert all(r[2] is None for r in resonant)
 
+    def test_fermion_sweep_past_the_hot_end_is_an_invalid_params_row(self):
+        # (1/(beta omega1))^2 overflows the fermion kernels' noise floor.
+        proc = run_cli(
+            "fermion-sweep",
+            "--set", "quantity=sigma2x_fermion",
+            "--set", "beta_omega1=1e-300",
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == b""
+        table = parse_csv(proc.stdout)
+        assert table.rows == [(1e-300, None, None, "invalid-params")]
+
 
 class TestConfigHandling:
     def test_config_file_with_comments(self, tmp_path):
@@ -472,6 +484,15 @@ class TestOracleCheck:
         assert code == 1
         assert solved == []
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_finite_mode_coupling_is_a_domain_error(self):
+        proc = run_cli(
+            "oracle-check", "--model", "spin", "--observable", "sigma1x",
+            "--set", "beta_omega1=2", "--set", "mode_coupling=inf",
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == "error: mode coupling must be finite, got inf\n"
 
     def test_mismatched_mode_lists(self):
         proc = run_cli(

@@ -152,7 +152,7 @@ def test_sigma2x_fermion_dual_organizations_random_ohmic():
         )
         sd = OhmicDensity(float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.3, 3.0)))
         tp = ThermalPoint(float(rng.uniform(0.5, 5.0)))
-        va, _, _ = run_step(_shape_factor_route(p, sd.coupling, sd.cutoff, tp, None))
+        va, _, _ = run_step(_shape_factor_route(p, sd, tp, None))
         vb, _, _ = run_step(_combined_route(p, sd, tp, None))
         assert abs(va - vb) <= 1e-6 * max(abs(va), abs(vb))
         assert sigma2x_fermion(p, sd, tp).method == "dual_form"
@@ -179,7 +179,7 @@ def test_sigma2x_fermion_mirror_ordering():
         tp = ThermalPoint(b)
         r = sigma2x_fermion(p, sd, tp)
         assert r.method == "dual_form"
-        va, _, sa = run_step(_shape_factor_route(p, sd.coupling, sd.cutoff, tp, None))
+        va, _, sa = run_step(_shape_factor_route(p, sd, tp, None))
         vb, _, sb = run_step(_combined_route(p, sd, tp, None))
         assert abs(va - vb) <= 1e-8 * max(sa, sb)
 
@@ -192,8 +192,8 @@ def test_near_resonance_refusals():
         lambda: sigma2x_fermion(p, sd, tp),
         lambda: hartree_static(p, sd, tp),
         lambda: fock_term(p, sd, tp),
-        lambda: ratio_R(p, 1.0, 1.0, tp),
-        lambda: normalized_fermion(p, 1.0, 1.0, tp),
+        lambda: ratio_R(p, sd, tp),
+        lambda: normalized_fermion(p, sd, tp),
     ):
         with pytest.raises(NearResonanceError):
             call()
@@ -288,8 +288,8 @@ def test_dual_form_guard_detects_sabotage(monkeypatch):
 
     true_route = fermion_module._shape_factor_route
 
-    def skewed(params, coupling, cutoff, tp, config):
-        value, err, scale = yield from true_route(params, coupling, cutoff, tp, config)
+    def skewed(params, sd, tp, config):
+        value, err, scale = yield from true_route(params, sd, tp, config)
         return value + 1e-3 * scale, err, scale
 
     monkeypatch.setattr(fermion_module, "_shape_factor_route", skewed)
@@ -432,12 +432,12 @@ def test_equal_reorganization_baths_share_hartree_but_not_fock():
 def test_ratio_r_transfer_consistency():
     p = UNIT_WEIGHTS
     sd = OhmicDensity(1.0, 1.0)
-    r, err = ratio_R(p, 1.0, 1.0, ThermalPoint(math.inf))
+    r, err = ratio_R(p, sd, ThermalPoint(math.inf))
     assert (r, err) == (1.0, 0.0)
     for b in (0.8, 2.0, 6.0):
         tp = ThermalPoint(b)
         lhs = sigma2x_fermion(p, sd, tp).value
-        r, _ = ratio_R(p, 1.0, 1.0, tp)
+        r, _ = ratio_R(p, sd, tp)
         rhs = p.t / p.omega2 * sigma1x_fermion(p, sd, tp).value * r
         assert lhs == pytest.approx(rhs, rel=1e-7)
 
@@ -446,13 +446,13 @@ def test_fermion_high_T_value_and_approach():
     p = PARAMS
     tp = ThermalPoint(0.01)
     ref = -0.1 * 0.1 * 0.1 * 0.01 ** 2 * 2.0 * 5.0 / 6.0
-    assert fermion_high_T(p, 2.0, 5.0, tp) == pytest.approx(ref, rel=1e-14)
+    assert fermion_high_T(p, OhmicDensity(2.0, 5.0), tp) == pytest.approx(ref, rel=1e-14)
     with pytest.raises(DomainError):
-        fermion_high_T(p, 2.0, 5.0, ThermalPoint(math.inf))
+        fermion_high_T(p, OhmicDensity(2.0, 5.0), ThermalPoint(math.inf))
     # the full result approaches the asymptote linearly in beta
     sd = OhmicDensity(1.0, 1.0)
     full = sigma2x_fermion(p, sd, tp).value
-    assert full / fermion_high_T(p, 1.0, 1.0, tp) == pytest.approx(1.0, abs=3e-2)
+    assert full / fermion_high_T(p, sd, tp) == pytest.approx(1.0, abs=3e-2)
 
 
 def test_g_script_golden_values_and_sign_change():
@@ -472,15 +472,15 @@ def test_g_script_golden_values_and_sign_change():
 
 def test_normalized_fermion_peak_structure():
     p = PARAMS
-    (n1, n2), err = normalized_fermion(p, 1.0, 1.0, ThermalPoint(math.inf))
+    (n1, n2), err = normalized_fermion(p, OhmicDensity(1.0, 1.0), ThermalPoint(math.inf))
     assert (n1, n2, err) == (1.0, 1.0, 0.0)
     grid = np.geomspace(0.05, 60.0, 40)
     narrow = []
     wide = []
     for b in grid:
-        (n1, _), _ = normalized_fermion(p, 1.0, 0.01, ThermalPoint(float(b)))
+        (n1, _), _ = normalized_fermion(p, OhmicDensity(1.0, 0.01), ThermalPoint(float(b)))
         narrow.append(n1)
-        (n1, _), _ = normalized_fermion(p, 1.0, 100.0, ThermalPoint(float(b)))
+        (n1, _), _ = normalized_fermion(p, OhmicDensity(1.0, 100.0), ThermalPoint(float(b)))
         wide.append(n1)
     assert max(narrow) > 1.0
     assert max(wide) < 1.0 + 1e-3
@@ -515,7 +515,7 @@ def test_extreme_temperatures_stay_finite():
     assert hot.method == "dual_form"
     assert math.isfinite(hot.value) and hot.value < 0.0
     fock_term(p, sd, ThermalPoint(5e-3))
-    (n1, n2), _ = normalized_fermion(p, 1.0, 1.0, ThermalPoint(80.0))
+    (n1, n2), _ = normalized_fermion(p, sd, ThermalPoint(80.0))
     assert n1 == pytest.approx(1.0, abs=2e-3)
     assert n2 == pytest.approx(1.0, abs=2e-3)
 
@@ -574,8 +574,8 @@ def test_rows_built_on_a_floored_f_f_carry_only_the_floor_flag(name):
     hot = ThermalPoint(0.005)
     value, err = {
         "g_script": lambda: g_script(0.005, 1.0, 3.0, 0.1),
-        "ratio_R": lambda: ratio_R(PARAMS, 1.0, 1.0, hot),
-        "normalized_fermion": lambda: normalized_fermion(PARAMS, 1.0, 1.0, hot),
+        "ratio_R": lambda: ratio_R(PARAMS, sd, hot),
+        "normalized_fermion": lambda: normalized_fermion(PARAMS, sd, hot),
     }[name]()
     assert (value if isinstance(value, tuple) else (value,)) + (err,) == row[1:-1]
 

@@ -49,6 +49,44 @@ def test_construction_validation():
         TabulatedDensity([(0.5, -0.1), (1.0, 0.2)], tail_decay=1.0)
 
 
+@pytest.mark.parametrize("coupling, cutoff", [
+    (math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (0.0, 1.0),
+    (1.0, math.nan), (1.0, math.inf), (1.0, 0.0),
+])
+def test_ohmic_rejects_bad_coupling_or_cutoff(coupling, cutoff):
+    with pytest.raises(DomainError, match="must be positive and finite"):
+        OhmicDensity(coupling, cutoff)
+
+
+@pytest.mark.parametrize("exponent, cutoff", [(200.0, 1.0), (50.0, 1e10), (2.0, 1e200)])
+def test_generalized_omega_overflow_is_a_domain_error(exponent, cutoff):
+    # Gamma(200), 1e10^50 and A Gamma(2) (1e200)^2 all overflow.
+    with pytest.raises(DomainError, match="overflows"):
+        GeneralizedOhmicDensity(1.0, exponent, cutoff).reorganization_omega()
+    from cohex.spin_detuned import ModelParams
+    from cohex.sweep import AxisSpec, SweepSpec, run_sweep
+
+    (row,) = run_sweep(SweepSpec(
+        "static_sigma2x", (AxisSpec("beta_omega1", 2.0, 2.0, 1),),
+        GeneralizedOhmicDensity(1.0, exponent, cutoff), ModelParams(1.0, 3.0, 0.1, 0.1, 0.1),
+    )).rows
+    assert row == (2.0, None, None, "invalid-params")
+
+
+@pytest.mark.parametrize("coupling", [math.nan, math.inf, -math.inf])
+def test_discrete_rejects_non_finite_couplings(coupling):
+    with pytest.raises(DomainError, match="mode coupling must be finite"):
+        DiscreteDensity([(0.05, 1.0), (coupling, 0.8)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_tabulated_rejects_non_finite_abscissae(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="knot abscissae must be finite"):
+            TabulatedDensity([(0.0, 0.0), (1.0, 0.5), (bad, 0.2)], tail_decay=1.0)
+
+
 def test_reorganization_closed_forms():
     assert OhmicDensity(1.0, 2.0).reorganization_omega() == (2.0, 0.0)
     assert DiscreteDensity([(0.3, 1.5)]).reorganization_omega() == (pytest.approx(0.06), 0.0)

@@ -185,7 +185,7 @@ def test_f_dimensionless_domain():
 
 
 def test_low_T_zero_temperature_bracket_exact():
-    r = sigma2x_low_T(PARAMS, 1.0, 10.0, ThermalPoint(math.inf))
+    r = sigma2x_low_T(PARAMS, OhmicDensity(1.0, 10.0), ThermalPoint(math.inf))
     ref = (
         4.0 * 0.1 * 0.1 * PARAMS.t / PARAMS.omega2
         * (-_exp_scaled_ei_neg(0.1))
@@ -201,7 +201,7 @@ def test_low_T_zero_temperature_bracket_exact():
 def test_low_T_zero_temperature_takes_the_finite_formula(coupling, cutoff, value):
     # At beta = inf the thermal correction pi^2/(3 b^2) is 0.0 and b < 5 is
     # false: the values are the ones a separate T = 0 branch gave.
-    r = sigma2x_low_T(PARAMS, coupling, cutoff, ThermalPoint(math.inf))
+    r = sigma2x_low_T(PARAMS, OhmicDensity(coupling, cutoff), ThermalPoint(math.inf))
     assert (r.value, r.err_estimate, r.flags) == (value, 0.0, ())
 
 
@@ -211,13 +211,13 @@ def test_low_T_close_to_full_at_deep_cold():
     sd = OhmicDensity(1.0, 1.0)
     tp = ThermalPoint(20.0)
     full = sigma2x(p, sd, tp)
-    approx = sigma2x_low_T(p, 1.0, 1.0, tp)
+    approx = sigma2x_low_T(p, sd, tp)
     assert approx.value == pytest.approx(full.value, rel=1e-2)
     assert approx.flags == ()  # beta omega1 = 20 is comfortably low-T
 
 
 def test_low_T_advisory_flag():
-    r = sigma2x_low_T(PARAMS, 1.0, 10.0, ThermalPoint(2.0))
+    r = sigma2x_low_T(PARAMS, OhmicDensity(1.0, 10.0), ThermalPoint(2.0))
     assert "low-T-advisory" in r.flags
 
 

@@ -16,7 +16,12 @@ from cohex.fermion import (
     sigma2x_fermion,
 )
 from cohex.numerics import DEFAULT_QUADRATURE
-from cohex.spectral import DiscreteDensity, OhmicDensity, TabulatedDensity
+from cohex.spectral import (
+    DiscreteDensity,
+    GeneralizedOhmicDensity,
+    OhmicDensity,
+    TabulatedDensity,
+)
 from cohex.spin_detuned import (
     ModelParams,
     ThermalPoint,
@@ -140,6 +145,40 @@ class TestRegistry:
         assert quantity_names("fermion") == FERMION_QUANTITIES
         with pytest.raises(DomainError):
             quantity_names("boson")
+
+    def test_ohmic_only_functions_are_the_flagged_quantities(self):
+        # Each registry quantity's public function, given the bath: an
+        # ohmic-only one refuses a generalized and a tabulated bath with
+        # DomainError, every other one accepts both.  normalized_spin and
+        # g_script take a cutoff ratio, not a bath, and static_compare has
+        # no public function of its own, so its registry step stands in.
+        from cohex.spin_detuned import normalized_output_ratio, sigma1x, sigma2y
+        from cohex.spin_general import r1_value, r2_value, sigma1x_general, sigma2x_general
+
+        public = {
+            "sigma1x": sigma1x, "sigma2x": sigma2x, "sigma2y": sigma2y,
+            "sigma1x_general": sigma1x_general, "sigma2x_general": sigma2x_general,
+            "r1": r1_value, "r2": r2_value, "static_sigma2x": static_chain,
+            "sigma2x_low_T": sigma2x_low_T, "normalized_output_ratio": normalized_output_ratio,
+            "static_compare": lambda p, sd, tp: nm.run_step(
+                QUANTITIES["static_compare"].steps(p, sd, tp, None)),
+            "sigma1x_fermion": fermion.sigma1x_fermion, "sigma2x_fermion": sigma2x_fermion,
+            "hartree_fock": fock_term, "normalized_fermion": normalized_fermion,
+            "ratio_R": fermion.ratio_R, "fermion_high_T": fermion.fermion_high_T,
+        }
+        bathless = {"normalized_spin", "g_script"}
+        assert set(public) | bathless == set(QUANTITIES)
+        assert all(QUANTITIES[name].needs_ohmic for name in bathless)
+        knots = [(x, x * math.exp(-x / 10.0)) for x in np.linspace(0.0, 60.0, 40)]
+        baths = (GeneralizedOhmicDensity(1.0, 0.5, 10.0), TabulatedDensity(knots, 10.0))
+        tp = ThermalPoint(2.0)
+        for name, function in public.items():
+            for sd in baths:
+                if QUANTITIES[name].needs_ohmic:
+                    with pytest.raises(DomainError, match="uses the ohmic closed form"):
+                        function(PARAMS, sd, tp)
+                else:
+                    function(PARAMS, sd, tp)
 
     def test_axis_names_are_fixed(self):
         assert AXIS_NAMES == (
@@ -339,7 +378,7 @@ class TestRunSweep:
         tp = ThermalPoint.from_beta_omega1(8.0, 1.0)
         full = sigma2x(PARAMS, BATH, tp)
         chain, _ = static_chain(PARAMS, BATH, tp)
-        low = sigma2x_low_T(PARAMS, BATH.coupling, BATH.cutoff, tp)
+        low = sigma2x_low_T(PARAMS, BATH, tp)
         assert table.rows[0][1:4] == (full.value, chain.sigma2x_st, low.value)
 
     def test_hartree_fock_columns(self):
@@ -350,6 +389,19 @@ class TestRunSweep:
         (h1, h2), _ = hartree_static(PARAMS, BATH, tp)
         (k1, k2), _ = fock_term(PARAMS, BATH, tp)
         assert table.rows[0][1:5] == (h1, h2, k1, k2)
+
+    def test_hartree_fock_cell_states_its_hartree_parts_once(self, monkeypatch):
+        calls = []
+        real = fermion.hartree_static
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fermion, "hartree_static", counting)
+        monkeypatch.setattr(sweep, "hartree_static", counting, raising=False)
+        run_sweep(SweepSpec("hartree_fock", (beta_axis(),), BATH, PARAMS))
+        assert len(calls) == 1
 
     def test_g_script_cell_matches_direct_call(self):
         bath = OhmicDensity(1.0, 0.1)
@@ -386,7 +438,7 @@ class TestRunSweep:
         table = run_sweep(
             SweepSpec("normalized_fermion", (beta_axis(),), BATH, PARAMS)
         )
-        (n1, n2), _ = normalized_fermion(PARAMS, 1.0, 10.0, ThermalPoint(2.0))
+        (n1, n2), _ = normalized_fermion(PARAMS, BATH, ThermalPoint(2.0))
         assert table.rows[0][1:3] == (n1, n2)
         assert table.rows[0][3] > 0.0
 
