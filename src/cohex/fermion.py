@@ -614,12 +614,15 @@ def fermion_high_T(params: ModelParams, sd: SpectralDensity, tp: ThermalPoint) -
     if tp.is_zero_temperature:
         raise DomainError("high-temperature asymptote is meaningless at T = 0")
     try:
-        beta2 = tp.beta ** 2
+        value = -params.t * params.f1 * params.f2 * tp.beta ** 2 * omega / 6.0
     except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
         raise DomainError(
-            f"beta = {tp.beta!r} is too cold for the high-temperature form: beta^2 overflows"
-        ) from None
-    return -params.t * params.f1 * params.f2 * beta2 * omega / 6.0
+            f"beta = {tp.beta!r} is too cold for the high-temperature form: "
+            "-(t f1 f2 beta^2/6) Omega overflows"
+        )
+    return value
 
 
 def _g_script_step(beta_omega1, omega1_over_omegac, omega2_over_omega1,
@@ -676,10 +679,13 @@ def _normalized_fermion_step(params, sd, tp, config):
         _f_fermion_parts_step(a, b, params.omega2 / params.omega1, config),
     )
     denom0 = 1.0 / a + _exp_scaled_ei_neg(a)
-    if denom0 == 0.0:
+    # denom0 ~ 1/a^2 is the difference of two terms ~ 1/a: rounding leaves
+    # it a relative error of about eps / (a denom0) ~ eps a.
+    if not a * denom0 * (config or DEFAULT_QUADRATURE).rel_tol >= _EPS:
         raise DomainError(
             f"omega1/omega_c = {a!r} is too narrow a bath: the zero-temperature "
-            "denominator omega_c/omega1 + e^a Ei(-a) underflows to 0"
+            "denominator omega_c/omega1 + e^a Ei(-a) cancels to fewer digits "
+            "than rel_tol asks for"
         )
     th1 = thermal_tanh_half(tp.beta, params.omega1)
     first = th1 * (1.0 / a - f_val) / denom0

@@ -335,12 +335,13 @@ def sigma2x_low_T(
     b = tp.beta_omega1(params.omega1)
     # At T = 0, b = inf: the thermal correction is 0.0 and no flag is raised.
     denom = 3.0 * b * b
-    if denom == 0.0:
+    corr = math.pi ** 2 / denom if denom > 0.0 else math.inf
+    if not math.isfinite(corr):
         raise DomainError(
             f"beta omega1 = {b!r} is too hot for the low-temperature form: "
-            "(beta omega1)^2 underflows; high_T_asymptotes holds there"
+            "pi^2/(3 (beta omega1)^2) overflows; high_T_asymptotes holds there"
         )
-    bracket = -_exp_scaled_ei_neg(a) - math.pi ** 2 / denom
+    bracket = -_exp_scaled_ei_neg(a) - corr
     flags = ("low-T-advisory",) if b < LOW_T_MIN_BETA_OMEGA1 else ()
     value = (
         4.0 * sd.coupling * params.f1 * params.f2 * params.t / params.omega2

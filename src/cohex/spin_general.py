@@ -308,9 +308,9 @@ def _r1_step(params, sd, tp, config):
     num, num_err = integrate(_first_spin_request(sd, tp, mix, cfg))
     th1 = thermal_tanh_half(tp.beta, params.omega1)
     den = -4.0 * th1 * j_val
-    if den == 0.0:
+    value = num / den if den != 0.0 else math.inf
+    if not math.isfinite(value):
         raise DomainError("small-t reference coherence vanishes; R1 undefined")
-    value = num / den
     err = (num_err + abs(value) * 4.0 * abs(th1) * j_err) / abs(den)
     err += extra_rel * abs(value)
     return CoherenceResult(value, err, "ratio_r1", flags)
@@ -330,9 +330,9 @@ def _r2_step(params, sd, tp, config):
     th1 = thermal_tanh_half(tp.beta, params.omega1)
     th2 = thermal_tanh_half(tp.beta, params.omega2)
     den = 8.0 * th2 * th1 * j_val
-    if den == 0.0:
+    value = params.omega2 * cos_over_t * num / den if den != 0.0 else math.inf
+    if not math.isfinite(value):
         raise DomainError("small-t reference coherence vanishes; R2 undefined")
-    value = params.omega2 * cos_over_t * num / den
     err = abs(params.omega2 * cos_over_t / den) * num_err + abs(
         value / j_val
     ) * j_err

@@ -1,11 +1,13 @@
 """Envelope guard: only ``CohexError`` escapes a sweep cell.
 
 Every registry quantity runs one-cell sweeps at the edges of double
-precision: beta omega1 and omega1/omega_c at 1e-300, 1e-150, 1e150 and
-1e300, omega2/omega1 at 1e-300 and 1e300, and t/omega1 at 1e300, on an
+precision: beta omega1 at 1e-300, 1e-161, 1e-155, 1e-150, 1e150 and 1e300
+(between 1e-162 and 1e-154, 3 (beta omega1)^2 is subnormal), omega1/omega_c
+at 1e-300, 1e-150, 1e150 and 1e300, omega2/omega1 at 1e-300 and 1e300, and
+t/omega1 at 1e300, on an
 ohmic bath and, for the quantities that take any bath, on a generalized
 (s = 0.5) and a 40-knot tabulated bath (the cutoff-ratio axis is ohmic
-only).  Each of the 363 sweeps must return, and each row must hold
+only).  Each of the 445 sweeps must return, and each row must hold
 either finite values or an error status word with blank values.
 """
 
@@ -16,7 +18,9 @@ import numpy as np
 import pytest
 
 from cohex.errors import DomainError
-from cohex.fermion import hartree_static, normalized_fermion, ratio_R, sigma2x_fermion
+from cohex.fermion import (
+    fermion_high_T, hartree_static, normalized_fermion, ratio_R, sigma2x_fermion,
+)
 from cohex.spectral import GeneralizedOhmicDensity, OhmicDensity, TabulatedDensity
 from cohex.spin_detuned import ModelParams, ThermalPoint, sigma2x_low_T
 from cohex.sweep import _STATUS, QUANTITIES, AxisSpec, SweepSpec, run_sweep
@@ -29,7 +33,7 @@ BATHS = {
     "tabulated": TabulatedDensity(_KNOTS, 10.0),
 }
 EXTREMES = (
-    [("beta_omega1", v) for v in (1e-300, 1e-150, 1e150, 1e300)]
+    [("beta_omega1", v) for v in (1e-300, 1e-161, 1e-155, 1e-150, 1e150, 1e300)]
     + [("omega1_over_omegac", v) for v in (1e-300, 1e-150, 1e150, 1e300)]
     + [("omega2_over_omega1", v) for v in (1e-300, 1e300)]
     + [("t_over_omega1", 1e300)]
@@ -53,7 +57,7 @@ def _cases():
 
 def test_extreme_cells_return_finite_values_or_a_status():
     cases = list(_cases())
-    assert len(cases) == 363
+    assert len(cases) == 445
     bad = []
     for label, spec in cases:
         with warnings.catch_warnings():
@@ -77,16 +81,35 @@ def test_the_hot_end_points_to_the_high_temperature_forms():
     hot = ThermalPoint(1e-300)
     with pytest.raises(DomainError, match="fermion_high_T and high_T_asymptotes"):
         sigma2x_fermion(PARAMS, BATHS["ohmic"], hot)
-    with pytest.raises(DomainError, match="high_T_asymptotes"):
-        sigma2x_low_T(PARAMS, BATHS["ohmic"], hot)
+    for b in (1e-300, 1e-161, 1e-155):
+        # pi^2/(3 b^2) overflows from b ~ 1.35e-154 down; past ~1e-162 the
+        # prefactor underflows too and the product would be 0 * inf.
+        with pytest.raises(DomainError, match="high_T_asymptotes"):
+            sigma2x_low_T(PARAMS, BATHS["ohmic"], ThermalPoint(b))
+    assert math.isfinite(sigma2x_low_T(PARAMS, BATHS["ohmic"], ThermalPoint(1e-150)).value)
     # Closed forms that need no kernel still evaluate there.
     (h1, h2), _ = hartree_static(PARAMS, BATHS["ohmic"], hot)
     assert math.isfinite(h1) and math.isfinite(h2)
 
 
+def test_the_cold_end_of_the_high_temperature_form_is_a_domain_error():
+    # beta^2 overflows at beta = 1e300; at beta = 1e150 beta^2 is finite
+    # but the product with Omega = A omega_c = 1e100 is not.
+    for beta, cutoff in ((1e300, 10.0), (1e150, 1e100)):
+        with pytest.raises(DomainError, match="too cold for the high-temperature form"):
+            fermion_high_T(PARAMS, OhmicDensity(1.0, cutoff), ThermalPoint(beta))
+    assert math.isfinite(fermion_high_T(PARAMS, OhmicDensity(1.0, 1e10), ThermalPoint(1e150)))
+
+
 def test_narrow_bath_edges_fail_in_their_own_words():
-    with pytest.raises(DomainError, match="underflows to 0"):
-        normalized_fermion(PARAMS, OhmicDensity.from_ratio(1.0, 1.0, 1e150), ThermalPoint(2.0))
+    # 1/a + e^a Ei(-a) ~ 1/a^2 cancels between two terms ~ 1/a: at a = 1e12
+    # it keeps about 4 digits (finite but wrong), at 1e150 it is 0.
+    for ratio in (1e12, 1e150):
+        with pytest.raises(DomainError, match="cancels to fewer digits than rel_tol"):
+            normalized_fermion(PARAMS, OhmicDensity.from_ratio(1.0, 1.0, ratio), ThermalPoint(2.0))
+    (first, _), _ = normalized_fermion(
+        PARAMS, OhmicDensity.from_ratio(1.0, 1.0, 1e4), ThermalPoint(2.0))
+    assert math.isfinite(first)
     # R(T) has no zero-temperature denominator and stays finite there.
     value, _ = ratio_R(PARAMS, OhmicDensity.from_ratio(1.0, 1.0, 1e150), ThermalPoint(2.0))
     assert math.isfinite(value)

@@ -39,6 +39,11 @@ def test_construction_validation():
         OhmicDensity(coupling=-1.0, cutoff=1.0)
     with pytest.raises(DomainError):
         OhmicDensity(coupling=1.0, cutoff=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            OhmicDensity(coupling=bad, cutoff=1.0)
+        with pytest.raises(DomainError):
+            OhmicDensity(coupling=1.0, cutoff=bad)
     with pytest.raises(DomainError):
         GeneralizedOhmicDensity(coupling=1.0, exponent=0.0, cutoff=1.0)
     with pytest.raises(DomainError):
@@ -47,15 +52,6 @@ def test_construction_validation():
         TabulatedDensity([(1.0, 0.5), (0.5, 0.2)], tail_decay=1.0)
     with pytest.raises(DomainError):
         TabulatedDensity([(0.5, -0.1), (1.0, 0.2)], tail_decay=1.0)
-
-
-@pytest.mark.parametrize("coupling, cutoff", [
-    (math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (0.0, 1.0),
-    (1.0, math.nan), (1.0, math.inf), (1.0, 0.0),
-])
-def test_ohmic_rejects_bad_coupling_or_cutoff(coupling, cutoff):
-    with pytest.raises(DomainError, match="must be positive and finite"):
-        OhmicDensity(coupling, cutoff)
 
 
 @pytest.mark.parametrize("exponent, cutoff", [(200.0, 1.0), (50.0, 1e10), (2.0, 1e200)])
