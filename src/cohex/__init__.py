@@ -55,6 +55,8 @@ _EXPORTS = {
         "sigma2x_low_T",
         "high_T_asymptotes",
         "static_chain",
+        "static_sigma2x",
+        "static_compare",
         "static_dynamical_split",
         "normalized_output_ratio",
         "normalized_coherences_spin",
@@ -64,6 +66,7 @@ _EXPORTS = {
     "fermion": (
         "sigma1x_fermion",
         "sigma2x_fermion",
+        "hartree_fock",
         "ratio_R",
         "g_script",
         "fermion_high_T",

@@ -27,26 +27,23 @@ Expressions carrying omega2 - omega1 in a denominator refuse to evaluate
 within a relative 1e-6 of resonance rather than guess an unpublished
 limit; a softer advisory flag appears once |omega2 - omega1| < 10 t.
 
-The two coherences return ``CoherenceResult``.  Every other
-quadrature-backed quantity returns (value, err_estimate): R(T) and G
-as scalars, ``normalized_fermion`` as ((n1, n2), err) with one
-estimate bounding both, and ``fock_term`` as ((k1, k2), (err1, err2)).
-The Hartree parts and the high-temperature form are closed-form
-arithmetic and return bare values.
-
-Each quadrature-backed quantity is written once, as a step (see
-``numerics.run_steps``): a generator that checks its inputs, yields all
-its integral requests at once, then assembles and cross-checks the
-outcomes.  Composite quantities ``gather`` the steps they build on, so
-``fock_term`` states its six integrals in one yield.  The public
+Every sweepable quantity is written once, as a step (see
+``numerics.run_steps``) taking (params, sd, tp, config): a generator that
+checks its inputs, yields all its integral requests at once, then
+assembles and cross-checks the outcomes.  Composite quantities ``gather`` the steps they build on, so
+``hartree_fock`` states its six integrals in one yield.  The public
 functions run their step alone; a sweep runs the steps of many cells in
 lockstep, so every integral of one kernel across the block goes to the
 engine together.  The kernels are module-level functions of xi and
-per-integral parameter columns.  Where a kernel's cancellation noise
-lifts the quadrature tolerance above the requested one, the results of
-``sigma2x_fermion`` and the sweep rows of ``hartree_fock``, ``g_script``,
-``ratio_R`` and ``normalized_fermion`` carry the ``tolerance-floor``
-flag.
+per-integral parameter columns.
+
+Every quantity returns one ``CoherenceResult``: its values, one error
+estimate bounding each of them, the method and the flags; only
+``fock_term`` returns ((k1, k2), (err1, err2)), one estimate per part.
+Where a kernel's cancellation noise lifts the quadrature tolerance above
+the requested one, the results of ``sigma2x_fermion``, ``hartree_fock``,
+``g_script``, ``ratio_R`` and ``normalized_fermion`` carry the
+``tolerance-floor`` flag.
 """
 
 from __future__ import annotations
@@ -66,6 +63,7 @@ from .numerics import (
     gather,
     requested,
     run_step,
+    runs_alone,
     take,
     thermal_coth_half,
     thermal_tanh_half,
@@ -151,12 +149,30 @@ def _agreement(what, a, b, rtol, scale, err):
     return gap
 
 
-def _sigma1x_fermion_step(params, sd, tp, config):
+@runs_alone
+def sigma1x_fermion(
+    params: ModelParams,
+    sd: SpectralDensity,
+    tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
+) -> CoherenceResult:
+    """<sigma1x>_F: internal coherence of the fermionized chain.
+
+    Evaluated as 2 f1 f2 tanh(beta omega1/2) (Omega/omega1 - J) with the
+    same shared integral J as the spin coherence, so the exact relation
+
+        <sigma1x> = 2 <sigma1x>_F - 4 f1 f2 Omega tanh(beta omega1/2)/omega1
+
+    holds by construction for any bath.  For an ohmic bath the
+    dimensionless shape-factor form A (omega_c/omega1 - F) is evaluated as
+    well; the J and F routes must agree, and their gap is folded into the
+    error estimate.
+    """
     flags = detuned_validity_flags(params)
     th1 = thermal_tanh_half(tp.beta, params.omega1)
     pre = 2.0 * params.f1 * params.f2 * th1
     if pre == 0.0:
-        return CoherenceResult(0.0, 0.0, "full", flags)
+        return CoherenceResult((0.0,), 0.0, "full", flags)
     ohmic = isinstance(sd, OhmicDensity)
     requests = [coherence_request(params, sd, tp, config)]
     if ohmic:
@@ -176,32 +192,14 @@ def _sigma1x_fermion_step(params, sd, tp, config):
     omega, omega_err = sd.reorganization_omega(config)
     value = pre * (omega / params.omega1 - j)
     return CoherenceResult(
-        value,
+        (value,),
         abs(pre) * (err + omega_err / params.omega1),
         "full",
         flags + _magnitude_flags(value),
     )
 
 
-def sigma1x_fermion(
-    params: ModelParams,
-    sd: SpectralDensity,
-    tp: ThermalPoint,
-    config: QuadratureConfig | None = None,
-) -> CoherenceResult:
-    """<sigma1x>_F: internal coherence of the fermionized chain.
-
-    Evaluated as 2 f1 f2 tanh(beta omega1/2) (Omega/omega1 - J) with the
-    same shared integral J as the spin coherence, so the exact relation
-
-        <sigma1x> = 2 <sigma1x>_F - 4 f1 f2 Omega tanh(beta omega1/2)/omega1
-
-    holds by construction for any bath.  For an ohmic bath the
-    dimensionless shape-factor form A (omega_c/omega1 - F) is evaluated as
-    well; the J and F routes must agree, and their gap is folded into the
-    error estimate.
-    """
-    return run_step(_sigma1x_fermion_step(params, sd, tp, config))
+_sigma1x_fermion_step = sigma1x_fermion.step
 
 
 def _folded_x_kernel(x, a, beta_omega1, g, n1, n2):
@@ -324,44 +322,7 @@ def _combined_route(params, sd, tp, config):
     )
 
 
-def _sigma2x_fermion_step(params, sd, tp, config):
-    dw = _guarded_detuning(params)
-    flags = _second_flags(params, dw)
-    if tp.is_zero_temperature:
-        first = yield from _sigma1x_fermion_step(params, sd, tp, config)
-        factor = params.t / params.omega2
-        value = factor * first.value
-        return CoherenceResult(
-            value,
-            abs(factor) * first.err_estimate,
-            "zero_T_transfer",
-            flags + _magnitude_flags(value),
-        )
-    _, raised = _noise_floor(config or DEFAULT_QUADRATURE, tp.beta * params.omega1, 2)
-    if raised:
-        flags = flags + ("tolerance-floor",)
-    if not isinstance(sd, OhmicDensity):
-        value_c, err_c, _ = yield from _combined_route(params, sd, tp, config)
-        return CoherenceResult(
-            value_c, err_c, "combined_integral", flags + _magnitude_flags(value_c)
-        )
-    (value_c, err_c, scale_c), (value_s, err_s, scale_s) = yield from gather(
-        _combined_route(params, sd, tp, config),
-        _shape_factor_route(params, sd, tp, config),
-    )
-    gap = _agreement(
-        "the x-kernel and spectral-integral organizations of <sigma2x>_F",
-        value_s, value_c, _DUAL_FORM_RTOL, max(scale_s, scale_c), err_s + err_c,
-    )
-    value = 0.5 * (value_s + value_c)
-    return CoherenceResult(
-        value,
-        max(err_s, err_c) + 0.5 * gap,
-        "dual_form",
-        flags + _magnitude_flags(value),
-    )
-
-
+@runs_alone
 def sigma2x_fermion(
     params: ModelParams,
     sd: SpectralDensity,
@@ -381,7 +342,44 @@ def sigma2x_fermion(
     above the requested one (high temperature), the result carries the
     ``tolerance-floor`` flag.
     """
-    return run_step(_sigma2x_fermion_step(params, sd, tp, config))
+    dw = _guarded_detuning(params)
+    flags = _second_flags(params, dw)
+    if tp.is_zero_temperature:
+        first = yield from _sigma1x_fermion_step(params, sd, tp, config)
+        factor = params.t / params.omega2
+        value = factor * first.value
+        return CoherenceResult(
+            (value,),
+            abs(factor) * first.err_estimate,
+            "zero_T_transfer",
+            flags + _magnitude_flags(value),
+        )
+    _, raised = _noise_floor(config or DEFAULT_QUADRATURE, tp.beta * params.omega1, 2)
+    if raised:
+        flags = flags + ("tolerance-floor",)
+    if not isinstance(sd, OhmicDensity):
+        value_c, err_c, _ = yield from _combined_route(params, sd, tp, config)
+        return CoherenceResult(
+            (value_c,), err_c, "combined_integral", flags + _magnitude_flags(value_c)
+        )
+    (value_c, err_c, scale_c), (value_s, err_s, scale_s) = yield from gather(
+        _combined_route(params, sd, tp, config),
+        _shape_factor_route(params, sd, tp, config),
+    )
+    gap = _agreement(
+        "the x-kernel and spectral-integral organizations of <sigma2x>_F",
+        value_s, value_c, _DUAL_FORM_RTOL, max(scale_s, scale_c), err_s + err_c,
+    )
+    value = 0.5 * (value_s + value_c)
+    return CoherenceResult(
+        (value,),
+        max(err_s, err_c) + 0.5 * gap,
+        "dual_form",
+        flags + _magnitude_flags(value),
+    )
+
+
+_sigma2x_fermion_step = sigma2x_fermion.step
 
 
 def hartree_static(
@@ -389,7 +387,7 @@ def hartree_static(
     sd: SpectralDensity,
     tp: ThermalPoint,
     config: QuadratureConfig | None = None,
-):
+) -> CoherenceResult:
     """Static (Hartree) coherences; the bath enters only through Omega.
 
     sigma1x_st_F = (4 f1 f2 Omega/omega1) n(omega1) tanh(beta omega1/2),
@@ -398,15 +396,15 @@ def hartree_static(
 
     Pure arithmetic on Omega, which a tabulated bath integrates under
     ``config``.  Both vanish at zero temperature with the
-    Fermi factor n(omega1).  Returns ((first, second), err_estimate); both
-    are linear in Omega, so the estimate is Omega's relative one on the
-    larger of the two.
+    Fermi factor n(omega1).  Returns the values (first, second); both are
+    linear in Omega, so the estimate is Omega's relative one on the larger
+    of the two.
     """
     n1 = fermi_n(params.omega1, tp.beta)
     omega, omega_err = sd.reorganization_omega(config)
     pre = 4.0 * params.f1 * params.f2 * omega * n1
     if pre == 0.0:
-        return (0.0, 0.0), 0.0
+        return CoherenceResult((0.0, 0.0), 0.0, "hartree")
     dw = _guarded_detuning(params)
     th1 = thermal_tanh_half(tp.beta, params.omega1)
     th2 = thermal_tanh_half(tp.beta, params.omega2)
@@ -414,7 +412,8 @@ def hartree_static(
     second = (
         pre * params.t / dw * (th1 / params.omega1 - th2 / params.omega2)
     )
-    return (first, second), _linear_in_omega_err((first, second), omega, omega_err)
+    err = _linear_in_omega_err((first, second), omega, omega_err)
+    return CoherenceResult((first, second), err, "hartree")
 
 
 def _first_fock_kernel(xi, w1, beta, n1, th1):
@@ -486,7 +485,8 @@ def _second_fock_kernel(xi, w1, w2, beta, th1, n1, n2):
 def _fock_step(params, sd, tp, config):
     """Step returning ((h1, h2), (k1, k2), (err1, err2), flags): the
     Hartree parts, then the Fock parts of ``fock_term``."""
-    (h1, h2), h_err = hartree_static(params, sd, tp, config)
+    hartree = hartree_static(params, sd, tp, config)
+    (h1, h2), h_err = hartree.values, hartree.err_estimate
     w1, w2, beta = params.omega1, params.omega2, tp.beta
     dw = w2 - w1
     # The direct integrands carry cancellation noise that grows as the
@@ -537,6 +537,21 @@ def _fock_step(params, sd, tp, config):
     )
 
 
+@runs_alone
+def hartree_fock(
+    params: ModelParams,
+    sd: SpectralDensity,
+    tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
+) -> CoherenceResult:
+    """Both fermion coherences split into their Hartree parts (of
+    ``hartree_static``) and Fock parts (of ``fock_term``): the values
+    (h1, h2, k1, k2), with the larger Fock estimate, which bounds all four."""
+    hartree, fock, errs, flags = yield from _fock_step(params, sd, tp, config)
+    # Each Fock estimate already carries the Hartree one, so it bounds both.
+    return CoherenceResult(hartree + fock, max(errs), "hartree_fock", flags)
+
+
 def fock_term(
     params: ModelParams,
     sd: SpectralDensity,
@@ -560,10 +575,27 @@ def fock_term(
     return fock, errs
 
 
-def _ratio_r_step(params, sd, tp, config):
+@runs_alone
+def ratio_R(
+    params: ModelParams,
+    sd: SpectralDensity,
+    tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
+) -> CoherenceResult:
+    """R(T) in <sigma2x>_F = (t/omega2) <sigma1x>_F R(T), ohmic bath.
+
+    R = -(2 omega2/(omega2 - omega1)) coth(beta omega1/2)
+        F_F / (omega_c/omega1 - F).
+
+    R -> 1 at zero temperature (the transfer relation becomes exact) and
+    depends on both level energies, unlike its spin counterpart.  The
+    coupling amplitude cancels in the ratio.  Returns R with the estimate
+    carried to first order from F_F and F, and the ``tolerance-floor``
+    flag where F_F's noise floor raised the tolerance.
+    """
     cutoff = _ohmic(sd, "R(T)").cutoff
     if tp.is_zero_temperature:
-        return 1.0, 0.0, ()
+        return CoherenceResult((1.0,), 0.0, "zero_T_limit")
     dw = _guarded_detuning(params)
     a = params.omega1 / cutoff
     b = tp.beta * params.omega1
@@ -579,37 +611,24 @@ def _ratio_r_step(params, sd, tp, config):
         )
     pre = -(2.0 * params.omega2 / dw) * thermal_coth_half(tp.beta, params.omega1)
     err = abs(pre / denom) * (err_ff + abs(f_f / denom) * err_f)
-    return pre * f_f / denom, err, flags
+    return CoherenceResult((pre * f_f / denom,), err, "shape_factor", flags)
 
 
-def ratio_R(
+@runs_alone
+def fermion_high_T(
     params: ModelParams,
     sd: SpectralDensity,
     tp: ThermalPoint,
     config: QuadratureConfig | None = None,
-):
-    """R(T) in <sigma2x>_F = (t/omega2) <sigma1x>_F R(T), ohmic bath.
-
-    R = -(2 omega2/(omega2 - omega1)) coth(beta omega1/2)
-        F_F / (omega_c/omega1 - F).
-
-    R -> 1 at zero temperature (the transfer relation becomes exact) and
-    depends on both level energies, unlike its spin counterpart.  The
-    coupling amplitude cancels in the ratio.  Returns (R, err_estimate),
-    the estimate carried to first order from F_F and F.
-    """
-    value, err, _ = run_step(_ratio_r_step(params, sd, tp, config))
-    return value, err
-
-
-def fermion_high_T(params: ModelParams, sd: SpectralDensity, tp: ThermalPoint) -> float:
+) -> CoherenceResult:
     """Leading high-temperature value of <sigma2x>_F, ohmic bath.
 
     -(t f1 f2 beta^2/6) Omega with Omega = A omega_c: quadratic in beta,
     independent of omega2, and shape-blind like every high-temperature
     limit here.  The normalized output ratio therefore falls as T^-2,
-    against T^-3 for the spins.
+    against T^-3 for the spins.  Returns the value with err_estimate 0.
     """
+    yield from ()  # a closed form states no integral
     omega, _ = _ohmic(sd, "the fermion high-temperature form").reorganization_omega()
     if tp.is_zero_temperature:
         raise DomainError("high-temperature asymptote is meaningless at T = 0")
@@ -622,95 +641,93 @@ def fermion_high_T(params: ModelParams, sd: SpectralDensity, tp: ThermalPoint) -
             f"beta = {tp.beta!r} is too cold for the high-temperature form: "
             "-(t f1 f2 beta^2/6) Omega overflows"
         )
-    return value
+    return CoherenceResult((value,), 0.0, "high_T_asymptotic")
 
 
-def _g_script_step(beta_omega1, omega1_over_omegac, omega2_over_omega1,
-                   t_over_omega1, config):
-    sd = OhmicDensity.from_ratio(1.0, 1.0, omega1_over_omegac)
-    if not (t_over_omega1 > 0.0):
+@runs_alone
+def g_script(
+    params: ModelParams,
+    sd: SpectralDensity,
+    tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
+) -> CoherenceResult:
+    """Dimensionless output coherence <sigma2x>_F/(2 A sin_theta_f f1 f2).
+
+    Evaluated in units of omega1 at unit coupling amplitude and bath
+    couplings, so it depends on omega2/omega1, t/omega1, omega1/omega_c
+    and beta omega1 only; t must be positive.  Crosses zero at an
+    intermediate temperature for narrow baths (omega1 >> omega_c), where
+    the occupation term and the kernel integral compete.  Returns G with
+    the estimate carried from <sigma2x>_F, its method, and only its
+    ``tolerance-floor`` flag.
+    """
+    unit_bath = OhmicDensity.from_ratio(
+        1.0, 1.0, params.omega1 / _ohmic(sd, "G").cutoff
+    )
+    if not (params.t > 0.0):
         raise DomainError(
-            "t_over_omega1 must be positive: the output coherence and "
+            "t must be positive: the output coherence and "
             "sin_theta_f both vanish with t and their ratio needs t > 0"
         )
-    params = ModelParams(1.0, omega2_over_omega1, t_over_omega1, 1.0, 1.0)
-    tp = ThermalPoint(beta_omega1)
-    result = yield from _sigma2x_fermion_step(params, sd, tp, config)
+    unit = ModelParams(
+        1.0, params.omega2 / params.omega1, params.t / params.omega1, 1.0, 1.0
+    )
+    tp = ThermalPoint(tp.beta_omega1(params.omega1))
+    result = yield from _sigma2x_fermion_step(unit, unit_bath, tp, config)
     # Imported here so the oracle, which needs this module, loads no
     # spin_general.
     from .spin_general import mixing
 
     # sin(theta_f) = 2 t / sqrt(delta_omega^2 + 4 t^2), the spin cos(theta)
-    scale = 2.0 * mixing(params).cos_theta
+    scale = 2.0 * mixing(unit).cos_theta
     flags = tuple(f for f in result.flags if f == "tolerance-floor")
-    return result.value / scale, result.err_estimate / scale, flags
-
-
-def g_script(
-    beta_omega1: float,
-    omega1_over_omegac: float,
-    omega2_over_omega1: float,
-    t_over_omega1: float = 0.1,
-    config: QuadratureConfig | None = None,
-):
-    """Dimensionless output coherence <sigma2x>_F/(2 A sin_theta_f f1 f2).
-
-    Evaluated at unit omega1, coupling amplitude and bath couplings, with
-    the hybridization fixed at t = 0.1 omega1 by default.  Crosses zero at
-    an intermediate temperature for narrow baths (omega1 >> omega_c),
-    where the occupation term and the kernel integral compete.  Returns
-    (G, err_estimate), the estimate carried from <sigma2x>_F.
-    """
-    value, err, _ = run_step(_g_script_step(
-        beta_omega1, omega1_over_omegac, omega2_over_omega1, t_over_omega1, config
-    ))
-    return value, err
-
-
-def _normalized_fermion_step(params, sd, tp, config):
-    cutoff = _ohmic(sd, "the normalized fermion coherence").cutoff
-    if tp.is_zero_temperature:
-        return (1.0, 1.0), 0.0, ()
-    dw = _guarded_detuning(params)
-    a = params.omega1 / cutoff
-    b = tp.beta * params.omega1
-    (f_val, err_f), (term0, xint, err_ff, flags) = yield from gather(
-        _f_step(a, b, config),
-        _f_fermion_parts_step(a, b, params.omega2 / params.omega1, config),
+    return CoherenceResult(
+        (result.value / scale,), result.err_estimate / scale, result.method, flags
     )
-    denom0 = 1.0 / a + _exp_scaled_ei_neg(a)
-    # denom0 ~ 1/a^2 is the difference of two terms ~ 1/a: rounding leaves
-    # it a relative error of about eps / (a denom0) ~ eps a.
-    if not a * denom0 * (config or DEFAULT_QUADRATURE).rel_tol >= _EPS:
-        raise DomainError(
-            f"omega1/omega_c = {a!r} is too narrow a bath: the zero-temperature "
-            "denominator omega_c/omega1 + e^a Ei(-a) cancels to fewer digits "
-            "than rel_tol asks for"
-        )
-    th1 = thermal_tanh_half(tp.beta, params.omega1)
-    first = th1 * (1.0 / a - f_val) / denom0
-    pre2 = -(2.0 * params.omega2 / dw)
-    f_f = term0 + xint
-    second = pre2 * f_f / denom0
-    err = max(abs(th1) * err_f, abs(pre2) * err_ff) / abs(denom0)
-    return (first, second), err, flags
 
 
+@runs_alone
 def normalized_fermion(
     params: ModelParams,
     sd: SpectralDensity,
     tp: ThermalPoint,
     config: QuadratureConfig | None = None,
-):
+) -> CoherenceResult:
     """Both fermion coherences over their zero-temperature values, ohmic.
 
     n1 = tanh(beta omega1/2) (omega_c/omega1 - F)/(omega_c/omega1 +
     e^{omega1/omegac} Ei(-omega1/omegac)) and n2 carries F_F with the same
     zero-temperature denominator.  The coupling amplitude cancels.  For
     omega1 >> omega_c, n1 peaks above 1 at beta omega1 near 1: the
-    internal coherence is largest at a finite temperature.  Returns
-    ((n1, n2), err_estimate); the estimate, carried from F and F_F, bounds
-    both.
+    internal coherence is largest at a finite temperature.  Returns the
+    values (n1, n2); the estimate, carried from F and F_F, bounds both.
     """
-    values, err, _ = run_step(_normalized_fermion_step(params, sd, tp, config))
-    return values, err
+    cutoff = _ohmic(sd, "the normalized fermion coherence").cutoff
+    if tp.is_zero_temperature:
+        return CoherenceResult((1.0, 1.0), 0.0, "zero_T_limit")
+    dw = _guarded_detuning(params)
+    a = params.omega1 / cutoff
+    b = tp.beta * params.omega1
+    if not (a > 0.0) or not math.isfinite(a):
+        raise DomainError("omega1_over_omegac must be positive and finite")
+    # Checked before any quadrature: denom0 ~ 1/a^2 is the difference of
+    # two terms ~ 1/a, so rounding leaves it a relative error of about
+    # eps / (a denom0) ~ eps a.
+    denom0 = 1.0 / a + _exp_scaled_ei_neg(a)
+    if not a * denom0 * (config or DEFAULT_QUADRATURE).rel_tol >= _EPS:
+        raise DomainError(
+            f"omega1/omega_c = {a!r} is too narrow a bath: the zero-temperature "
+            "denominator omega_c/omega1 + e^a Ei(-a) cancels to fewer digits "
+            "than rel_tol asks for"
+        )
+    (f_val, err_f), (term0, xint, err_ff, flags) = yield from gather(
+        _f_step(a, b, config),
+        _f_fermion_parts_step(a, b, params.omega2 / params.omega1, config),
+    )
+    th1 = thermal_tanh_half(tp.beta, params.omega1)
+    first = th1 * (1.0 / a - f_val) / denom0
+    pre2 = -(2.0 * params.omega2 / dw)
+    f_f = term0 + xint
+    second = pre2 * f_f / denom0
+    err = max(abs(th1) * err_f, abs(pre2) * err_ff) / abs(denom0)
+    return CoherenceResult((first, second), err, "shape_factor", flags)

@@ -20,7 +20,8 @@ integration path.  This module provides
 * ``run_steps`` -- the driver of steps: computations that state their
   integrals (``Integral`` requests), receive the outcomes of one
   ``integrate_many`` run shared with other steps, then finish; identical
-  requests are integrated once.
+  requests are integrated once.  ``runs_alone`` makes a step's public
+  function, which runs it alone.
 
 Each kernel call carries a fixed numpy overhead of tens of microseconds,
 far more than the arithmetic on its points, so the engine makes few, full
@@ -54,6 +55,7 @@ Reduced units (hbar = k_B = 1) throughout the package.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 import struct
@@ -1206,3 +1208,18 @@ def run_step(step):
     if isinstance(result, CohexError):
         raise result
     return result
+
+
+def runs_alone(step):
+    """The public function of a step function: it runs ``step`` alone
+    (``run_step``), keeps its name, signature and docstring, and holds it
+    as ``.step``.  Steps yield from other steps by a private alias
+    (``_sigma1x_step = sigma1x.step``), which a tracer's rebinding of the
+    public name leaves alone."""
+
+    @functools.wraps(step)
+    def alone(*args, **kwargs):
+        return run_step(step(*args, **kwargs))
+
+    alone.step = step
+    return alone

@@ -97,7 +97,7 @@ def _check_ratio_edge():
 def _check_static_bound():
     p = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
     sd = OhmicDensity(0.7, 1.3)
-    (static, dynamical), _ = static_dynamical_split(p, sd, None)
+    static, dynamical = static_dynamical_split(p, sd, None).values
     full = sigma2x(p, sd, ThermalPoint(math.inf)).value
     _require(dynamical <= 0.0, f"dynamical term {dynamical!r} is positive")
     resid = abs(static + dynamical - full)
@@ -105,7 +105,8 @@ def _check_static_bound():
 
 
 def _check_low_T_saturation():
-    (n1, n2), _ = normalized_coherences_spin(1.0, 60.0)
+    p = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
+    n1, n2 = normalized_coherences_spin(p, OhmicDensity(1.0, 1.0), ThermalPoint(60.0)).values
     _require(abs(n1 - 1.0) <= 0.02, f"normalized internal coherence {n1!r}")
     _require(abs(n2 - 1.0) <= 0.02, f"normalized output coherence {n2!r}")
 

@@ -19,23 +19,21 @@ Conventions: hbar = k_B = 1; beta = +inf encodes T = 0; f1, f2 are the
 dimensionless longitudinal/transverse bath-coupling weights of the first
 spin; t couples the two spins.
 
-The quadrature-backed coherences and normalized ratios are each written
-once, as a step (see ``numerics.run_steps``) that yields its request for
-J or F; the public functions run their step alone, and a sweep pools the
-requests of many cells in one engine run.  ``coherence_integral`` and
-``f_dimensionless`` integrate J and F alone.
-
-Coherences return ``CoherenceResult``.  The quadrature-backed shape factor
-F, the normalized ratios and the static/dynamical split return
-(value, err_estimate), as ``coherence_integral`` does; a function with two
-values returns ((a, b), err_estimate), one estimate bounding both.  The
-asymptotic and static forms are closed-form and return bare values.
+Every sweepable quantity is written once, as a step (see
+``numerics.run_steps``) taking (params, sd, tp, config) that yields its
+request for J or F, or nothing for a closed form; its public function
+runs the step alone, and a sweep pools the requests of many cells in one
+engine run.  Every quantity returns one ``CoherenceResult``: its values,
+one error estimate bounding each of them, the method and the advisory
+flags; a one-valued result reads as ``value``.  Only the plain integrals
+``coherence_integral`` and ``f_dimensionless``, which integrate J and F
+alone, return (value, err_estimate).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +45,7 @@ from .numerics import (
     _exp_scaled_ei_neg,
     coth_minus_inv,
     integrate,
-    run_step,
+    runs_alone,
     take,
     thermal_tanh_half,
     with_tail_scale,
@@ -130,12 +128,19 @@ class ThermalPoint:
 
 @dataclass(frozen=True)
 class CoherenceResult:
-    """A computed coherence with its numeric error and advisory flags."""
+    """A computed quantity: its values, one numeric error estimate bounding
+    each of them, the method that made them, and advisory flags."""
 
-    value: float
+    values: tuple
     err_estimate: float
     method: str
     flags: tuple = field(default_factory=tuple)
+
+    @property
+    def value(self) -> float:
+        """The value of a one-valued result."""
+        (value,) = self.values
+        return value
 
 
 def detuned_validity_flags(params: ModelParams) -> tuple:
@@ -202,19 +207,7 @@ def coherence_integral(
     return integrate(coherence_request(params, sd, tp, config))
 
 
-def _sigma1x_step(params, sd, tp, config):
-    flags = detuned_validity_flags(params)
-    pre = -4.0 * params.f1 * params.f2 * thermal_tanh_half(tp.beta, params.omega1)
-    if pre == 0.0:
-        return CoherenceResult(0.0, 0.0, "full", flags)
-    (outcome,) = yield [coherence_request(params, sd, tp, config)]
-    j, err = take(outcome)
-    value = pre * j
-    return CoherenceResult(
-        value, abs(pre) * err, "full", flags + _magnitude_flags(value)
-    )
-
-
+@runs_alone
 def sigma1x(
     params: ModelParams,
     sd: SpectralDensity,
@@ -222,21 +215,22 @@ def sigma1x(
     config: QuadratureConfig | None = None,
 ) -> CoherenceResult:
     """<sigma1x> at temperature 1/beta: -4 f1 f2 tanh(beta omega1/2) J."""
-    return run_step(_sigma1x_step(params, sd, tp, config))
-
-
-def _sigma2x_step(params, sd, tp, config):
-    first = yield from _sigma1x_step(params, sd, tp, config)
-    factor = -(params.t / params.omega2) * thermal_tanh_half(tp.beta, params.omega2)
-    value = factor * first.value
+    flags = detuned_validity_flags(params)
+    pre = -4.0 * params.f1 * params.f2 * thermal_tanh_half(tp.beta, params.omega1)
+    if pre == 0.0:
+        return CoherenceResult((0.0,), 0.0, "full", flags)
+    (outcome,) = yield [coherence_request(params, sd, tp, config)]
+    j, err = take(outcome)
+    value = pre * j
     return CoherenceResult(
-        value,
-        abs(factor) * first.err_estimate,
-        "full",
-        detuned_validity_flags(params) + _magnitude_flags(value),
+        (value,), abs(pre) * err, "full", flags + _magnitude_flags(value)
     )
 
 
+_sigma1x_step = sigma1x.step
+
+
+@runs_alone
 def sigma2x(
     params: ModelParams,
     sd: SpectralDensity,
@@ -249,12 +243,30 @@ def sigma2x(
     identical J evaluation, so the proportionality is structural rather
     than a numerical coincidence.
     """
-    return run_step(_sigma2x_step(params, sd, tp, config))
+    first = yield from _sigma1x_step(params, sd, tp, config)
+    factor = -(params.t / params.omega2) * thermal_tanh_half(tp.beta, params.omega2)
+    value = factor * first.value
+    return CoherenceResult(
+        (value,),
+        abs(factor) * first.err_estimate,
+        "full",
+        detuned_validity_flags(params) + _magnitude_flags(value),
+    )
 
 
-def sigma2y(params: ModelParams, sd: SpectralDensity, tp: ThermalPoint) -> CoherenceResult:
+_sigma2x_step = sigma2x.step
+
+
+@runs_alone
+def sigma2y(
+    params: ModelParams,
+    sd: SpectralDensity,
+    tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
+) -> CoherenceResult:
     """<sigma2y> vanishes identically in the steady state."""
-    return CoherenceResult(0.0, 0.0, "full", ())
+    yield from ()  # a closed form states no integral
+    return CoherenceResult((0.0,), 0.0, "full")
 
 
 def _f_kernel(x, a, half_b, anchor):
@@ -317,10 +329,12 @@ def _ohmic(sd: SpectralDensity, what: str) -> OhmicDensity:
     return sd
 
 
+@runs_alone
 def sigma2x_low_T(
     params: ModelParams,
     sd: SpectralDensity,
     tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
 ) -> CoherenceResult:
     """Low-temperature closed form of <sigma2x> for the ohmic bath.
 
@@ -329,8 +343,9 @@ def sigma2x_low_T(
 
     The second bracket term is the leading thermal correction; the overall
     tanh(beta omega1/2) keeps the approximation within a few percent down
-    to beta omega1 ~ 2.5.
+    to beta omega1 ~ 2.5.  Returns its value with err_estimate 0.
     """
+    yield from ()  # a closed form states no integral
     a = params.omega1 / _ohmic(sd, "the low-temperature form of <sigma2x>").cutoff
     b = tp.beta_omega1(params.omega1)
     # At T = 0, b = inf: the thermal correction is 0.0 and no flag is raised.
@@ -349,7 +364,7 @@ def sigma2x_low_T(
         * thermal_tanh_half(tp.beta, params.omega1)
         * bracket
     )
-    return CoherenceResult(value, 0.0, "low_T_asymptotic", flags)
+    return CoherenceResult((value,), 0.0, "low_T_asymptotic", flags)
 
 
 def high_T_asymptotes(
@@ -357,15 +372,15 @@ def high_T_asymptotes(
     sd: SpectralDensity,
     tp: ThermalPoint,
     config: QuadratureConfig | None = None,
-):
+) -> CoherenceResult:
     """Leading high-temperature forms of both coherences (any bath).
 
     Only the reorganization scale Omega = integral I/xi survives:
     sigma1x ~ -f1 f2 (Omega/3 omega1) (beta omega1)^2 and
-    sigma2x ~ +f1 f2 t Omega omega1 beta^3 / 6.  Returns
-    ((sigma1x, sigma2x), err_estimate); both are linear in Omega, which a
-    tabulated bath integrates under ``config``, so the estimate is Omega's
-    relative one on the larger of the two.
+    sigma2x ~ +f1 f2 t Omega omega1 beta^3 / 6.  Returns the values
+    (sigma1x, sigma2x); both are linear in Omega, which a tabulated bath
+    integrates under ``config``, so the estimate is Omega's relative one
+    on the larger of the two.
     """
     if tp.is_zero_temperature:
         raise DomainError("high-temperature asymptote is meaningless at T = 0")
@@ -375,7 +390,8 @@ def high_T_asymptotes(
     s2 = (params.f1 * params.f2 * params.t / params.omega1) * (
         omega / (6.0 * params.omega1)
     ) * b ** 3
-    return (s1, s2), _linear_in_omega_err((s1, s2), omega, omega_err)
+    err = _linear_in_omega_err((s1, s2), omega, omega_err)
+    return CoherenceResult((s1, s2), err, "high_T_asymptotic")
 
 
 class StaticChain(NamedTuple):
@@ -393,40 +409,72 @@ def static_chain(
     sd: SpectralDensity,
     tp: ThermalPoint,
     config: QuadratureConfig | None = None,
-) -> StaticChain:
+) -> CoherenceResult:
     """Mean-field chain ignoring back-action dynamics.
 
     The thermalized first spin polarizes the bath, the shifted bath tilts
     the first spin, and the tilt transfers to the second spin.  Every step
     is closed-form; the bath enters only through Omega, which a tabulated
-    bath integrates under ``config``.  Returns
-    (StaticChain, err_estimate); the estimate bounds both coherences and
-    is Omega's, carried through the linear chain.
+    bath integrates under ``config``.  Returns the ``StaticChain`` as its
+    values; the estimate bounds both coherences and is Omega's, carried
+    through the linear chain.  The flags name a broken weak-coupling
+    assumption: ``static-bath-coupling`` when 4 |f1 f2| Omega, and
+    ``static-spin-coupling`` when t |sigma1x_st|, exceeds
+    ``STATIC_VALIDITY_FACTOR`` of omega1 and omega2 respectively.
     """
     omega, omega_err = sd.reorganization_omega(config)
     s1z = -thermal_tanh_half(tp.beta, params.omega1)
     shift_coeff = -2.0 * params.f1 * s1z
     s1x = -4.0 * params.f1 * params.f2 * s1z * s1z * omega / params.omega1
     s2x = -(params.t / params.omega2) * thermal_tanh_half(tp.beta, params.omega2) * s1x
-    err = _linear_in_omega_err((s1x, s2x), omega, omega_err)
-    return StaticChain(s1z, shift_coeff, s1x, s2x), err
+    flags = ()
+    if 4.0 * abs(params.f1 * params.f2) * omega > STATIC_VALIDITY_FACTOR * params.omega1:
+        flags += ("static-bath-coupling",)
+    if params.t * abs(s1x) > STATIC_VALIDITY_FACTOR * params.omega2:
+        flags += ("static-spin-coupling",)
+    return CoherenceResult(
+        StaticChain(s1z, shift_coeff, s1x, s2x),
+        _linear_in_omega_err((s1x, s2x), omega, omega_err),
+        "static_chain",
+        flags,
+    )
 
 
-def static_chain_flags(
+@runs_alone
+def static_sigma2x(
     params: ModelParams,
     sd: SpectralDensity,
     tp: ThermalPoint,
     config: QuadratureConfig | None = None,
-) -> tuple:
-    """Advisory flags for the static chain's weak-coupling assumptions."""
-    omega, _ = sd.reorganization_omega(config)
-    chain, _ = static_chain(params, sd, tp, config)
-    flags = []
-    if 4.0 * abs(params.f1 * params.f2) * omega > STATIC_VALIDITY_FACTOR * params.omega1:
-        flags.append("static-bath-coupling")
-    if params.t * abs(chain.sigma1x_st) > STATIC_VALIDITY_FACTOR * params.omega2:
-        flags.append("static-spin-coupling")
-    return tuple(flags)
+) -> CoherenceResult:
+    """The output coherence sigma2x_st of ``static_chain``, with its
+    estimate and flags."""
+    yield from ()  # a closed form states no integral
+    chain = static_chain(params, sd, tp, config)
+    return replace(chain, values=(chain.values.sigma2x_st,))
+
+
+@runs_alone
+def static_compare(
+    params: ModelParams,
+    sd: SpectralDensity,
+    tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
+) -> CoherenceResult:
+    """<sigma2x> three ways on the ohmic bath: the values (full, static,
+    low-T) of ``sigma2x``, ``static_chain`` and ``sigma2x_low_T``, with the
+    full form's estimate (the other two are exact on an ohmic bath) and
+    the flags of all three, each once."""
+    _ohmic(sd, "the low-temperature form of <sigma2x>")
+    full = yield from _sigma2x_step(params, sd, tp, config)
+    chain = static_chain(params, sd, tp, config)
+    low = sigma2x_low_T(params, sd, tp, config)
+    return CoherenceResult(
+        (full.value, chain.values.sigma2x_st, low.value),
+        full.err_estimate,
+        "static_compare",
+        tuple(dict.fromkeys(full.flags + chain.flags + low.flags)),
+    )
 
 
 def _dynamical_kernel(xi, omega1):
@@ -437,27 +485,42 @@ def static_dynamical_split(
     params: ModelParams,
     sd: SpectralDensity,
     config: QuadratureConfig | None = None,
-):
+) -> CoherenceResult:
     """Zero-temperature <sigma2x> split into its two competing pieces.
 
     static_term = 4 f1 f2 t Omega/(omega1 omega2) is bath-shape-blind;
     dynamical_term = -(4 f1 f2 t/(omega1 omega2)) integral I/(xi + omega1)
     carries the back-action and is always <= 0, so the static term alone is
-    an upper bound on the true zero-temperature value.  Returns
-    ((static_term, dynamical_term), err_estimate); the estimate bounds
-    each term: Omega's estimate for the static one, the integral's for
-    the dynamical one.
+    an upper bound on the true zero-temperature value.  Returns the values
+    (static_term, dynamical_term); the estimate bounds each term: Omega's
+    estimate for the static one, the integral's for the dynamical one.
     """
     pre = 4.0 * params.f1 * params.f2 * params.t / (params.omega1 * params.omega2)
     omega, omega_err = sd.reorganization_omega(config)
     static_term = pre * omega
     if omega == 0.0:
-        return (static_term, 0.0), 0.0
+        return CoherenceResult((static_term, 0.0), 0.0, "static_dynamical_split")
     integral, err = integrate(sd.integral(_dynamical_kernel, (params.omega1,), (), config))
-    return (static_term, -pre * integral), abs(pre) * max(err, omega_err)
+    err = abs(pre) * max(err, omega_err)
+    return CoherenceResult((static_term, -pre * integral), err, "static_dynamical_split")
 
 
-def _normalized_output_ratio_step(params, sd, tp, config):
+@runs_alone
+def normalized_output_ratio(
+    params: ModelParams,
+    sd: SpectralDensity,
+    tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
+) -> CoherenceResult:
+    """(omega1/t) <sigma2x>_T / <sigma1x>_{T=0} for the ohmic bath.
+
+    Couplings cancel, leaving
+    (omega1/omega2) tanh(beta omega2/2) tanh(beta omega1/2)
+        F(a, b) / (e^a Ei(-a)),  a = omega1/omegac.
+    Negative at all T; magnitude 1 at T = 0 when omega2 = omega1, and
+    falling off as T^{-3} at high temperature.  Returns the ratio with
+    the estimate carried from F.
+    """
     a = params.omega1 / _ohmic(sd, "the normalized output ratio").cutoff
     b = tp.beta_omega1(params.omega1)
     f_val, f_err = yield from _f_step(a, b, config)
@@ -467,52 +530,30 @@ def _normalized_output_ratio_step(params, sd, tp, config):
         * thermal_tanh_half(tp.beta, params.omega1)
     )
     ei = _exp_scaled_ei_neg(a)
-    return pre * f_val / ei, abs(pre / ei) * f_err
+    return CoherenceResult((pre * f_val / ei,), abs(pre / ei) * f_err, "shape_factor")
 
 
-def normalized_output_ratio(
+@runs_alone
+def normalized_coherences_spin(
     params: ModelParams,
     sd: SpectralDensity,
     tp: ThermalPoint,
     config: QuadratureConfig | None = None,
-):
-    """(omega1/t) <sigma2x>_T / <sigma1x>_{T=0} for the ohmic bath.
-
-    Couplings cancel, leaving
-    (omega1/omega2) tanh(beta omega2/2) tanh(beta omega1/2)
-        F(a, b) / (e^a Ei(-a)),  a = omega1/omegac.
-    Negative at all T; magnitude 1 at T = 0 when omega2 = omega1, and
-    falling off as T^{-3} at high temperature.  Returns
-    (ratio, err_estimate), the estimate carried from F.
-    """
-    return run_step(_normalized_output_ratio_step(params, sd, tp, config))
-
-
-def _normalized_coherences_spin_step(omega1_over_omegac, beta_omega1,
-                                     omega2_over_omega1, config):
-    a = float(omega1_over_omegac)
-    b = float(beta_omega1)
-    f_val, f_err = yield from _f_step(a, b, config)
-    f_zero = -_exp_scaled_ei_neg(a)
-    tanh1 = thermal_tanh_half(b, 1.0)
-    tanh2 = thermal_tanh_half(b, float(omega2_over_omega1))
-    n1 = tanh1 * f_val / f_zero
-    return (n1, tanh2 * n1), abs(tanh1 / f_zero) * f_err
-
-
-def normalized_coherences_spin(
-    omega1_over_omegac: float,
-    beta_omega1: float,
-    omega2_over_omega1: float = 3.0,
-    config: QuadratureConfig | None = None,
-):
+) -> CoherenceResult:
     """<sigma_jx>_T / <sigma_jx>_{T=0} for the ohmic bath, j = 1, 2.
 
     Both are ratios of the shape factor F to its zero-temperature value,
     weighted by the thermal polarization factors; both increase
-    monotonically as the temperature drops and reach 1 at T = 0.  Returns
-    ((n1, n2), err_estimate); n1's estimate, carried from F, bounds n2's
-    too, since |tanh| <= 1.
+    monotonically as the temperature drops and reach 1 at T = 0.  They
+    depend on omega2/omega1, omega1/omega_c and beta omega1 only: the
+    couplings cancel.  Returns the values (n1, n2); n1's estimate,
+    carried from F, bounds n2's too, since |tanh| <= 1.
     """
-    return run_step(_normalized_coherences_spin_step(
-        omega1_over_omegac, beta_omega1, omega2_over_omega1, config))
+    a = params.omega1 / _ohmic(sd, "the normalized spin coherences").cutoff
+    b = tp.beta_omega1(params.omega1)
+    f_val, f_err = yield from _f_step(a, b, config)
+    f_zero = -_exp_scaled_ei_neg(a)
+    tanh1 = thermal_tanh_half(b, 1.0)
+    tanh2 = thermal_tanh_half(b, params.omega2 / params.omega1)
+    n1 = tanh1 * f_val / f_zero
+    return CoherenceResult((n1, tanh2 * n1), abs(tanh1 / f_zero) * f_err, "shape_factor")

@@ -36,7 +36,7 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     integrate,
-    run_step,
+    runs_alone,
     take,
     thermal_coth_half,
     thermal_tanh_half,
@@ -237,7 +237,7 @@ def _general_step(params, sd, tp, config, second=False):
     """sigma1x_general, or sigma2x_general if ``second``, as a step."""
     params, mix, cfg, flags, extra_rel = _prepared(params, config)
     if second and params.t == 0.0:
-        return CoherenceResult(0.0, 0.0, "general_mixed_basis", ())
+        return CoherenceResult((0.0,), 0.0, "general_mixed_basis")
     stated = _second_spin_request if second else _first_spin_request
     (outcome,) = yield [stated(sd, tp, mix, cfg)]
     val, err = take(outcome)
@@ -245,10 +245,11 @@ def _general_step(params, sd, tp, config, second=False):
     value = pre * val
     err_total = abs(pre) * err + extra_rel * abs(value)
     return CoherenceResult(
-        value, err_total, "general_mixed_basis", flags + _magnitude_flags(value)
+        (value,), err_total, "general_mixed_basis", flags + _magnitude_flags(value)
     )
 
 
+@runs_alone
 def sigma1x_general(
     params: ModelParams,
     sd: SpectralDensity,
@@ -256,9 +257,10 @@ def sigma1x_general(
     config: QuadratureConfig | None = None,
 ) -> CoherenceResult:
     """First-spin coherence at arbitrary coupling t."""
-    return run_step(_general_step(params, sd, tp, config))
+    return (yield from _general_step(params, sd, tp, config))
 
 
+@runs_alone
 def sigma2x_general(
     params: ModelParams,
     sd: SpectralDensity,
@@ -269,7 +271,7 @@ def sigma2x_general(
 
     Exactly zero at t = 0: the prefactor cos(theta) epsilon equals t.
     """
-    return run_step(_general_step(params, sd, tp, config, second=True))
+    return (yield from _general_step(params, sd, tp, config, second=True))
 
 
 def _first_spin_kernel(xi, beta, omega, epsilon, sin_t, cos2t, chw, che, shw, she):
@@ -300,8 +302,19 @@ def _second_spin_request(sd, tp, mix, cfg):
     return sd.integral(_second_spin_kernel, columns + _scaled_weights(mix, tp), removable, cfg)
 
 
-def _r1_step(params, sd, tp, config):
-    """R1 as a step: it states J, then integrates its numerator alone."""
+@runs_alone
+def r1_value(
+    params: ModelParams,
+    sd: SpectralDensity,
+    tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
+) -> CoherenceResult:
+    """Ratio of the general first-spin coherence to its small-t form.
+
+    The coupling weights f1, f2 cancel; the result depends on omega1,
+    omega2, t, the bath, and the temperature only.  The step states J, then
+    integrates its numerator alone.
+    """
     (j,) = yield [coherence_request(params, sd, tp, config)]
     j_val, j_err = take(j)
     params, mix, cfg, flags, extra_rel = _prepared(params, config)
@@ -313,14 +326,21 @@ def _r1_step(params, sd, tp, config):
         raise DomainError("small-t reference coherence vanishes; R1 undefined")
     err = (num_err + abs(value) * 4.0 * abs(th1) * j_err) / abs(den)
     err += extra_rel * abs(value)
-    return CoherenceResult(value, err, "ratio_r1", flags)
+    return CoherenceResult((value,), err, "ratio_r1", flags)
 
 
-def _r2_step(params, sd, tp, config):
-    """R2 as a step: it states J, then integrates its numerator alone.
+@runs_alone
+def r2_value(
+    params: ModelParams,
+    sd: SpectralDensity,
+    tp: ThermalPoint,
+    config: QuadratureConfig | None = None,
+) -> CoherenceResult:
+    """Ratio of the general second-spin coherence to its small-t form.
 
-    The cos(theta)/t prefactor is evaluated as 1/epsilon, which stays
-    finite on the whole t = 0 edge.
+    Finite on the whole t = 0 edge (away from omega1 = omega2), where it
+    tends to 1 by construction: the cos(theta)/t prefactor is evaluated as
+    1/epsilon.  The step states J, then integrates its numerator alone.
     """
     (j,) = yield [coherence_request(params, sd, tp, config)]
     j_val, j_err = take(j)
@@ -337,32 +357,4 @@ def _r2_step(params, sd, tp, config):
         value / j_val
     ) * j_err
     err += extra_rel * abs(value)
-    return CoherenceResult(value, err, "ratio_r2", flags)
-
-
-def r1_value(
-    params: ModelParams,
-    sd: SpectralDensity,
-    tp: ThermalPoint,
-    config: QuadratureConfig | None = None,
-) -> CoherenceResult:
-    """Ratio of the general first-spin coherence to its small-t form.
-
-    The coupling weights f1, f2 cancel; the result depends on omega1,
-    omega2, t, the bath, and the temperature only.
-    """
-    return run_step(_r1_step(params, sd, tp, config))
-
-
-def r2_value(
-    params: ModelParams,
-    sd: SpectralDensity,
-    tp: ThermalPoint,
-    config: QuadratureConfig | None = None,
-) -> CoherenceResult:
-    """Ratio of the general second-spin coherence to its small-t form.
-
-    Finite on the whole t = 0 edge (away from omega1 = omega2), where it
-    tends to 1 by construction.
-    """
-    return run_step(_r2_step(params, sd, tp, config))
+    return CoherenceResult((value,), err, "ratio_r2", flags)

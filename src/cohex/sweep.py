@@ -12,13 +12,14 @@ Evaluation order over the grid is fixed by the axis order, and workers only
 compute pure functions of their cell, so the assembled table is identical
 whether the grid is evaluated serially or on a process pool.
 
-Every registry quantity is a step (see ``numerics.run_steps``), and
-cells run in lockstep blocks of contiguous cells: every cell of a block
-starts and hands its integral requests to one engine run for the whole
-block, and then every cell assembles and cross-checks its own results.
-A closed form is a step that states no integral.  A serial sweep cuts
-its grid into blocks of ``_LOCKSTEP_CELLS`` cells; under ``jobs`` each
-pool task is cut the same way.  An integral has the same bits in any
+Every registry quantity is the step (see ``numerics.run_steps``) that
+its public function runs alone, and cells run in lockstep blocks of
+contiguous cells: every cell of a block starts and hands its integral
+requests to one engine run for the whole block, and then every cell
+assembles and cross-checks its own result.  A closed form is a step that
+states no integral.  A serial sweep cuts its grid into blocks of
+``_LOCKSTEP_CELLS`` cells; under ``jobs`` each pool task is cut the same
+way.  An integral has the same bits in any
 block, so the table does not depend on how the grid is cut.  Every
 integral of a cell pools this way (J, the shape factor F, the fermion
 and general-coupling spin integrals, and the reference integral J of R1
@@ -51,29 +52,29 @@ from .errors import (
     KernelError,
     NearResonanceError,
 )
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, run_step, run_steps
+from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, run_steps, runs_alone
 from .spectral import OhmicDensity, SpectralDensity
 from .spin_detuned import (
     ModelParams,
     ThermalPoint,
-    _normalized_coherences_spin_step,
-    _normalized_output_ratio_step,
-    _sigma1x_step,
-    _sigma2x_step,
+    normalized_coherences_spin,
+    normalized_output_ratio,
+    sigma1x,
+    sigma2x,
     sigma2x_low_T,
     sigma2y,
-    static_chain,
-    static_chain_flags,
+    static_compare,
+    static_sigma2x,
 )
-from .spin_general import _general_step, _r1_step, _r2_step
+from .spin_general import r1_value, r2_value, sigma1x_general, sigma2x_general
 from .fermion import (
-    _fock_step,
-    _g_script_step,
-    _normalized_fermion_step,
-    _ratio_r_step,
-    _sigma1x_fermion_step,
-    _sigma2x_fermion_step,
     fermion_high_T,
+    g_script,
+    hartree_fock,
+    normalized_fermion,
+    ratio_R,
+    sigma1x_fermion,
+    sigma2x_fermion,
 )
 from .table import STATUS_OK, SweepTable
 
@@ -187,130 +188,56 @@ class AxisSpec:
 class SweepQuantity:
     """Registry entry tying a quantity name to its step.
 
-    ``steps(params, sd, tp, config)`` is a step (see
-    ``numerics.run_steps``) returning ``(values, err, flags)``, where
-    ``values`` has one float per entry in ``columns``: a sweep runs the
-    steps of a block in lockstep, and a closed form is a step that yields
-    nothing.  ``evaluate`` runs one step alone.  It is derived from
-    ``steps`` (see ``_stepped``) and kept as a field only because the
-    benchmark's tracer (``bench/tracing.py``) rebuilds entries with
-    ``dataclasses.replace(q, evaluate=...)``.
+    ``step(params, sd, tp, config)`` is the step (see ``numerics.run_steps``)
+    that the quantity's public function runs alone; its ``CoherenceResult``
+    has one value per entry in ``columns``.  ``evaluate`` runs the step
+    alone too.  It is derived from ``step`` and kept as a field only
+    because the benchmark's tracer (``bench/tracing.py``) rebuilds entries
+    with ``dataclasses.replace(q, evaluate=...)``.
     """
 
     name: str
     columns: tuple
     model: str
     needs_ohmic: bool
-    evaluate: object = field(repr=False)
-    steps: object = field(repr=False)
+    step: object = field(repr=False)
+    evaluate: object = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.evaluate is None:
+            object.__setattr__(self, "evaluate", runs_alone(self.step))
 
 
-def _stepped(name, columns, model, needs_ohmic, steps):
-    """The registry entry of a quantity whose cells run ``steps``."""
-    return SweepQuantity(name, columns, model, needs_ohmic,
-                         lambda *args: run_step(steps(*args)), steps=steps)
-
-
-def _now(function, *args):
-    """Step stating no integral: it yields nothing and returns function(*args)."""
-    yield from ()
-    return function(*args)
-
-
-def _one(step):
-    """Adapt a step's CoherenceResult to the (values, err, flags) protocol."""
-    result = yield from step
-    return (result.value,), result.err_estimate, result.flags
-
-
-def _estimated(step):
-    """Adapt a step's quadrature-backed values (one value or a tuple of
-    them), an error estimate that bounds each of them, and any flags."""
-    values, err, *flags = yield from step
-    values = values if isinstance(values, tuple) else (values,)
-    return values, err, flags[0] if flags else ()
-
-
-def _hartree_fock_steps(p, sd, tp, cfg):
-    # Each Fock estimate already carries the Hartree one, so it bounds both.
-    hartree, fock, errs, flags = yield from _fock_step(p, sd, tp, cfg)
-    return hartree + fock, max(errs), flags
-
-
-def _static_sigma2x_steps(p, sd, tp, cfg):
-    chain, err = yield from _now(static_chain, p, sd, tp, cfg)
-    return (chain.sigma2x_st,), err, static_chain_flags(p, sd, tp, cfg)
-
-
-def _static_compare_steps(p, sd, tp, cfg):
-    full = yield from _sigma2x_step(p, sd, tp, cfg)
-    chain, _ = static_chain(p, sd, tp)  # ohmic: Omega is exact
-    low = sigma2x_low_T(p, sd, tp)
-    flags = []
-    for f in full.flags + static_chain_flags(p, sd, tp) + low.flags:
-        if f not in flags:
-            flags.append(f)
-    values = (full.value, chain.sigma2x_st, low.value)
-    return values, full.err_estimate, tuple(flags)
-
-
-def _fermion_high_T_steps(p, sd, tp, cfg):
-    value = yield from _now(fermion_high_T, p, sd, tp)
-    return (value,), 0.0, ()
-
-
-# Only the closed forms (sigma2y, sigma2x_low_T, static_chain,
-# fermion_high_T) call public functions, looked up here at
-# call time, so one rebound on this module (by a tracer, say) is the one a
-# sweep calls.  Every quantity that integrates yields its integral
-# requests, except the numerators of r1 and r2, which still integrate
-# alone inside their cells.
 QUANTITIES = {q.name: q for q in (
-    _stepped("sigma1x", ("sigma1x",), "spin", False,
-             lambda p, sd, tp, cfg: _one(_sigma1x_step(p, sd, tp, cfg))),
-    _stepped("sigma2x", ("sigma2x",), "spin", False,
-             lambda p, sd, tp, cfg: _one(_sigma2x_step(p, sd, tp, cfg))),
-    _stepped("sigma2y", ("sigma2y",), "spin", False,
-             lambda p, sd, tp, cfg: _one(_now(sigma2y, p, sd, tp))),
-    _stepped("sigma1x_general", ("sigma1x_general",), "spin", False,
-             lambda p, sd, tp, cfg: _one(_general_step(p, sd, tp, cfg))),
-    _stepped("sigma2x_general", ("sigma2x_general",), "spin", False,
-             lambda p, sd, tp, cfg: _one(_general_step(p, sd, tp, cfg, second=True))),
-    _stepped("r1", ("r1",), "spin", False,
-             lambda p, sd, tp, cfg: _one(_r1_step(p, sd, tp, cfg))),
-    _stepped("r2", ("r2",), "spin", False,
-             lambda p, sd, tp, cfg: _one(_r2_step(p, sd, tp, cfg))),
-    _stepped("static_sigma2x", ("static_sigma2x",), "spin", False,
-             _static_sigma2x_steps),
-    _stepped("sigma2x_low_T", ("sigma2x_low_T",), "spin", True,
-             lambda p, sd, tp, cfg: _one(_now(sigma2x_low_T, p, sd, tp))),
-    _stepped("normalized_output_ratio", ("normalized_output_ratio",), "spin", True,
-             lambda p, sd, tp, cfg: _estimated(_normalized_output_ratio_step(
-                 p, sd, tp, cfg))),
-    _stepped("normalized_spin", ("normalized_sigma1x", "normalized_sigma2x"),
-             "spin", True,
-             lambda p, sd, tp, cfg: _estimated(_normalized_coherences_spin_step(
-                 p.omega1 / sd.cutoff, tp.beta_omega1(p.omega1),
-                 p.omega2 / p.omega1, cfg))),
-    _stepped("static_compare", ("sigma2x_full", "sigma2x_static", "sigma2x_low_T"),
-             "spin", True, _static_compare_steps),
-    _stepped("sigma1x_fermion", ("sigma1x_fermion",), "fermion", False,
-             lambda p, sd, tp, cfg: _one(_sigma1x_fermion_step(p, sd, tp, cfg))),
-    _stepped("sigma2x_fermion", ("sigma2x_fermion",), "fermion", False,
-             lambda p, sd, tp, cfg: _one(_sigma2x_fermion_step(p, sd, tp, cfg))),
-    _stepped("hartree_fock", ("hartree1", "hartree2", "fock1", "fock2"), "fermion", False,
-             _hartree_fock_steps),
-    _stepped("normalized_fermion", ("normalized_fermion1", "normalized_fermion2"),
-             "fermion", True,
-             lambda p, sd, tp, cfg: _estimated(_normalized_fermion_step(p, sd, tp, cfg))),
-    _stepped("ratio_R", ("ratio_R",), "fermion", True,
-             lambda p, sd, tp, cfg: _estimated(_ratio_r_step(p, sd, tp, cfg))),
-    _stepped("g_script", ("g_script",), "fermion", True,
-             lambda p, sd, tp, cfg: _estimated(_g_script_step(
-                 tp.beta_omega1(p.omega1), p.omega1 / sd.cutoff,
-                 p.omega2 / p.omega1, p.t / p.omega1, cfg))),
-    _stepped("fermion_high_T", ("fermion_high_T",), "fermion", True,
-             _fermion_high_T_steps),
+    SweepQuantity("sigma1x", ("sigma1x",), "spin", False, sigma1x.step),
+    SweepQuantity("sigma2x", ("sigma2x",), "spin", False, sigma2x.step),
+    SweepQuantity("sigma2y", ("sigma2y",), "spin", False, sigma2y.step),
+    SweepQuantity("sigma1x_general", ("sigma1x_general",), "spin", False,
+                  sigma1x_general.step),
+    SweepQuantity("sigma2x_general", ("sigma2x_general",), "spin", False,
+                  sigma2x_general.step),
+    SweepQuantity("r1", ("r1",), "spin", False, r1_value.step),
+    SweepQuantity("r2", ("r2",), "spin", False, r2_value.step),
+    SweepQuantity("static_sigma2x", ("static_sigma2x",), "spin", False, static_sigma2x.step),
+    SweepQuantity("sigma2x_low_T", ("sigma2x_low_T",), "spin", True, sigma2x_low_T.step),
+    SweepQuantity("normalized_output_ratio", ("normalized_output_ratio",), "spin", True,
+                  normalized_output_ratio.step),
+    SweepQuantity("normalized_spin", ("normalized_sigma1x", "normalized_sigma2x"),
+                  "spin", True, normalized_coherences_spin.step),
+    SweepQuantity("static_compare", ("sigma2x_full", "sigma2x_static", "sigma2x_low_T"),
+                  "spin", True, static_compare.step),
+    SweepQuantity("sigma1x_fermion", ("sigma1x_fermion",), "fermion", False,
+                  sigma1x_fermion.step),
+    SweepQuantity("sigma2x_fermion", ("sigma2x_fermion",), "fermion", False,
+                  sigma2x_fermion.step),
+    SweepQuantity("hartree_fock", ("hartree1", "hartree2", "fock1", "fock2"), "fermion",
+                  False, hartree_fock.step),
+    SweepQuantity("normalized_fermion", ("normalized_fermion1", "normalized_fermion2"),
+                  "fermion", True, normalized_fermion.step),
+    SweepQuantity("ratio_R", ("ratio_R",), "fermion", True, ratio_R.step),
+    SweepQuantity("g_script", ("g_script",), "fermion", True, g_script.step),
+    SweepQuantity("fermion_high_T", ("fermion_high_T",), "fermion", True,
+                  fermion_high_T.step),
 )}
 SPIN_QUANTITIES = tuple(n for n, q in QUANTITIES.items() if q.model == "spin")
 FERMION_QUANTITIES = tuple(
@@ -401,9 +328,9 @@ def _cell_inputs(spec: SweepSpec, point: dict):
 
 
 def _cell_step(spec: SweepSpec, point: dict):
-    """One grid cell as a step returning (values, err, flags)."""
+    """One grid cell as a step returning its quantity's result."""
     args = _cell_inputs(spec, point) + (spec.config,)
-    return (yield from QUANTITIES[spec.quantity].steps(*args))
+    return (yield from QUANTITIES[spec.quantity].step(*args))
 
 
 _STATUS = (
@@ -444,8 +371,8 @@ def _sweep_block(spec: SweepSpec, points: list, known: dict) -> list:
                 raise result
             out.append((blank, None, status))
         else:
-            cell_values, err, flags = result
-            out.append((cell_values, err, ";".join(flags) or STATUS_OK))
+            out.append((result.values, result.err_estimate,
+                        ";".join(result.flags) or STATUS_OK))
     return out
 
 

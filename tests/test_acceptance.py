@@ -156,9 +156,9 @@ def test_criterion_03_high_temperature_power_laws():
         spin_vals, fermion_vals = [], []
         for b in betas:
             tp = ThermalPoint.from_beta_omega1(float(b), 1.0)
-            ratio_val, _ = normalized_output_ratio(params, bath, tp)
+            ratio_val = normalized_output_ratio(params, bath, tp).value
             spin_vals.append(ratio_val)
-            (_, n2), _ = normalized_fermion(params, bath, tp)
+            _, n2 = normalized_fermion(params, bath, tp).values
             fermion_vals.append(n2)
         spin_slopes.append(fit(spin_vals))
         fermion_slopes.append(fit(fermion_vals))
@@ -297,11 +297,11 @@ def test_criterion_08_fermionic_finite_temperature_maximum():
     def internal_curve(omega1_over_omegac):
         curve = []
         for b in grid:
-            (n1, _), _ = normalized_fermion(
+            n1, _ = normalized_fermion(
                 params,
                 OhmicDensity.from_ratio(1.0, 1.0, omega1_over_omegac),
                 ThermalPoint.from_beta_omega1(float(b), 1.0),
-            )
+            ).values
             curve.append(n1)
         return np.array(curve)
 
@@ -330,11 +330,12 @@ def test_criterion_08_fermionic_finite_temperature_maximum():
 def test_criterion_09_spin_monotonicity():
     crit = Criterion(9, "spin coherences grow monotonically as T drops", 10.0)
     betas = np.geomspace(0.1, 50.0, 200)
+    params = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
     for ratio in (0.01, 1.0, 100.0):
+        bath = OhmicDensity.from_ratio(1.0, 1.0, ratio)
         pairs = []
         for b in betas:
-            (n1, n2), _ = normalized_coherences_spin(ratio, float(b))
-            pairs.append((n1, n2))
+            pairs.append(normalized_coherences_spin(params, bath, ThermalPoint(float(b))).values)
         pairs = np.array(pairs)
         for j, label in ((0, "internal"), (1, "output")):
             diffs = np.diff(pairs[:, j])
@@ -356,7 +357,7 @@ def test_criterion_10_static_upper_bound():
         bath = OhmicDensity(
             float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 10.0))
         )
-        (static, dynamical), _ = static_dynamical_split(params, bath, None)
+        static, dynamical = static_dynamical_split(params, bath, None).values
         full = sigma2x(params, bath, tp).value
         crit.check(
             static > full,

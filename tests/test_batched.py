@@ -19,13 +19,6 @@ import cohex.fermion as fermion
 import cohex.numerics as nm
 import cohex.spin_detuned as spin_detuned
 from cohex.errors import CohexError, ConvergenceError, KernelError
-from cohex.fermion import (
-    fock_term,
-    g_script,
-    hartree_static,
-    normalized_fermion,
-    ratio_R,
-)
 from cohex.numerics import (
     DEFAULT_QUADRATURE,
     Integral,
@@ -39,22 +32,11 @@ from cohex.spin_detuned import (
     ThermalPoint,
     coherence_request,
     f_request,
-    normalized_coherences_spin,
-    normalized_output_ratio,
-    sigma1x,
-    sigma2x,
-    sigma2x_low_T,
-    static_chain,
-    static_chain_flags,
 )
 from cohex.spin_general import (
     _first_spin_request,
     _second_spin_request,
     mixing,
-    r1_value,
-    r2_value,
-    sigma1x_general,
-    sigma2x_general,
 )
 from cohex.sweep import (
     MAP_QUADRATURE,
@@ -67,6 +49,7 @@ from cohex.sweep import (
 from cohex.table import emit_csv
 
 import oracles
+from test_public_functions import PUBLIC
 
 PARAMS = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
 _KNOTS = [(x, x * np.exp(-x / 10.0)) for x in np.linspace(0.0, 60.0, 40)]
@@ -330,41 +313,9 @@ def test_pooled_kernel_calls_on_the_benchmark_grid(monkeypatch, name, calls, nod
 
 
 def _public_row(name, p, sd, tp):
-    """(values, err, flags) of one cell through the public functions."""
-    if name in ("sigma1x", "sigma2x", "sigma1x_fermion", "sigma2x_fermion", "r1", "r2",
-                "sigma1x_general", "sigma2x_general"):
-        function = {
-            "sigma1x": sigma1x, "sigma2x": sigma2x, "r1": r1_value, "r2": r2_value,
-            "sigma1x_general": sigma1x_general, "sigma2x_general": sigma2x_general,
-        }.get(name) or getattr(fermion, name)
-        r = function(p, sd, tp)
-        return (r.value,), r.err_estimate, r.flags
-    if name == "normalized_spin":
-        values, err = normalized_coherences_spin(
-            p.omega1 / sd.cutoff, tp.beta_omega1(p.omega1), p.omega2 / p.omega1
-        )
-        return values, err, ()
-    if name == "normalized_output_ratio":
-        value, err = normalized_output_ratio(p, sd, tp)
-        return (value,), err, ()
-    if name == "static_compare":
-        full = sigma2x(p, sd, tp)
-        chain, _ = static_chain(p, sd, tp)
-        low = sigma2x_low_T(p, sd, tp)
-        flags = dict.fromkeys(full.flags + static_chain_flags(p, sd, tp) + low.flags)
-        return (full.value, chain.sigma2x_st, low.value), full.err_estimate, tuple(flags)
-    if name == "hartree_fock":
-        hartree, _ = hartree_static(p, sd, tp)
-        fock, errs = fock_term(p, sd, tp)
-        return hartree + fock, max(errs), ()
-    if name == "normalized_fermion":
-        values, err = normalized_fermion(p, sd, tp)
-        return values, err, ()
-    if name == "ratio_R":
-        value, err = ratio_R(p, sd, tp)
-        return (value,), err, ()
-    value, err = g_script(tp.beta, 1.0 / sd.cutoff, p.omega2, p.t)
-    return (value,), err, ()
+    """(values, err, flags) of one cell through the public function."""
+    result = PUBLIC[name](p, sd, tp)
+    return result.values, result.err_estimate, result.flags
 
 
 _AXES = (
@@ -468,7 +419,7 @@ _NOTHING_POOLED = ("sigma2y", "sigma2x_low_T", "static_sigma2x", "fermion_high_T
 @pytest.mark.parametrize("name", sorted(QUANTITIES))
 def test_every_registry_entry_is_a_step(monkeypatch, name):
     quantity = QUANTITIES[name]
-    step = quantity.steps(PARAMS, OhmicDensity(1.0, 1.0), ThermalPoint(2.0), None)
+    step = quantity.step(PARAMS, OhmicDensity(1.0, 1.0), ThermalPoint(2.0), None)
     assert isinstance(step, types.GeneratorType)
     step.close()
     runs, lone = _spy_engine(monkeypatch)

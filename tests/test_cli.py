@@ -516,7 +516,7 @@ class TestStaticCompare:
         bath = OhmicDensity(1.0, 1.0)
         tp = ThermalPoint.from_beta_omega1(8.0, 1.0)
         assert table.rows[0][1] == sigma2x(params, bath, tp).value
-        assert table.rows[0][2] == static_chain(params, bath, tp)[0].sigma2x_st
+        assert table.rows[0][2] == static_chain(params, bath, tp).values.sigma2x_st
 
     def test_takes_no_quantity_key(self):
         proc = run_cli(

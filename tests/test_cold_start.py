@@ -130,6 +130,16 @@ def test_oracle_check_loads_no_sweep():
     assert not names & {"cohex.sweep", "cohex.spin_general", "cohex.selftest"}
 
 
+def test_sweep_command_loads_no_oracle():
+    # The registry imports the public functions it names from their modules;
+    # a bare ``from . import fermion`` would go through the package's lazy
+    # lookup and load every module of the table.
+    code, names = _loaded("spin-sweep", "--set", "quantity=sigma2x", "--set", "beta_omega1=2")
+    assert code == 0
+    assert "cohex.sweep" in names
+    assert not names & {"cohex.oracle", "cohex.selftest"}
+
+
 def test_every_public_name_resolves():
     for name in cohex.__all__:
         assert getattr(cohex, name) is not None

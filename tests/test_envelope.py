@@ -8,7 +8,9 @@ t/omega1 at 1e300, on an
 ohmic bath and, for the quantities that take any bath, on a generalized
 (s = 0.5) and a 40-knot tabulated bath (the cutoff-ratio axis is ohmic
 only).  Each of the 445 sweeps must return, and each row must hold
-either finite values or an error status word with blank values.
+either finite values or an error status word with blank values.  The
+quantity's public function, called on the cell's inputs, must carry the
+row's flags, or raise the error that the row's status word names.
 """
 
 import math
@@ -17,13 +19,16 @@ import warnings
 import numpy as np
 import pytest
 
+import cohex.numerics as nm
 from cohex.errors import DomainError
 from cohex.fermion import (
     fermion_high_T, hartree_static, normalized_fermion, ratio_R, sigma2x_fermion,
 )
 from cohex.spectral import GeneralizedOhmicDensity, OhmicDensity, TabulatedDensity
 from cohex.spin_detuned import ModelParams, ThermalPoint, sigma2x_low_T
-from cohex.sweep import _STATUS, QUANTITIES, AxisSpec, SweepSpec, run_sweep
+from cohex.sweep import _STATUS, QUANTITIES, AxisSpec, SweepSpec, _cell_inputs, run_sweep
+
+from test_public_functions import public_status
 
 PARAMS = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
 _KNOTS = [(x, x * np.exp(-x / 10.0)) for x in np.linspace(0.0, 60.0, 40)]
@@ -77,6 +82,17 @@ def test_extreme_cells_return_finite_values_or_a_status():
     assert bad == []
 
 
+def test_public_calls_carry_the_extreme_rows_status():
+    bad = []
+    for label, spec in _cases():
+        (row,) = run_sweep(spec).rows
+        point = {axis.name: float(axis.start) for axis in spec.axes}
+        got = public_status(spec.quantity, *_cell_inputs(spec, point))
+        if got != row[-1]:
+            bad.append(f"{label}: public call {got!r}, row {row[-1]!r}")
+    assert bad == []
+
+
 def test_the_hot_end_points_to_the_high_temperature_forms():
     hot = ThermalPoint(1e-300)
     with pytest.raises(DomainError, match="fermion_high_T and high_T_asymptotes"):
@@ -88,7 +104,7 @@ def test_the_hot_end_points_to_the_high_temperature_forms():
             sigma2x_low_T(PARAMS, BATHS["ohmic"], ThermalPoint(b))
     assert math.isfinite(sigma2x_low_T(PARAMS, BATHS["ohmic"], ThermalPoint(1e-150)).value)
     # Closed forms that need no kernel still evaluate there.
-    (h1, h2), _ = hartree_static(PARAMS, BATHS["ohmic"], hot)
+    h1, h2 = hartree_static(PARAMS, BATHS["ohmic"], hot).values
     assert math.isfinite(h1) and math.isfinite(h2)
 
 
@@ -98,7 +114,8 @@ def test_the_cold_end_of_the_high_temperature_form_is_a_domain_error():
     for beta, cutoff in ((1e300, 10.0), (1e150, 1e100)):
         with pytest.raises(DomainError, match="too cold for the high-temperature form"):
             fermion_high_T(PARAMS, OhmicDensity(1.0, cutoff), ThermalPoint(beta))
-    assert math.isfinite(fermion_high_T(PARAMS, OhmicDensity(1.0, 1e10), ThermalPoint(1e150)))
+    assert math.isfinite(
+        fermion_high_T(PARAMS, OhmicDensity(1.0, 1e10), ThermalPoint(1e150)).value)
 
 
 def test_narrow_bath_edges_fail_in_their_own_words():
@@ -107,9 +124,23 @@ def test_narrow_bath_edges_fail_in_their_own_words():
     for ratio in (1e12, 1e150):
         with pytest.raises(DomainError, match="cancels to fewer digits than rel_tol"):
             normalized_fermion(PARAMS, OhmicDensity.from_ratio(1.0, 1.0, ratio), ThermalPoint(2.0))
-    (first, _), _ = normalized_fermion(
-        PARAMS, OhmicDensity.from_ratio(1.0, 1.0, 1e4), ThermalPoint(2.0))
+    first, _ = normalized_fermion(
+        PARAMS, OhmicDensity.from_ratio(1.0, 1.0, 1e4), ThermalPoint(2.0)).values
     assert math.isfinite(first)
     # R(T) has no zero-temperature denominator and stays finite there.
-    value, _ = ratio_R(PARAMS, OhmicDensity.from_ratio(1.0, 1.0, 1e150), ThermalPoint(2.0))
+    value = ratio_R(PARAMS, OhmicDensity.from_ratio(1.0, 1.0, 1e150), ThermalPoint(2.0)).value
     assert math.isfinite(value)
+
+
+def test_a_bath_too_narrow_for_the_normalized_fermion_starts_no_engine_run(monkeypatch):
+    # The zero-temperature denominator reads omega1/omega_c and rel_tol
+    # only, so it is checked before any integral is stated.
+    runs = []
+    many = nm.integrate_many
+    monkeypatch.setattr(nm, "integrate_many", lambda requests: runs.append(1) or many(requests))
+    axes = (AxisSpec("beta_omega1", 2.0, 2.0, 1), AxisSpec("omega1_over_omegac", 1e6, 1e6, 1))
+    (row,) = run_sweep(SweepSpec("normalized_fermion", axes, BATHS["ohmic"], PARAMS)).rows
+    assert row[-1] == "invalid-params"
+    with pytest.raises(DomainError, match="cancels to fewer digits than rel_tol"):
+        normalized_fermion(PARAMS, OhmicDensity.from_ratio(1.0, 1.0, 1e6), ThermalPoint(2.0))
+    assert runs == []

@@ -52,6 +52,15 @@ PARAMS = ModelParams(omega1=1.0, omega2=3.0, t=0.1, f1=0.1, f2=0.1)
 UNIT_WEIGHTS = ModelParams(omega1=1.0, omega2=3.0, t=0.1, f1=1.0, f2=1.0)
 
 
+def _g_script(beta_omega1, omega1_over_omegac, omega2_over_omega1, t_over_omega1=0.1):
+    """G at unit omega1, coupling amplitude and bath weights."""
+    return g_script(
+        ModelParams(1.0, omega2_over_omega1, t_over_omega1, 1.0, 1.0),
+        OhmicDensity.from_ratio(1.0, 1.0, omega1_over_omegac),
+        ThermalPoint(beta_omega1),
+    )
+
+
 def four_bath_family():
     knots = [(x, 0.8 * x * math.exp(-x / 1.5)) for x in np.linspace(0.0, 18.0, 220)]
     return [
@@ -210,7 +219,7 @@ def test_near_resonance_advisory_flag():
 def test_hartree_static_closed_form():
     sd = OhmicDensity(2.0, 5.0)  # Omega = 10
     tp = ThermalPoint(2.0)
-    (h1, h2), _ = hartree_static(PARAMS, sd, tp)
+    h1, h2 = hartree_static(PARAMS, sd, tp).values
     n1 = 1.0 / (math.exp(2.0) + 1.0)
     ref1 = 4.0 * 0.1 * 0.1 * 10.0 * n1 * math.tanh(1.0)
     ref2 = (
@@ -219,7 +228,8 @@ def test_hartree_static_closed_form():
     )
     assert h1 == pytest.approx(ref1, rel=1e-14)
     assert h2 == pytest.approx(ref2, rel=1e-14)
-    assert hartree_static(PARAMS, sd, ThermalPoint(math.inf)) == ((0.0, 0.0), 0.0)
+    zero = hartree_static(PARAMS, sd, ThermalPoint(math.inf))
+    assert (zero.values, zero.err_estimate) == ((0.0, 0.0), 0.0)
 
 
 def test_hartree_static_zero_prefactor_skips_resonance_guard():
@@ -227,9 +237,11 @@ def test_hartree_static_zero_prefactor_skips_resonance_guard():
     # even on resonance, where the finite-T formula would be refused.
     resonant = ModelParams(omega1=1.0, omega2=1.0, t=0.05, f1=0.1, f2=0.1)
     sd = OhmicDensity(1.0, 1.0)
-    assert hartree_static(resonant, sd, ThermalPoint(math.inf)) == ((0.0, 0.0), 0.0)
+    zero = hartree_static(resonant, sd, ThermalPoint(math.inf))
+    assert (zero.values, zero.err_estimate) == ((0.0, 0.0), 0.0)
     no_weight = ModelParams(omega1=1.0, omega2=1.0, t=0.05, f1=0.0, f2=0.1)
-    assert hartree_static(no_weight, sd, ThermalPoint(2.0)) == ((0.0, 0.0), 0.0)
+    zero = hartree_static(no_weight, sd, ThermalPoint(2.0))
+    assert (zero.values, zero.err_estimate) == ((0.0, 0.0), 0.0)
 
 
 def test_fock_decomposition_is_exact_and_routes_agree():
@@ -239,7 +251,7 @@ def test_fock_decomposition_is_exact_and_routes_agree():
     sd = OhmicDensity(1.0, 1.0)
     for b in (0.7, 2.0, 5.0, math.inf):
         tp = ThermalPoint(b)
-        hs, _ = hartree_static(PARAMS, sd, tp)
+        hs = hartree_static(PARAMS, sd, tp).values
         ks, _ = fock_term(PARAMS, sd, tp)  # raises CrossFormError on drift
         fulls = (
             sigma1x_fermion(PARAMS, sd, tp).value,
@@ -260,12 +272,13 @@ def test_fock_and_g_script_errors_bound_mpmath_gap(a, b):
     p = PARAMS
     full1 = 2.0 * p.f1 * p.f2 * math.tanh(0.5 * b) * (1.0 / a - f_ref)
     full2 = -4.0 * p.t * p.f1 * p.f2 / (p.omega2 - p.omega1) * ff_ref
-    (h1, h2), _ = hartree_static(p, sd, tp)
+    h1, h2 = hartree_static(p, sd, tp).values
     (k1, k2), (err1, err2) = fock_term(p, sd, tp)
     assert err1 > 0.0 and abs(k1 - (full1 - h1)) <= err1
     assert err2 > 0.0 and abs(k2 - (full2 - h2)) <= err2
 
-    g_val, g_err = g_script(b, a, 3.0, 0.1)
+    g = _g_script(b, a, 3.0, 0.1)
+    g_val, g_err = g.value, g.err_estimate
     sin_theta = mixing(UNIT_WEIGHTS).cos_theta
     g_ref = -4.0 * 0.1 / 2.0 * ff_ref / (2.0 * sin_theta)
     assert g_err > 0.0 and abs(g_val - g_ref) <= g_err
@@ -401,7 +414,7 @@ def test_single_mode_bath_exact_sums():
     r = sigma2x_fermion(p, sd, tp)
     assert r.method == "combined_integral"
     assert r.err_estimate == 0.0
-    (h1, h2), _ = hartree_static(p, sd, tp)
+    h1, h2 = hartree_static(p, sd, tp).values
     (k1, k2), _ = fock_term(p, sd, tp)
     assert h1 + k1 == sigma1x_fermion(p, sd, tp).value
     assert h2 + k2 == r.value
@@ -421,8 +434,8 @@ def test_equal_reorganization_baths_share_hartree_but_not_fock():
     narrow = OhmicDensity(2.0, 1.0)
     wide = OhmicDensity(0.2, 10.0)  # same Omega = 2
     assert narrow.reorganization_omega()[0] == pytest.approx(wide.reorganization_omega()[0])
-    h_narrow, _ = hartree_static(p, narrow, tp)
-    h_wide, _ = hartree_static(p, wide, tp)
+    h_narrow = hartree_static(p, narrow, tp).values
+    h_wide = hartree_static(p, wide, tp).values
     assert h_narrow == pytest.approx(h_wide, rel=1e-12)
     (k1_narrow, _), _ = fock_term(p, narrow, tp)
     (k1_wide, _), _ = fock_term(p, wide, tp)
@@ -432,12 +445,12 @@ def test_equal_reorganization_baths_share_hartree_but_not_fock():
 def test_ratio_r_transfer_consistency():
     p = UNIT_WEIGHTS
     sd = OhmicDensity(1.0, 1.0)
-    r, err = ratio_R(p, sd, ThermalPoint(math.inf))
-    assert (r, err) == (1.0, 0.0)
+    cold = ratio_R(p, sd, ThermalPoint(math.inf))
+    assert (cold.value, cold.err_estimate) == (1.0, 0.0)
     for b in (0.8, 2.0, 6.0):
         tp = ThermalPoint(b)
         lhs = sigma2x_fermion(p, sd, tp).value
-        r, _ = ratio_R(p, sd, tp)
+        r = ratio_R(p, sd, tp).value
         rhs = p.t / p.omega2 * sigma1x_fermion(p, sd, tp).value * r
         assert lhs == pytest.approx(rhs, rel=1e-7)
 
@@ -446,41 +459,41 @@ def test_fermion_high_T_value_and_approach():
     p = PARAMS
     tp = ThermalPoint(0.01)
     ref = -0.1 * 0.1 * 0.1 * 0.01 ** 2 * 2.0 * 5.0 / 6.0
-    assert fermion_high_T(p, OhmicDensity(2.0, 5.0), tp) == pytest.approx(ref, rel=1e-14)
+    assert fermion_high_T(p, OhmicDensity(2.0, 5.0), tp).value == pytest.approx(ref, rel=1e-14)
     with pytest.raises(DomainError):
         fermion_high_T(p, OhmicDensity(2.0, 5.0), ThermalPoint(math.inf))
     # the full result approaches the asymptote linearly in beta
     sd = OhmicDensity(1.0, 1.0)
     full = sigma2x_fermion(p, sd, tp).value
-    assert full / fermion_high_T(p, sd, tp) == pytest.approx(1.0, abs=3e-2)
+    assert full / fermion_high_T(p, sd, tp).value == pytest.approx(1.0, abs=3e-2)
 
 
 def test_g_script_golden_values_and_sign_change():
     # Narrow bath (omega1 = 10 omegac): the occupation term and the kernel
     # integral compete, so the output coherence changes sign with T.
-    g_cold, _ = g_script(1.0, 10.0, 1.5)
+    g_cold = _g_script(1.0, 10.0, 1.5).value
     assert g_cold == pytest.approx(2.082844223284694e-04, rel=1e-8)
-    g_colder, _ = g_script(5.0, 10.0, 1.5)
+    g_colder = _g_script(5.0, 10.0, 1.5).value
     assert g_colder == pytest.approx(6.310380771526803e-03, rel=1e-8)
-    g_coldest, _ = g_script(10.0, 10.0, 1.5)
+    g_coldest = _g_script(10.0, 10.0, 1.5).value
     assert g_coldest == pytest.approx(3.841190182781396e-03, rel=1e-8)
-    g_hot, _ = g_script(0.2, 10.0, 1.5)
+    g_hot = _g_script(0.2, 10.0, 1.5).value
     assert g_hot < 0.0 < g_cold
     with pytest.raises(DomainError):
-        g_script(2.0, 10.0, 1.5, 0.0)
+        _g_script(2.0, 10.0, 1.5, 0.0)
 
 
 def test_normalized_fermion_peak_structure():
     p = PARAMS
-    (n1, n2), err = normalized_fermion(p, OhmicDensity(1.0, 1.0), ThermalPoint(math.inf))
-    assert (n1, n2, err) == (1.0, 1.0, 0.0)
+    cold = normalized_fermion(p, OhmicDensity(1.0, 1.0), ThermalPoint(math.inf))
+    assert cold.values + (cold.err_estimate,) == (1.0, 1.0, 0.0)
     grid = np.geomspace(0.05, 60.0, 40)
     narrow = []
     wide = []
     for b in grid:
-        (n1, _), _ = normalized_fermion(p, OhmicDensity(1.0, 0.01), ThermalPoint(float(b)))
+        n1, _ = normalized_fermion(p, OhmicDensity(1.0, 0.01), ThermalPoint(float(b))).values
         narrow.append(n1)
-        (n1, _), _ = normalized_fermion(p, OhmicDensity(1.0, 100.0), ThermalPoint(float(b)))
+        n1, _ = normalized_fermion(p, OhmicDensity(1.0, 100.0), ThermalPoint(float(b))).values
         wide.append(n1)
     assert max(narrow) > 1.0
     assert max(wide) < 1.0 + 1e-3
@@ -502,7 +515,7 @@ def test_decoupled_spins_close_the_output_channel():
     sd = OhmicDensity(1.0, 1.0)
     tp = ThermalPoint(2.0)
     assert sigma2x_fermion(p, sd, tp).value == 0.0
-    (h1, h2), _ = hartree_static(p, sd, tp)
+    h1, h2 = hartree_static(p, sd, tp).values
     (k1, k2), _ = fock_term(p, sd, tp)
     assert h2 == 0.0 and k2 == 0.0
     assert k1 != 0.0  # the internal coherence survives t = 0
@@ -515,7 +528,7 @@ def test_extreme_temperatures_stay_finite():
     assert hot.method == "dual_form"
     assert math.isfinite(hot.value) and hot.value < 0.0
     fock_term(p, sd, ThermalPoint(5e-3))
-    (n1, n2), _ = normalized_fermion(p, sd, ThermalPoint(80.0))
+    n1, n2 = normalized_fermion(p, sd, ThermalPoint(80.0)).values
     assert n1 == pytest.approx(1.0, abs=2e-3)
     assert n2 == pytest.approx(1.0, abs=2e-3)
 
@@ -564,7 +577,7 @@ def test_tolerance_floor_is_flagged():
 @pytest.mark.parametrize("name", ["g_script", "ratio_R", "normalized_fermion"])
 def test_rows_built_on_a_floored_f_f_carry_only_the_floor_flag(name):
     # Each row integrates F_F, whose quadratic noise floor lifts rel_tol at
-    # beta omega1 = 0.005; the public functions keep their (value, err).
+    # beta omega1 = 0.005; the public results carry the row's flag too.
     from cohex.sweep import AxisSpec, SweepSpec, run_sweep
 
     sd = OhmicDensity(1.0, 1.0)
@@ -572,12 +585,10 @@ def test_rows_built_on_a_floored_f_f_carry_only_the_floor_flag(name):
     (row,) = run_sweep(SweepSpec(name, axis, sd, PARAMS)).rows
     assert row[-1] == "tolerance-floor"
     hot = ThermalPoint(0.005)
-    value, err = {
-        "g_script": lambda: g_script(0.005, 1.0, 3.0, 0.1),
-        "ratio_R": lambda: ratio_R(PARAMS, sd, hot),
-        "normalized_fermion": lambda: normalized_fermion(PARAMS, sd, hot),
-    }[name]()
-    assert (value if isinstance(value, tuple) else (value,)) + (err,) == row[1:-1]
+    result = {"g_script": g_script, "ratio_R": ratio_R,
+              "normalized_fermion": normalized_fermion}[name](PARAMS, sd, hot)
+    assert result.values + (result.err_estimate,) == row[1:-1]
+    assert result.flags == ("tolerance-floor",)
 
 
 def test_no_tolerance_floor_at_default_tolerance_from_beta_omega1_0_1():

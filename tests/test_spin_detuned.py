@@ -19,7 +19,6 @@ from cohex.spin_detuned import (
     sigma2x_low_T,
     sigma2y,
     static_chain,
-    static_chain_flags,
     static_dynamical_split,
 )
 
@@ -224,7 +223,7 @@ def test_low_T_advisory_flag():
 def test_high_T_asymptotes_ohmic_identity():
     sd = OhmicDensity(2.0, 5.0)  # Omega = 10
     tp = ThermalPoint(0.05)
-    (s1, s2), _ = high_T_asymptotes(PARAMS, sd, tp)
+    s1, s2 = high_T_asymptotes(PARAMS, sd, tp).values
     b = 0.05
     assert s1 == pytest.approx(-0.1 * 0.1 * (10.0 / 3.0) * b * b, rel=1e-14)
     assert s2 == pytest.approx(0.1 * 0.1 * 0.1 * 10.0 * b ** 3 / 6.0, rel=1e-14)
@@ -240,7 +239,8 @@ def test_high_T_asymptotes_take_the_config_of_omega():
     with pytest.raises(DomainError, match="over the panel budget"):
         high_T_asymptotes(PARAMS, bath, tp)
     roomy = DEFAULT_QUADRATURE.replace(max_subdivisions=8000)
-    (s1, s2), err = high_T_asymptotes(PARAMS, bath, tp, roomy)
+    asymptotes = high_T_asymptotes(PARAMS, bath, tp, roomy)
+    (s1, s2), err = asymptotes.values, asymptotes.err_estimate
     omega, omega_err = bath.reorganization_omega(roomy)
     assert s1 == -0.1 * 0.1 * (omega / 3.0) * 0.1 * 0.1
     assert s2 > 0.0 and err == pytest.approx(abs(s1) * omega_err / omega, rel=1e-12)
@@ -251,11 +251,11 @@ def test_high_T_asymptotes_converge_to_full():
     # omegac = 100 it is 1, leaving a ~3% residual, which shrinks with b.
     sd = OhmicDensity(1.0, 100.0)
     tp = ThermalPoint(0.01)
-    (s1_ht, s2_ht), _ = high_T_asymptotes(PARAMS, sd, tp)
+    s1_ht, s2_ht = high_T_asymptotes(PARAMS, sd, tp).values
     assert sigma1x(PARAMS, sd, tp).value / s1_ht == pytest.approx(1.0, abs=4e-2)
     assert sigma2x(PARAMS, sd, tp).value / s2_ht == pytest.approx(1.0, abs=4e-2)
     tp_hotter = ThermalPoint(0.001)
-    (s1_ht, s2_ht), _ = high_T_asymptotes(PARAMS, sd, tp_hotter)
+    s1_ht, s2_ht = high_T_asymptotes(PARAMS, sd, tp_hotter).values
     assert sigma1x(PARAMS, sd, tp_hotter).value / s1_ht == pytest.approx(1.0, abs=1e-3)
     assert sigma2x(PARAMS, sd, tp_hotter).value / s2_ht == pytest.approx(1.0, abs=1e-3)
 
@@ -263,7 +263,7 @@ def test_high_T_asymptotes_converge_to_full():
 def test_static_chain_closed_form():
     sd = OhmicDensity(1.0, 10.0)  # Omega = 10
     tp = ThermalPoint(2.0)
-    chain, _ = static_chain(PARAMS, sd, tp)
+    chain = static_chain(PARAMS, sd, tp).values
     # independent re-composition from primitives
     s1z = -math.tanh(1.0)
     assert chain.sigma1z_st == pytest.approx(s1z, rel=1e-15)
@@ -280,26 +280,28 @@ def test_static_chain_closed_form():
 
 def test_static_chain_zero_coupling():
     p = ModelParams(omega1=1.0, omega2=3.0, t=0.1, f1=0.0, f2=0.1)
-    chain, _ = static_chain(p, OhmicDensity(1.0, 10.0), ThermalPoint(2.0))
+    chain = static_chain(p, OhmicDensity(1.0, 10.0), ThermalPoint(2.0)).values
     assert chain.sigma1x_st == 0.0 and chain.sigma2x_st == 0.0
     assert chain.sigma1z_st == pytest.approx(-math.tanh(1.0))
 
 
 def test_static_chain_flags():
     strong = ModelParams(omega1=1.0, omega2=3.0, t=0.1, f1=0.5, f2=0.5)
-    flags = static_chain_flags(strong, OhmicDensity(1.0, 10.0), ThermalPoint(math.inf))
+    flags = static_chain(strong, OhmicDensity(1.0, 10.0), ThermalPoint(math.inf)).flags
     assert "static-bath-coupling" in flags
     weak = ModelParams(omega1=1.0, omega2=3.0, t=0.01, f1=0.05, f2=0.05)
-    assert static_chain_flags(weak, OhmicDensity(0.1, 1.0), ThermalPoint(2.0)) == ()
+    assert static_chain(weak, OhmicDensity(0.1, 1.0), ThermalPoint(2.0)).flags == ()
 
 
 def test_static_dynamical_split():
     empty = DiscreteDensity([])
-    (static_term, dynamical_term), err = static_dynamical_split(PARAMS, empty)
+    split = static_dynamical_split(PARAMS, empty)
+    (static_term, dynamical_term), err = split.values, split.err_estimate
     assert (static_term, dynamical_term, err) == (0.0, 0.0, 0.0)
 
     sd = OhmicDensity(1.0, 10.0)
-    (static_term, dynamical_term), err = static_dynamical_split(PARAMS, sd)
+    split = static_dynamical_split(PARAMS, sd)
+    (static_term, dynamical_term), err = split.values, split.err_estimate
     # dynamical integrand against midpoint oracle
     ref = oracles.midpoint_reference(
         lambda x: x * np.exp(-x / 10.0) / (x + 1.0), upper=400.0, n=10_000_000
@@ -318,12 +320,12 @@ def test_static_dynamical_split():
 def test_normalized_output_ratio():
     sd = OhmicDensity(1.0, 100.0)
     p_res = ModelParams(omega1=1.0, omega2=1.0, t=0.1, f1=0.1, f2=0.1)
-    ratio, _ = normalized_output_ratio(p_res, sd, ThermalPoint(math.inf))
+    ratio = normalized_output_ratio(p_res, sd, ThermalPoint(math.inf)).value
     assert ratio == pytest.approx(-1.0, rel=1e-12)
     # direct-quotient oracle
     p = ModelParams(omega1=1.0, omega2=2.0, t=0.07, f1=0.1, f2=0.1)
     tp = ThermalPoint(1.0)
-    ratio, _ = normalized_output_ratio(p, sd, tp)
+    ratio = normalized_output_ratio(p, sd, tp).value
     quotient = (
         p.omega1 / p.t
         * sigma2x(p, sd, tp).value
@@ -337,15 +339,16 @@ def test_normalized_output_ratio():
 def test_normalized_coherences_monotone_short_grid():
     # the acceptance suite runs the full 200-point version
     for a in (0.01, 1.0):
+        bath = OhmicDensity.from_ratio(1.0, PARAMS.omega1, a)
         b_grid = np.logspace(-1.5, 1.5, 25)
         n1_vals, n2_vals = [], []
         for b in b_grid:
-            (n1, n2), _ = normalized_coherences_spin(a, float(b), 3.0)
+            n1, n2 = normalized_coherences_spin(PARAMS, bath, ThermalPoint(float(b))).values
             n1_vals.append(n1)
             n2_vals.append(n2)
         assert all(x < y for x, y in zip(n1_vals, n1_vals[1:]))
         assert all(x < y for x, y in zip(n2_vals, n2_vals[1:]))
-        (n1_cold, n2_cold), _ = normalized_coherences_spin(a, math.inf, 3.0)
+        n1_cold, n2_cold = normalized_coherences_spin(PARAMS, bath, ThermalPoint(math.inf)).values
         assert n1_cold == pytest.approx(1.0, rel=1e-12)
         assert n2_cold == pytest.approx(1.0, rel=1e-12)
 

@@ -46,6 +46,8 @@ from cohex.sweep import (
 )
 from cohex.table import STATUS_OK, emit_csv
 
+from test_public_functions import PUBLIC
+
 PARAMS = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
 BATH = OhmicDensity(1.0, 10.0)
 
@@ -149,30 +151,11 @@ class TestRegistry:
     def test_ohmic_only_functions_are_the_flagged_quantities(self):
         # Each registry quantity's public function, given the bath: an
         # ohmic-only one refuses a generalized and a tabulated bath with
-        # DomainError, every other one accepts both.  normalized_spin and
-        # g_script take a cutoff ratio, not a bath, and static_compare has
-        # no public function of its own, so its registry step stands in.
-        from cohex.spin_detuned import normalized_output_ratio, sigma1x, sigma2y
-        from cohex.spin_general import r1_value, r2_value, sigma1x_general, sigma2x_general
-
-        public = {
-            "sigma1x": sigma1x, "sigma2x": sigma2x, "sigma2y": sigma2y,
-            "sigma1x_general": sigma1x_general, "sigma2x_general": sigma2x_general,
-            "r1": r1_value, "r2": r2_value, "static_sigma2x": static_chain,
-            "sigma2x_low_T": sigma2x_low_T, "normalized_output_ratio": normalized_output_ratio,
-            "static_compare": lambda p, sd, tp: nm.run_step(
-                QUANTITIES["static_compare"].steps(p, sd, tp, None)),
-            "sigma1x_fermion": fermion.sigma1x_fermion, "sigma2x_fermion": sigma2x_fermion,
-            "hartree_fock": fock_term, "normalized_fermion": normalized_fermion,
-            "ratio_R": fermion.ratio_R, "fermion_high_T": fermion.fermion_high_T,
-        }
-        bathless = {"normalized_spin", "g_script"}
-        assert set(public) | bathless == set(QUANTITIES)
-        assert all(QUANTITIES[name].needs_ohmic for name in bathless)
+        # DomainError, every other one accepts both.
         knots = [(x, x * math.exp(-x / 10.0)) for x in np.linspace(0.0, 60.0, 40)]
         baths = (GeneralizedOhmicDensity(1.0, 0.5, 10.0), TabulatedDensity(knots, 10.0))
         tp = ThermalPoint(2.0)
-        for name, function in public.items():
+        for name, function in PUBLIC.items():
             for sd in baths:
                 if QUANTITIES[name].needs_ohmic:
                     with pytest.raises(DomainError, match="uses the ohmic closed form"):
@@ -368,7 +351,7 @@ class TestRunSweep:
             SweepSpec("normalized_spin", (beta_axis(start=5.0, stop=5.0),), bath, PARAMS)
         )
         assert table.columns[1:3] == ("normalized_sigma1x", "normalized_sigma2x")
-        (n1, n2), _ = normalized_coherences_spin(0.01, 5.0, 3.0)
+        n1, n2 = normalized_coherences_spin(PARAMS, bath, ThermalPoint(5.0)).values
         assert table.rows[0][1:3] == (n1, n2)
 
     def test_static_compare_columns(self):
@@ -377,7 +360,7 @@ class TestRunSweep:
         )
         tp = ThermalPoint.from_beta_omega1(8.0, 1.0)
         full = sigma2x(PARAMS, BATH, tp)
-        chain, _ = static_chain(PARAMS, BATH, tp)
+        chain = static_chain(PARAMS, BATH, tp).values
         low = sigma2x_low_T(PARAMS, BATH, tp)
         assert table.rows[0][1:4] == (full.value, chain.sigma2x_st, low.value)
 
@@ -386,7 +369,7 @@ class TestRunSweep:
             SweepSpec("hartree_fock", (beta_axis(),), BATH, PARAMS)
         )
         tp = ThermalPoint.from_beta_omega1(2.0, 1.0)
-        (h1, h2), _ = hartree_static(PARAMS, BATH, tp)
+        h1, h2 = hartree_static(PARAMS, BATH, tp).values
         (k1, k2), _ = fock_term(PARAMS, BATH, tp)
         assert table.rows[0][1:5] == (h1, h2, k1, k2)
 
@@ -408,7 +391,7 @@ class TestRunSweep:
         axes = (beta_axis(points=2, start=1.0, stop=5.0),)
         table = run_sweep(SweepSpec("g_script", axes, bath, PARAMS))
         for row in table.rows:
-            g_val, _ = g_script(row[0], 10.0, 3.0, 0.1)
+            g_val = g_script(PARAMS, bath, ThermalPoint(row[0])).value
             assert row[1] == g_val
 
     def test_g_script_sweep_passes_its_config(self, monkeypatch):
@@ -438,7 +421,7 @@ class TestRunSweep:
         table = run_sweep(
             SweepSpec("normalized_fermion", (beta_axis(),), BATH, PARAMS)
         )
-        (n1, n2), _ = normalized_fermion(PARAMS, BATH, ThermalPoint(2.0))
+        n1, n2 = normalized_fermion(PARAMS, BATH, ThermalPoint(2.0)).values
         assert table.rows[0][1:3] == (n1, n2)
         assert table.rows[0][3] > 0.0
 
@@ -450,9 +433,10 @@ class TestRunSweep:
         # Each of these is built on adaptive integrals; a finite-T row
         # reports their estimate, carried to first order, not 0.
         for b in (0.5, 2.0, 7.0):
-            values, err, _ = QUANTITIES[name].evaluate(
+            result = QUANTITIES[name].evaluate(
                 PARAMS, BATH, ThermalPoint(b), DEFAULT_QUADRATURE
             )
+            values, err = result.values, result.err_estimate
             assert 0.0 < err < 1e-8 * max(abs(v) for v in values)
 
     @pytest.mark.parametrize("name, n_linear", [
@@ -465,9 +449,10 @@ class TestRunSweep:
         xi = np.linspace(1e-3, 18.0, 200)
         bath = TabulatedDensity(np.column_stack([xi, xi * np.exp(-xi)]), 1.0)
         omega, omega_err = bath.reorganization_omega()
-        values, err, _ = QUANTITIES[name].evaluate(
+        result = QUANTITIES[name].evaluate(
             PARAMS, bath, ThermalPoint(2.0), DEFAULT_QUADRATURE
         )
+        values, err = result.values, result.err_estimate
         share = max(abs(v) for v in values[:n_linear]) * omega_err / omega
         assert 0.0 < share <= err
 
