@@ -410,9 +410,8 @@ def _cmd_oracle_check(ns):
     )
     beta = ThermalPoint.from_axis(*_temperature_value(values), omega1).beta
     spec = OracleSpec(bath, values["fock_cutoff"], ns.model, params, beta)
-    comparison = compare_perturbative(spec, ns.observable)
-    exact, formula, rel_dev = comparison
-    fit = convergence_order(spec, ns.observable, factors, unscaled=comparison)
+    exact, formula, rel_dev = compare_perturbative(spec, ns.observable)
+    fit = convergence_order(spec, ns.observable, factors)
     if fit.inconclusive or not math.isfinite(fit.order):
         order, status = None, "inconclusive-fit"
     else:

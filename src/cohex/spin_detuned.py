@@ -53,11 +53,10 @@ from .numerics import (
 from .spectral import OhmicDensity, SpectralDensity
 
 # Advisory thresholds (flags only, never hard errors): the detuned formulas
-# assume t small against every level splitting; the asymptotic forms assume
-# clearly low or high temperature; perturbative values should stay small.
+# assume t small against every level splitting; the low-temperature form
+# assumes clearly low temperature; perturbative values should stay small.
 DETUNED_COUPLING_FACTOR = 0.2
 LOW_T_MIN_BETA_OMEGA1 = 5.0
-HIGH_T_MAX_BETA_OMEGA1 = 0.2
 STATIC_VALIDITY_FACTOR = 0.1
 PERTURBATIVE_MAGNITUDE = 0.1
 

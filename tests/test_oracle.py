@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,20 +141,69 @@ def test_sector_blocks_equal_dense_kron_reference(model, cutoff):
         assert np.array_equal(h, dense[np.ix_(rows, rows)])
 
 
-def test_convergence_order_reuses_the_unscaled_comparison(monkeypatch):
-    reference = convergence_order(SPIN, "sigma1x")
-    comparison = compare_perturbative(SPIN, "sigma1x")
+def _counted_solves(monkeypatch):
+    """(f1, fock_cutoff) of every exact_average call from here on."""
     solved = []
     real = oracle.exact_average
 
     def counting(spec, observable):
-        solved.append(spec.params.f1)
+        solved.append((spec.params.f1, spec.fock_cutoff))
         return real(spec, observable)
 
     monkeypatch.setattr(oracle, "exact_average", counting)
-    fit = convergence_order(SPIN, "sigma1x", unscaled=comparison)
-    assert fit == reference
-    assert sorted(solved) == [0.025, 0.025, 0.05, 0.05]
+    return solved
+
+
+def test_a_fit_after_its_comparison_reuses_the_unit_scale_solve(monkeypatch):
+    cold = convergence_order(SPIN, "sigma1x")
+    oracle._last_exact = None
+    solved = _counted_solves(monkeypatch)
+    comparison = compare_perturbative(SPIN, "sigma1x")
+    fit = convergence_order(SPIN, "sigma1x")
+    assert fit == cold
+    assert fit.deviations[0] == comparison[2]
+    assert sorted(solved) == [
+        (f1, cutoff) for f1 in (0.025, 0.05, 0.1) for cutoff in (14, 28)
+    ]
+
+
+@pytest.mark.parametrize(
+    "other", [(SPIN, "sigma2x"), (replace(SPIN, beta=1.0), "sigma1x")]
+)
+def test_another_solve_replaces_the_stored_one(monkeypatch, other):
+    solved = _counted_solves(monkeypatch)
+    compare_perturbative(SPIN, "sigma1x")
+    compare_perturbative(*other)
+    convergence_order(SPIN, "sigma1x")
+    assert len(solved) == 2 + 2 + 6
+
+
+def test_a_failed_solve_is_never_stored(monkeypatch):
+    # the CLI's unconverged case: fock_cutoff=1, mode_coupling=0.6
+    bath = DiscreteDensity([(0.6, 0.8)])
+    params = ModelParams(1.0, 3.0, 0.001, 0.5, 0.5)
+    spec = OracleSpec(bath, 1, "spin", params, 2.0)
+    solved = _counted_solves(monkeypatch)
+    for call in (compare_perturbative, compare_perturbative, convergence_order):
+        with pytest.raises(ConvergenceError):
+            call(spec, "sigma1x")
+    assert solved == [(0.5, 1), (0.5, 2)] * 3
+    assert oracle._last_exact is None
+
+
+def test_a_bath_changed_in_place_is_solved_again(monkeypatch):
+    bath = DiscreteDensity([(0.05, 0.8)])
+    spec = OracleSpec(bath, 14, "spin", PARAMS, 2.0)
+    solved = _counted_solves(monkeypatch)
+    first = compare_perturbative(spec, "sigma1x")
+    bath.couplings[0] = 0.04
+    second = compare_perturbative(spec, "sigma1x")
+    assert len(solved) == 4
+    assert second[0] != first[0]
+    # an equal bath in a new object is the same solve
+    fresh = OracleSpec(DiscreteDensity([(0.04, 0.8)]), 14, "spin", PARAMS, 2.0)
+    assert compare_perturbative(fresh, "sigma1x") == second
+    assert len(solved) == 4
 
 
 @pytest.mark.parametrize(
