@@ -290,6 +290,15 @@ def _config_meta(command, values, extra=None):
     return meta
 
 
+def _emitted(ns, values, table, extra=None):
+    """(output bytes, exit code) of ``table`` with the config block
+    appended to its metadata; the code is 3 when a row is flagged."""
+    from .table import emit
+
+    table.meta.update(_config_meta(ns.command, values, extra))
+    return emit(table, ns.format), (0 if table.all_ok() else 3)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -329,7 +338,6 @@ def _assemble_sweep(schema, values):
 
 def _sweep_command(ns, model, fixed_quantity=None):
     from .sweep import SweepSpec, quantity_names, run_sweep
-    from .table import emit
 
     if fixed_quantity is None:
         schema = _sweep_schema(model)
@@ -344,9 +352,7 @@ def _sweep_command(ns, model, fixed_quantity=None):
         )
     axes, params, bath, config = _assemble_sweep(schema, values)
     spec = SweepSpec(quantity, axes, bath, params, config)
-    meta = _config_meta(ns.command, values)
-    table = run_sweep(spec, jobs=ns.jobs, extra_meta=meta)
-    return emit(table, ns.format), (0 if table.all_ok() else 3)
+    return _emitted(ns, values, run_sweep(spec, jobs=ns.jobs))
 
 
 def _cmd_validity_map(ns):
@@ -354,7 +360,6 @@ def _cmd_validity_map(ns):
 
     from .spin_detuned import ThermalPoint
     from .sweep import MAP_QUADRATURE, r1_map, r2_map
-    from .table import SweepTable, emit
 
     values = _resolve_config(_map_schema(), ns)
     beta_omega1 = ThermalPoint.from_axis(*_temperature_value(values), 1.0).beta
@@ -376,17 +381,14 @@ def _cmd_validity_map(ns):
         config=config,
         jobs=ns.jobs,
     )
-    meta = dict(table.meta)
-    meta.update(_config_meta("validity-map", values, extra={"which": ns.which}))
-    table = SweepTable(table.columns, table.rows, meta)
-    return emit(table, ns.format), (0 if table.all_ok() else 3)
+    return _emitted(ns, values, table, extra={"which": ns.which})
 
 
 def _cmd_oracle_check(ns):
     from .oracle import OracleSpec, _checked_scale_factors, compare_perturbative, convergence_order
     from .spectral import DiscreteDensity
     from .spin_detuned import ModelParams, ThermalPoint
-    from .table import STATUS_OK, SweepTable, emit
+    from .table import STATUS_OK, SweepTable
 
     values = _resolve_config(_ORACLE_SCHEMA, ns)
     factors = _checked_scale_factors(values["scale_factors"])
@@ -416,17 +418,11 @@ def _cmd_oracle_check(ns):
         order, status = None, "inconclusive-fit"
     else:
         order, status = fit.order, STATUS_OK
-    meta = _config_meta(
-        "oracle-check",
-        values,
-        extra={"model": ns.model, "observable": ns.observable},
-    )
     table = SweepTable(
         ("exact", "formula", "rel_dev", "order", "status"),
         [(exact, formula, rel_dev, order, status)],
-        meta,
     )
-    return emit(table, ns.format), (0 if status == STATUS_OK else 3)
+    return _emitted(ns, values, table, extra={"model": ns.model, "observable": ns.observable})
 
 
 def _cmd_selftest(ns):

@@ -122,10 +122,9 @@ def _noise_floor(config: QuadratureConfig, beta_omega1: float, power: int):
 
     Relative to its integral, the noise of a thermal kernel grows as a
     power of 1/(beta omega1); at the hottest points the requested
-    tolerance can sit below it.  Returns (config, raised): ``raised`` is
-    True when the floor lifted rel_tol, which results report as the
-    ``tolerance-floor`` flag.  A floor past the largest double raises
-    ``DomainError``.
+    tolerance can sit below it.  Returns (config, flags): ``flags`` is
+    ``("tolerance-floor",)`` when the floor lifted rel_tol and empty
+    otherwise.  A floor past the largest double raises ``DomainError``.
     """
     try:
         floor = 64.0 * _EPS * max(1.0, 1.0 / beta_omega1) ** power
@@ -136,8 +135,8 @@ def _noise_floor(config: QuadratureConfig, beta_omega1: float, power: int):
             "fermion_high_T and high_T_asymptotes hold there"
         ) from None
     if floor > config.rel_tol:
-        return config.replace(rel_tol=floor), True
-    return config, False
+        return config.replace(rel_tol=floor), ("tolerance-floor",)
+    return config, ()
 
 
 def _agreement(what, a, b, rtol, scale, err):
@@ -244,19 +243,20 @@ def _f_fermion_parts_step(omega1_over_omegac, beta_omega1, omega2_over_omega1, c
     n2 = fermi_n(g, b)
     term0 = n1 * (1.0 - 2.0 * n2) / (a * g)
     # The kernel's cancellation noise grows as the square of 1/(beta omega1).
-    cfg, raised = _noise_floor(with_tail_scale(config, 1.0 / a), b, 2)
+    cfg, flags = _noise_floor(with_tail_scale(config, 1.0 / a), b, 2)
     (outcome,) = yield [
         Integral(_folded_x_kernel, (a, b, g, n1, n2), (1.0, abs(g - 1.0)), cfg)
     ]
     xint, err = take(outcome)
-    return term0, xint, err, ("tolerance-floor",) if raised else ()
+    return term0, xint, err, flags
 
 
 def _shape_factor_route(params, sd, tp, config):
-    """Step returning (value, err, scale) of <sigma2x>_F from the folded
-    x-kernel form on the ohmic bath ``sd``."""
+    """Step returning (value, err, scale, flags) of <sigma2x>_F from the
+    folded x-kernel form on the ohmic bath ``sd``; the flags name a raised
+    tolerance."""
     dw = params.omega2 - params.omega1
-    term0, xint, err, _ = yield from _f_fermion_parts_step(
+    term0, xint, err, flags = yield from _f_fermion_parts_step(
         params.omega1 / sd.cutoff,
         tp.beta * params.omega1,
         params.omega2 / params.omega1,
@@ -267,6 +267,7 @@ def _shape_factor_route(params, sd, tp, config):
         pre * (term0 + xint),
         abs(pre) * err,
         abs(pre) * (abs(term0) + abs(xint)),
+        flags,
     )
 
 
@@ -299,12 +300,12 @@ def _combined_second_kernel(xi, w1, w2, beta, n1, n2):
 
 
 def _combined_route(params, sd, tp, config):
-    """Step returning (value, err, scale) of <sigma2x>_F from the weighted
-    spectral integral."""
+    """Step returning (value, err, scale, flags) of <sigma2x>_F from the
+    weighted spectral integral; the flags name a raised tolerance."""
     w1, w2, beta = params.omega1, params.omega2, tp.beta
     dw = w2 - w1
     # Same quadratic noise floor as the x-kernel organization.
-    cfg, _ = _noise_floor(config or DEFAULT_QUADRATURE, beta * w1, 2)
+    cfg, flags = _noise_floor(config or DEFAULT_QUADRATURE, beta * w1, 2)
     n1 = fermi_n(w1, beta)
     n2 = fermi_n(w2, beta)
     (outcome,) = yield [
@@ -319,6 +320,7 @@ def _combined_route(params, sd, tp, config):
         pre * (integral + const),
         abs(pre) * (err + abs(occupation) * omega_err / w2),
         abs(pre) * (abs(integral) + abs(const)),
+        flags,
     )
 
 
@@ -354,15 +356,13 @@ def sigma2x_fermion(
             "zero_T_transfer",
             flags + _magnitude_flags(value),
         )
-    _, raised = _noise_floor(config or DEFAULT_QUADRATURE, tp.beta * params.omega1, 2)
-    if raised:
-        flags = flags + ("tolerance-floor",)
     if not isinstance(sd, OhmicDensity):
-        value_c, err_c, _ = yield from _combined_route(params, sd, tp, config)
+        value_c, err_c, _, floor = yield from _combined_route(params, sd, tp, config)
         return CoherenceResult(
-            (value_c,), err_c, "combined_integral", flags + _magnitude_flags(value_c)
+            (value_c,), err_c, "combined_integral",
+            flags + floor + _magnitude_flags(value_c),
         )
-    (value_c, err_c, scale_c), (value_s, err_s, scale_s) = yield from gather(
+    (value_c, err_c, scale_c, floor_c), (value_s, err_s, scale_s, floor_s) = yield from gather(
         _combined_route(params, sd, tp, config),
         _shape_factor_route(params, sd, tp, config),
     )
@@ -375,7 +375,7 @@ def sigma2x_fermion(
         (value,),
         max(err_s, err_c) + 0.5 * gap,
         "dual_form",
-        flags + _magnitude_flags(value),
+        flags + (floor_c or floor_s) + _magnitude_flags(value),
     )
 
 
@@ -496,8 +496,7 @@ def _fock_step(params, sd, tp, config):
     cfg = config or DEFAULT_QUADRATURE
     flags = ()
     if not tp.is_zero_temperature:
-        cfg, raised = _noise_floor(cfg, beta * w1, 3)
-        flags = ("tolerance-floor",) if raised else ()
+        cfg, flags = _noise_floor(cfg, beta * w1, 3)
     n1 = fermi_n(w1, beta)
     th1 = thermal_tanh_half(beta, w1)
     direct = [

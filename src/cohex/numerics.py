@@ -743,19 +743,14 @@ class _Engine:
         w = np.where(has, self.w_start[:, None] + rank, 0)
         self.w_by_rank = list(zip(np.where(has, lo[w], np.inf).T,
                                   np.where(has, hi[w], -np.inf).T, w.T))
-        good = np.isfinite(vals).all(axis=1)
-        if good.all():
-            self.w_center, self.w_half, self.w_coef = _bridge_cubics(nodes, vals)
-            return
-        for o in sorted(set(w_owner[~good].tolist())):
+        bad = ~np.isfinite(vals).all(axis=1)
+        for o in sorted(set(w_owner[bad].tolist())):
             self._fail(o, "kernel is non-finite at bridging nodes near a removable point")
-        # A failed owner's windows are never read again.
-        self.w_center = np.zeros(lo.size)
-        self.w_half = np.ones(lo.size)
-        self.w_coef = np.zeros((lo.size, 4))
-        if good.any():
-            center, half, coef = _bridge_cubics(nodes[good], vals[good])
-            self.w_center[good], self.w_half[good], self.w_coef[good] = center, half, coef
+        # A failed owner's windows are never read again; a failed window is
+        # fitted to zeros at well-posed nodes, so no cell's solve can fail.
+        nodes[bad] = (1.0, 2.0, 3.0, 4.0)
+        vals[bad] = 0.0
+        self.w_center, self.w_half, self.w_coef = _bridge_cubics(nodes, vals)
 
     def _segments(self, own: np.ndarray):
         """(start, end, group) of the runs of one group in an owner-sorted array."""

@@ -52,8 +52,8 @@ OBSERVABLES = SPIN_OBSERVABLES + FERMION_OBSERVABLES
 _CUTOFF_STABILITY_ABS = 1e-8
 _IMAG_RESIDUE_ABS = 1e-10
 
-# The last stable exact solve, (key, (value, shift)); see _stable_exact.
-_last_exact = None
+# The last comparison, (key, (exact, formula, rel_dev)); see compare_perturbative.
+_last_comparison = None
 
 _I2 = np.eye(2)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -351,8 +351,8 @@ def exact_average(spec: OracleSpec, observable: str) -> float:
     )
 
 
-def _exact_key(spec: OracleSpec, observable: str) -> tuple:
-    """The values that define a stable exact solve, copied out of the spec.
+def _comparison_key(spec: OracleSpec, observable: str) -> tuple:
+    """The values that define a comparison, copied out of the spec.
 
     The bath arrays and the floats enter as bytes, so a bath changed in
     place no longer matches and 0.0 and -0.0 stay apart.
@@ -367,27 +367,15 @@ def _exact_key(spec: OracleSpec, observable: str) -> tuple:
     )
 
 
-def _stable_exact(spec: OracleSpec, observable: str):
-    """(value, truncation shift) with a cutoff-doubling stability check.
+def _stable_exact(spec: OracleSpec, observable: str) -> float:
+    """The exact value, after a cutoff-doubling stability check.
 
     The bath truncation is this module's own approximation; a value is
     only admitted into a comparison after doubling the cutoff moves it
     by less than 1e-8.  The doubled-cutoff value is the one returned.
-
-    The module keeps one entry and nothing else: the last success, keyed
-    by the bath couplings and frequencies, the cutoff, the model, the
-    params, beta and the observable.  A call with the same values
-    returns it without solving, which is how a convergence fit that
-    follows its own comparison gets its s = 1 point.  A failure is never
-    kept, and a success for other values replaces the entry.
     """
-    global _last_exact
     # Built first, so its dimension guard fires before any solve.
     refined_spec = replace(spec, fock_cutoff=2 * int(spec.fock_cutoff))
-    key = _exact_key(spec, observable)
-    last = _last_exact
-    if last is not None and last[0] == key:
-        return last[1]
     base = exact_average(spec, observable)
     refined = exact_average(refined_spec, observable)
     shift = abs(refined - base)
@@ -398,8 +386,7 @@ def _stable_exact(spec: OracleSpec, observable: str):
             partial=refined,
             err_estimate=shift,
         )
-    _last_exact = (key, (refined, shift))
-    return refined, shift
+    return refined
 
 
 def formula_value(spec: OracleSpec, observable: str) -> float:
@@ -436,11 +423,24 @@ def compare_perturbative(spec: OracleSpec, observable: str):
     vanish.  The formulas are trustworthy when the dimensionless
     coupling 4 f1 f2 Omega is well below omega1; no error is raised
     outside that regime, the deviation simply grows.
+
+    The module keeps one entry and nothing else: the last comparison,
+    keyed by the bath couplings and frequencies, the cutoff, the model,
+    the params, beta and the observable.  A call with the same values
+    returns it without solving or evaluating anything, which is how a
+    convergence fit that follows its own comparison gets its s = 1
+    point.  A failure is never kept, and a comparison of other values
+    replaces the entry.
     """
-    exact, _ = _stable_exact(spec, observable)
+    global _last_comparison
+    key = _comparison_key(spec, observable)
+    if _last_comparison is not None and _last_comparison[0] == key:
+        return _last_comparison[1]
+    exact = _stable_exact(spec, observable)
     formula = formula_value(spec, observable)
     scale = max(abs(exact), abs(formula))
     rel_dev = abs(exact - formula) / scale if scale > 0.0 else 0.0
+    _last_comparison = (key, (exact, formula, rel_dev))
     return exact, formula, rel_dev
 
 
@@ -487,11 +487,11 @@ def convergence_order(
     Both f1 and f2 are multiplied by each scale factor s, so the
     coherences scale as s^2 and the first neglected term as s^4: the
     relative deviation must fall as s^2 and the fitted log-log slope
-    should sit near 2.  Each point is one ``compare_perturbative``; the
-    s = 1 point takes the exact value from the module's one stored solve
-    when the last solve was this spec and observable, as it is right
-    after ``compare_perturbative(spec, observable)``, so a check solves
-    each point once.  Nothing else is stored.
+    should sit near 2.  Each point is one ``compare_perturbative``, so
+    the s = 1 point is the module's one stored comparison when the last
+    comparison was this spec and observable, as it is right after
+    ``compare_perturbative(spec, observable)``: a check then solves and
+    evaluates each point once.
     """
     factors = _checked_scale_factors(scale_factors)
     deviations = []

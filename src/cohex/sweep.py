@@ -384,8 +384,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _evaluate_cells(spec: SweepSpec, points: list, jobs: int | None) -> list:
-    """(values, err, status) of every cell point (axis name -> value), in order.
+def _rows(spec: SweepSpec, points: list, keys: tuple, jobs: int | None) -> list:
+    """One row per cell point (axis name -> value), in order: the point's
+    ``keys`` values, then the cell's values, err and status.
 
     The pool gets the smallest of ``jobs``, the cell count and the usable
     CPU count as workers: a fork-based pool starts every worker at its
@@ -403,15 +404,16 @@ def _evaluate_cells(spec: SweepSpec, points: list, jobs: int | None) -> list:
         size = -(-size // _LOCKSTEP_CELLS) * _LOCKSTEP_CELLS
         tasks = [(spec, points[i:i + size]) for i in range(0, len(points), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return [cell for part in pool.map(_sweep_cells, tasks) for cell in part]
-    return _sweep_cells((spec, points))
+            cells = [cell for part in pool.map(_sweep_cells, tasks) for cell in part]
+    else:
+        cells = _sweep_cells((spec, points))
+    return [
+        tuple(point[key] for key in keys) + values + (err, status)
+        for point, (values, err, status) in zip(points, cells)
+    ]
 
 
-def run_sweep(
-    spec: SweepSpec,
-    jobs: int | None = None,
-    extra_meta: dict | None = None,
-) -> SweepTable:
+def run_sweep(spec: SweepSpec, jobs: int | None = None) -> SweepTable:
     """Evaluate a sweep and return its table.
 
     Parameters
@@ -423,27 +425,22 @@ def run_sweep(
         cells and of usable CPUs; below 2 the grid runs serially.  The
         output is identical for any value because rows are assembled in
         grid order.
-    extra_meta : dict, optional
-        Additional metadata merged into the table (all values coerced to
-        strings); used by the command line to embed its resolved config.
 
     Returns
     -------
     SweepTable
         One row per grid cell: axis values, value columns, ``err_estimate``,
         and a ``status`` word (``ok``, advisory flags joined with ``;``, or
-        an error word with empty value cells).
+        an error word with empty value cells).  Its metadata names the
+        quantity, model, bath, params and axes; the command line appends
+        its resolved config to it.
     """
     names = spec.axis_names()
     points = [
         dict(zip(names, map(float, combo)))
         for combo in itertools.product(*(axis.values() for axis in spec.axes))
     ]
-    cells = _evaluate_cells(spec, points, jobs)
-    rows = [
-        tuple(point.values()) + values + (err, status)
-        for point, (values, err, status) in zip(points, cells)
-    ]
+    rows = _rows(spec, points, names, jobs)
     meta = {
         "quantity": spec.quantity,
         "model": QUANTITIES[spec.quantity].model,
@@ -452,9 +449,6 @@ def run_sweep(
     }
     for axis in spec.axes:
         meta[f"axis {axis.name}"] = axis.describe()
-    if extra_meta:
-        for key, value in extra_meta.items():
-            meta[str(key)] = str(value)
     return SweepTable(spec.columns(), rows, meta)
 
 
@@ -493,11 +487,7 @@ def _ratio_map(which, omega2_over_omega1, t_over_omega1, omega1_over_omegac,
         for a in w2
         for b in ts
     ]
-    cells = _evaluate_cells(spec, points, jobs)
-    rows = [
-        (point["omega2_over_omega1"], point["t_over_omega1"]) + values + (err, status)
-        for point, (values, err, status) in zip(points, cells)
-    ]
+    rows = _rows(spec, points, ("omega2_over_omega1", "t_over_omega1"), jobs)
     meta = {
         "map": which,
         "omega1_over_omegac": repr(float(omega1_over_omegac)),

@@ -7,12 +7,12 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 
 @pytest.fixture(autouse=True)
-def _no_stored_exact_solve():
-    """Start every test without the oracle's stored exact solve.
+def _no_stored_comparison():
+    """Start every test without the oracle's stored comparison.
 
-    Tests count solves and eigensolver calls, so a solve kept from an
-    earlier test must not answer for them.
+    Tests count solves and eigensolver calls, so a comparison kept from
+    an earlier test must not answer for them.
     """
     oracle = sys.modules.get("cohex.oracle")
     if oracle is not None:
-        oracle._last_exact = None
+        oracle._last_comparison = None

@@ -246,8 +246,8 @@ def test_criterion_05_fermion_dual_form():
         )
         sd = OhmicDensity(float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 5.0)))
         tp = ThermalPoint(float(rng.uniform(0.1, 30.0)))
-        va, _, _ = run_step(_shape_factor_route(params, sd, tp, None))
-        vb, _, _ = run_step(_combined_route(params, sd, tp, None))
+        va, _, _, _ = run_step(_shape_factor_route(params, sd, tp, None))
+        vb, _, _, _ = run_step(_combined_route(params, sd, tp, None))
         rel = abs(va - vb) / max(abs(va), abs(vb))
         crit.check(rel <= 1e-6, f"routes disagree by {rel:.2e} at {params}")
         worst = max(worst, rel)

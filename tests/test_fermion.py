@@ -161,8 +161,8 @@ def test_sigma2x_fermion_dual_organizations_random_ohmic():
         )
         sd = OhmicDensity(float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.3, 3.0)))
         tp = ThermalPoint(float(rng.uniform(0.5, 5.0)))
-        va, _, _ = run_step(_shape_factor_route(p, sd, tp, None))
-        vb, _, _ = run_step(_combined_route(p, sd, tp, None))
+        va, _, _, _ = run_step(_shape_factor_route(p, sd, tp, None))
+        vb, _, _, _ = run_step(_combined_route(p, sd, tp, None))
         assert abs(va - vb) <= 1e-6 * max(abs(va), abs(vb))
         assert sigma2x_fermion(p, sd, tp).method == "dual_form"
 
@@ -175,7 +175,7 @@ def test_sigma2x_fermion_zero_temperature_transfer():
     assert second.method == "zero_T_transfer"
     assert second.value == (0.1 / 3.0) * first.value
     # the arbitrary-bath organization reduces to the same number
-    vi, _, _ = run_step(_combined_route(UNIT_WEIGHTS, sd, tz, None))
+    vi, _, _, _ = run_step(_combined_route(UNIT_WEIGHTS, sd, tz, None))
     assert vi == pytest.approx(second.value, rel=1e-8)
 
 
@@ -188,8 +188,8 @@ def test_sigma2x_fermion_mirror_ordering():
         tp = ThermalPoint(b)
         r = sigma2x_fermion(p, sd, tp)
         assert r.method == "dual_form"
-        va, _, sa = run_step(_shape_factor_route(p, sd, tp, None))
-        vb, _, sb = run_step(_combined_route(p, sd, tp, None))
+        va, _, sa, _ = run_step(_shape_factor_route(p, sd, tp, None))
+        vb, _, sb, _ = run_step(_combined_route(p, sd, tp, None))
         assert abs(va - vb) <= 1e-8 * max(sa, sb)
 
 
@@ -302,8 +302,8 @@ def test_dual_form_guard_detects_sabotage(monkeypatch):
     true_route = fermion_module._shape_factor_route
 
     def skewed(params, sd, tp, config):
-        value, err, scale = yield from true_route(params, sd, tp, config)
-        return value + 1e-3 * scale, err, scale
+        value, err, scale, flags = yield from true_route(params, sd, tp, config)
+        return value + 1e-3 * scale, err, scale, flags
 
     monkeypatch.setattr(fermion_module, "_shape_factor_route", skewed)
     with pytest.raises(CrossFormError) as excinfo:
@@ -403,7 +403,7 @@ def test_combined_route_against_midpoint_oracle():
     )
     const = n1 * (1.0 - 2.0 * n2) * sd.reorganization_omega()[0] / w2
     ref = -4.0 * p.t / dw * (ref_int + const)
-    value, _, _ = run_step(_combined_route(p, sd, ThermalPoint(beta), None))
+    value, _, _, _ = run_step(_combined_route(p, sd, ThermalPoint(beta), None))
     assert value == pytest.approx(ref, rel=2e-5)
 
 
@@ -565,6 +565,10 @@ def test_tolerance_floor_is_flagged():
     sd = OhmicDensity(1.0, 1.0)
     hot = ThermalPoint(0.005)
     assert "tolerance-floor" in sigma2x_fermion(PARAMS, sd, hot).flags
+    # A bath without the ohmic shape factor runs the combined route alone.
+    alone = sigma2x_fermion(PARAMS, GeneralizedOhmicDensity(1.0, 1.0, 1.0), hot)
+    assert alone.method == "combined_integral"
+    assert alone.flags == ("tolerance-floor",)
     axis = (AxisSpec("beta_omega1", 0.005, 0.005, 1),)
     for name in ("sigma2x_fermion", "hartree_fock"):
         (row,) = run_sweep(SweepSpec(name, axis, sd, PARAMS)).rows
@@ -572,6 +576,26 @@ def test_tolerance_floor_is_flagged():
     # A tolerance below 64 eps is floored at any temperature.
     tight = sigma2x_fermion(PARAMS, sd, ThermalPoint(2.0), QuadratureConfig(rel_tol=1e-15))
     assert "tolerance-floor" in tight.flags
+
+
+@pytest.mark.parametrize("bath, floors", [
+    (OhmicDensity(1.0, 1.0), 2), (GeneralizedOhmicDensity(1.0, 1.0, 1.0), 1),
+])
+def test_each_route_floors_its_tolerance_once(monkeypatch, bath, floors):
+    # The flag comes from the floors the routes apply.
+    import cohex.fermion as fermion_module
+
+    calls = []
+    real = fermion_module._noise_floor
+
+    def counting(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(fermion_module, "_noise_floor", counting)
+    result = sigma2x_fermion(PARAMS, bath, ThermalPoint(0.005))
+    assert calls == [(0.005, 2)] * floors
+    assert "tolerance-floor" in result.flags
 
 
 @pytest.mark.parametrize("name", ["g_script", "ratio_R", "normalized_fermion"])

@@ -633,6 +633,25 @@ def test_bridge_rejects_non_finite_fit_nodes():
         nm.integrate_semi_infinite(kernel, removable_points=[1.0])
 
 
+def test_a_failed_window_with_coincident_nodes_fails_only_its_owner():
+    # A window at the smallest subnormal has four equal fit nodes, whose
+    # cubic has no solution; its owner fails at those nodes, and the one
+    # solve of all windows must not raise for it.
+    (lo, hi), = nm._merged_windows(*nm._bridge_points([5e-324], 1e-3))
+    nodes = nm._bridge_nodes(np.array([lo]), np.array([hi]))
+    assert np.all(nodes == nodes[0, 0])
+    with pytest.raises(np.linalg.LinAlgError):
+        nm._bridge_cubics(nodes, np.zeros((1, 4)))
+
+    def kernel(x, c):
+        return np.where(x < 1e-300, np.nan, np.exp(-x)) + 0.0 * c
+
+    fine = nm.Integral(kernel, (1.0,), (1.0,))
+    failed, pooled = nm.integrate_many([nm.Integral(kernel, (0.0,), (5e-324,)), fine])
+    assert isinstance(failed, KernelError)
+    assert pooled == nm.integrate_many([fine])[0]
+
+
 def test_bridged_kernel_rejects_non_finite_values_outside_windows():
     # Finite at the window and its fit nodes, infinite beyond xi = 3.
     def kernel(x):

@@ -28,7 +28,8 @@ from cohex.oracle import (
     _A2,
 )
 from cohex.spectral import DiscreteDensity, OhmicDensity
-from cohex.spin_detuned import ModelParams
+from cohex.spin_detuned import ModelParams, ThermalPoint
+from cohex.spin_general import sigma1x_general, sigma2x_general
 
 from oracles import build_hamiltonian, observable_matrix
 
@@ -156,8 +157,16 @@ def _counted_solves(monkeypatch):
 
 def test_a_fit_after_its_comparison_reuses_the_unit_scale_solve(monkeypatch):
     cold = convergence_order(SPIN, "sigma1x")
-    oracle._last_exact = None
+    oracle._last_comparison = None
     solved = _counted_solves(monkeypatch)
+    formulas = []
+    real_formula = oracle.formula_value
+
+    def counting_formula(spec, observable):
+        formulas.append(spec.params.f1)
+        return real_formula(spec, observable)
+
+    monkeypatch.setattr(oracle, "formula_value", counting_formula)
     comparison = compare_perturbative(SPIN, "sigma1x")
     fit = convergence_order(SPIN, "sigma1x")
     assert fit == cold
@@ -165,6 +174,7 @@ def test_a_fit_after_its_comparison_reuses_the_unit_scale_solve(monkeypatch):
     assert sorted(solved) == [
         (f1, cutoff) for f1 in (0.025, 0.05, 0.1) for cutoff in (14, 28)
     ]
+    assert sorted(formulas) == [0.025, 0.05, 0.1]
 
 
 @pytest.mark.parametrize(
@@ -188,7 +198,7 @@ def test_a_failed_solve_is_never_stored(monkeypatch):
         with pytest.raises(ConvergenceError):
             call(spec, "sigma1x")
     assert solved == [(0.5, 1), (0.5, 2)] * 3
-    assert oracle._last_exact is None
+    assert oracle._last_comparison is None
 
 
 def test_a_bath_changed_in_place_is_solved_again(monkeypatch):
@@ -413,3 +423,68 @@ def test_plateau_in_deviation_scales_with_hopping():
         )
         devs.append(rel)
     assert devs[0] / devs[1] == pytest.approx(4.0, abs=0.7)
+
+
+# The arbitrary-t forms against the oracle, whose two-spin Hamiltonian is
+# exact in t.  With omega1 = 1 and omega2 = 2.5, f = 0.3 keeps the smallest
+# deviation (about 1e-13 absolute, at s = 0.25) far above the eigensolver's
+# round-off; at f = 0.1 the hot one-mode cells meet that floor.
+GENERAL_FORMS = {"sigma1x": sigma1x_general, "sigma2x": sigma2x_general}
+ONE_MODE = DiscreteDensity([(0.05, 1.7)])
+TWO_MODES = DiscreteDensity([(0.05, 1.7), (0.04, 0.9)])
+SCALES = (1.0, 0.5, 0.25)
+
+
+def _general_deviations(spec, observable):
+    """(relative deviation, result) of the general form at each scale of f.
+
+    The exact side passes the same cutoff-doubling check as every oracle
+    comparison.
+    """
+    out = []
+    for s in SCALES:
+        params = replace(spec.params, f1=s * spec.params.f1, f2=s * spec.params.f2)
+        scaled = replace(spec, params=params)
+        exact = oracle._stable_exact(scaled, observable)
+        result = GENERAL_FORMS[observable](params, scaled.bath, ThermalPoint(scaled.beta))
+        out.append((abs(exact - result.value) / max(abs(exact), abs(result.value)), result))
+    return out
+
+
+def _order(deviations):
+    return float(np.polyfit(np.log(SCALES), np.log(deviations), 1)[0])
+
+
+@pytest.mark.parametrize("t", [0.3, 0.8, 1.5])
+@pytest.mark.parametrize("beta", [0.5, 2.0, 8.0])
+def test_general_forms_converge_as_f_squared_on_one_mode(t, beta):
+    spec = OracleSpec(ONE_MODE, 24, "spin", ModelParams(1.0, 2.5, t, 0.3, 0.3), beta)
+    for observable in GENERAL_FORMS:
+        deviations = [d for d, _ in _general_deviations(spec, observable)]
+        assert deviations[0] > deviations[1] > deviations[2]
+        assert _order(deviations) == pytest.approx(2.0, abs=0.05)
+
+
+# At beta = 0.5 cutoff 8 does not hold two modes: doubling it moves the
+# exact value by about 1e-6, so only the colder cells are fitted.
+@pytest.mark.parametrize("beta, observable", [(2.0, "sigma1x"), (8.0, "sigma2x")])
+def test_general_forms_converge_as_f_squared_on_two_modes(beta, observable):
+    spec = OracleSpec(TWO_MODES, 8, "spin", ModelParams(1.0, 2.5, 0.8, 0.3, 0.3), beta)
+    deviations = [d for d, _ in _general_deviations(spec, observable)]
+    assert deviations[0] > deviations[1] > deviations[2]
+    assert _order(deviations) == pytest.approx(2.0, abs=0.05)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+@pytest.mark.parametrize("beta", [0.5, 2.0, 8.0])
+def test_nudged_general_forms_stay_inside_their_error_estimate(side, beta):
+    # At |t/sqrt(omega1 omega2) - 1| = 1e-6 the forms nudge t off the
+    # surface t^2 = omega1 omega2; the oracle has no such surface.  The
+    # deviation is the nudge's bias, flat in f, so no order is fitted:
+    # it must stay inside the relative err_estimate the nudge declares.
+    t = math.sqrt(2.5) * (1.0 + side * 1e-6)
+    spec = OracleSpec(ONE_MODE, 24, "spin", ModelParams(1.0, 2.5, t, 0.1, 0.1), beta)
+    for observable in GENERAL_FORMS:
+        for deviation, result in _general_deviations(spec, observable):
+            assert "mixing-regularized" in result.flags
+            assert deviation <= result.err_estimate / abs(result.value)

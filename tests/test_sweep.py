@@ -495,11 +495,10 @@ class TestRunSweep:
 
     def test_meta_includes_axes_and_extra(self):
         spec = SweepSpec("sigma1x", (beta_axis(4, 1.0, 8.0, "log"),), BATH, PARAMS)
-        table = run_sweep(spec, extra_meta={"run": 7})
+        table = run_sweep(spec)
         assert table.meta["quantity"] == "sigma1x"
         assert table.meta["model"] == "spin"
         assert table.meta["axis beta_omega1"] == "1.0:8.0:4:log"
-        assert table.meta["run"] == "7"
         assert "OhmicDensity" in table.meta["bath"]
 
 
