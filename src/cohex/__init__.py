@@ -9,10 +9,11 @@ diagnostics, parameter sweeps, and a brute-force single-mode oracle
 used to check every formula against exact diagonalization.
 
 ``import cohex`` loads no numpy: the public names below bind on first
-use (PEP 562).  Looking up any of them, or a submodule such as
-``cohex.numerics``, imports every module of the table at once, so from
-then on the package namespace is the one an eager import would have
-built.
+use (PEP 562).  An exception name (``cohex.CohexError``) loads ``errors``
+alone, with no numpy.  Any other name, or a submodule such as
+``cohex.numerics``, imports every module of the table at once, so the
+package namespace is then the one an eager import would have built (the
+benchmark's tracer, ``bench/tracing.py``, relies on it).
 """
 
 import importlib
@@ -92,9 +93,10 @@ def __getattr__(name):
     if not (name in __all__ or name in _EXPORTS):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     namespace = globals()
-    for module, names in _EXPORTS.items():
+    alone = name == "errors" or name in _EXPORTS["errors"]
+    for module in ("errors",) if alone else _EXPORTS:
         loaded = importlib.import_module(f"{__name__}.{module}")
-        for public in names:
+        for public in _EXPORTS[module]:
             namespace[public] = getattr(loaded, public)
     return namespace[name]
 

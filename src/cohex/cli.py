@@ -128,10 +128,7 @@ _ALIASES = {"t": "t_over_omega1", "T": "T_over_omega1"}
 
 _QUADRATURE_KEYS = {
     "rel_tol": _Key(_parse_float, None, "quadrature relative tolerance"),
-    "abs_tol": _Key(_parse_float, None, "quadrature absolute tolerance"),
     "max_subdivisions": _Key(_parse_int, None, "quadrature subdivision cap"),
-    "singularity_window": _Key(_parse_float, None, "width skirted around kernel singularities"),
-    "tail_decay_scale": _Key(_parse_float, None, "decay scale assumed for infinite tails"),
 }
 
 

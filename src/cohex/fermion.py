@@ -67,7 +67,6 @@ from .numerics import (
     take,
     thermal_coth_half,
     thermal_tanh_half,
-    with_tail_scale,
 )
 from .spectral import OhmicDensity, SpectralDensity
 from .spin_detuned import (
@@ -243,9 +242,9 @@ def _f_fermion_parts_step(omega1_over_omegac, beta_omega1, omega2_over_omega1, c
     n2 = fermi_n(g, b)
     term0 = n1 * (1.0 - 2.0 * n2) / (a * g)
     # The kernel's cancellation noise grows as the square of 1/(beta omega1).
-    cfg, flags = _noise_floor(with_tail_scale(config, 1.0 / a), b, 2)
+    cfg, flags = _noise_floor(config or DEFAULT_QUADRATURE, b, 2)
     (outcome,) = yield [
-        Integral(_folded_x_kernel, (a, b, g, n1, n2), (1.0, abs(g - 1.0)), cfg)
+        Integral(_folded_x_kernel, (a, b, g, n1, n2), (1.0, abs(g - 1.0)), cfg, scale=1.0 / a)
     ]
     xint, err = take(outcome)
     return term0, xint, err, flags

@@ -71,6 +71,9 @@ _EPS = float(np.finfo(float).eps)
 # Removable points closer together than this (relative) are bridged as one.
 _CLUSTER_RTOL = 1e-6
 
+# Half-width of a removable point's bridged window, relative to the point.
+_WINDOW = 1e-3
+
 # Children per refined panel in the adaptive quadrature.
 _SPLIT = 8
 
@@ -113,55 +116,25 @@ from .errors import (  # noqa: E402  (exceptions shared across modules)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and knobs for the adaptive quadrature routines.
-
-    Attributes
-    ----------
-    rel_tol, abs_tol : float
-        Relative target and absolute floor for the error estimate.
-    max_subdivisions : int
-        Panel budget for the adaptive refinement.
-    singularity_window : float
-        Half-width of the bridged window around a removable point, in units
-        of the point itself (must lie in (0, 0.5)).
-    tail_decay_scale : float
-        Energy scale of the slowest exponential decay of the integrand;
-        used to map [0, inf) onto (0, 1).
+    """The caller's settings of the adaptive quadrature: ``rel_tol``, the
+    relative target for the error estimate, and ``max_subdivisions``, the
+    panel budget.  The tail scale is the integral's own (``Integral.scale``).
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 0.0
     max_subdivisions: int = 4000
-    singularity_window: float = 1e-3
-    tail_decay_scale: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf):
             raise DomainError("rel_tol must be positive and finite")
-        if not (0.0 <= self.abs_tol < math.inf):
-            raise DomainError("abs_tol must be non-negative and finite")
         if not isinstance(self.max_subdivisions, numbers.Integral) or self.max_subdivisions < 8:
             raise DomainError("max_subdivisions must be an integer of at least 8")
-        if not (0.0 < self.singularity_window < 0.5):
-            raise DomainError("singularity_window must lie in (0, 0.5)")
-        if not (0.0 < self.tail_decay_scale < math.inf):
-            raise DomainError("tail_decay_scale must be positive and finite")
 
     def replace(self, **kwargs) -> "QuadratureConfig":
         return dataclasses.replace(self, **kwargs)
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
-
-
-def with_tail_scale(config: QuadratureConfig | None, decay_scale: float) -> QuadratureConfig:
-    """``config`` (the default if None) with its ``tail_decay_scale``
-    raised to ``decay_scale`` where that is larger: a tail is mapped at the
-    slower of the caller's scale and the integrand's own decay."""
-    cfg = config or DEFAULT_QUADRATURE
-    if decay_scale > cfg.tail_decay_scale:
-        cfg = cfg.replace(tail_decay_scale=decay_scale)
-    return cfg
 
 # Largest grade the integer-ks rule of ``endpoint_grade`` tries, and the
 # largest grade at all: beyond 64, v^k underflows at nodes a few panels
@@ -400,6 +373,12 @@ def thermal_coth_half(beta, xi):
 # Adaptive Gauss-Kronrod engine
 # ---------------------------------------------------------------------------
 
+# Nodes at u >= _U_LIVE (deep panels round to u = 1) are below double noise
+# and dropped: no kernel is evaluated past TAIL_REACH = 35.25 tail scales.
+_U_LIVE = 1.0 - 4.9e-16
+TAIL_REACH = -math.log(4.9e-16)
+
+
 class Integral:
     """One integral over (0, inf), as the quadrature engine takes it.
 
@@ -413,16 +392,20 @@ class Integral:
     in v = u^(1/grade).  Each of the ``breakpoints`` (a tabulated density's
     knots, not bridged as ``removable_points`` are) starts a panel edge; an
     integral whose first panels exceed its panel budget fails (``DomainError``).
+    ``scale`` (positive and finite) is the energy scale of the integrand's
+    slowest exponential decay; the tail is mapped at the wider of 1 and it.
     """
 
     __slots__ = ("kernel", "columns", "removable_points", "config",
-                 "density", "density_columns", "grade", "breakpoints")
+                 "density", "density_columns", "grade", "breakpoints", "scale")
 
     def __init__(self, kernel: Callable, columns: tuple = (),
                  removable_points: Sequence[float] = (),
                  config: QuadratureConfig | None = None,
                  density: Callable | None = None, density_columns: tuple = (),
-                 grade: int = 1, breakpoints: Sequence[float] = ()):
+                 grade: int = 1, breakpoints: Sequence[float] = (), scale: float = 1.0):
+        if not (0.0 < scale < math.inf):
+            raise DomainError(f"the tail scale must be positive and finite, got {scale!r}")
         self.kernel = kernel
         self.columns = tuple(columns)
         self.removable_points = tuple(removable_points)
@@ -431,9 +414,23 @@ class Integral:
         self.density_columns = tuple(density_columns)
         self.grade = int(grade)
         self.breakpoints = tuple(breakpoints)
+        self.scale = scale
 
 
-def _bridge_points(removable_points: Sequence[float], singularity_window: float):
+def within_reach(request, overflow: float, what: str):
+    """``request``, or a ``DomainError`` if it is an ``Integral`` whose tail
+    nodes reach ``overflow``, where its kernel overflows; ``what`` names
+    its scale."""
+    reach = TAIL_REACH * max(1.0, request.scale) if isinstance(request, Integral) else 0.0
+    if reach >= overflow:
+        return DomainError(
+            f"{what} = {request.scale:.3g} must be below {overflow / TAIL_REACH:.3g}, "
+            f"or quadrature nodes pass {overflow:.3g}, where the kernel overflows"
+        )
+    return request
+
+
+def _bridge_points(removable_points: Sequence[float]):
     """Removable points to bridge and each one's relative window width."""
     raw = sorted(float(p) for p in removable_points if p > 0.0 and math.isfinite(p))
     # Two removable points closer than the bridge resolution act as one
@@ -454,7 +451,7 @@ def _bridge_points(removable_points: Sequence[float], singularity_window: float)
     # together (near-degenerate level pairs produce exactly that layout).
     deltas = []
     for p, spread in zip(pts, spreads):
-        delta = singularity_window
+        delta = _WINDOW
         near = [abs(q - p) / max(q, p) for q in pts if q != p]
         near = [g for g in near if g > 0.0]
         if near:
@@ -551,10 +548,10 @@ def _semi_infinite_breaks(interior: Sequence[float], scale: float) -> np.ndarray
     return np.array(sorted(set(u_pts)))
 
 
-def _set_up(removable_points, breakpoints, singularity_window, scale, grade):
+def _set_up(removable_points, breakpoints, scale, grade):
     """Merged bridged windows ([lo, hi] each) and first panel breaks (in u,
     or v = u^(1/grade)) of one integral, from the numbers they depend on."""
-    pts, deltas = _bridge_points(removable_points, singularity_window)
+    pts, deltas = _bridge_points(removable_points)
     interior = list(breakpoints)
     for p, delta in zip(pts, deltas):
         h = delta * p
@@ -666,7 +663,8 @@ class _Engine:
             self.groups.append(group)
         self.group_of = np.array(group_of, dtype=np.intp)
         n = len(self.owners)
-        self.scale = np.array([r.config.tail_decay_scale for r in self.owners])
+        scales = [max(1.0, r.scale) for r in self.owners]
+        self.scale = np.array(scales)
         self.grade = np.array([r.grade for r in self.owners], dtype=float)
         self.outcome: list = [None] * n
         self.dead = np.zeros(n, dtype=bool)
@@ -676,8 +674,7 @@ class _Engine:
         windows, breaks = [], []
         for o, r in enumerate(self.owners):
             cfg = r.config
-            key = (r.removable_points, r.breakpoints, cfg.singularity_window,
-                   cfg.tail_decay_scale, r.grade)
+            key = (r.removable_points, r.breakpoints, scales[o], r.grade)
             plan = plans.get(key)
             if plan is None:
                 plan = plans[key] = _set_up(*key)
@@ -843,10 +840,7 @@ class _Engine:
 
         def f_mapped(x):
             u, du = self._graded_nodes(group, x, row_own) if graded else (x, None)
-            # Nodes of very deep panels can round to u = 1.0 exactly; by
-            # then xi > 35 * scale and the mapped integrand is below
-            # double noise.
-            live = u < 1.0 - 4.9e-16
+            live = u < _U_LIVE
             u_safe = np.where(live, u, 0.5)
             xi = -scale * np.log1p(-u_safe)
             jac = scale / (1.0 - u_safe)
@@ -907,7 +901,7 @@ class _Engine:
             return
         group = self.groups[0]
         cfg = self.owners[0].config
-        rel_tol, abs_tol, max_sub = cfg.rel_tol, cfg.abs_tol, cfg.max_subdivisions
+        rel_tol, max_sub = cfg.rel_tol, cfg.max_subdivisions
         # reduceat sums in order, as ``_refine``'s per-owner sums do; np.sum
         # would sum pairwise and round differently.
         first = np.zeros(1, dtype=np.intp)
@@ -919,7 +913,7 @@ class _Engine:
             total = float(np.add.reduceat(k15, first)[0])
             total_err = float(np.add.reduceat(err, first)[0])
             floor = 50.0 * _EPS * float(np.add.reduceat(res, first)[0])
-            done = total_err <= max(rel_tol * abs(total), abs_tol, floor)
+            done = total_err <= max(rel_tol * abs(total), floor)
             budget = max_sub - lo.size
             if done or budget <= 0:
                 self._finish(0, total, total_err, floor, done)
@@ -944,7 +938,6 @@ class _Engine:
     def _refine(self):
         configs = [r.config for r in self.owners]
         rel_tol = np.array([c.rel_tol for c in configs])
-        abs_tol = np.array([c.abs_tol for c in configs])
         max_sub = np.array([c.max_subdivisions for c in configs])
         live = np.flatnonzero(~self.dead).tolist()
         lo = np.concatenate([self.breaks[o][:-1] for o in live] or [np.empty(0)])
@@ -964,11 +957,7 @@ class _Engine:
             total = np.add.reduceat(k15, starts)
             total_err = np.add.reduceat(err, starts)
             floor = 50.0 * _EPS * np.add.reduceat(res, starts)
-            target = np.maximum(
-                np.maximum(rel_tol[owners] * np.abs(total), abs_tol[owners]),
-                floor,
-            )
-            done = total_err <= target
+            done = total_err <= np.maximum(rel_tol[owners] * np.abs(total), floor)
             budget = max_sub[owners] - n_pan
             stop = done | (budget <= 0)
             if stop.any():
@@ -1034,6 +1023,7 @@ def integrate_semi_infinite(
     removable_points: Sequence[float] = (),
     config: QuadratureConfig | None = None,
     density: tuple | None = None,
+    scale: float = 1.0,
 ):
     """Integrate ``kernel`` (times a density) over (0, inf).
 
@@ -1052,6 +1042,8 @@ def integrate_semi_infinite(
         the product is exactly 0 wherever the weight is 0.  ``grade`` is
         its endpoint grade and ``breakpoints`` its knots (see
         ``Integral``), 1 and none if left out.
+    scale : float, optional
+        The integrand's tail scale (see ``Integral``).
 
     Returns
     -------
@@ -1061,7 +1053,8 @@ def integrate_semi_infinite(
     estimate is still above both the requested target and the rounding
     floor, and ``KernelError`` if the kernel turns non-finite.
     """
-    (outcome,) = integrate_many([Integral(kernel, (), removable_points, config, *(density or ()))])
+    request = Integral(kernel, (), removable_points, config, *(density or ()), scale=scale)
+    (outcome,) = integrate_many([request])
     return take(outcome)
 
 
@@ -1071,7 +1064,7 @@ def integrate(request):
     ``request`` is an ``Integral`` or a ready outcome (see ``take``).  An
     ``Integral`` runs alone through ``integrate_semi_infinite``, its
     columns bound into a kernel of xi and its density (with its grade
-    and breakpoints) passed alongside.
+    and breakpoints) and tail scale passed alongside.
     """
     if not isinstance(request, Integral):
         return take(request)
@@ -1081,7 +1074,7 @@ def integrate(request):
     )
     return integrate_semi_infinite(
         lambda xi: kernel(xi, *columns), request.removable_points, request.config,
-        density=density,
+        density=density, scale=request.scale,
     )
 
 
@@ -1164,8 +1157,7 @@ def _request_key(request: Integral):
     density objects and the same bits in every number the engine reads."""
     cfg = request.config
     numbers = (request.columns + request.removable_points + request.density_columns
-               + request.breakpoints
-               + (cfg.rel_tol, cfg.abs_tol, cfg.singularity_window, cfg.tail_decay_scale))
+               + request.breakpoints + (cfg.rel_tol, request.scale))
     return (request.kernel, request.density, len(request.columns),
             len(request.removable_points), len(request.breakpoints), request.grade,
             cfg.max_subdivisions, struct.pack("%dd" % len(numbers), *numbers))

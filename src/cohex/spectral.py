@@ -51,7 +51,6 @@ from .numerics import (
     Integral,
     endpoint_grade,
     integrate,
-    with_tail_scale,
 )
 
 
@@ -125,10 +124,9 @@ class _ContinuousDensity(SpectralDensity):
 
     def integral(self, kernel, columns=(), removable_points=(), config=None):
         density, density_columns = self._density()
-        return Integral(kernel, columns, removable_points,
-                        with_tail_scale(config, self.decay_scale()),
+        return Integral(kernel, columns, removable_points, config,
                         density, density_columns, endpoint_grade(self.small_xi_power),
-                        self.breakpoints)
+                        self.breakpoints, self.decay_scale())
 
     def eval(self, xi):
         density, columns = self._density()

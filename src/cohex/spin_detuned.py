@@ -48,7 +48,7 @@ from .numerics import (
     runs_alone,
     take,
     thermal_tanh_half,
-    with_tail_scale,
+    within_reach,
 )
 from .spectral import OhmicDensity, SpectralDensity
 
@@ -166,6 +166,14 @@ def _linear_in_omega_err(values, omega: float, omega_err: float) -> float:
     return max(abs(v) for v in values) * omega_err / abs(omega)
 
 
+# Past these abscissae the kernels read 0 where their tails carry weight:
+# J's xi (xi^2 - omega1^2) overflows past the cube root of the largest
+# double, J's xi (xi + omega1) at T = 0 and F's x^2 - 1 past its square root.
+_CUBE_OVERFLOW = float(np.finfo(float).max) ** (1.0 / 3.0)
+_SQUARE_OVERFLOW = math.sqrt(np.finfo(float).max)
+_J_SCALE = "the decay scale of J's bath"
+
+
 def _j_kernel(xi, omega1, half_beta, anchor):
     # xi coth(beta xi/2) - omega1 coth(beta omega1/2) with the common 2/beta
     # part removed analytically; essential at high temperature.
@@ -186,10 +194,12 @@ def coherence_request(
     """The shared integral J stated for the engine (``sd.integral``)."""
     w1 = params.omega1
     if tp.is_zero_temperature:
-        return sd.integral(_j_kernel_zero, (w1,), (), config)
+        request = sd.integral(_j_kernel_zero, (w1,), (), config)
+        return within_reach(request, _SQUARE_OVERFLOW, _J_SCALE)
     half_beta = 0.5 * tp.beta
     anchor = w1 * coth_minus_inv(half_beta * w1)
-    return sd.integral(_j_kernel, (w1, half_beta, anchor), (w1,), config)
+    request = sd.integral(_j_kernel, (w1, half_beta, anchor), (w1,), config)
+    return within_reach(request, _CUBE_OVERFLOW, _J_SCALE)
 
 
 def coherence_integral(
@@ -293,8 +303,9 @@ def f_request(
     if math.isinf(b):
         return -_exp_scaled_ei_neg(a), 0.0
     half_b = 0.5 * b
-    return Integral(_f_kernel, (a, half_b, coth_minus_inv(half_b)), (1.0,),
-                    with_tail_scale(config, 1.0 / a))
+    request = Integral(_f_kernel, (a, half_b, coth_minus_inv(half_b)), (1.0,), config,
+                       scale=1.0 / a)
+    return within_reach(request, _SQUARE_OVERFLOW, "F's tail scale omega_c/omega1")
 
 
 def f_dimensionless(

@@ -281,7 +281,7 @@ def f2_combo_tau_reference(xi, omega, epsilon, sin_theta, cos_theta, beta, n=64)
 # loops: the reference for the engine's set-up in arrays
 # (``numerics._plan``), which must give every owner exactly these values.
 
-def bridge_points(removable_points, singularity_window, cluster_rtol=1e-6):
+def bridge_points(removable_points, window, cluster_rtol=1e-6):
     """Removable points to bridge and each one's relative window width."""
     raw = sorted(float(p) for p in removable_points if p > 0.0 and math.isfinite(p))
     clusters = []
@@ -294,7 +294,7 @@ def bridge_points(removable_points, singularity_window, cluster_rtol=1e-6):
     spreads = [g[-1] - g[0] for g in clusters]
     deltas = []
     for p, spread in zip(pts, spreads):
-        delta = singularity_window
+        delta = window
         near = [abs(q - p) / max(q, p) for q in pts if q != p]
         near = [g for g in near if g > 0.0]
         if near:
@@ -315,9 +315,9 @@ def merged_windows(points, deltas):
     return merged
 
 
-def first_u_breaks(removable_points, breakpoints, singularity_window, scale):
+def first_u_breaks(removable_points, breakpoints, window, scale):
     """The u-breaks an integral's first panels start from."""
-    pts, deltas = bridge_points(removable_points, singularity_window)
+    pts, deltas = bridge_points(removable_points, window)
     interior = list(breakpoints)
     for p, delta in zip(pts, deltas):
         h = delta * p

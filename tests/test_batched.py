@@ -104,15 +104,14 @@ def _mixed_requests():
         for a in (1.0, 0.1):
             requests.append(f_request(a, beta, cfg))
             requests.append(Integral(fermion._folded_x_kernel, (a, beta, 3.0, n1, n2),
-                                     (1.0, 2.0), cfg.replace(tail_decay_scale=1.0 / a)))
+                                     (1.0, 2.0), cfg, scale=1.0 / a))
     cold = ThermalPoint(math.inf)
     requests.append(_first_spin_request(BATHS[0], cold, mix, cfg))
     requests.append(_second_spin_request(BATHS[0], cold, mix, cfg))
     params, sd, tp = MAP_CELL
     for stated in (_first_spin_request, _second_spin_request):
         requests.append(stated(sd, tp, mixing(params), MAP_QUADRATURE))
-    requests += [Integral(_decay, (rate,), (), cfg.replace(tail_decay_scale=1.0 / rate))
-                 for rate in (0.5, 2.0)]
+    requests += [Integral(_decay, (rate,), (), cfg, scale=1.0 / rate) for rate in (0.5, 2.0)]
     return requests
 
 
@@ -170,7 +169,7 @@ def _mixed_set_ups():
         BATHS[-1].integral(*combined, cfg),
         BATHS[-1].integral(*combined, cfg.replace(max_subdivisions=40)),
         Integral(_decay, (0.6,), (2.0,), cfg),
-        Integral(_decay, (0.6,), (2.0,), cfg.replace(tail_decay_scale=3.0)),
+        Integral(_decay, (0.6,), (2.0,), cfg, scale=3.0),
     ]
 
 
@@ -182,14 +181,13 @@ def test_a_mixed_run_sets_up_every_owner_as_alone(monkeypatch):
     assert sorted(engine.w_count.tolist()) == [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]
     for owner, i in enumerate(engine.order):
         r = requests[i]
-        cfg = r.config
-        points, deltas = oracles.bridge_points(r.removable_points, cfg.singularity_window)
+        points, deltas = oracles.bridge_points(r.removable_points, nm._WINDOW)
         first, count = engine.w_start[owner], engine.w_count[owner]
         windows = np.column_stack((engine.w_lo, engine.w_hi))[first:first + count]
         assert np.array_equal(windows, np.array(oracles.merged_windows(points, deltas))
                               .reshape(-1, 2))
         breaks = oracles.first_u_breaks(r.removable_points, r.breakpoints,
-                                        cfg.singularity_window, cfg.tail_decay_scale)
+                                        nm._WINDOW, max(1.0, r.scale))
         breaks = breaks if r.grade == 1 else breaks ** (1.0 / r.grade)
         assert np.array_equal(engine.breaks[owner], breaks)
         assert engine.dead[owner] == (i == 7)
@@ -613,19 +611,18 @@ def test_a_spent_budget_near_the_rounding_floor(amplitude, converges):
         assert pooled.err_estimate > 10.0 * 50.0 * np.finfo(float).eps * alone.partial
 
 
-def test_f_requests_keep_a_wider_configured_tail_scale():
-    # The tail is mapped at the wider of the configured scale and the
-    # integrand's own decay (1/a for F and F_F, the cutoff for J), so
-    # F, F_F and J keep a configured 5.0 over their decay scale 2.0.
-    wide = DEFAULT_QUADRATURE.replace(tail_decay_scale=5.0)
-    (f_f,) = next(fermion._f_fermion_parts_step(0.5, 2.0, 3.0, wide))
-    j = coherence_request(PARAMS, OhmicDensity(1.0, 2.0), ThermalPoint(2.0), wide)
-    for request in (f_request(0.5, 2.0, wide), f_f, j):
-        assert request.config.tail_decay_scale == 5.0
-    # Under the default scale 1.0 the integrand's decay still wins.
-    assert f_request(0.5, 2.0).config.tail_decay_scale == 2.0
-    assert f_request(4.0, 2.0).config.tail_decay_scale == 1.0
-    # Mapped either way, F agrees within its estimates.
-    (narrow_f, narrow_err), (wide_f, wide_err) = integrate_many(
-        [f_request(0.5, 2.0), f_request(0.5, 2.0, wide)])
+def test_f_and_j_requests_carry_their_own_tail_scale():
+    # The tail scale is the integrand's own decay (1/a for F and F_F, the
+    # cutoff for J), and the engine maps the tail at the wider of 1 and it.
+    (f_f,) = next(fermion._f_fermion_parts_step(0.5, 2.0, 3.0, None))
+    j = coherence_request(PARAMS, OhmicDensity(1.0, 2.0), ThermalPoint(2.0))
+    f = f_request(0.5, 2.0)
+    for request in (f, f_f, j):
+        assert request.scale == 2.0
+    narrow = f_request(4.0, 2.0)
+    assert narrow.scale == 0.25
+    assert nm._Engine([narrow, f]).scale.tolist() == [1.0, 2.0]
+    # Mapped at a wider scale, F agrees within its estimates.
+    wide = Integral(f.kernel, f.columns, f.removable_points, f.config, scale=5.0)
+    (narrow_f, narrow_err), (wide_f, wide_err) = integrate_many([f, wide])
     assert abs(wide_f - narrow_f) <= narrow_err + wide_err

@@ -133,11 +133,34 @@ def test_oracle_check_loads_no_sweep():
 def test_sweep_command_loads_no_oracle():
     # The registry imports the public functions it names from their modules;
     # a bare ``from . import fermion`` would go through the package's lazy
-    # lookup and load every module of the table.
+    # lookup, which loads every module of the table for any name outside
+    # ``errors``.
     code, names = _loaded("spin-sweep", "--set", "quantity=sigma2x", "--set", "beta_omega1=2")
     assert code == 0
     assert "cohex.sweep" in names
     assert not names & {"cohex.oracle", "cohex.selftest"}
+
+
+LOOKUP = r"""
+import json, sys
+import cohex
+cohex.CohexError, cohex.DomainError
+first = sorted(sys.modules)
+cohex.ModelParams
+print(json.dumps([first, sorted(sys.modules)]))
+"""
+
+
+def test_an_exception_name_loads_only_its_module():
+    proc = subprocess.run(
+        [sys.executable, "-c", LOOKUP], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, then = (set(names) for names in json.loads(proc.stdout))
+    assert "numpy" not in first
+    assert {n for n in first if n.split(".")[0] == "cohex"} == {"cohex", "cohex.errors"}
+    # Any other name still loads the whole table.
+    assert {f"cohex.{module}" for module in cohex._EXPORTS} <= then
 
 
 def test_every_public_name_resolves():

@@ -25,7 +25,9 @@ from cohex.fermion import (
     fermion_high_T, hartree_static, normalized_fermion, ratio_R, sigma2x_fermion,
 )
 from cohex.spectral import GeneralizedOhmicDensity, OhmicDensity, TabulatedDensity
-from cohex.spin_detuned import ModelParams, ThermalPoint, sigma2x_low_T
+from cohex.spin_detuned import (
+    ModelParams, ThermalPoint, coherence_integral, f_dimensionless, sigma2x_low_T,
+)
 from cohex.sweep import _STATUS, QUANTITIES, AxisSpec, SweepSpec, _cell_inputs, run_sweep
 
 from test_public_functions import public_status
@@ -144,3 +146,58 @@ def test_a_bath_too_narrow_for_the_normalized_fermion_starts_no_engine_run(monke
     with pytest.raises(DomainError, match="cancels to fewer digits than rel_tol"):
         normalized_fermion(PARAMS, OhmicDensity.from_ratio(1.0, 1.0, 1e6), ThermalPoint(2.0))
     assert runs == []
+
+
+def _one_cell(quantity, params, ratio):
+    axes = (AxisSpec("beta_omega1", 2.0, 2.0, 1),
+            AxisSpec("omega1_over_omegac", ratio, ratio, 1))
+    (row,) = run_sweep(SweepSpec(quantity, axes, BATHS["ohmic"], params)).rows
+    return row
+
+
+def test_j_ends_where_its_kernel_overflows():
+    # xi (xi^2 - omega1^2) overflows past xi = 5.6e102, where J's kernel
+    # reads 0 while its tail still carries weight; the engine's nodes reach
+    # about 35 decay scales.  J on an ohmic bath is A F.
+    tp = ThermalPoint(2.0)
+    j, err = coherence_integral(PARAMS, OhmicDensity.from_ratio(1.0, 1.0, 1e-101), tp)
+    f, f_err = f_dimensionless(1e-101, 2.0)
+    assert abs(j - f) <= err + f_err
+    for ratio in (1e-102, 1e-110, 1e-150):
+        # Here J read 233.6063 (A F = 233.6068) at 1e-102 and 0.0 from
+        # 1e-110, so sigma1x read -0.0 `ok`.
+        with pytest.raises(DomainError, match=r"J's bath = 1e\+1.. must be below 1.6e\+101"):
+            coherence_integral(PARAMS, OhmicDensity.from_ratio(1.0, 1.0, ratio), tp)
+        for quantity in ("sigma1x", "sigma1x_fermion"):
+            assert _one_cell(quantity, PARAMS, ratio)[-1] == "invalid-params"
+    # At T = 0 the kernel 1 / (xi (xi + omega1)) overflows past 1.3e154:
+    # J is -e^a Ei(-a), the zero-temperature F.
+    cold = ThermalPoint(math.inf)
+    j, err = coherence_integral(PARAMS, OhmicDensity.from_ratio(1.0, 1.0, 1e-150), cold)
+    f, _ = f_dimensionless(1e-150, math.inf)
+    assert abs(j - f) <= err
+    with pytest.raises(DomainError, match=r"J's bath = 1e\+153 must be below 3.8e\+152"):
+        coherence_integral(PARAMS, OhmicDensity.from_ratio(1.0, 1.0, 1e-153), cold)
+
+
+def test_f_ends_where_its_kernel_overflows():
+    # F rises by ln 10 per decade of 1/a up to its limit; past it x^2 - 1
+    # overflows (x ~ 1.3e154) and F fell behind that trend (by 8e-8 at
+    # a = 1e-153, 3.5 times its estimate) and read (0.0, 0.0) from 1e-160.
+    (f151, err151), (f152, err152) = (f_dimensionless(a, 2.0) for a in (1e-151, 1e-152))
+    assert abs(f152 - f151 - math.log(10.0)) <= err151 + err152
+    for a in (1e-153, 1e-154, 1e-300):
+        with pytest.raises(DomainError, match=r"omega_c/omega1 = 1e\+... must be below 3.8e\+152"):
+            f_dimensionless(a, 2.0)
+        assert _one_cell("normalized_spin", PARAMS, a)[-1] == "invalid-params"
+
+
+def test_a_subnormal_cutoff_ratio_is_invalid_params():
+    # omega1/omega_c = 1e-310 makes the tail scale 1/a infinite; the
+    # integral's own check refuses it before any node is placed.
+    with pytest.raises(DomainError, match="tail scale must be positive and finite"):
+        f_dimensionless(1e-310, 2.0)
+    small = ModelParams(1e-10, 3e-10, 1e-11, 0.1, 0.1)
+    with pytest.raises(DomainError, match="tail scale must be positive and finite"):
+        ratio_R(small, OhmicDensity(1.0, 1e300), ThermalPoint.from_beta_omega1(2.0, 1e-10))
+    assert _one_cell("ratio_R", small, 1e-310)[-1] == "invalid-params"

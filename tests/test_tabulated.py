@@ -63,7 +63,7 @@ def test_every_knot_starts_a_panel(monkeypatch):
 
     monkeypatch.setattr(nm, "_gk_evaluate", recorded)
     nm.integrate(request)
-    scale = request.config.tail_decay_scale
+    scale = max(1.0, request.scale)
     edges = -np.expm1(-sd.knot_xi[1:] / scale)
     assert np.abs(first[0][None, :] - edges[:, None]).min(axis=1).max() < 1e-15
     # Requests that differ only in their breakpoints are different integrals.

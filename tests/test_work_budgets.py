@@ -6,7 +6,10 @@ counts the kernel calls (``numerics._Engine._integrand``), the kernel
 nodes those calls evaluate, and the engine runs (``integrate_many``).
 The digests pin the bytes; these budgets pin the work, so a change that
 sends pooled integrals back to lone ones, or doubles the panels, fails
-here instead of showing up only as a slower benchmark.
+here instead of showing up only as a slower benchmark.  The spy also
+counts the ``QuadratureConfig`` objects a sweep builds: none, since each
+integral carries its own tail scale (a per-request rebuild of the config
+made 964 over these sweeps).
 
 Any difference fails, a saving too, so the table never lags behind the
 engine; the failure prints the measured table line to paste.  Lowering a
@@ -68,9 +71,11 @@ BUDGETS = {
 
 
 def work(monkeypatch, bath, quantity):
-    """(kernel calls, kernel nodes, engine runs) of one registry sweep."""
-    counts = [0, 0, 0]
+    """(kernel calls, kernel nodes, engine runs) of one registry sweep, and
+    the number of ``QuadratureConfig`` objects it builds."""
+    counts = [0, 0, 0, 0]
     integrand, many = nm._Engine._integrand, nm.integrate_many
+    post_init = nm.QuadratureConfig.__post_init__
 
     def counted_integrand(engine, group, xi, own):
         counts[0] += 1
@@ -81,10 +86,15 @@ def work(monkeypatch, bath, quantity):
         counts[2] += 1
         return many(requests)
 
+    def counted_post_init(config):
+        counts[3] += 1
+        post_init(config)
+
     monkeypatch.setattr(nm._Engine, "_integrand", counted_integrand)
     monkeypatch.setattr(nm, "integrate_many", counted_many)
+    monkeypatch.setattr(nm.QuadratureConfig, "__post_init__", counted_post_init)
     run_sweep(SweepSpec(quantity, AXES, BATH_MAKERS[bath](), PARAMS))
-    return tuple(counts)
+    return tuple(counts[:3]), counts[3]
 
 
 def test_budgets_cover_the_registry():
@@ -93,9 +103,10 @@ def test_budgets_cover_the_registry():
 
 @pytest.mark.parametrize("bath, quantity", CASES)
 def test_work_stays_within_budget(monkeypatch, bath, quantity):
-    spent = work(monkeypatch, bath, quantity)
+    spent, configs = work(monkeypatch, bath, quantity)
     key = f"{bath}/{quantity}"
     assert spent == BUDGETS[key], (
         f"(calls, nodes, runs) {spent} against the budget {BUDGETS[key]}; "
         f"measured table line:\n    \"{key}\": {spent},"
     )
+    assert configs == 0, f"{configs} QuadratureConfig objects built"
