@@ -449,9 +449,9 @@ def _which_flag(parser):
 
 
 def _oracle_flags(parser):
-    from .oracle import OBSERVABLES
+    from .oracle import _MODELS, OBSERVABLES
 
-    parser.add_argument("--model", choices=("spin", "fermion"), required=True)
+    parser.add_argument("--model", choices=tuple(_MODELS), required=True)
     parser.add_argument("--observable", choices=OBSERVABLES, required=True)
 
 

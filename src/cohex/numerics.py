@@ -743,10 +743,12 @@ class _Engine:
         bad = ~np.isfinite(vals).all(axis=1)
         for o in sorted(set(w_owner[bad].tolist())):
             self._fail(o, "kernel is non-finite at bridging nodes near a removable point")
-        # A failed owner's windows are never read again; a failed window is
-        # fitted to zeros at well-posed nodes, so no cell's solve can fail.
-        nodes[bad] = (1.0, 2.0, 3.0, 4.0)
-        vals[bad] = 0.0
+        # A failed owner's windows are never read again, and a window too
+        # narrow for four distinct fit nodes holds no node strictly inside
+        # it: both are fitted to zeros at well-posed nodes, so no solve fails.
+        stand_in = bad | ~(np.diff(nodes, axis=1) > 0.0).all(axis=1)
+        nodes[stand_in] = (1.0, 2.0, 3.0, 4.0)
+        vals[stand_in] = 0.0
         self.w_center, self.w_half, self.w_coef = _bridge_cubics(nodes, vals)
 
     def _segments(self, own: np.ndarray):
@@ -841,6 +843,16 @@ class _Engine:
         def f_mapped(x):
             u, du = self._graded_nodes(group, x, row_own) if graded else (x, None)
             live = u < _U_LIVE
+            if not u.all():
+                # A node so deep in the first panel that u underflows would
+                # hand the kernel xi = 0: its owner fails, and the node is
+                # dropped as u = 1 is.
+                at_zero = u == 0.0
+                hit = np.broadcast_to(row_own, x.shape)[at_zero]
+                for o in sorted(set(hit.tolist())):
+                    self._fail(o, "a quadrature node reaches xi = 0 (u underflows "
+                               "to 0 at v = %.3g)" % x[at_zero][hit == o][0])
+                live &= ~at_zero
             u_safe = np.where(live, u, 0.5)
             xi = -scale * np.log1p(-u_safe)
             jac = scale / (1.0 - u_safe)
@@ -857,23 +869,13 @@ class _Engine:
         v^(k - 1) is a product of factors of v, one per rank below each
         node's own grade, so k = 1 multiplies by 1.0 exactly and keeps
         the plain map's bits; ``**`` would round a scalar grade (libm
-        pow) and per-node grades (numpy's loop) differently.  A node so
-        deep in the first panel that v^k underflows would hand the kernel
-        xi = 0: its owner fails, and the node is dropped as u = 1 is.
+        pow) and per-node grades (numpy's loop) differently.
         """
         grade = self.grade[row_own]
         power = np.ones_like(v)
         for rank in range(1, group.max_grade):
             power = np.where(grade > rank, power * v, power)
-        u = power * v
-        under = u == 0.0
-        if under.any():
-            hit = np.broadcast_to(row_own, v.shape)[under]
-            for o in sorted(set(hit.tolist())):
-                self._fail(o, "graded map underflows: v^%d = 0 at v = %.3g"
-                           % (self.owners[o].grade, v[under][hit == o][0]))
-            u = np.where(under, 1.0, u)
-        return u, grade * power
+        return power * v, grade * power
 
     # -- refinement --------------------------------------------------------
     def run(self) -> list:

@@ -45,9 +45,6 @@ from .spin_detuned import ModelParams, ThermalPoint, sigma1x, sigma2x, sigma2y
 from .fermion import sigma1x_fermion, sigma2x_fermion
 
 DIMENSION_GUARD = 20000
-SPIN_OBSERVABLES = ("sigma1x", "sigma2x", "sigma1z", "sigma2z", "sigma2y")
-FERMION_OBSERVABLES = ("fermion_coh1", "fermion_coh2")
-OBSERVABLES = SPIN_OBSERVABLES + FERMION_OBSERVABLES
 
 _CUTOFF_STABILITY_ABS = 1e-8
 _IMAG_RESIDUE_ABS = 1e-10
@@ -90,11 +87,6 @@ def _jw_modes():
 
 _A0, _A1, _A2 = _jw_modes()
 
-_SPIN_SECTORS = (np.arange(4),)
-# One sector per total particle number n0 + n1 + n2 of the JW basis states.
-_FERMION_NUMBER = np.diag(_A0.T @ _A0 + _A1.T @ _A1 + _A2.T @ _A2)
-_FERMION_SECTORS = tuple(np.flatnonzero(_FERMION_NUMBER == n) for n in range(4))
-
 
 @dataclass(frozen=True)
 class OracleSpec:
@@ -123,8 +115,8 @@ class OracleSpec:
             raise DomainError("the oracle bath must have 1 to 3 modes")
         if int(self.fock_cutoff) != self.fock_cutoff or self.fock_cutoff < 1:
             raise DomainError("fock_cutoff must be an integer >= 1")
-        if self.model not in ("spin", "fermion"):
-            raise DomainError("model must be 'spin' or 'fermion'")
+        if self.model not in _MODELS:
+            raise DomainError("model must be " + " or ".join(map(repr, _MODELS)))
         if not (self.beta > 0.0) or not math.isfinite(self.beta):
             raise DomainError(
                 "beta must be positive and finite: the truncated trace "
@@ -142,7 +134,7 @@ class OracleSpec:
 
     @property
     def dimension(self) -> int:
-        system = 4 if self.model == "spin" else 8
+        system = sum(states.size for states in _MODELS[self.model][1])
         return system * (int(self.fock_cutoff) + 1) ** self.n_modes
 
 
@@ -180,6 +172,11 @@ def _two_spin_hamiltonian(params: ModelParams) -> np.ndarray:
     )
 
 
+def _spin_system(params: ModelParams):
+    """(system Hamiltonian, bath-coupling operator) on the 4-dim space."""
+    return _two_spin_hamiltonian(params), params.f1 * _S1Z + params.f2 * _S1X
+
+
 def _fermion_system(params: ModelParams):
     """(system Hamiltonian, bath-coupling operator) on the 8-dim space.
 
@@ -201,51 +198,49 @@ def _fermion_system(params: ModelParams):
     return h_sys, c_sys
 
 
-def _system(spec: OracleSpec):
-    """(system Hamiltonian, coupling operator, conserved sectors).
+# One sector per total particle number n0 + n1 + n2 of the JW basis states.
+_FERMION_NUMBER = np.diag(_A0.T @ _A0 + _A1.T @ _A1 + _A2.T @ _A2)
 
-    The coupling operator multiplies sum_k lambda_k (b_k + b_k^dagger):
-    f1 sigma1z + f2 sigma1x for the spin system, 2 f1 n1 - f2
-    (a1^dagger a0 + a0^dagger a1) for the fermion system.  The sectors
-    are index arrays partitioning the system states; every system
-    operator of the model is exactly zero between two of them.
-    """
-    if spec.model == "spin":
-        h_sys = _two_spin_hamiltonian(spec.params)
-        c_sys = spec.params.f1 * _S1Z + spec.params.f2 * _S1X
-        return h_sys, c_sys, _SPIN_SECTORS
-    h_sys, c_sys = _fermion_system(spec.params)
-    return h_sys, c_sys, _FERMION_SECTORS
+#: model -> (system builder, conserved sectors).  The builder maps params to
+#: (system Hamiltonian, the operator multiplying sum_k lambda_k (b_k +
+#: b_k^dagger)); the sectors are index arrays partitioning the system
+#: states, and every system operator of the model is zero between two.
+_MODELS = {
+    "spin": (_spin_system, (np.arange(4),)),
+    "fermion": (_fermion_system, tuple(np.flatnonzero(_FERMION_NUMBER == n) for n in range(4))),
+}
+
+#: observable -> (model, operator on the system factor, closed form of
+#: (params, bath, ThermalPoint), or None for the bath-free thermal value).
+_OBSERVABLES = {
+    "sigma1x": ("spin", _S1X, sigma1x),
+    "sigma2x": ("spin", _S2X, sigma2x),
+    "sigma1z": ("spin", _S1Z, None),
+    "sigma2z": ("spin", _S2Z, None),
+    "sigma2y": ("spin", _S2Y, sigma2y),
+    "fermion_coh1": ("fermion", -(_A1.T @ _A0 + _A0.T @ _A1), sigma1x_fermion),
+    "fermion_coh2": ("fermion", -(_A2.T @ _A0 + _A0.T @ _A2), sigma2x_fermion),
+}
+OBSERVABLES = tuple(_OBSERVABLES)
+SPIN_OBSERVABLES = tuple(o for o in OBSERVABLES if _OBSERVABLES[o][0] == "spin")
+FERMION_OBSERVABLES = tuple(o for o in OBSERVABLES if _OBSERVABLES[o][0] == "fermion")
 
 
-def _check_observable(spec: OracleSpec, observable: str) -> None:
-    if observable not in OBSERVABLES:
+def _observable(spec: OracleSpec, observable: str):
+    """The observable's (model, system operator, closed form), or raise."""
+    if observable not in _OBSERVABLES:
         raise DomainError(
             f"unknown observable '{observable}'; valid ids: "
             + ", ".join(OBSERVABLES)
         )
-    valid = FERMION_OBSERVABLES if spec.model == "fermion" else SPIN_OBSERVABLES
-    if observable not in valid:
+    row = _OBSERVABLES[observable]
+    if row[0] != spec.model:
+        valid = (o for o in OBSERVABLES if _OBSERVABLES[o][0] == spec.model)
         raise DomainError(
             f"observable '{observable}' is not available for model "
             f"'{spec.model}'; valid observables: {', '.join(valid)}"
         )
-
-
-def _system_operator(spec: OracleSpec, observable: str) -> np.ndarray:
-    """The named observable on the system factor alone."""
-    _check_observable(spec, observable)
-    if observable in FERMION_OBSERVABLES:
-        mode = _A1 if observable == "fermion_coh1" else _A2
-        mix = mode.T @ _A0
-        return -(mix + mix.T)
-    return {
-        "sigma1x": _S1X,
-        "sigma2x": _S2X,
-        "sigma1z": _S1Z,
-        "sigma2z": _S2Z,
-        "sigma2y": _S2Y,
-    }[observable]
+    return row
 
 
 def _check_sectors(sectors, operators: dict) -> None:
@@ -331,8 +326,9 @@ def exact_average(spec: OracleSpec, observable: str) -> float:
     Each conserved sector's block kron(h_sys[S,S], 1) + kron(1_S, H_B) +
     kron(c_sys[S,S], X) is eigensolved on its own.
     """
-    sys_op = _system_operator(spec, observable)
-    h_sys, c_sys, sectors = _system(spec)
+    _, sys_op, _ = _observable(spec, observable)
+    build, sectors = _MODELS[spec.model]
+    h_sys, c_sys = build(spec.params)
     _check_sectors(sectors, {
         "system Hamiltonian": h_sys,
         "bath-coupling operator": c_sys,
@@ -397,22 +393,10 @@ def formula_value(spec: OracleSpec, observable: str) -> float:
     thermal value, exact at f1 = f2 = 0, so their measured deviation is
     purely the bath correction.
     """
-    _check_observable(spec, observable)
-    tp = ThermalPoint(spec.beta)
-    p = spec.params
-    if observable == "sigma1x":
-        return sigma1x(p, spec.bath, tp).value
-    if observable == "sigma2x":
-        return sigma2x(p, spec.bath, tp).value
-    if observable == "sigma2y":
-        return sigma2y(p, spec.bath, tp).value
-    if observable == "fermion_coh1":
-        return sigma1x_fermion(p, spec.bath, tp).value
-    if observable == "fermion_coh2":
-        return sigma2x_fermion(p, spec.bath, tp).value
-    h12 = _two_spin_hamiltonian(p)
-    sys_op = _S1Z if observable == "sigma1z" else _S2Z
-    return thermal_average(h12, sys_op, spec.beta)
+    _, sys_op, closed_form = _observable(spec, observable)
+    if closed_form is None:
+        return thermal_average(_two_spin_hamiltonian(spec.params), sys_op, spec.beta)
+    return closed_form(spec.params, spec.bath, ThermalPoint(spec.beta)).value
 
 
 def compare_perturbative(spec: OracleSpec, observable: str):

@@ -18,10 +18,11 @@ cells that need it, and integrates its numerator alone.
 
 Internally every kernel is evaluated with the four hyperbolic weights
 cosh(beta*omega), cosh(beta*epsilon), sinh(beta*omega), sinh(beta*epsilon)
-divided by cosh(beta*omega) + cosh(beta*epsilon).  The kernels are linear
-in those four values, so this rescaling folds the partition-function
-normalization into the integrand and keeps everything finite for
-arbitrarily large beta, including beta = inf.
+divided by cosh(beta*omega) + cosh(beta*epsilon); the second-spin kernels
+take the difference of the two cosh weights as a weight of its own.  The
+kernels are linear in those values, so this rescaling folds the
+partition-function normalization into the integrand and keeps everything
+finite for arbitrarily large beta, including beta = inf.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import DegenerateBasisError, DomainError
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
+    _float_beta_xi,
     integrate,
     runs_alone,
     take,
@@ -97,26 +99,43 @@ def mixing(params: ModelParams) -> SpinMixing:
 
 
 def _scaled_weights(mix: SpinMixing, tp: ThermalPoint):
-    """cosh bw, cosh be, sinh bw, sinh be, all over (cosh bw + cosh be).
+    """cosh bw, cosh be, sinh bw, sinh be and cosh bw - cosh be, all over
+    (cosh bw + cosh be).
 
-    Factoring out exp(max(bw, be)) keeps the ratios exact for any beta;
-    at beta = inf only the larger of omega, epsilon survives.
+    Every exponential is taken relative to e^(beta m), m = max(omega,
+    epsilon), with beta 0 = 0, so one formula holds at every beta, inf
+    included.  The sinh weights and the cosh difference are products of
+    expm1 factors, so they keep full relative accuracy as beta -> 0; once
+    the cosh difference underflows to 0 with omega != epsilon, the second
+    order kernels have no digits left and ``DomainError`` is raised.
     """
-    if tp.is_zero_temperature:
-        if mix.omega > mix.epsilon:
-            return 1.0, 0.0, 1.0, 0.0
-        if mix.epsilon > mix.omega:
-            return 0.0, 1.0, 0.0, 1.0
-        return 0.5, 0.5, 0.5, 0.5
-    bw = tp.beta * mix.omega
-    be = tp.beta * mix.epsilon
-    m = max(bw, be)
-    u = math.exp(bw - m)
-    v = math.exp(-bw - m)
-    p = math.exp(be - m)
-    q = math.exp(-be - m)
+    beta, omega, epsilon = tp.beta, mix.omega, mix.epsilon
+    m = max(omega, epsilon)
+    u = math.exp(-_float_beta_xi(m - omega, beta))
+    p = math.exp(-_float_beta_xi(m - epsilon, beta))
+    v = math.exp(-_float_beta_xi(m + omega, beta))
+    q = math.exp(-_float_beta_xi(m + epsilon, beta))
     h = u + v + p + q
-    return (u + v) / h, (p + q) / h, (u - v) / h, (p - q) / h
+    gap = omega - epsilon
+    sign = math.copysign(1.0, gap) if gap != 0.0 else 0.0
+    cosh_diff = (
+        sign
+        * math.expm1(-_float_beta_xi(omega + epsilon, beta))
+        * math.expm1(-_float_beta_xi(abs(gap), beta))
+    )
+    if cosh_diff == 0.0 and gap != 0.0:
+        raise DomainError(
+            f"beta = {beta!r} is too hot for the general-coupling kernels: "
+            "cosh(beta omega) - cosh(beta epsilon) underflows; "
+            "high_T_asymptotes holds there"
+        )
+    return (
+        (u + v) / h,
+        (p + q) / h,
+        -u * math.expm1(-_float_beta_xi(2.0 * omega, beta)) / h,
+        -p * math.expm1(-_float_beta_xi(2.0 * epsilon, beta)) / h,
+        cosh_diff / h,
+    )
 
 
 def _g_parts(xi, cothb, omega, epsilon, chw, che, shw, she):
@@ -174,8 +193,9 @@ def _g_parts(xi, cothb, omega, epsilon, chw, che, shw, she):
     return g0, g1, g2
 
 
-def _f_parts(xi, cothb, omega, epsilon, chw, che, shw, she):
-    """The two second-spin kernels; same conventions as _g_parts."""
+def _f_parts(xi, cothb, omega, epsilon, shw, she, dch):
+    """The two second-spin kernels; same conventions as _g_parts, with
+    dch = chw - che, the cosh difference, passed as a value of its own."""
     w2 = omega * omega
     e2 = epsilon * epsilon
     x2 = xi * xi
@@ -187,12 +207,12 @@ def _f_parts(xi, cothb, omega, epsilon, chw, che, shw, she):
     f1k = (
         8.0 * epsilon * (shw / xi) * sq
         + 16.0 * xi * omega * e2 * she
-        + 8.0 * epsilon * omega * cothb * (x2 - w2 + e2) * (chw - che)
+        + 8.0 * epsilon * omega * cothb * (x2 - w2 + e2) * dch
     ) / den
     f2k = (
         8.0 * epsilon * (she / xi) * sq
         + 16.0 * xi * omega * e2 * shw
-        + 8.0 * e2 * cothb * (x2 + w2 - e2) * (che - chw)
+        - 8.0 * e2 * cothb * (x2 + w2 - e2) * dch
     ) / den
     return f1k, f2k
 
@@ -280,9 +300,9 @@ def _first_spin_kernel(xi, beta, omega, epsilon, sin_t, cos2t, chw, che, shw, sh
     return g0 + sin_t * g1 + cos2t * g2
 
 
-def _second_spin_kernel(xi, beta, omega, epsilon, sin_t, chw, che, shw, she):
+def _second_spin_kernel(xi, beta, omega, epsilon, sin_t, shw, she, dch):
     """f1k - sin(theta) f2k with scaled weights."""
-    f1k, f2k = _f_parts(xi, thermal_coth_half(beta, xi), omega, epsilon, chw, che, shw, she)
+    f1k, f2k = _f_parts(xi, thermal_coth_half(beta, xi), omega, epsilon, shw, she, dch)
     return f1k - sin_t * f2k
 
 
@@ -291,7 +311,7 @@ def _first_spin_request(sd, tp, mix, cfg):
     omega, epsilon = mix.omega, mix.epsilon
     columns = (tp.beta, omega, epsilon, mix.sin_theta, mix.cos_two_theta)
     removable = (abs(omega - epsilon), omega + epsilon, 2.0 * epsilon)
-    return sd.integral(_first_spin_kernel, columns + _scaled_weights(mix, tp), removable, cfg)
+    return sd.integral(_first_spin_kernel, columns + _scaled_weights(mix, tp)[:4], removable, cfg)
 
 
 def _second_spin_request(sd, tp, mix, cfg):
@@ -299,7 +319,7 @@ def _second_spin_request(sd, tp, mix, cfg):
     omega, epsilon = mix.omega, mix.epsilon
     columns = (tp.beta, omega, epsilon, mix.sin_theta)
     removable = (abs(omega - epsilon), omega + epsilon)
-    return sd.integral(_second_spin_kernel, columns + _scaled_weights(mix, tp), removable, cfg)
+    return sd.integral(_second_spin_kernel, columns + _scaled_weights(mix, tp)[2:], removable, cfg)
 
 
 @runs_alone

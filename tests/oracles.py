@@ -192,7 +192,7 @@ def build_hamiltonian(spec):
     The kron reference for the sector-split solve: one matrix over every
     system state, with no sector structure assumed.
     """
-    h_sys, c_sys, _ = oracle._system(spec)
+    h_sys, c_sys = oracle._MODELS[spec.model][0](spec.params)
     h_b, coupling_op = oracle._bath_matrices(spec.bath, spec.fock_cutoff)
     return (
         np.kron(h_sys, np.eye(h_b.shape[0]))
@@ -203,7 +203,7 @@ def build_hamiltonian(spec):
 
 def observable_matrix(spec, observable):
     """The named observable expanded to sys_op x 1 on the full space."""
-    sys_op = oracle._system_operator(spec, observable)
+    _, sys_op, _ = oracle._observable(spec, observable)
     return np.kron(sys_op, np.eye((int(spec.fock_cutoff) + 1) ** spec.n_modes))
 
 

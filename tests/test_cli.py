@@ -56,8 +56,8 @@ MAP_ARGS = (
     "--set", "points=5",
 )
 MAP_SHA256 = {
-    "r1": "a6ff783c42ae67771000da15e2d16a3c5f34db0ffa5a36d1c80499733a102958",
-    "r2": "f8fd2506ebcccc92febc4f306ac25902dc7846b64b211bccacfc24fc27026a08",
+    "r1": "a02eedc05b5644345d618644856bdc5c72e3bdc3471331b39c615b84ed9f4dda",
+    "r2": "1199f777b8235b178c692544102a01331bd2490fb340d9c48b3aa69fb183c2ef",
 }
 
 

@@ -201,3 +201,48 @@ def test_a_subnormal_cutoff_ratio_is_invalid_params():
     with pytest.raises(DomainError, match="tail scale must be positive and finite"):
         ratio_R(small, OhmicDensity(1.0, 1e300), ThermalPoint.from_beta_omega1(2.0, 1e-10))
     assert _one_cell("ratio_R", small, 1e-310)[-1] == "invalid-params"
+
+
+def test_a_node_at_xi_zero_fails_only_its_cell():
+    # The combined route's removable points sit at u ~ 1e-310, and
+    # refinement drives first-panel nodes to u = 0, where bose_n diverges:
+    # the cell reads kernel-error instead of the DomainError leaving run_sweep.
+    small = ModelParams(1e-10, 3e-10, 1e-11, 0.1, 0.1)
+    assert _one_cell("sigma2x_fermion", small, 1e-310)[-1] == "kernel-error"
+
+
+HOT_PROBES = (1e-300, 1e-150, 1e-20, 1e-14, 1e-12, 1e-8, 1e-5, 1e-3, 1e-2)
+# Each general-coupling quantity and its small-t reference at the same cell
+# (None: the ratio, whose reference is 1).  At high temperature the
+# coupling's effect fades, so the two agree to well under 1e-5.
+HOT_REFERENCES = {
+    "sigma1x_general": "sigma1x", "sigma2x_general": "sigma2x", "r1": None, "r2": None,
+}
+
+
+@pytest.mark.parametrize("bath", sorted(BATHS))
+def test_the_general_forms_give_no_wrong_ok_at_the_hot_end(bath):
+    def row(quantity, b):
+        spec = SweepSpec(quantity, (AxisSpec("beta_omega1", b, b, 1),), BATHS[bath], PARAMS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (cells,) = run_sweep(spec).rows
+        return cells
+
+    bad = []
+    for quantity, reference in HOT_REFERENCES.items():
+        for b in HOT_PROBES:
+            _, value, err, status = row(quantity, b)
+            assert status == "ok" or b != 1e-2, quantity
+            if status != "ok":
+                assert status in ERROR_WORDS and value is None
+                continue
+            if reference is None:
+                ref = 1.0
+            else:
+                _, ref, _, ref_status = row(reference, b)
+                assert ref_status == "ok", (quantity, b)
+            if not abs(value - ref) <= err + 1e-5 * abs(ref):
+                bad.append(f"{quantity} at beta omega1 = {b:g}: {value!r} +- {err:.3g}, "
+                           f"reference {ref!r}")
+    assert bad == []

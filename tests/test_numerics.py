@@ -654,6 +654,33 @@ def test_a_failed_window_with_coincident_nodes_fails_only_its_owner():
     assert pooled == nm.integrate_many([fine])[0]
 
 
+def test_a_finite_kernel_at_the_smallest_subnormal_integrates():
+    # The window at 5e-324 is too narrow for four distinct fit nodes and
+    # holds no node strictly inside it, so it is never fitted; its owner
+    # integrates as if it had no removable point.
+    val, err = nm.integrate_semi_infinite(lambda x: np.exp(-x), removable_points=[5e-324])
+    assert abs(val - 1.0) <= err < 1e-13
+    assert (val, err) == nm.integrate_semi_infinite(lambda x: np.exp(-x))
+
+
+def test_an_owner_reaching_xi_zero_fails_alone():
+    # x^-0.99 under the grade-64 map still needs refinement at v = 0, so
+    # its first panel's nodes soon have v^64 = 0, which would hand the
+    # kernel xi = 0.  Its neighbour in the same group integrates in the
+    # plain map's variable and keeps the bits it has alone.
+    def kernel(x, singular):
+        power = np.where(x > 0.0, x, np.nan) ** -0.99
+        return np.exp(-x) * np.where(singular > 0.0, power, 1.0)
+
+    deep = nm.Integral(kernel, (1.0,), grade=64)
+    plain = nm.Integral(kernel, (0.0,))
+    failed, pooled = nm.integrate_many([deep, plain])
+    assert isinstance(failed, KernelError)
+    assert "reaches xi = 0" in str(failed)
+    assert pooled == nm.integrate_many([plain])[0]
+    assert abs(pooled[0] - 1.0) <= pooled[1]
+
+
 def test_bridged_kernel_rejects_non_finite_values_outside_windows():
     # Finite at the window and its fit nodes, infinite beyond xi = 3.
     def kernel(x):

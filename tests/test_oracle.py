@@ -80,7 +80,7 @@ def test_jordan_wigner_algebra():
 def test_fermion_sectors_are_particle_number_sectors():
     # JW basis index 4 b0 + 2 b1 + b2, so the particle number is its popcount
     number = np.array([bin(i).count("1") for i in range(8)])
-    sectors = oracle._FERMION_SECTORS
+    build, sectors = oracle._MODELS["fermion"]
     assert [states.size for states in sectors] == [1, 3, 3, 1]
     for n, states in enumerate(sectors):
         assert np.array_equal(states, np.flatnonzero(number == n))
@@ -88,21 +88,20 @@ def test_fermion_sectors_are_particle_number_sectors():
     rng = np.random.default_rng(11)
     for _ in range(5):
         params = ModelParams(*rng.uniform(0.05, 3.0, size=5))
-        spec = OracleSpec(BATH, 2, "fermion", params, 2.0)
-        h_sys, c_sys, _ = oracle._system(spec)
-        coherences = [oracle._system_operator(spec, o) for o in FERMION_OBSERVABLES]
+        h_sys, c_sys = build(params)
+        coherences = [oracle._OBSERVABLES[o][1] for o in FERMION_OBSERVABLES]
         for op in [h_sys, c_sys] + coherences:
             assert np.all(op[off_sector] == 0.0)
 
 
 def test_off_sector_entry_is_refused(monkeypatch):
-    fermion_system = oracle._fermion_system
+    fermion_system, sectors = oracle._MODELS["fermion"]
 
     def leaky(params):
         h_sys, c_sys = fermion_system(params)
         return h_sys, c_sys + 1e-300 * (_A0 + _A0.T)
 
-    monkeypatch.setattr(oracle, "_fermion_system", leaky)
+    monkeypatch.setitem(oracle._MODELS, "fermion", (leaky, sectors))
     with pytest.raises(SectorError):
         exact_average(FERMION, "fermion_coh1")
 
@@ -132,7 +131,8 @@ def test_sector_blocks_equal_dense_kron_reference(model, cutoff):
     bath = DiscreteDensity([(0.2, 0.8), (0.15, 1.3)])
     spec = OracleSpec(bath, cutoff, model, ModelParams(1.0, 3.0, 0.3, 0.3, 0.2), 2.0)
     dense = build_hamiltonian(spec)
-    h_sys, c_sys, sectors = oracle._system(spec)
+    build, sectors = oracle._MODELS[model]
+    h_sys, c_sys = build(spec.params)
     h_b, coupling_op = oracle._bath_matrices(bath, cutoff)
     d = h_b.shape[0]
     for states in sectors:

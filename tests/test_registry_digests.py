@@ -50,10 +50,10 @@ DIGESTS = {
     "ohmic/sigma1x": "8494452f86778c309a815a80a7632b52bd01f9e3909edb4c89b4afa62a50729e",
     "ohmic/sigma2x": "be32a48b4337fa148ebd0a56f2ad7a5638573b3cc3f5bc7e6094996b47955e00",
     "ohmic/sigma2y": "84bce8ae49cd624daa7bfe9bf591de646ab66d8bb81127f5005b758ea714c007",
-    "ohmic/sigma1x_general": "e0cd1cd479f8b8925faa4b8db7e02509fa93bbf91dcfbb11c56d5515f242722f",
-    "ohmic/sigma2x_general": "5076d1ddd28bbdeb2c66a5270f0be074c5f67535f6e34d48da95e592c2783fe8",
-    "ohmic/r1": "854bc38f8d5812b7dc2c4eac3cc32ab322335a51ecc59d6c7b4fbe48ca867a19",
-    "ohmic/r2": "94feebe6611067ec78a3d8b1e24044412c6e69a36c60ce9a6a3fa845eec82576",
+    "ohmic/sigma1x_general": "729c3afb67bb1538a378a9ded323f08aaf5a5900766926a9eb090febe40f1f0d",
+    "ohmic/sigma2x_general": "6dd00bb2e9798b7bae6d9b0a9a6db2d13da38660a2ac32d8f130d8d9df5d6a96",
+    "ohmic/r1": "167a9bdbdb1f565584652e19db97c6567d626f4b16a97b3bccd89a9bf61bb634",
+    "ohmic/r2": "30db8f4b1b8588520f5a1186572981a9938980807e31edf1883e768a76285b4f",
     "ohmic/static_sigma2x": "ce0ee251f1f68906355ec3aa7c19cfb265769ba365e02229359e306c39e67841",
     "ohmic/sigma2x_low_T": "7dee9a13ccf15fdfaec0cbd095b662eb199f5dca8828f73b479c9d4a4e3dd25d",
     "ohmic/normalized_output_ratio": "f933749cc3d6f361ac04c0f517797737f1fa538ef0e65ae55d214f9d6d2c2158",
@@ -69,10 +69,10 @@ DIGESTS = {
     "generalized/sigma1x": "89fb2cd922242b87b0a01ccecd01342a74a736449da798b0f583281b57cd6308",
     "generalized/sigma2x": "c3537f4e2121f84d61345257fd921623dc858d43ba4e34c0e02e078ace036719",
     "generalized/sigma2y": "84bce8ae49cd624daa7bfe9bf591de646ab66d8bb81127f5005b758ea714c007",
-    "generalized/sigma1x_general": "3451af5a1d17f7d4eb810a3d81d11352a6192b5fe668180b758bb7f103ea41fc",
-    "generalized/sigma2x_general": "95e231aa0faa5dd0ccb7077a3d0d55690902037c244c3fcef8ce10cb9c7c8de6",
-    "generalized/r1": "f138ec631765906fdf36e9681f271f6fe8820c65a71012d610125babb55b0fa9",
-    "generalized/r2": "57e8af37c623e1fd50ca04d80806ac477fe1108d7f09fda65460f38bb1b87f92",
+    "generalized/sigma1x_general": "15639d9e038dccdb1256006ff06ddbbb47e570cb2f478c1731b20679fd7d3447",
+    "generalized/sigma2x_general": "e04c6cc9c5f389e32a82b3b7ae258a91eba52dbb136c9d901cbaf63bc561f1d7",
+    "generalized/r1": "9b76cd10c9296f9713be2cd102913d9116373fb6c9f39e752ba04a698009a425",
+    "generalized/r2": "5aa368c5c357ce2ccb0dd4ff24fd5ea7d97d8468c82a8cdda88278437d4fd4d5",
     "generalized/static_sigma2x": "11dc255e59ebad4ca4d655c313a7abd2c84619d77359a113303ada1afbea24f5",
     "generalized/sigma1x_fermion": "d3852b6b1f0749e5d485fad67892578593210efaa4cfd26d504db69974e0fd8b",
     "generalized/sigma2x_fermion": "f4bcf4b60cf0dcc6ebd2a6209cb694f2caaafb60d085297b63181d8f1afd74b8",
@@ -80,10 +80,10 @@ DIGESTS = {
     "tabulated/sigma1x": "8c00c6ca3cc7399ba540ddb859c5131cdc1c47e62ca5945b26f0502c071a30fe",
     "tabulated/sigma2x": "5984616fdd54f936ee3ae247e86bca11054c7e9fe453b9d7d2fffd6465a26e25",
     "tabulated/sigma2y": "84bce8ae49cd624daa7bfe9bf591de646ab66d8bb81127f5005b758ea714c007",
-    "tabulated/sigma1x_general": "88906c0db1c80e6ca3b49cfc5fdf7b6390a0a9a31d7d3fcd10eea232c8d4ca95",
-    "tabulated/sigma2x_general": "1d6cc3f38b430477dee831a1dc5829dd078d0e0c36e2eb2e70d87841065d64d4",
-    "tabulated/r1": "2cd799759a3db5987e6c67966623e701974f2dc39b9d01d055eb17d81e16f4db",
-    "tabulated/r2": "df936e5d8270a04bdc2d2ec72be9954adc8585a315a282c9979419b045539cc9",
+    "tabulated/sigma1x_general": "3728cf2c72d2090c79963ac68c246b8681933d5fc130564981fd69fe8d1c1338",
+    "tabulated/sigma2x_general": "28c0f0181b59b07cd855e8139fa1a6ba75ea811882f6a150a8c5d54df067fd47",
+    "tabulated/r1": "159a3bfb8b9c17811db11ae49c5f7ab9b167278ce26319fbd53e75f4b6d82a2b",
+    "tabulated/r2": "7373a1d8b4b353e5d8dfe6bbf83f16e9b2b4f49ba38079765e6d7578abdff864",
     "tabulated/static_sigma2x": "2a3ba0ca2630cf6632973a30ff24eb152335d3f4d052a0814ed4cad59b176d9b",
     "tabulated/sigma1x_fermion": "1813f2cb8246801f78c388746f9ff16cc502a003f5752a0126e8555e004f6b8f",
     "tabulated/sigma2x_fermion": "3b534770a5d8eebfe8d8b3515d79eaddca0a6fc64f154dd2adb79a28361017c3",

@@ -96,7 +96,7 @@ def f2_kernels(xi, mix: SpinMixing, tp: ThermalPoint):
     arr = _checked_xi(xi)
     chw, che, shw, she = _raw_weights(mix, tp)
     cothb = thermal_coth_half(tp.beta, arr)
-    f1k, f2k = _f_parts(arr, cothb, mix.omega, mix.epsilon, chw, che, shw, she)
+    f1k, f2k = _f_parts(arr, cothb, mix.omega, mix.epsilon, shw, she, chw - che)
     if np.isscalar(xi) or np.ndim(xi) == 0:
         return float(f1k), float(f2k)
     return f1k, f2k
