@@ -3,10 +3,23 @@
 For arbitrary coupling t the pair Hamiltonian is diagonal in a mixed
 basis parameterized by a single angle.  The second-order steady-state
 coherences then become integrals of the bath spectral density against
-rational-hyperbolic kernels of the bath frequency: three kernels for the
-first spin, two for the second.  The kernels have removable singular
-points at |omega - epsilon|, omega + epsilon (and 2 epsilon for the
-first spin), which the quadrature bridges.
+rational-hyperbolic kernels of the bath frequency: three printed kernels
+for the first spin, two for the second, with removable singular points
+at |omega - epsilon|, omega + epsilon (and 2 epsilon for the first spin),
+which the quadrature bridges.  Each spin's assembled kernel is a pole
+sum over those points.  Removability ties the coth part's residue at
+each point p to the 1/xi part's, alpha_p, so the kernel is
+
+    sum_p alpha_p [1/xi - coth(beta xi/2) tanh(beta p/2)/p] / (xi^2 - p^2),
+
+with every parameter and thermal weight in the residues.  A request
+computes them once and passes them to the engine as columns, so no
+intermediate at a node grows past xi^2, and the request is stated only
+while its nodes stay below where xi^2 overflows.  Written through
+coth(y) - 1/y (see ``_stated``), the bracket cancels nothing as
+beta -> 0, where the printed kernels cancel from order 1 to order beta^2.
+``tests/derive_pole_sums.py`` re-derives the residues from the printed
+kernels, which ``tests/oracles.py`` keeps as the high-precision reference.
 
 The ratios R1 and R2 of these general coherences to their small-t closed
 forms quantify where the detuned formulas remain accurate; the validity
@@ -16,11 +29,10 @@ that state their integrals as requests, which a sweep's cells pool: a
 ratio states the small-t reference integral J, integrated once for all
 cells that need it, and integrates its numerator alone.
 
-Internally every kernel is evaluated with the four hyperbolic weights
-cosh(beta*omega), cosh(beta*epsilon), sinh(beta*omega), sinh(beta*epsilon)
-divided by cosh(beta*omega) + cosh(beta*epsilon); the second-spin kernels
-take the difference of the two cosh weights as a weight of its own.  The
-kernels are linear in those values, so this rescaling folds the
+The residues take the hyperbolic weights divided by cosh(beta*omega) +
+cosh(beta*epsilon): the first spin's the share cosh(beta*epsilon) of that
+sum, the second spin's the sum and difference of the two sinh weights,
+which are tanh(beta*(omega +- epsilon)/2).  This folds the
 partition-function normalization into the integrand and keeps everything
 finite for arbitrarily large beta, including beta = inf.
 """
@@ -37,14 +49,16 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     _float_beta_xi,
+    coth_minus_inv,
     integrate,
     runs_alone,
     take,
-    thermal_coth_half,
     thermal_tanh_half,
+    within_reach,
 )
 from .spectral import SpectralDensity
 from .spin_detuned import (
+    _SQUARE_OVERFLOW,
     CoherenceResult,
     ModelParams,
     ThermalPoint,
@@ -53,11 +67,12 @@ from .spin_detuned import (
 )
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
-# The kernels carry a 1/(omega^2 - epsilon^2) prefactor that cancels only
-# in the assembled combination.  On the surface t^2 = omega1 omega2 the
-# prefactor is infinite; within this relative distance of it the coupling
-# is nudged sideways instead.
+# The residues at omega + epsilon and 2 epsilon carry a 1/(omega - epsilon)
+# factor that cancels only in the assembled kernel.  On the surface
+# t^2 = omega1 omega2 the factor is infinite; within this relative distance
+# of it the coupling is nudged sideways instead.
 _NEAR_SURFACE_GAP_RTOL = 1e-5
 _COUPLING_NUDGE = 3e-5
 
@@ -77,10 +92,6 @@ class SpinMixing:
     cos_theta: float
     sin_theta: float
 
-    @property
-    def cos_two_theta(self) -> float:
-        return (self.cos_theta - self.sin_theta) * (self.cos_theta + self.sin_theta)
-
 
 def mixing(params: ModelParams) -> SpinMixing:
     """Mixed-basis quantities for the given spin pair.
@@ -98,16 +109,12 @@ def mixing(params: ModelParams) -> SpinMixing:
     return SpinMixing(omega, 0.5 * r, 2.0 * params.t / r, d / r)
 
 
-def _scaled_weights(mix: SpinMixing, tp: ThermalPoint):
-    """cosh bw, cosh be, sinh bw, sinh be and cosh bw - cosh be, all over
-    (cosh bw + cosh be).
+def _cosh_share(mix: SpinMixing, tp: ThermalPoint) -> float:
+    """cosh(beta epsilon) / (cosh(beta omega) + cosh(beta epsilon)).
 
     Every exponential is taken relative to e^(beta m), m = max(omega,
     epsilon), with beta 0 = 0, so one formula holds at every beta, inf
-    included.  The sinh weights and the cosh difference are products of
-    expm1 factors, so they keep full relative accuracy as beta -> 0; once
-    the cosh difference underflows to 0 with omega != epsilon, the second
-    order kernels have no digits left and ``DomainError`` is raised.
+    included.
     """
     beta, omega, epsilon = tp.beta, mix.omega, mix.epsilon
     m = max(omega, epsilon)
@@ -115,115 +122,16 @@ def _scaled_weights(mix: SpinMixing, tp: ThermalPoint):
     p = math.exp(-_float_beta_xi(m - epsilon, beta))
     v = math.exp(-_float_beta_xi(m + omega, beta))
     q = math.exp(-_float_beta_xi(m + epsilon, beta))
-    h = u + v + p + q
-    gap = omega - epsilon
-    sign = math.copysign(1.0, gap) if gap != 0.0 else 0.0
-    cosh_diff = (
-        sign
-        * math.expm1(-_float_beta_xi(omega + epsilon, beta))
-        * math.expm1(-_float_beta_xi(abs(gap), beta))
-    )
-    if cosh_diff == 0.0 and gap != 0.0:
-        raise DomainError(
-            f"beta = {beta!r} is too hot for the general-coupling kernels: "
-            "cosh(beta omega) - cosh(beta epsilon) underflows; "
-            "high_T_asymptotes holds there"
-        )
-    return (
-        (u + v) / h,
-        (p + q) / h,
-        -u * math.expm1(-_float_beta_xi(2.0 * omega, beta)) / h,
-        -p * math.expm1(-_float_beta_xi(2.0 * epsilon, beta)) / h,
-        cosh_diff / h,
-    )
-
-
-def _g_parts(xi, cothb, omega, epsilon, chw, che, shw, she):
-    """The three first-spin kernels for given hyperbolic values.
-
-    cothb is coth(beta xi / 2) at the same xi.  With the raw hyperbolic
-    values these are the printed kernels; the integral routines pass the
-    values divided by cosh(beta omega) + cosh(beta epsilon), which simply
-    divides the (linear) kernels by the same factor.  Squares are
-    products: numpy rounds ``scalar ** 2`` (libm pow) and ``array ** 2``
-    (a square) differently, and a lone integral's columns are scalars
-    where pooled ones are arrays.
-    """
-    w2 = omega * omega
-    e2 = epsilon * epsilon
-    x2 = xi * xi
-    wpe = omega + epsilon
-    wme = omega - epsilon
-    d2 = (x2 - wpe * wpe) * (x2 - wme * wme)
-    we = w2 - e2
-    x2m4e = x2 - 4.0 * e2
-    g0 = (-1.0 / (we * d2)) * (
-        4.0 * omega * chw * (we * we - x2 * w2) / xi
-        - 4.0 * omega * che * (
-            x2 * w2 * (x2 - w2)
-            + e2 * e2 * (3.0 * x2 - 4.0 * w2)
-            + 2.0 * e2 * (x2 * w2 - x2 * x2 + w2 * w2)
-            + 2.0 * e2 * e2 * e2
-        ) / (xi * x2m4e)
-        - 2.0 * cothb * (
-            omega * epsilon * she * (
-                -7.0 * x2 * w2 + x2 * x2 + 2.0 * w2 * w2
-                + e2 * (3.0 * x2 + 8.0 * w2) - 10.0 * e2 * e2
-            ) / x2m4e
-            - shw * (2.0 * w2 * (x2 - w2) + e2 * (w2 - x2) + e2 * e2)
-        )
-    )
-    g1 = (
-        4.0 * epsilon * (x2 + w2 - e2) * (chw + che)
-        - 4.0 * xi * cothb * (2.0 * omega * epsilon * shw + she * (x2 - w2 - e2))
-    ) / (xi * d2)
-    g2 = (-2.0 * epsilon / (we * d2)) * (
-        -2.0 * xi * omega * epsilon * chw
-        + 2.0 * che * omega * epsilon * (
-            x2 * x2 + 2.0 * (w2 * w2 - 2.0 * w2 * (x2 + e2) + e2 * e2)
-        ) / (xi * x2m4e)
-        + cothb * (
-            epsilon * shw * (x2 + w2 - e2)
-            + omega * she * (
-                3.0 * x2 * w2 - x2 * x2 - 2.0 * w2 * w2
-                + e2 * (x2 + 8.0 * w2) - 6.0 * e2 * e2
-            ) / x2m4e
-        )
-    )
-    return g0, g1, g2
-
-
-def _f_parts(xi, cothb, omega, epsilon, shw, she, dch):
-    """The two second-spin kernels; same conventions as _g_parts, with
-    dch = chw - che, the cosh difference, passed as a value of its own."""
-    w2 = omega * omega
-    e2 = epsilon * epsilon
-    x2 = xi * xi
-    we = w2 - e2
-    wme = omega - epsilon
-    wpe = omega + epsilon
-    den = we * (x2 - wme * wme) * (x2 - wpe * wpe)
-    sq = we * we - x2 * (w2 + e2)
-    f1k = (
-        8.0 * epsilon * (shw / xi) * sq
-        + 16.0 * xi * omega * e2 * she
-        + 8.0 * epsilon * omega * cothb * (x2 - w2 + e2) * dch
-    ) / den
-    f2k = (
-        8.0 * epsilon * (she / xi) * sq
-        + 16.0 * xi * omega * e2 * shw
-        - 8.0 * e2 * cothb * (x2 + w2 - e2) * dch
-    ) / den
-    return f1k, f2k
+    return (p + q) / (u + v + p + q)
 
 
 def _prepared(params: ModelParams, config):
     """Mixing plus an effective quadrature config for one evaluation.
 
-    Near the surface t^2 = omega1 omega2 the 1/(omega^2 - epsilon^2)
-    kernel prefactor amplifies round-off in the assembled combination;
-    the achievable relative accuracy degrades like
-    eps (omega / (omega - epsilon))^2.  Points within relative gap 1e-5
+    Near the surface t^2 = omega1 omega2 the residues' 1/(omega - epsilon)
+    factor amplifies round-off in the assembled kernel; the noise estimate
+    below, eps (omega / (omega - epsilon))^2, is the printed kernels' and
+    bounds the pole sums' too.  Points within relative gap 1e-5
     of the surface are therefore nudged sideways in t (growing the gap,
     never crossing the surface), and the requested tolerance is floored
     at the noise estimate.  Both adjustments raise the
@@ -294,32 +202,118 @@ def sigma2x_general(
     return (yield from _general_step(params, sd, tp, config, second=True))
 
 
-def _first_spin_kernel(xi, beta, omega, epsilon, sin_t, cos2t, chw, che, shw, she):
-    """g0 + sin(theta) g1 + cos(2 theta) g2 with scaled weights."""
-    g0, g1, g2 = _g_parts(xi, thermal_coth_half(beta, xi), omega, epsilon, chw, che, shw, she)
-    return g0 + sin_t * g1 + cos2t * g2
+def _first_spin_residues(mix: SpinMixing, che):
+    """alpha_p of g0 + sin(theta) g1 + cos(2 theta) g2 at p = omega -
+    epsilon, omega + epsilon and 2 epsilon, for the weights over
+    chw + che, with che the cosh share.  Plain arithmetic, so it runs on
+    symbols too."""
+    omega, epsilon, sin_t = mix.omega, mix.epsilon, mix.sin_theta
+    gap, total = omega - epsilon, omega + epsilon
+    lead = 2.0 * (omega - epsilon * sin_t)
+    return (
+        -gap * lead * (sin_t - 1.0) / total,
+        total * lead * (sin_t + 1.0) / gap,
+        -16.0 * epsilon * epsilon * omega * che * (mix.cos_theta * mix.cos_theta) / (gap * total),
+    )
 
 
-def _second_spin_kernel(xi, beta, omega, epsilon, sin_t, shw, she, dch):
-    """f1k - sin(theta) f2k with scaled weights."""
-    f1k, f2k = _f_parts(xi, thermal_coth_half(beta, xi), omega, epsilon, shw, she, dch)
-    return f1k - sin_t * f2k
+def _second_spin_residues(mix: SpinMixing, shs, shd):
+    """alpha_p of f1k - sin(theta) f2k at p = omega - epsilon and omega +
+    epsilon, for the sinh weights shs = shw + she and shd = shw - she."""
+    omega, epsilon, sin_t = mix.omega, mix.epsilon, mix.sin_theta
+    gap, total = omega - epsilon, omega + epsilon
+    return (
+        4.0 * epsilon * gap * shs * (sin_t - 1.0) / total,
+        -4.0 * epsilon * total * shd * (sin_t + 1.0) / gap,
+    )
+
+
+def _pole_sum(xi, beta, *columns):
+    """sum_p alpha_p [phi_p / xi - (coth(beta xi/2) - 2/(beta xi)) tau_p]
+    / (xi^2 - p^2), with (p^2, alpha_p, phi_p, tau_p) per removable point
+    as columns (see ``_stated``)."""
+    x2 = xi * xi
+    cmi = coth_minus_inv(0.5 * beta * xi)
+    total = 0.0
+    for i in range(0, len(columns), 4):
+        p2, alpha, phi, tau = columns[i:i + 4]
+        total = total + alpha * (phi / xi - cmi * tau) / (x2 - p2)
+    return total
+
+
+# Two kernels with one body: the engine pools the integrals of one kernel,
+# and the two spins' integrals carry different numbers of columns.
+def _first_spin_kernel(xi, *columns):
+    return _pole_sum(xi, *columns)
+
+
+def _second_spin_kernel(xi, *columns):
+    return _pole_sum(xi, *columns)
+
+
+def _removable_points(mix: SpinMixing):
+    """|omega - epsilon|, omega + epsilon and 2 epsilon, or ``DomainError``
+    where the first rounds to 0 (the residues divide by it) or one passes
+    where xi^2 overflows."""
+    points = (abs(mix.omega - mix.epsilon), mix.omega + mix.epsilon, 2.0 * mix.epsilon)
+    if points[0] == 0.0:
+        raise DomainError(
+            "omega - epsilon rounds to 0: the general-coupling kernels' "
+            "residues at their removable points are undefined"
+        )
+    if max(points) >= _SQUARE_OVERFLOW:
+        raise DomainError(
+            f"a removable point at {max(points):.3g} passes {_SQUARE_OVERFLOW:.3g}, "
+            "where the general-coupling kernels overflow"
+        )
+    return points
+
+
+def _stated(sd, tp, kernel, points, alphas, cfg):
+    """The integral of I(xi) times the pole sum with residues ``alphas``
+    at ``points``, stated only while its tail nodes stay below where xi^2
+    overflows.
+
+    At each point p, with x = beta p/2, removability ties the coth part's
+    residue to alpha_p: it is -alpha_p tau_p, tau_p = tanh(x)/p.  So the
+    kernel is alpha_p [1/xi - coth(beta xi/2) tau_p] / (xi^2 - p^2),
+    written with phi_p = 1 - tanh(x)/x = tanh(x) (coth(x) - 1/x): as beta
+    -> 0 both bracket terms are of order beta^2, and nothing cancels.
+    Where phi_p is no longer a normal float, the kernel has no digits
+    left and ``DomainError`` is raised.
+    """
+    columns = [tp.beta]
+    for p, alpha in zip(points, alphas):
+        x = 0.5 * _float_beta_xi(p, tp.beta)
+        th = math.tanh(x)
+        phi = th * coth_minus_inv(x)
+        if phi < _TINY:
+            raise DomainError(
+                f"beta = {tp.beta!r} is too hot for the general-coupling kernels: "
+                f"(beta p)^2 underflows at the removable point p = {p:.3g}; "
+                "high_T_asymptotes holds there"
+            )
+        columns += [p * p, alpha, phi, th / p]
+    request = sd.integral(kernel, tuple(columns), points, cfg)
+    return within_reach(request, _SQUARE_OVERFLOW, "the decay scale of the general-coupling bath")
 
 
 def _first_spin_request(sd, tp, mix, cfg):
-    """Integral of I(xi) [g0 + sin(theta) g1 + cos(2 theta) g2], scaled."""
-    omega, epsilon = mix.omega, mix.epsilon
-    columns = (tp.beta, omega, epsilon, mix.sin_theta, mix.cos_two_theta)
-    removable = (abs(omega - epsilon), omega + epsilon, 2.0 * epsilon)
-    return sd.integral(_first_spin_kernel, columns + _scaled_weights(mix, tp)[:4], removable, cfg)
+    """Integral of I(xi) [g0 + sin(theta) g1 + cos(2 theta) g2] with the
+    weights over cosh(beta omega) + cosh(beta epsilon)."""
+    points = _removable_points(mix)
+    alphas = _first_spin_residues(mix, _cosh_share(mix, tp))
+    return _stated(sd, tp, _first_spin_kernel, points, alphas, cfg)
 
 
 def _second_spin_request(sd, tp, mix, cfg):
-    """Integral of I(xi) [f1k - sin(theta) f2k] with scaled weights."""
-    omega, epsilon = mix.omega, mix.epsilon
-    columns = (tp.beta, omega, epsilon, mix.sin_theta)
-    removable = (abs(omega - epsilon), omega + epsilon)
-    return sd.integral(_second_spin_kernel, columns + _scaled_weights(mix, tp)[2:], removable, cfg)
+    """Integral of I(xi) [f1k - sin(theta) f2k] with the same weights,
+    whose sum and difference are tanh(beta p/2) at p = omega +- epsilon."""
+    points = _removable_points(mix)[:2]
+    gap_tanh, total_tanh = (math.tanh(0.5 * _float_beta_xi(p, tp.beta)) for p in points)
+    gap_tanh = math.copysign(gap_tanh, mix.omega - mix.epsilon)
+    alphas = _second_spin_residues(mix, total_tanh, gap_tanh)
+    return _stated(sd, tp, _second_spin_kernel, points, alphas, cfg)
 
 
 @runs_alone

@@ -19,10 +19,12 @@ removable points, with the kernel evaluated at twice the working
 precision, in the variable y = xi^(1/4); it is computed at 45 digits and
 checked at 60, and the script stops if the two differ by more than 1e-25
 relative.  J and the fermion kernel are written out
-here; the first-spin kernel is the package's ``spin_general._g_parts``
-evaluated on mpmath numbers, so these references check the quadrature
-and its error estimate, while ``tests/test_spin_general.py`` checks that
-kernel's algebra against imaginary-time oracles.
+here; the spin kernels are the printed ones, ``oracles.printed_g_parts``
+and ``printed_f_parts``, evaluated on mpmath numbers, so these references
+check the package's pole sums, the quadrature and its error estimate,
+while ``tests/test_spin_general.py`` checks the printed kernels' algebra
+against imaginary-time oracles.  The second-spin references serve
+``tests/make_hot_references.py``.
 """
 
 import json
@@ -30,7 +32,7 @@ import pathlib
 
 import mpmath
 
-from cohex.spin_general import _g_parts
+from oracles import printed_f_parts, printed_g_parts
 
 OUT = pathlib.Path(__file__).with_name("subohmic_references.json")
 PARAMS = (1.0, 3.0, 0.1, 0.1, 0.1)
@@ -74,27 +76,49 @@ def j_reference(s, wc, beta, dps):
     return _quad(integrand, (w1,), dps)
 
 
+def _pair(beta):
+    """omega, epsilon, sin(theta), cos(theta) and the hyperbolic weights
+    cosh b omega, cosh b epsilon, sinh b omega, sinh b epsilon divided by
+    cosh(b omega) + cosh(b epsilon), at the working precision."""
+    w1, w2, t = (mpmath.mpf(v) for v in PARAMS[:3])
+    b = mpmath.mpf(beta)
+    omega = (w1 + w2) / 2
+    r = mpmath.sqrt(4 * t * t + (w1 - w2) ** 2)
+    eps = r / 2
+    norm = mpmath.cosh(b * omega) + mpmath.cosh(b * eps)
+    weights = [f(b * e) / norm for f, e in ((mpmath.cosh, omega), (mpmath.cosh, eps),
+                                            (mpmath.sinh, omega), (mpmath.sinh, eps))]
+    return omega, eps, (w1 - w2) / r, 2 * t / r, weights
+
+
 def first_spin_reference(s, wc, beta, dps):
     """int I(xi) [g0 + sin(theta) g1 + cos(2 theta) g2] with the
     hyperbolic weights divided by cosh(b omega) + cosh(b epsilon)."""
     with mpmath.workdps(2 * dps):
-        w1, w2, t = (mpmath.mpf(v) for v in PARAMS[:3])
         b = mpmath.mpf(beta)
-        omega = (w1 + w2) / 2
-        r = mpmath.sqrt(4 * t * t + (w1 - w2) ** 2)
-        eps = r / 2
-        sin_t, cos_t = (w1 - w2) / r, 2 * t / r
+        omega, eps, sin_t, cos_t, weights = _pair(beta)
         cos2t = cos_t * cos_t - sin_t * sin_t
-        norm = mpmath.cosh(b * omega) + mpmath.cosh(b * eps)
-        weights = [f(b * e) / norm for f, e in ((mpmath.cosh, omega), (mpmath.cosh, eps),
-                                                (mpmath.sinh, omega), (mpmath.sinh, eps))]
     dens = _density(s, wc)
 
     def integrand(x):
-        g0, g1, g2 = _g_parts(x, mpmath.coth(b * x / 2), omega, eps, *weights)
+        g0, g1, g2 = printed_g_parts(x, mpmath.coth(b * x / 2), omega, eps, *weights)
         return dens(x) * (g0 + sin_t * g1 + cos2t * g2)
 
     return _quad(integrand, (abs(omega - eps), omega + eps, 2 * eps), dps)
+
+
+def second_spin_reference(s, wc, beta, dps):
+    """int I(xi) [f1k - sin(theta) f2k] with the same weights."""
+    with mpmath.workdps(2 * dps):
+        b = mpmath.mpf(beta)
+        omega, eps, sin_t, _, (chw, che, shw, she) = _pair(beta)
+    dens = _density(s, wc)
+
+    def integrand(x):
+        f1k, f2k = printed_f_parts(x, mpmath.coth(b * x / 2), omega, eps, shw, she, chw - che)
+        return dens(x) * (f1k - sin_t * f2k)
+
+    return _quad(integrand, (abs(omega - eps), omega + eps), dps)
 
 
 def sigma1x_general_reference(s, wc, beta, dps):
@@ -102,10 +126,27 @@ def sigma1x_general_reference(s, wc, beta, dps):
         return mpmath.mpf(PARAMS[3]) * PARAMS[4] * first_spin_reference(s, wc, beta, dps)
 
 
+def sigma2x_general_reference(s, wc, beta, dps):
+    with mpmath.workdps(2 * dps):
+        cos_t = _pair(beta)[3]
+    with mpmath.workdps(dps):
+        pre = mpmath.mpf(PARAMS[3]) * PARAMS[4] * cos_t / 2
+        return pre * second_spin_reference(s, wc, beta, dps)
+
+
 def r1_reference(s, wc, beta, dps):
     with mpmath.workdps(dps):
         th1 = mpmath.tanh(mpmath.mpf(beta) * PARAMS[0] / 2)
         return first_spin_reference(s, wc, beta, dps) / (-4 * th1 * j_reference(s, wc, beta, dps))
+
+
+def r2_reference(s, wc, beta, dps):
+    with mpmath.workdps(2 * dps):
+        eps = _pair(beta)[1]
+    with mpmath.workdps(dps):
+        b, w1, w2 = mpmath.mpf(beta), mpmath.mpf(PARAMS[0]), mpmath.mpf(PARAMS[1])
+        den = 8 * mpmath.tanh(b * w1 / 2) * mpmath.tanh(b * w2 / 2) * j_reference(s, wc, beta, dps)
+        return w2 / eps * second_spin_reference(s, wc, beta, dps) / den
 
 
 def sigma2x_fermion_reference(s, wc, beta, w2, dps):

@@ -232,6 +232,87 @@ def _simplex_transform(corr, xi, beta, n=64):
     return nb * total_p + (1.0 + nb) * total_m
 
 
+def printed_g_parts(xi, cothb, omega, epsilon, chw, che, shw, she):
+    """The three first-spin kernels g0, g1, g2 as printed, for given
+    hyperbolic values cosh bw, cosh be, sinh bw, sinh be.
+
+    cothb is coth(beta xi / 2) at the same xi.  Plain arithmetic, so it
+    runs on floats, numpy arrays, ``mpmath.mpf`` and sympy symbols alike:
+    the reference that ``spin_general``'s pole sums are checked against
+    (``tests/derive_pole_sums.py`` symbolically, ``tests/test_spin_general.py``
+    at 50 digits) and that the mpmath reference files integrate.  The kernels are linear in the hyperbolic values, so
+    weights divided by cosh(beta omega) + cosh(beta epsilon) divide the
+    kernels by the same factor.
+    """
+    w2 = omega * omega
+    e2 = epsilon * epsilon
+    x2 = xi * xi
+    wpe = omega + epsilon
+    wme = omega - epsilon
+    d2 = (x2 - wpe * wpe) * (x2 - wme * wme)
+    we = w2 - e2
+    x2m4e = x2 - 4.0 * e2
+    g0 = (-1.0 / (we * d2)) * (
+        4.0 * omega * chw * (we * we - x2 * w2) / xi
+        - 4.0 * omega * che * (
+            x2 * w2 * (x2 - w2)
+            + e2 * e2 * (3.0 * x2 - 4.0 * w2)
+            + 2.0 * e2 * (x2 * w2 - x2 * x2 + w2 * w2)
+            + 2.0 * e2 * e2 * e2
+        ) / (xi * x2m4e)
+        - 2.0 * cothb * (
+            omega * epsilon * she * (
+                -7.0 * x2 * w2 + x2 * x2 + 2.0 * w2 * w2
+                + e2 * (3.0 * x2 + 8.0 * w2) - 10.0 * e2 * e2
+            ) / x2m4e
+            - shw * (2.0 * w2 * (x2 - w2) + e2 * (w2 - x2) + e2 * e2)
+        )
+    )
+    g1 = (
+        4.0 * epsilon * (x2 + w2 - e2) * (chw + che)
+        - 4.0 * xi * cothb * (2.0 * omega * epsilon * shw + she * (x2 - w2 - e2))
+    ) / (xi * d2)
+    g2 = (-2.0 * epsilon / (we * d2)) * (
+        -2.0 * xi * omega * epsilon * chw
+        + 2.0 * che * omega * epsilon * (
+            x2 * x2 + 2.0 * (w2 * w2 - 2.0 * w2 * (x2 + e2) + e2 * e2)
+        ) / (xi * x2m4e)
+        + cothb * (
+            epsilon * shw * (x2 + w2 - e2)
+            + omega * she * (
+                3.0 * x2 * w2 - x2 * x2 - 2.0 * w2 * w2
+                + e2 * (x2 + 8.0 * w2) - 6.0 * e2 * e2
+            ) / x2m4e
+        )
+    )
+    return g0, g1, g2
+
+
+def printed_f_parts(xi, cothb, omega, epsilon, shw, she, dch):
+    """The two second-spin kernels f1k, f2k as printed; same conventions
+    as ``printed_g_parts``, with dch = chw - che, the cosh difference,
+    passed as a value of its own."""
+    w2 = omega * omega
+    e2 = epsilon * epsilon
+    x2 = xi * xi
+    we = w2 - e2
+    wme = omega - epsilon
+    wpe = omega + epsilon
+    den = we * (x2 - wme * wme) * (x2 - wpe * wpe)
+    sq = we * we - x2 * (w2 + e2)
+    f1k = (
+        8.0 * epsilon * (shw / xi) * sq
+        + 16.0 * xi * omega * e2 * she
+        + 8.0 * epsilon * omega * cothb * (x2 - w2 + e2) * dch
+    ) / den
+    f2k = (
+        8.0 * epsilon * (she / xi) * sq
+        + 16.0 * xi * omega * e2 * shw
+        - 8.0 * e2 * cothb * (x2 + w2 - e2) * dch
+    ) / den
+    return f1k, f2k
+
+
 def g2_combo_tau_reference(xi, omega, epsilon, sin_theta, beta, n=64):
     """First-spin kernel combination from the imaginary-time correlator.
 

@@ -56,8 +56,8 @@ MAP_ARGS = (
     "--set", "points=5",
 )
 MAP_SHA256 = {
-    "r1": "a02eedc05b5644345d618644856bdc5c72e3bdc3471331b39c615b84ed9f4dda",
-    "r2": "1199f777b8235b178c692544102a01331bd2490fb340d9c48b3aa69fb183c2ef",
+    "r1": "1c23ce3716d97b851001d668af1fa037d434f2821700ce6ba1f9419c419957f1",
+    "r2": "e44c810c0ada004750d15803333192e38bec8fd54b168ba6c174ccb01fd7ffb2",
 }
 
 

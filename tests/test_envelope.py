@@ -13,7 +13,9 @@ quantity's public function, called on the cell's inputs, must carry the
 row's flags, or raise the error that the row's status word names.
 """
 
+import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -28,6 +30,7 @@ from cohex.spectral import GeneralizedOhmicDensity, OhmicDensity, TabulatedDensi
 from cohex.spin_detuned import (
     ModelParams, ThermalPoint, coherence_integral, f_dimensionless, sigma2x_low_T,
 )
+from cohex.spin_general import sigma2x_general
 from cohex.sweep import _STATUS, QUANTITIES, AxisSpec, SweepSpec, _cell_inputs, run_sweep
 
 from test_public_functions import public_status
@@ -245,4 +248,65 @@ def test_the_general_forms_give_no_wrong_ok_at_the_hot_end(bath):
             if not abs(value - ref) <= err + 1e-5 * abs(ref):
                 bad.append(f"{quantity} at beta omega1 = {b:g}: {value!r} +- {err:.3g}, "
                            f"reference {ref!r}")
+    assert bad == []
+
+
+GENERAL = ("sigma1x_general", "sigma2x_general", "r1", "r2")
+DECADES = tuple(10.0 ** -k for k in range(0, 161, 10))
+
+
+def test_the_general_forms_hold_their_wide_bath_trend():
+    # On a wide ohmic bath J grows by a constant step per decade of
+    # omega_c/omega1, and so do the general coherences.  The printed kernels
+    # overflowed from xi ~ 4.5e61: sigma1x_general read -4.96326 at 1e-70
+    # (trend -4.87583), r2 and sigma2x_general 0.0 `ok` from 1e-90.  The
+    # pole sums hold until xi^2 overflows (omega1/omega_c ~ 2.6e-153); r1 and
+    # r2 end at J's own limit (6.25e-102).
+    rows = {q: [_one_cell(q, PARAMS, ratio) for ratio in DECADES] for q in GENERAL}
+    zeros = [(q, ratio) for q in GENERAL for ratio, row in zip(DECADES, rows[q])
+             if row[-1] not in ERROR_WORDS and row[2] == 0.0]
+    assert zeros == []
+    for q in ("sigma1x_general", "sigma2x_general"):
+        steps = np.diff([row[2] for row in rows[q][2:-1]])  # 1e-20 to 1e-150
+        assert np.all(np.abs(steps - steps[0]) <= 1e-6 * abs(steps[0])), (q, steps)
+        assert rows[q][-1][-1] == "invalid-params"
+    for q in ("r1", "r2"):
+        assert [row[-1] for row in rows[q]] == ["ok"] * 11 + ["invalid-params"] * 6, q
+    wide = OhmicDensity.from_ratio(1.0, 1.0, 1e-160)
+    with pytest.raises(DomainError, match=r"general-coupling bath = 1e\+160 must be below 3.8e\+152"):
+        sigma2x_general(PARAMS, wide, ThermalPoint(2.0))
+
+
+HOT_BAND = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3)
+
+
+@pytest.mark.parametrize("bath", sorted(BATHS))
+def test_the_general_forms_are_ok_across_the_hot_band(bath):
+    # Each status pinned, not only the `ok` rows checked: the printed
+    # kernels cancelled from order 1 to order beta^2 and read
+    # no-convergence below beta omega1 ~ 2e-3 after spending their panel
+    # budget; the pole sums cancel nothing there.
+    statuses = {}
+    for quantity in GENERAL:
+        for b in HOT_BAND:
+            spec = SweepSpec(quantity, (AxisSpec("beta_omega1", b, b, 1),), BATHS[bath], PARAMS)
+            (row,) = run_sweep(spec).rows
+            statuses[quantity, b] = row[-1]
+    assert statuses == {key: "ok" for key in statuses}
+
+
+def test_the_general_forms_match_mpmath_across_the_hot_end():
+    # tests/hot_references.json (tests/make_hot_references.py): ohmic bath
+    # xi exp(-xi/10), beta omega1 from 1e-2 down to 1e-20.
+    cells = json.loads(pathlib.Path(__file__).with_name("hot_references.json").read_text())
+    bad = []
+    for cell in cells["cells"]:
+        b = cell["beta_omega1"]
+        spec = SweepSpec(cell["quantity"], (AxisSpec("beta_omega1", b, b, 1),),
+                         BATHS["ohmic"], PARAMS)
+        (_, value, err, status) = run_sweep(spec).rows[0]
+        ref = float(cell["reference"])
+        if status != "ok" or not abs(value - ref) <= err:
+            bad.append(f"{cell['quantity']} at beta omega1 = {b:g}: {value!r} +- {err!r} "
+                       f"({status}), reference {ref!r}")
     assert bad == []

@@ -50,10 +50,10 @@ DIGESTS = {
     "ohmic/sigma1x": "8494452f86778c309a815a80a7632b52bd01f9e3909edb4c89b4afa62a50729e",
     "ohmic/sigma2x": "be32a48b4337fa148ebd0a56f2ad7a5638573b3cc3f5bc7e6094996b47955e00",
     "ohmic/sigma2y": "84bce8ae49cd624daa7bfe9bf591de646ab66d8bb81127f5005b758ea714c007",
-    "ohmic/sigma1x_general": "729c3afb67bb1538a378a9ded323f08aaf5a5900766926a9eb090febe40f1f0d",
-    "ohmic/sigma2x_general": "6dd00bb2e9798b7bae6d9b0a9a6db2d13da38660a2ac32d8f130d8d9df5d6a96",
-    "ohmic/r1": "167a9bdbdb1f565584652e19db97c6567d626f4b16a97b3bccd89a9bf61bb634",
-    "ohmic/r2": "30db8f4b1b8588520f5a1186572981a9938980807e31edf1883e768a76285b4f",
+    "ohmic/sigma1x_general": "8d54144536e5517b4619946e0d81b4f086a5428ae6dc5c83f06e7e6b1562a462",
+    "ohmic/sigma2x_general": "0a3d7535f6ee740452150df1d56a21615677e325dbfecbe03b3689b8a304588e",
+    "ohmic/r1": "cf2fd0b2fee35055e9ef5b39954be178ca14454c29c51401d3ed0b2dfaff51af",
+    "ohmic/r2": "64d84064c354870bed59f0189fcabce3d9dbd9320fc5fa039fe75e38cb7f0bfe",
     "ohmic/static_sigma2x": "ce0ee251f1f68906355ec3aa7c19cfb265769ba365e02229359e306c39e67841",
     "ohmic/sigma2x_low_T": "7dee9a13ccf15fdfaec0cbd095b662eb199f5dca8828f73b479c9d4a4e3dd25d",
     "ohmic/normalized_output_ratio": "f933749cc3d6f361ac04c0f517797737f1fa538ef0e65ae55d214f9d6d2c2158",
@@ -69,10 +69,10 @@ DIGESTS = {
     "generalized/sigma1x": "89fb2cd922242b87b0a01ccecd01342a74a736449da798b0f583281b57cd6308",
     "generalized/sigma2x": "c3537f4e2121f84d61345257fd921623dc858d43ba4e34c0e02e078ace036719",
     "generalized/sigma2y": "84bce8ae49cd624daa7bfe9bf591de646ab66d8bb81127f5005b758ea714c007",
-    "generalized/sigma1x_general": "15639d9e038dccdb1256006ff06ddbbb47e570cb2f478c1731b20679fd7d3447",
-    "generalized/sigma2x_general": "e04c6cc9c5f389e32a82b3b7ae258a91eba52dbb136c9d901cbaf63bc561f1d7",
-    "generalized/r1": "9b76cd10c9296f9713be2cd102913d9116373fb6c9f39e752ba04a698009a425",
-    "generalized/r2": "5aa368c5c357ce2ccb0dd4ff24fd5ea7d97d8468c82a8cdda88278437d4fd4d5",
+    "generalized/sigma1x_general": "8e573642b7e5274873ac16dd5dc9f0294e674f6a3780dfcba81d3e676cad6378",
+    "generalized/sigma2x_general": "fbcd6305b8841256a12daaa2d1c664eef94b8c22ac5e866cd56803c2b0803f85",
+    "generalized/r1": "28e873cacf94d10962edce2af5fd99f46187c2f1a5a6f16529c4cbfe6d8c3ea1",
+    "generalized/r2": "1170be0862001c24ad25e4e0c849f7a64baaeca6adf4c6cbc642fccb7b209494",
     "generalized/static_sigma2x": "11dc255e59ebad4ca4d655c313a7abd2c84619d77359a113303ada1afbea24f5",
     "generalized/sigma1x_fermion": "d3852b6b1f0749e5d485fad67892578593210efaa4cfd26d504db69974e0fd8b",
     "generalized/sigma2x_fermion": "f4bcf4b60cf0dcc6ebd2a6209cb694f2caaafb60d085297b63181d8f1afd74b8",
@@ -80,10 +80,10 @@ DIGESTS = {
     "tabulated/sigma1x": "8c00c6ca3cc7399ba540ddb859c5131cdc1c47e62ca5945b26f0502c071a30fe",
     "tabulated/sigma2x": "5984616fdd54f936ee3ae247e86bca11054c7e9fe453b9d7d2fffd6465a26e25",
     "tabulated/sigma2y": "84bce8ae49cd624daa7bfe9bf591de646ab66d8bb81127f5005b758ea714c007",
-    "tabulated/sigma1x_general": "3728cf2c72d2090c79963ac68c246b8681933d5fc130564981fd69fe8d1c1338",
-    "tabulated/sigma2x_general": "28c0f0181b59b07cd855e8139fa1a6ba75ea811882f6a150a8c5d54df067fd47",
-    "tabulated/r1": "159a3bfb8b9c17811db11ae49c5f7ab9b167278ce26319fbd53e75f4b6d82a2b",
-    "tabulated/r2": "7373a1d8b4b353e5d8dfe6bbf83f16e9b2b4f49ba38079765e6d7578abdff864",
+    "tabulated/sigma1x_general": "b1aa2d871df17080625c1a455937beec529c5408a47f0fb365891164ad8a0a33",
+    "tabulated/sigma2x_general": "e02cd079b17838a205da285d33dbe94b265353c69e44a369cac7b0b226ab5a32",
+    "tabulated/r1": "4245dc03973156df3073d1d0addf5f962be292cfe98b6efa68aff5f1a2ef45cf",
+    "tabulated/r2": "d5b822ce561f8baf9b07354fd2a75f94d4637b3e1f1c3fe03ab6f0c13dcd3806",
     "tabulated/static_sigma2x": "2a3ba0ca2630cf6632973a30ff24eb152335d3f4d052a0814ed4cad59b176d9b",
     "tabulated/sigma1x_fermion": "1813f2cb8246801f78c388746f9ff16cc502a003f5752a0126e8555e004f6b8f",
     "tabulated/sigma2x_fermion": "3b534770a5d8eebfe8d8b3515d79eaddca0a6fc64f154dd2adb79a28361017c3",

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,6 +13,7 @@ from cohex.numerics import (
 )
 from cohex.spectral import DiscreteDensity, OhmicDensity
 from cohex.spin_detuned import (
+    _SQUARE_OVERFLOW,
     ModelParams,
     ThermalPoint,
     coherence_integral,
@@ -20,8 +22,8 @@ from cohex.spin_detuned import (
 )
 from cohex.spin_general import (
     SpinMixing,
-    _f_parts,
-    _g_parts,
+    _first_spin_request,
+    _second_spin_request,
     mixing,
     r1_value,
     r2_value,
@@ -39,9 +41,10 @@ SD = OhmicDensity(1.0, 10.0)
 
 
 # ---------------------------------------------------------------------------
-# The kernels as printed: raw hyperbolic weights, for the transcription
-# checks below.  The package integrates the same _g_parts/_f_parts with
-# the weights scaled by 1/(cosh(beta omega) + cosh(beta epsilon)).
+# The kernels as printed (``oracles.printed_g_parts`` / ``printed_f_parts``):
+# raw hyperbolic weights, for the transcription checks below.  The package
+# integrates their pole sums, with the weights scaled by
+# 1/(cosh(beta omega) + cosh(beta epsilon)).
 # ---------------------------------------------------------------------------
 
 def _raw_weights(mix: SpinMixing, tp: ThermalPoint):
@@ -81,7 +84,7 @@ def g2_kernels(xi, mix: SpinMixing, tp: ThermalPoint):
     arr = _checked_xi(xi)
     chw, che, shw, she = _raw_weights(mix, tp)
     cothb = thermal_coth_half(tp.beta, arr)
-    g0, g1, g2 = _g_parts(arr, cothb, mix.omega, mix.epsilon, chw, che, shw, she)
+    g0, g1, g2 = oracles.printed_g_parts(arr, cothb, mix.omega, mix.epsilon, chw, che, shw, she)
     if np.isscalar(xi) or np.ndim(xi) == 0:
         return float(g0), float(g1), float(g2)
     return g0, g1, g2
@@ -96,7 +99,7 @@ def f2_kernels(xi, mix: SpinMixing, tp: ThermalPoint):
     arr = _checked_xi(xi)
     chw, che, shw, she = _raw_weights(mix, tp)
     cothb = thermal_coth_half(tp.beta, arr)
-    f1k, f2k = _f_parts(arr, cothb, mix.omega, mix.epsilon, shw, she, chw - che)
+    f1k, f2k = oracles.printed_f_parts(arr, cothb, mix.omega, mix.epsilon, shw, she, chw - che)
     if np.isscalar(xi) or np.ndim(xi) == 0:
         return float(f1k), float(f2k)
     return f1k, f2k
@@ -106,7 +109,8 @@ def f2_kernels(xi, mix: SpinMixing, tp: ThermalPoint):
 
 def _combo_g(xi, mix, tp):
     g0, g1, g2 = g2_kernels(xi, mix, tp)
-    return g0 + mix.sin_theta * g1 + mix.cos_two_theta * g2
+    cos_two_theta = (mix.cos_theta - mix.sin_theta) * (mix.cos_theta + mix.sin_theta)
+    return g0 + mix.sin_theta * g1 + cos_two_theta * g2
 
 
 def _combo_f(xi, mix, tp):
@@ -126,8 +130,6 @@ def test_mixing_basics():
     assert mix.cos_theta == pytest.approx(0.6 / math.hypot(0.6, 1.0))
     assert mix.sin_theta == pytest.approx(-1.0 / math.hypot(0.6, 1.0))
     assert mix.cos_theta**2 + mix.sin_theta**2 == pytest.approx(1.0)
-    theta = math.atan2(mix.sin_theta, mix.cos_theta)
-    assert mix.cos_two_theta == pytest.approx(math.cos(2.0 * theta))
 
 
 def test_mixing_detuning_sign_bookkeeping():
@@ -282,6 +284,74 @@ def test_raw_kernels_reject_zero_temperature_and_bad_xi():
         g2_kernels(-0.5, mix, TP)
     with pytest.raises(DomainError):
         f2_kernels(math.nan, mix, TP)
+
+
+# ---------------------------------------------------------------------------
+# The pole sums against the printed kernels at 50 digits
+# ---------------------------------------------------------------------------
+
+def _surface_coupling(gap_rel):
+    """t putting epsilon at omega (1 + gap_rel) for omega1 = 1, omega2 = 3."""
+    return math.sqrt(4.0 * (1.0 + gap_rel) ** 2 - 1.0)
+
+
+POLE_SUM_CASES = (
+    [pytest.param(b, t, id=f"bw1={b:g}-t={t:g}") for b in (30.0, 1.0, 0.1, 0.01) for t in (0.1, 2.5)]
+    + [pytest.param(b, _surface_coupling(g), id=f"bw1={b:g}-gap={g:g}")
+       for g in (1e-3, 1e-4, 3e-5) for b in (1.0, 0.01)]
+)
+
+
+def _printed_at_50_digits(xs, mix, beta, second):
+    """The printed kernel assembly on mpmath numbers, its hyperbolic weights
+    over cosh(beta omega) + cosh(beta epsilon) and its coth from mpmath."""
+    with mpmath.workdps(50):
+        w, e, s, c = (mpmath.mpf(v) for v in (mix.omega, mix.epsilon, mix.sin_theta,
+                                                mix.cos_theta))
+        c2, b = c * c - s * s, mpmath.mpf(beta)
+        norm = mpmath.cosh(b * w) + mpmath.cosh(b * e)
+        chw, che = mpmath.cosh(b * w) / norm, mpmath.cosh(b * e) / norm
+        shw, she = mpmath.sinh(b * w) / norm, mpmath.sinh(b * e) / norm
+        out = []
+        for x in map(mpmath.mpf, xs):
+            coth = mpmath.coth(b * x / 2)
+            if second:
+                f1k, f2k = oracles.printed_f_parts(x, coth, w, e, shw, she, chw - che)
+                out.append(f1k - s * f2k)
+            else:
+                g0, g1, g2 = oracles.printed_g_parts(x, coth, w, e, chw, che, shw, she)
+                out.append(g0 + s * g1 + c2 * g2)
+        return out
+
+
+@pytest.mark.parametrize("beta, t", POLE_SUM_CASES)
+@pytest.mark.parametrize("second", [False, True], ids=["first", "second"])
+def test_pole_sums_match_the_printed_kernels_up_to_their_reach(beta, t, second):
+    # xi on a log grid from 1e-8 to 1e300 and at 1% and 0.1% of each
+    # removable point.  Measured below the reach: at most 3.7e-11 relative
+    # (at 0.1% of 2 epsilon, beta omega1 = 0.1, where coth(y) - 1/y loses
+    # a digit to cancellation), growing like omega/|omega - epsilon| near the
+    # surface t^2 = omega1 omega2 to 1.3e-8 at gap 3e-5.  The printed forms
+    # lose up to 2.5e-8 at beta omega1 = 0.01 and 3.7 at gap 3e-5 there.
+    mix = mixing(ModelParams(1.0, 3.0, t, 0.1, 0.1))
+    stated = _second_spin_request if second else _first_spin_request
+    request = stated(SD, ThermalPoint(beta), mix, DEFAULT_QUADRATURE)
+    points = request.removable_points
+    xs = np.sort(np.concatenate([
+        np.logspace(-8.0, 300.0, 309),
+        np.outer(points, [0.99, 0.999, 1.001, 1.01]).ravel(),
+    ]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = request.kernel(xs, *request.columns)
+    ref = _printed_at_50_digits(xs, mix, beta, second)
+    with mpmath.workdps(50):
+        rel = np.array([float(abs((mpmath.mpf(float(g)) - r) / r)) for g, r in zip(got, ref)])
+    bound = 1e-10 + 1e-12 * mix.omega / abs(mix.omega - mix.epsilon)
+    failing = xs[~(rel <= bound)]
+    # The reach stated through within_reach is where xi^2 overflows, and
+    # the kernel holds its bound up to there and fails just past it.
+    assert _SQUARE_OVERFLOW <= failing.min() <= 10.0 * _SQUARE_OVERFLOW
+    assert rel[xs < _SQUARE_OVERFLOW].max() <= bound
 
 
 # ---------------------------------------------------------------------------
