@@ -435,18 +435,19 @@ def _fermi_diff_over_xi(w1, xi, beta, below, above):
     caller has at hand.  The direct difference loses all significance once
     beta xi is small; there the identity n(u) - n(v) = e^{-beta u}
     (1 - e^{-beta (v - u)}) / ((1 + e^{-beta u})(1 + e^{-beta v}))
-    evaluates it through expm1.  ``beta`` may be an array, one entry per
-    abscissa; at beta = inf no xi is small, so the direct difference is
-    taken.
+    evaluates it through expm1, at those abscissae alone.  ``w1`` and
+    ``beta`` may be arrays, one entry per abscissa; at beta = inf no xi is
+    small, so the direct difference is taken.
     """
-    direct = (below - above) / xi
-    small = (beta * xi < 0.5) & (xi < 0.5 * w1)
-    xs = np.where(small, xi, 0.25 * w1)
-    em = np.exp(-beta * (w1 - xs))
-    ep = np.exp(-beta * (w1 + xs))
-    grow = -np.expm1(-2.0 * beta * xs) / xs
-    stable = em * grow / ((1.0 + em) * (1.0 + ep))
-    return np.where(small, stable, direct)
+    out = np.asarray((below - above) / xi)
+    at = np.flatnonzero((beta * xi < 0.5) & (xi < 0.5 * w1))
+    if at.size:
+        w1, xs, beta = (np.ravel(v)[at] if np.ndim(v) else v for v in (w1, xi, beta))
+        em = np.exp(-beta * (w1 - xs))
+        ep = np.exp(-beta * (w1 + xs))
+        grow = -np.expm1(-2.0 * beta * xs) / xs
+        out.reshape(-1)[at] = em * grow / ((1.0 + em) * (1.0 + ep))
+    return out
 
 
 def _second_fock_kernel(xi, w1, w2, beta, th1, n1, n2):

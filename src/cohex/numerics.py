@@ -8,8 +8,9 @@ integration path.  This module provides
   continued-fraction switchover, plus an exponentially scaled variant,
 * ``bose_n`` / ``fermi_n`` / ``coth_stable`` -- occupation factors that keep
   full relative accuracy for tiny and huge arguments, in numpy alone (the
-  package's only run-time dependency); zero temperature, beta = inf, takes
-  the same formulas, which saturate to the step functions,
+  package's only run-time dependency), an array with no full-array mask
+  beyond its ``exp``, ``expm1`` or ``tanh``; zero temperature, beta = inf,
+  takes the same formulas, which saturate to the step functions,
 * ``integrate_many`` -- adaptive Gauss-Kronrod quadrature on a log-mapped
   semi-infinite domain with windowed polynomial bridging of declared
   removable singularities and a graded map for integrable endpoint
@@ -20,8 +21,9 @@ integration path.  This module provides
 * ``run_steps`` -- the driver of steps: computations that state their
   integrals (``Integral`` requests), receive the outcomes of one
   ``integrate_many`` run shared with other steps, then finish; identical
-  requests are integrated once.  ``runs_alone`` makes a step's public
-  function, which runs it alone.
+  requests are integrated once, and many steps run in consecutive blocks
+  of at most ``_BLOCK_REQUESTS`` = 144 requests.  ``runs_alone`` makes a
+  step's public function, which runs it alone.
 
 Each kernel call carries a fixed numpy overhead of tens of microseconds,
 far more than the arithmetic on its points, so the engine makes few, full
@@ -54,6 +56,7 @@ Reduced units (hbar = k_B = 1) throughout the package.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
@@ -67,6 +70,8 @@ import numpy as np
 EULER_GAMMA = 0.5772156649015328606
 
 _EPS = float(np.finfo(float).eps)
+
+_NO_CONTEXT = contextlib.nullcontext()
 
 # Removable points closer together than this (relative) are bridged as one.
 _CLUSTER_RTOL = 1e-6
@@ -82,6 +87,17 @@ _SPLIT = 8
 # temporaries of a call small (a 43,000-node call of the heaviest kernel
 # adds about 5 MB of peak memory, a 4,096-node call none).
 _MAX_NODES = 4096
+# ``run_steps`` hands the engine at most this many integral requests in
+# one run.  The engine keeps the panels of every integral of a run alive
+# at once, so the count bounds a run's memory; 144 is what 24
+# hartree_fock sweep cells state (6 each).  A 432-cell ohmic sweep (144
+# beta omega1 x 3 cutoffs) raises the peak RSS of a warm process by
+# 1.1-1.2 MB in hartree_fock's 24-cell blocks, 0.9-1.1 MB in
+# sigma2x_fermion's 72-cell blocks and 0.75 MB in sigma2x's 144-cell
+# blocks (0.25 and 0.5 MB in 24-cell blocks).  Every run pays the
+# engine's fixed bookkeeping per refinement pass, so blocks are as large
+# as that memory allows.
+_BLOCK_REQUESTS = 144
 
 # 15-point Kronrod extension of the 7-point Gauss rule (abscissae in (-1, 1)).
 _XGK = np.array([
@@ -231,13 +247,26 @@ def _exp_scaled_ei_neg(c: float) -> float:
 
 _BETA_DOMAIN = "beta must be positive (use math.inf for zero temperature)"
 
+# Below |y| = 0.125 coth(y) - 1/y is summed as a series.
+_SERIES_BELOW = 0.125
+# Below 1/DBL_MAX, 1/tanh(y) and 1/y overflow.
+_TINY = 1.0 / float(np.finfo(float).max)
+
 
 def _beta_xi(xi, beta):
-    """beta * xi, with beta * 0 = 0 at every beta, inf included."""
-    if not np.greater(beta, 0.0).all():
+    """beta * xi as a fresh array, with beta * 0 = 0 at every beta, inf
+    included.
+
+    beta is checked through its least and greatest entries, and only a
+    beta holding inf is masked: inf * 0 is the one product that differs.
+    """
+    b = np.asarray(beta, dtype=float)
+    if b.size and not b.min() > 0.0:
         raise DomainError(_BETA_DOMAIN)
     x = np.asarray(xi, dtype=float)
-    return np.where(x == 0.0, 0.0, beta) * x
+    if b.size and b.max() == math.inf:
+        return np.asarray(np.where(x == 0.0, 0.0, b) * x)
+    return np.asarray(b * x)
 
 
 def _float_beta_xi(xi: float, beta: float) -> float:
@@ -245,6 +274,13 @@ def _float_beta_xi(xi: float, beta: float) -> float:
     if not beta > 0.0:
         raise DomainError(_BETA_DOMAIN)
     return beta * xi if xi != 0.0 else xi
+
+
+def _saturated(bx):
+    """``bx`` with every entry above 709 set to inf, in place: there both
+    occupations are exactly 0, and e^inf = inf raises no overflow."""
+    np.copyto(bx, math.inf, where=bx > 709.0)
+    return bx
 
 
 def bose_n(xi, beta):
@@ -255,24 +291,28 @@ def bose_n(xi, beta):
     branch of its own: the exponential saturates, giving the step values
     0 for xi > 0 and -1 for xi < 0 exactly.
 
-    A float ``xi`` and ``beta`` take a scalar path (numpy's 0-d array path
-    costs tens of microseconds per call) doing the same operations in the
-    same order, so it has the bits of the array path.
+    An array takes its ``expm1`` in place, with reductions where masks
+    would cost more (a mask only where beta holds inf).  A float ``xi``
+    and ``beta`` take a scalar path (numpy's 0-d array path costs tens of
+    microseconds per call) doing the same operations in the same order,
+    so it has the bits of the array path.
     """
     if isinstance(xi, float) and isinstance(beta, float):
         bx = _float_beta_xi(xi, beta)
         if bx == 0.0:
             raise DomainError("bose_n diverges at xi = 0")
         # 0 before expm1 is called: it overflows, with a warning, above
-        # 709.78 (the array path clips); expm1 saturates to -1 below -37.
-        # A float divides without a warning where 1/expm1 overflows.
+        # 709.78 (the array path saturates); expm1 saturates to -1 below
+        # -37.  A float divides without a warning where 1/expm1 overflows.
         return 0.0 if bx > 709.0 else 1.0 / float(np.expm1(bx))
-    bx = _beta_xi(xi, beta)
-    if np.any(bx == 0.0):
+    out = _saturated(_beta_xi(xi, beta))
+    np.expm1(out, out=out)
+    least = np.fmin.reduce(np.abs(out), axis=None, initial=math.inf)
+    if least == 0.0:  # expm1 vanishes only where beta xi does
         raise DomainError("bose_n diverges at xi = 0")
-    with np.errstate(over="ignore"):
-        out = 1.0 / np.expm1(np.clip(bx, -745.0, 745.0))
-    out = np.where(bx > 709.0, 0.0, out)
+    # A subnormal beta xi overflows 1/expm1 to inf, without a warning.
+    with np.errstate(over="ignore") if least < _TINY else _NO_CONTEXT:
+        np.divide(1.0, out, out=out)
     return float(out) if np.isscalar(xi) else out
 
 
@@ -282,17 +322,36 @@ def fermi_n(xi, beta):
     Above beta xi = 709, where the occupation is below 1e-307, it is
     exactly 0, so an inf entry of ``beta`` (zero temperature) saturates
     to the step values 0 and 1; at xi = 0 it is 1/2 at every beta.
-    ``beta`` may be an array broadcasting against ``xi``.  A float ``xi``
-    and ``beta`` take a scalar path with the bits of the array path, as
-    in ``bose_n``.
+    ``beta`` may be an array broadcasting against ``xi``.  An array takes
+    its ``exp`` in place, as in ``bose_n``, and a float ``xi`` and
+    ``beta`` take a scalar path with the bits of the array path.
     """
     if isinstance(xi, float) and isinstance(beta, float):
         bx = _float_beta_xi(xi, beta)
         return 0.0 if bx > 709.0 else 1.0 / (1.0 + float(np.exp(bx)))
-    bx = _beta_xi(xi, beta)
-    out = 1.0 / (1.0 + np.exp(np.minimum(bx, 709.0)))
-    out = np.where(bx > 709.0, 0.0, out)
+    out = _saturated(_beta_xi(xi, beta))
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
     return float(out) if np.isscalar(xi) else out
+
+
+def _series_split(y, message):
+    """(y as a flat float array, the indices of its entries below
+    ``_SERIES_BELOW`` in magnitude or None, and whether any is below
+    ``_TINY``); raises ``DomainError(message)`` at y = 0.
+
+    The zero and series checks read one reduction, the least magnitude,
+    so an array with no entry below 0.125 builds no mask at all.
+    """
+    arr = np.asarray(y, dtype=float).reshape(-1)
+    mag = np.abs(arr)
+    least = np.fmin.reduce(mag, initial=math.inf)
+    if least == 0.0:
+        raise DomainError(message)
+    if not least < _SERIES_BELOW:
+        return arr, None, False
+    return arr, np.flatnonzero(mag < _SERIES_BELOW), least < _TINY
 
 
 def coth_stable(x):
@@ -300,18 +359,15 @@ def coth_stable(x):
 
     Uses the Laurent expansion 1/x + x/3 - x^3/45 + ... (through x^9) below
     |x| = 0.125 so that differences like coth(x) - 1/x keep full relative
-    accuracy; 1/tanh(x) elsewhere.
+    accuracy; 1/tanh(x) elsewhere.  On an array the series is summed at
+    the entries below 0.125 alone.
     """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr == 0.0):
-        raise DomainError("coth diverges at 0")
-    small = np.abs(arr) < 0.125
-    x_safe = np.where(small, 1.0, arr)
-    with np.errstate(divide="ignore"):
-        out = 1.0 / np.tanh(x_safe)
-    xs = np.where(small, arr, 1.0)
-    out = np.where(small, 1.0 / xs + _coth_minus_inv_series(xs), out)
-    return float(out) if np.isscalar(x) else out
+    arr, series_at, _ = _series_split(x, "coth diverges at 0")
+    out = 1.0 / np.tanh(arr)
+    if series_at is not None:
+        xs = arr[series_at]
+        out[series_at] = 1.0 / xs + _coth_minus_inv_series(xs)
+    return float(out[0]) if np.isscalar(x) else out.reshape(np.shape(x))
 
 
 def coth_minus_inv(y):
@@ -323,25 +379,24 @@ def coth_minus_inv(y):
     floating point, which matters at high temperature where 1/b dominates
     the difference by many orders of magnitude.
 
-    A float takes a scalar path (numpy's 0-d array path costs tens of
-    microseconds per call) doing the same operations in the same order,
-    so it has the bits of the array path.
+    On an array the series is summed at the entries below 0.125 alone,
+    as in ``coth_stable``.  A float takes a scalar path (numpy's 0-d array
+    path costs tens of microseconds per call) doing the same operations in
+    the same order, so it has the bits of the array path.
     """
     if isinstance(y, float):
         if y == 0.0:
             raise DomainError("coth - 1/y is evaluated away from 0 only")
-        if abs(y) < 0.125:
+        if abs(y) < _SERIES_BELOW:
             return float(_coth_minus_inv_series(y))
         return float(1.0 / np.tanh(y) - 1.0 / y)
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr == 0.0):
-        raise DomainError("coth - 1/y is evaluated away from 0 only")
-    small = np.abs(arr) < 0.125
-    y_safe = np.where(small, 1.0, arr)
-    with np.errstate(divide="ignore"):
-        out = 1.0 / np.tanh(y_safe) - 1.0 / y_safe
-    out = np.where(small, _coth_minus_inv_series(np.where(small, arr, 1.0)), out)
-    return float(out) if np.isscalar(y) else out
+    arr, series_at, tiny = _series_split(y, "coth - 1/y is evaluated away from 0 only")
+    # Entries that overflow 1/tanh and 1/y take the series, which holds.
+    with np.errstate(over="ignore", invalid="ignore") if tiny else _NO_CONTEXT:
+        out = 1.0 / np.tanh(arr) - 1.0 / arr
+    if series_at is not None:
+        out[series_at] = _coth_minus_inv_series(arr[series_at])
+    return float(out[0]) if np.isscalar(y) else out.reshape(np.shape(y))
 
 
 def _coth_minus_inv_series(y):
@@ -1119,12 +1174,12 @@ def _finish(step, outcomes):
     raise RuntimeError("a step yields its integral requests once")
 
 
-def _lockstep(steps):
-    """Step running ``steps`` with one yield for all their requests.
+def _lockstep(started):
+    """Step running started steps (``_start``) with one yield for all their
+    requests.
 
     Returns each step's result or the ``CohexError`` it raised, in order.
     """
-    started = [_start(step) for step in steps]
     requests = [r for step, reqs in started if step is not None for r in reqs]
     outcomes = (yield requests) if requests else []
     results = []
@@ -1147,7 +1202,7 @@ def gather(*steps):
     Returns their results in order.  The first failure in that order is
     raised, as if the sub-steps had run one after another.
     """
-    results = yield from _lockstep(steps)
+    results = yield from _lockstep([_start(step) for step in steps])
     for result in results:
         if isinstance(result, CohexError):
             raise result
@@ -1174,14 +1229,35 @@ def run_steps(steps, known: dict | None = None) -> list:
     returns its result.  Returns each step's result or the ``CohexError``
     it raised, in order.
 
-    Identical requests are integrated once and share their outcome.
-    ``known`` holds the outcomes of the caller's previous run, which are
-    reused, and is left holding this run's, so it never outgrows one run.
+    Steps run in consecutive blocks of one engine run each, started in
+    order as their block reaches them.  A block closes before the step
+    whose ``Integral`` requests would take it past ``_BLOCK_REQUESTS``
+    (a step stating more runs as a block of its own).
+
+    Identical requests of a block are integrated once and share their
+    outcome.  ``known`` holds the outcomes of the caller's previous run,
+    which are reused, and is left holding the last block's, so it never
+    outgrows one block; each block hands its outcomes on to the next.
     """
-    lock, pending = _start(_lockstep(steps))
+    known = {} if known is None else known
+    results, block, count = [], [], 0
+    for step in steps:
+        started = _start(step)
+        stated = 0 if started[0] is None else sum(
+            isinstance(r, Integral) for r in started[1])
+        if block and count + stated > _BLOCK_REQUESTS:
+            results += _run_block(block, known)
+            block, count = [], 0
+        block.append(started)
+        count += stated
+    return results + _run_block(block, known)
+
+
+def _run_block(started, known: dict) -> list:
+    """``run_steps`` for one block of started steps (``_start``)."""
+    lock, pending = _start(_lockstep(started))
     if lock is None:
         return pending
-    known = {} if known is None else known
     keys = [_request_key(r) if isinstance(r, Integral) else None for r in pending]
     fresh = {key: r for key, r in zip(keys, pending) if key is not None and key not in known}
     outcomes = {key: known[key] for key in keys if key in known}

@@ -17,14 +17,15 @@ its public function runs alone, and cells run in lockstep blocks of
 contiguous cells: every cell of a block starts and hands its integral
 requests to one engine run for the whole block, and then every cell
 assembles and cross-checks its own result.  A closed form is a step that
-states no integral.  A serial sweep cuts its grid into blocks of
-``_LOCKSTEP_CELLS`` cells; under ``jobs`` each pool task is cut the same
-way.  An integral has the same bits in any
-block, so the table does not depend on how the grid is cut.  Every
-integral of a cell pools this way (J, the shape factor F, the fermion
-and general-coupling spin integrals, and the reference integral J of R1
-and R2), except the numerators of R1 and R2, which are still computed
-one at a time inside their cells.
+states no integral.  A block closes at 144 integral requests, which
+bounds its memory: 144 cells of a one-integral quantity, 72 of a
+two-integral fermion quantity, 24 of ``hartree_fock``.  A serial sweep
+cuts its grid this way, and under ``jobs`` so does each pool task.  An
+integral has the same bits in any block, so the table does not depend on
+how the grid is cut.  Every integral of a cell pools this way (J, the
+shape factor F, the fermion and general-coupling spin integrals, and the
+reference integral J of R1 and R2), except the numerators of R1 and R2,
+which are still computed one at a time inside their cells.
 
 Identical requests are integrated once, and each block hands its outcomes
 on to the next one of its task.  So the small-t reference integral J that
@@ -111,13 +112,11 @@ MAP_OMEGA2_MAX = 10.0
 MAP_T_MAX = 5.0
 MAP_POINTS = 101
 
-# Cells that run in one lockstep block.  The engine keeps the panels of
-# every integral of a block alive at once, so the block bounds its memory:
-# three 72-cell fermion sweeps raise a fresh process's peak RSS by 2.0 MB
-# as whole-grid blocks and by 0.8 MB in 24-cell blocks (0.26 MB one
-# integral at a time), at the same time per cell, since most kernel calls
-# of a 24-cell block already carry the full 4,096 nodes.
-_LOCKSTEP_CELLS = 24
+# Pool tasks are whole multiples of 24 cells, the cells of one full
+# hartree_fock block (``numerics._BLOCK_REQUESTS`` = 144 requests, 6 a
+# cell), so a task of any quantity fills at least one block of the
+# heaviest cells.
+_TASK_CELLS = 24
 
 # Maps trade accuracy for speed; 1e-7 is far below the 1e-3 scale at
 # which the ratio maps are read, and keeps cells near the omega = epsilon
@@ -346,25 +345,15 @@ _STATUS = (
 def _sweep_cells(task):
     """(values, err, status) of each cell of a task. Picklable for pools.
 
-    ``task`` is ``(spec, points)``; the cells run in lockstep blocks of
-    ``_LOCKSTEP_CELLS`` cells, each handing its integrals' outcomes on to
-    the next.
+    ``task`` is ``(spec, points)``; the cells run in lockstep blocks of at
+    most 144 integral requests (see ``numerics.run_steps``), each handing
+    its integrals' outcomes on to the next.
     """
     spec, points = task
-    known = {}
-    return [cell for i in range(0, len(points), _LOCKSTEP_CELLS)
-            for cell in _sweep_block(spec, points[i:i + _LOCKSTEP_CELLS], known)]
-
-
-def _sweep_block(spec: SweepSpec, points: list, known: dict) -> list:
-    """(values, err, status) of each cell of one lockstep block.
-
-    ``known`` holds the outcomes of the previous block (see
-    ``numerics.run_steps``) and is left holding this block's.
-    """
     blank = (None,) * len(QUANTITIES[spec.quantity].columns)
+    steps = (_cell_step(spec, point) for point in points)
     out = []
-    for result in run_steps([_cell_step(spec, point) for point in points], known):
+    for result in run_steps(steps):
         if isinstance(result, CohexError):
             status = next((word for kind, word in _STATUS if isinstance(result, kind)), None)
             if status is None:
@@ -392,8 +381,8 @@ def _rows(spec: SweepSpec, points: list, keys: tuple, jobs: int | None) -> list:
     CPU count as workers: a fork-based pool starts every worker at its
     first task, whether or not there is work for it.  Each pool task is a
     contiguous run of about an eighth of a worker's share of the cells,
-    rounded up to whole lockstep blocks so a task pools its cells' kernel
-    calls as a serial run does.
+    rounded up to whole ``_TASK_CELLS``, and cut into lockstep blocks as
+    a serial run is.
     """
     workers = min(jobs or 1, len(points), _usable_cpus())
     if workers > 1:
@@ -401,7 +390,7 @@ def _rows(spec: SweepSpec, points: list, keys: tuple, jobs: int | None) -> list:
         from concurrent.futures import ProcessPoolExecutor
 
         size = max(1, len(points) // (8 * workers))
-        size = -(-size // _LOCKSTEP_CELLS) * _LOCKSTEP_CELLS
+        size = -(-size // _TASK_CELLS) * _TASK_CELLS
         tasks = [(spec, points[i:i + size]) for i in range(0, len(points), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = [cell for part in pool.map(_sweep_cells, tasks) for cell in part]

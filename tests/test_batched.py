@@ -18,6 +18,7 @@ import pytest
 import cohex.fermion as fermion
 import cohex.numerics as nm
 import cohex.spin_detuned as spin_detuned
+import cohex.sweep as sweep
 from cohex.errors import CohexError, ConvergenceError, KernelError
 from cohex.numerics import (
     DEFAULT_QUADRATURE,
@@ -43,10 +44,10 @@ from cohex.sweep import (
     QUANTITIES,
     AxisSpec,
     SweepSpec,
-    _sweep_block,
+    _sweep_cells,
     run_sweep,
 )
-from cohex.table import emit_csv
+from cohex.table import SweepTable, emit_csv
 
 import oracles
 from test_public_functions import PUBLIC
@@ -292,7 +293,7 @@ def _count_kernel_calls(monkeypatch):
 
 @pytest.mark.parametrize("name, calls, nodes", [
     ("hartree_fock", 149, 317_232),  # 2,722 kernel calls one integral at a time
-    ("sigma2x_fermion", 48, 101_952),
+    ("sigma2x_fermion", 36, 101_952),  # 48 in three 24-cell blocks
 ])
 def test_pooled_kernel_calls_on_the_benchmark_grid(monkeypatch, name, calls, nodes):
     # The fermion grid of the sweep_T benchmark at seed 0: 24 beta omega1
@@ -383,7 +384,7 @@ def _spy_engine(monkeypatch):
 
 def _assert_pooled_by_block(monkeypatch, name):
     # The spin grid of the sweep_T benchmark: 24 beta omega1 x 3 cutoffs,
-    # 72 different integrals, stated by three 24-cell blocks.
+    # 72 different integrals, stated by one block.
     axes = (
         AxisSpec("beta_omega1", 0.1, 30.0, 24, "log"),
         AxisSpec("omega1_over_omegac", 0.1, 1.6, 3, "log"),
@@ -391,7 +392,7 @@ def _assert_pooled_by_block(monkeypatch, name):
     runs, lone = _spy_engine(monkeypatch)
     table = run_sweep(SweepSpec(name, axes, OhmicDensity(1.0, 1.0), PARAMS))
     assert all(row[2] is not None for row in table.rows)
-    assert runs == [24, 24, 24]
+    assert runs == [72]
     assert lone == []
 
 
@@ -430,15 +431,50 @@ def test_every_registry_entry_is_a_step(monkeypatch, name):
     assert len(runs) - len(lone) == (name not in _NOTHING_POOLED)
 
 
-def test_lockstep_blocks_cut_anywhere_give_the_same_cells():
+def _cells_in_blocks(monkeypatch, spec, points, max_requests):
+    monkeypatch.setattr(nm, "_BLOCK_REQUESTS", max_requests)
+    return _sweep_cells((spec, points))
+
+
+def _cells_in_24_cell_blocks(spec, points):
+    """The cells of a grid cut into blocks of 24 cells, whatever their
+    requests, each handing its outcomes on to the next."""
+    known, out = {}, []
+    for i in range(0, len(points), 24):
+        steps = [sweep._cell_step(spec, point) for point in points[i:i + 24]]
+        out += [(r.values, r.err_estimate, ";".join(r.flags) or "ok")
+                for r in nm.run_steps(steps, known)]
+    return out
+
+
+def test_lockstep_blocks_cut_anywhere_give_the_same_cells(monkeypatch):
     axis = AxisSpec("beta_omega1", 0.5, 8.0, 7, "log")
     spec = SweepSpec("hartree_fock", (axis,), OhmicDensity(1.0, 10.0), PARAMS)
     points = [{"beta_omega1": float(b)} for b in axis.values()]
-    whole = _sweep_block(spec, points, {})
-    for cut in (1, 3, 4):
-        known = {}
-        parts = _sweep_block(spec, points[:cut], known) + _sweep_block(spec, points[cut:], known)
-        assert parts == whole
+    whole = _cells_in_blocks(monkeypatch, spec, points, math.inf)
+    # Blocks of 1, 3 and 4 cells (6 requests a cell), and a bound below
+    # one cell's requests, which runs every cell alone.
+    for max_requests in (6, 18, 24, 1):
+        assert _cells_in_blocks(monkeypatch, spec, points, max_requests) == whole
+
+
+@pytest.mark.parametrize("name, runs", [("hartree_fock", 18), ("sigma2x", 3)])
+def test_432_cell_sweeps_hand_no_run_more_than_144_requests(monkeypatch, name, runs):
+    # 144 requests are 24 hartree_fock cells or 144 sigma2x cells; the
+    # table equals the one cut into 24-cell blocks byte for byte.
+    axis = AxisSpec("beta_omega1", 0.5, 8.0, 432, "log")
+    spec = SweepSpec(name, (axis,), OhmicDensity(1.0, 10.0), PARAMS)
+    points = [{"beta_omega1": float(b)} for b in axis.values()]
+    counts, _ = _spy_engine(monkeypatch)
+    table = run_sweep(spec)
+    assert nm._BLOCK_REQUESTS == 144
+    assert counts == [144] * runs
+    monkeypatch.undo()
+    cells = _cells_in_24_cell_blocks(spec, points)
+    assert all(status == "ok" for _, _, status in cells)
+    rows = [(point["beta_omega1"],) + values + (err, status)
+             for point, (values, err, status) in zip(points, cells)]
+    assert emit_csv(table) == emit_csv(SweepTable(table.columns, rows, table.meta))
 
 
 def test_integrals_failing_at_their_bridges_leave_no_work():

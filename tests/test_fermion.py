@@ -18,6 +18,7 @@ from cohex.fermion import (
     sigma1x_fermion,
     sigma2x_fermion,
     _combined_route,
+    _fermi_diff_over_xi,
     _first_fock_kernel,
     _second_fock_kernel,
     _shape_factor_route,
@@ -335,6 +336,32 @@ def test_first_fock_kernel_matches_raw_occupation_form():
                           _first_fock_kernel(xi, w1, beta, n1, th1))
     cold = _first_fock_kernel(xi, w1, math.inf, 0.0, 1.0)
     assert cold == pytest.approx(1.0 / (2.0 * w1 * (xi + w1)), rel=1e-13)
+
+
+def test_fermi_difference_takes_the_stable_form_node_by_node():
+    # As the Fock kernel calls it: w1 and beta are per-node columns, with
+    # finite and inf (zero temperature) owners mixed.  Every node has the
+    # bits of its own one-node call, and the small nodes (beta xi < 1/2
+    # and xi < w1/2) carry the expm1 form, within 5e-15 of mpmath.
+    import mpmath
+
+    rng = np.random.default_rng(5)
+    xi = np.exp(rng.uniform(math.log(1e-9), math.log(40.0), 600))
+    beta = rng.choice([0.1, 1.7, 30.0, math.inf], xi.size)
+    w1 = rng.choice([0.5, 1.0], xi.size)
+    below, above = fermi_n(w1 - xi, beta), fermi_n(w1 + xi, beta)
+    got = _fermi_diff_over_xi(w1, xi, beta, below, above)
+    alone = [_fermi_diff_over_xi(*(np.array([v[i]]) for v in (w1, xi, beta, below, above)))[0]
+             for i in range(xi.size)]
+    assert np.array_equal(got.view(np.int64), np.array(alone).view(np.int64))
+    small = (beta * xi < 0.5) & (xi < 0.5 * w1)
+    assert 100 < small.sum() < xi.size - 100
+    assert np.array_equal(got[~small], ((below - above) / xi)[~small])
+    with mpmath.workdps(40):
+        for w, x, b, value in zip(w1[small], xi[small], beta[small], got[small]):
+            w, x, b = (mpmath.mpf(float(v)) for v in (w, x, b))
+            ref = (1 / (1 + mpmath.exp(b * (w - x))) - 1 / (1 + mpmath.exp(b * (w + x)))) / x
+            assert abs(value - ref) <= 5e-15 * abs(ref)
 
 
 def test_second_fock_kernel_matches_raw_weight_difference():

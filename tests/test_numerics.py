@@ -189,6 +189,76 @@ def test_occupations_scalar_have_the_array_bits():
                 == _domain_message(nm.bose_n, np.array([v]), 2.0))
 
 
+def _per_node_beta(rng, size, mixed):
+    """beta as the engine hands it to a kernel: one entry per node, a run
+    of entries per owner, finite or mixed with inf (zero temperature)."""
+    owners = [0.05, 0.37, 1.0, 2.0, 25.0] + ([math.inf, math.inf] if mixed else [])
+    return np.repeat(owners, rng.multinomial(size, [1.0 / len(owners)] * len(owners)))
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["finite", "mixed-inf"])
+def test_helpers_on_a_per_node_beta_have_the_scalar_bits(mixed):
+    # The occupations and both coth forms as the kernels call them, with a
+    # per-node beta column: every node has the bits of its own scalar
+    # call, on both sides of |y| = 0.125 and of beta xi = 709, at
+    # subnormal and huge |y|, and nothing warns.
+    import warnings
+
+    rng = np.random.default_rng(23)
+    edge = np.nextafter(0.125, 0.0)
+    xi = np.concatenate([
+        rng.uniform(-3.0, 3.0, 1500),
+        np.exp(rng.uniform(-30.0, 7.0, 750)),
+        -np.exp(rng.uniform(-30.0, 7.0, 750)),
+        [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300],
+    ])
+    rng.shuffle(xi)
+    beta = _per_node_beta(rng, xi.size, mixed)
+    rng.shuffle(beta)
+    # beta xi on both sides of 709 and 745 at beta = 2 (halving is exact).
+    cut_offs = [np.nextafter(t, d) for t in (709.0, 745.0) for d in (0.0, 1e3)]
+    xi = np.append(xi, np.array(cut_offs + [709.0, 745.0]) / 2.0)
+    beta = np.append(beta, np.full(6, 2.0))
+    # The coth forms' argument as ``thermal_coth_half`` forms it, and the
+    # series edge.  coth(y) itself overflows below 1/DBL_MAX.
+    x_half, b_half = xi[xi != 0.0], beta[xi != 0.0]
+    y = 0.5 * b_half * x_half
+    x_half, b_half = (v[np.abs(y) > 1.0 / np.finfo(float).max] for v in (x_half, b_half))
+    y = np.append(y[np.isfinite(y) & (y != 0.0)],
+                  [0.125, -0.125, edge, -edge, np.nextafter(0.125, 1.0),
+                   5e-324, -1e-310, 1e300, -1e300])
+    coth_y = y[np.abs(y) > 1.0 / np.finfo(float).max]
+    assert ((np.abs(y) < 0.125).any() and (np.abs(y) >= 0.125).any()
+            and (np.abs(y) == 0.125).any())
+
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.int64)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (nm.fermi_n, nm.bose_n):
+            # bose_n is a domain error wherever beta xi is 0.
+            keep = slice(None) if f is nm.fermi_n else nm._beta_xi(xi, beta) != 0.0
+            x, b = xi[keep], beta[keep]
+            scalar = [f(v, w) for v, w in zip(x.tolist(), b.tolist())]
+            assert np.array_equal(bits(f(x, b)), bits(scalar)), f.__name__
+        for f, z in ((nm.coth_stable, coth_y), (nm.coth_minus_inv, y)):
+            array = f(z)
+            assert isinstance(array, np.ndarray) and array.shape == z.shape
+            assert np.array_equal(bits(array), bits([f(v) for v in z.tolist()])), f.__name__
+            cut = z.size - z.size % 6
+            assert np.array_equal(bits(f(z[:cut].reshape(-1, 6))), bits(array[:cut].reshape(-1, 6)))
+            with pytest.raises(DomainError):
+                f(np.append(z, 0.0))
+        half = nm.thermal_coth_half(b_half, x_half)
+        assert np.array_equal(bits(half), bits(
+            [nm.thermal_coth_half(b, v) for v, b in zip(x_half.tolist(), b_half.tolist())]))
+        with pytest.raises(DomainError):
+            nm.bose_n(np.append(xi, 0.0), np.append(beta, 1.0))
+    assert np.array_equal(bits(nm.fermi_n(np.append(xi, 0.0), np.append(beta, math.inf))[-1:]),
+                          bits([0.5]))
+
+
 def test_thermal_helpers_zero_temperature():
     assert nm.thermal_tanh_half(math.inf, 2.0) == 1.0
     assert nm.thermal_tanh_half(math.inf, -2.0) == -1.0

@@ -52,6 +52,17 @@ PARAMS = ModelParams(1.0, 3.0, 0.1, 0.1, 0.1)
 BATH = OhmicDensity(1.0, 10.0)
 
 
+def _requests_per_cell(name):
+    """The integral requests one cell of ``name`` states."""
+    step = QUANTITIES[name].step(PARAMS, BATH, ThermalPoint(2.0), None)
+    try:
+        stated = step.send(None)
+    except StopIteration:
+        return 0
+    step.close()
+    return sum(isinstance(r, nm.Integral) for r in stated)
+
+
 def beta_axis(points=1, start=2.0, stop=2.0, spacing="linear"):
     return AxisSpec("beta_omega1", start, stop, points, spacing)
 
@@ -263,13 +274,16 @@ class TestRunSweep:
     @pytest.mark.parametrize("cells, sizes", [
         (72, [24, 24, 24]),  # an eighth of a worker's share is 4 cells
         (30, [24, 6]),
-        (400, [48] * 8 + [16]),  # 25 cells rounded up to two blocks
+        (400, [48] * 8 + [16]),  # 25 cells rounded up to two task units
     ])
     def test_pool_tasks_are_whole_lockstep_blocks(self, monkeypatch, cells, sizes):
+        # A task unit is the cells of one full block of the heaviest
+        # cells, so every hartree_fock task is whole blocks.
+        heaviest = max(_requests_per_cell(name) for name in QUANTITIES)
+        assert sweep._TASK_CELLS * heaviest == nm._BLOCK_REQUESTS
         pool = _recording_pool(monkeypatch, 2)
         axis = beta_axis(points=cells, start=0.5, stop=8.0)
         run_sweep(SweepSpec("sigma2x", (axis,), BATH, PARAMS), jobs=2)
-        assert sweep._LOCKSTEP_CELLS == 24
         assert pool["tasks"] == sizes
 
     def test_omega2_axis_matches_direct_calls(self):
@@ -544,14 +558,14 @@ class TestSharedReferenceIntegral:
         assert sum(map(len, j_runs)) == 1
 
     def test_distinct_j_pool_by_block(self, j_runs):
-        # 72 cells with 72 different J: each 24-cell block states its 24
-        # in one engine run.
+        # 72 cells with 72 different J: one block states all 72 in one
+        # engine run.
         axes = (
             beta_axis(points=24, start=0.1, stop=30.0, spacing="log"),
             AxisSpec("omega1_over_omegac", 0.1, 1.6, 3, "log"),
         )
         run_sweep(SweepSpec("r1", axes, BATH, PARAMS))
-        assert [len(run) for run in j_runs if run] == [24, 24, 24]
+        assert [len(run) for run in j_runs if run] == [72]
         assert len({nm._request_key(r) for run in j_runs for r in run}) == 72
 
     @pytest.mark.parametrize("plane", [(), PLANE])

@@ -20,7 +20,7 @@ says why, as a digest re-freeze does.
 import pytest
 
 import cohex.numerics as nm
-from cohex.sweep import SweepSpec, run_sweep
+from cohex.sweep import AxisSpec, SweepSpec, run_sweep
 
 from test_registry_digests import AXES, BATH_MAKERS, CASES, DIGESTS, PARAMS
 
@@ -69,8 +69,19 @@ BUDGETS = {
     "tabulated/hartree_fock": (25, 21486, 2),
 }
 
+#: Engine runs of one 72-cell grid, the sweep_T benchmark's 24 beta
+#: omega1 x 3 cutoff ratios on an ohmic bath.  A lockstep block holds 144
+#: integral requests: 72 cells of one or two integrals are one block,
+#: hartree_fock's six a cell make three.  Every block pays the engine's
+#: fixed cost per pass, so a change that cuts smaller blocks fails here.
+GRID_RUNS = {"sigma2x": 1, "sigma2x_fermion": 1, "hartree_fock": 3}
+GRID_AXES = (
+    AxisSpec("beta_omega1", 0.1, 30.0, 24, "log"),
+    AxisSpec("omega1_over_omegac", 0.1, 1.6, 3, "log"),
+)
 
-def work(monkeypatch, bath, quantity):
+
+def work(monkeypatch, bath, quantity, axes=AXES):
     """(kernel calls, kernel nodes, engine runs) of one registry sweep, and
     the number of ``QuadratureConfig`` objects it builds."""
     counts = [0, 0, 0, 0]
@@ -93,7 +104,7 @@ def work(monkeypatch, bath, quantity):
     monkeypatch.setattr(nm._Engine, "_integrand", counted_integrand)
     monkeypatch.setattr(nm, "integrate_many", counted_many)
     monkeypatch.setattr(nm.QuadratureConfig, "__post_init__", counted_post_init)
-    run_sweep(SweepSpec(quantity, AXES, BATH_MAKERS[bath](), PARAMS))
+    run_sweep(SweepSpec(quantity, axes, BATH_MAKERS[bath](), PARAMS))
     return tuple(counts[:3]), counts[3]
 
 
@@ -110,3 +121,9 @@ def test_work_stays_within_budget(monkeypatch, bath, quantity):
         f"measured table line:\n    \"{key}\": {spent},"
     )
     assert configs == 0, f"{configs} QuadratureConfig objects built"
+
+
+@pytest.mark.parametrize("quantity", sorted(GRID_RUNS))
+def test_a_72_cell_grid_runs_in_whole_blocks(monkeypatch, quantity):
+    (_, _, runs), _ = work(monkeypatch, "ohmic", quantity, GRID_AXES)
+    assert runs == GRID_RUNS[quantity]
