@@ -13,8 +13,15 @@ conserved sectors: the spin model has one (all four states), the
 fermion model one per particle number n0 + n1 + n2 (1, 3, 3 and 1 of
 its eight states).  Every system operator is checked to be exactly zero
 between sectors, so the Hamiltonian is block diagonal and each block is
-eigensolved on its own; observables are contracted on the system factor
-of each block's eigenvectors, never expanded into ``O x 1``.
+eigensolved on its own.  A solve yields the reduced thermal state
+rho_S = Tr_B e^(-beta H) / Z, one k x k block per sector, and every
+system observable is Tr(O rho_S): never expanded into ``O x 1``, and
+never a reason to solve the same spec again.
+
+The module keeps the states of every solve made for the spec of the
+last public call (the scaled and doubled-cutoff solves of its comparison
+and fit), so a second observable of that spec is contracted, not
+solved.  A call with another spec empties the store first.
 
 Matrices are dense per sector on purpose.  At the guarded sizes the
 eigendecomposition dominates anyway, and dense construction keeps each
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, replace
-from functools import reduce
+from functools import reduce, wraps
 
 import numpy as np
 
@@ -49,8 +56,12 @@ DIMENSION_GUARD = 20000
 _CUTOFF_STABILITY_ABS = 1e-8
 _IMAG_RESIDUE_ABS = 1e-10
 
-# The last comparison, (key, (exact, formula, rel_dev)); see compare_perturbative.
-_last_comparison = None
+# The reduced states solved for one caller spec, by solve key (_spec_key),
+# and that caller spec's key; _serving is set while a public call runs, so
+# the calls it makes keep the store.  See _serves_one_spec.
+_store = {}
+_store_spec = None
+_serving = False
 
 _I2 = np.eye(2)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -113,7 +124,8 @@ class OracleSpec:
             )
         if not 1 <= self.n_modes <= 3:
             raise DomainError("the oracle bath must have 1 to 3 modes")
-        if int(self.fock_cutoff) != self.fock_cutoff or self.fock_cutoff < 1:
+        if (isinstance(self.fock_cutoff, bool)
+                or int(self.fock_cutoff) != self.fock_cutoff or self.fock_cutoff < 1):
             raise DomainError("fock_cutoff must be an integer >= 1")
         if self.model not in _MODELS:
             raise DomainError("model must be " + " or ".join(map(repr, _MODELS)))
@@ -264,27 +276,34 @@ def _eigh(h: np.ndarray):
         raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
 
 
-def _diagonal(states: np.ndarray, sys_op: np.ndarray) -> np.ndarray:
-    """<n| sys_op x 1 |n> for every eigenvector column n.
+def _thermal_state(sectors, spectra, beta: float) -> np.ndarray:
+    """Tr_B e^(-beta H) / Z from each sector's (energies, eigenvectors).
 
-    Column n reshaped to (k, d) is the system x bath amplitude matrix
-    psi_n, and <n| O x 1 |n> = sum_ai conj(psi_n)_ai (O psi_n)_ai, so the
-    k x k operator acts on the system index alone.
+    A sector eigenvector reshaped to (k, d) is the system x bath
+    amplitude matrix psi_n of its k system states, so the sector's block
+    sum_n w_n psi_n psi_n^dagger is one matrix product over its
+    eigenvectors.  The weights w_n = e^(-beta (E_n - E_min)) take the
+    ground energy of every sector, so large beta never overflows.
     """
-    amplitudes = states.reshape(sys_op.shape[0], -1)
-    products = amplitudes.conj() * (sys_op @ amplitudes)
-    return products.reshape(-1, states.shape[1]).sum(axis=0)
+    ground = min(energies.min() for energies, _ in spectra)
+    size = sum(states.size for states in sectors)
+    rho = np.zeros((size, size), dtype=np.result_type(*(v for _, v in spectra)))
+    partition = 0.0
+    for states, (energies, vectors) in zip(sectors, spectra):
+        weights = np.exp(-beta * (energies - ground))
+        partition += weights.sum()
+        weighted = (vectors * weights).reshape(states.size, -1)
+        rho[np.ix_(states, states)] = weighted @ vectors.conj().reshape(states.size, -1).T
+    return rho / partition
 
 
-def _boltzmann_mean(energies, diagonal, beta: float) -> float:
-    """sum_n e^(-beta E_n) O_nn / sum_n e^(-beta E_n) over all eigenstates.
+def _contract(rho: np.ndarray, sys_op: np.ndarray) -> float:
+    """Tr(O rho), which must be real.
 
-    The ground energy is subtracted before exponentiating so large beta
-    never overflows.  The result must be real; an imaginary residue
-    beyond 1e-10 means a non-Hermitian observable slipped in.
+    An imaginary residue beyond 1e-10 means a non-Hermitian observable
+    slipped in.
     """
-    weights = np.exp(-beta * (energies - energies.min()))
-    value = complex(np.sum(weights * diagonal) / np.sum(weights))
+    value = complex(np.sum(sys_op * rho.T))
     if abs(value.imag) > _IMAG_RESIDUE_ABS:
         raise HermiticityError(
             f"thermal average has imaginary part {value.imag:.3e}"
@@ -296,8 +315,8 @@ def thermal_average(h: np.ndarray, observable: np.ndarray, beta: float) -> float
     """Tr[e^(-beta H) O] / Tr[e^(-beta H)] by full eigendecomposition."""
     if not (beta > 0.0) or not math.isfinite(beta):
         raise DomainError("thermal_average needs finite beta > 0")
-    energies, states = _eigh(h)
-    return _boltzmann_mean(energies, _diagonal(states, observable), beta)
+    state = _thermal_state((np.arange(h.shape[0]),), (_eigh(h),), beta)
+    return _contract(state, observable)
 
 
 def _sector_hamiltonian(h_sys, c_sys, h_b, coupling_op) -> np.ndarray:
@@ -320,35 +339,30 @@ def _sector_hamiltonian(h_sys, c_sys, h_b, coupling_op) -> np.ndarray:
     return h.reshape(k * d, k * d)
 
 
-def exact_average(spec: OracleSpec, observable: str) -> float:
-    """Exact thermal average of one named observable for this spec.
+def _solve(spec: OracleSpec) -> np.ndarray:
+    """The reduced thermal state rho_S of this spec, by exact diagonalization.
 
     Each conserved sector's block kron(h_sys[S,S], 1) + kron(1_S, H_B) +
-    kron(c_sys[S,S], X) is eigensolved on its own.
+    kron(c_sys[S,S], X) is eigensolved on its own, and rho_S holds each
+    sector's reduced state as its diagonal block.
     """
-    _, sys_op, _ = _observable(spec, observable)
     build, sectors = _MODELS[spec.model]
     h_sys, c_sys = build(spec.params)
     _check_sectors(sectors, {
         "system Hamiltonian": h_sys,
         "bath-coupling operator": c_sys,
-        f"observable '{observable}'": sys_op,
     })
     h_b, coupling_op = _bath_matrices(spec.bath, spec.fock_cutoff)
-    energies, diagonals = [], []
+    spectra = []
     for states in sectors:
         block = np.ix_(states, states)
         h = _sector_hamiltonian(h_sys[block], c_sys[block], h_b, coupling_op)
-        sector_energies, vectors = _eigh(h)
-        energies.append(sector_energies)
-        diagonals.append(_diagonal(vectors, sys_op[block]))
-    return _boltzmann_mean(
-        np.concatenate(energies), np.concatenate(diagonals), spec.beta
-    )
+        spectra.append(_eigh(h))
+    return _thermal_state(sectors, spectra, spec.beta)
 
 
-def _comparison_key(spec: OracleSpec, observable: str) -> tuple:
-    """The values that define a comparison, copied out of the spec.
+def _spec_key(spec: OracleSpec) -> tuple:
+    """The values that define a solve, copied out of the spec.
 
     The bath arrays and the floats enter as bytes, so a bath changed in
     place no longer matches and 0.0 and -0.0 stay apart.
@@ -359,8 +373,49 @@ def _comparison_key(spec: OracleSpec, observable: str) -> tuple:
         int(spec.fock_cutoff),
         spec.model,
         np.array(astuple(spec.params) + (spec.beta,), dtype=float).tobytes(),
-        observable,
     )
+
+
+def _serves_one_spec(function):
+    """Make a public call of (spec, ...) bring its spec to the store.
+
+    The store empties unless it holds solves made for that spec.  The
+    calls made while it runs, for scaled or doubled-cutoff specs, bring
+    nothing, so every solve of the caller's spec is kept.
+    """
+
+    @wraps(function)
+    def call(spec, *args, **kwargs):
+        global _store_spec, _serving
+        if _serving:
+            return function(spec, *args, **kwargs)
+        key = _spec_key(spec)
+        if key != _store_spec:
+            _store.clear()
+            _store_spec = key
+        _serving = True
+        try:
+            return function(spec, *args, **kwargs)
+        finally:
+            _serving = False
+
+    return call
+
+
+@_serves_one_spec
+def exact_average(spec: OracleSpec, observable: str) -> float:
+    """Exact thermal average Tr(O rho_S) of one named observable.
+
+    rho_S is the spec's stored reduced state, or is solved and stored.
+    A solve that raises stores nothing.
+    """
+    _, sys_op, _ = _observable(spec, observable)
+    _check_sectors(_MODELS[spec.model][1], {f"observable '{observable}'": sys_op})
+    key = _spec_key(spec)
+    rho = _store.get(key)
+    if rho is None:
+        rho = _store[key] = _solve(spec)
+    return _contract(rho, sys_op)
 
 
 def _stable_exact(spec: OracleSpec, observable: str) -> float:
@@ -399,6 +454,7 @@ def formula_value(spec: OracleSpec, observable: str) -> float:
     return closed_form(spec.params, spec.bath, ThermalPoint(spec.beta)).value
 
 
+@_serves_one_spec
 def compare_perturbative(spec: OracleSpec, observable: str):
     """(exact, formula, rel_dev) for one observable.
 
@@ -408,23 +464,18 @@ def compare_perturbative(spec: OracleSpec, observable: str):
     coupling 4 f1 f2 Omega is well below omega1; no error is raised
     outside that regime, the deviation simply grows.
 
-    The module keeps one entry and nothing else: the last comparison,
-    keyed by the bath couplings and frequencies, the cutoff, the model,
-    the params, beta and the observable.  A call with the same values
-    returns it without solving or evaluating anything, which is how a
-    convergence fit that follows its own comparison gets its s = 1
-    point.  A failure is never kept, and a comparison of other values
-    replaces the entry.
+    The module keeps the reduced states of every solve made for the spec
+    of the last public call, keyed by the bath couplings and
+    frequencies, the cutoff, the model, the params and beta.  So another
+    observable of the same spec, or a fit right after this comparison,
+    contracts its exact side from stored states instead of solving.  A
+    failed solve is never kept, and a call with another spec empties
+    the store.
     """
-    global _last_comparison
-    key = _comparison_key(spec, observable)
-    if _last_comparison is not None and _last_comparison[0] == key:
-        return _last_comparison[1]
     exact = _stable_exact(spec, observable)
     formula = formula_value(spec, observable)
     scale = max(abs(exact), abs(formula))
     rel_dev = abs(exact - formula) / scale if scale > 0.0 else 0.0
-    _last_comparison = (key, (exact, formula, rel_dev))
     return exact, formula, rel_dev
 
 
@@ -445,13 +496,17 @@ class ConvergenceFit:
 
 def _checked_scale_factors(scale_factors) -> tuple:
     """The scale factors of a convergence fit, largest first, or raise."""
-    factors = sorted((float(s) for s in scale_factors), reverse=True)
+    factors = [float(s) for s in scale_factors]
+    # Checked before sorting: a NaN compares false and would sort anywhere.
+    if not all(math.isfinite(s) for s in factors):
+        raise DomainError(f"scale factors must be finite, got {factors}")
+    factors.sort(reverse=True)
     if len(factors) < 2:
         raise DomainError("need at least two scale factors to fit a slope")
     if len(set(factors)) < len(factors):
         raise DomainError(
-            "scale factors must be distinct: a repeated factor solves the "
-            "same spec again and adds no point to the fit"
+            "scale factors must be distinct: a repeated factor adds no "
+            "point to the fit"
         )
     if factors[-1] <= 0.0:
         raise DomainError(
@@ -461,6 +516,7 @@ def _checked_scale_factors(scale_factors) -> tuple:
     return tuple(factors)
 
 
+@_serves_one_spec
 def convergence_order(
     spec: OracleSpec,
     observable: str,
@@ -471,11 +527,11 @@ def convergence_order(
     Both f1 and f2 are multiplied by each scale factor s, so the
     coherences scale as s^2 and the first neglected term as s^4: the
     relative deviation must fall as s^2 and the fitted log-log slope
-    should sit near 2.  Each point is one ``compare_perturbative``, so
-    the s = 1 point is the module's one stored comparison when the last
-    comparison was this spec and observable, as it is right after
-    ``compare_perturbative(spec, observable)``: a check then solves and
-    evaluates each point once.
+    should sit near 2.  Each point is one ``compare_perturbative`` whose
+    exact side comes from the reduced states stored for this spec, so
+    after ``compare_perturbative(spec, observable)`` a check solves each
+    point once, and a fit of another observable of the same spec solves
+    nothing.
     """
     factors = _checked_scale_factors(scale_factors)
     deviations = []
@@ -505,6 +561,7 @@ def convergence_order(
     )
 
 
+@_serves_one_spec
 def jw_residual(spec: OracleSpec):
     """(spin value, mapped fermion value, residual) for the input coherence.
 

@@ -431,22 +431,24 @@ class TestOracleCheck:
 
     def test_default_check_runs_six_solves(self, monkeypatch, capsys):
         # compare_perturbative at s = 1 and the fit at s = 1, 0.5, 0.25,
-        # each at the cutoff and twice it: the s = 1 pair is solved once.
+        # each at the cutoff and twice it: the s = 1 pair is solved once,
+        # and a second observable of the same spec is solved not at all.
         solved = []
-        real = oracle.exact_average
+        real = oracle._solve
 
-        def counting(spec, observable):
+        def counting(spec):
             solved.append((spec.params.f1, spec.fock_cutoff))
-            return real(spec, observable)
+            return real(spec)
 
-        monkeypatch.setattr(oracle, "exact_average", counting)
-        code = cli.main([
-            "oracle-check", "--model", "spin", "--observable", "sigma1x",
-            "--set", "beta_omega1=2",
-        ])
-        assert code == 0
-        assert len(solved) == 6 and len(set(solved)) == 6
-        assert parse_csv(capsys.readouterr().out.encode()).rows[0][4] == "ok"
+        monkeypatch.setattr(oracle, "_solve", counting)
+        for observable in ("sigma1x", "sigma2x"):
+            code = cli.main([
+                "oracle-check", "--model", "spin", "--observable", observable,
+                "--set", "beta_omega1=2",
+            ])
+            assert code == 0
+            assert len(solved) == 6 and len(set(solved)) == 6
+            assert parse_csv(capsys.readouterr().out.encode()).rows[0][4] == "ok"
 
     def test_vanishing_observable_is_inconclusive(self):
         proc = run_cli(
@@ -489,16 +491,16 @@ class TestOracleCheck:
         (line,) = proc.stderr.decode().splitlines()
         assert line.startswith("error: scale factors must be distinct")
 
-    @pytest.mark.parametrize("factors", ["1,1", "1", "0,1"])
+    @pytest.mark.parametrize("factors", ["1,1", "1", "0,1", "inf,1"])
     def test_bad_scale_factors_fail_before_any_solve(self, monkeypatch, capsys, factors):
         solved = []
-        real = oracle.exact_average
+        real = oracle._solve
 
-        def counting(spec, observable):
+        def counting(spec):
             solved.append(spec)
-            return real(spec, observable)
+            return real(spec)
 
-        monkeypatch.setattr(oracle, "exact_average", counting)
+        monkeypatch.setattr(oracle, "_solve", counting)
         code = cli.main([
             "oracle-check", "--model", "spin", "--observable", "sigma1x",
             "--set", "beta_omega1=2", "--set", f"scale_factors={factors}",

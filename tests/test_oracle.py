@@ -51,6 +51,8 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         OracleSpec(BATH, 0, "spin", PARAMS, 2.0)
     with pytest.raises(DomainError):
+        OracleSpec(BATH, True, "spin", PARAMS, 2.0)  # not cutoff 1
+    with pytest.raises(DomainError):
         OracleSpec(BATH, 14, "bosonic", PARAMS, 2.0)
     with pytest.raises(DomainError):
         OracleSpec(BATH, 14, "spin", PARAMS, math.inf)
@@ -143,21 +145,21 @@ def test_sector_blocks_equal_dense_kron_reference(model, cutoff):
 
 
 def _counted_solves(monkeypatch):
-    """(f1, fock_cutoff) of every exact_average call from here on."""
+    """(f1, fock_cutoff) of every spec eigensolved from here on."""
     solved = []
-    real = oracle.exact_average
+    real = oracle._solve
 
-    def counting(spec, observable):
+    def counting(spec):
         solved.append((spec.params.f1, spec.fock_cutoff))
-        return real(spec, observable)
+        return real(spec)
 
-    monkeypatch.setattr(oracle, "exact_average", counting)
+    monkeypatch.setattr(oracle, "_solve", counting)
     return solved
 
 
 def test_a_fit_after_its_comparison_reuses_the_unit_scale_solve(monkeypatch):
     cold = convergence_order(SPIN, "sigma1x")
-    oracle._last_comparison = None
+    oracle._store.clear()
     solved = _counted_solves(monkeypatch)
     formulas = []
     real_formula = oracle.formula_value
@@ -174,21 +176,90 @@ def test_a_fit_after_its_comparison_reuses_the_unit_scale_solve(monkeypatch):
     assert sorted(solved) == [
         (f1, cutoff) for f1 in (0.025, 0.05, 0.1) for cutoff in (14, 28)
     ]
-    assert sorted(formulas) == [0.025, 0.05, 0.1]
+    # the store keeps states, not comparisons: the s = 1 formula runs twice
+    assert sorted(formulas) == [0.025, 0.05, 0.1, 0.1]
 
 
 @pytest.mark.parametrize(
-    "other", [(SPIN, "sigma2x"), (replace(SPIN, beta=1.0), "sigma1x")]
+    "pair",
+    [
+        (OracleSpec(BATH, 8, "spin", PARAMS, 2.0), "sigma1x", "sigma2x"),
+        (OracleSpec(BATH, 8, "fermion", PARAMS, 2.0), "fermion_coh1", "fermion_coh2"),
+    ],
+    ids=["sigma", "coh"],
+)
+def test_a_second_observable_of_a_fitted_spec_solves_nothing(monkeypatch, pair):
+    spec, first, second = pair
+    cold = (compare_perturbative(spec, second), convergence_order(spec, second))
+    oracle._store.clear()
+    solved = _counted_solves(monkeypatch)
+    convergence_order(spec, first)
+    assert len(solved) == 6
+    warm = (compare_perturbative(spec, second), convergence_order(spec, second))
+    assert len(solved) == 6
+    assert warm == cold
+
+
+@pytest.mark.parametrize(
+    "other", [(SPIN, "sigma2x", 2, 6), (replace(SPIN, beta=1.0), "sigma1x", 4, 10)]
 )
 def test_another_solve_replaces_the_stored_one(monkeypatch, other):
+    # Another observable of the stored spec solves nothing; another spec
+    # empties the store, so the fit that follows solves all six points.
+    spec, observable, after_compare, after_fit = other
     solved = _counted_solves(monkeypatch)
     compare_perturbative(SPIN, "sigma1x")
-    compare_perturbative(*other)
+    compare_perturbative(spec, observable)
+    assert len(solved) == after_compare
     convergence_order(SPIN, "sigma1x")
-    assert len(solved) == 2 + 2 + 6
+    assert len(solved) == after_fit
+
+
+@pytest.mark.parametrize("change", ["beta", "bath in place", "model"])
+def test_another_spec_empties_the_store(monkeypatch, change):
+    bath = DiscreteDensity([(0.05, 0.8)])
+    spec = OracleSpec(bath, 8, "spin", PARAMS, 2.0)
+    convergence_order(spec, "sigma1x")
+    assert len(oracle._store) == 6
+    if change == "beta":
+        other, observable = replace(spec, beta=1.0), "sigma1x"
+    elif change == "model":
+        other, observable = replace(spec, model="fermion"), "fermion_coh1"
+    else:
+        bath.couplings[0] = 0.04
+        other, observable = spec, "sigma1x"
+    solved = _counted_solves(monkeypatch)
+    exact_average(other, observable)
+    assert len(solved) == 1
+    assert list(oracle._store) == [oracle._spec_key(other)]
 
 
 def test_a_failed_solve_is_never_stored(monkeypatch):
+    fermion_system, sectors = oracle._MODELS["fermion"]
+    a, b = sectors[2][:2]
+
+    def one_sided(params):
+        # non-Hermitian in the third sector, after two sectors solved
+        h_sys, c_sys = fermion_system(params)
+        h_sys[a, b] += 1e-3
+        return h_sys, c_sys
+
+    def leaky(params):
+        h_sys, c_sys = fermion_system(params)
+        return h_sys, c_sys + 1e-300 * (_A0 + _A0.T)
+
+    for builder, error in ((one_sided, HermiticityError), (leaky, SectorError)):
+        monkeypatch.setitem(oracle._MODELS, "fermion", (builder, sectors))
+        with pytest.raises(error):
+            compare_perturbative(FERMION, "fermion_coh1")
+        assert oracle._store == {}
+    monkeypatch.setitem(oracle._MODELS, "fermion", (fermion_system, sectors))
+    solved = _counted_solves(monkeypatch)
+    compare_perturbative(FERMION, "fermion_coh1")
+    assert len(solved) == 2
+
+
+def test_an_unconverged_comparison_is_refused_from_stored_states(monkeypatch):
     # the CLI's unconverged case: fock_cutoff=1, mode_coupling=0.6
     bath = DiscreteDensity([(0.6, 0.8)])
     params = ModelParams(1.0, 3.0, 0.001, 0.5, 0.5)
@@ -197,8 +268,7 @@ def test_a_failed_solve_is_never_stored(monkeypatch):
     for call in (compare_perturbative, compare_perturbative, convergence_order):
         with pytest.raises(ConvergenceError):
             call(spec, "sigma1x")
-    assert solved == [(0.5, 1), (0.5, 2)] * 3
-    assert oracle._last_comparison is None
+    assert solved == [(0.5, 1), (0.5, 2)]
 
 
 def test_a_bath_changed_in_place_is_solved_again(monkeypatch):
@@ -214,6 +284,14 @@ def test_a_bath_changed_in_place_is_solved_again(monkeypatch):
     fresh = OracleSpec(DiscreteDensity([(0.04, 0.8)]), 14, "spin", PARAMS, 2.0)
     assert compare_perturbative(fresh, "sigma1x") == second
     assert len(solved) == 4
+
+
+def test_non_finite_scale_factors_fail_before_any_solve(monkeypatch):
+    solved = _counted_solves(monkeypatch)
+    for factors in ((1.0, math.nan), (math.nan, 0.5, 1.0), (math.inf, 1.0)):
+        with pytest.raises(DomainError, match="scale factors must be finite"):
+            convergence_order(SPIN, "sigma1x", scale_factors=factors)
+    assert solved == []
 
 
 @pytest.mark.parametrize(
