@@ -54,6 +54,7 @@ import numpy as np
 
 from .errors import CrossFormError, DomainError, NearResonanceError
 from .numerics import (
+    _EPS,
     DEFAULT_QUADRATURE,
     Integral,
     QuadratureConfig,
@@ -94,8 +95,6 @@ NEAR_RESONANCE_COUPLING_FACTOR = 10.0
 _DUAL_FORM_RTOL = 1e-5
 _CLOSED_FORM_RTOL = 1e-6
 _ROUTE_RTOL = 1e-5
-
-_EPS = float(np.finfo(float).eps)
 
 
 def _guarded_detuning(params: ModelParams) -> float:

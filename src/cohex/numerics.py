@@ -32,13 +32,14 @@ own rule: the smallest set of its panels carrying 90% of its error
 estimate is cut into ``_SPLIT`` = 8 children per pass, against its own
 tolerances, panel budget and bridged windows, and its failure
 (``ConvergenceError``, ``KernelError``) is its own.  Only the kernel calls
-are shared: a pass sends the new nodes of all live owners of one kernel
-(and density) in calls of at most ``_MAX_NODES`` = 4,096 nodes, with the
-owners' parameters as per-node columns; the bridges of all owners share
-one call per kernel and one batched 4 x 4 Vandermonde solve.  Every
-reduction is batch-independent (row-wise ``vecdot`` for the GK sums,
-``np.add.reduceat`` and a row-wise cumulative sum per owner), so an
-integral has the same bits alone or in any batch.
+are shared: a pass sends the new nodes of all live owners of one group
+(the integrals sharing a kernel, a density and their numbers of columns)
+in calls of at most ``_MAX_NODES`` = 4,096 nodes, with the owners'
+parameters as per-node columns; the bridges of all owners share one call
+per group and one batched 4 x 4 Vandermonde solve.  Every reduction is
+batch-independent (row-wise ``vecdot`` for the GK sums, ``np.add.reduceat``
+and a row-wise cumulative sum per owner), so an integral has the same
+bits alone or in any batch.
 
 The half line is mapped onto (0, 1) by u = 1 - exp(-xi/scale), which
 keeps a small-xi power law: a density I ~ xi^s against a kernel ~ 1/xi
@@ -141,7 +142,8 @@ class QuadratureConfig:
     max_subdivisions: int = 4000
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf):
+        if isinstance(self.rel_tol, bool) or not (
+                isinstance(self.rel_tol, numbers.Real) and 0.0 < self.rel_tol < math.inf):
             raise DomainError("rel_tol must be positive and finite")
         if not isinstance(self.max_subdivisions, numbers.Integral) or self.max_subdivisions < 8:
             raise DomainError("max_subdivisions must be an integer of at least 8")
@@ -441,12 +443,13 @@ class Integral:
     *density_columns)`` when a density is given (and exactly 0 wherever
     the density is 0).  ``columns`` and ``density_columns`` are the
     integral's own scalars: the engine hands the functions one array per
-    column, with one entry per node, so the nodes of every integral of one
-    kernel and density go to them in shared calls.  ``grade`` is the
-    density's endpoint grade (``endpoint_grade``): the engine integrates
-    in v = u^(1/grade).  Each of the ``breakpoints`` (a tabulated density's
-    knots, not bridged as ``removable_points`` are) starts a panel edge; an
-    integral whose first panels exceed its panel budget fails (``DomainError``).
+    column, with one entry per node, so the nodes of every integral with
+    the same kernel, density and numbers of columns go to them in shared
+    calls.  ``grade`` is the density's endpoint grade (``endpoint_grade``):
+    the engine integrates in v = u^(1/grade).  Each of the ``breakpoints``
+    (a tabulated density's knots, not bridged as ``removable_points`` are)
+    starts a panel edge; an integral whose first panels exceed its panel
+    budget fails (``DomainError``).
     ``scale`` (positive and finite) is the energy scale of the integrand's
     slowest exponential decay; the tail is mapped at the wider of 1 and it.
     """
@@ -634,7 +637,7 @@ def _owners_of(own, which):
 
 
 class _Group:
-    """The integrals of one (kernel, density) pair, owners from ``first`` on."""
+    """The integrals of one (kernel, density, column counts), owners from ``first`` on."""
 
     def __init__(self, kernel, density, first, requests):
         self.kernel = kernel
@@ -706,12 +709,13 @@ class _Engine:
     def __init__(self, requests):
         keyed: dict = {}
         for i, r in enumerate(requests):
-            keyed.setdefault((r.kernel, r.density), []).append(i)
+            layout = (r.kernel, r.density, len(r.columns), len(r.density_columns))
+            keyed.setdefault(layout, []).append(i)
         self.order = [i for members in keyed.values() for i in members]
         self.owners = [requests[i] for i in self.order]
         self.groups = []
         group_of = []
-        for (kernel, density), members in keyed.items():
+        for (kernel, density, _, _), members in keyed.items():
             group = _Group(kernel, density, len(group_of),
                            [requests[i] for i in members])
             group_of.extend([len(self.groups)] * len(members))

@@ -13,9 +13,10 @@ each point p to the 1/xi part's, alpha_p, so the kernel is
     sum_p alpha_p [1/xi - coth(beta xi/2) tanh(beta p/2)/p] / (xi^2 - p^2),
 
 with every parameter and thermal weight in the residues.  A request
-computes them once and passes them to the engine as columns, so no
-intermediate at a node grows past xi^2, and the request is stated only
-while its nodes stay below where xi^2 overflows.  Written through
+computes them once and passes them to the engine as columns of the one
+kernel ``_pole_sum``, so no intermediate at a node grows past xi^2, and
+the request is stated only while its nodes stay below where xi^2
+overflows.  Written through
 coth(y) - 1/y (see ``_stated``), the bracket cancels nothing as
 beta -> 0, where the printed kernels cancel from order 1 to order beta^2.
 ``tests/derive_pole_sums.py`` re-derives the residues from the printed
@@ -25,8 +26,10 @@ The ratios R1 and R2 of these general coherences to their small-t closed
 forms quantify where the detuned formulas remain accurate; the validity
 maps in :mod:`cohex.sweep` tabulate them over the (omega2/omega1,
 t/omega1) plane.  Coherences and ratios are steps (see ``numerics.run_steps``)
-that state their integrals as requests, which a sweep's cells pool: a
-ratio states the small-t reference integral J, integrated once for all
+that state their integrals as requests, which a sweep's cells pool
+(integrals sharing a kernel, a density and a column count share kernel
+calls, so each spin's integrals pool apart from the other's): a ratio
+states the small-t reference integral J, integrated once for all
 cells that need it, and integrates its numerator alone.
 
 The residues take the hyperbolic weights divided by cosh(beta*omega) +
@@ -40,12 +43,12 @@ finite for arbitrarily large beta, including beta = inf.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .errors import DegenerateBasisError, DomainError
 from .numerics import (
+    _EPS,
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     _float_beta_xi,
@@ -66,8 +69,7 @@ from .spin_detuned import (
     coherence_request,
 )
 
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
+_NORMAL_MIN = sys.float_info.min
 
 # The residues at omega + epsilon and 2 epsilon carry a 1/(omega - epsilon)
 # factor that cancels only in the assembled kernel.  On the surface
@@ -241,16 +243,6 @@ def _pole_sum(xi, beta, *columns):
     return total
 
 
-# Two kernels with one body: the engine pools the integrals of one kernel,
-# and the two spins' integrals carry different numbers of columns.
-def _first_spin_kernel(xi, *columns):
-    return _pole_sum(xi, *columns)
-
-
-def _second_spin_kernel(xi, *columns):
-    return _pole_sum(xi, *columns)
-
-
 def _removable_points(mix: SpinMixing):
     """|omega - epsilon|, omega + epsilon and 2 epsilon, or ``DomainError``
     where the first rounds to 0 (the residues divide by it) or one passes
@@ -269,7 +261,7 @@ def _removable_points(mix: SpinMixing):
     return points
 
 
-def _stated(sd, tp, kernel, points, alphas, cfg):
+def _stated(sd, tp, points, alphas, cfg):
     """The integral of I(xi) times the pole sum with residues ``alphas``
     at ``points``, stated only while its tail nodes stay below where xi^2
     overflows.
@@ -287,14 +279,14 @@ def _stated(sd, tp, kernel, points, alphas, cfg):
         x = 0.5 * _float_beta_xi(p, tp.beta)
         th = math.tanh(x)
         phi = th * coth_minus_inv(x)
-        if phi < _TINY:
+        if phi < _NORMAL_MIN:
             raise DomainError(
                 f"beta = {tp.beta!r} is too hot for the general-coupling kernels: "
                 f"(beta p)^2 underflows at the removable point p = {p:.3g}; "
                 "high_T_asymptotes holds there"
             )
         columns += [p * p, alpha, phi, th / p]
-    request = sd.integral(kernel, tuple(columns), points, cfg)
+    request = sd.integral(_pole_sum, tuple(columns), points, cfg)
     return within_reach(request, _SQUARE_OVERFLOW, "the decay scale of the general-coupling bath")
 
 
@@ -303,7 +295,7 @@ def _first_spin_request(sd, tp, mix, cfg):
     weights over cosh(beta omega) + cosh(beta epsilon)."""
     points = _removable_points(mix)
     alphas = _first_spin_residues(mix, _cosh_share(mix, tp))
-    return _stated(sd, tp, _first_spin_kernel, points, alphas, cfg)
+    return _stated(sd, tp, points, alphas, cfg)
 
 
 def _second_spin_request(sd, tp, mix, cfg):
@@ -313,7 +305,7 @@ def _second_spin_request(sd, tp, mix, cfg):
     gap_tanh, total_tanh = (math.tanh(0.5 * _float_beta_xi(p, tp.beta)) for p in points)
     gap_tanh = math.copysign(gap_tanh, mix.omega - mix.epsilon)
     alphas = _second_spin_residues(mix, total_tanh, gap_tanh)
-    return _stated(sd, tp, _second_spin_kernel, points, alphas, cfg)
+    return _stated(sd, tp, points, alphas, cfg)
 
 
 @runs_alone

@@ -68,8 +68,10 @@ GRADED_J_BATHS = (
     GeneralizedOhmicDensity(1.0, 1.0, 10.0),
     GeneralizedOhmicDensity(1.0, 0.25, 0.625),
 )
-# A map cell where numpy's scalar ``** 2`` (a lone integral's columns)
-# and array ``** 2`` (pooled columns) round its kernels' squares apart.
+# A validity-map cell past the surface t^2 = omega1 omega2, where epsilon >
+# omega (the other requests have epsilon < omega): the residues' gap
+# omega - epsilon and the second spin's gap weight are negative.  Its
+# requests are stated at the map's tolerance.
 MAP_CELL = (ModelParams(1.0, 5.0, 4.0, 0.1, 0.1), OhmicDensity(1.0, 1.0), ThermalPoint(1.0))
 
 
@@ -254,6 +256,36 @@ def test_a_failing_integral_fails_alone():
         else:
             assert isinstance(outcome, KernelError)
             assert "non-finite" in str(outcome)
+
+
+def _scaled_decay(xi, *factors):
+    """e^(-xi) times the product of its columns."""
+    out = np.exp(-xi)
+    for factor in factors:
+        out = out * factor
+    return out
+
+
+@pytest.mark.parametrize("side", ["kernel", "density"])
+def test_one_function_with_two_column_counts_keeps_every_column(side):
+    # The engine shares a call between integrals of one kernel and density
+    # only when their column counts match too: pooled with a 1-column
+    # request, a 2-column one keeps its second column.
+    def stated(*factors):
+        if side == "kernel":
+            return Integral(_scaled_decay, factors)
+        return Integral(_scaled_decay, (1.0,), density=_scaled_decay, density_columns=factors)
+
+    requests = [stated(2.0), stated(2.0, 3.0)]
+    exact = (2.0, 6.0) if side == "kernel" else (1.0, 3.0)
+    for order in (requests, requests[::-1]):
+        pooled = integrate_many(order)
+        for request, outcome in zip(order, pooled):
+            (alone,) = integrate_many([request])
+            assert np.array_equal(np.array(outcome), np.array(alone))
+    for request, value in zip(requests, exact):
+        (alone,) = integrate_many([request])
+        assert alone[0] == pytest.approx(value, rel=1e-12)
 
 
 def test_a_failing_cell_fails_alone_in_a_sweep(monkeypatch):

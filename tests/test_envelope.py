@@ -277,6 +277,63 @@ def test_the_general_forms_hold_their_wide_bath_trend():
         sigma2x_general(PARAMS, wide, ThermalPoint(2.0))
 
 
+# The other registry quantities on the same decades: the index in DECADES
+# of the first row that reads invalid-params (11 is 1e-110), None if none
+# does, and how each value column moves per step from 1e-10 on.  A "step" grows
+# by a constant step, as J and F do; a "factor" grows by 1e10, in
+# proportion to omega_c; a normalized ratio converges; sigma2y is zero.
+WIDE_BATH_TRENDS = {
+    "sigma1x": (11, ("step",)),
+    "sigma2x": (11, ("step",)),
+    "sigma2y": (None, ("zero",)),
+    "static_sigma2x": (None, ("factor",)),
+    "sigma2x_low_T": (None, ("step",)),
+    "normalized_output_ratio": (16, ("converge",)),
+    "normalized_spin": (16, ("converge", "converge")),
+    "static_compare": (11, ("step", "factor", "step")),
+    "sigma1x_fermion": (11, ("factor",)),
+    "sigma2x_fermion": (None, ("factor",)),
+    "hartree_fock": (11, ("factor",) * 4),
+    "normalized_fermion": (16, ("converge", "converge")),
+    "ratio_R": (16, ("converge",)),
+    "g_script": (None, ("factor",)),
+    "fermion_high_T": (None, ("factor",)),
+}
+
+
+def test_every_quantity_is_probed_on_the_wide_bath_decades():
+    assert set(WIDE_BATH_TRENDS) | set(GENERAL) == set(QUANTITIES)
+    assert not set(WIDE_BATH_TRENDS) & set(GENERAL)
+
+
+@pytest.mark.parametrize("quantity", sorted(WIDE_BATH_TRENDS))
+def test_every_other_quantity_holds_its_wide_bath_trend(quantity):
+    # What integrates J ends where J's tail scale passes 1.6e101 (1e-110 on),
+    # the normalized ratios where F's passes 3.8e152 (1e-160); no row reads
+    # a silent 0.0.
+    fails_from, trends = WIDE_BATH_TRENDS[quantity]
+    rows = [_one_cell(quantity, PARAMS, ratio) for ratio in DECADES]
+    live = len(DECADES) if fails_from is None else fails_from
+    assert [row[-1] for row in rows[live:]] == ["invalid-params"] * (len(DECADES) - live)
+    assert not [row[-1] for row in rows[:live] if row[-1] in ERROR_WORDS]
+    values = np.array([row[2:2 + len(trends)] for row in rows[:live]], dtype=float)
+    for column, trend in enumerate(trends):
+        v = values[1:, column]  # 1e-10 on
+        if trend == "zero":
+            assert np.all(values[:, column] == 0.0)
+            continue
+        assert np.all(values[:, column] != 0.0), (column, values[:, column])
+        if trend == "step":
+            steps = np.diff(v)
+            assert np.all(np.abs(steps - steps[0]) <= 1e-6 * abs(steps[0])), (column, steps)
+        elif trend == "factor":
+            assert np.all(np.abs(v[1:] / v[:-1] - 1e10) <= 1e4), (column, v)
+        else:
+            moves = np.abs(np.diff(v))
+            assert np.all(moves[1:] <= moves[:-1] + 1e-14), (column, moves)
+            assert moves[-1] <= 1e-3 * abs(v[-1]), (column, moves)
+
+
 HOT_BAND = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3)
 
 

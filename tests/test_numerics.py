@@ -303,7 +303,10 @@ def test_thermal_helpers_zero_temperature():
 def test_config_validation():
     for field, value in (
         ("rel_tol", 0.0), ("rel_tol", math.nan), ("rel_tol", math.inf),
+        ("rel_tol", True), ("rel_tol", None), ("rel_tol", "1e-8"), ("rel_tol", 1e-8 + 0j),
         ("max_subdivisions", 7), ("max_subdivisions", 100.5), ("max_subdivisions", 100.0),
+        ("max_subdivisions", True), ("max_subdivisions", None), ("max_subdivisions", "100"),
+        ("max_subdivisions", 100 + 0j),
     ):
         with pytest.raises(DomainError):
             nm.QuadratureConfig(**{field: value})
