@@ -28,8 +28,9 @@ class ConvergenceError(CohexError):
 
 
 class KernelError(CohexError):
-    """A quadrature kernel returned a non-finite value away from any
-    declared removable point."""
+    """A quadrature kernel returned a non-finite value: at a quadrature
+    node, which never lies inside a declared removable point's bridged
+    window, or at the four fit nodes that integrate that window."""
 
 
 class DegenerateBasisError(DomainError):

@@ -12,9 +12,10 @@ integration path.  This module provides
   beyond its ``exp``, ``expm1`` or ``tanh``; zero temperature, beta = inf,
   takes the same formulas, which saturate to the step functions,
 * ``integrate_many`` -- adaptive Gauss-Kronrod quadrature on a log-mapped
-  semi-infinite domain with windowed polynomial bridging of declared
-  removable singularities and a graded map for integrable endpoint
-  singularities, for many integrals at once;
+  semi-infinite domain, for many integrals at once; a window around each
+  declared removable singularity is integrated once, exactly, as the
+  cubic through four straddling kernel values, and a graded map takes
+  integrable endpoint singularities;
   ``integrate_semi_infinite`` is its one-integral call, and ``integrate``
   runs one stated integral (an ``Integral`` request or a ready outcome)
   through it,
@@ -30,16 +31,17 @@ far more than the arithmetic on its points, so the engine makes few, full
 calls.  Every requested integral is an owner of panels and refines by its
 own rule: the smallest set of its panels carrying 90% of its error
 estimate is cut into ``_SPLIT`` = 8 children per pass, against its own
-tolerances, panel budget and bridged windows, and its failure
-(``ConvergenceError``, ``KernelError``) is its own.  Only the kernel calls
-are shared: a pass sends the new nodes of all live owners of one group
-(the integrals sharing a kernel, a density and their numbers of columns)
-in calls of at most ``_MAX_NODES`` = 4,096 nodes, with the owners'
-parameters as per-node columns; the bridges of all owners share one call
-per group and one batched 4 x 4 Vandermonde solve.  Every reduction is
-batch-independent (row-wise ``vecdot`` for the GK sums, ``np.add.reduceat``
-and a row-wise cumulative sum per owner), so an integral has the same
-bits alone or in any batch.
+tolerances and panel budget, and its failure (``ConvergenceError``,
+``KernelError``) is its own.  Only the kernel calls are shared: a pass
+sends the new nodes of all live owners of one group (the integrals
+sharing a kernel, a density and their numbers of columns) in calls of at
+most ``_MAX_NODES`` = 4,096 nodes, with the owners' parameters as
+per-node columns.  A bridged window is no panel: its integral, fixed at
+set-up from one call per group for the fit nodes of all owners, joins
+its owner's sum, so no node of any pass lies in a window.  Every
+reduction is batch-independent (row-wise ``vecdot`` for the GK sums,
+``np.add.reduceat`` and a row-wise cumulative sum per owner), so an
+integral has the same bits alone or in any batch.
 
 The half line is mapped onto (0, 1) by u = 1 - exp(-xi/scale), which
 keeps a small-xi power law: a density I ~ xi^s against a kernel ~ 1/xi
@@ -447,9 +449,11 @@ class Integral:
     the same kernel, density and numbers of columns go to them in shared
     calls.  ``grade`` is the density's endpoint grade (``endpoint_grade``):
     the engine integrates in v = u^(1/grade).  Each of the ``breakpoints``
-    (a tabulated density's knots, not bridged as ``removable_points`` are)
-    starts a panel edge; an integral whose first panels exceed its panel
-    budget fails (``DomainError``).
+    (a tabulated density's knots) starts a panel edge; an integral whose
+    first panels exceed its panel budget fails (``DomainError``).  Around
+    each of the ``removable_points`` the kernel is never evaluated inside
+    a small window: the window's integral is that of the cubic through the
+    integrand at four nodes on and beyond its edges.
     ``scale`` (positive and finite) is the energy scale of the integrand's
     slowest exponential decay; the tail is mapped at the wider of 1 and it.
     """
@@ -545,18 +549,29 @@ def _bridge_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return nodes
 
 
-def _bridge_cubics(nodes: np.ndarray, vals: np.ndarray):
-    """(center, half, coefficients) of the cubics through each window's nodes.
+# The two-point Gauss rule on [-1, 1], exact for cubics.
+_GAUSS2 = np.array([-1.0, 1.0]) / math.sqrt(3.0)
 
-    One batched solve of the 4 x 4 Vandermonde systems in the window's
-    own variable t = (xi - center)/half; each system is solved on its
-    own, so a cubic does not depend on the others in the batch.
+
+def _window_weights(nodes: np.ndarray) -> np.ndarray:
+    """(n, 4) weights: sum_j w[i, j] f(nodes[i, j]) is the integral over the
+    window [nodes[i, 1], nodes[i, 2]] of the cubic through f at the four
+    distinct nodes of row i.
+
+    The two-point Gauss rule integrates that cubic exactly, so a weight is
+    the window's half-width times the sum of its node's Lagrange basis
+    polynomial at the rule's two points.  Each row is reduced on its own.
     """
-    center = 0.5 * (nodes[:, 1] + nodes[:, 2])
-    half = np.maximum(0.5 * (nodes[:, -1] - nodes[:, 0]), 1e-300)
-    t = (nodes - center[:, None]) / half[:, None]
-    coeffs = np.linalg.solve(t[:, :, None] ** np.arange(4), vals.reshape(-1, 4, 1))
-    return center, half, coeffs[:, :, 0]
+    half = 0.5 * (nodes[:, 2] - nodes[:, 1])
+    gauss = (0.5 * (nodes[:, 1] + nodes[:, 2]))[:, None] + half[:, None] * _GAUSS2
+    # ratio[i, g, j, m] = (gauss[i, g] - nodes[i, m]) / (nodes[i, j] - nodes[i, m]),
+    # with 1 at m = j, so its product over m is basis j at point g.
+    gap = nodes[:, :, None] - nodes[:, None, :]
+    diagonal = np.arange(4)
+    gap[:, diagonal, diagonal] = 1.0
+    ratio = (gauss[:, :, None, None] - nodes[:, None, None, :]) / gap[:, None, :, :]
+    ratio[:, :, diagonal, diagonal] = 1.0
+    return half[:, None] * ratio.prod(axis=3).sum(axis=1)
 
 
 def _gk_evaluate(f, lo: np.ndarray, hi: np.ndarray):
@@ -596,44 +611,54 @@ def _split_panels(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray):
     return child_lo, child_hi
 
 
-def _semi_infinite_breaks(interior: Sequence[float], scale: float) -> np.ndarray:
-    u_pts = [0.0, 1.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.97]
-    for x in interior:
-        if x > 0.0 and math.isfinite(x):
-            u = -math.expm1(-x / scale)
-            if 1e-14 < u < 1.0 - 1e-14:
-                u_pts.append(u)
-    return np.array(sorted(set(u_pts)))
+def _u_break(x: float, scale: float):
+    """u = 1 - exp(-x/scale) of a first-panel break at xi = x, or None: no
+    break is taken at x <= 0 or non-finite, nor within 1e-14 of u = 0 or 1."""
+    if x > 0.0 and math.isfinite(x):
+        u = -math.expm1(-x / scale)
+        if 1e-14 < u < 1.0 - 1e-14:
+            return u
+    return None
 
 
 def _set_up(removable_points, breakpoints, scale, grade):
-    """Merged bridged windows ([lo, hi] each) and first panel breaks (in u,
-    or v = u^(1/grade)) of one integral, from the numbers they depend on."""
+    """(lo, hi, n_first, fit nodes) of one integral, from the numbers they
+    depend on.
+
+    ``lo`` and ``hi`` are the edges, in u or v = u^(1/grade), of its first
+    panels outside every bridged window, and ``n_first`` counts them with
+    the windows'.  A merged window spans the breaks at its two edges, read
+    from the break array itself (``**`` rounds a float and an array
+    differently); its row of fit nodes (``_bridge_nodes``) lies on and
+    beyond their xi, mapped back as the engine maps its nodes.  Where its
+    edges are no two distinct breaks (within 1e-14 of u = 0 or 1, or
+    rounding to one u or v deep in the tail) it is no window: its panels
+    keep their nodes.
+    """
     pts, deltas = _bridge_points(removable_points)
     interior = list(breakpoints)
     for p, delta in zip(pts, deltas):
         h = delta * p
         interior.extend([p - h, p, p + h, p + 2 * h, max(p - 2 * h, p / 2)])
-    u_breaks = _semi_infinite_breaks(interior, scale)
-    return (_merged_windows(pts, deltas),
-            u_breaks if grade == 1 else u_breaks ** (1.0 / grade))
-
-
-def _cubic(t, c):
-    """sum c[k] t^k by Horner's rule from the top, as numpy's polyval sums it."""
-    v = c[3] + t * 0
-    v = c[2] + v * t
-    v = c[1] + v * t
-    return c[0] + v * t
-
-
-def _owners_of(own, which):
-    """The owners of the nodes or panels ``which`` (a mask or a slice) selects.
-
-    ``own`` holds one owner per node or panel, or is one owner's index for
-    all of them: a lone integral's columns and windows stay scalars.
-    """
-    return own[which] if isinstance(own, np.ndarray) else own
+    u_pts = {0.0, 1.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.97}
+    u_pts.update(u for u in (_u_break(x, scale) for x in interior) if u is not None)
+    u_breaks = np.array(sorted(u_pts))
+    breaks = u_breaks if grade == 1 else u_breaks ** (1.0 / grade)
+    ends = [(_u_break(a, scale), _u_break(b, scale)) for a, b in _merged_windows(pts, deltas)]
+    ends = [e for e in ends if None not in e]
+    if not ends:
+        return breaks[:-1], breaks[1:], breaks.size - 1, np.empty((0, 4))
+    at = np.searchsorted(u_breaks, ends)
+    v = u = breaks[at]
+    for _ in range(1, grade):
+        u = u * v
+    xi = -scale * np.log1p(-u)
+    nodes = _bridge_nodes(xi[:, 0], xi[:, 1])
+    distinct = (np.diff(nodes, axis=1) > 0.0).all(axis=1)
+    keep = np.ones(breaks.size - 1, dtype=bool)
+    for first, last in at[distinct].tolist():
+        keep[first:last] = False
+    return breaks[:-1][keep], breaks[1:][keep], keep.size, nodes[distinct]
 
 
 class _Group:
@@ -647,7 +672,6 @@ class _Group:
         self.density_columns = [
             np.array(c, dtype=float) for c in zip(*(r.density_columns for r in requests))
         ]
-        self.max_windows = 0
         self.max_grade = max(r.grade for r in requests)
 
 
@@ -697,7 +721,8 @@ class _Engine:
     """Owner-indexed adaptive GK15 on the log-mapped half line.
 
     Every owner (one requested integral) refines exactly as it would
-    alone: its own panels, tolerances, panel budget and bridged windows.
+    alone: its own panels, tolerances and panel budget, plus its bridged
+    windows' integral, fixed at set-up.
     Only the kernel calls are shared: each pass evaluates the new panels
     of all live owners of one group in calls of at most ``_MAX_NODES``
     nodes.  Panels are kept sorted by (owner, lo), and every per-owner
@@ -730,28 +755,25 @@ class _Engine:
         # The owners of a run mostly share their set-up (a temperature sweep
         # moves no removable point), so each distinct one is planned once.
         plans: dict = {}
-        windows, breaks = [], []
+        self.panels, fits = [], []
         for o, r in enumerate(self.owners):
             cfg = r.config
             key = (r.removable_points, r.breakpoints, scales[o], r.grade)
             plan = plans.get(key)
             if plan is None:
                 plan = plans[key] = _set_up(*key)
-            merged, u_breaks = plan
-            windows.append(merged)
-            group = self.groups[group_of[o]]
-            group.max_windows = max(group.max_windows, len(merged))
-            if r.breakpoints and u_breaks.size > cfg.max_subdivisions:
+            lo, hi, n_first, nodes = plan
+            if r.breakpoints and n_first >= cfg.max_subdivisions:
                 # As QUADPACK's QAGP rejects more breakpoints than its limit.
                 self.dead[o] = True
                 self.outcome[o] = DomainError(
                     "%d breakpoints (knots) start %d panels, over the panel budget "
                     "max_subdivisions = %d"
-                    % (len(r.breakpoints), u_breaks.size - 1, cfg.max_subdivisions))
-            breaks.append(u_breaks)
-        self.has_windows = [bool(w) for w in windows]
-        self._bridge(windows)
-        self.breaks = breaks
+                    % (len(r.breakpoints), n_first, cfg.max_subdivisions))
+            self.panels.append((lo, hi))
+            fits.append(nodes)
+        self.has_windows = [len(nodes) > 0 for nodes in fits]
+        self._bridge(fits)
 
     # -- integrand ---------------------------------------------------------
     def _fail(self, owner: int, message: str):
@@ -770,18 +792,19 @@ class _Engine:
             vals = np.where(dens == 0.0, 0.0, dens * vals)
         return vals
 
-    def _bridge(self, windows):
-        """Fit every owner's window cubics: one call per group, one solve."""
-        count = np.array([len(w) for w in windows], dtype=np.intp)
+    def _bridge(self, fits):
+        """Integrate every window once, from one kernel call per group for
+        the fit nodes of all owners: ``w_integral`` per window, and per
+        owner their sum ``bridged`` and the sum of their magnitudes
+        ``bridged_abs``, which join its panels' sum and rounding floor."""
+        count = np.array([len(nodes) for nodes in fits], dtype=np.intp)
         self.w_start = np.cumsum(count) - count
         self.w_count = count
-        flat = [w for ws in windows for w in ws]
-        self.w_by_rank = []
-        if not flat:
+        self.w_nodes = nodes = np.concatenate(fits)
+        self.w_integral = np.zeros(len(nodes))
+        self.bridged = self.bridged_abs = np.zeros(count.size)
+        if not len(nodes):
             return
-        lo = np.array([w[0] for w in flat])
-        hi = np.array([w[1] for w in flat])
-        nodes = _bridge_nodes(lo, hi)
         w_owner = np.repeat(np.arange(count.size), count)
         vals = np.empty_like(nodes)
         for a, b, group in self._segments(w_owner):
@@ -791,24 +814,14 @@ class _Engine:
                 vals[c:d] = self._integrand(
                     group, nodes[c:d].reshape(-1), np.repeat(w_owner[c:d], 4)
                 ).reshape(-1, 4)
-        self.w_lo, self.w_hi = lo, hi
-        # Per owner, the bounds and index of its k-th window, for each k;
-        # an owner with fewer windows gets the empty window [inf, -inf].
-        rank = np.arange(int(count.max()))
-        has = count[:, None] > rank
-        w = np.where(has, self.w_start[:, None] + rank, 0)
-        self.w_by_rank = list(zip(np.where(has, lo[w], np.inf).T,
-                                  np.where(has, hi[w], -np.inf).T, w.T))
         bad = ~np.isfinite(vals).all(axis=1)
         for o in sorted(set(w_owner[bad].tolist())):
             self._fail(o, "kernel is non-finite at bridging nodes near a removable point")
-        # A failed owner's windows are never read again, and a window too
-        # narrow for four distinct fit nodes holds no node strictly inside
-        # it: both are fitted to zeros at well-posed nodes, so no solve fails.
-        stand_in = bad | ~(np.diff(nodes, axis=1) > 0.0).all(axis=1)
-        nodes[stand_in] = (1.0, 2.0, 3.0, 4.0)
-        vals[stand_in] = 0.0
-        self.w_center, self.w_half, self.w_coef = _bridge_cubics(nodes, vals)
+        vals[bad] = 0.0  # a failed owner's windows are never read
+        self.w_integral = np.vecdot(vals, _window_weights(nodes))
+        # bincount sums each owner's windows in order, alone or pooled.
+        self.bridged = np.bincount(w_owner, self.w_integral, minlength=count.size)
+        self.bridged_abs = np.bincount(w_owner, np.abs(self.w_integral), minlength=count.size)
 
     def _segments(self, own: np.ndarray):
         """(start, end, group) of the runs of one group in an owner-sorted array."""
@@ -818,38 +831,6 @@ class _Engine:
         cuts = np.flatnonzero(grp[1:] != grp[:-1]) + 1
         bounds = [0] + cuts.tolist() + [own.size]
         return [(a, b, self.groups[grp[a]]) for a, b in zip(bounds[:-1], bounds[1:])]
-
-    def _bridged(self, group: _Group, xi: np.ndarray, own):
-        """The integrand at xi, with every owner's windows replaced by cubics.
-
-        ``xi`` holds one row of nodes per panel, and ``own`` each row's
-        owner (or one owner's index for all), so window bounds are
-        gathered per panel.  When no node lies in a window, the nodes go to
-        the kernel without a mask.
-        """
-        m = xi.shape[1]
-        pooled = isinstance(own, np.ndarray)
-        node_own = np.repeat(own, m) if pooled else own
-        flat = xi.reshape(-1)
-        out = inside = None
-        for w_lo, w_hi, w in self.w_by_rank[:group.max_windows]:
-            lo, hi = w_lo[own], w_hi[own]
-            if pooled:
-                lo, hi = lo.repeat(m), hi.repeat(m)
-            mask = (flat >= lo) & (flat <= hi)
-            if mask.any():
-                if inside is None:
-                    out, inside = np.empty(flat.shape), np.zeros(flat.shape, dtype=bool)
-                wm = w[_owners_of(node_own, mask)]
-                out[mask] = _cubic((flat[mask] - self.w_center[wm]) / self.w_half[wm],
-                                   self.w_coef[wm].T)
-                inside |= mask
-        if inside is None:
-            return self._checked(group, flat, node_own).reshape(xi.shape)
-        outside = ~inside
-        if outside.any():
-            out[outside] = self._checked(group, flat[outside], _owners_of(node_own, outside))
-        return out.reshape(xi.shape)
 
     def _checked(self, group: _Group, xi: np.ndarray, own):
         """The integrand at xi; an owner with a non-finite value fails."""
@@ -884,8 +865,9 @@ class _Engine:
         per_call = _MAX_NODES // _XGK.size
         if lo.size <= per_call:
             return _gk_evaluate(self._mapped(group, own), lo, hi)
+        pooled = isinstance(own, np.ndarray)
         parts = [
-            _gk_evaluate(self._mapped(group, _owners_of(own, slice(c, c + per_call))),
+            _gk_evaluate(self._mapped(group, own[c:c + per_call] if pooled else own),
                          lo[c:c + per_call], hi[c:c + per_call])
             for c in range(0, lo.size, per_call)
         ]
@@ -895,7 +877,9 @@ class _Engine:
         """The integrand in u = 1 - exp(-xi/scale) at the nodes of ``own``'s
         panels (one row per panel), or in v = u^(1/k) for a group with
         graded owners."""
-        row_own = own[:, None] if isinstance(own, np.ndarray) else own
+        pooled = isinstance(own, np.ndarray)
+        row_own = own[:, None] if pooled else own
+        node_own = np.repeat(own, _XGK.size) if pooled else own
         scale = self.scale[row_own]
         graded = group.max_grade > 1
 
@@ -917,7 +901,7 @@ class _Engine:
             jac = scale / (1.0 - u_safe)
             if du is not None:
                 jac = jac * du
-            vals = self._bridged(group, xi, own)
+            vals = self._checked(group, xi.reshape(-1), node_own).reshape(xi.shape)
             return np.where(live, vals * jac, 0.0)
 
         return f_mapped
@@ -966,14 +950,14 @@ class _Engine:
         # reduceat sums in order, as ``_refine``'s per-owner sums do; np.sum
         # would sum pairwise and round differently.
         first = np.zeros(1, dtype=np.intp)
-        lo, hi = self.breaks[0][:-1], self.breaks[0][1:]
+        lo, hi = self.panels[0]
         k15, err, res = self._evaluate_group(group, lo, hi, 0)
         for _ in range(10000):
             if self.dead[0]:
                 return
-            total = float(np.add.reduceat(k15, first)[0])
+            total = float(np.add.reduceat(k15, first)[0] + self.bridged[0])
             total_err = float(np.add.reduceat(err, first)[0])
-            floor = 50.0 * _EPS * float(np.add.reduceat(res, first)[0])
+            floor = 50.0 * _EPS * float(np.add.reduceat(res, first)[0] + self.bridged_abs[0])
             done = total_err <= max(rel_tol * abs(total), floor)
             budget = max_sub - lo.size
             if done or budget <= 0:
@@ -1001,10 +985,10 @@ class _Engine:
         rel_tol = np.array([c.rel_tol for c in configs])
         max_sub = np.array([c.max_subdivisions for c in configs])
         live = np.flatnonzero(~self.dead).tolist()
-        lo = np.concatenate([self.breaks[o][:-1] for o in live] or [np.empty(0)])
-        hi = np.concatenate([self.breaks[o][1:] for o in live] or [np.empty(0)])
+        lo = np.concatenate([self.panels[o][0] for o in live] or [np.empty(0)])
+        hi = np.concatenate([self.panels[o][1] for o in live] or [np.empty(0)])
         own = np.repeat(np.array(live, dtype=np.intp),
-                        [self.breaks[o].size - 1 for o in live])
+                        [self.panels[o][0].size for o in live])
         k15, err, res = self._evaluate(lo, hi, own)
         for _ in range(10000):
             if self.dead[own].any():
@@ -1015,9 +999,9 @@ class _Engine:
             starts = np.flatnonzero(np.concatenate(([True], own[1:] != own[:-1])))
             owners = own[starts]
             n_pan = np.diff(np.append(starts, own.size))
-            total = np.add.reduceat(k15, starts)
+            total = np.add.reduceat(k15, starts) + self.bridged[owners]
             total_err = np.add.reduceat(err, starts)
-            floor = 50.0 * _EPS * np.add.reduceat(res, starts)
+            floor = 50.0 * _EPS * (np.add.reduceat(res, starts) + self.bridged_abs[owners])
             done = total_err <= np.maximum(rel_tol[owners] * np.abs(total), floor)
             budget = max_sub[owners] - n_pan
             stop = done | (budget <= 0)
@@ -1095,8 +1079,10 @@ def integrate_semi_infinite(
         Must be finite everywhere except possibly at the declared
         removable points.
     removable_points : sequence of float
-        Abscissae where the kernel is 0/0-removable.  A window around each
-        is bridged by a cubic through straddling sample points.
+        Abscissae where the kernel is 0/0-removable.  The kernel is never
+        evaluated inside a small window around each: the window is
+        integrated once, exactly, as the cubic through the kernel at four
+        nodes on and beyond its edges.
     config : QuadratureConfig, optional
     density : (function, columns[, grade[, breakpoints]]), optional
         A weight ``function(xi, *columns)`` the kernel is multiplied by;

@@ -358,9 +358,9 @@ def f2_combo_tau_reference(xi, omega, epsilon, sin_theta, cos_theta, beta, n=64)
     return _simplex_transform(corr, xi, beta, n)
 
 
-# The quadrature engine's set-up of one integral, owner by owner in Python
-# loops: the reference for the engine's set-up in arrays
-# (``numerics._plan``), which must give every owner exactly these values.
+# The quadrature engine's set-up of one integral in Python loops, with
+# its windows found by value: the reference for ``numerics._set_up``,
+# which must give every owner exactly these first panels and fit nodes.
 
 def bridge_points(removable_points, window, cluster_rtol=1e-6):
     """Removable points to bridge and each one's relative window width."""
@@ -396,6 +396,14 @@ def merged_windows(points, deltas):
     return merged
 
 
+def _u_break(x, scale):
+    if x > 0.0 and math.isfinite(x):
+        u = -math.expm1(-x / scale)
+        if 1e-14 < u < 1.0 - 1e-14:
+            return u
+    return None
+
+
 def first_u_breaks(removable_points, breakpoints, window, scale):
     """The u-breaks an integral's first panels start from."""
     pts, deltas = bridge_points(removable_points, window)
@@ -405,11 +413,42 @@ def first_u_breaks(removable_points, breakpoints, window, scale):
         interior.extend([p - h, p, p + h, p + 2 * h, max(p - 2 * h, p / 2)])
     u_pts = [0.0, 1.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.97]
     for x in interior:
-        if x > 0.0 and math.isfinite(x):
-            u = -math.expm1(-x / scale)
-            if 1e-14 < u < 1.0 - 1e-14:
-                u_pts.append(u)
+        u = _u_break(x, scale)
+        if u is not None:
+            u_pts.append(u)
     return np.array(sorted(set(u_pts)))
+
+
+def first_panels(removable_points, breakpoints, window, scale, grade):
+    """(lo, hi, fit nodes) of an integral's first panels and windows.
+
+    The panels are the intervals between consecutive breaks, in u or in
+    v = u^(1/grade), less those inside a window.  A window spans the
+    breaks at the u of its two edges, when both are breaks; its fit nodes
+    lie on and beyond the xi of those breaks (v^grade as a product, then
+    -scale log1p(-u)), and it is none unless the four are distinct.
+    """
+    u_breaks = first_u_breaks(removable_points, breakpoints, window, scale)
+    breaks = u_breaks if grade == 1 else u_breaks ** (1.0 / grade)
+    spans = []
+    for lo, hi in merged_windows(*bridge_points(removable_points, window)):
+        ends = [_u_break(x, scale) for x in (lo, hi)]
+        if None not in ends:
+            spans.append([breaks[u_breaks.tolist().index(u)] for u in ends])
+    u = v = np.array(spans).reshape(-1)
+    for _ in range(grade - 1):
+        u = u * v
+    xi = (-scale * np.log1p(-u)).tolist()
+    fits = []
+    for (v_lo, v_hi), a, b in zip(spans, xi[0::2], xi[1::2]):
+        w = 0.5 * (b - a)
+        nodes = [max(a - w, 0.25 * a), a, b, b + w]
+        if nodes[0] < nodes[1] < nodes[2] < nodes[3]:
+            fits.append((v_lo, v_hi, nodes))
+    panels = [(lo, hi) for lo, hi in zip(breaks[:-1].tolist(), breaks[1:].tolist())
+              if not any(v_lo <= lo and hi <= v_hi for v_lo, v_hi, _ in fits)]
+    return (np.array([p[0] for p in panels]), np.array([p[1] for p in panels]),
+            np.array([nodes for _, _, nodes in fits]).reshape(-1, 4))
 
 
 def split_counts(err, n_pan, starts, total_err, budget, split=8):

@@ -184,16 +184,15 @@ def test_a_mixed_run_sets_up_every_owner_as_alone(monkeypatch):
     assert sorted(engine.w_count.tolist()) == [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]
     for owner, i in enumerate(engine.order):
         r = requests[i]
-        points, deltas = oracles.bridge_points(r.removable_points, nm._WINDOW)
+        lo, hi, nodes = oracles.first_panels(r.removable_points, r.breakpoints, nm._WINDOW,
+                                             max(1.0, r.scale), r.grade)
         first, count = engine.w_start[owner], engine.w_count[owner]
-        windows = np.column_stack((engine.w_lo, engine.w_hi))[first:first + count]
-        assert np.array_equal(windows, np.array(oracles.merged_windows(points, deltas))
-                              .reshape(-1, 2))
-        breaks = oracles.first_u_breaks(r.removable_points, r.breakpoints,
-                                        nm._WINDOW, max(1.0, r.scale))
-        breaks = breaks if r.grade == 1 else breaks ** (1.0 / r.grade)
-        assert np.array_equal(engine.breaks[owner], breaks)
+        assert np.array_equal(engine.w_nodes[first:first + count], nodes)
+        assert np.array_equal(engine.panels[owner][0], lo)
+        assert np.array_equal(engine.panels[owner][1], hi)
         assert engine.dead[owner] == (i == 7)
+        # Each window's integral joins its owner's sum in order.
+        assert engine.bridged[owner] == sum(engine.w_integral[first:first + count].tolist())
     assert {r.grade for r in requests} == {1, 2}
     # Every owner's outcome, its set-up failure included, is its lone run's.
     nodes = []
@@ -219,27 +218,31 @@ def test_a_mixed_run_sets_up_every_owner_as_alone(monkeypatch):
     assert sum(nodes) == 2 * pooled_nodes
 
 
-def test_a_node_on_a_window_edge_is_bridged():
-    requests = _mixed_set_ups()
-    engine = nm._Engine(requests)
-    owner = engine.order.index(1)  # one removable point, at 2
-    group = engine.groups[engine.group_of[owner]]
-    w = engine.w_start[owner]
-    lo, hi = engine.w_lo[w], engine.w_hi[w]
-    row = np.array([lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)])
-    cubic = nm._cubic((row[:2] - engine.w_center[w]) / engine.w_half[w], engine.w_coef[w])
-    expected = np.concatenate((cubic, _decay(row[2:], 0.5)))
-    integrand, seen = engine._integrand, []
+@pytest.mark.parametrize("pooled", [False, True], ids=["lone", "pooled"])
+def test_no_node_of_any_pass_lies_inside_a_window(monkeypatch, pooled):
+    # A spy on every kernel call: no node is handed to a kernel strictly
+    # inside one of its owner's windows, while nodes do come between the
+    # windows' outer fit nodes (the fit nodes on the edges among them).
+    requests = _mixed_requests() + _mixed_set_ups()
+    near, integrand = [0], nm._Engine._integrand
 
-    def recorded(group, xi, own):
-        seen.append(xi.copy())
-        return integrand(group, xi, own)
+    def spied(engine, group, xi, own):
+        owners = np.broadcast_to(own, xi.shape)
+        for o in np.unique(owners).tolist():
+            first, count = engine.w_start[o], engine.w_count[o]
+            fit = engine.w_nodes[first:first + count]
+            x = xi[owners == o][:, None]
+            assert not ((x > fit[:, 1]) & (x < fit[:, 2])).any()
+            near[0] += int(((x >= fit[:, 0]) & (x <= fit[:, 3])).sum())
+        return integrand(engine, group, xi, own)
 
-    engine._integrand = recorded
-    for own in (owner, np.array([owner])):
-        assert np.array_equal(engine._bridged(group, row[None, :], own)[0], expected)
-        # Only the two nodes outside the window reach the kernel.
-        assert np.array_equal(seen.pop(), row[2:]) and not seen
+    monkeypatch.setattr(nm._Engine, "_integrand", spied)
+    if pooled:
+        integrate_many(requests)
+    else:
+        for request in requests:
+            integrate_many([request])
+    assert near[0] > 4 * len(requests)
 
 
 def _tripwire(xi, trip):
@@ -324,8 +327,8 @@ def _count_kernel_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name, calls, nodes", [
-    ("hartree_fock", 149, 317_232),  # 2,722 kernel calls one integral at a time
-    ("sigma2x_fermion", 36, 101_952),  # 48 in three 24-cell blocks
+    ("hartree_fock", 140, 317_232),  # 2,722 kernel calls one integral at a time
+    ("sigma2x_fermion", 34, 101_952),  # 48 in three 24-cell blocks
 ])
 def test_pooled_kernel_calls_on_the_benchmark_grid(monkeypatch, name, calls, nodes):
     # The fermion grid of the sweep_T benchmark at seed 0: 24 beta omega1

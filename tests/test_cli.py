@@ -56,8 +56,8 @@ MAP_ARGS = (
     "--set", "points=5",
 )
 MAP_SHA256 = {
-    "r1": "1c23ce3716d97b851001d668af1fa037d434f2821700ce6ba1f9419c419957f1",
-    "r2": "e44c810c0ada004750d15803333192e38bec8fd54b168ba6c174ccb01fd7ffb2",
+    "r1": "4599442f81780c331d0746277fb61b6fc24a0f195250c3af562a5c1ebfeebe38",
+    "r2": "de60212c041b2b73aae08d9b516d4e50f0e62b02877c1949c349295397fb1e7c",
 }
 
 

@@ -10,6 +10,7 @@ process's own imports cannot hide a regression.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -172,3 +173,35 @@ def test_every_public_name_resolves():
             assert getattr(cohex, name) is getattr(getattr(cohex, module), name)
     with pytest.raises(AttributeError):
         cohex.no_such_name
+
+
+# The traced cli_cold benchmark installs its tracer (``bench/tracing.py``)
+# in a process that has imported only ``cohex.cli``, before any numerical
+# module is loaded: ``install`` then reaches ``cohex.numerics`` through the
+# package's lookup, reads seven modules from ``sys.modules``, the four
+# density classes' ``weighted_integral`` and every registry entry's
+# ``evaluate``.  A change to the lookup or to any of those names fails here.
+TRACER = r"""
+import sys
+sys.path.insert(0, sys.argv[1])
+import cohex.cli
+assert "numpy" not in sys.modules and "cohex.numerics" not in sys.modules
+import cohex
+from tracing import Tracer
+
+before = dict(cohex.sweep.QUANTITIES)
+tracer = Tracer()
+tracer.install(cohex)
+assert tracer._restore
+assert all(cohex.sweep.QUANTITIES[n] is not q for n, q in before.items())
+tracer.uninstall()
+assert cohex.sweep.QUANTITIES == before
+"""
+
+
+def test_the_benchmark_tracer_installs_on_a_cli_only_import():
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACER, bench], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr

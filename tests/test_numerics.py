@@ -614,25 +614,16 @@ def _bridge_kernel(x):
     return np.exp(-x) * (np.cos(3.0 * x) + x ** 2 / (1.0 + x))
 
 
-def _assert_bridges_match_polyfit(windows, bridged):
-    """Each window's cubic is the interpolant of the kernel at its four
-    fit nodes, and ``bridged`` evaluates it inside the window."""
-    assert windows
-    for lo, hi, center, half, _ in windows:
-        w = 0.5 * (hi - lo)
-        nodes = np.array([max(lo - w, 0.25 * lo), lo, hi, hi + w])
-        vals = _bridge_kernel(nodes)
-        coeffs = np.polynomial.polynomial.polyfit((nodes - center) / half, vals, 3)
-        x = np.linspace(lo, hi, 41)
-        ref = np.polynomial.polynomial.polyval((x - center) / half, coeffs)
-        # Relative to the fitted data: the cubic may cross zero in the window.
-        scale = np.max(np.abs(vals))
-        assert np.max(np.abs(bridged(x) - ref)) <= 1e-13 * scale
-
-
-def _engine_windows(engine):
-    return list(zip(engine.w_lo, engine.w_hi, engine.w_center, engine.w_half,
-                    engine.w_coef))
+def _assert_is_the_polyfit_integral(nodes, integral):
+    """``integral`` is that of ``np.polyfit``'s cubic through the kernel at
+    the four fit nodes, over the window between the middle two."""
+    vals = _bridge_kernel(nodes)
+    center, half = 0.5 * (nodes[1] + nodes[2]), 0.5 * (nodes[3] - nodes[0])
+    t = (nodes - center) / half
+    antiderivative = np.polyint(np.polyfit(t, vals, 3))
+    exact = half * (np.polyval(antiderivative, t[2]) - np.polyval(antiderivative, t[1]))
+    # Relative to the fitted data: the cubic may cross zero in the window.
+    assert abs(integral - exact) <= 1e-13 * np.max(np.abs(vals)) * (nodes[2] - nodes[1])
 
 
 @pytest.mark.parametrize("points, delta, n_windows", [
@@ -648,14 +639,20 @@ def test_batched_bridge_matches_polyfit(points, delta, n_windows):
     lo, hi = np.array(merged).T
     nodes = nm._bridge_nodes(lo, hi)
     assert nodes.shape == (n_windows, 4)
-    center, half, coeffs = nm._bridge_cubics(nodes, _bridge_kernel(nodes.reshape(-1)))
+    integrals = np.vecdot(_bridge_kernel(nodes), nm._window_weights(nodes))
+    for row, integral in zip(nodes, integrals):
+        _assert_is_the_polyfit_integral(row, integral)
+    # Each row's weights are its own: a window alone has the same bits.
+    for row, weights in zip(nodes, nm._window_weights(nodes)):
+        assert np.array_equal(nm._window_weights(row[None, :])[0], weights)
 
-    def bridged(x):
-        inside = [(x >= a) & (x <= b) for a, b in zip(lo, hi)]
-        (k,) = [k for k, m in enumerate(inside) if m.all()]
-        return nm._cubic((x - center[k]) / half[k], coeffs[k])
 
-    _assert_bridges_match_polyfit(list(zip(lo, hi, center, half, coeffs)), bridged)
+def _assert_engine_windows_match_polyfit(engine, owner):
+    first, count = engine.w_start[owner], engine.w_count[owner]
+    assert count
+    for row, integral in zip(engine.w_nodes[first:first + count],
+                             engine.w_integral[first:first + count]):
+        _assert_is_the_polyfit_integral(row, integral)
 
 
 def test_bridges_of_every_integral_share_one_call():
@@ -668,13 +665,9 @@ def test_bridges_of_every_integral_share_one_call():
     points = ([1.0], [0.3, 4.0], [2.0, 2.0 + 1e-7, 5.0])
     engine = nm._Engine([nm.Integral(kernel, (0.0,), p) for p in points])
     assert calls == [4 * 5]  # five windows, one call
-    group = engine.groups[0]
+    assert engine.w_count.tolist() == [1, 2, 2]
     for owner in range(3):
-        first = engine.w_start[owner]
-        windows = _engine_windows(engine)[first:first + engine.w_count[owner]]
-        own = np.full(41, owner)
-        _assert_bridges_match_polyfit(
-            windows, lambda x: engine._bridged(group, x[:, None], own)[:, 0])
+        _assert_engine_windows_match_polyfit(engine, owner)
 
 
 def test_clustered_points_bridge_matches_polyfit(monkeypatch):
@@ -691,11 +684,8 @@ def test_clustered_points_bridge_matches_polyfit(monkeypatch):
         _bridge_kernel, removable_points=[2.0, 2.0 + 1e-7, 2.0 + 2e-7, 5.0]
     )
     (engine,) = made
-    assert len(engine.w_lo) == 2
-    group = engine.groups[0]
-    _assert_bridges_match_polyfit(
-        _engine_windows(engine), lambda x: engine._bridged(group, x[:, None], 0)[:, 0]
-    )
+    assert engine.w_count.tolist() == [2]
+    _assert_engine_windows_match_polyfit(engine, 0)
 
 
 def test_bridge_rejects_non_finite_fit_nodes():
@@ -708,29 +698,35 @@ def test_bridge_rejects_non_finite_fit_nodes():
         nm.integrate_semi_infinite(kernel, removable_points=[1.0])
 
 
-def test_a_failed_window_with_coincident_nodes_fails_only_its_owner():
-    # A window at the smallest subnormal has four equal fit nodes, whose
-    # cubic has no solution; its owner fails at those nodes, and the one
-    # solve of all windows must not raise for it.
-    (lo, hi), = nm._merged_windows(*nm._bridge_points([5e-324]))
-    nodes = nm._bridge_nodes(np.array([lo]), np.array([hi]))
-    assert np.all(nodes == nodes[0, 0])
-    with pytest.raises(np.linalg.LinAlgError):
-        nm._bridge_cubics(nodes, np.zeros((1, 4)))
+@pytest.mark.parametrize("points", [(5e-324,), (30.0, 30.0003)], ids=["subnormal", "tail"])
+def test_a_window_whose_edges_are_no_two_breaks_is_no_window(points):
+    # The window at the smallest subnormal lies below u = 1e-14, where no
+    # break is taken.  The pair 30 tail scales out shrink each other's
+    # windows to a half-width of 6e-5, whose two edges round to one u.
+    # Neither leaves a window: no fit node is evaluated (the kernel is NaN
+    # there), no panel is taken out, and the kernel is integrated through
+    # the point like anywhere else.
+    lo, hi = np.array(nm._merged_windows(*nm._bridge_points(points))).T
+    edges = -np.expm1(-np.concatenate((lo, hi)))
+    assert (edges < 1e-14).all() or (edges[:len(lo)] == edges[len(lo):]).all()
 
     def kernel(x, c):
-        return np.where(x < 1e-300, np.nan, np.exp(-x)) + 0.0 * c
+        at_points = np.isin(x, nm._bridge_nodes(lo, hi))
+        return np.where(at_points | (x < 1e-300), np.nan, np.exp(-x)) + 0.0 * c
 
-    fine = nm.Integral(kernel, (1.0,), (1.0,))
-    failed, pooled = nm.integrate_many([nm.Integral(kernel, (0.0,), (5e-324,)), fine])
-    assert isinstance(failed, KernelError)
-    assert pooled == nm.integrate_many([fine])[0]
+    request = nm.Integral(kernel, (1.0,), points)
+    engine = nm._Engine([request, nm.Integral(kernel, (0.0,), (1.0,))])
+    assert engine.w_count.tolist() == [0, 1]
+    breaks = oracles.first_u_breaks(points, (), nm._WINDOW, 1.0)
+    assert np.array_equal(engine.panels[0][0], breaks[:-1])
+    (value, err), fine = nm.integrate_many([request, nm.Integral(kernel, (0.0,), (1.0,))])
+    assert abs(value - 1.0) <= err < 1e-13
+    assert fine == nm.integrate_many([nm.Integral(kernel, (0.0,), (1.0,))])[0]
 
 
 def test_a_finite_kernel_at_the_smallest_subnormal_integrates():
-    # The window at 5e-324 is too narrow for four distinct fit nodes and
-    # holds no node strictly inside it, so it is never fitted; its owner
-    # integrates as if it had no removable point.
+    # The window at 5e-324 is no window (see above): its owner integrates
+    # as if it had no removable point.
     val, err = nm.integrate_semi_infinite(lambda x: np.exp(-x), removable_points=[5e-324])
     assert abs(val - 1.0) <= err < 1e-13
     assert (val, err) == nm.integrate_semi_infinite(lambda x: np.exp(-x))
@@ -761,9 +757,9 @@ def test_bridged_kernel_rejects_non_finite_values_outside_windows():
 
     engine = nm._Engine([nm.Integral(kernel, (), [1.0])])
     group = engine.groups[0]
-    assert np.all(np.isfinite(engine._bridged(group, np.array([[0.5, 1.0, 2.5]]), 0)))
+    assert np.all(np.isfinite(engine._checked(group, np.array([0.5, 1.0, 2.5]), 0)))
     assert engine.outcome[0] is None
-    engine._bridged(group, np.array([[1.0, 4.0]]), 0)
+    engine._checked(group, np.array([1.0, 4.0]), 0)
     assert isinstance(engine.outcome[0], KernelError)
     assert "outside any declared removable window" in str(engine.outcome[0])
     with pytest.raises(KernelError, match="outside any declared removable window"):

@@ -47,47 +47,47 @@ def data_digest(bath: str, quantity: str) -> str:
 
 
 DIGESTS = {
-    "ohmic/sigma1x": "8494452f86778c309a815a80a7632b52bd01f9e3909edb4c89b4afa62a50729e",
-    "ohmic/sigma2x": "be32a48b4337fa148ebd0a56f2ad7a5638573b3cc3f5bc7e6094996b47955e00",
+    "ohmic/sigma1x": "2f44155f74d5560de3df6d4a39369071fb07669c98422cca276acac4d42fc70f",
+    "ohmic/sigma2x": "17d500c507c1c6a9fe1de27ed4f8d57e472be6e82a81a163b67ee563cacfd331",
     "ohmic/sigma2y": "84bce8ae49cd624daa7bfe9bf591de646ab66d8bb81127f5005b758ea714c007",
-    "ohmic/sigma1x_general": "8d54144536e5517b4619946e0d81b4f086a5428ae6dc5c83f06e7e6b1562a462",
-    "ohmic/sigma2x_general": "0a3d7535f6ee740452150df1d56a21615677e325dbfecbe03b3689b8a304588e",
-    "ohmic/r1": "cf2fd0b2fee35055e9ef5b39954be178ca14454c29c51401d3ed0b2dfaff51af",
-    "ohmic/r2": "64d84064c354870bed59f0189fcabce3d9dbd9320fc5fa039fe75e38cb7f0bfe",
+    "ohmic/sigma1x_general": "fff8f8b0b2556143c8127c448b88e94aa042236907aae0277ca3923753813f56",
+    "ohmic/sigma2x_general": "58eb53cf4f6fe45541fe5f82677e889937f87ff8f011eea405ba9a58a7c68404",
+    "ohmic/r1": "f3df1e306af4cc5f69c8168df92b5949b0beb1a3ff5da7d0d685ad5d471b44f8",
+    "ohmic/r2": "7aab0e780e66cdf5908ddb01742f069c61bc5d145edea464b099d8d0c061c4ea",
     "ohmic/static_sigma2x": "ce0ee251f1f68906355ec3aa7c19cfb265769ba365e02229359e306c39e67841",
     "ohmic/sigma2x_low_T": "7dee9a13ccf15fdfaec0cbd095b662eb199f5dca8828f73b479c9d4a4e3dd25d",
-    "ohmic/normalized_output_ratio": "f933749cc3d6f361ac04c0f517797737f1fa538ef0e65ae55d214f9d6d2c2158",
-    "ohmic/normalized_spin": "9d2f0d9de8a72674f846be73634be7186b740823f3adcd1810071e626f71d746",
-    "ohmic/static_compare": "469ae60fc8879f020360839a987958b8e4ff5ecbd5f0cd948fc4124e54ee89df",
-    "ohmic/sigma1x_fermion": "52d16d05ab3ef6f5cd1e22bef78cf7f6cafc404fb5628e80c2d528bca756822d",
-    "ohmic/sigma2x_fermion": "41a055af228fa4c9d98ebaa925b63d4dd74ab855db079c62d3a7b01d47d0416d",
-    "ohmic/hartree_fock": "57f948c0c0d24cad5cd92eed82cbf15e3c03240e94d501a4f9d872f099fb2ddd",
-    "ohmic/normalized_fermion": "30671b433a67bf48a368a613f66abb83e2e084e83384e37484cbff8e070b13b7",
-    "ohmic/ratio_R": "79675aa0ad100f95ffa0aad4e79ead76b5aed8aa5a1af40d817fb414d111a6b3",
-    "ohmic/g_script": "fb16f4f8dc08df10e059a2befe1c1ce1f8c0a2bbe98c356022386e648779f736",
+    "ohmic/normalized_output_ratio": "4c1ffb9e1d6a293bac910e033989ae13445e1adb2541362dea4da4c73ab76e22",
+    "ohmic/normalized_spin": "f5c8807aebb4662ce6f0fad2370ae2472b2a97a0a7c507829290836fcb4ac9d3",
+    "ohmic/static_compare": "339dc0292504b4905941dcf29f539241d278544742ee15be0ca6a5304ecbd44d",
+    "ohmic/sigma1x_fermion": "6c47a09de4caafffe2da33f037ee53fd23e59ec744df9e590b755d8d80385e51",
+    "ohmic/sigma2x_fermion": "35cd5ec5c9976f1a6ca2bba02926a2e3447d1e6b3538f40b37efc1a914885320",
+    "ohmic/hartree_fock": "7150cfc1e86cd81a7f4559ccc6c5bfe54b4a3e6b2235a70b083fbcc08a85ba62",
+    "ohmic/normalized_fermion": "e8c92983c19f62beb3446346b069782de0fc5593c059716eb675dc15ca1686e7",
+    "ohmic/ratio_R": "fcc071dd8486a933badb6e83b1ff2974c8185adab0e44b6c9ba4b5062e05ee96",
+    "ohmic/g_script": "aa6e4643390263f8591a980d8cf4416cb0151a4b13b47f44c870c8a8d041b781",
     "ohmic/fermion_high_T": "b3040d6d11644b3477849127a3679e98353aaa2a6c3636ca8e5580aff88c66bf",
-    "generalized/sigma1x": "89fb2cd922242b87b0a01ccecd01342a74a736449da798b0f583281b57cd6308",
-    "generalized/sigma2x": "c3537f4e2121f84d61345257fd921623dc858d43ba4e34c0e02e078ace036719",
+    "generalized/sigma1x": "10ac594b785f7c3a69ebb8a1e3be41c8ee594fd24e2485bfd8a1bb7c4c582aad",
+    "generalized/sigma2x": "7267c68f3b3327dd34262a206821aaa3e7be8f38dff40daf3e7fda510f4bfeb0",
     "generalized/sigma2y": "84bce8ae49cd624daa7bfe9bf591de646ab66d8bb81127f5005b758ea714c007",
-    "generalized/sigma1x_general": "8e573642b7e5274873ac16dd5dc9f0294e674f6a3780dfcba81d3e676cad6378",
-    "generalized/sigma2x_general": "fbcd6305b8841256a12daaa2d1c664eef94b8c22ac5e866cd56803c2b0803f85",
-    "generalized/r1": "28e873cacf94d10962edce2af5fd99f46187c2f1a5a6f16529c4cbfe6d8c3ea1",
-    "generalized/r2": "1170be0862001c24ad25e4e0c849f7a64baaeca6adf4c6cbc642fccb7b209494",
+    "generalized/sigma1x_general": "1f43d5674af5c8d4a0ea96294d3bfa1412b59ac4a9ae5524d311c06d1f140082",
+    "generalized/sigma2x_general": "0f1bd56701782301433a9707b2bb79f94c9b1fb7e64234aeba0c8a9312096b14",
+    "generalized/r1": "1ff2c8e72638251c05c9326144ef6273186484924161bf9abb7a73ae7740b6fb",
+    "generalized/r2": "2512a7b1f34b4d4172af28e8add2185b4a31df6e68d2d700edd9740e0f73f3a4",
     "generalized/static_sigma2x": "11dc255e59ebad4ca4d655c313a7abd2c84619d77359a113303ada1afbea24f5",
-    "generalized/sigma1x_fermion": "d3852b6b1f0749e5d485fad67892578593210efaa4cfd26d504db69974e0fd8b",
-    "generalized/sigma2x_fermion": "f4bcf4b60cf0dcc6ebd2a6209cb694f2caaafb60d085297b63181d8f1afd74b8",
-    "generalized/hartree_fock": "4efc49a5e02c96d623751ce1a6206628a14a3fb61d6a7259f7bbf50fa78a3563",
-    "tabulated/sigma1x": "8c00c6ca3cc7399ba540ddb859c5131cdc1c47e62ca5945b26f0502c071a30fe",
-    "tabulated/sigma2x": "5984616fdd54f936ee3ae247e86bca11054c7e9fe453b9d7d2fffd6465a26e25",
+    "generalized/sigma1x_fermion": "726e809d954ddd13aece7e25184db0fe119efb616f2164e90fa0cbcc790fbb0a",
+    "generalized/sigma2x_fermion": "aa7c7637b8de3f917d79037c6fa93ced13feb620532c2d67dbf4ef1b967b7959",
+    "generalized/hartree_fock": "4dc225968e969bbccb1c486af5dc31506bd95a4ac50782d95b1872dc493a648f",
+    "tabulated/sigma1x": "e9ea7ad61f08dab6bbafcb7fec7714c59eaa0bc9e10b239fb9f0c96d574b9ab6",
+    "tabulated/sigma2x": "2d50e79b39010d5349e031789a4647ce72eadf68d1747a28e2a78c110c49cfde",
     "tabulated/sigma2y": "84bce8ae49cd624daa7bfe9bf591de646ab66d8bb81127f5005b758ea714c007",
-    "tabulated/sigma1x_general": "b1aa2d871df17080625c1a455937beec529c5408a47f0fb365891164ad8a0a33",
-    "tabulated/sigma2x_general": "e02cd079b17838a205da285d33dbe94b265353c69e44a369cac7b0b226ab5a32",
-    "tabulated/r1": "4245dc03973156df3073d1d0addf5f962be292cfe98b6efa68aff5f1a2ef45cf",
-    "tabulated/r2": "d5b822ce561f8baf9b07354fd2a75f94d4637b3e1f1c3fe03ab6f0c13dcd3806",
+    "tabulated/sigma1x_general": "ad9aa7b5af4451685dc5fac41f52e68efdc03c07e6a2f64307df6962e706f99f",
+    "tabulated/sigma2x_general": "674ae9124e62a3d6590715fae1ddfb685aa3efeca88b94bf4da0e8b8fca11bc1",
+    "tabulated/r1": "0a8b5998b25bb6b5140bcefc42d3847688ac443d40df587c8d5685447f19a310",
+    "tabulated/r2": "d147a73775ec0953ee5956fb967a8c97aed5b53f7d9d9a977bc817e1b4a7692b",
     "tabulated/static_sigma2x": "2a3ba0ca2630cf6632973a30ff24eb152335d3f4d052a0814ed4cad59b176d9b",
-    "tabulated/sigma1x_fermion": "1813f2cb8246801f78c388746f9ff16cc502a003f5752a0126e8555e004f6b8f",
-    "tabulated/sigma2x_fermion": "3b534770a5d8eebfe8d8b3515d79eaddca0a6fc64f154dd2adb79a28361017c3",
-    "tabulated/hartree_fock": "a75473a3390828665e05e8f3a71d2a3824492eebc00ae64885ff97eb7a647f87",
+    "tabulated/sigma1x_fermion": "06407eab77324e49dcceb564cd28500fd90c7b3414885ee6d5d64ae19e930d69",
+    "tabulated/sigma2x_fermion": "d90aafbcf2e1d7c39e2357ac33fc8f446aba6c051ae4fd438297fc1bc6880718",
+    "tabulated/hartree_fock": "7dd97253b324e5366bcb7056dc64fa60b0d559dbd79821f2607df722aa69d82f",
 }
 
 
