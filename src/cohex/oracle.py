@@ -18,10 +18,15 @@ rho_S = Tr_B e^(-beta H) / Z, one k x k block per sector, and every
 system observable is Tr(O rho_S): never expanded into ``O x 1``, and
 never a reason to solve the same spec again.
 
-The module keeps the states of every solve made for the spec of the
-last public call (the scaled and doubled-cutoff solves of its comparison
-and fit), so a second observable of that spec is contracted, not
-solved.  A call with another spec empties the store first.
+The module keeps, for the spec of the last public call, the states of
+every solve made for it (the scaled and doubled-cutoff solves of its
+comparison and fit) and the bath operators of each cutoff they used.
+So a check builds the bath operators of its cutoff and twice it once
+each, and a second observable of that spec is contracted, not solved.
+A call with another spec empties both stores together.  Nothing that
+does not depend on the spec is rebuilt per solve either: each model's
+sector mask is built, and each observable checked against it, once at
+import.
 
 Matrices are dense per sector on purpose.  At the guarded sizes the
 eigendecomposition dominates anyway, and dense construction keeps each
@@ -33,7 +38,8 @@ construction or added together with its exact transpose, so
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+import numbers
+from dataclasses import dataclass, replace
 from functools import reduce, wraps
 
 import numpy as np
@@ -57,9 +63,11 @@ _CUTOFF_STABILITY_ABS = 1e-8
 _IMAG_RESIDUE_ABS = 1e-10
 
 # The reduced states solved for one caller spec, by solve key (_spec_key),
-# and that caller spec's key; _serving is set while a public call runs, so
-# the calls it makes keep the store.  See _serves_one_spec.
+# the bath operators those solves used, by _bath_key, and that caller
+# spec's key; _serving is set while a public call runs, so the calls it
+# makes keep the stores.  See _serves_one_spec.
 _store = {}
+_bath_store = {}
 _store_spec = None
 _serving = False
 
@@ -124,12 +132,14 @@ class OracleSpec:
             )
         if not 1 <= self.n_modes <= 3:
             raise DomainError("the oracle bath must have 1 to 3 modes")
-        if (isinstance(self.fock_cutoff, bool)
-                or int(self.fock_cutoff) != self.fock_cutoff or self.fock_cutoff < 1):
+        cutoff = self.fock_cutoff
+        if (isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Real)
+                or not math.isfinite(cutoff) or int(cutoff) != cutoff or cutoff < 1):
             raise DomainError("fock_cutoff must be an integer >= 1")
         if self.model not in _MODELS:
             raise DomainError("model must be " + " or ".join(map(repr, _MODELS)))
-        if not (self.beta > 0.0) or not math.isfinite(self.beta):
+        if (not isinstance(self.beta, numbers.Real)
+                or not (self.beta > 0.0) or not math.isfinite(self.beta)):
             raise DomainError(
                 "beta must be positive and finite: the truncated trace "
                 "has no zero-temperature limit to offer"
@@ -210,6 +220,22 @@ def _fermion_system(params: ModelParams):
     return h_sys, c_sys
 
 
+class _Sectors(tuple):
+    """Index arrays partitioning the system states, one per conserved sector.
+
+    ``crossing`` masks the (i, j) entries whose states lie in two
+    different sectors; it is built once, with the partition.
+    """
+
+    def __new__(cls, sectors):
+        self = super().__new__(cls, sectors)
+        labels = np.empty(sum(states.size for states in self), dtype=int)
+        for label, states in enumerate(self):
+            labels[states] = label
+        self.crossing = labels[:, None] != labels[None, :]
+        return self
+
+
 # One sector per total particle number n0 + n1 + n2 of the JW basis states.
 _FERMION_NUMBER = np.diag(_A0.T @ _A0 + _A1.T @ _A1 + _A2.T @ _A2)
 
@@ -218,8 +244,10 @@ _FERMION_NUMBER = np.diag(_A0.T @ _A0 + _A1.T @ _A1 + _A2.T @ _A2)
 #: b_k^dagger)); the sectors are index arrays partitioning the system
 #: states, and every system operator of the model is zero between two.
 _MODELS = {
-    "spin": (_spin_system, (np.arange(4),)),
-    "fermion": (_fermion_system, tuple(np.flatnonzero(_FERMION_NUMBER == n) for n in range(4))),
+    "spin": (_spin_system, _Sectors((np.arange(4),))),
+    "fermion": (_fermion_system, _Sectors(
+        np.flatnonzero(_FERMION_NUMBER == n) for n in range(4)
+    )),
 }
 
 #: observable -> (model, operator on the system factor, closed form of
@@ -255,15 +283,17 @@ def _observable(spec: OracleSpec, observable: str):
     return row
 
 
-def _check_sectors(sectors, operators: dict) -> None:
+def _check_sectors(sectors: _Sectors, operators: dict) -> None:
     """Refuse any named operator with a nonzero entry between two sectors."""
-    labels = np.empty(sum(states.size for states in sectors), dtype=int)
-    for label, states in enumerate(sectors):
-        labels[states] = label
-    crossing = labels[:, None] != labels[None, :]
     for name, operator in operators.items():
-        if np.any(operator[crossing] != 0):
+        if np.any(operator[sectors.crossing] != 0):
             raise SectorError(f"the {name} connects two conserved sectors")
+
+
+# The observables are constants, so each is checked once, here; the
+# params-dependent system operators are checked on every solve.
+for _name, (_model, _operator, _) in _OBSERVABLES.items():
+    _check_sectors(_MODELS[_model][1], {f"observable '{_name}'": _operator})
 
 
 def _eigh(h: np.ndarray):
@@ -322,21 +352,18 @@ def thermal_average(h: np.ndarray, observable: np.ndarray, beta: float) -> float
 def _sector_hamiltonian(h_sys, c_sys, h_b, coupling_op) -> np.ndarray:
     """kron(h_sys, 1) + kron(1, H_B) + kron(c_sys, X) for one sector.
 
-    Filled one system block at a time, H[a,:,b,:] = h_ab 1 + delta_ab H_B
-    + c_ab X, with the sums in the kron order, so the entries equal the
-    kron sum's without building three full-size products.
+    The system blocks H[a,:,b,:] = h_ab 1 + delta_ab H_B + c_ab X are
+    broadcast as one contiguous (k, k, d, d) array, with the sums in the
+    kron order, so the entries equal the kron sum's without building
+    three full-size products.  H_B is added to the diagonal blocks only:
+    adding zeros elsewhere would turn a -0.0 into 0.0.
     """
     k, d = h_sys.shape[0], h_b.shape[0]
-    eye_b = np.eye(d)
-    h = np.empty((k, d, k, d), dtype=np.result_type(h_sys, c_sys, h_b))
+    blocks = h_sys[:, :, None, None] * np.eye(d)
     for a in range(k):
-        for b in range(k):
-            block = h_sys[a, b] * eye_b
-            if a == b:
-                block += h_b
-            block += c_sys[a, b] * coupling_op
-            h[a, :, b, :] = block
-    return h.reshape(k * d, k * d)
+        blocks[a, a] += h_b
+    blocks += c_sys[:, :, None, None] * coupling_op
+    return blocks.transpose(0, 2, 1, 3).reshape(k * d, k * d)
 
 
 def _solve(spec: OracleSpec) -> np.ndarray:
@@ -352,7 +379,11 @@ def _solve(spec: OracleSpec) -> np.ndarray:
         "system Hamiltonian": h_sys,
         "bath-coupling operator": c_sys,
     })
-    h_b, coupling_op = _bath_matrices(spec.bath, spec.fock_cutoff)
+    bath_key = _bath_key(spec)
+    operators = _bath_store.get(bath_key)
+    if operators is None:
+        operators = _bath_store[bath_key] = _bath_matrices(spec.bath, spec.fock_cutoff)
+    h_b, coupling_op = operators
     spectra = []
     for states in sectors:
         block = np.ix_(states, states)
@@ -361,25 +392,32 @@ def _solve(spec: OracleSpec) -> np.ndarray:
     return _thermal_state(sectors, spectra, spec.beta)
 
 
+def _bath_key(spec: OracleSpec) -> tuple:
+    """The values that define the bath operators of a solve."""
+    return (
+        spec.bath.couplings.tobytes(),
+        spec.bath.frequencies.tobytes(),
+        int(spec.fock_cutoff),
+    )
+
+
 def _spec_key(spec: OracleSpec) -> tuple:
     """The values that define a solve, copied out of the spec.
 
     The bath arrays and the floats enter as bytes, so a bath changed in
     place no longer matches and 0.0 and -0.0 stay apart.
     """
-    return (
-        spec.bath.couplings.tobytes(),
-        spec.bath.frequencies.tobytes(),
-        int(spec.fock_cutoff),
+    p = spec.params
+    return _bath_key(spec) + (
         spec.model,
-        np.array(astuple(spec.params) + (spec.beta,), dtype=float).tobytes(),
+        np.array((p.omega1, p.omega2, p.t, p.f1, p.f2, spec.beta), dtype=float).tobytes(),
     )
 
 
 def _serves_one_spec(function):
-    """Make a public call of (spec, ...) bring its spec to the store.
+    """Make a public call of (spec, ...) bring its spec to the stores.
 
-    The store empties unless it holds solves made for that spec.  The
+    The stores empty unless they hold solves made for that spec.  The
     calls made while it runs, for scaled or doubled-cutoff specs, bring
     nothing, so every solve of the caller's spec is kept.
     """
@@ -392,6 +430,7 @@ def _serves_one_spec(function):
         key = _spec_key(spec)
         if key != _store_spec:
             _store.clear()
+            _bath_store.clear()
             _store_spec = key
         _serving = True
         try:
@@ -410,7 +449,6 @@ def exact_average(spec: OracleSpec, observable: str) -> float:
     A solve that raises stores nothing.
     """
     _, sys_op, _ = _observable(spec, observable)
-    _check_sectors(_MODELS[spec.model][1], {f"observable '{observable}'": sys_op})
     key = _spec_key(spec)
     rho = _store.get(key)
     if rho is None:

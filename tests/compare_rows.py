@@ -10,6 +10,12 @@ err_estimate over their values (against the first tree's estimate) and
 every status word that changed.  Re-freezing a digest under the
 north-star rule needs that ratio below 1 and no status change.
 
+It then runs the oracle check of ``bench/workloads.py`` (compare and
+fit, as ``cohex oracle-check`` does) on each spec of the benchmark's
+oracle_dims checks, for both coherences of the spec's model, and prints
+whether each of exact, formula, rel_dev and order moved any bits, and
+every status that changed.
+
     python tests/compare_rows.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout holding ``src/cohex``; the cases are read from
@@ -24,8 +30,11 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.join(os.path.dirname(HERE), "bench")
 
 CLOSE_PAIR_QUANTITIES = ("hartree_fock", "sigma2x_fermion", "r1", "r2")
+ORACLE_COHERENCES = {"spin": ("sigma1x", "sigma2x"), "fermion": ("fermion_coh1", "fermion_coh2")}
+ORACLE_FIELDS = ("exact", "formula", "rel_dev", "order")
 
 
 def _tables():
@@ -58,12 +67,37 @@ def _tables():
         yield f"close-pair/{quantity}", emit_csv(table), len(axes)
 
 
+def _oracle_checks():
+    """(name, result) of every compared oracle check, as float.hex strings
+    and a status, computed with the ``cohex`` on ``sys.path``."""
+    import cohex
+    from cohex.errors import CohexError
+    from workloads import (
+        ORACLE_BETAS, ORACLE_LARGE, ORACLE_OMEGA2, ORACLE_SMALL, oracle_result, oracle_spec,
+    )
+
+    specs = dict.fromkeys(check[:3] for check in ORACLE_SMALL + ORACLE_LARGE)
+    for model, bath_key, cutoff in specs:
+        spec = oracle_spec(cohex, model, bath_key, cutoff, ORACLE_BETAS[0], ORACLE_OMEGA2[0])
+        for observable in ORACLE_COHERENCES[model]:
+            name = f"{model}/bath={bath_key}/cutoff={cutoff}/{observable}"
+            try:
+                result = oracle_result(cohex, spec, observable)
+            except CohexError as exc:
+                yield name, {"status": type(exc).__name__}
+                continue
+            values = {f: None if result[f] is None else float.hex(result[f]) for f in ORACLE_FIELDS}
+            yield name, {**values, "status": result["status"]}
+
+
 def emit():
-    """Print every table of this tree as one JSON line each."""
-    sys.path.insert(0, HERE)
+    """Print every table and oracle check of this tree as one JSON line each."""
+    sys.path[:0] = [HERE, BENCH]
     for name, data, n_axes in _tables():
         rows = [line for line in data.decode().splitlines() if not line.startswith("#")]
         print(json.dumps({"name": name, "rows": rows, "axes": n_axes}), flush=True)
+    for name, result in _oracle_checks():
+        print(json.dumps({"name": f"oracle/{name}", "oracle": result}), flush=True)
 
 
 def _run(root):
@@ -107,6 +141,22 @@ def compare(old, new):
     return moved, worst, statuses
 
 
+def compare_oracle(old, new):
+    """(one cell per ORACLE_FIELDS entry, status change or None) of one check."""
+    cells = []
+    for field in ORACLE_FIELDS:
+        a, b = old.get(field), new.get(field)
+        if a == b:
+            cells.append("same")
+        elif a is None or b is None:
+            cells.append(f"{a} -> {b}")
+        else:
+            x, y = float.fromhex(a), float.fromhex(b)
+            cells.append(f"moved (rel {abs(y - x) / max(abs(x), abs(y)):.3g})")
+    status = None if old["status"] == new["status"] else f"{old['status']} -> {new['status']}"
+    return cells, status
+
+
 def main(argv):
     if argv[1:] == ["--emit"]:
         emit()
@@ -119,12 +169,20 @@ def main(argv):
           "| max abs(delta)/err_estimate | status changes |")
     print("| --- | --- | --- | --- | --- | --- | --- |")
     changed = 0
-    for name, table in old.items():
+    tables = {name: t for name, t in old.items() if "rows" in t}
+    for name, table in tables.items():
         moved, worst, statuses = compare(table, new[name])
         changed += bool(statuses)
         print(f"| {name} | {len(table['rows']) - 1} | {_digest(table['rows'])[:12]} "
               f"| {_digest(new[name]['rows'])[:12]} | {moved} | {worst:.3g} "
               f"| {'; '.join(statuses) or 'none'} |")
+    print()
+    print("| oracle check | " + " | ".join(ORACLE_FIELDS) + " | status change |")
+    print("| --- |" + " --- |" * (len(ORACLE_FIELDS) + 1))
+    for name in (name for name in old if name not in tables):
+        cells, status = compare_oracle(old[name]["oracle"], new[name]["oracle"])
+        changed += status is not None
+        print(f"| {name} | " + " | ".join(cells) + f" | {status or 'none'} |")
     return 1 if changed else 0
 
 

@@ -60,6 +60,17 @@ MAP_SHA256 = {
     "r2": "de60212c041b2b73aae08d9b516d4e50f0e62b02877c1949c349295397fb1e7c",
 }
 
+# Frozen output of two default oracle checks, one per model: every bit of
+# their exact values, formulas, deviations and fitted orders.
+ORACLE_ARGS = {
+    "spin": ("--model", "spin", "--observable", "sigma1x"),
+    "fermion": ("--model", "fermion", "--observable", "fermion_coh2"),
+}
+ORACLE_SHA256 = {
+    "spin": "aa8180a6bd6db82359ddb38808b6fb45eca5707706d05f00fe32ccda2b384cb1",
+    "fermion": "ea836c2375386480dea99d72f4cfbea436bf0141b4018babffcbd51dfdcaf08a",
+}
+
 
 class TestSubcommandSurface:
     def test_help_lists_exactly_the_six_subcommands(self):
@@ -428,6 +439,12 @@ class TestOracleCheck:
         assert rel_dev <= 5e-3
         assert 1.7 <= order <= 2.3
         assert math.copysign(1.0, exact) == math.copysign(1.0, formula)
+
+    @pytest.mark.parametrize("model", sorted(ORACLE_ARGS))
+    def test_golden_file(self, model):
+        proc = run_cli("oracle-check", *ORACLE_ARGS[model], "--set", "beta_omega1=2")
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout).hexdigest() == ORACLE_SHA256[model]
 
     def test_default_check_runs_six_solves(self, monkeypatch, capsys):
         # compare_perturbative at s = 1 and the fit at s = 1, 0.5, 0.25,

@@ -52,6 +52,12 @@ def test_spec_validation():
         OracleSpec(BATH, 0, "spin", PARAMS, 2.0)
     with pytest.raises(DomainError):
         OracleSpec(BATH, True, "spin", PARAMS, 2.0)  # not cutoff 1
+    for cutoff in (None, math.inf, math.nan, "8"):
+        with pytest.raises(DomainError, match="fock_cutoff"):
+            OracleSpec(BATH, cutoff, "spin", PARAMS, 2.0)
+    for beta in (None, "2", 2 + 0j):
+        with pytest.raises(DomainError, match="beta"):
+            OracleSpec(BATH, 14, "spin", PARAMS, beta)
     with pytest.raises(DomainError):
         OracleSpec(BATH, 14, "bosonic", PARAMS, 2.0)
     with pytest.raises(DomainError):
@@ -155,6 +161,34 @@ def _counted_solves(monkeypatch):
 
     monkeypatch.setattr(oracle, "_solve", counting)
     return solved
+
+
+def _counted_bath_builds(monkeypatch):
+    """fock_cutoff of every bath-operator build from here on."""
+    built = []
+    real = oracle._bath_matrices
+
+    def counting(bath, fock_cutoff):
+        built.append(fock_cutoff)
+        return real(bath, fock_cutoff)
+
+    monkeypatch.setattr(oracle, "_bath_matrices", counting)
+    return built
+
+
+def test_a_check_builds_the_bath_operators_of_each_cutoff_once(monkeypatch):
+    spec = OracleSpec(BATH, 8, "spin", PARAMS, 2.0)
+    cold = (compare_perturbative(spec, "sigma1x"), convergence_order(spec, "sigma1x"))
+    oracle._store.clear()
+    oracle._bath_store.clear()
+    built = _counted_bath_builds(monkeypatch)
+    warm = (compare_perturbative(spec, "sigma1x"), convergence_order(spec, "sigma1x"))
+    assert sorted(built) == [8, 16]
+    assert warm == cold
+    # a spec with another cutoff empties the stores with the states
+    exact_average(replace(spec, fock_cutoff=9), "sigma1x")
+    assert list(oracle._bath_store) == [oracle._bath_key(replace(spec, fock_cutoff=9))]
+    assert sorted(built) == [8, 9, 16]
 
 
 def test_a_fit_after_its_comparison_reuses_the_unit_scale_solve(monkeypatch):
@@ -275,10 +309,12 @@ def test_a_bath_changed_in_place_is_solved_again(monkeypatch):
     bath = DiscreteDensity([(0.05, 0.8)])
     spec = OracleSpec(bath, 14, "spin", PARAMS, 2.0)
     solved = _counted_solves(monkeypatch)
+    built = _counted_bath_builds(monkeypatch)
     first = compare_perturbative(spec, "sigma1x")
     bath.couplings[0] = 0.04
     second = compare_perturbative(spec, "sigma1x")
     assert len(solved) == 4
+    assert sorted(built) == [14, 14, 28, 28]
     assert second[0] != first[0]
     # an equal bath in a new object is the same solve
     fresh = OracleSpec(DiscreteDensity([(0.04, 0.8)]), 14, "spin", PARAMS, 2.0)
